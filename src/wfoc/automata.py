@@ -1,8 +1,10 @@
 """Non-deterministic and weighted automata.
 
 Run enumeration, multiset semantics, strongly connected components,
-ambiguity classification, aperiodicity analysis, and the closure
-constructions (synchronous product, disjoint union, trim).
+ambiguity classification, aperiodicity analysis, the closure
+constructions (synchronous product, disjoint union, trim), and the
+breadth-first exploration that every construction on reachable states
+shares.
 
 All values are immutable after construction and every operation is a pure
 function of its inputs.
@@ -158,6 +160,44 @@ class WeightedAutomaton:
 
 def underlying_nfa(a):
     return a.nfa if isinstance(a, WeightedAutomaton) else a
+
+
+# -- exploration ------------------------------------------------------------
+
+
+def explore(starts, step):
+    """Breadth-first search from `starts`, yielding every edge
+    (state, letter, successor) of the reachable part once.
+
+    step(state) lists the (letter, successor) pairs of a state.  States
+    are expanded in the order they are first reached, and within a state
+    in the order step lists them, so the edges come out sorted by the
+    length of the shortest word reaching their source.  Consumers may
+    stop early."""
+    order = list(dict.fromkeys(starts))
+    seen = set(order)
+    for state in order:                  # order grows during the loop
+        for letter, nxt in step(state):
+            if nxt not in seen:
+                seen.add(nxt)
+                order.append(nxt)
+            yield state, letter, nxt
+
+
+def shortest_word(starts, step, goal):
+    """Shortest non-empty word leading from a start state to a state
+    satisfying goal, as a tuple of letters, or None; ties go to the first
+    edge explore yields."""
+    parent = dict.fromkeys(starts)
+    for (src, letter, dst) in explore(starts, step):
+        if goal(dst):
+            word = [letter]
+            while parent[src] is not None:
+                src, letter = parent[src]
+                word.append(letter)
+            return tuple(reversed(word))
+        parent.setdefault(dst, (src, letter))
+    return None
 
 
 @dataclass(frozen=True)
@@ -400,88 +440,50 @@ def scc_decompose(a) -> SccDecomposition:
 # -- ambiguity --------------------------------------------------------------
 
 
-def _square_edges(nfa, states1, states2):
-    """Synchronized pairs over the given state restrictions."""
-    edges = {}
-    for (s, a, d) in nfa.transitions:
-        if s in states1 and d in states1:
-            edges.setdefault((s, a), []).append(d)
-    return edges
+def ambiguity_witness(a, start_pairs, end_pairs, within=None):
+    """Shortest non-empty word with two distinct runs that go from the
+    states of a start pair to the states of an end pair, staying inside
+    `within` when given; None when there is no such word.
 
+    One breadth-first pass over (pair, diverged) states of the square
+    product: the flag records that the two runs have differed so far."""
+    nfa = underlying_nfa(a)
+    allowed = nfa.states if within is None else within
+    letters = sorted(nfa.alphabet, key=letter_key)
 
-def _reachable_pairs(nfa, start_pairs, allowed):
-    seen = set(start_pairs)
-    work = list(start_pairs)
-    while work:
-        (r, s) = work.pop()
-        for a in nfa.alphabet:
-            for r2 in nfa.out(r, a):
+    def step(state):
+        r, s, diverged = state
+        for letter in letters:
+            for r2 in nfa.out(r, letter):
                 if r2 not in allowed:
                     continue
-                for s2 in nfa.out(s, a):
-                    if s2 not in allowed:
-                        continue
-                    if (r2, s2) not in seen:
-                        seen.add((r2, s2))
-                        work.append((r2, s2))
-    return seen
+                for s2 in nfa.out(s, letter):
+                    if s2 in allowed:
+                        yield letter, (r2, s2, diverged or r2 != s2)
 
-
-def _coreachable_pairs(nfa, end_pairs, allowed):
-    seen = set(end_pairs)
-    work = list(end_pairs)
-    while work:
-        (r, s) = work.pop()
-        for a in nfa.alphabet:
-            for r0 in nfa.into(r, a):
-                if r0 not in allowed:
-                    continue
-                for s0 in nfa.into(s, a):
-                    if s0 not in allowed:
-                        continue
-                    if (r0, s0) not in seen:
-                        seen.add((r0, s0))
-                        work.append((r0, s0))
-    return seen
+    starts = sorted(((r, s, r != s) for (r, s) in start_pairs
+                     if r in allowed and s in allowed),
+                    key=lambda st: state_key(st[:2]))
+    return shortest_word(starts, step,
+                         lambda st: st[2] and st[:2] in end_pairs)
 
 
 def is_unambiguous(a) -> bool:
-    """At most one accepting run per word (square-product check)."""
-    return ambiguity_witness_pair(a) is None
-
-
-def ambiguity_witness_pair(a):
-    """An off-diagonal square state on an accepting path, or None."""
+    """At most one accepting run per word."""
     nfa = underlying_nfa(a)
-    starts = {(i, j) for i in nfa.initial for j in nfa.initial}
-    ends = {(p, q) for p in nfa.final for q in nfa.final}
-    fwd = _reachable_pairs(nfa, starts, nfa.states)
-    bwd = _coreachable_pairs(nfa, ends, nfa.states)
-    both = [(r, s) for (r, s) in fwd & bwd if r != s]
-    if not both:
-        return None
-    both.sort(key=lambda rs: (state_key(rs[0]), state_key(rs[1])))
-    return both[0]
-
-
-def is_unambiguous_between(a, p, q) -> bool:
-    """At most one run from p to q per word."""
-    nfa = underlying_nfa(a)
-    fwd = _reachable_pairs(nfa, {(p, p)}, nfa.states)
-    bwd = _coreachable_pairs(nfa, {(q, q)}, nfa.states)
-    return not any(r != s for (r, s) in fwd & bwd)
+    return ambiguity_witness(
+        nfa, {(i, j) for i in nfa.initial for j in nfa.initial},
+        {(f, g) for f in nfa.final for g in nfa.final}) is None
 
 
 def is_scc_unambiguous(a) -> bool:
-    """Unambiguous between every pair of states of a common SCC, decided by
-    pair reachability restricted within each component."""
+    """Unambiguous between every pair of states of a common SCC; a run
+    between two such states never leaves their component."""
     nfa = underlying_nfa(a)
-    scc = scc_decompose(nfa)
-    for comp in scc.components:
-        diag = {(s, s) for s in comp}
-        fwd = _reachable_pairs(nfa, diag, comp)
-        bwd = _coreachable_pairs(nfa, diag, comp)
-        if any(r != s for (r, s) in fwd & bwd):
+    for comp in scc_decompose(nfa).components:
+        diagonal = {(s, s) for s in comp}
+        if ambiguity_witness(nfa, diagonal, diagonal,
+                             within=comp) is not None:
             return False
     return True
 
@@ -490,52 +492,35 @@ def _has_same_word_loop_ladder(nfa) -> bool:
     """Distinct p != q with a common word looping p->p, going p->q and
     looping q->q (triple-product reachability)."""
     scc = scc_decompose(nfa)
-    states = sorted(nfa.states, key=state_key)
-    # q must be reachable from p for the pattern to exist at all
-    reach = {s: {s} for s in states}
-    changed = True
-    while changed:
-        changed = False
-        for (s, _, d) in nfa.transitions:
-            before = len(reach[s])
-            reach[s] |= reach[d]
-            if len(reach[s]) != before:
-                changed = True
-    for p in states:
-        for q in states:
-            if p == q or q not in reach[p]:
-                continue
-            # loops stay inside the SCCs of p and q
-            comp_p = scc.components[scc.component_of[p]]
+    letters = sorted(nfa.alphabet, key=letter_key)
+    # the loops need p and q on cycles, and q reachable from p
+    on_cycle = {s for comp in scc.components if len(comp) > 1
+                for s in comp} | {s for (s, _, d) in nfa.transitions
+                                  if s == d}
+
+    def successors(s):
+        return ((a, d) for a in letters for d in nfa.out(s, a))
+
+    for p in on_cycle:
+        comp_p = scc.components[scc.component_of[p]]
+        reach = {d for (_, _, d) in explore([p], successors)}
+        for q in (reach & on_cycle) - {p}:
             comp_q = scc.components[scc.component_of[q]]
-            if len(comp_p) == 1 and not any(
-                    t[0] == p and t[2] == p for t in nfa.transitions):
-                continue
-            if len(comp_q) == 1 and not any(
-                    t[0] == q and t[2] == q for t in nfa.transitions):
-                continue
-            start = (p, p, q)
-            target = (p, q, q)
-            seen = {start}
-            work = [start]
-            found = False
-            while work and not found:
-                (r1, r2, r3) = work.pop()
-                for a in nfa.alphabet:
+
+            def step(state):
+                r1, r2, r3 = state
+                for a in letters:
                     for d1 in nfa.out(r1, a):
                         if d1 not in comp_p:
                             continue
                         for d2 in nfa.out(r2, a):
                             for d3 in nfa.out(r3, a):
-                                if d3 not in comp_q:
-                                    continue
-                                nxt = (d1, d2, d3)
-                                if nxt == target:
-                                    found = True
-                                if nxt not in seen:
-                                    seen.add(nxt)
-                                    work.append(nxt)
-            if found:
+                                if d3 in comp_q:
+                                    yield a, (d1, d2, d3)
+
+            target = (p, q, q)
+            if shortest_word([(p, p, q)], step,
+                             lambda st: st == target) is not None:
                 return True
     return False
 
@@ -563,28 +548,54 @@ def classify_ambiguity(a) -> str:
     return FINITELY
 
 
+def max_accepting_runs(a, cap, maxlen=None):
+    """Breadth-first search over per-state run-count vectors, entries
+    capped at `cap`, over the non-empty words of length at most `maxlen`
+    when given.  Returns (best, word): the largest accepting-run total
+    seen and the shortest word reaching `cap`, or None.  On a trim
+    automaton without a length bound, a None word makes `best` the exact
+    ambiguity degree, since a capped count would propagate to some final
+    state and trigger."""
+    nfa = underlying_nfa(a)
+    states = sorted(nfa.states, key=state_key)
+    letters = sorted(nfa.alphabet, key=letter_key)
+    idx = {s: i for i, s in enumerate(states)}
+    finals = [idx[s] for s in states if s in nfa.final]
+    pre = {}
+    for (s, letter, d) in nfa.transitions:
+        pre.setdefault((letter, idx[d]), []).append(idx[s])
+    start = tuple(1 if s in nfa.initial else 0 for s in states)
+    depth = {start: 0}
+    best = 0
+
+    def step(vec):
+        if maxlen is not None and depth[vec] >= maxlen:
+            return
+        for letter in letters:
+            nxt = tuple(min(cap, sum(vec[i] for i in pre.get((letter, j), ())))
+                        for j in range(len(states)))
+            depth.setdefault(nxt, depth[vec] + 1)
+            yield letter, nxt
+
+    def reaches_cap(vec):
+        # every vector reached by a non-empty word passes here
+        nonlocal best
+        acc = sum(vec[j] for j in finals)
+        best = max(best, acc)
+        return acc >= cap
+
+    word = shortest_word([start], step, reaches_cap)
+    return (best, None) if word is None else (cap, word)
+
+
 def ambiguity_degree_bounded(a, maxlen) -> int:
     """Exact max number of accepting runs over all words up to maxlen."""
     nfa = underlying_nfa(a)
     if maxlen < 1:
         raise InputError("length bound must be >= 1")
-    best = 0
-    front = {(): {s: 1 for s in nfa.initial}}
-    for _ in range(maxlen):
-        nxt = {}
-        for word, counts in front.items():
-            for letter in sorted(nfa.alphabet, key=letter_key):
-                bucket = {}
-                for s, n in counts.items():
-                    for d in nfa.out(s, letter):
-                        bucket[d] = bucket.get(d, 0) + n
-                if bucket:
-                    nxt[word + (letter,)] = bucket
-                    acc = sum(n for s, n in bucket.items() if s in nfa.final)
-                    best = max(best, acc)
-        front = nxt
-        if not front:
-            break
+    # a word of length n has at most |Q|^(n+1) runs: the cap never binds
+    best, _ = max_accepting_runs(nfa, len(nfa.states) ** (maxlen + 1) + 1,
+                                 maxlen)
     return best
 
 
@@ -623,18 +634,8 @@ def _mat_mul(m1, m2):
 def transition_monoid(nfa):
     """Closure of the per-letter boolean matrices under composition."""
     gens = list(_bool_matrices(nfa).values())
-    if not gens:
-        return set()
-    seen = set(gens)
-    work = list(gens)
-    while work:
-        m = work.pop()
-        for g in gens:
-            prod = _mat_mul(m, g)
-            if prod not in seen:
-                seen.add(prod)
-                work.append(prod)
-    return seen
+    products = explore(gens, lambda m: ((g, _mat_mul(m, g)) for g in gens))
+    return set(gens) | {m for (_, _, m) in products}
 
 
 def aperiodicity_index(a):
@@ -704,29 +705,15 @@ def weighted_union(a: WeightedAutomaton, b: WeightedAutomaton) -> WeightedAutoma
 
 
 def reachable_states(nfa: Nfa):
-    seen = set(nfa.initial)
-    work = list(nfa.initial)
-    while work:
-        s = work.pop()
-        for a in nfa.alphabet:
-            for d in nfa.out(s, a):
-                if d not in seen:
-                    seen.add(d)
-                    work.append(d)
-    return seen
+    forward = explore(nfa.initial, lambda s: (
+        (a, d) for a in nfa.alphabet for d in nfa.out(s, a)))
+    return set(nfa.initial) | {d for (_, _, d) in forward}
 
 
 def coreachable_states(nfa: Nfa):
-    seen = set(nfa.final)
-    work = list(nfa.final)
-    while work:
-        s = work.pop()
-        for a in nfa.alphabet:
-            for p in nfa.into(s, a):
-                if p not in seen:
-                    seen.add(p)
-                    work.append(p)
-    return seen
+    backward = explore(nfa.final, lambda s: (
+        (a, p) for a in nfa.alphabet for p in nfa.into(s, a)))
+    return set(nfa.final) | {p for (_, _, p) in backward}
 
 
 def restrict(nfa: Nfa, keep) -> Nfa:

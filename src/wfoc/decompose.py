@@ -11,7 +11,6 @@ original behaviour.
 """
 
 import itertools
-from collections import deque
 
 from .automata import (
     FINITELY,
@@ -19,7 +18,9 @@ from .automata import (
     UNAMBIGUOUS,
     WeightedAutomaton,
     classify_ambiguity,
+    explore,
     letter_key,
+    max_accepting_runs,
     product,
     state_key,
     trim,
@@ -94,17 +95,11 @@ def build_a_geq_k(a, k) -> Nfa:
     (q0,) = nfa.initial
     rank = {s: i for i, s in enumerate(sorted(nfa.states, key=state_key))}
     letters = sorted(nfa.alphabet, key=letter_key)
-    start = (q0,) * k + (0,) * (k - 1)
-    trans = set()
-    seen = {start}
-    work = [start]
-    while work:
-        src = work.pop()
+
+    def step(src):
         qs, cs = src[:k], src[k:]
         for letter in letters:
             outs = [nfa.out(qs[ell], letter) for ell in range(k)]
-            if any(not o for o in outs):
-                continue
             for qs2 in itertools.product(*outs):
                 cs2 = []
                 for ell in range(k - 1):
@@ -118,14 +113,14 @@ def build_a_geq_k(a, k) -> Nfa:
                         # equal prefixes may not fall out of order
                         break
                 else:
-                    dst = qs2 + tuple(cs2)
-                    trans.add((src, letter, dst))
-                    if dst not in seen:
-                        seen.add(dst)
-                        work.append(dst)
-    final = {s for s in seen
+                    yield letter, qs2 + tuple(cs2)
+
+    start = (q0,) * k + (0,) * (k - 1)
+    trans = set(explore([start], step))
+    states = {start} | {d for (_, _, d) in trans}
+    final = {s for s in states
              if all(q in nfa.final for q in s[:k]) and all(s[k:])}
-    return Nfa(seen, nfa.alphabet, trans, {start}, final)
+    return Nfa(states, nfa.alphabet, trans, {start}, final)
 
 
 def build_a_leq_k(a, k) -> ClassifierDfa:
@@ -160,41 +155,6 @@ def build_a_k_ell(a: WeightedAutomaton, k, ell) -> WeightedAutomaton:
     return WeightedAutomaton(joint, wgt)
 
 
-# -- ambiguity degree via capped run counting ---------------------------------
-
-
-def _max_accepting_runs(nfa, cap):
-    """Breadth-first search over per-state run-count vectors, entries
-    capped at `cap`.  Returns (best, word): the largest accepting-run
-    total seen and the first word reaching `cap`, or None.  On a trim
-    automaton a None word makes `best` the exact ambiguity degree, since
-    a capped count would propagate to some final state and trigger."""
-    states = sorted(nfa.states, key=state_key)
-    letters = sorted(nfa.alphabet, key=letter_key)
-    idx = {s: i for i, s in enumerate(states)}
-    finals = [idx[s] for s in states if s in nfa.final]
-    pre = {}
-    for (s, letter, d) in nfa.transitions:
-        pre.setdefault((letter, idx[d]), []).append(idx[s])
-    start = tuple(1 if s in nfa.initial else 0 for s in states)
-    best = 0
-    seen = {start}
-    queue = deque([(start, ())])
-    while queue:
-        vec, word = queue.popleft()
-        for letter in letters:
-            nxt = tuple(min(cap, sum(vec[i] for i in pre.get((letter, j), ())))
-                        for j in range(len(states)))
-            acc = sum(nxt[j] for j in finals)
-            if acc >= cap:
-                return cap, word + (letter,)
-            best = max(best, acc)
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append((nxt, word + (letter,)))
-    return best, None
-
-
 # -- the decomposition ---------------------------------------------------------
 
 
@@ -210,13 +170,13 @@ def decompose(a: WeightedAutomaton, k=None) -> list:
     if k is None:
         kind = classify_ambiguity(nfa)
         if kind not in (UNAMBIGUOUS, FINITELY):
-            _, word = _max_accepting_runs(nfa, len(nfa.states) + 1)
+            _, word = max_accepting_runs(nfa, len(nfa.states) + 1)
             raise HypothesisError(
                 "ambiguity grows %s; %r already has more than %d "
                 "accepting runs" % (kind, "".join(word), len(nfa.states)))
         cap = 2
         while True:
-            best, word = _max_accepting_runs(nfa, cap)
+            best, word = max_accepting_runs(nfa, cap)
             if word is None:
                 k = best
                 break
@@ -224,7 +184,7 @@ def decompose(a: WeightedAutomaton, k=None) -> list:
     else:
         if k < 0:
             raise InputError("ambiguity bound must be >= 0")
-        _, word = _max_accepting_runs(nfa, k + 1)
+        _, word = max_accepting_runs(nfa, k + 1)
         if word is not None:
             raise HypothesisError(
                 "not %d-ambiguous: %r has at least %d accepting runs"

@@ -10,7 +10,7 @@ ends with a Moore minimization seeded with the {F, G, reject} partition.
 
 from __future__ import annotations
 
-from .automata import Nfa, letter_key, state_key
+from .automata import Nfa, explore, letter_key
 from .errors import InputError
 from .logic.encoding import ext_alphabet
 from .logic.syntax import (
@@ -95,16 +95,19 @@ class ClassifierDfa:
             len(self.nfa.states), len(self.vars))
 
 
-def _make_classifier(delta, initial, f, g, base, vars):
-    states = set()
-    for (s, _a), d in delta.items():
-        states.add(s)
-        states.add(d)
-    states.add(initial)
-    transitions = {(s, a, d) for (s, a), d in delta.items()}
-    letters = ext_alphabet(base, vars)
-    nfa = Nfa(states, letters, transitions, {initial},
-              frozenset(f) & states, {"G": frozenset(g) & states})
+def _make_classifier(edges, initial, verdict, base, vars):
+    """Classifier from its transitions (state, letter, successor);
+    verdict(state) is true for F, false for G and None for reject."""
+    transitions = set(edges)
+    states = {initial} | {s for (s, _, _) in transitions} \
+        | {d for (_, _, d) in transitions}
+    f, g = set(), set()
+    for s in states:
+        v = verdict(s)
+        if v is not None:
+            (f if v else g).add(s)
+    nfa = Nfa(states, ext_alphabet(base, vars), transitions, {initial}, f,
+              {"G": g})
     return ClassifierDfa(nfa, base, vars)
 
 
@@ -119,15 +122,15 @@ def validity_dfa(alphabet, vars) -> ClassifierDfa:
     for v in vars:
         subsets += [s | {v} for s in subsets]
     sink = ("sink",)
-    delta = {}
+    edges = [(sink, a, sink) for a in letters]
     for seen in subsets:
         for a in letters:
             fired = _marks(a, vars)
-            delta[(seen, a)] = sink if fired & seen else seen | fired
-    for a in letters:
-        delta[(sink, a)] = sink
+            edges.append((seen, a, sink if fired & seen else seen | fired))
     full = frozenset(vars)
-    return _make_classifier(delta, frozenset(), {full}, set(), base, vars)
+    return _make_classifier(edges, frozenset(),
+                            lambda s: True if s == full else None,
+                            base, vars)
 
 
 def _marks(letter, vars):
@@ -200,63 +203,38 @@ def _core_run_atom(phi: RunAtom, letters, vars):
     nfa, p, q = phi.nfa, phi.p, phi.q
     if p not in nfa.states or q not in nfa.states:
         raise InputError("run atom %s uses unknown states" % phi.name)
-    done_t, done_f = ("d", True), ("d", False)
-    start_set = frozenset([p])
+    done = {True: ("d", True), False: ("d", False)}
+    simulate = ("s", frozenset([p]))
+    wait = ("w",)
 
-    def sim(subset):
-        return ("s", subset)
-
-    delta = {done_t: {}, done_f: {}}
-    todo = []
-
-    def ensure(state):
-        if state not in delta:
-            delta[state] = {}
-            todo.append(state)
-        return state
-
-    def verdict(ok):
-        return done_t if ok else done_f
-
-    if phi.lo is None and phi.hi is None:
-        initial = ensure(sim(start_set))
-    elif phi.lo is None:
-        initial = ensure(sim(start_set))         # verdict frozen at hi mark
-    elif phi.hi is None:
-        initial = ensure(("w",))                 # wait for the lo mark
-    else:
-        initial = ensure(("w",))
-
-    for a in letters:
-        delta[done_t][a] = done_t
-        delta[done_f][a] = done_f
-    while todo:
-        state = todo.pop()
+    def step(state):
         for a in letters:
-            b = _base_of(a, vars)
             lo_fired = phi.lo is not None and _mark(a, vars, phi.lo)
             hi_fired = phi.hi is not None and _mark(a, vars, phi.hi)
-            if state == ("w",):
+            if state[0] == "d":
+                yield a, state
+            elif state == wait:
                 if hi_fired:                     # hi before lo: empty factor
-                    delta[state][a] = verdict(p == q)
+                    yield a, done[p == q]
                 elif lo_fired:
-                    delta[state][a] = ensure(sim(start_set))
+                    yield a, simulate
                 else:
-                    delta[state][a] = state
+                    yield a, state
+            elif hi_fired:                       # factor stops before here
+                yield a, done[q in state[1]]
             else:
-                subset = state[1]
-                if hi_fired:                     # factor stops before here
-                    delta[state][a] = verdict(q in subset)
-                else:
-                    delta[state][a] = ensure(sim(_nfa_subset_step(
-                        nfa, subset, b)))
+                yield a, ("s", _nfa_subset_step(
+                    nfa, state[1], _base_of(a, vars)))
 
+    # without a lo bound the simulation starts at once, else at the lo mark
+    delta = {}
+    initial = simulate if phi.lo is None else wait
+    for (s, a, d) in explore([initial], step):
+        delta.setdefault(s, {})[a] = d
+    yes = {done[True]}
     if phi.hi is None:
         # verdict is read at the end of the word
-        yes = {s for s in delta
-               if s[0] == "s" and q in s[1]} | {done_t}
-    else:
-        yes = {done_t}
+        yes |= {s for s in delta if s[0] == "s" and q in s[1]}
     return delta, initial, yes
 
 
@@ -265,22 +243,17 @@ def _semantic_to_classifier(core, base, vars):
     core says yes on a valid word, G where it says no."""
     delta, initial, yes = core
     vd = validity_dfa(base, vars)
-    letters = sorted(ext_alphabet(base, vars), key=letter_key)
-    start = (initial, vd.initial_state)
-    prod = {}
-    queue = [start]
-    seen = {start}
-    while queue:
-        (c, v) = queue.pop(0)
+    letters = vd.letters()
+
+    def step(state):
+        c, v = state
         for a in letters:
-            nxt = (delta[c][a], vd.step(v, a))
-            prod[((c, v), a)] = nxt
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    f = {(c, v) for (c, v) in seen if c in yes and v in vd.f}
-    g = {(c, v) for (c, v) in seen if c not in yes and v in vd.f}
-    return minimize(_make_classifier(prod, start, f, g, base, vars))
+            yield a, (delta[c][a], vd.step(v, a))
+
+    start = (initial, vd.initial_state)
+    return minimize(_make_classifier(
+        explore([start], step), start,
+        lambda cv: cv[0] in yes if cv[1] in vd.f else None, base, vars))
 
 
 def _swap(c: ClassifierDfa) -> ClassifierDfa:
@@ -290,28 +263,22 @@ def _swap(c: ClassifierDfa) -> ClassifierDfa:
 
 def _combine(c1: ClassifierDfa, c2: ClassifierDfa, take) -> ClassifierDfa:
     """Synchronous product; a valid pair lands in F when take(inF1, inF2)."""
-    letters = sorted(ext_alphabet(c1.base_alphabet, c1.vars), key=letter_key)
-    start = (c1.initial_state, c2.initial_state)
-    prod = {}
-    seen = {start}
-    queue = [start]
-    while queue:
-        (s1, s2) = queue.pop(0)
-        for a in letters:
-            nxt = (c1.step(s1, a), c2.step(s2, a))
-            prod[((s1, s2), a)] = nxt
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
+    letters = c1.letters()
     valid1, valid2 = c1.f | c1.g, c2.f | c2.g
-    f, g = set(), set()
-    for (s1, s2) in seen:
+
+    def step(state):
+        s1, s2 = state
+        for a in letters:
+            yield a, (c1.step(s1, a), c2.step(s2, a))
+
+    def verdict(state):
+        s1, s2 = state
         if s1 in valid1 and s2 in valid2:
-            if take(s1 in c1.f, s2 in c2.f):
-                f.add((s1, s2))
-            else:
-                g.add((s1, s2))
-    return minimize(_make_classifier(prod, start, f, g,
+            return take(s1 in c1.f, s2 in c2.f)
+        return None
+
+    start = (c1.initial_state, c2.initial_state)
+    return minimize(_make_classifier(explore([start], step), start, verdict,
                                      c1.base_alphabet, c1.vars))
 
 
@@ -332,21 +299,15 @@ def _exists(c: ClassifierDfa, var, base) -> ClassifierDfa:
         new_bits = bits[:idx] + (bit,) + bits[idx:]
         return (base_letter, new_bits)
 
-    start = frozenset([c.initial_state])
-    delta = {}
-    seen = {start}
-    queue = [start]
-    while queue:
-        subset = queue.pop(0)
+    def step(subset):
         for a in letters:
-            nxt = frozenset(c.step(s, lift(a, b))
-                            for s in subset for b in (0, 1))
-            delta[(subset, a)] = nxt
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    hit = {s for s in seen if s & c.f}
-    inner = _make_classifier(delta, start, hit, seen - hit, base, out_vars)
+            yield a, frozenset(c.step(s, lift(a, b))
+                               for s in subset for b in (0, 1))
+
+    start = frozenset([c.initial_state])
+    inner = _make_classifier(explore([start], step), start,
+                             lambda subset: bool(subset & c.f),
+                             base, out_vars)
     return _combine(inner, validity_dfa(base, out_vars),
                     lambda a, b: a and b)
 
@@ -356,17 +317,9 @@ def minimize(c: ClassifierDfa) -> ClassifierDfa:
     part; states are renamed 1..n in traversal order from the initial
     state, which makes repeated compilations byte-identical."""
     letters = c.letters()
-    order = [c.initial_state]
-    seen = {c.initial_state}
-    i = 0
-    while i < len(order):
-        s = order[i]
-        i += 1
-        for a in letters:
-            d = c.step(s, a)
-            if d not in seen:
-                seen.add(d)
-                order.append(d)
+    start = c.initial_state
+    reached = explore([start], lambda s: ((a, c.step(s, a)) for a in letters))
+    order = list(dict.fromkeys([start, *(d for (_, _, d) in reached)]))
     block = {}
     for s in order:
         block[s] = 0 if s in c.f else 1 if s in c.g else 2
@@ -389,17 +342,14 @@ def minimize(c: ClassifierDfa) -> ClassifierDfa:
     for s in order:
         if block[s] not in names:
             names[block[s]] = len(names) + 1
-    delta = {}
-    f, g = set(), set()
+    edges = set()
+    verdict = {}
     for s in order:
         n = names[block[s]]
-        if s in c.f:
-            f.add(n)
-        elif s in c.g:
-            g.add(n)
+        verdict[n] = True if s in c.f else False if s in c.g else None
         for a in letters:
-            delta[(n, a)] = names[block[c.step(s, a)]]
-    return _make_classifier(delta, names[block[c.initial_state]], f, g,
+            edges.add((n, a, names[block[c.step(s, a)]]))
+    return _make_classifier(edges, names[block[start]], verdict.get,
                             c.base_alphabet, c.vars)
 
 
@@ -408,19 +358,10 @@ def dfa_from_nfa(nfa: Nfa) -> ClassifierDfa:
     complement (no reject class)."""
     letters = sorted(nfa.alphabet, key=letter_key)
     start = frozenset(nfa.initial)
-    delta = {}
-    seen = {start}
-    queue = [start]
-    while queue:
-        subset = queue.pop(0)
-        for a in letters:
-            nxt = _nfa_subset_step(nfa, subset, a)
-            delta[(subset, a)] = nxt
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    f = {s for s in seen if s & nfa.final}
-    return minimize(_make_classifier(delta, start, f, seen - f,
+    edges = explore([start], lambda subset: (
+        (a, _nfa_subset_step(nfa, subset, a)) for a in letters))
+    return minimize(_make_classifier(edges, start,
+                                     lambda subset: bool(subset & nfa.final),
                                      nfa.alphabet, ()))
 
 

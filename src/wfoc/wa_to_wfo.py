@@ -14,9 +14,8 @@ refuses inputs that violate its hypothesis, naming a witness.
 from __future__ import annotations
 
 from .automata import (
-    WeightedAutomaton, aperiodicity_index, is_scc_unambiguous,
-    is_unambiguous, is_unambiguous_between, letter_key, scc_decompose,
-    state_key, underlying_nfa,
+    WeightedAutomaton, ambiguity_witness, aperiodicity_index, letter_key,
+    scc_decompose, state_key, underlying_nfa,
 )
 from .errors import HypothesisError, InputError
 from .logic.syntax import (
@@ -57,34 +56,6 @@ def _require_aperiodic(nfa):
         raise HypothesisError(
             "automaton is not aperiodic; the translation needs counter-free"
             " transition behavior")
-
-
-def _witness_word(nfa, start_pairs, end_pairs, within=None):
-    """Shortest word along which two distinct runs lead from a start pair
-    to an end pair; None if there is none."""
-    states = within if within is not None else nfa.states
-    letters = sorted(nfa.alphabet, key=letter_key)
-    start = sorted(((r, s, r != s) for (r, s) in start_pairs
-                    if r in states and s in states),
-                   key=lambda x: state_key(x[:2]))
-    seen = set(start)
-    queue = [(st, ()) for st in start]
-    while queue:
-        (r, s, distinct), word = queue.pop(0)
-        if distinct and (r, s) in end_pairs:
-            return word
-        for a in letters:
-            for r2 in nfa.out(r, a):
-                if r2 not in states:
-                    continue
-                for s2 in nfa.out(s, a):
-                    if s2 not in states:
-                        continue
-                    nxt = (r2, s2, distinct or r2 != s2)
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        queue.append((nxt, word + (a,)))
-    return None
 
 
 def lang_sentence(a, p, q, name=ATOM_NAME):
@@ -133,8 +104,8 @@ def unambiguous_to_wfo(a: WeightedAutomaton, p, q, name=ATOM_NAME):
     transition the unique run takes at each position."""
     nfa = a.nfa
     _require_aperiodic(nfa)
-    if not is_unambiguous_between(nfa, p, q):
-        w = _witness_word(nfa, {(p, p)}, {(q, q)})
+    w = ambiguity_witness(nfa, {(p, p)}, {(q, q)})
+    if w is not None:
         raise HypothesisError(
             "not unambiguous from %r to %r: %r has two runs"
             % (p, q, "".join(map(str, w))))
@@ -149,10 +120,10 @@ def unambiguous_wa_to_wfo(a: WeightedAutomaton, name=ATOM_NAME):
     unambiguity makes at most one guard true, so no + is needed."""
     nfa = a.nfa
     _require_aperiodic(nfa)
-    if not is_unambiguous(nfa):
-        w = _witness_word(nfa, {(i, j) for i in nfa.initial
-                                for j in nfa.initial},
-                          {(f, g) for f in nfa.final for g in nfa.final})
+    w = ambiguity_witness(
+        nfa, {(i, j) for i in nfa.initial for j in nfa.initial},
+        {(f, g) for f in nfa.final for g in nfa.final})
+    if w is not None:
         raise HypothesisError(
             "not unambiguous: %r has two accepting runs"
             % ("".join(map(str, w)),))
@@ -270,19 +241,16 @@ def scc_unambiguous_to_wfo(a: WeightedAutomaton, name=ATOM_NAME):
     sequence."""
     nfa = a.nfa
     _require_aperiodic(nfa)
-    if not is_scc_unambiguous(nfa):
-        scc = scc_decompose(nfa)
-        for comp in scc.components:
-            w = _witness_word(nfa, {(s, s) for s in comp},
-                              {(s, s) for s in comp}, within=comp)
-            if w is not None:
-                raise HypothesisError(
-                    "not SCC-unambiguous: %r has two runs inside one"
-                    " component" % ("".join(map(str, w)),))
-        raise HypothesisError("not SCC-unambiguous")
+    scc = scc_decompose(nfa)
+    for comp in scc.components:
+        diagonal = {(s, s) for s in comp}
+        w = ambiguity_witness(nfa, diagonal, diagonal, within=comp)
+        if w is not None:
+            raise HypothesisError(
+                "not SCC-unambiguous: %r has two runs inside one"
+                " component" % ("".join(map(str, w)),))
     pairs = sorted(((p, q) for p in nfa.initial for q in nfa.final),
                    key=lambda pq: (state_key(pq[0]), state_key(pq[1])))
-    scc = scc_decompose(nfa)
     parts = []
     for (p, q) in pairs:
         if scc.same(p, q):

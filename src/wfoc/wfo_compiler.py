@@ -1,10 +1,12 @@
 """Compile weighted FO sentences into weighted automata.
 
-The pipeline follows the structure of the formula: a guess-and-verify
-step transducer per FO condition, a synchronous product weighted by the
-if-then-else cascade for the position product, a classifier product for
-the weighted if-then-else, disjoint union for +, and a two-copy
-projection for the variable sum.  Outputs are aperiodic and
+The pipeline follows the structure of the formula.  A position product
+becomes a bimachine: a forward component walks the condition classifiers
+over the prefix, a backward component carries their verdicts on the
+suffix, and together they decode the bit vector of the FO conditions at
+each position, which picks the weight from the if-then-else cascade.
+The weighted if-then-else is a classifier product, + a disjoint union,
+and the variable sum a two-copy projection.  Outputs are aperiodic and
 SCC-unambiguous; without variable sums they are finite unions of
 unambiguous automata, and without sums at all they are unambiguous.
 """
@@ -12,7 +14,7 @@ unambiguous automata, and without sums at all they are unambiguous.
 from __future__ import annotations
 
 from .automata import (
-    Nfa, WeightedAutomaton, letter_key, reachable_states, restrict,
+    Nfa, WeightedAutomaton, explore, letter_key, reachable_states, restrict,
     weighted_union,
 )
 from .errors import InputError
@@ -29,82 +31,6 @@ def _prune(a: WeightedAutomaton) -> WeightedAutomaton:
     keep = reachable_states(a.nfa)
     nfa = restrict(a.nfa, keep)
     return WeightedAutomaton(nfa, {t: a.wgt[t] for t in nfa.transitions})
-
-
-def _backward_closure(cls, targets):
-    rev = {}
-    for (s, _a, d) in cls.nfa.transitions:
-        rev.setdefault(d, set()).add(s)
-    seen = set(targets)
-    work = list(targets)
-    while work:
-        t = work.pop()
-        for s in rev.get(t, ()):
-            if s not in seen:
-                seen.add(s)
-                work.append(s)
-    return seen
-
-
-def build_step_transducer(phi, var, alphabet, vars=()) -> WeightedAutomaton:
-    """Unambiguous transducer over the context alphabet whose run on a
-    valid word outputs bit 1 at position i exactly when phi holds with
-    var at i.  Invalid encodings get no accepting run.
-
-    States carry (classifier state of the unmarked prefix, states that
-    must end in F, states that must end in G, last emitted bit); the two
-    outgoing guesses always differ in the last component, so transition
-    weights are well defined."""
-    vars = tuple(sorted(vars))
-    if var in vars:
-        raise InputError("position variable %s is shadowed" % var)
-    inner_vars = tuple(sorted(vars + (var,)))
-    if not free_vars(phi) <= set(inner_vars):
-        raise InputError("free variables of the condition not in scope")
-    cls = compile_fo(phi, alphabet, inner_vars)
-    idx = inner_vars.index(var)
-    letters = sorted(ext_alphabet(alphabet, vars), key=letter_key)
-
-    def lift(a, bit):
-        base_letter, bits = (a, ()) if not vars else a
-        return (base_letter, bits[:idx] + (bit,) + bits[idx:])
-
-    # Guessed states never leave their set, so a member that cannot reach
-    # F (for X) or G (for Y) in the classifier kills every continuation;
-    # dropping such targets prunes dead branches without losing any
-    # accepting run.
-    to_f = _backward_closure(cls, cls.f)
-    to_g = _backward_closure(cls, cls.g)
-
-    start = (cls.initial_state, frozenset(), frozenset(), 0)
-    trans = set()
-    wgt = {}
-    seen = {start}
-    queue = [start]
-    while queue:
-        state = queue.pop(0)
-        (p, xs, ys, _) = state
-        for a in letters:
-            p2 = cls.step(p, lift(a, 0))
-            xs0 = frozenset(cls.step(s, lift(a, 0)) for s in xs)
-            ys0 = frozenset(cls.step(s, lift(a, 0)) for s in ys)
-            mark = cls.step(p, lift(a, 1))
-            for guess in (0, 1):
-                if guess:
-                    nxt = (p2, xs0 | {mark}, ys0, 1)
-                else:
-                    nxt = (p2, xs0, ys0 | {mark}, 0)
-                if not (nxt[1] <= to_f and nxt[2] <= to_g):
-                    continue
-                trans.add((state, a, nxt))
-                wgt[(state, a, nxt)] = guess
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-    final = {s for s in seen
-             if s[1] <= cls.f and s[2] <= cls.g and s != start}
-    nfa = Nfa(seen, letters, trans, {start}, final)
-    return WeightedAutomaton(nfa, wgt)
 
 
 def _step_weight(psi, conds, bits):
@@ -154,18 +80,13 @@ def compile_product(step, var, alphabet, vars=()) -> WeightedAutomaton:
     lifted1 = [lift(a, 1) for a in letters]
 
     # Forward component: deterministic joint walk of the unmarked word.
-    d0 = tuple(c.initial_state for c in clss)
-    prefix_next = {}
-    orbit = {d0}
-    work = [d0]
-    while work:
-        d = work.pop()
+    def advance(d):
         for la in lifted0:
-            d2 = tuple(clss[i].step(d[i], la) for i in range(k))
-            prefix_next[(d, la)] = d2
-            if d2 not in orbit:
-                orbit.add(d2)
-                work.append(d2)
+            yield la, tuple(clss[i].step(d[i], la) for i in range(k))
+
+    d0 = tuple(c.initial_state for c in clss)
+    prefix_next = {(d, la): d2 for (d, la, d2) in explore([d0], advance)}
+    orbit = {d0} | set(prefix_next.values())
 
     # Backward component: per classifier, the verdict (2 accept, 1
     # refute, 0 invalid) every state would reach on the rest of the
@@ -174,24 +95,15 @@ def compile_product(step, var, alphabet, vars=()) -> WeightedAutomaton:
         return tuple(2 if s in c.f else 1 if s in c.g else 0
                      for s in range(1, len(c.nfa.states) + 1))
 
-    f_end = tuple(verdict_table(c) for c in clss)
-
-    def compose(f, la):
-        return tuple(tuple(f[i][clss[i].step(s, la) - 1]
-                           for s in range(1, len(f[i]) + 1))
-                     for i in range(k))
-
-    suffixes = {f_end}
-    compose_to = {}
-    work = [f_end]
-    while work:
-        f = work.pop()
+    def unwind(f):
         for la in lifted0:
-            f2 = compose(f, la)
-            compose_to[(f, la)] = f2
-            if f2 not in suffixes:
-                suffixes.add(f2)
-                work.append(f2)
+            yield la, tuple(tuple(f[i][clss[i].step(s, la) - 1]
+                                  for s in range(1, len(f[i]) + 1))
+                            for i in range(k))
+
+    f_end = tuple(verdict_table(c) for c in clss)
+    compose_to = {(f, la): f2 for (f, la, f2) in explore([f_end], unwind)}
+    suffixes = {f_end} | set(compose_to.values())
 
     # A transition consumes one position: the forward state advances,
     # the suffix table unwinds by one composition, and the verdicts of
@@ -238,39 +150,27 @@ def compile_ite(cond, then_wa: WeightedAutomaton, else_wa: WeightedAutomaton,
     if frozenset(then_wa.nfa.alphabet) != frozenset(letters) \
             or frozenset(else_wa.nfa.alphabet) != frozenset(letters):
         raise InputError("branch alphabet mismatch")
-    trans = set()
-    wgt = {}
-    seen = set()
-    queue = []
-    for tag, branch in ((0, then_wa), (1, else_wa)):
-        for q0 in branch.nfa.initial:
-            s = (tag, cls.initial_state, q0)
-            if s not in seen:
-                seen.add(s)
-                queue.append(s)
     branches = (then_wa, else_wa)
-    while queue:
-        state = queue.pop(0)
+
+    def step(state):
         (tag, c, q) = state
-        branch = branches[tag]
         for a in letters:
             c2 = cls.step(c, a)
-            for q2 in branch.nfa.out(q, a):
-                nxt = (tag, c2, q2)
-                t = (state, a, nxt)
-                trans.add(t)
-                wgt[t] = branch.wgt[(q, a, q2)]
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-    final = {(tag, c, q) for (tag, c, q) in seen
+            for q2 in branches[tag].nfa.out(q, a):
+                yield a, (tag, c2, q2)
+
+    initial = {(tag, cls.initial_state, q0)
+               for tag in (0, 1) for q0 in branches[tag].nfa.initial}
+    trans = set(explore(initial, step))
+    wgt = {}
+    for t in trans:
+        (tag, _, q), a, (_, _, q2) = t
+        wgt[t] = branches[tag].wgt[(q, a, q2)]
+    states = initial | {d for (_, _, d) in trans}
+    final = {(tag, c, q) for (tag, c, q) in states
              if (c in cls.f and tag == 0 and q in then_wa.nfa.final)
              or (c in cls.g and tag == 1 and q in else_wa.nfa.final)}
-    nfa = Nfa(seen, letters, trans, {(0, cls.initial_state, q0)
-                                     for q0 in then_wa.nfa.initial}
-              | {(1, cls.initial_state, q0) for q0 in else_wa.nfa.initial},
-              final)
-    return WeightedAutomaton(nfa, wgt)
+    return WeightedAutomaton(Nfa(states, letters, trans, initial, final), wgt)
 
 
 def compile_plus(a: WeightedAutomaton, b: WeightedAutomaton):

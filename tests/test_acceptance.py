@@ -22,15 +22,15 @@ from wfoc.automata import (
 from wfoc.decompose import build_a_geq_k, decompose, ensure_single_initial
 from wfoc.fo_compiler import compile_fo
 from wfoc.logic import (
-    Plus, ProdX, SumX, WIte, after, before, between, eval_fo, eval_wfo_at,
-    parse_fo, relativize, uses_plus, uses_sumx,
+    Const, Plus, ProdX, StepIte, SumX, WIte, after, before, between, eval_fo,
+    eval_wfo_at, parse_fo, relativize, uses_plus, uses_sumx,
 )
 from wfoc.multiset import SeqMultiset
 from wfoc.semantics import (
     builtin_semiring, concrete_semantics, sum_product_aggregator,
 )
 from wfoc.wa_to_wfo import scc_unambiguous_to_wfo, unambiguous_wa_to_wfo
-from wfoc.wfo_compiler import build_step_transducer, compile_sum_var, compile_wfo
+from wfoc.wfo_compiler import compile_product, compile_sum_var, compile_wfo
 
 AB = ("a", "b")
 NAT = sum_product_aggregator(builtin_semiring("natural"))
@@ -180,7 +180,7 @@ def test_08_aperiodicity_index_ledger():
                 got = aperiodicity_index(build_a_geq_k(norm.nfa, k))
                 assert got is not None and got <= k * (m + 1), (name, k)
 
-        # per-position step transducers
+        # position products of a single condition
         rng = random.Random(SEED + 1)
         conds = [parse_fo(t) for t in
                  ("true", "Pa(x)", "exists y. x<y",
@@ -189,7 +189,8 @@ def test_08_aperiodicity_index_ledger():
         for cond in conds:
             cls = compile_fo(cond, AB, ("x",))
             m = aperiodicity_index(cls.nfa)
-            got = aperiodicity_index(build_step_transducer(cond, "x", AB).nfa)
+            step = StepIte(cond, Const(1), Const(0))
+            got = aperiodicity_index(compile_product(step, "x", AB).nfa)
             assert got is not None, cond
             assert got <= 2 * m + 2 * len(cls.nfa.states), cond
 

@@ -1,15 +1,17 @@
+import random
 import re
 
 import pytest
 
-from corpus import ALL_TEXTS, load, switchpoints_closed_form
+from corpus import ALL_TEXTS, SEED, all_words, load, switchpoints_closed_form
 from wfoc import (
-    EXPONENTIALLY, FINITELY, POLYNOMIALLY, UNAMBIGUOUS,
+    EXPONENTIALLY, FINITELY, POLYNOMIALLY, UNAMBIGUOUS, Nfa,
     abstract_semantics, accepts, ambiguity_degree_bounded,
     aperiodicity_index, classify_ambiguity, count_accepting_runs,
     enumerate_runs, is_scc_unambiguous, is_unambiguous, pair_semantics,
-    scc_decompose, transition_monoid, trim, words_upto,
+    parse_automaton, scc_decompose, transition_monoid, trim, words_upto,
 )
+from wfoc.automata import ambiguity_witness
 from wfoc.errors import InputError
 from wfoc.multiset import SeqMultiset
 
@@ -236,3 +238,72 @@ trans: 3 a 3 1
 """)
     t = trim(wa)
     assert set(t.states) == {1, 2}
+
+
+# two initial states, both final: only the empty word has two runs
+TWO_LOOPS = """
+alphabet: a b
+states: 1 2
+initial: 1 2
+final: 1 2
+trans: 1 a 1 3
+trans: 2 b 2 5
+"""
+
+
+def accepting_witness(nfa):
+    return ambiguity_witness(
+        nfa, {(i, j) for i in nfa.initial for j in nfa.initial},
+        {(f, g) for f in nfa.final for g in nfa.final})
+
+
+class TestEmptyWordIgnored:
+    def test_two_initial_final_states_are_unambiguous(self):
+        nfa = parse_automaton(TWO_LOOPS).nfa
+        assert accepting_witness(nfa) is None
+        assert is_unambiguous(nfa)
+        assert classify_ambiguity(nfa) == UNAMBIGUOUS
+
+    def test_countminmax_witness_is_non_empty(self):
+        nfa = load("countminmax").nfa
+        assert accepting_witness(nfa) == w("a")
+        assert count_accepting_runs(nfa, w("a")) == 2
+
+
+def random_automaton(rng):
+    n = rng.randint(1, 4)
+    states = range(1, n + 1)
+    trans = {(s, a, d) for s in states for a in "ab" for d in states
+             if rng.random() < 0.3}
+    initial = {s for s in states if rng.random() < 0.4} or {1}
+    final = {s for s in states if rng.random() < 0.5}
+    return Nfa(states, "ab", trans, initial, final)
+
+
+def oracle_pool():
+    rng = random.Random(SEED + 7)
+    pool = [load(name).nfa for name in sorted(ALL_TEXTS)]
+    return pool + [random_automaton(rng) for _ in range(60)]
+
+
+def pair_runs(nfa, p, q, word):
+    return count_accepting_runs(nfa.with_sets(initial={p}, final={q}), word)
+
+
+@pytest.mark.parametrize("nfa", oracle_pool())
+def test_ambiguity_witness_oracle(nfa):
+    letters = sorted(nfa.alphabet)
+    found = accepting_witness(nfa)
+    if found is None:
+        shorter = all_words(letters, 6)
+    else:
+        assert count_accepting_runs(nfa, found) >= 2
+        shorter = all_words(letters, len(found) - 1)
+    assert all(count_accepting_runs(nfa, u) < 2 for u in shorter)
+    assert is_unambiguous(nfa) == (found is None)
+
+    scc = scc_decompose(nfa)
+    same = [(p, q) for p in nfa.states for q in nfa.states if scc.same(p, q)]
+    ambiguous = any(pair_runs(nfa, p, q, u) >= 2
+                    for u in all_words(letters, 6) for (p, q) in same)
+    assert is_scc_unambiguous(nfa) == (not ambiguous)

@@ -188,6 +188,46 @@ class TestTologic:
         assert rc == 1 and "refused" in err
 
 
+# two initial states, both final: only the empty word has two runs
+TWO_LOOPS = """
+alphabet: a b
+states: 1 2
+initial: 1 2
+final: 1 2
+trans: 1 a 1 3
+trans: 2 b 2 5
+"""
+
+
+class TestEmptyWordIgnored:
+    def test_classify_unambiguous(self, tmp_path, capsys):
+        path = tmp_path / "loops.wa"
+        path.write_text(TWO_LOOPS)
+        rc, out, _ = run(capsys, ["classify", "--automaton", str(path)])
+        assert rc == 0 and out.startswith("ambiguity: unambiguous;")
+
+    def test_tologic_sum_free_round_trip(self, tmp_path, capsys):
+        path = tmp_path / "loops.wa"
+        path.write_text(TWO_LOOPS)
+        phi_path = str(tmp_path / "loops.wfo")
+        back_path = str(tmp_path / "back.wa")
+        assert run(capsys, ["tologic", "--automaton", str(path),
+                            "-o", phi_path])[0] == 0
+        assert "# fragment: no-sum no-plus" in open(phi_path).read()
+        assert run(capsys, ["compile", "--formula", phi_path,
+                            "-o", back_path])[0] == 0
+        rc, out, _ = run(capsys, ["equiv", "--a", str(path),
+                                  "--b", back_path, "--maxlen", "6"])
+        assert rc == 0 and out == "EQUIV up to 6\n"
+
+    def test_refusal_witness_is_non_empty(self, tmp_path, capsys):
+        cmm = save(tmp_path, "countminmax")
+        rc, _, err = run(capsys, ["tologic", "--automaton", cmm,
+                                  "--mode", "unambiguous"])
+        assert rc == 1
+        assert "not unambiguous: 'a' has two accepting runs" in err
+
+
 class TestDecompose:
     def test_triplerun_parts_sum_back(self, tmp_path, capsys):
         tri = save(tmp_path, "triplerun")

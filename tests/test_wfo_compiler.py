@@ -4,12 +4,10 @@ import pytest
 
 from wfoc import InputError
 from wfoc.automata import (
-    abstract_semantics, accepts, ambiguity_degree_bounded, aperiodicity_index,
-    classify_ambiguity, count_accepting_runs, is_unambiguous,
+    abstract_semantics, ambiguity_degree_bounded, aperiodicity_index,
+    classify_ambiguity, is_unambiguous,
 )
-from wfoc.fo_compiler import compile_fo
 from wfoc.logic import parse_fo, parse_wfo
-from wfoc.logic.encoding import all_ext_words, decode
 from wfoc.logic.evaluate import eval_wfo_at
 from wfoc.logic.syntax import (
     Const, Not, Plus, ProdX, WIte, Zero, uses_plus, uses_sumx,
@@ -20,8 +18,8 @@ from wfoc.semantics import (
 )
 from wfoc.textfmt import serialize_automaton
 from wfoc.wfo_compiler import (
-    build_step_transducer, compile_ite, compile_plus, compile_product,
-    compile_sum_var, compile_wfo, rewrite_sum_normal_form,
+    compile_ite, compile_plus, compile_product, compile_sum_var, compile_wfo,
+    rewrite_sum_normal_form,
 )
 
 from corpus import SEED, all_words, load, random_wfo
@@ -53,71 +51,6 @@ def switchpoints_sentence():
            + next_letter_is_a("x") + " ? 3 : 5)))")
     return parse_wfo("sum y1. sum y2. (%s ? prod x. %s : zero)"
                      % (guard, psi))
-
-
-class TestStepTransducer:
-    def test_true_outputs_all_ones(self):
-        b = build_step_transducer(parse_fo("true"), "x", AB)
-        for w in all_words(("a", "b"), 4):
-            assert count_accepting_runs(b.nfa, w) == 1
-            assert abstract_semantics(b, w) == \
-                SeqMultiset({(1,) * len(w): 1})
-
-    def test_letter_condition_bits(self):
-        b = build_step_transducer(parse_fo("Pa(x)"), "x", AB)
-        got = abstract_semantics(b, ("a", "b"))
-        assert got == SeqMultiset({(1, 0): 1})
-        assert abstract_semantics(b, ("b", "a", "a")) == \
-            SeqMultiset({(0, 1, 1): 1})
-
-    @pytest.mark.parametrize("text,vars", [
-        ("Pa(x)", ()),
-        ("exists z. (x<z & Pb(z))", ()),
-        ("x<=y", ("y",)),
-        ("forall z. (z<=x -> Pa(z))", ()),
-    ])
-    def test_support_is_validity_language(self, text, vars):
-        phi = parse_fo(text)
-        b = build_step_transducer(phi, "x", AB, vars)
-        for n in range(0, 5 - len(vars)):
-            for ext in all_ext_words(AB, vars, n):
-                want = ext.is_valid() and n > 0
-                assert accepts(b.nfa, ext.letters) == want
-
-    def test_unique_run_and_bits_match_oracle(self):
-        phi = parse_fo("x<=y")
-        b = build_step_transducer(phi, "x", AB, ("y",))
-        for n in range(1, 4):
-            for ext in all_ext_words(AB, ("y",), n):
-                dec = decode(ext)
-                if dec is None:
-                    assert count_accepting_runs(b.nfa, ext.letters) == 0
-                    continue
-                u, sigma = dec
-                assert count_accepting_runs(b.nfa, ext.letters) == 1
-                bits = tuple(1 if sigma["y"] >= i else 0
-                             for i in range(1, n + 1))
-                assert abstract_semantics(b, ext.letters) == \
-                    SeqMultiset({bits: 1})
-
-    def test_no_empty_word_acceptance(self):
-        b = build_step_transducer(parse_fo("true"), "x", AB)
-        assert not (b.nfa.initial & b.nfa.final)
-
-    @pytest.mark.parametrize("text", ["true", "Pa(x)", "exists y. x<y"])
-    def test_index_bound(self, text):
-        phi = parse_fo(text)
-        cls = compile_fo(phi, AB, ("x",))
-        m = aperiodicity_index(cls.nfa)
-        b = build_step_transducer(phi, "x", AB)
-        assert is_unambiguous(b.nfa)
-        got = aperiodicity_index(b.nfa)
-        assert got is not None
-        assert got <= 2 * m + 2 * len(cls.nfa.states)
-
-    def test_shadowed_position_variable_rejected(self):
-        with pytest.raises(InputError):
-            build_step_transducer(parse_fo("Pa(x)"), "x", AB, ("x",))
 
 
 class TestProduct:
