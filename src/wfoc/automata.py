@@ -12,6 +12,7 @@ function of its inputs.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -81,8 +82,6 @@ class Nfa:
             table = {}
             for (s, a, d) in self.transitions:
                 table.setdefault((s, a), []).append(d)
-            for k in table:
-                table[k].sort(key=state_key)
             self._out = table
         return self._out.get((src, letter), [])
 
@@ -91,8 +90,6 @@ class Nfa:
             table = {}
             for (s, a, d) in self.transitions:
                 table.setdefault((d, a), []).append(s)
-            for k in table:
-                table[k].sort(key=state_key)
             self._into = table
         return self._into.get((dst, letter), [])
 
@@ -446,18 +443,24 @@ def ambiguity_witness(a, start_pairs, end_pairs, within=None):
     `within` when given; None when there is no such word.
 
     One breadth-first pass over (pair, diverged) states of the square
-    product: the flag records that the two runs have differed so far."""
+    product: the flag records that the two runs have differed so far.
+    Pairs sharing a word are expanded in `state_key` order, which fixes
+    the witness whatever the order of the sets."""
     nfa = underlying_nfa(a)
     allowed = nfa.states if within is None else within
     letters = sorted(nfa.alphabet, key=letter_key)
 
+    @functools.cache
+    def out(q, letter):
+        return sorted(nfa.out(q, letter), key=state_key)
+
     def step(state):
         r, s, diverged = state
         for letter in letters:
-            for r2 in nfa.out(r, letter):
+            for r2 in out(r, letter):
                 if r2 not in allowed:
                     continue
-                for s2 in nfa.out(s, letter):
+                for s2 in out(s, letter):
                     if s2 in allowed:
                         yield letter, (r2, s2, diverged or r2 != s2)
 

@@ -7,7 +7,6 @@ bad input.  Output is deterministic for fixed inputs.
 """
 
 import argparse
-import dataclasses
 import os
 import sys
 
@@ -19,17 +18,17 @@ from .automata import (
 from .decompose import build_a_geq_k, decompose, ensure_single_initial
 from .errors import HypothesisError, InputError, VerificationFailure
 from .fo_compiler import compile_fo
-from .logic.syntax import (
-    FoFormula, LetterAt, RunAtom, StepFormula, SumX, WfoFormula, format_wfo,
-    free_vars,
-)
+from .logic.syntax import SumX, format_wfo, free_vars, letters_in
 from .logic.parser import parse_formula_file, serialize_formula_file
 from .semantics import (
     builtin_semiring, max_average_aggregator, sum_product_aggregator,
 )
-from .textfmt import parse_automaton, parse_letter, serialize_automaton, to_dot
+from .textfmt import (
+    canonical_relabel, parse_automaton, parse_letter, serialize_automaton,
+    to_dot,
+)
 from .wa_to_wfo import scc_unambiguous_to_wfo, unambiguous_wa_to_wfo
-from .wfo_compiler import compile_wfo
+from .wfo_compiler import compile_stages, compile_wfo
 
 SEMIRING_FLAGS = ("natural", "boolean", "minplus", "maxplus", "languages",
                   "multiset")
@@ -77,23 +76,10 @@ def _split_names(text):
     return [t for t in text.replace(",", " ").split() if t]
 
 
-def _letters_in(node, out):
-    if isinstance(node, LetterAt):
-        out.add(node.letter)
-    elif isinstance(node, RunAtom):
-        out.update(node.nfa.alphabet)
-    if dataclasses.is_dataclass(node):
-        for field in dataclasses.fields(node):
-            value = getattr(node, field.name)
-            if isinstance(value, (FoFormula, StepFormula, WfoFormula)):
-                _letters_in(value, out)
-
-
 def _alphabet_for(formula, override):
     if override:
         return frozenset(parse_letter(t) for t in _split_names(override))
-    letters = set()
-    _letters_in(formula, letters)
+    letters = letters_in(formula)
     if not letters:
         raise InputError("cannot infer an alphabet; pass --alphabet")
     return frozenset(letters)
@@ -106,7 +92,11 @@ def _render(a, fmt):
 def _maxlen(args):
     if args.maxlen is not None:
         return args.maxlen
-    return int(os.environ.get("WFOC_MAXLEN", "8"))
+    text = os.environ.get("WFOC_MAXLEN", "8")
+    if not (text.isdecimal() and int(text) > 0):
+        raise InputError("WFOC_MAXLEN must be a positive integer, not %r"
+                         % text)
+    return int(text)
 
 
 # -- commands -----------------------------------------------------------------
@@ -131,35 +121,21 @@ def _cmd_eval(args):
     return 0
 
 
-def _stage_lines(phi, alphabet, vars, lines):
-    for child in (getattr(phi, "then", None), getattr(phi, "els", None),
-                  getattr(phi, "left", None), getattr(phi, "right", None)):
-        if isinstance(child, WfoFormula):
-            _stage_lines(child, alphabet, vars, lines)
-    if isinstance(phi, SumX):
-        _stage_lines(phi.body, alphabet, vars + (phi.var,), lines)
-    wa = compile_wfo(phi, alphabet, vars)
-    idx = aperiodicity_index(wa)
-    note = ""
-    if isinstance(phi, SumX):
-        inner = compile_wfo(phi.body, alphabet, vars + (phi.var,))
-        inner_idx = aperiodicity_index(inner)
-        if inner_idx is not None:
-            note = " (projection bound %d)" % (2 * inner_idx)
-    lines.append("%s :: states=%d ambiguity=%s index=%s%s"
-                 % (format_wfo(phi), len(wa.nfa.states),
-                    _CLASS_WORDS[classify_ambiguity(wa)], idx, note))
-    return wa
-
-
 def _cmd_compile(args):
     parsed = parse_formula_file(_read(args.formula), "wfo")
     alphabet = _alphabet_for(parsed.formula, args.alphabet)
     if args.report:
-        lines = []
-        wa = _stage_lines(parsed.formula, alphabet, (), lines)
-        for line in lines:
-            print(line)
+        prev_idx = None                 # a sum's body is the stage before it
+        for phi, wa in compile_stages(parsed.formula, alphabet):
+            idx = aperiodicity_index(wa)
+            note = ""
+            if isinstance(phi, SumX) and prev_idx is not None:
+                note = " (projection bound %d)" % (2 * prev_idx)
+            print("%s :: states=%d ambiguity=%s index=%s%s"
+                  % (format_wfo(phi), len(wa.nfa.states),
+                     _CLASS_WORDS[classify_ambiguity(wa)], idx, note))
+            prev_idx = idx
+        wa = canonical_relabel(wa)
     else:
         wa = compile_wfo(parsed.formula, alphabet)
     _emit(_render(wa, args.format), args.out)

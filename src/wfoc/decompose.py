@@ -145,9 +145,18 @@ def build_a_k_ell(a: WeightedAutomaton, k, ell) -> WeightedAutomaton:
     if not 1 <= ell <= k:
         raise InputError("run index %r out of range 1..%r" % (ell, k))
     norm = ensure_single_initial(a)
-    leq = build_a_leq_k(norm.nfa, k)
-    geq = build_a_geq_k(norm.nfa, k)
-    joint = trim(product(leq.nfa, geq))
+    return _weigh_run(norm, _exact_slice(norm.nfa, k), ell)
+
+
+def _exact_slice(nfa, k) -> Nfa:
+    """Trim product of the at-most-k DFA with the k-run tracker of a
+    single-initial automaton: one run per word with exactly k runs."""
+    return trim(product(build_a_leq_k(nfa, k).nfa, build_a_geq_k(nfa, k)))
+
+
+def _weigh_run(norm: WeightedAutomaton, joint: Nfa, ell) -> WeightedAutomaton:
+    """Weight each transition of an exactly-k slice of `norm` by the
+    transition its ell-th tracked run takes."""
     wgt = {}
     for t in joint.transitions:
         (_, src), letter, (_, dst) = t
@@ -189,11 +198,14 @@ def decompose(a: WeightedAutomaton, k=None) -> list:
             raise HypothesisError(
                 "not %d-ambiguous: %r has at least %d accepting runs"
                 % (k, "".join(word), k + 1))
+    # B_ell is the left-nested union over j = ell..k of the ell-th run
+    # on the exactly-j slice; each slice is built once
+    norm = ensure_single_initial(a)
     out = []
-    for ell in range(1, k + 1):
-        slices = [build_a_k_ell(a, j, ell) for j in range(ell, k + 1)]
-        b = slices[0]
-        for part in slices[1:]:
-            b = weighted_union(b, part)
-        out.append(b)
+    for j in range(1, k + 1):
+        joint = _exact_slice(norm.nfa, j)
+        for ell in range(1, j):
+            out[ell - 1] = weighted_union(out[ell - 1],
+                                          _weigh_run(norm, joint, ell))
+        out.append(_weigh_run(norm, joint, j))
     return out

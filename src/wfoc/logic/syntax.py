@@ -250,6 +250,16 @@ def run_atoms(node):
     return out
 
 
+def letters_in(node) -> set:
+    """The letters a formula names: in letter atoms and as the alphabets
+    of its run atoms' automata."""
+    if isinstance(node, LetterAt):
+        return {node.letter}
+    if isinstance(node, RunAtom):
+        return set(node.nfa.alphabet)
+    return set().union(*(letters_in(c) for c in _children(node)))
+
+
 def fresh_name(base: str, used) -> str:
     name = base
     while name in used:

@@ -35,8 +35,15 @@ def parse_letter(token: str):
     return token
 
 
-def _parse_state(token: str):
-    return int(token) if token.isdigit() else token
+def _parse_state(token: str, line_no: int):
+    """A decimal token names an integer state, provided it is written the
+    way the integer prints: `01` and `1` would otherwise be one state."""
+    if not token.isdecimal():
+        return token
+    if str(int(token)) != token:
+        raise InputError("line %d: state %r must be written %d"
+                         % (line_no, token, int(token)))
+    return int(token)
 
 
 def _strip_comment(line: str) -> str:
@@ -50,7 +57,7 @@ def _parse_fields(lines):
     final = None
     accepting = {}
     trans_lines = []
-    for raw in lines:
+    for line_no, raw in enumerate(lines, start=1):
         line = _strip_comment(raw)
         if not line:
             continue
@@ -62,20 +69,20 @@ def _parse_fields(lines):
         if key == "alphabet":
             alphabet = [parse_letter(t) for t in tokens]
         elif key == "states":
-            states = [_parse_state(t) for t in tokens]
+            states = [_parse_state(t, line_no) for t in tokens]
         elif key == "initial":
-            initial = [_parse_state(t) for t in tokens]
+            initial = [_parse_state(t, line_no) for t in tokens]
         elif key == "final":
-            final = [_parse_state(t) for t in tokens]
+            final = [_parse_state(t, line_no) for t in tokens]
         elif key.startswith("accepting"):
             parts = key.split()
             if len(parts) != 2:
                 raise InputError("accepting sets need a name: %r" % raw)
-            accepting[parts[1]] = [_parse_state(t) for t in tokens]
+            accepting[parts[1]] = [_parse_state(t, line_no) for t in tokens]
         elif key == "trans":
             if len(tokens) not in (3, 4):
                 raise InputError("trans needs 3 or 4 fields: %r" % raw)
-            trans_lines.append(tokens)
+            trans_lines.append((line_no, tokens))
         else:
             raise InputError("unknown section %r" % key)
     if alphabet is None or states is None:
@@ -90,16 +97,16 @@ def parse_automaton(text: str):
     line carries a weight, Nfa when none does."""
     alphabet, states, initial, final, accepting, trans_lines = \
         _parse_fields(text.splitlines())
-    weighted_flags = {len(t) == 4 for t in trans_lines}
+    weighted_flags = {len(t) == 4 for (_, t) in trans_lines}
     if len(weighted_flags) > 1:
         raise InputError("mix of weighted and unweighted transitions")
     weighted = weighted_flags == {True}
     transitions = set()
     wgt = {}
-    for tokens in trans_lines:
-        src = _parse_state(tokens[0])
+    for line_no, tokens in trans_lines:
+        src = _parse_state(tokens[0], line_no)
         letter = parse_letter(tokens[1])
-        dst = _parse_state(tokens[2])
+        dst = _parse_state(tokens[2], line_no)
         t = (src, letter, dst)
         if t in transitions:
             raise InputError("duplicate transition %r" % (t,))

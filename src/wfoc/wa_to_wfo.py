@@ -63,6 +63,10 @@ def lang_sentence(a, p, q, name=ATOM_NAME):
     empty factor counts as a run when p = q."""
     nfa = underlying_nfa(a)
     _require_aperiodic(nfa)
+    return _lang_atom(nfa, p, q, name)
+
+
+def _lang_atom(nfa, p, q, name):
     if p not in nfa.states or q not in nfa.states:
         raise InputError("unknown state %r/%r" % (p, q))
     return RunAtom(name, nfa, p, q, None, None)
@@ -109,9 +113,14 @@ def unambiguous_to_wfo(a: WeightedAutomaton, p, q, name=ATOM_NAME):
         raise HypothesisError(
             "not unambiguous from %r to %r: %r has two runs"
             % (p, q, "".join(map(str, w))))
-    guard = lang_sentence(a, p, q, name)
+    return _guarded_product(a, p, q, name)
+
+
+def _guarded_product(a, p, q, name):
+    """unambiguous_to_wfo once both hypotheses are known to hold."""
+    guard = _lang_atom(a.nfa, p, q, name)
     pairs = [(transition_formula(a, p, q, t, "x", name), a.wgt[t])
-             for t in _sorted_transitions(nfa)]
+             for t in _sorted_transitions(a.nfa)]
     return WIte(guard, ProdX("x", _cascade(pairs)), Zero())
 
 
@@ -131,7 +140,8 @@ def unambiguous_wa_to_wfo(a: WeightedAutomaton, name=ATOM_NAME):
     pairs = sorted(((p, q) for p in nfa.initial for q in nfa.final),
                    key=lambda pq: (state_key(pq[0]), state_key(pq[1])))
     for (p, q) in reversed(pairs):
-        inner = unambiguous_to_wfo(a, p, q, name)
+        # two runs from p to q would be two accepting runs
+        inner = _guarded_product(a, p, q, name)
         out = WIte(inner.cond, inner.then, out)
     return out
 
@@ -254,7 +264,9 @@ def scc_unambiguous_to_wfo(a: WeightedAutomaton, name=ATOM_NAME):
     parts = []
     for (p, q) in pairs:
         if scc.same(p, q):
-            parts.append(unambiguous_to_wfo(a, p, q, name))
+            # two runs from p to q, closed by a path back to p, would be
+            # two runs from p to p inside the component
+            parts.append(_guarded_product(a, p, q, name))
         else:
             parts.extend(_switching_sentence(a, p, q, seq, name)
                          for seq in enumerate_switching(a, p, q))

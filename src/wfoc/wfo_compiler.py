@@ -133,9 +133,8 @@ def compile_product(step, var, alphabet, vars=()) -> WeightedAutomaton:
     initial = {(d0, f, 0) for f in suffixes}
     states |= initial
     final = {s for s in states if s[1] == f_end and s[2] == 1}
-    keep = reachable_states(Nfa(states, letters, trans, initial, final))
-    nfa = restrict(Nfa(states, letters, trans, initial, final), keep)
-    return WeightedAutomaton(nfa, {t: wgt[t] for t in nfa.transitions})
+    return _prune(WeightedAutomaton(
+        Nfa(states, letters, trans, initial, final), wgt))
 
 
 def compile_ite(cond, then_wa: WeightedAutomaton, else_wa: WeightedAutomaton,
@@ -173,10 +172,6 @@ def compile_ite(cond, then_wa: WeightedAutomaton, else_wa: WeightedAutomaton,
     return WeightedAutomaton(Nfa(states, letters, trans, initial, final), wgt)
 
 
-def compile_plus(a: WeightedAutomaton, b: WeightedAutomaton):
-    return weighted_union(a, b)
-
-
 def compile_sum_var(a: WeightedAutomaton, var, alphabet,
                     vars) -> WeightedAutomaton:
     """Sum over a variable: erase its mark row and keep two copies of the
@@ -195,7 +190,7 @@ def compile_sum_var(a: WeightedAutomaton, var, alphabet,
 
     trans = set()
     wgt = {}
-    for t in sorted(a.nfa.transitions, key=lambda t: letter_key(t)):
+    for t in a.nfa.transitions:
         (p, l, q) = t
         w = a.wgt[t]
         out_l = strip(l)
@@ -218,6 +213,15 @@ def compile_sum_var(a: WeightedAutomaton, var, alphabet,
 def compile_wfo(phi, alphabet, vars=()) -> WeightedAutomaton:
     """Weighted automaton over the (marked) alphabet equivalent to phi.
     With the default empty variable context, phi must be a sentence."""
+    for _, wa in compile_stages(phi, alphabet, vars):
+        pass
+    return canonical_relabel(wa)
+
+
+def compile_stages(phi, alphabet, vars=()):
+    """The induction on phi: yields (subterm, automaton) for every
+    weighted subterm, children before parents and phi last; automata keep
+    only reachable states, under the names their construction gave."""
     vars = tuple(sorted(set(vars)))
     missing = free_vars(phi) - set(vars)
     if missing:
@@ -226,31 +230,36 @@ def compile_wfo(phi, alphabet, vars=()) -> WeightedAutomaton:
     base = frozenset(alphabet)
     if not base:
         raise InputError("alphabet must not be empty")
-    return canonical_relabel(_prune(_go(phi, base, vars)))
+    yield from _stages(phi, base, vars)
 
 
-def _go(phi, base, vars) -> WeightedAutomaton:
+def _stages(phi, base, vars):
+    """Yield the stages of phi and return its automaton."""
     if isinstance(phi, Zero):
         letters = ext_alphabet(base, vars)
-        return WeightedAutomaton(
-            Nfa({0}, letters, set(), {0}, set()), {})
-    if isinstance(phi, ProdX):
+        wa = WeightedAutomaton(Nfa({0}, letters, set(), {0}, set()), {})
+    elif isinstance(phi, ProdX):
         if phi.var in vars:
             raise InputError("variable %s is shadowed" % phi.var)
-        return compile_product(phi.step, phi.var, base, vars)
-    if isinstance(phi, WIte):
-        return compile_ite(phi.cond, _go(phi.then, base, vars),
-                           _go(phi.els, base, vars), base, vars)
-    if isinstance(phi, Plus):
-        return weighted_union(_go(phi.left, base, vars),
-                              _go(phi.right, base, vars))
-    if isinstance(phi, SumX):
+        wa = compile_product(phi.step, phi.var, base, vars)
+    elif isinstance(phi, WIte):
+        then_wa = yield from _stages(phi.then, base, vars)
+        else_wa = yield from _stages(phi.els, base, vars)
+        wa = compile_ite(phi.cond, then_wa, else_wa, base, vars)
+    elif isinstance(phi, Plus):
+        left = yield from _stages(phi.left, base, vars)
+        right = yield from _stages(phi.right, base, vars)
+        wa = weighted_union(left, right)
+    elif isinstance(phi, SumX):
         if phi.var in vars:
             raise InputError("variable %s is shadowed" % phi.var)
         inner_vars = tuple(sorted(vars + (phi.var,)))
-        inner = _go(phi.body, base, inner_vars)
-        return compile_sum_var(inner, phi.var, base, inner_vars)
-    raise InputError("not a weighted formula: %r" % (phi,))
+        body = yield from _stages(phi.body, base, inner_vars)
+        wa = compile_sum_var(body, phi.var, base, inner_vars)
+    else:
+        raise InputError("not a weighted formula: %r" % (phi,))
+    yield phi, wa
+    return wa
 
 
 def rewrite_sum_normal_form(phi):

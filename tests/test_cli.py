@@ -4,15 +4,26 @@ Commands run in-process through main(argv) so exit codes and output are
 asserted directly; files go through tmp_path.
 """
 
+import os
+import random
+import subprocess
+import sys
+
 import pytest
 
-from wfoc.automata import abstract_semantics, words_upto
+import wfoc
+from wfoc import wfo_compiler
+from wfoc.automata import (
+    abstract_semantics, aperiodicity_index, classify_ambiguity, words_upto,
+)
 from wfoc.cli import main
-from wfoc.logic.parser import parse_formula_file
+from wfoc.logic.parser import parse_formula_file, serialize_formula_file
+from wfoc.logic.syntax import SumX, WfoFormula, format_wfo
 from wfoc.multiset import SeqMultiset
 from wfoc.textfmt import parse_automaton
+from wfoc.wfo_compiler import compile_wfo
 
-from tests.corpus import ALL_TEXTS
+from tests.corpus import ALL_TEXTS, SEED, random_wfo
 
 
 def save(tmp_path, name):
@@ -141,6 +152,150 @@ class TestCompile:
                                 "-o", dst])[0] == 0
             outs.append(open(dst, "rb").read())
         assert outs[0] == outs[1]
+
+
+# corpus automata that `tologic` translates; the others are refused
+TRANSLATABLE = ("countminmax", "expsum", "linearcount", "mingap", "modeblocks",
+                "splitmax", "splitmin", "switchpoints", "triplerun")
+
+CLASS_WORDS = {"unambiguous": "unambiguous", "finitely": "finite",
+               "polynomially": "polynomial (SCC-unambiguous)",
+               "exponentially": "exponential"}
+
+
+def per_subterm_report(phi, alphabet, vars, lines):
+    """`compile --report` as first defined: every weighted subterm compiled
+    on its own, children first; returns the aperiodicity index of phi."""
+    for child in (getattr(phi, "then", None), getattr(phi, "els", None),
+                  getattr(phi, "left", None), getattr(phi, "right", None)):
+        if isinstance(child, WfoFormula):
+            per_subterm_report(child, alphabet, vars, lines)
+    note = ""
+    if isinstance(phi, SumX):
+        body_idx = per_subterm_report(phi.body, alphabet, vars + (phi.var,),
+                                      lines)
+        if body_idx is not None:
+            note = " (projection bound %d)" % (2 * body_idx)
+    wa = compile_wfo(phi, alphabet, vars)
+    idx = aperiodicity_index(wa)
+    lines.append("%s :: states=%d ambiguity=%s index=%s%s"
+                 % (format_wfo(phi), len(wa.nfa.states),
+                    CLASS_WORDS[classify_ambiguity(wa)], idx, note))
+    return idx
+
+
+def report_cases():
+    rng = random.Random(SEED + 3)
+    cases = [(name, None, ",".join(sorted(
+        parse_automaton(ALL_TEXTS[name]).nfa.alphabet)))
+        for name in TRANSLATABLE]
+    cases += [("random-%d" % i, serialize_formula_file(
+        random_wfo(rng, ("a", "b")), "wfo"), "a,b") for i in range(20)]
+    return cases
+
+
+REPORT_CASES = report_cases()
+
+
+class TestReportStages:
+    def test_report_compiles_once(self, tmp_path, capsys, monkeypatch):
+        sw = save(tmp_path, "switchpoints")
+        phi_path = str(tmp_path / "sw.wfo")
+        assert run(capsys, ["tologic", "--automaton", sw,
+                            "-o", phi_path])[0] == 0
+        calls = []
+        real = wfo_compiler.compile_product
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(wfo_compiler, "compile_product", counting)
+        outs = []
+        for extra in ([], ["--report"]):
+            dst = tmp_path / ("out%d.wa" % len(extra))
+            del calls[:]
+            assert run(capsys, ["compile", "--formula", phi_path,
+                                "-o", str(dst)] + extra)[0] == 0
+            outs.append((len(calls), dst.read_bytes()))
+        assert outs[0][0] > 0
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("name,text,alphabet", REPORT_CASES,
+                             ids=[c[0] for c in REPORT_CASES])
+    def test_report_matches_per_subterm_compilation(
+            self, tmp_path, capsys, name, text, alphabet):
+        phi_path = tmp_path / "phi.wfo"
+        if text is None:
+            src = save(tmp_path, name)
+            assert run(capsys, ["tologic", "--automaton", src,
+                                "-o", str(phi_path)])[0] == 0
+        else:
+            phi_path.write_text(text)
+        rc, out, _ = run(capsys, ["compile", "--formula", str(phi_path),
+                                  "--alphabet", alphabet, "--report",
+                                  "-o", str(tmp_path / "out.wa")])
+        assert rc == 0
+        phi = parse_formula_file(phi_path.read_text(), "wfo").formula
+        want = []
+        per_subterm_report(phi, frozenset(alphabet.split(",")), (), want)
+        assert out == "".join(line + "\n" for line in want)
+
+
+# String state names, whose set order changes with the hash seed.  Four
+# pairs of runs share the word `a`; the witness must not depend on which
+# of them is explored first.
+TIES = """alphabet: a b
+states: s q1 q2 q3 q4 f
+initial: s
+final: f
+trans: s a q1 1
+trans: s a q2 2
+trans: s a q3 3
+trans: s a q4 4
+trans: q1 b f 1
+trans: q2 b f 1
+trans: q3 a f 2
+trans: q4 a f 3
+"""
+
+TIES_FORMULA = (
+    "# automaton A: alphabet: a b ; states: s q1 q2 q3 q4 f ; initial: s ;"
+    " final: f ; trans: s a q1 ; trans: s a q2 ; trans: s a q3 ;"
+    " trans: s a q4 ; trans: q1 b f ; trans: q2 b f ; trans: q3 a f ;"
+    " trans: q4 a f\n"
+    "sum y. (Pa(y) & run:A(s,q2;<y) & run:A(q2,f;>y)) ? prod x. (x = y) ? 2"
+    " : (run:A(s,q4;<x) & Pa(x)) ? 3 : 1 : prod x. run:A(s,q3;<x) ? 4 : 0\n")
+
+
+def run_with_hash_seed(workdir, argv, seed):
+    """Run the CLI in a fresh interpreter; returns its exit code, stdout,
+    stderr and the bytes of every out* file it wrote."""
+    workdir.mkdir()
+    (workdir / "ties.wa").write_text(TIES)
+    (workdir / "ties.wfo").write_text(TIES_FORMULA)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wfoc.__file__)))
+    env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "wfoc.cli"] + argv,
+                          cwd=str(workdir), env=env, capture_output=True,
+                          text=True, timeout=120)
+    files = {p.name: p.read_bytes() for p in sorted(workdir.iterdir())
+             if p.name.startswith("out")}
+    return proc.returncode, proc.stdout, proc.stderr, files
+
+
+class TestHashSeedDeterminism:
+    @pytest.mark.parametrize("argv,rc", [
+        (["compile", "--report", "--formula", "ties.wfo", "-o", "out.wa"], 0),
+        (["tologic", "--mode", "unambiguous", "--automaton", "ties.wa"], 1),
+        (["decompose", "--automaton", "ties.wa", "-o", "out"], 0),
+    ], ids=["compile-report", "tologic-refusal", "decompose"])
+    def test_outputs_identical_across_hash_seeds(self, tmp_path, argv, rc):
+        results = [run_with_hash_seed(tmp_path / str(seed), argv, seed)
+                   for seed in (0, 1)]
+        assert results[0][0] == rc
+        assert results[0][1] or results[0][2]
+        assert results[0] == results[1]
 
 
 class TestCompileFo:
@@ -313,6 +468,12 @@ class TestEquiv:
         monkeypatch.setenv("WFOC_MAXLEN", "3")
         rc, out, _ = run(capsys, ["equiv", "--a", fib, "--b", fib])
         assert rc == 0 and out == "EQUIV up to 3\n"
+        # a bad value is an input error (2), never a counterexample (1)
+        for bad in ("abc", "0", "-3", "2.5", ""):
+            monkeypatch.setenv("WFOC_MAXLEN", bad)
+            rc, out, err = run(capsys, ["equiv", "--a", fib, "--b", fib])
+            assert rc == 2 and out == ""
+            assert "WFOC_MAXLEN" in err and repr(bad) in err
 
 
 class TestDotAndErrors:

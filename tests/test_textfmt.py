@@ -81,6 +81,28 @@ final: 2
 """)
 
 
+@pytest.mark.parametrize("text,line,token", [
+    # `01` used to be read as state 1, silently merging the two
+    ("alphabet: a\nstates: 1 01 2\ninitial: 1\nfinal: 2\n"
+     "trans: 01 a 2 3\n", 2, "01"),
+    ("alphabet: a\nstates: 1 2\ninitial: 1\nfinal: 2\n"
+     "# comment\ntrans: 1 a 002 3\n", 6, "002"),
+    ("alphabet: a\nstates: 0 1\ninitial: 00\nfinal: 1\n", 3, "00"),
+])
+def test_non_canonical_number_rejected(text, line, token):
+    with pytest.raises(InputError) as err:
+        parse_automaton(text)
+    assert ("line %d" % line) in str(err.value)
+    assert repr(token) in str(err.value)
+
+
+def test_canonical_numbers_stay_integers():
+    # a digit that is not decimal, such as a superscript, names a state
+    a = parse_automaton("alphabet: a\nstates: 0 10 x01 \u00b2\ninitial: 0\n"
+                        "final: 10\ntrans: 0 a 10\ntrans: 10 a x01\n")
+    assert a.states == frozenset({0, 10, "x01", "\u00b2"})
+
+
 def test_inline_round_trip():
     a = load("fibonacci")
     inline = serialize_automaton_inline(a)

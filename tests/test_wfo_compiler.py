@@ -5,7 +5,7 @@ import pytest
 from wfoc import InputError
 from wfoc.automata import (
     abstract_semantics, ambiguity_degree_bounded, aperiodicity_index,
-    classify_ambiguity, is_unambiguous,
+    classify_ambiguity, is_unambiguous, weighted_union,
 )
 from wfoc.logic import parse_fo, parse_wfo
 from wfoc.logic.evaluate import eval_wfo_at
@@ -18,7 +18,7 @@ from wfoc.semantics import (
 )
 from wfoc.textfmt import serialize_automaton
 from wfoc.wfo_compiler import (
-    compile_ite, compile_plus, compile_product, compile_sum_var, compile_wfo,
+    compile_ite, compile_product, compile_sum_var, compile_wfo,
     rewrite_sum_normal_form,
 )
 
@@ -104,14 +104,14 @@ class TestPlus:
     def test_zero_is_neutral(self):
         a = compile_wfo(parse_wfo("prod x. (Pb(x) ? 7 : 1)"), AB)
         z = compile_wfo(parse_wfo("zero"), AB)
-        both = compile_plus(a, z)
+        both = weighted_union(a, z)
         for w in all_words(("a", "b"), 4):
             assert abstract_semantics(both, w) == abstract_semantics(a, w)
 
     def test_doubling_multiplicities(self):
         phi, mode = modeblocks_sentence()
         one = compile_wfo(phi, mode.nfa.alphabet)
-        two = compile_plus(one, one)
+        two = weighted_union(one, one)
         for w in all_words(("a", "b", "c"), 5):
             doubled = SeqMultiset({s: 2 * c for s, c
                                    in abstract_semantics(one, w).items()})
@@ -119,7 +119,7 @@ class TestPlus:
 
     def test_union_of_unambiguous_is_two_ambiguous(self):
         a = compile_wfo(parse_wfo("prod x. 1"), AB)
-        both = compile_plus(a, a)
+        both = weighted_union(a, a)
         assert ambiguity_degree_bounded(both.nfa, 5) <= 2
 
 
