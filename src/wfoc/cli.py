@@ -15,7 +15,7 @@ from .automata import (
     classify_ambiguity, is_unambiguous, words_upto,
     EXPONENTIALLY, FINITELY, POLYNOMIALLY, UNAMBIGUOUS,
 )
-from .decompose import build_a_geq_k, decompose, ensure_single_initial
+from .decompose import decompose_with_trackers, ensure_single_initial
 from .errors import HypothesisError, InputError, VerificationFailure
 from .fo_compiler import compile_fo
 from .logic.syntax import SumX, format_wfo, free_vars, letters_in
@@ -168,7 +168,7 @@ def _cmd_tologic(args):
 
 def _cmd_decompose(args):
     wa = _load_weighted(args.automaton)
-    parts = decompose(wa, args.bound)
+    parts, geqs = decompose_with_trackers(wa, args.bound)
     k = len(parts)
     norm = ensure_single_initial(wa)
     m = aperiodicity_index(norm)
@@ -178,8 +178,7 @@ def _cmd_decompose(args):
     if norm is not wa:
         print("note: added a fresh initial state (input had %d)"
               % len(wa.nfa.initial))
-    for stage in range(1, k + 1):
-        geq = build_a_geq_k(norm.nfa, stage)
+    for stage, geq in enumerate(geqs[:k], start=1):
         bound = "" if m is None else " bound=%d" % (stage * (m + 1))
         print("A_>=%d: states=%d index=%s%s"
               % (stage, len(geq.states), aperiodicity_index(geq), bound))

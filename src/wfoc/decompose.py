@@ -28,7 +28,7 @@ from .automata import (
     weighted_union,
 )
 from .errors import HypothesisError, InputError
-from .fo_compiler import ClassifierDfa, dfa_from_nfa
+from .fo_compiler import ClassifierDfa, _swap, dfa_from_nfa
 
 
 # -- single initial state ----------------------------------------------------
@@ -131,9 +131,7 @@ def build_a_leq_k(a, k) -> ClassifierDfa:
     """
     if k < 1:
         raise InputError("run count must be >= 1")
-    dfa = dfa_from_nfa(build_a_geq_k(a, k + 1))
-    swapped = dfa.nfa.with_sets(final=dfa.g, accepting={"G": dfa.f})
-    return ClassifierDfa(swapped, dfa.base_alphabet, ())
+    return _swap(dfa_from_nfa(build_a_geq_k(a, k + 1)))
 
 
 # -- the ell-th run on the exactly-k slice ------------------------------------
@@ -145,13 +143,15 @@ def build_a_k_ell(a: WeightedAutomaton, k, ell) -> WeightedAutomaton:
     if not 1 <= ell <= k:
         raise InputError("run index %r out of range 1..%r" % (ell, k))
     norm = ensure_single_initial(a)
-    return _weigh_run(norm, _exact_slice(norm.nfa, k), ell)
+    joint = _exact_slice(build_a_geq_k(norm.nfa, k),
+                         build_a_geq_k(norm.nfa, k + 1))
+    return _weigh_run(norm, joint, ell)
 
 
-def _exact_slice(nfa, k) -> Nfa:
-    """Trim product of the at-most-k DFA with the k-run tracker of a
-    single-initial automaton: one run per word with exactly k runs."""
-    return trim(product(build_a_leq_k(nfa, k).nfa, build_a_geq_k(nfa, k)))
+def _exact_slice(geq_k: Nfa, geq_next: Nfa) -> Nfa:
+    """Trim product of the complement DFA of A_>=k+1 with the k-run
+    tracker A_>=k: one run per word with exactly k runs."""
+    return trim(product(_swap(dfa_from_nfa(geq_next)).nfa, geq_k))
 
 
 def _weigh_run(norm: WeightedAutomaton, joint: Nfa, ell) -> WeightedAutomaton:
@@ -175,6 +175,12 @@ def decompose(a: WeightedAutomaton, k=None) -> list:
     is detected, which needs the automaton to classify as unambiguous or
     finitely ambiguous.  A failing bound is refused with a witness word.
     """
+    return decompose_with_trackers(a, k)[0]
+
+
+def decompose_with_trackers(a: WeightedAutomaton, k=None):
+    """The parts of `decompose` together with the run trackers
+    A_>=1, ..., A_>=k+1 they were cut from, each built once."""
     nfa = trim(underlying_nfa(a))
     if k is None:
         kind = classify_ambiguity(nfa)
@@ -201,11 +207,12 @@ def decompose(a: WeightedAutomaton, k=None) -> list:
     # B_ell is the left-nested union over j = ell..k of the ell-th run
     # on the exactly-j slice; each slice is built once
     norm = ensure_single_initial(a)
+    geqs = [build_a_geq_k(norm.nfa, j) for j in range(1, k + 2)]
     out = []
     for j in range(1, k + 1):
-        joint = _exact_slice(norm.nfa, j)
+        joint = _exact_slice(geqs[j - 1], geqs[j])
         for ell in range(1, j):
             out[ell - 1] = weighted_union(out[ell - 1],
                                           _weigh_run(norm, joint, ell))
         out.append(_weigh_run(norm, joint, j))
-    return out
+    return out, geqs

@@ -2,13 +2,23 @@
 
 A classifier is a deterministic complete automaton with two accepting sets:
 F holds the words that are valid encodings and satisfy the formula, G the
-valid encodings that falsify it, and everything else is rejected.  Negation
-swaps F and G, conjunction is a product, and the existential quantifier is
-a mark-erasing projection followed by a subset construction.  Every step
-ends with a Moore minimization seeded with the {F, G, reject} partition.
+valid encodings that falsify it, and everything else is rejected.  It is
+stored as a dense table: states 1..n, state 1 initial, a row of successor
+numbers per state over the sorted letters, and one verdict per state.
+
+Every classifier comes out of the same two steps.  An implicit DFA, given
+by a start state, a successor function and a verdict function, is
+explored once into a table (``_table``), and the table is minimized once
+by Moore refinement from the {F, G, reject} partition (``minimize``).
+Atomic formulas are small semantic cores run alongside the validity DFA;
+negation swaps F and G, the binary connectives are synchronous products,
+and the existential quantifier is a mark-erasing subset construction run
+alongside validity over the remaining variables.
 """
 
 from __future__ import annotations
+
+import functools
 
 from .automata import Nfa, explore, letter_key
 from .errors import InputError
@@ -20,130 +30,135 @@ from .logic.syntax import (
 
 
 class ClassifierDfa:
-    """Deterministic complete automaton over the marked alphabet with the
-    three-way F / G / reject classification."""
+    """Dense table of a deterministic complete automaton over the marked
+    alphabet with the three-way F / G / reject classification.
 
-    __slots__ = ("nfa", "base_alphabet", "vars", "_delta")
+    States are 1..n, numbered breadth-first from the initial state 1 over
+    `letters` (sorted by letter_key); delta[s - 1][i] is the successor of
+    s on letters[i], and verdicts[s - 1] is True for F, False for G and
+    None for reject."""
 
-    def __init__(self, nfa: Nfa, base_alphabet, vars):
-        self.nfa = nfa
+    __slots__ = ("letters", "delta", "verdicts", "base_alphabet", "vars",
+                 "f", "g", "_nfa")
+
+    def __init__(self, letters, delta, verdicts, base_alphabet, vars):
+        self.letters = letters
+        self.delta = delta
+        self.verdicts = verdicts
         self.base_alphabet = frozenset(base_alphabet)
-        self.vars = tuple(sorted(vars))
-        self._delta = None
-        if "G" not in nfa.accepting:
-            raise InputError("classifier needs an accepting G set")
-        if len(nfa.initial) != 1:
-            raise InputError("classifier needs a unique initial state")
+        self.vars = tuple(vars)
+        self.f = frozenset(s for s, v in enumerate(verdicts, 1) if v)
+        self.g = frozenset(s for s, v in enumerate(verdicts, 1) if v is False)
+        self._nfa = None
 
     @property
-    def f(self):
-        return self.nfa.final
-
-    @property
-    def g(self):
-        return self.nfa.accepting["G"]
-
-    @property
-    def initial_state(self):
-        (s,) = self.nfa.initial
-        return s
-
-    def letters(self):
-        return sorted(ext_alphabet(self.base_alphabet, self.vars),
-                      key=letter_key)
-
-    def step(self, state, letter):
-        if self._delta is None:
-            table = {}
-            for (s, a, d) in self.nfa.transitions:
-                table[(s, a)] = d
-            self._delta = table
-        return self._delta[(state, letter)]
-
-    def run(self, letters):
-        s = self.initial_state
-        for a in letters:
-            s = self.step(s, a)
-        return s
+    def nfa(self) -> Nfa:
+        """The table as an Nfa: initial state 1, final set F and the
+        accepting set G; built on first use."""
+        if self._nfa is None:
+            trans = {(s, a, d) for s, row in enumerate(self.delta, 1)
+                     for a, d in zip(self.letters, row)}
+            self._nfa = Nfa(range(1, len(self.delta) + 1), self.letters,
+                            trans, {1}, self.f, {"G": self.g})
+        return self._nfa
 
     def classify(self, letters):
         """'F', 'G', or None (rejected / invalid encoding)."""
-        s = self.run(letters)
-        if s in self.f:
-            return "F"
-        if s in self.g:
-            return "G"
-        return None
-
-    def check_deterministic_complete(self):
-        seen = {}
-        for (s, a, d) in self.nfa.transitions:
-            if (s, a) in seen:
-                raise InputError("nondeterministic at %r" % ((s, a),))
-            seen[(s, a)] = d
-        letters = self.letters()
-        for s in self.nfa.states:
-            for a in letters:
-                if (s, a) not in seen:
-                    raise InputError("missing transition %r" % ((s, a),))
-        if self.f & self.g:
-            raise InputError("F and G overlap")
-        return True
+        index = {a: i for i, a in enumerate(self.letters)}
+        s = 1
+        for a in letters:
+            s = self.delta[s - 1][index[a]]
+        verdict = self.verdicts[s - 1]
+        return None if verdict is None else "F" if verdict else "G"
 
     def __repr__(self):
         return "ClassifierDfa(%d states, %d vars)" % (
-            len(self.nfa.states), len(self.vars))
+            len(self.delta), len(self.vars))
 
 
-def _make_classifier(edges, initial, verdict, base, vars):
-    """Classifier from its transitions (state, letter, successor);
-    verdict(state) is true for F, false for G and None for reject."""
-    transitions = set(edges)
-    states = {initial} | {s for (s, _, _) in transitions} \
-        | {d for (_, _, d) in transitions}
-    f, g = set(), set()
-    for s in states:
-        v = verdict(s)
-        if v is not None:
-            (f if v else g).add(s)
-    nfa = Nfa(states, ext_alphabet(base, vars), transitions, {initial}, f,
-              {"G": g})
-    return ClassifierDfa(nfa, base, vars)
+@functools.lru_cache(maxsize=64)
+def _letters(base, vars):
+    return tuple(sorted(ext_alphabet(base, vars), key=letter_key))
+
+
+def _table(start, step, verdict, base, vars) -> ClassifierDfa:
+    """Tabulate the part of an implicit DFA reachable from start.
+
+    step(state) lists the successors of a state in letter order, and
+    verdict(state) is true for F, false for G and None for reject.  States
+    are numbered 1..n in the order explore first reaches them, which is
+    breadth-first over the sorted letters."""
+    letters = _letters(base, vars)
+    number = {start: 1}
+    flat = []
+    for (_, _, d) in explore([start], lambda s: enumerate(step(s))):
+        flat.append(number.setdefault(d, len(number) + 1))
+    k = len(letters)
+    delta = tuple(tuple(flat[i * k:(i + 1) * k]) for i in range(len(number)))
+    return ClassifierDfa(letters, delta, tuple(map(verdict, number)),
+                         base, vars)
+
+
+_CLASS = {True: 0, False: 1, None: 2}
+
+
+def minimize(c: ClassifierDfa) -> ClassifierDfa:
+    """Moore refinement from the {F, G, reject} partition.
+
+    Every round numbers the blocks by their first state.  On a table
+    numbered breadth-first this numbers the quotient breadth-first too
+    (its states in the shortlex order of their shortest words), so equal
+    classifiers come out as equal tables and repeated compilations are
+    byte-identical."""
+    block = [None] + [_CLASS[v] for v in c.verdicts]    # block[s], s >= 1
+    count = len(set(c.verdicts))
+    while True:
+        sigs = {}
+        new = [None] + [
+            sigs.setdefault((block[s], *[block[d] for d in row]), len(sigs))
+            for s, row in enumerate(c.delta, 1)]
+        if len(sigs) == count:
+            break
+        block, count = new, len(sigs)
+    if count == len(c.delta):
+        return c
+    first = {}
+    for s in range(1, len(new)):
+        first.setdefault(new[s], s)
+    delta = tuple(tuple(new[d] + 1 for d in c.delta[s - 1])
+                  for s in first.values())
+    verdicts = tuple(c.verdicts[s - 1] for s in first.values())
+    return ClassifierDfa(c.letters, delta, verdicts, c.base_alphabet, c.vars)
+
+
+def _on_validity(core, base, vars) -> ClassifierDfa:
+    """Minimal classifier of a core run alongside the validity DFA.
+
+    A core (start, step, yes) is an implicit DFA over the marked letters
+    whose yes(state) is the right answer on valid encodings.  The product
+    is in F where the core says yes on a valid word and in G where it says
+    no.  Validity states are the bit masks of the variables marked so far,
+    and -1 once some variable is marked twice."""
+    start, step, yes = core
+    step = functools.lru_cache(maxsize=None)(step)
+    masks = [sum(b << i for i, b in enumerate(a[1])) if vars else 0
+             for a in _letters(base, vars)]
+    full = (1 << len(vars)) - 1
+
+    @functools.lru_cache(maxsize=None)
+    def marks(seen):
+        return [-1 if seen < 0 or seen & m else seen | m for m in masks]
+
+    return minimize(_table(
+        (start, 0), lambda s: zip(step(s[0]), marks(s[1])),
+        lambda s: yes(s[0]) if s[1] == full else None, base, vars))
 
 
 def validity_dfa(alphabet, vars) -> ClassifierDfa:
     """Accepts (in F) exactly the valid encodings: every mark row fires
-    exactly once.  States are the mark subsets seen so far plus a sink;
-    all 2^|vars| + 1 states are materialized."""
-    vars = tuple(sorted(vars))
-    base = frozenset(alphabet)
-    letters = ext_alphabet(base, vars)
-    subsets = [frozenset()]
-    for v in vars:
-        subsets += [s | {v} for s in subsets]
-    sink = ("sink",)
-    edges = [(sink, a, sink) for a in letters]
-    for seen in subsets:
-        for a in letters:
-            fired = _marks(a, vars)
-            edges.append((seen, a, sink if fired & seen else seen | fired))
-    full = frozenset(vars)
-    return _make_classifier(edges, frozenset(),
-                            lambda s: True if s == full else None,
-                            base, vars)
-
-
-def _marks(letter, vars):
-    if not vars:
-        return frozenset()
-    _, bits = letter
-    return frozenset(v for v, b in zip(vars, bits) if b)
-
-
-def _mark(letter, vars, v):
-    if not vars:
-        return False
-    return letter[1][vars.index(v)]
+    exactly once.  States are the reachable mark subsets plus, with some
+    variable, the sink of a twice-marked row; G is empty."""
+    return compile_fo(FoTrue(), alphabet, vars)
 
 
 def _base_of(letter, vars):
@@ -151,45 +166,33 @@ def _base_of(letter, vars):
 
 
 # ---------------------------------------------------------------------------
-# semantic cores: total DFAs with a yes-predicate, correct on valid words
+# semantic cores: (start, step, yes) triples, correct on valid words
 
-def _core_true(letters, vars):
-    return {("t",): {a: ("t",) for a in letters}}, ("t",), {("t",)}
+
+def _core_true(letters):
+    return 0, lambda s: [0] * len(letters), lambda s: True
 
 
 def _core_letter_at(phi: LetterAt, letters, vars):
-    pending, yes, no = ("p",), ("y",), ("n",)
-    delta = {pending: {}, yes: {}, no: {}}
-    for a in letters:
-        delta[yes][a] = yes
-        delta[no][a] = no
-        if _mark(a, vars, phi.var):
-            delta[pending][a] = yes if _base_of(a, vars) == phi.letter else no
-        else:
-            delta[pending][a] = pending
-    return delta, pending, {yes}
+    # pending (0) until the mark, then yes (1) or no (2) for good
+    i = vars.index(phi.var)
+    pending = [(1 if a[0] == phi.letter else 2) if a[1][i] else 0
+               for a in letters]
+    rows = (pending, [1] * len(letters), [2] * len(letters))
+    return 0, rows.__getitem__, lambda s: s == 1
 
 
-def _core_order(kind, x, y, letters, vars):
-    # neither mark seen / x seen first / decided; y-first decides at once
-    neither, xfirst, yes, no = ("n",), ("x",), ("y",), ("f",)
-    on_both = {"leq": yes, "lt": no, "eq": yes}[kind]
-    on_y_first = no
-    delta = {s: {} for s in (neither, xfirst, yes, no)}
-    for a in letters:
-        bx, by = _mark(a, vars, x), _mark(a, vars, y)
-        delta[yes][a] = yes
-        delta[no][a] = no
-        if bx and by:
-            delta[neither][a] = on_both
-        elif bx:
-            delta[neither][a] = no if kind == "eq" else xfirst
-        elif by:
-            delta[neither][a] = on_y_first
-        else:
-            delta[neither][a] = neither
-        delta[xfirst][a] = yes if by else xfirst
-    return delta, neither, {yes}
+def _core_order(phi, letters, vars):
+    # neither mark seen (0) / x seen first (1) / yes (2) / no (3); a y
+    # mark before the x mark decides no at once
+    ix, iy = vars.index(phi.left), vars.index(phi.right)
+    on_both = 3 if isinstance(phi, Lt) else 2
+    on_x = 3 if isinstance(phi, EqVar) else 1
+    neither = [on_both if a[1][ix] and a[1][iy] else on_x if a[1][ix]
+               else 3 if a[1][iy] else 0 for a in letters]
+    xfirst = [2 if a[1][iy] else 1 for a in letters]
+    rows = (neither, xfirst, [2] * len(letters), [3] * len(letters))
+    return 0, rows.__getitem__, lambda s: s == 2
 
 
 def _nfa_subset_step(nfa, subset, base_letter):
@@ -203,166 +206,104 @@ def _core_run_atom(phi: RunAtom, letters, vars):
     nfa, p, q = phi.nfa, phi.p, phi.q
     if p not in nfa.states or q not in nfa.states:
         raise InputError("run atom %s uses unknown states" % phi.name)
+
+    def fired(a, v):
+        return v is not None and a[1][vars.index(v)]
+
+    fires = [(fired(a, phi.lo), fired(a, phi.hi), _base_of(a, vars))
+             for a in letters]
     done = {True: ("d", True), False: ("d", False)}
     simulate = ("s", frozenset([p]))
     wait = ("w",)
 
     def step(state):
-        for a in letters:
-            lo_fired = phi.lo is not None and _mark(a, vars, phi.lo)
-            hi_fired = phi.hi is not None and _mark(a, vars, phi.hi)
-            if state[0] == "d":
-                yield a, state
-            elif state == wait:
-                if hi_fired:                     # hi before lo: empty factor
-                    yield a, done[p == q]
-                elif lo_fired:
-                    yield a, simulate
-                else:
-                    yield a, state
-            elif hi_fired:                       # factor stops before here
-                yield a, done[q in state[1]]
-            else:
-                yield a, ("s", _nfa_subset_step(
-                    nfa, state[1], _base_of(a, vars)))
+        if state[0] == "d":
+            return [state] * len(fires)
+        if state == wait:        # hi before lo: the factor is empty
+            return [done[p == q] if hi else simulate if lo else wait
+                    for lo, hi, _ in fires]
+        # the factor stops before a hi mark
+        return [done[q in state[1]] if hi
+                else ("s", _nfa_subset_step(nfa, state[1], b))
+                for _, hi, b in fires]
+
+    def yes(state):
+        # without a hi bound the verdict is read at the end of the word
+        return state == done[True] or (
+            phi.hi is None and state[0] == "s" and q in state[1])
 
     # without a lo bound the simulation starts at once, else at the lo mark
-    delta = {}
-    initial = simulate if phi.lo is None else wait
-    for (s, a, d) in explore([initial], step):
-        delta.setdefault(s, {})[a] = d
-    yes = {done[True]}
-    if phi.hi is None:
-        # verdict is read at the end of the word
-        yes |= {s for s in delta if s[0] == "s" and q in s[1]}
-    return delta, initial, yes
+    return simulate if phi.lo is None else wait, step, yes
 
 
-def _semantic_to_classifier(core, base, vars):
-    """Product of a semantic core with the validity automaton: F where the
-    core says yes on a valid word, G where it says no."""
-    delta, initial, yes = core
-    vd = validity_dfa(base, vars)
-    letters = vd.letters()
+def _core(phi, letters, vars):
+    if isinstance(phi, FoTrue):
+        return _core_true(letters)
+    if isinstance(phi, LetterAt):
+        return _core_letter_at(phi, letters, vars)
+    if isinstance(phi, (Leq, Lt, EqVar)):
+        return _core_order(phi, letters, vars)
+    if isinstance(phi, RunAtom):
+        return _core_run_atom(phi, letters, vars)
+    raise InputError("not an FO formula: %r" % (phi,))
 
-    def step(state):
-        c, v = state
-        for a in letters:
-            yield a, (delta[c][a], vd.step(v, a))
 
-    start = (initial, vd.initial_state)
-    return minimize(_make_classifier(
-        explore([start], step), start,
-        lambda cv: cv[0] in yes if cv[1] in vd.f else None, base, vars))
+# ---------------------------------------------------------------------------
+# connectives
 
 
 def _swap(c: ClassifierDfa) -> ClassifierDfa:
-    nfa = c.nfa.with_sets(final=c.g, accepting={"G": c.f})
-    return ClassifierDfa(nfa, c.base_alphabet, c.vars)
+    """Negation: F and G trade places."""
+    verdicts = tuple(None if v is None else not v for v in c.verdicts)
+    return ClassifierDfa(c.letters, c.delta, verdicts, c.base_alphabet,
+                         c.vars)
 
 
 def _combine(c1: ClassifierDfa, c2: ClassifierDfa, take) -> ClassifierDfa:
     """Synchronous product; a valid pair lands in F when take(inF1, inF2)."""
-    letters = c1.letters()
-    valid1, valid2 = c1.f | c1.g, c2.f | c2.g
-
-    def step(state):
-        s1, s2 = state
-        for a in letters:
-            yield a, (c1.step(s1, a), c2.step(s2, a))
+    rows1, rows2 = c1.delta, c2.delta
 
     def verdict(state):
-        s1, s2 = state
-        if s1 in valid1 and s2 in valid2:
-            return take(s1 in c1.f, s2 in c2.f)
-        return None
+        v1, v2 = c1.verdicts[state[0] - 1], c2.verdicts[state[1] - 1]
+        return None if v1 is None or v2 is None else take(v1, v2)
 
-    start = (c1.initial_state, c2.initial_state)
-    return minimize(_make_classifier(explore([start], step), start, verdict,
-                                     c1.base_alphabet, c1.vars))
+    return minimize(_table(
+        (1, 1), lambda s: zip(rows1[s[0] - 1], rows2[s[1] - 1]), verdict,
+        c1.base_alphabet, c1.vars))
 
 
-def _exists(c: ClassifierDfa, var, base) -> ClassifierDfa:
-    """Erase var's mark row nondeterministically, then determinize and
-    re-intersect with validity over the remaining variables."""
-    if var not in c.vars:
-        raise InputError("projection variable %s missing" % var)
-    out_vars = tuple(v for v in c.vars if v != var)
+def _exists(c: ClassifierDfa, var) -> ClassifierDfa:
+    """Erase var's mark row nondeterministically: a subset construction,
+    run alongside validity over the remaining variables."""
+    vars = tuple(v for v in c.vars if v != var)
     idx = c.vars.index(var)
-    letters = sorted(ext_alphabet(base, out_vars), key=letter_key)
+    index = {a: i for i, a in enumerate(c.letters)}
 
     def lift(a, bit):
-        if out_vars:
-            base_letter, bits = a
-        else:
-            base_letter, bits = a, ()
-        new_bits = bits[:idx] + (bit,) + bits[idx:]
-        return (base_letter, new_bits)
+        base_letter, bits = a if vars else (a, ())
+        return index[(base_letter, bits[:idx] + (bit,) + bits[idx:])]
+
+    lifts = [(lift(a, 0), lift(a, 1))
+             for a in _letters(c.base_alphabet, vars)]
+    rows = c.delta
 
     def step(subset):
-        for a in letters:
-            yield a, frozenset(c.step(s, lift(a, b))
-                               for s in subset for b in (0, 1))
+        return [frozenset(rows[s - 1][i] for s in subset for i in pair)
+                for pair in lifts]
 
-    start = frozenset([c.initial_state])
-    inner = _make_classifier(explore([start], step), start,
-                             lambda subset: bool(subset & c.f),
-                             base, out_vars)
-    return _combine(inner, validity_dfa(base, out_vars),
-                    lambda a, b: a and b)
-
-
-def minimize(c: ClassifierDfa) -> ClassifierDfa:
-    """Moore refinement from the {F, G, reject} partition on the reachable
-    part; states are renamed 1..n in traversal order from the initial
-    state, which makes repeated compilations byte-identical."""
-    letters = c.letters()
-    start = c.initial_state
-    reached = explore([start], lambda s: ((a, c.step(s, a)) for a in letters))
-    order = list(dict.fromkeys([start, *(d for (_, _, d) in reached)]))
-    block = {}
-    for s in order:
-        block[s] = 0 if s in c.f else 1 if s in c.g else 2
-    while True:
-        sigs = {}
-        for s in order:
-            sig = (block[s],) + tuple(block[c.step(s, a)] for a in letters)
-            sigs.setdefault(sig, []).append(s)
-        if len(sigs) == len(set(block.values())):
-            break
-        numbering = {}
-        for s in order:
-            sig = (block[s],) + tuple(block[c.step(s, a)] for a in letters)
-            if sig not in numbering:
-                numbering[sig] = len(numbering)
-        block = {s: numbering[(block[s],)
-                              + tuple(block[c.step(s, a)] for a in letters)]
-                 for s in order}
-    names = {}
-    for s in order:
-        if block[s] not in names:
-            names[block[s]] = len(names) + 1
-    edges = set()
-    verdict = {}
-    for s in order:
-        n = names[block[s]]
-        verdict[n] = True if s in c.f else False if s in c.g else None
-        for a in letters:
-            edges.add((n, a, names[block[c.step(s, a)]]))
-    return _make_classifier(edges, names[block[start]], verdict.get,
-                            c.base_alphabet, c.vars)
+    return _on_validity(
+        (frozenset([1]), step, lambda subset: not c.f.isdisjoint(subset)),
+        c.base_alphabet, vars)
 
 
 def dfa_from_nfa(nfa: Nfa) -> ClassifierDfa:
     """Subset-construction DFA over the plain alphabet: F = L(nfa), G = its
     complement (no reject class)."""
-    letters = sorted(nfa.alphabet, key=letter_key)
-    start = frozenset(nfa.initial)
-    edges = explore([start], lambda subset: (
-        (a, _nfa_subset_step(nfa, subset, a)) for a in letters))
-    return minimize(_make_classifier(edges, start,
-                                     lambda subset: bool(subset & nfa.final),
-                                     nfa.alphabet, ()))
+    letters = _letters(nfa.alphabet, ())
+    return minimize(_table(
+        frozenset(nfa.initial),
+        lambda subset: [_nfa_subset_step(nfa, subset, a) for a in letters],
+        lambda subset: not nfa.final.isdisjoint(subset), nfa.alphabet, ()))
 
 
 def compile_fo(phi, alphabet, vars=None) -> ClassifierDfa:
@@ -375,57 +316,25 @@ def compile_fo(phi, alphabet, vars=None) -> ClassifierDfa:
     if missing:
         raise InputError("free variables not in scope: %s"
                          % ", ".join(sorted(missing)))
-    base = frozenset(alphabet)
-    return _compile(phi, base, vars)
+    return _compile(phi, frozenset(alphabet), vars)
+
+
+_TAKE = {And: lambda a, b: a and b, Or: lambda a, b: a or b,
+         Implies: lambda a, b: (not a) or b}
 
 
 def _compile(phi, base, vars) -> ClassifierDfa:
-    letters = ext_alphabet(base, vars)
-    if isinstance(phi, FoTrue):
-        return minimize(validity_dfa(base, vars))
-    if isinstance(phi, LetterAt):
-        return _semantic_to_classifier(
-            _core_letter_at(phi, letters, vars), base, vars)
-    if isinstance(phi, Leq):
-        return _semantic_to_classifier(
-            _core_order("leq", phi.left, phi.right, letters, vars),
-            base, vars)
-    if isinstance(phi, Lt):
-        return _semantic_to_classifier(
-            _core_order("lt", phi.left, phi.right, letters, vars),
-            base, vars)
-    if isinstance(phi, EqVar):
-        if phi.left == phi.right:
-            return minimize(validity_dfa(base, vars))
-        return _semantic_to_classifier(
-            _core_order("eq", phi.left, phi.right, letters, vars),
-            base, vars)
-    if isinstance(phi, RunAtom):
-        return _semantic_to_classifier(
-            _core_run_atom(phi, letters, vars), base, vars)
     if isinstance(phi, Not):
         return _swap(_compile(phi.sub, base, vars))
-    if isinstance(phi, And):
+    if isinstance(phi, (And, Or, Implies)):
         return _combine(_compile(phi.left, base, vars),
-                        _compile(phi.right, base, vars),
-                        lambda a, b: a and b)
-    if isinstance(phi, Or):
-        return _combine(_compile(phi.left, base, vars),
-                        _compile(phi.right, base, vars),
-                        lambda a, b: a or b)
-    if isinstance(phi, Implies):
-        return _combine(_compile(phi.left, base, vars),
-                        _compile(phi.right, base, vars),
-                        lambda a, b: (not a) or b)
-    if isinstance(phi, Exists):
+                        _compile(phi.right, base, vars), _TAKE[type(phi)])
+    if isinstance(phi, (Exists, Forall)):
         if phi.var in vars:
             raise InputError("variable %s is shadowed" % phi.var)
-        inner = _compile(phi.body, base, tuple(sorted(vars + (phi.var,))))
-        return _exists(inner, phi.var, base)
-    if isinstance(phi, Forall):
-        if phi.var in vars:
-            raise InputError("variable %s is shadowed" % phi.var)
-        inner = _compile(Not(phi.body), base,
-                         tuple(sorted(vars + (phi.var,))))
-        return _swap(_exists(inner, phi.var, base))
-    raise InputError("not an FO formula: %r" % (phi,))
+        inner_vars = tuple(sorted(vars + (phi.var,)))
+        if isinstance(phi, Exists):
+            return _exists(_compile(phi.body, base, inner_vars), phi.var)
+        inner = _swap(_compile(phi.body, base, inner_vars))
+        return _swap(_exists(inner, phi.var))
+    return _on_validity(_core(phi, _letters(base, vars), vars), base, vars)

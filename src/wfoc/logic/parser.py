@@ -20,17 +20,17 @@ run atoms their targets.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..errors import InputError
 from ..textfmt import parse_automaton_inline
 from .syntax import (
     And, Const, EqVar, Exists, Forall, FoTrue, Implies, Leq, LetterAt, Lt,
     Not, Or, Plus, ProdX, RunAtom, StepIte, SumX, WIte, Zero,
-    format_fo, format_step, format_wfo, freshen, run_atoms,
+    format_fo, format_step, format_wfo, freshen, map_run_atoms, run_atoms,
     uses_plus, uses_sumx,
 )
-from ..textfmt import serialize_automaton_inline
+from ..textfmt import canonical_names, serialize_automaton_inline
 from ..weights import parse_weight
 
 KEYWORDS = {"true", "false", "forall", "exists", "prod", "sum", "zero"}
@@ -272,16 +272,16 @@ class _Parser:
 
     def weight(self):
         tok = self.next()
-        if tok[0] == "num":
-            if self.at("/"):
-                self.next()
-                denom = self.expect("num", "denominator")
-                return parse_weight(tok[1] + "/" + denom[1])
-            return parse_weight(tok[1])
-        if tok[0] == "ident" and tok[1] not in KEYWORDS:
-            return parse_weight(tok[1])
-        raise ParseError("line %d col %d: expected a weight, got %r"
-                         % (tok[2], tok[3], tok[1]))
+        text = tok[1]
+        if tok[0] == "num" and self.accept("/"):
+            text += "/" + self.expect("num", "denominator")[1]
+        elif tok[0] != "num" and (tok[0] != "ident" or text in KEYWORDS):
+            raise ParseError("line %d col %d: expected a weight, got %r"
+                             % (tok[2], tok[3], text))
+        try:
+            return parse_weight(text)
+        except InputError as err:
+            raise ParseError("line %d col %d: %s" % (tok[2], tok[3], err))
 
     # weighted layer -------------------------------------------------------
 
@@ -410,6 +410,11 @@ def serialize_formula_file(formula, kind) -> str:
     for name in sorted(named):
         lines.append("# automaton %s: %s"
                      % (name, serialize_automaton_inline(named[name])))
+    # the headers rename states to 1..n; the atoms must follow
+    names = {name: canonical_names(nfa.states) for name, nfa in named.items()}
+    if any(k != v for m in names.values() for k, v in m.items()):
+        formula = map_run_atoms(formula, lambda atom: replace(
+            atom, p=names[atom.name][atom.p], q=names[atom.name][atom.q]))
     if kind == "wfo":
         flags = []
         if not uses_sumx(formula):

@@ -12,7 +12,7 @@ distinct from every free variable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 from ..weights import format_weight
@@ -248,6 +248,18 @@ def run_atoms(node):
             walk(c)
     walk(node)
     return out
+
+
+def map_run_atoms(node, fn):
+    """The formula with every run atom replaced by fn(atom)."""
+    if isinstance(node, RunAtom):
+        return fn(node)
+    changes = {}
+    for f in fields(node):
+        child = getattr(node, f.name)
+        if isinstance(child, (FoFormula, StepFormula, WfoFormula)):
+            changes[f.name] = map_run_atoms(child, fn)
+    return replace(node, **changes) if changes else node
 
 
 def letters_in(node) -> set:

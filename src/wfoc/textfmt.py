@@ -7,9 +7,10 @@
     accepting G: 2 3        # optional named extra sets
     trans: 1 a 1 2          # src letter dst weight (weight omitted for Nfa)
 
-'#' starts a comment.  Weights are decimal integers, rationals p/q, or bare
-symbolic tokens.  Letters over an extended alphabet (base letter plus a bit
-per variable) are rendered as base[bits], e.g. a[01].
+'#' starts a comment.  Weights are decimal integers, rationals p/q, or
+symbolic tokens spelled as identifiers.  Letters over an extended alphabet
+(base letter plus a bit per variable) are rendered as base[bits], e.g.
+a[01].
 """
 
 from __future__ import annotations
@@ -112,7 +113,10 @@ def parse_automaton(text: str):
             raise InputError("duplicate transition %r" % (t,))
         transitions.add(t)
         if weighted:
-            wgt[t] = parse_weight(tokens[3])
+            try:
+                wgt[t] = parse_weight(tokens[3])
+            except InputError as err:
+                raise InputError("line %d: %s" % (line_no, err))
     nfa = Nfa(states, alphabet, transitions, initial, final, accepting)
     return WeightedAutomaton(nfa, wgt) if weighted else nfa
 
@@ -122,11 +126,16 @@ def parse_automaton_inline(text: str):
     return parse_automaton("\n".join(part for part in text.split(";")))
 
 
+def canonical_names(states):
+    """The renaming of canonical_relabel: states sorted by structural key
+    and numbered from 1."""
+    return {s: i for i, s in enumerate(sorted(states, key=state_key), 1)}
+
+
 def canonical_relabel(a):
     """Deterministically rename states to 1..n (sorted by structural key)."""
     nfa = a.nfa if isinstance(a, WeightedAutomaton) else a
-    order = sorted(nfa.states, key=state_key)
-    names = {s: i + 1 for i, s in enumerate(order)}
+    names = canonical_names(nfa.states)
     out = Nfa(names.values(), nfa.alphabet,
               {(names[s], l, names[d]) for (s, l, d) in nfa.transitions},
               {names[s] for s in nfa.initial},

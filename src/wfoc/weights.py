@@ -5,7 +5,10 @@ No floating point ever enters a weight; multiset equality stays exact.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+
+from .errors import InputError
 
 
 class Symbol:
@@ -30,21 +33,23 @@ def is_weight(v) -> bool:
     return isinstance(v, (int, Fraction, Symbol)) and not isinstance(v, bool)
 
 
+_SYMBOL = re.compile(r"[A-Za-z_][A-Za-z0-9_']*\Z")
+
+
 def parse_weight(token: str):
-    """Decimal integer, rational p/q, or bare symbolic token."""
+    """Decimal integer, rational p/q, or a symbol spelled as an identifier
+    of the formula syntax; anything else is an InputError."""
     t = token.strip()
-    if not t:
-        raise ValueError("empty weight token")
-    neg = t[1:] if t.startswith("-") else t
-    if neg.isdigit():
-        return int(t)
-    if "/" in t:
-        num, _, den = t.partition("/")
-        n = num[1:] if num.startswith("-") else num
-        if n.isdigit() and den.isdigit() and int(den) != 0:
+    num, slash, den = t.partition("/")
+    if (num[1:] if num.startswith("-") else num).isdecimal():
+        if not slash:
+            return int(t)
+        if den.isdecimal() and int(den):
             q = Fraction(int(num), int(den))
             return int(q) if q.denominator == 1 else q
-    return Symbol(t)
+    elif _SYMBOL.match(t):
+        return Symbol(t)
+    raise InputError("not a weight: %r" % token)
 
 
 def format_weight(w) -> str:

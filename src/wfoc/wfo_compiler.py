@@ -33,9 +33,14 @@ def _prune(a: WeightedAutomaton) -> WeightedAutomaton:
     return WeightedAutomaton(nfa, {t: a.wgt[t] for t in nfa.transitions})
 
 
-def _step_weight(psi, conds, bits):
+# verdict codes inside the suffix tables; tables are parts of state names,
+# so these values fix the order canonical_relabel numbers the output in
+_CODE = {True: 2, False: 1, None: 0}
+
+
+def _step_weight(psi, cond_index, bits):
     while isinstance(psi, StepIte):
-        psi = psi.then if bits[conds.index(psi.cond)] else psi.els
+        psi = psi.then if bits[cond_index[psi.cond]] else psi.els
     if not isinstance(psi, Const):
         raise InputError("not a step formula: %r" % (psi,))
     return psi.weight
@@ -68,61 +73,63 @@ def compile_product(step, var, alphabet, vars=()) -> WeightedAutomaton:
         if not free_vars(c) <= set(inner_vars):
             raise InputError("free variables of the condition not in scope")
     clss = [compile_fo(c, alphabet, inner_vars) for c in conds]
+    rows = [c.delta for c in clss]
     k = len(clss)
     idx = inner_vars.index(var)
     letters = sorted(ext_alphabet(alphabet, vars), key=letter_key)
+    index = {a: i for i, a in enumerate(clss[0].letters)}
 
     def lift(a, bit):
         base_letter, bits = (a, ()) if not vars else a
-        return (base_letter, bits[:idx] + (bit,) + bits[idx:])
+        return index[(base_letter, bits[:idx] + (bit,) + bits[idx:])]
 
     lifted0 = [lift(a, 0) for a in letters]
     lifted1 = [lift(a, 1) for a in letters]
 
-    # Forward component: deterministic joint walk of the unmarked word.
+    # Forward component: deterministic joint walk of the unmarked word,
+    # from the classifiers' initial states 1.
     def advance(d):
-        for la in lifted0:
-            yield la, tuple(clss[i].step(d[i], la) for i in range(k))
+        for j in lifted0:
+            yield j, tuple(rows[i][d[i] - 1][j] for i in range(k))
 
-    d0 = tuple(c.initial_state for c in clss)
-    prefix_next = {(d, la): d2 for (d, la, d2) in explore([d0], advance)}
+    d0 = (1,) * k
+    prefix_next = {(d, j): d2 for (d, j, d2) in explore([d0], advance)}
     orbit = {d0} | set(prefix_next.values())
 
     # Backward component: per classifier, the verdict (2 accept, 1
-    # refute, 0 invalid) every state would reach on the rest of the
-    # word; classifier states are 1..n, so a verdict table is a tuple.
-    def verdict_table(c):
-        return tuple(2 if s in c.f else 1 if s in c.g else 0
-                     for s in range(1, len(c.nfa.states) + 1))
-
+    # refute, 0 invalid) every state would reach on the rest of the word.
     def unwind(f):
-        for la in lifted0:
-            yield la, tuple(tuple(f[i][clss[i].step(s, la) - 1]
-                                  for s in range(1, len(f[i]) + 1))
-                            for i in range(k))
+        for j in lifted0:
+            yield j, tuple(tuple(f[i][row[j] - 1] for row in rows[i])
+                           for i in range(k))
 
-    f_end = tuple(verdict_table(c) for c in clss)
-    compose_to = {(f, la): f2 for (f, la, f2) in explore([f_end], unwind)}
+    f_end = tuple(tuple(_CODE[v] for v in c.verdicts) for c in clss)
+    compose_to = {(f, j): f2 for (f, j, f2) in explore([f_end], unwind)}
     suffixes = {f_end} | set(compose_to.values())
 
     # A transition consumes one position: the forward state advances,
     # the suffix table unwinds by one composition, and the verdicts of
-    # the mark-here successors decode the position's bit vector.  A
-    # fresh-start flag keeps the empty word out of the support.
+    # the mark-here successors decode the position's bit vector, which
+    # picks the weight.  A fresh-start flag keeps the empty word out of
+    # the support.
+    cond_index = {c: i for i, c in enumerate(conds)}
+    weights = {}
     trans = set()
     wgt = {}
     states = set()
     for f in suffixes:
-        for la0, la1, a in zip(lifted0, lifted1, letters):
-            f_src = compose_to[(f, la0)]
+        for j0, j1, a in zip(lifted0, lifted1, letters):
+            f_src = compose_to[(f, j0)]
             for d in orbit:
-                verdicts = tuple(f[i][clss[i].step(d[i], la1) - 1]
+                verdicts = tuple(f[i][rows[i][d[i] - 1][j1] - 1]
                                  for i in range(k))
                 if 0 in verdicts:
                     continue
-                bits = tuple(v == 2 for v in verdicts)
-                d2 = prefix_next[(d, la0)]
-                w = _step_weight(step, conds, bits)
+                if verdicts not in weights:
+                    bits = tuple(v == 2 for v in verdicts)
+                    weights[verdicts] = _step_weight(step, cond_index, bits)
+                w = weights[verdicts]
+                d2 = prefix_next[(d, j0)]
                 dst = (d2, f, 1)
                 for started in (0, 1) if d == d0 else (1,):
                     src = (d, f_src, started)
@@ -145,7 +152,7 @@ def compile_ite(cond, then_wa: WeightedAutomaton, else_wa: WeightedAutomaton,
     wrong branch die together."""
     vars = tuple(sorted(vars))
     cls = compile_fo(cond, alphabet, vars)
-    letters = sorted(ext_alphabet(alphabet, vars), key=letter_key)
+    letters = cls.letters
     if frozenset(then_wa.nfa.alphabet) != frozenset(letters) \
             or frozenset(else_wa.nfa.alphabet) != frozenset(letters):
         raise InputError("branch alphabet mismatch")
@@ -153,12 +160,11 @@ def compile_ite(cond, then_wa: WeightedAutomaton, else_wa: WeightedAutomaton,
 
     def step(state):
         (tag, c, q) = state
-        for a in letters:
-            c2 = cls.step(c, a)
+        for a, c2 in zip(letters, cls.delta[c - 1]):
             for q2 in branches[tag].nfa.out(q, a):
                 yield a, (tag, c2, q2)
 
-    initial = {(tag, cls.initial_state, q0)
+    initial = {(tag, 1, q0)
                for tag in (0, 1) for q0 in branches[tag].nfa.initial}
     trans = set(explore(initial, step))
     wgt = {}

@@ -7,6 +7,8 @@ through the public API, so the corpus doubles as a format test.
 import random
 
 from wfoc import parse_automaton
+from wfoc.automata import letter_key
+from wfoc.fo_compiler import minimize
 from wfoc.logic import (
     And, Const, EqVar, Exists, Forall, FoTrue, Implies, LetterAt, Leq, Lt,
     Not, Or, Plus, ProdX, StepIte, SumX, WIte, Zero, freshen,
@@ -186,6 +188,28 @@ def load(name):
 
 
 SEED = 0xA9E1
+
+
+def check_classifier(c):
+    """The table contract of a minimal ClassifierDfa: sorted letters, one
+    complete row per state, states 1..n numbered breadth-first from 1 over
+    the letters, F and G cached from the verdicts, and minimize returning
+    the same table."""
+    n = len(c.delta)
+    assert list(c.letters) == sorted(c.letters, key=letter_key)
+    assert len(c.verdicts) == n
+    assert all(len(row) == len(c.letters) and all(1 <= d <= n for d in row)
+               for row in c.delta)
+    order = [1]
+    for s in order:                      # order grows during the loop
+        order.extend(d for d in dict.fromkeys(c.delta[s - 1])
+                     if d not in order)
+    assert order == list(range(1, n + 1))
+    assert c.f == {s for s in order if c.verdicts[s - 1] is True}
+    assert c.g == {s for s in order if c.verdicts[s - 1] is False}
+    again = minimize(c)
+    assert (again.letters, again.delta, again.verdicts) \
+        == (c.letters, c.delta, c.verdicts)
 
 
 def switchpoints_closed_form(m, n, p):

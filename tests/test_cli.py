@@ -12,7 +12,7 @@ import sys
 import pytest
 
 import wfoc
-from wfoc import wfo_compiler
+from wfoc import decompose, wfo_compiler
 from wfoc.automata import (
     abstract_semantics, aperiodicity_index, classify_ambiguity, words_upto,
 )
@@ -354,6 +354,37 @@ trans: 2 b 2 5
 """
 
 
+# integer states with a gap; state 5 is isolated
+GAPPED = """alphabet: a b
+states: 1 2 4 5
+initial: 1
+final: 4
+trans: 1 a 2 1
+trans: 1 b 1 2
+trans: 2 a 2 1
+trans: 2 b 4 3
+trans: 4 a 4 2
+"""
+
+
+class TestTologicStateNames:
+    # the automaton headers of tologic output number the states 1..n; the
+    # run atoms used to keep the original names
+    @pytest.mark.parametrize("text", [TIES, GAPPED], ids=["ties", "gapped"])
+    def test_round_trip(self, tmp_path, capsys, text):
+        path = tmp_path / "in.wa"
+        path.write_text(text)
+        phi_path = str(tmp_path / "in.wfo")
+        back_path = str(tmp_path / "back.wa")
+        assert run(capsys, ["tologic", "--automaton", str(path),
+                            "-o", phi_path])[0] == 0
+        assert run(capsys, ["compile", "--formula", phi_path,
+                            "-o", back_path])[0] == 0
+        rc, out, _ = run(capsys, ["equiv", "--a", str(path),
+                                  "--b", back_path, "--maxlen", "6"])
+        assert (rc, out) == (0, "EQUIV up to 6\n")
+
+
 class TestEmptyWordIgnored:
     def test_classify_unambiguous(self, tmp_path, capsys):
         path = tmp_path / "loops.wa"
@@ -400,6 +431,22 @@ class TestDecompose:
             for part in parts:
                 merged = merged.union(abstract_semantics(part, word))
             assert merged == abstract_semantics(original, word)
+
+    def test_each_tracker_built_once(self, tmp_path, capsys, monkeypatch):
+        # A_>=1..A_>=4 for K = 3; the printed A_>=k lines reuse them
+        built = []
+        real = decompose.build_a_geq_k
+
+        def counting(a, k):
+            built.append(k)
+            return real(a, k)
+
+        monkeypatch.setattr(decompose, "build_a_geq_k", counting)
+        tri = save(tmp_path, "triplerun")
+        rc, out, _ = run(capsys, ["decompose", "--automaton", tri,
+                                  "-o", str(tmp_path / "out")])
+        assert rc == 0 and "A_>=3: states=" in out
+        assert built == [1, 2, 3, 4]
 
     def test_explicit_bound_too_small(self, tmp_path, capsys):
         tri = save(tmp_path, "triplerun")

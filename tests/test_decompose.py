@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from tests.corpus import ALL_TEXTS, load
+from tests.corpus import ALL_TEXTS, check_classifier, load
 from wfoc.automata import (
     Nfa, WeightedAutomaton, abstract_semantics, accepts, aperiodicity_index,
     count_accepting_runs, enumerate_runs, is_unambiguous, language_upto,
@@ -137,8 +137,7 @@ class TestBuildALeqK:
         assert all(leq.classify(w) == "G" for w in rejected)
 
     def test_deterministic_complete(self):
-        assert build_a_leq_k(load("triplerun").nfa, 2) \
-            .check_deterministic_complete()
+        check_classifier(build_a_leq_k(load("triplerun").nfa, 2))
 
     @pytest.mark.parametrize("name", CORPUS)
     def test_stays_aperiodic(self, name):

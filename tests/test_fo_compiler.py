@@ -3,18 +3,21 @@ import re
 
 import pytest
 
-from wfoc import InputError
-from wfoc.automata import aperiodicity_index
+from wfoc import HypothesisError, InputError
+from wfoc.automata import aperiodicity_index, is_unambiguous, state_key
 from wfoc.fo_compiler import (
     ClassifierDfa, compile_fo, dfa_from_nfa, minimize, validity_dfa,
 )
 from wfoc.logic import parse_fo
 from wfoc.logic.encoding import all_ext_words, decode, ext_alphabet
 from wfoc.logic.evaluate import eval_fo
-from wfoc.logic.syntax import RunAtom, free_vars
+from wfoc.logic.syntax import RunAtom, fo_conditions, free_vars
 from wfoc.textfmt import parse_automaton, serialize_automaton
+from wfoc.wa_to_wfo import scc_unambiguous_to_wfo, unambiguous_wa_to_wfo
 
-from corpus import SEED, load, random_fo, random_fo_sentence
+from corpus import (
+    ALL_TEXTS, SEED, check_classifier, load, random_fo, random_fo_sentence,
+)
 
 AB = frozenset({"a", "b"})
 
@@ -33,7 +36,7 @@ trans: 1 b 2
 
 def oracle_check(phi, alphabet, vars, maxlen):
     c = compile_fo(phi, alphabet, vars)
-    c.check_deterministic_complete()
+    check_classifier(c)
     assert set(map(type, c.nfa.states)) == {int}
     for n in range(0, maxlen + 1):
         for ext in all_ext_words(alphabet, vars, n):
@@ -54,8 +57,9 @@ class TestValidity:
     @pytest.mark.parametrize("vars", [(), ("x",), ("x", "y"), ("x", "y", "z")])
     def test_state_count(self, vars):
         c = validity_dfa(AB, vars)
-        assert len(c.nfa.states) == 2 ** len(vars) + 1
-        c.check_deterministic_complete()
+        # without variables every word is valid: no sink is reachable
+        assert len(c.nfa.states) == (2 ** len(vars) + 1 if vars else 1)
+        check_classifier(c)
         assert c.g == frozenset()
 
     def test_accepts_exactly_valid(self):
@@ -150,7 +154,7 @@ class TestRunAtoms:
         wa = load("modeblocks")
         phi = RunAtom("m", wa.nfa, 1, 3, None, None)
         c = compile_fo(phi, wa.nfa.alphabet, ())
-        c.check_deterministic_complete()
+        check_classifier(c)
         pat = re.compile(r"a*b(a*b|a*c)*\Z")
         for n in range(7):
             for ext in all_ext_words(wa.nfa.alphabet, (), n):
@@ -228,7 +232,7 @@ class TestMinimize:
 class TestDfaFromNfa:
     def test_chain_language(self):
         c = dfa_from_nfa(chain_nfa())
-        c.check_deterministic_complete()
+        check_classifier(c)
         for n in range(6):
             for ext in all_ext_words(AB, (), n):
                 w = ext.letters
@@ -239,3 +243,39 @@ class TestDfaFromNfa:
     def test_total_split(self):
         c = dfa_from_nfa(load("modeblocks").nfa)
         assert c.f | c.g == c.nfa.states
+
+
+class TestClassifierContract:
+    """Every classifier is a minimal table, numbered breadth-first from
+    state 1, that classifies like the evaluator."""
+
+    @pytest.mark.parametrize("name", sorted(ALL_TEXTS))
+    def test_corpus_run_atoms(self, name):
+        nfa = load(name).nfa
+        check_classifier(dfa_from_nfa(nfa))
+        p = min(nfa.initial, key=state_key)
+        for q in sorted(nfa.states, key=state_key):
+            for lo, hi in [(None, None), ("x", None), (None, "x")]:
+                phi = RunAtom(name, nfa, p, q, lo, hi)
+                oracle_check(phi, nfa.alphabet, tuple(free_vars(phi)), 3)
+
+    def test_corpus_formula_conditions(self):
+        conds = []
+        for name in sorted(ALL_TEXTS):
+            wa = load(name)
+            try:
+                phi = (unambiguous_wa_to_wfo(wa) if is_unambiguous(wa)
+                       else scc_unambiguous_to_wfo(wa))
+            except HypothesisError:         # too ambiguous to translate
+                continue
+            conds += [(cond, wa.nfa.alphabet) for cond in fo_conditions(phi)]
+        assert len(conds) > 20
+        for cond, alphabet in conds:
+            oracle_check(cond, alphabet, tuple(sorted(free_vars(cond))), 3)
+
+    def test_seeded_random_formulas(self):
+        rng = random.Random(SEED + 2)
+        for _ in range(30):
+            phi = random_fo(rng, ("a", "b"), ["x", "y"], 3)
+            vars = tuple(sorted(free_vars(phi)))
+            oracle_check(phi, AB, vars, 4 - len(vars))

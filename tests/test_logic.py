@@ -56,6 +56,23 @@ class TestParser:
         assert parse_step("t") == Const(Symbol("t"))
         assert parse_step("-3") == Const(-3)
 
+    @pytest.mark.parametrize("text,col", [
+        ("prod x. 1/0", 9), ("prod x. -1/0", 9), ("prod x. 1/-2", 9),
+        ("prod x.\n  Pa(x) ? 1/0 : 2", 11),
+    ])
+    def test_non_weight_rejected(self, text, col):
+        # `1/0` used to compile to a symbolic weight
+        with pytest.raises(InputError) as err:
+            parse_wfo(text)
+        line = text.count("\n") + 1
+        assert str(err.value).startswith("line %d col %d: not a weight"
+                                         % (line, col))
+
+    @pytest.mark.parametrize("text", ["prod x. 1.5", "prod x. 1e3"])
+    def test_non_weight_is_trailing_input(self, text):
+        with pytest.raises(InputError, match="line 1 col 10"):
+            parse_wfo(text)
+
     def test_plus_binds_tighter_than_ternary(self):
         got = parse_wfo("true ? zero + zero : zero")
         assert got == WIte(FoTrue(), Plus(Zero(), Zero()), Zero())

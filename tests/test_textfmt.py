@@ -1,8 +1,10 @@
+from fractions import Fraction
+
 import pytest
 
 from corpus import ALL_TEXTS, load
 from wfoc import (
-    InputError, Nfa, parse_automaton, parse_automaton_inline,
+    InputError, Nfa, Symbol, parse_automaton, parse_automaton_inline,
     serialize_automaton, serialize_automaton_inline, to_dot,
 )
 
@@ -131,6 +133,29 @@ trans: 1 a 1 t
 """)
     from wfoc import Symbol
     assert b.wgt[(1, "a", 1)] == Symbol("t")
+
+
+WEIGHTED_LINE = ("alphabet: a\nstates: 1\ninitial: 1\nfinal: 1\n"
+                 "trans: 1 a 1 %s\n")
+
+
+@pytest.mark.parametrize("token", [
+    "1/0", "-1/0", "1.5", "1e3", "1/-2", "1/", "/2", "-", "+3", "--3",
+    "a-b", "t.1", "\u00b2",
+])
+def test_non_weight_token_rejected(token):
+    # these used to become symbolic weights (the superscript crashed)
+    with pytest.raises(InputError) as err:
+        parse_automaton(WEIGHTED_LINE % token)
+    assert "line 5" in str(err.value) and repr(token) in str(err.value)
+
+
+@pytest.mark.parametrize("token,weight", [
+    ("3", 3), ("-3", -3), ("1/2", Fraction(1, 2)), ("-1/2", Fraction(-1, 2)),
+    ("4/2", 2), ("t", Symbol("t")), ("w_1'", Symbol("w_1'")),
+])
+def test_weight_tokens_accepted(token, weight):
+    assert parse_automaton(WEIGHTED_LINE % token).wgt[(1, "a", 1)] == weight
 
 
 def test_dot_output_shape():
