@@ -276,33 +276,90 @@ def count_accepting_runs(a, word):
     return sum(n for s, n in counts.items() if s in nfa.final)
 
 
-def abstract_semantics(wa: WeightedAutomaton, word) -> SeqMultiset:
-    """Multiset of weight sequences of accepting runs on a non-empty word."""
-    word = tuple(word)
+def check_word(nfa, word):
+    """InputError unless word is a non-empty word over the alphabet."""
     if not word:
         raise InputError("semantics is defined on non-empty words only")
-    nfa = wa.nfa
     for letter in word:
         if letter not in nfa.alphabet:
             raise InputError("unknown letter %r" % (letter,))
-    # state -> {weight prefix tuple -> count}
-    front = {s: {(): 1} for s in nfa.initial}
-    for letter in word:
-        nxt = {}
-        for s, seqs in front.items():
-            for d in nfa.out(s, letter):
-                w = wa.wgt[(s, letter, d)]
-                bucket = nxt.setdefault(d, {})
-                for seq, n in seqs.items():
-                    key = seq + (w,)
-                    bucket[key] = bucket.get(key, 0) + n
-        front = nxt
-    out = {}
+
+
+def live_sets(nfa, steps):
+    """live[i] for i = 0..len(steps): the states from which a word that
+    takes its j-th letter from steps[j] for every j >= i can reach a final
+    state.  With steps = [(a,) for a in word], live[i] is the set of states
+    that read word[i:] into a final state."""
+    live = [frozenset(nfa.final)]
+    for letters in reversed(steps):
+        live.append(frozenset(s for d in live[-1] for a in letters
+                              for s in nfa.into(d, a)))
+    live.reverse()
+    return live
+
+
+def _extend(wa, front, letter, keep):
+    """The runs of `front` (state -> {weight prefix -> count}) extended by
+    one letter, where they end in `keep`."""
+    nxt = {}
     for s, seqs in front.items():
-        if s in nfa.final:
+        for d in wa.nfa.out(s, letter):
+            if d not in keep:
+                continue
+            w = wa.wgt[(s, letter, d)]
+            bucket = nxt.setdefault(d, {})
             for seq, n in seqs.items():
-                out[seq] = out.get(seq, 0) + n
+                key = seq + (w,)
+                bucket[key] = bucket.get(key, 0) + n
+    return nxt
+
+
+def _accepted(front) -> SeqMultiset:
+    """The multiset of a front whose states are all final."""
+    out = {}
+    for seqs in front.values():
+        for seq, n in seqs.items():
+            out[seq] = out.get(seq, 0) + n
     return SeqMultiset(out)
+
+
+def abstract_semantics(wa: WeightedAutomaton, word) -> SeqMultiset:
+    """Multiset of weight sequences of accepting runs on a non-empty word."""
+    word = tuple(word)
+    check_word(wa.nfa, word)
+    live = live_sets(wa.nfa, [(letter,) for letter in word])
+    front = {s: {(): 1} for s in wa.nfa.initial if s in live[0]}
+    for letter, keep in zip(word, live[1:]):
+        front = _extend(wa, front, letter, keep)
+    return _accepted(front)
+
+
+def semantics_upto(wa: WeightedAutomaton, alphabet, maxlen):
+    """(word, abstract_semantics(wa, word)) for every word of
+    words_upto(alphabet, maxlen), in that order; the multiset is None for
+    a word with a letter outside the automaton's alphabet.
+
+    One depth-first pass per length extends each prefix's runs by one
+    letter, so prefixes are shared and only the fronts of the current
+    word's prefixes are alive.  Runs are kept only in states that can
+    still reach a final state in the letters left."""
+    letters = sorted(alphabet, key=letter_key)
+    # reach[r]: the states some word of r more letters takes to a final one
+    reach = live_sets(wa.nfa, [letters] * maxlen)[::-1]
+    start = {s: {(): 1} for s in wa.nfa.initial}
+
+    def walk(prefix, front, left):
+        for letter in letters:
+            word = prefix + (letter,)
+            nxt = None if front is None or letter not in wa.nfa.alphabet \
+                else _extend(wa, front, letter, reach[left - 1])
+            if left > 1:
+                yield from walk(word, nxt, left - 1)
+            else:
+                yield word, None if nxt is None else _accepted(nxt)
+
+    for n in range(1, maxlen + 1):
+        yield from walk((), start, n)
 
 
 def pair_semantics(wa: WeightedAutomaton, p, q, word) -> SeqMultiset:
@@ -619,17 +676,13 @@ def _bool_matrices(nfa):
 
 
 def _mat_mul(m1, m2):
-    n = len(m1)
     out = []
-    for i in range(n):
+    for bits in m1:
         row = 0
-        bits = m1[i]
-        j = 0
         while bits:
-            if bits & 1:
-                row |= m2[j]
-            bits >>= 1
-            j += 1
+            low = bits & -bits
+            row |= m2[low.bit_length() - 1]
+            bits ^= low
         out.append(row)
     return tuple(out)
 

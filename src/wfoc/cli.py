@@ -11,8 +11,8 @@ import os
 import sys
 
 from .automata import (
-    WeightedAutomaton, abstract_semantics, aperiodicity_index,
-    classify_ambiguity, is_unambiguous, words_upto,
+    WeightedAutomaton, abstract_semantics, aperiodicity_index, check_word,
+    classify_ambiguity, is_unambiguous, semantics_upto,
     EXPONENTIALLY, FINITELY, POLYNOMIALLY, UNAMBIGUOUS,
 )
 from .decompose import decompose_with_trackers, ensure_single_initial
@@ -21,7 +21,8 @@ from .fo_compiler import compile_fo
 from .logic.syntax import SumX, format_wfo, free_vars, letters_in
 from .logic.parser import parse_formula_file, serialize_formula_file
 from .semantics import (
-    builtin_semiring, max_average_aggregator, sum_product_aggregator,
+    builtin_semiring, concrete_semantics, max_average_aggregator,
+    sum_product_aggregator,
 )
 from .textfmt import (
     canonical_relabel, parse_automaton, parse_letter, serialize_automaton,
@@ -104,7 +105,8 @@ def _maxlen(args):
 
 def _cmd_eval(args):
     wa = _load_weighted(args.automaton)
-    sem = abstract_semantics(wa, _word_of(args))
+    word = _word_of(args)
+    check_word(wa.nfa, word)
     if args.aggregator == "ma":
         if args.semiring:
             raise InputError("max-average takes no semiring")
@@ -115,9 +117,9 @@ def _cmd_eval(args):
     elif args.aggregator == "sp":
         raise InputError("sum-product needs --semiring")
     else:
-        print(sem.pretty())
+        print(abstract_semantics(wa, word).pretty())
         return 0
-    print(agg.fmt(agg(sem)))
+    print(agg.fmt(concrete_semantics(wa, word, agg)))
     return 0
 
 
@@ -210,20 +212,13 @@ def _cmd_classify(args):
     return 0
 
 
-def _sem_or_empty(wa, word):
-    if any(letter not in wa.nfa.alphabet for letter in word):
-        return None
-    return abstract_semantics(wa, word)
-
-
 def _cmd_equiv(args):
     first = _load_weighted(args.a)
     second = _load_weighted(args.b)
     maxlen = _maxlen(args)
     alphabet = first.nfa.alphabet | second.nfa.alphabet
-    for word in words_upto(alphabet, maxlen):
-        got = _sem_or_empty(first, word)
-        want = _sem_or_empty(second, word)
+    for (word, got), (_, want) in zip(semantics_upto(first, alphabet, maxlen),
+                                      semantics_upto(second, alphabet, maxlen)):
         if got == want or (not got or got.total() == 0) and \
                 (not want or want.total() == 0):
             continue

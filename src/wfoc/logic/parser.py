@@ -31,9 +31,7 @@ from .syntax import (
     uses_plus, uses_sumx,
 )
 from ..textfmt import canonical_names, serialize_automaton_inline
-from ..weights import parse_weight
-
-KEYWORDS = {"true", "false", "forall", "exists", "prod", "sum", "zero"}
+from ..weights import KEYWORDS, parse_weight
 
 
 class ParseError(InputError):

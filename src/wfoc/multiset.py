@@ -72,10 +72,16 @@ class SeqMultiset:
     def items(self):
         return self._counts.items()
 
+    def _weights(self):
+        """The distinct weights, so that keys and texts are built once each."""
+        return {w for seq in self._counts for w in seq}
+
     def sorted_items(self):
         """Items in canonical order: sequences sorted lexicographically."""
-        key = lambda it: tuple(weight_sort_key(w) for w in it[0])
-        return sorted(self._counts.items(), key=key)
+        rank = {w: i for i, w in
+                enumerate(sorted(self._weights(), key=weight_sort_key))}
+        return sorted(self._counts.items(),
+                      key=lambda it: tuple(map(rank.__getitem__, it[0])))
 
     def __bool__(self):
         return bool(self._counts)
@@ -99,18 +105,13 @@ class SeqMultiset:
     def __repr__(self):
         if not self._counts:
             return "SeqMultiset()"
-        parts = ", ".join(
-            "%d x [%s]" % (n, ",".join(format_weight(w) for w in seq))
-            for seq, n in self.sorted_items()
-        )
-        return "SeqMultiset(%s)" % parts
+        return "SeqMultiset(%s)" % self.pretty().replace("\n", ", ")
 
     def pretty(self) -> str:
         """Canonical text form: one 'k x [w1,w2,...]' line per sequence."""
-        return "\n".join(
-            "%d x [%s]" % (n, ",".join(format_weight(w) for w in seq))
-            for seq, n in self.sorted_items()
-        )
+        text = {w: format_weight(w) for w in self._weights()}
+        return "\n".join("%d x [%s]" % (n, ",".join(map(text.__getitem__, seq)))
+                         for seq, n in self.sorted_items())
 
 
 _EMPTY = SeqMultiset()

@@ -3,13 +3,18 @@
 The abstract layer assigns every word a finite multiset of weight sequences
 (one sequence per accepting run).  An aggregator collapses that multiset to
 a single value: sum-of-products over a chosen semiring, or max-of-averages.
+`aggr_sp` and `aggr_ma` are those definitions on multisets.
+`concrete_semantics` computes the same values in one forward pass over the
+word, state by state, without listing the runs (there can be exponentially
+many): sum-product by distributivity, keeping products in left-to-right
+order, and max-average as the max-plus value divided by the word length.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .automata import abstract_semantics
+from .automata import abstract_semantics, check_word, live_sets
 from .errors import InputError
 from .multiset import SeqMultiset
 from .weights import Symbol, format_weight
@@ -177,7 +182,11 @@ def builtin_semiring(name: str) -> Semiring:
 
 
 class Aggregator:
-    """Total map from multisets of weight sequences to a value."""
+    """Total map from multisets of weight sequences to a value.  `forward`,
+    when set, computes the same value from (wa, word) without building the
+    multiset."""
+
+    forward = None
 
     def __init__(self, name, fn, fmt):
         self.name = name
@@ -219,14 +228,69 @@ def aggr_ma(multiset: SeqMultiset):
     return best
 
 
+def _forward(semiring: Semiring, wa, word):
+    """Sum over the accepting runs on `word` of the product of their lifted
+    weights, left to right, computed as a forward vector state -> value.
+    Only transitions on accepting runs are lifted, each once, so a weight
+    outside the carrier raises exactly when it occurs in the multiset."""
+    nfa = wa.nfa
+    check_word(nfa, word)
+    live = live_sets(nfa, [(letter,) for letter in word])
+    times, plus, embed = semiring.times, semiring.plus, semiring.embed
+    lifted = {}
+    front = {s: semiring.one for s in nfa.initial if s in live[0]}
+    for letter, ahead in zip(word, live[1:]):
+        nxt = {}
+        for s, v in front.items():
+            for d in nfa.out(s, letter):
+                if d not in ahead:
+                    continue
+                t = (s, letter, d)
+                w = lifted.get(t)
+                if w is None:
+                    w = lifted[t] = embed(wa.wgt[t])
+                x = times(v, w)
+                nxt[d] = plus(nxt[d], x) if d in nxt else x
+        front = nxt
+    total = semiring.zero
+    for v in front.values():
+        total = plus(total, v)
+    return total
+
+
 def sum_product_aggregator(semiring: Semiring) -> Aggregator:
-    return Aggregator("sp/" + semiring.name,
-                      lambda m: aggr_sp(semiring, m), semiring.fmt)
+    agg = Aggregator("sp/" + semiring.name,
+                     lambda m: aggr_sp(semiring, m), semiring.fmt)
+    if semiring is _CATALOG["multiset_seqs"]:
+        # the free semiring: the value is the multiset itself
+        agg.forward = abstract_semantics
+    else:
+        agg.forward = lambda wa, word: _forward(semiring, wa, word)
+    return agg
+
+
+# maxplus over numeric weights, with max-average's error for symbols
+_AVERAGE_SUMS = Semiring(
+    "max-average", NEG_INF, 0, max, lambda a, b: a + b,
+    _embed_tropical("max-average"), _fmt_plain, None, idempotent=True)
+
+
+def _max_average(wa, word):
+    # every accepting run on word has len(word) weights
+    best = _forward(_AVERAGE_SUMS, wa, word)
+    return best if best == NEG_INF else Fraction(best, len(word))
 
 
 def max_average_aggregator() -> Aggregator:
-    return Aggregator("ma", aggr_ma, _fmt_plain)
+    agg = Aggregator("ma", aggr_ma, _fmt_plain)
+    agg.forward = _max_average
+    return agg
 
 
 def concrete_semantics(wa, word, aggregator: Aggregator):
-    return aggregator(abstract_semantics(wa, word))
+    """aggregator(abstract_semantics(wa, word)), in one forward pass over
+    the word when the aggregator has one."""
+    word = tuple(word)
+    if aggregator.forward is None:
+        return aggregator(abstract_semantics(wa, word))
+    return aggregator.forward(wa, word)

@@ -35,10 +35,16 @@ def is_weight(v) -> bool:
 
 _SYMBOL = re.compile(r"[A-Za-z_][A-Za-z0-9_']*\Z")
 
+# the reserved words of the formula syntax: no symbol is spelled like one,
+# so every weight reads back from a formula
+KEYWORDS = frozenset({"true", "false", "forall", "exists", "prod", "sum",
+                      "zero"})
+
 
 def parse_weight(token: str):
     """Decimal integer, rational p/q, or a symbol spelled as an identifier
-    of the formula syntax; anything else is an InputError."""
+    of the formula syntax other than a keyword; anything else is an
+    InputError."""
     t = token.strip()
     num, slash, den = t.partition("/")
     if (num[1:] if num.startswith("-") else num).isdecimal():
@@ -47,6 +53,8 @@ def parse_weight(token: str):
         if den.isdecimal() and int(den):
             q = Fraction(int(num), int(den))
             return int(q) if q.denominator == 1 else q
+    elif t in KEYWORDS:
+        raise InputError("not a weight: %r is a formula keyword" % token)
     elif _SYMBOL.match(t):
         return Symbol(t)
     raise InputError("not a weight: %r" % token)

@@ -11,13 +11,44 @@ from wfoc import (
     enumerate_runs, is_scc_unambiguous, is_unambiguous, pair_semantics,
     parse_automaton, scc_decompose, transition_monoid, trim, words_upto,
 )
-from wfoc.automata import ambiguity_witness
+from wfoc import automata
+from wfoc.automata import _mat_mul, ambiguity_witness, semantics_upto
 from wfoc.errors import InputError
 from wfoc.multiset import SeqMultiset
 
 
 def w(s):
     return tuple(s)
+
+
+# runs into the dead state 3, and a state 4 that needs two more letters
+DEADENDS = """
+alphabet: a b
+states: 1 2 3 4 5
+initial: 1 4
+final: 2
+trans: 1 a 1 1
+trans: 1 a 2 2
+trans: 1 b 3 7
+trans: 3 a 3 1
+trans: 4 b 5 3
+trans: 5 b 2 4
+trans: 2 b 2 5
+"""
+
+
+def _load(name):
+    return parse_automaton(DEADENDS) if name == "deadends" else load(name)
+
+
+def _runs_multiset(wa, word):
+    counts = {}
+    for p in wa.nfa.initial:
+        for q in wa.nfa.final:
+            for r in enumerate_runs(wa, p, q, word):
+                seq = r.weights(wa)
+                counts[seq] = counts.get(seq, 0) + 1
+    return SeqMultiset(counts)
 
 
 FIB = [0, 1, 1, 2, 3, 5, 8, 13, 21, 34, 55]
@@ -51,15 +82,12 @@ class TestAbstractSemantics:
             abstract_semantics(load("fibonacci"), w("ab"))
 
     def test_matches_run_enumeration(self):
-        wa = load("modeblocks")
-        for word in words_upto(wa.nfa.alphabet, 4):
-            expect = {}
-            for p in wa.nfa.initial:
-                for q in wa.nfa.final:
-                    for r in enumerate_runs(wa, p, q, word):
-                        seq = r.weights(wa)
-                        expect[seq] = expect.get(seq, 0) + 1
-            assert abstract_semantics(wa, word) == SeqMultiset(expect)
+        # deadends has runs that the live sets cut off
+        for name in sorted(ALL_TEXTS) + ["deadends"]:
+            wa = _load(name)
+            for word in words_upto(wa.nfa.alphabet, 4):
+                assert abstract_semantics(wa, word) \
+                    == _runs_multiset(wa, word), (name, word)
 
     def test_fibonacci_three_letters(self):
         m = abstract_semantics(load("fibonacci"), w("aaa"))
@@ -307,3 +335,54 @@ def test_ambiguity_witness_oracle(nfa):
     ambiguous = any(pair_runs(nfa, p, q, u) >= 2
                     for u in all_words(letters, 6) for (p, q) in same)
     assert is_scc_unambiguous(nfa) == (not ambiguous)
+
+
+class TestSemanticsUpto:
+    @pytest.mark.parametrize("name", sorted(ALL_TEXTS) + ["deadends"])
+    def test_matches_abstract_semantics(self, name):
+        wa = _load(name)
+        # one letter more than the automaton has: its words get None
+        alphabet = wa.nfa.alphabet | {"z"}
+        got = list(semantics_upto(wa, alphabet, 4))
+        assert [word for word, _ in got] == list(words_upto(alphabet, 4))
+        for word, sem in got:
+            want = None if "z" in word else abstract_semantics(wa, word)
+            assert sem == want, (name, word)
+
+    def test_prefixes_are_extended_once_per_length(self, monkeypatch):
+        calls = []
+        real = automata._extend
+        monkeypatch.setattr(automata, "_extend",
+                            lambda wa, front, letter, keep:
+                            calls.append(letter) or real(wa, front, letter,
+                                                         keep))
+        wa = load("blockmax")
+        assert len(list(semantics_upto(wa, wa.nfa.alphabet, 4))) \
+            == 3 + 9 + 27 + 81
+        # length n walks the prefix tree of depth n: 3 + ... + 3^n nodes
+        assert len(calls) == sum(3 ** k for n in range(1, 5)
+                                 for k in range(1, n + 1))
+
+    def test_empty_sweep(self):
+        assert list(semantics_upto(load("fibonacci"), {"a"}, 0)) == []
+
+
+def _mat_mul_by_bits(m1, m2):
+    out = []
+    for bits in m1:
+        row = 0
+        for j in range(len(m2)):
+            if bits >> j & 1:
+                row |= m2[j]
+        out.append(row)
+    return tuple(out)
+
+
+def test_mat_mul_matches_bitwise_definition():
+    rng = random.Random(SEED)
+    for _ in range(300):
+        n = rng.randrange(1, 71)
+        density = rng.random()
+        m1, m2 = (tuple(sum(1 << j for j in range(n) if rng.random() < density)
+                        for _ in range(n)) for _ in range(2))
+        assert _mat_mul(m1, m2) == _mat_mul_by_bits(m1, m2)

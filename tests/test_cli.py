@@ -23,7 +23,7 @@ from wfoc.multiset import SeqMultiset
 from wfoc.textfmt import parse_automaton
 from wfoc.wfo_compiler import compile_wfo
 
-from tests.corpus import ALL_TEXTS, SEED, random_wfo
+from tests.corpus import ALL_TEXTS, SEED, load, random_wfo
 
 
 def save(tmp_path, name):
@@ -94,6 +94,45 @@ class TestEval:
                                   "--word", "a"])
         assert rc == 2 and "weights" in err
 
+
+    def test_word_errors_come_before_flag_errors(self, tmp_path, capsys):
+        tri = save(tmp_path, "triplerun")
+        rc, _, err = run(capsys, ["eval", "--automaton", tri, "--word", "z",
+                                  "--aggregator", "sp"])
+        assert rc == 2 and "unknown letter 'z'" in err
+
+    def test_blockmax_abc100_maxplus(self, tmp_path, capsys):
+        # 2^100 accepting runs: the forward pass never lists them
+        blk = save(tmp_path, "blockmax")
+        rc, out, _ = run(capsys, ["eval", "--automaton", blk,
+                                  "--word", "abc" * 100,
+                                  "--semiring", "maxplus"])
+        assert rc == 0 and out == "100\n"
+
+    @pytest.mark.parametrize("flags", [
+        ["--semiring", name] for name in
+        ("natural", "boolean", "minplus", "maxplus", "languages")]
+        + [["--aggregator", "ma"]])
+    def test_values_skip_the_multiset(self, tmp_path, capsys, monkeypatch,
+                                      flags):
+        tri = save(tmp_path, "triplerun")
+        argv = ["eval", "--automaton", tri, "--word", "aaabb"] + flags
+        _, want, _ = run(capsys, argv)
+
+        def refuse(*args):
+            raise AssertionError("abstract_semantics called")
+
+        for mod in (wfoc.cli, wfoc.semantics, wfoc.automata):
+            monkeypatch.setattr(mod, "abstract_semantics", refuse)
+        assert run(capsys, argv) == (0, want, "")
+
+    def test_multiset_semiring_prints_the_multiset(self, tmp_path, capsys):
+        for name in ("triplerun", "blockmax", "mingap"):
+            path = save(tmp_path, name)
+            for word in ("aaab", "abcab", "abba", "bbcb"):
+                argv = ["eval", "--automaton", path, "--word", word]
+                assert run(capsys, argv + ["--semiring", "multiset"]) \
+                    == run(capsys, argv)
 
 class TestCompile:
     def test_round_trip_through_files(self, tmp_path, capsys):
@@ -522,6 +561,32 @@ class TestEquiv:
             assert rc == 2 and out == ""
             assert "WFOC_MAXLEN" in err and repr(bad) in err
 
+
+    @pytest.mark.parametrize("pair", [("triplerun", "modeblocks"),
+                                      ("splitmax", "countminmax"),
+                                      ("mingap", "fibonacci")])
+    def test_first_counterexample_is_the_brute_force_one(
+            self, tmp_path, capsys, monkeypatch, pair):
+        a, b = (load(name) for name in pair)
+        alphabet = a.nfa.alphabet | b.nfa.alphabet
+
+        def sem(wa, word):
+            if set(word) - wa.nfa.alphabet:
+                return SeqMultiset()
+            return abstract_semantics(wa, word)
+
+        first = next(word for word in words_upto(alphabet, 5)
+                     if sem(a, word) != sem(b, word))
+
+        def refuse(*args):
+            raise AssertionError("abstract_semantics called")
+
+        monkeypatch.setattr(wfoc.cli, "abstract_semantics", refuse)
+        rc, out, _ = run(capsys, ["equiv", "--a", save(tmp_path, pair[0]),
+                                  "--b", save(tmp_path, pair[1]),
+                                  "--maxlen", "5"])
+        assert rc == 1
+        assert out.startswith("COUNTEREXAMPLE %s\n" % "".join(first))
 
 class TestDotAndErrors:
     def test_dot_stdout(self, tmp_path, capsys):

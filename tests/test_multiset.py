@@ -1,9 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from wfoc.multiset import SeqMultiset
-from wfoc.weights import Symbol
+from wfoc.weights import Symbol, format_weight, weight_sort_key
 
 
 def test_empty():
@@ -70,3 +71,20 @@ def test_pretty_sorts_lexicographically():
 def test_pretty_mixed_weights():
     m = SeqMultiset({(Fraction(1, 2), Symbol("t")): 1})
     assert m.pretty() == "1 x [1/2,t]"
+
+
+def test_sorted_items_and_pretty_match_per_entry_definition():
+    rng = random.Random(0xA9E1)
+    pool = [0, 1, -2, 7, Fraction(1, 2), Fraction(-3, 4), Fraction(5, 3),
+            Symbol("t"), Symbol("u"), Symbol("a_1")]
+    for _ in range(200):
+        m = SeqMultiset({tuple(rng.choice(pool)
+                               for _ in range(rng.randrange(0, 5))):
+                         rng.randrange(1, 4)
+                         for _ in range(rng.randrange(0, 12))})
+        want = sorted(m.items(),
+                      key=lambda it: tuple(weight_sort_key(w) for w in it[0]))
+        assert m.sorted_items() == want
+        assert m.pretty() == "\n".join(
+            "%d x [%s]" % (n, ",".join(format_weight(w) for w in seq))
+            for seq, n in want)

@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from corpus import SEED, all_words, load
+from corpus import ALL_TEXTS, SEED, all_words, load
 from wfoc import (
     InputError, SeqMultiset, Symbol, abstract_semantics, aggr_ma, aggr_sp,
     builtin_semiring, concrete_semantics, max_average_aggregator,
-    sum_product_aggregator,
+    parse_automaton, sum_product_aggregator,
 )
 from wfoc.semantics import NEG_INF, POS_INF
 
@@ -213,3 +213,93 @@ class TestConcreteSemantics:
         # averages of the two constant-rate runs: #a/n and #b/n
         got = concrete_semantics(wa, tuple("aab"), ma)
         assert got == Fraction(2, 3)
+
+
+# weights outside some carriers: negative, rational and symbolic ones, the
+# symbol t only on runs through the dead state 4
+MIXED = """
+alphabet: a b
+states: 1 2 3 4
+initial: 1 2
+final: 3
+trans: 1 a 1 -1
+trans: 1 b 3 1/2
+trans: 1 a 4 t
+trans: 2 a 3 2
+trans: 2 b 2 u
+trans: 3 a 3 0
+trans: 3 b 3 3
+"""
+
+ORACLE_AGGREGATORS = [
+    sum_product_aggregator(builtin_semiring(name))
+    for name in ("natural", "boolean", "minplus", "maxplus", "languages",
+                 "multiset_seqs")] + [max_average_aggregator()]
+
+
+def _outcome(fn):
+    try:
+        return "value", fn()
+    except Exception as err:        # the class is what must agree
+        return "raise", type(err)
+
+
+@pytest.mark.parametrize("name", sorted(ALL_TEXTS) + ["mixed"])
+def test_forward_pass_matches_multiset_oracle(name):
+    wa = parse_automaton(MIXED) if name == "mixed" else load(name)
+    for word in all_words(sorted(wa.nfa.alphabet), 6):
+        m = abstract_semantics(wa, word)
+        for agg in ORACLE_AGGREGATORS:
+            assert _outcome(lambda: concrete_semantics(wa, word, agg)) \
+                == _outcome(lambda: agg(m)), (name, word, agg)
+
+
+def test_forward_pass_oracle_sees_every_outcome():
+    # on the mixed automaton some words answer and some refuse
+    wa = parse_automaton(MIXED)
+    nat = ORACLE_AGGREGATORS[0]
+    outcomes = {_outcome(lambda: concrete_semantics(wa, w, nat))[0]
+                for w in all_words(("a", "b"), 4)}
+    assert outcomes == {"value", "raise"}
+    ma = max_average_aggregator()
+    assert concrete_semantics(wa, tuple("bb"), ma) == Fraction(7, 4)
+    with pytest.raises(InputError):      # -1 lies on an accepting run
+        concrete_semantics(wa, tuple("ab"), nat)
+
+
+def test_dead_branch_symbol_still_evaluates_under_natural():
+    # t is only on the a-move into the dead state 4, and the -1 loop on 1
+    # reaches no final state by a-moves
+    wa = parse_automaton(MIXED)
+    nat = ORACLE_AGGREGATORS[0]
+    assert abstract_semantics(wa, tuple("aa")) == SeqMultiset({(2, 0): 1})
+    assert concrete_semantics(wa, tuple("a"), nat) == 2
+    assert concrete_semantics(wa, tuple("aa"), nat) == 0
+    assert concrete_semantics(wa, tuple("aa"), max_average_aggregator()) == 1
+    with pytest.raises(InputError, match="symbolic"):   # u is live on ba
+        concrete_semantics(wa, tuple("ba"), ORACLE_AGGREGATORS[1])
+
+
+def test_forward_pass_rejects_what_abstract_semantics_rejects():
+    wa = load("fibonacci")
+    for agg in ORACLE_AGGREGATORS:
+        for word in ((), ("z",), ("a", "z")):
+            with pytest.raises(InputError):
+                concrete_semantics(wa, word, agg)
+
+
+def test_forward_pass_keeps_product_order():
+    # languages is not commutative: the value lists weights left to right
+    wa = load("triplerun")
+    langs = ORACLE_AGGREGATORS[4]
+    assert concrete_semantics(wa, tuple("aaab"), langs) \
+        == frozenset({"2143", "2153", "2233"})
+
+
+def test_ma_error_names_max_average():
+    wa = parse_automaton(MIXED)
+    with pytest.raises(InputError, match="max-average"):
+        concrete_semantics(wa, tuple("ba"), max_average_aggregator())
+    # mingap accepts only words with two b's
+    assert concrete_semantics(load("mingap"), ("a",) * 3,
+                              max_average_aggregator()) == NEG_INF

@@ -1,12 +1,18 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from corpus import ALL_TEXTS, load
+from corpus import ALL_TEXTS, SEED, load, random_wfo
 from wfoc import (
     InputError, Nfa, Symbol, parse_automaton, parse_automaton_inline,
     serialize_automaton, serialize_automaton_inline, to_dot,
 )
+from wfoc.automata import state_key
+from wfoc.logic import parser
+from wfoc.textfmt import canonical_names
+from wfoc.weights import KEYWORDS
+from wfoc.wfo_compiler import compile_stages
 
 
 @pytest.mark.parametrize("name", sorted(ALL_TEXTS))
@@ -156,6 +162,42 @@ def test_non_weight_token_rejected(token):
 ])
 def test_weight_tokens_accepted(token, weight):
     assert parse_automaton(WEIGHTED_LINE % token).wgt[(1, "a", 1)] == weight
+
+
+@pytest.mark.parametrize("token", sorted(KEYWORDS))
+def test_keyword_weight_rejected(token):
+    # a keyword weight would print into tologic output that no formula
+    # parser reads back
+    with pytest.raises(InputError) as err:
+        parse_automaton(WEIGHTED_LINE % token)
+    assert "line 5" in str(err.value) and "keyword" in str(err.value)
+
+
+@pytest.mark.parametrize("token", ["zeros", "Zero", "sum_", "prod'", "True",
+                                   "exists1", "_false"])
+def test_keyword_lookalikes_are_symbols(token):
+    assert parse_automaton(WEIGHTED_LINE % token).wgt[(1, "a", 1)] \
+        == Symbol(token)
+
+
+def test_formula_parser_shares_the_keywords():
+    assert parser.KEYWORDS is KEYWORDS
+
+
+def test_canonical_names_follow_state_key():
+    rng = random.Random(SEED)
+    for _ in range(12):
+        phi = random_wfo(rng, ("a", "b"), depth=3, max_sum_vars=2)
+        *_, (_, wa) = compile_stages(phi, {"a", "b"})
+        names = canonical_names(wa.nfa.states)
+        assert list(names) == sorted(wa.nfa.states, key=state_key)
+        assert list(names.values()) == list(range(1, len(names) + 1))
+
+
+def test_canonical_names_keep_equal_subtuples_of_other_types_apart():
+    # (True, 2) == (1, 2), but state_key orders bools before ints
+    states = {((1, 2), "a"), ((True, 2), "b"), ((0, 3), "c")}
+    assert list(canonical_names(states)) == sorted(states, key=state_key)
 
 
 def test_dot_output_shape():
