@@ -181,6 +181,16 @@ def explore(starts, step):
             yield state, letter, nxt
 
 
+def reachable_nfa(initial, step, alphabet, final) -> Nfa:
+    """The part of an automaton reachable from `initial`, given by its
+    step function in explore's form; final(state) tells the final states.
+    Weighted callers record each edge's weight as their step yields it."""
+    initial = set(initial)
+    trans = set(explore(initial, step))
+    states = initial | {d for (_, _, d) in trans}
+    return Nfa(states, alphabet, trans, initial, filter(final, states))
+
+
 def shortest_word(starts, step, goal):
     """Shortest non-empty word leading from a start state to a state
     satisfying goal, as a tuple of letters, or None; ties go to the first
@@ -721,24 +731,21 @@ def aperiodicity_index(a):
 # -- closure constructions --------------------------------------------------
 
 
-def product(a: Nfa, b: Nfa, initial=None, final=None) -> Nfa:
-    """Synchronous product on pair states.  Initial/final default to the
-    cross products; callers may supply either set explicitly."""
+def product(a: Nfa, b: Nfa) -> Nfa:
+    """Synchronous product on the pair states reachable from the initial
+    pairs; a pair is final when both of its states are."""
     if a.alphabet != b.alphabet:
         raise InputError("product requires a common alphabet")
-    states = {(p, q) for p in a.states for q in b.states}
-    transitions = set()
-    by_letter_b = {}
-    for (s, letter, d) in b.transitions:
-        by_letter_b.setdefault(letter, []).append((s, d))
-    for (p, letter, p2) in a.transitions:
-        for (q, q2) in by_letter_b.get(letter, ()):
-            transitions.add(((p, q), letter, (p2, q2)))
-    if initial is None:
-        initial = {(p, q) for p in a.initial for q in b.initial}
-    if final is None:
-        final = {(p, q) for p in a.final for q in b.final}
-    return Nfa(states, a.alphabet, transitions, initial, final)
+
+    def step(pair):
+        p, q = pair
+        for letter in a.alphabet:
+            for succ in itertools.product(a.out(p, letter), b.out(q, letter)):
+                yield letter, succ
+
+    return reachable_nfa(
+        [(p, q) for p in a.initial for q in b.initial], step, a.alphabet,
+        lambda pair: pair[0] in a.final and pair[1] in b.final)
 
 
 def disjoint_union(a: Nfa, b: Nfa) -> Nfa:

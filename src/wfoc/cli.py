@@ -92,11 +92,12 @@ def _render(a, fmt):
 
 def _maxlen(args):
     if args.maxlen is not None:
-        return args.maxlen
-    text = os.environ.get("WFOC_MAXLEN", "8")
+        source, text = "--maxlen", args.maxlen
+    else:
+        source, text = "WFOC_MAXLEN", os.environ.get("WFOC_MAXLEN", "8")
     if not (text.isdecimal() and int(text) > 0):
-        raise InputError("WFOC_MAXLEN must be a positive integer, not %r"
-                         % text)
+        raise InputError("%s must be a positive integer, not %r"
+                         % (source, text))
     return int(text)
 
 
@@ -296,7 +297,7 @@ def build_parser():
     sub = subs.add_parser("equiv", help="compare two automata on all short words")
     sub.add_argument("--a", required=True)
     sub.add_argument("--b", required=True)
-    sub.add_argument("--maxlen", type=int)
+    sub.add_argument("--maxlen")
     sub.set_defaults(fn=_cmd_equiv)
 
     sub = subs.add_parser("dot", help="DOT export")

@@ -18,10 +18,10 @@ from .automata import (
     UNAMBIGUOUS,
     WeightedAutomaton,
     classify_ambiguity,
-    explore,
     letter_key,
     max_accepting_runs,
     product,
+    reachable_nfa,
     state_key,
     trim,
     underlying_nfa,
@@ -115,12 +115,9 @@ def build_a_geq_k(a, k) -> Nfa:
                 else:
                     yield letter, qs2 + tuple(cs2)
 
-    start = (q0,) * k + (0,) * (k - 1)
-    trans = set(explore([start], step))
-    states = {start} | {d for (_, _, d) in trans}
-    final = {s for s in states
-             if all(q in nfa.final for q in s[:k]) and all(s[k:])}
-    return Nfa(states, nfa.alphabet, trans, {start}, final)
+    return reachable_nfa(
+        [(q0,) * k + (0,) * (k - 1)], step, nfa.alphabet,
+        lambda s: all(q in nfa.final for q in s[:k]) and all(s[k:]))
 
 
 def build_a_leq_k(a, k) -> ClassifierDfa:
@@ -150,7 +147,8 @@ def build_a_k_ell(a: WeightedAutomaton, k, ell) -> WeightedAutomaton:
 
 def _exact_slice(geq_k: Nfa, geq_next: Nfa) -> Nfa:
     """Trim product of the complement DFA of A_>=k+1 with the k-run
-    tracker A_>=k: one run per word with exactly k runs."""
+    tracker A_>=k: one run per word with exactly k runs.  The product is
+    reachable already; trimming drops the pairs that cannot accept."""
     return trim(product(_swap(dfa_from_nfa(geq_next)).nfa, geq_k))
 
 

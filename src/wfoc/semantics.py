@@ -182,16 +182,15 @@ def builtin_semiring(name: str) -> Semiring:
 
 
 class Aggregator:
-    """Total map from multisets of weight sequences to a value.  `forward`,
-    when set, computes the same value from (wa, word) without building the
+    """Total map from multisets of weight sequences to a value.  `forward`
+    computes the same value from (wa, word) without building the
     multiset."""
 
-    forward = None
-
-    def __init__(self, name, fn, fmt):
+    def __init__(self, name, fn, fmt, forward):
         self.name = name
         self._fn = fn
         self.fmt = fmt
+        self.forward = forward
 
     def __call__(self, multiset: SeqMultiset):
         return self._fn(multiset)
@@ -259,14 +258,11 @@ def _forward(semiring: Semiring, wa, word):
 
 
 def sum_product_aggregator(semiring: Semiring) -> Aggregator:
-    agg = Aggregator("sp/" + semiring.name,
-                     lambda m: aggr_sp(semiring, m), semiring.fmt)
-    if semiring is _CATALOG["multiset_seqs"]:
-        # the free semiring: the value is the multiset itself
-        agg.forward = abstract_semantics
-    else:
-        agg.forward = lambda wa, word: _forward(semiring, wa, word)
-    return agg
+    # in the free semiring the value is the multiset itself
+    forward = abstract_semantics if semiring is _CATALOG["multiset_seqs"] \
+        else (lambda wa, word: _forward(semiring, wa, word))
+    return Aggregator("sp/" + semiring.name,
+                      lambda m: aggr_sp(semiring, m), semiring.fmt, forward)
 
 
 # maxplus over numeric weights, with max-average's error for symbols
@@ -282,15 +278,10 @@ def _max_average(wa, word):
 
 
 def max_average_aggregator() -> Aggregator:
-    agg = Aggregator("ma", aggr_ma, _fmt_plain)
-    agg.forward = _max_average
-    return agg
+    return Aggregator("ma", aggr_ma, _fmt_plain, _max_average)
 
 
 def concrete_semantics(wa, word, aggregator: Aggregator):
     """aggregator(abstract_semantics(wa, word)), in one forward pass over
-    the word when the aggregator has one."""
-    word = tuple(word)
-    if aggregator.forward is None:
-        return aggregator(abstract_semantics(wa, word))
-    return aggregator.forward(wa, word)
+    the word."""
+    return aggregator.forward(wa, tuple(word))

@@ -168,10 +168,9 @@ def _fmt_state(s):
     return str(s)
 
 
-def serialize_automaton(a, relabel=True) -> str:
+def serialize_automaton(a) -> str:
     """Canonical text form; byte-identical for equal automata."""
-    if relabel:
-        a = canonical_relabel(a)
+    a = canonical_relabel(a)
     nfa = a.nfa if isinstance(a, WeightedAutomaton) else a
     wgt = a.wgt if isinstance(a, WeightedAutomaton) else None
     lines = []

@@ -188,52 +188,34 @@ def _switching_sentence(a, p, q, seq, name):
     transition relative to its segment."""
     nfa = a.nfa
     scc = scc_decompose(nfa)
-    m = len(seq)
-    ys = _switch_vars(m)
+    ys = _switch_vars(len(seq))
     comps = [scc.component_of[p]] + [scc.component_of[t[2]] for t in seq]
+    # segment j runs from enter[j] after position lo[j] to leave[j]
+    # before position hi[j]; None leaves that end open
+    enter = [p] + [t[2] for t in seq]
+    leave = [t[0] for t in seq] + [q]
+    lo = [None] + ys
+    hi = ys + [None]
 
-    guard_parts = []
-    for i in range(m - 1):
-        guard_parts.append(Lt(ys[i], ys[i + 1]))
-    for i, (r, letter, s) in enumerate(seq):
-        guard_parts.append(LetterAt(letter, ys[i]))
-    guard_parts.append(_factor_atom(nfa, p, seq[0][0], None, ys[0], name))
-    for i in range(m - 1):
-        guard_parts.append(_factor_atom(nfa, seq[i][2], seq[i + 1][0],
-                                        ys[i], ys[i + 1], name))
-    guard_parts.append(_factor_atom(nfa, seq[m - 1][2], q, ys[m - 1],
-                                    None, name))
+    guard_parts = [Lt(y1, y2) for y1, y2 in zip(ys, ys[1:])]
+    guard_parts += [LetterAt(t[1], y) for t, y in zip(seq, ys)]
+    guard_parts += [_factor_atom(nfa, *seg, name)
+                    for seg in zip(enter, leave, lo, hi)]
     guard = _conj(guard_parts)
 
     pairs = []
     for t in _sorted_transitions(nfa):
         (r, letter, s) = t
         if t in seq:
-            i = seq.index(t)
-            cond = EqVar("x", ys[i])
+            cond = EqVar("x", ys[seq.index(t)])
         elif scc.same(r, s) and scc.component_of[r] in comps:
             j = comps.index(scc.component_of[r])
-            conj = []
-            if j == 0:
-                conj.append(Lt("x", ys[0]))
-                conj.append(_factor_atom(nfa, p, r, None, "x", name))
-                conj.append(LetterAt(letter, "x"))
-                conj.append(_factor_atom(nfa, s, seq[0][0], "x", ys[0],
-                                         name))
-            elif j == m:
-                conj.append(Lt(ys[m - 1], "x"))
-                conj.append(_factor_atom(nfa, seq[m - 1][2], r, ys[m - 1],
-                                         "x", name))
-                conj.append(LetterAt(letter, "x"))
-                conj.append(_factor_atom(nfa, s, q, "x", None, name))
-            else:
-                conj.append(Lt(ys[j - 1], "x"))
-                conj.append(Lt("x", ys[j]))
-                conj.append(_factor_atom(nfa, seq[j - 1][2], r, ys[j - 1],
-                                         "x", name))
-                conj.append(LetterAt(letter, "x"))
-                conj.append(_factor_atom(nfa, s, seq[j][0], "x", ys[j],
-                                         name))
+            conj = [] if lo[j] is None else [Lt(lo[j], "x")]
+            if hi[j] is not None:
+                conj.append(Lt("x", hi[j]))
+            conj += [_factor_atom(nfa, enter[j], r, lo[j], "x", name),
+                     LetterAt(letter, "x"),
+                     _factor_atom(nfa, s, leave[j], "x", hi[j], name)]
             cond = _conj(conj)
         else:
             cond = Not(FoTrue())

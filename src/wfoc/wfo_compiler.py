@@ -6,15 +6,18 @@ over the prefix, a backward component carries their verdicts on the
 suffix, and together they decode the bit vector of the FO conditions at
 each position, which picks the weight from the if-then-else cascade.
 The weighted if-then-else is a classifier product, + a disjoint union,
-and the variable sum a two-copy projection.  Outputs are aperiodic and
-SCC-unambiguous; without variable sums they are finite unions of
-unambiguous automata, and without sums at all they are unambiguous.
+and the variable sum a two-copy projection.  Every stage is built as the
+part of its construction reachable from the initial states
+(`automata.reachable_nfa`), so no state is made only to be pruned.
+Outputs are aperiodic and SCC-unambiguous; without variable sums they
+are finite unions of unambiguous automata, and without sums at all they
+are unambiguous.
 """
 
 from __future__ import annotations
 
 from .automata import (
-    Nfa, WeightedAutomaton, explore, letter_key, reachable_states, restrict,
+    Nfa, WeightedAutomaton, explore, letter_key, reachable_nfa,
     weighted_union,
 )
 from .errors import InputError
@@ -25,12 +28,6 @@ from .logic.syntax import (
     fo_conditions, free_vars, uses_sumx,
 )
 from .textfmt import canonical_relabel
-
-
-def _prune(a: WeightedAutomaton) -> WeightedAutomaton:
-    keep = reachable_states(a.nfa)
-    nfa = restrict(a.nfa, keep)
-    return WeightedAutomaton(nfa, {t: a.wgt[t] for t in nfa.transitions})
 
 
 # verdict codes inside the suffix tables; tables are parts of state names,
@@ -83,44 +80,48 @@ def compile_product(step, var, alphabet, vars=()) -> WeightedAutomaton:
         base_letter, bits = (a, ()) if not vars else a
         return index[(base_letter, bits[:idx] + (bit,) + bits[idx:])]
 
-    lifted0 = [lift(a, 0) for a in letters]
-    lifted1 = [lift(a, 1) for a in letters]
+    lifted = [(lift(a, 0), lift(a, 1), a) for a in letters]
 
     # Forward component: deterministic joint walk of the unmarked word,
-    # from the classifiers' initial states 1.
-    def advance(d):
-        for j in lifted0:
-            yield j, tuple(rows[i][d[i] - 1][j] for i in range(k))
+    # from the classifiers' initial states 1; one tuple per forward state
+    # and letter, which the product's states then share.
+    def walk(d):
+        for j0, _, _ in lifted:
+            yield j0, tuple(rows[i][d[i] - 1][j0] for i in range(k))
 
     d0 = (1,) * k
-    prefix_next = {(d, j): d2 for (d, j, d2) in explore([d0], advance)}
-    orbit = {d0} | set(prefix_next.values())
+    prefix_next = {(d, j0): d2 for (d, j0, d2) in explore([d0], walk)}
 
     # Backward component: per classifier, the verdict (2 accept, 1
     # refute, 0 invalid) every state would reach on the rest of the word.
+    # A transition steps back from the suffix table it enters to the one
+    # it leaves, so the exploration below needs the compositions inverted.
     def unwind(f):
-        for j in lifted0:
-            yield j, tuple(tuple(f[i][row[j] - 1] for row in rows[i])
-                           for i in range(k))
+        for j0, _, _ in lifted:
+            yield j0, tuple(tuple(f[i][row[j0] - 1] for row in rows[i])
+                            for i in range(k))
 
     f_end = tuple(tuple(_CODE[v] for v in c.verdicts) for c in clss)
-    compose_to = {(f, j): f2 for (f, j, f2) in explore([f_end], unwind)}
-    suffixes = {f_end} | set(compose_to.values())
+    composed_from = {}
+    for (f, j0, f_src) in explore([f_end], unwind):
+        composed_from.setdefault((f_src, j0), []).append(f)
+    suffixes = {f_end} | {f for fs in composed_from.values() for f in fs}
 
-    # A transition consumes one position: the forward state advances,
-    # the suffix table unwinds by one composition, and the verdicts of
-    # the mark-here successors decode the position's bit vector, which
-    # picks the weight.  A fresh-start flag keeps the empty word out of
-    # the support.
+    # A state is (forward tuple, suffix table, started flag).  A
+    # transition consumes one position: the forward tuple advances, the
+    # suffix table unwinds by one composition, and the verdicts of the
+    # mark-here successors decode the position's bit vector, which picks
+    # the weight.  The started flag keeps the empty word out of the
+    # support.
     cond_index = {c: i for i, c in enumerate(conds)}
     weights = {}
-    trans = set()
     wgt = {}
-    states = set()
-    for f in suffixes:
-        for j0, j1, a in zip(lifted0, lifted1, letters):
-            f_src = compose_to[(f, j0)]
-            for d in orbit:
+
+    def advance(state):
+        d, f_src, _ = state
+        for j0, j1, a in lifted:
+            d2 = prefix_next[(d, j0)]
+            for f in composed_from.get((f_src, j0), ()):
                 verdicts = tuple(f[i][rows[i][d[i] - 1][j1] - 1]
                                  for i in range(k))
                 if 0 in verdicts:
@@ -128,20 +129,13 @@ def compile_product(step, var, alphabet, vars=()) -> WeightedAutomaton:
                 if verdicts not in weights:
                     bits = tuple(v == 2 for v in verdicts)
                     weights[verdicts] = _step_weight(step, cond_index, bits)
-                w = weights[verdicts]
-                d2 = prefix_next[(d, j0)]
                 dst = (d2, f, 1)
-                for started in (0, 1) if d == d0 else (1,):
-                    src = (d, f_src, started)
-                    states.add(src)
-                    states.add(dst)
-                    trans.add((src, a, dst))
-                    wgt[(src, a, dst)] = w
-    initial = {(d0, f, 0) for f in suffixes}
-    states |= initial
-    final = {s for s in states if s[1] == f_end and s[2] == 1}
-    return _prune(WeightedAutomaton(
-        Nfa(states, letters, trans, initial, final), wgt))
+                wgt[(state, a, dst)] = weights[verdicts]
+                yield a, dst
+
+    nfa = reachable_nfa([(d0, f, 0) for f in suffixes], advance, letters,
+                        lambda s: s[1] == f_end and s[2] == 1)
+    return WeightedAutomaton(nfa, wgt)
 
 
 def compile_ite(cond, then_wa: WeightedAutomaton, else_wa: WeightedAutomaton,
@@ -157,25 +151,25 @@ def compile_ite(cond, then_wa: WeightedAutomaton, else_wa: WeightedAutomaton,
             or frozenset(else_wa.nfa.alphabet) != frozenset(letters):
         raise InputError("branch alphabet mismatch")
     branches = (then_wa, else_wa)
+    wgt = {}
 
     def step(state):
         (tag, c, q) = state
         for a, c2 in zip(letters, cls.delta[c - 1]):
             for q2 in branches[tag].nfa.out(q, a):
-                yield a, (tag, c2, q2)
+                dst = (tag, c2, q2)
+                wgt[(state, a, dst)] = branches[tag].wgt[(q, a, q2)]
+                yield a, dst
 
-    initial = {(tag, 1, q0)
-               for tag in (0, 1) for q0 in branches[tag].nfa.initial}
-    trans = set(explore(initial, step))
-    wgt = {}
-    for t in trans:
-        (tag, _, q), a, (_, _, q2) = t
-        wgt[t] = branches[tag].wgt[(q, a, q2)]
-    states = initial | {d for (_, _, d) in trans}
-    final = {(tag, c, q) for (tag, c, q) in states
-             if (c in cls.f and tag == 0 and q in then_wa.nfa.final)
-             or (c in cls.g and tag == 1 and q in else_wa.nfa.final)}
-    return WeightedAutomaton(Nfa(states, letters, trans, initial, final), wgt)
+    def final(state):
+        (tag, c, q) = state
+        return q in branches[tag].nfa.final \
+            and c in (cls.g if tag else cls.f)
+
+    nfa = reachable_nfa([(tag, 1, q0) for tag in (0, 1)
+                         for q0 in branches[tag].nfa.initial],
+                        step, letters, final)
+    return WeightedAutomaton(nfa, wgt)
 
 
 def compile_sum_var(a: WeightedAutomaton, var, alphabet,
@@ -194,26 +188,24 @@ def compile_sum_var(a: WeightedAutomaton, var, alphabet,
         rest = bits[:idx] + bits[idx + 1:]
         return (base_letter, rest) if out_vars else base_letter
 
-    trans = set()
+    edges = {}
+    for (p, l, q), w in a.wgt.items():
+        edges.setdefault(p, []).append((strip(l), l[1][idx], q, w))
     wgt = {}
-    for t in a.nfa.transitions:
-        (p, l, q) = t
-        w = a.wgt[t]
-        out_l = strip(l)
-        if l[1][idx]:
-            tt = ((p, 0), out_l, (q, 1))
-            trans.add(tt)
-            wgt[tt] = w
-        else:
-            for c in (0, 1):
-                tt = ((p, c), out_l, (q, c))
-                trans.add(tt)
-                wgt[tt] = w
-    states = {(q, c) for q in a.nfa.states for c in (0, 1)}
-    nfa = Nfa(states, ext_alphabet(alphabet, out_vars), trans,
-              {(q, 0) for q in a.nfa.initial},
-              {(q, 1) for q in a.nfa.final})
-    return _prune(WeightedAutomaton(nfa, wgt))
+
+    def step(state):
+        p, c = state
+        for out_l, marked, q, w in edges.get(p, ()):
+            if marked and c:
+                continue
+            dst = (q, 1 if marked else c)
+            wgt[(state, out_l, dst)] = w
+            yield out_l, dst
+
+    nfa = reachable_nfa([(q, 0) for q in a.nfa.initial], step,
+                        ext_alphabet(alphabet, out_vars),
+                        lambda s: s[1] == 1 and s[0] in a.nfa.final)
+    return WeightedAutomaton(nfa, wgt)
 
 
 def compile_wfo(phi, alphabet, vars=()) -> WeightedAutomaton:

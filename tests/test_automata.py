@@ -254,6 +254,32 @@ trans: 1 a 1
     assert accepts(p, ("a", "a", "a"))
 
 
+def full_product(a, b):
+    """The synchronous product over every pair of states."""
+    trans = {((p, q), l, (p2, q2)) for (p, l, p2) in a.transitions
+             for (q, l2, q2) in b.transitions if l == l2}
+    return Nfa({(p, q) for p in a.states for q in b.states}, a.alphabet,
+               trans, {(p, q) for p in a.initial for q in b.initial},
+               {(p, q) for p in a.final for q in b.final})
+
+
+SAME_ALPHABET = [(x, y) for x in sorted(ALL_TEXTS) for y in sorted(ALL_TEXTS)
+                 if load(x).nfa.alphabet == load(y).nfa.alphabet]
+
+
+def test_product_is_the_reachable_part():
+    from wfoc import product
+    dropped = 0
+    for x, y in SAME_ALPHABET:
+        a, b = load(x).nfa, load(y).nfa
+        full = full_product(a, b)
+        got = product(a, b)
+        assert got == automata.restrict(full, automata.reachable_states(full))
+        dropped += len(full.states) - len(got.states)
+    # some pairs are unreachable, so the check is not vacuous
+    assert dropped > 0
+
+
 def test_trim_drops_useless_states():
     from wfoc import parse_automaton
     wa = parse_automaton("""

@@ -561,6 +561,22 @@ class TestEquiv:
             assert rc == 2 and out == ""
             assert "WFOC_MAXLEN" in err and repr(bad) in err
 
+    @pytest.mark.parametrize("bad", ["0", "-3", "abc", "2.5", "", "\u00b2"])
+    def test_bad_maxlen_flag_is_an_input_error(self, tmp_path, capsys, bad):
+        # the two automata differ on every word, so no sweep may say EQUIV
+        paths = []
+        for w in (1, 2):
+            path = tmp_path / ("w%d.wa" % w)
+            path.write_text("alphabet: a\nstates: 1\ninitial: 1\nfinal: 1\n"
+                            "trans: 1 a 1 %d\n" % w)
+            paths.append(str(path))
+        argv = ["equiv", "--a", paths[0], "--b", paths[1], "--maxlen"]
+        assert run(capsys, argv + ["2"])[:2] == (
+            1, "COUNTEREXAMPLE a\na:\n1 x [1]\nb:\n1 x [2]\n")
+        rc, out, err = run(capsys, argv + [bad])
+        assert rc == 2 and out == ""
+        assert "--maxlen" in err and repr(bad) in err
+
 
     @pytest.mark.parametrize("pair", [("triplerun", "modeblocks"),
                                       ("splitmax", "countminmax"),

@@ -12,10 +12,11 @@ from wfoc.automata import (
     reachable_states, restrict, state_key, trim, words_upto,
 )
 from wfoc.decompose import (
-    build_a_geq_k, build_a_k_ell, build_a_leq_k, decompose,
-    ensure_single_initial,
+    _exact_slice, build_a_geq_k, build_a_k_ell, build_a_leq_k, decompose,
+    decompose_with_trackers, ensure_single_initial,
 )
 from wfoc.errors import HypothesisError, InputError
+from wfoc.fo_compiler import _swap, dfa_from_nfa
 from wfoc.multiset import SeqMultiset
 
 CORPUS = sorted(ALL_TEXTS)
@@ -258,3 +259,39 @@ class TestDecompose:
     def test_negative_bound_rejected(self):
         with pytest.raises(InputError):
             decompose(load("triplerun"), -1)
+
+
+def reference_slice(geq_k, geq_next):
+    """The exactly-k slice as first written: the product over every pair of
+    a complement DFA state and a tracker state, then trimmed."""
+    dfa = _swap(dfa_from_nfa(geq_next)).nfa
+    trans = {((p, q), l, (p2, q2)) for (p, l, p2) in dfa.transitions
+             for (q, l2, q2) in geq_k.transitions if l == l2}
+    return trim(Nfa({(p, q) for p in dfa.states for q in geq_k.states},
+                    dfa.alphabet, trans,
+                    {(p, q) for p in dfa.initial for q in geq_k.initial},
+                    {(p, q) for p in dfa.final for q in geq_k.final}))
+
+
+DECOMPOSABLE = ["countminmax", "expsum", "modeblocks", "triplerun"]
+
+
+def test_decomposable_names_are_the_corpus_ones():
+    got = []
+    for name in CORPUS:
+        try:
+            decompose(load(name))
+        except HypothesisError:
+            continue
+        got.append(name)
+    assert got == DECOMPOSABLE
+
+
+@pytest.mark.parametrize("name", DECOMPOSABLE)
+def test_exact_slices_equal_full_product_then_trim(name):
+    # one more slice than detected, so an empty slice is covered too
+    k = len(decompose(load(name)))
+    _, geqs = decompose_with_trackers(load(name), k + 1)
+    for j in range(1, k + 2):
+        assert _exact_slice(geqs[j - 1], geqs[j]) == \
+            reference_slice(geqs[j - 1], geqs[j])

@@ -2,27 +2,33 @@ import random
 
 import pytest
 
-from wfoc import InputError
+from wfoc import HypothesisError, InputError
 from wfoc.automata import (
-    abstract_semantics, ambiguity_degree_bounded, aperiodicity_index,
-    classify_ambiguity, is_unambiguous, weighted_union,
+    Nfa, WeightedAutomaton, abstract_semantics, ambiguity_degree_bounded,
+    aperiodicity_index, classify_ambiguity, explore, is_unambiguous,
+    letter_key, reachable_states, restrict, weighted_union,
 )
+from wfoc.fo_compiler import compile_fo
 from wfoc.logic import parse_fo, parse_wfo
+from wfoc.logic.encoding import ext_alphabet
 from wfoc.logic.evaluate import eval_wfo_at
+from wfoc.logic.parser import parse_formula_file, serialize_formula_file
 from wfoc.logic.syntax import (
-    Const, Not, Plus, ProdX, WIte, Zero, uses_plus, uses_sumx,
+    Const, FoTrue, Not, Plus, ProdX, StepIte, SumX, WIte, Zero, fo_conditions,
+    uses_plus, uses_sumx,
 )
 from wfoc.multiset import SeqMultiset
 from wfoc.semantics import (
     builtin_semiring, concrete_semantics, sum_product_aggregator,
 )
 from wfoc.textfmt import serialize_automaton
+from wfoc.wa_to_wfo import scc_unambiguous_to_wfo, unambiguous_wa_to_wfo
 from wfoc.wfo_compiler import (
-    compile_ite, compile_product, compile_sum_var, compile_wfo,
-    rewrite_sum_normal_form,
+    _CODE, _step_weight, compile_ite, compile_product, compile_stages,
+    compile_sum_var, compile_wfo, rewrite_sum_normal_form,
 )
 
-from corpus import SEED, all_words, load, random_wfo
+from corpus import ALL_TEXTS, SEED, all_words, load, random_wfo
 
 AB = frozenset({"a", "b"})
 
@@ -267,3 +273,190 @@ class TestSumNormalForm:
                 assert eval_wfo_at(got, w, vars=()) == \
                     eval_wfo_at(phi, w, vars=())
             done += 1
+
+
+# -- the reachable part, built directly -----------------------------------
+#
+# The product and the projection as they were first written: every
+# candidate state and transition, then a pass that keeps the part reachable
+# from the initial states.  The compiler builds that part directly, under
+# the same state names, so every stage must come out equal.
+
+
+def reachable_part(wa):
+    nfa = restrict(wa.nfa, reachable_states(wa.nfa))
+    return WeightedAutomaton(nfa, {t: wa.wgt[t] for t in nfa.transitions})
+
+
+def reference_product(step, var, alphabet, vars=()):
+    vars = tuple(sorted(vars))
+    conds = fo_conditions(step)
+    if not conds:
+        step = StepIte(FoTrue(), step, step)
+        conds = [FoTrue()]
+    inner_vars = tuple(sorted(vars + (var,)))
+    clss = [compile_fo(c, alphabet, inner_vars) for c in conds]
+    rows = [c.delta for c in clss]
+    k = len(clss)
+    idx = inner_vars.index(var)
+    letters = sorted(ext_alphabet(alphabet, vars), key=letter_key)
+    index = {a: i for i, a in enumerate(clss[0].letters)}
+
+    def lift(a, bit):
+        base_letter, bits = (a, ()) if not vars else a
+        return index[(base_letter, bits[:idx] + (bit,) + bits[idx:])]
+
+    lifted0 = [lift(a, 0) for a in letters]
+    lifted1 = [lift(a, 1) for a in letters]
+
+    def advance(d):
+        for j in lifted0:
+            yield j, tuple(rows[i][d[i] - 1][j] for i in range(k))
+
+    d0 = (1,) * k
+    prefix_next = {(d, j): d2 for (d, j, d2) in explore([d0], advance)}
+    orbit = {d0} | set(prefix_next.values())
+
+    def unwind(f):
+        for j in lifted0:
+            yield j, tuple(tuple(f[i][row[j] - 1] for row in rows[i])
+                           for i in range(k))
+
+    f_end = tuple(tuple(_CODE[v] for v in c.verdicts) for c in clss)
+    compose_to = {(f, j): f2 for (f, j, f2) in explore([f_end], unwind)}
+    suffixes = {f_end} | set(compose_to.values())
+    cond_index = {c: i for i, c in enumerate(conds)}
+    trans = set()
+    wgt = {}
+    states = set()
+    for f in suffixes:
+        for j0, j1, a in zip(lifted0, lifted1, letters):
+            f_src = compose_to[(f, j0)]
+            for d in orbit:
+                verdicts = tuple(f[i][rows[i][d[i] - 1][j1] - 1]
+                                 for i in range(k))
+                if 0 in verdicts:
+                    continue
+                bits = tuple(v == 2 for v in verdicts)
+                w = _step_weight(step, cond_index, bits)
+                dst = (prefix_next[(d, j0)], f, 1)
+                for started in (0, 1) if d == d0 else (1,):
+                    src = (d, f_src, started)
+                    states |= {src, dst}
+                    trans.add((src, a, dst))
+                    wgt[(src, a, dst)] = w
+    initial = {(d0, f, 0) for f in suffixes}
+    states |= initial
+    final = {s for s in states if s[1] == f_end and s[2] == 1}
+    return reachable_part(WeightedAutomaton(
+        Nfa(states, letters, trans, initial, final), wgt))
+
+
+def reference_sum_var(a, var, alphabet, vars):
+    vars = tuple(sorted(vars))
+    out_vars = tuple(v for v in vars if v != var)
+    idx = vars.index(var)
+
+    def strip(l):
+        base_letter, bits = l
+        rest = bits[:idx] + bits[idx + 1:]
+        return (base_letter, rest) if out_vars else base_letter
+
+    wgt = {}
+    for (p, l, q), w in a.wgt.items():
+        if l[1][idx]:
+            wgt[((p, 0), strip(l), (q, 1))] = w
+        else:
+            for c in (0, 1):
+                wgt[((p, c), strip(l), (q, c))] = w
+    states = {(q, c) for q in a.nfa.states for c in (0, 1)}
+    nfa = Nfa(states, ext_alphabet(alphabet, out_vars), set(wgt),
+              {(q, 0) for q in a.nfa.initial},
+              {(q, 1) for q in a.nfa.final})
+    return reachable_part(WeightedAutomaton(nfa, wgt))
+
+
+def contexts(phi, vars):
+    """(subterm, variable context) in the order compile_stages yields."""
+    if isinstance(phi, WIte):
+        yield from contexts(phi.then, vars)
+        yield from contexts(phi.els, vars)
+    elif isinstance(phi, Plus):
+        yield from contexts(phi.left, vars)
+        yield from contexts(phi.right, vars)
+    elif isinstance(phi, SumX):
+        yield from contexts(phi.body, vars + (phi.var,))
+    yield phi, vars
+
+
+def assert_same_automaton(got, want):
+    assert got.nfa.alphabet == want.nfa.alphabet
+    assert got.nfa.states == want.nfa.states
+    assert got.nfa.transitions == want.nfa.transitions
+    assert got.wgt == want.wgt
+    assert got.nfa.initial == want.nfa.initial
+    assert got.nfa.final == want.nfa.final
+
+
+def tologic_formula(wa):
+    """The formula `wfoc tologic` writes for wa, read back from its bytes."""
+    phi = unambiguous_wa_to_wfo(wa) if is_unambiguous(wa) \
+        else scc_unambiguous_to_wfo(wa)
+    return parse_formula_file(serialize_formula_file(phi, "wfo"),
+                              "wfo").formula
+
+
+def stage_cases():
+    cases = []
+    for name in sorted(ALL_TEXTS):
+        wa = load(name)
+        try:
+            phi = tologic_formula(wa)
+        except HypothesisError:
+            continue
+        cases.append((name, phi, wa.nfa.alphabet))
+    rng = random.Random(SEED + 11)
+    cases += [("random-%d" % i, random_wfo(rng, ("a", "b")), AB)
+              for i in range(20)]
+    return cases
+
+
+STAGE_CASES = stage_cases()
+
+
+class TestReachableStages:
+    def test_cases_cover_the_corpus_and_both_constructions(self):
+        assert len(STAGE_CASES) == 9 + 20
+        kinds = {type(sub) for (_, phi, _) in STAGE_CASES
+                 for (sub, _) in contexts(phi, ())}
+        assert {ProdX, SumX} <= kinds
+
+    @pytest.mark.parametrize("name,phi,alphabet", STAGE_CASES,
+                             ids=[c[0] for c in STAGE_CASES])
+    def test_stages_equal_build_then_prune(self, name, phi, alphabet):
+        body = None
+        for (sub, wa), (sub2, vars) in zip(compile_stages(phi, alphabet),
+                                           contexts(phi, ())):
+            assert sub == sub2
+            if isinstance(sub, ProdX):
+                assert_same_automaton(
+                    wa, reference_product(sub.step, sub.var, alphabet, vars))
+            elif isinstance(sub, SumX):
+                # the stage before a sum is its body
+                inner = tuple(sorted(vars + (sub.var,)))
+                assert_same_automaton(
+                    wa, reference_sum_var(body, sub.var, alphabet, inner))
+            body = wa
+
+    def test_sum_var_reads_one_mark(self):
+        # a body that would read the mark at every position: the
+        # projection takes it once, so each position gives one run
+        a0, a1 = ("a", (0,)), ("a", (1,))
+        body = WeightedAutomaton(
+            Nfa({1}, {a0, a1}, {(1, a0, 1), (1, a1, 1)}, {1}, {1}),
+            {(1, a0, 1): 1, (1, a1, 1): 2})
+        wa = compile_sum_var(body, "y", {"a"}, ("y",))
+        assert_same_automaton(
+            wa, reference_sum_var(body, "y", {"a"}, ("y",)))
+        assert abstract_semantics(wa, ("a",) * 3) == SeqMultiset(
+            {(2, 1, 1): 1, (1, 2, 1): 1, (1, 1, 2): 1})
