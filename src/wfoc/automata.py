@@ -538,24 +538,35 @@ def ambiguity_witness(a, start_pairs, end_pairs, within=None):
                          lambda st: st[2] and st[:2] in end_pairs)
 
 
-def is_unambiguous(a) -> bool:
-    """At most one accepting run per word."""
+def unambiguity_witness(a):
+    """Shortest word with two accepting runs, or None."""
     nfa = underlying_nfa(a)
     return ambiguity_witness(
         nfa, {(i, j) for i in nfa.initial for j in nfa.initial},
-        {(f, g) for f in nfa.final for g in nfa.final}) is None
+        {(f, g) for f in nfa.final for g in nfa.final})
 
 
-def is_scc_unambiguous(a) -> bool:
-    """Unambiguous between every pair of states of a common SCC; a run
-    between two such states never leaves their component."""
+def scc_ambiguity_witness(a):
+    """Shortest word with two runs between states of one SCC, taking the
+    components in order, or None; a run between two such states never
+    leaves their component."""
     nfa = underlying_nfa(a)
     for comp in scc_decompose(nfa).components:
         diagonal = {(s, s) for s in comp}
-        if ambiguity_witness(nfa, diagonal, diagonal,
-                             within=comp) is not None:
-            return False
-    return True
+        w = ambiguity_witness(nfa, diagonal, diagonal, within=comp)
+        if w is not None:
+            return w
+    return None
+
+
+def is_unambiguous(a) -> bool:
+    """At most one accepting run per word."""
+    return unambiguity_witness(a) is None
+
+
+def is_scc_unambiguous(a) -> bool:
+    """Unambiguous between every pair of states of a common SCC."""
+    return scc_ambiguity_witness(a) is None
 
 
 def _has_same_word_loop_ladder(nfa) -> bool:

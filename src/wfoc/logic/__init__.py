@@ -2,7 +2,7 @@ from .syntax import (
     FoTrue, LetterAt, Leq, Lt, EqVar, Not, And, Or, Implies, Forall, Exists,
     RunAtom, Const, StepIte, Zero, ProdX, WIte, Plus, SumX,
     FoFormula, StepFormula, WfoFormula,
-    free_vars, bound_vars, is_sentence, uses_sumx, uses_plus,
+    free_vars, is_sentence, uses_sumx, uses_plus,
     fo_conditions, run_atoms, freshen, fresh_name,
     format_fo, format_step, format_wfo,
 )
@@ -20,7 +20,7 @@ __all__ = [
     "Implies", "Forall", "Exists", "RunAtom", "Const", "StepIte",
     "Zero", "ProdX", "WIte", "Plus", "SumX",
     "FoFormula", "StepFormula", "WfoFormula",
-    "free_vars", "bound_vars", "is_sentence", "uses_sumx", "uses_plus",
+    "free_vars", "is_sentence", "uses_sumx", "uses_plus",
     "fo_conditions", "run_atoms", "freshen", "fresh_name",
     "format_fo", "format_step", "format_wfo",
     "ExtWord", "encode", "decode", "ext_alphabet", "all_ext_words",

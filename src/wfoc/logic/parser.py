@@ -140,17 +140,10 @@ class _Parser:
     def fo_unary(self):
         if self.accept("!"):
             return Not(self.fo_unary())
-        tok = self.peek()
-        if tok[0] == "ident" and tok[1] in ("forall", "exists"):
-            self.next()
-            var = self.ident("variable")
-            self.bind(var)
-            try:
-                self.expect(".", "'.' after binder")
-                body = self.fo()
-            finally:
-                self.scope.pop()
-            return (Forall if tok[1] == "forall" else Exists)(var, body)
+        if self.at_ident("forall"):
+            return self.binder(Forall, self.fo)
+        if self.at_ident("exists"):
+            return self.binder(Exists, self.fo)
         return self.fo_atom()
 
     def ident(self, what):
@@ -160,10 +153,18 @@ class _Parser:
                              % (tok[2], tok[3], tok[1]))
         return tok[1]
 
-    def bind(self, var):
+    def binder(self, node, body):
+        """keyword var . body, with var in scope while body is read."""
+        self.next()
+        var = self.ident("variable")
         if var in self.scope:
             raise ScopeError("variable %s is already bound" % var)
         self.scope.append(var)
+        try:
+            self.expect(".", "'.' after binder")
+            return node(var, body())
+        finally:
+            self.scope.pop()
 
     def fo_atom(self):
         if self.at_ident("true"):
@@ -297,25 +298,9 @@ class _Parser:
             self.next()
             return Zero()
         if self.at_ident("prod"):
-            self.next()
-            var = self.ident("variable")
-            self.bind(var)
-            try:
-                self.expect(".", "'.' after binder")
-                body = self.step()
-            finally:
-                self.scope.pop()
-            return ProdX(var, body)
+            return self.binder(ProdX, self.step)
         if self.at_ident("sum"):
-            self.next()
-            var = self.ident("variable")
-            self.bind(var)
-            try:
-                self.expect(".", "'.' after binder")
-                body = self.wfo()
-            finally:
-                self.scope.pop()
-            return SumX(var, body)
+            return self.binder(SumX, self.wfo)
         if self.accept("("):
             inner = self.wfo()
             self.expect(")")
@@ -346,6 +331,16 @@ def parse_wfo(text, automata=None):
 
 
 _FRAGMENTS = ("no-sum", "no-plus")
+
+# formula kind -> (production, printer)
+_KINDS = {"fo": (_Parser.fo, format_fo), "step": (_Parser.step, format_step),
+          "wfo": (_Parser.wfo, format_wfo)}
+
+
+def _kind(kind):
+    if kind not in _KINDS:
+        raise InputError("unknown formula kind %r" % kind)
+    return _KINDS[kind]
 
 
 @dataclass
@@ -380,15 +375,7 @@ def parse_formula_file(text, kind, automata=None):
             autos[name] = parse_automaton_inline(body)
         else:
             body_lines.append(raw)
-    body = "\n".join(body_lines)
-    if kind == "fo":
-        formula = parse_fo(body, autos)
-    elif kind == "step":
-        formula = parse_step(body, autos)
-    elif kind == "wfo":
-        formula = parse_wfo(body, autos)
-    else:
-        raise InputError("unknown formula kind %r" % kind)
+    formula = _parse("\n".join(body_lines), autos, _kind(kind)[0])
     if "no-sum" in fragments and uses_sumx(formula):
         raise InputError("formula violates its no-sum fragment assertion")
     if "no-plus" in fragments and uses_plus(formula):
@@ -413,6 +400,7 @@ def serialize_formula_file(formula, kind) -> str:
     if any(k != v for m in names.values() for k, v in m.items()):
         formula = map_run_atoms(formula, lambda atom: replace(
             atom, p=names[atom.name][atom.p], q=names[atom.name][atom.q]))
+    printer = _kind(kind)[1]
     if kind == "wfo":
         flags = []
         if not uses_sumx(formula):
@@ -421,11 +409,5 @@ def serialize_formula_file(formula, kind) -> str:
             flags.append("no-plus")
         if flags:
             lines.append("# fragment: " + " ".join(flags))
-        lines.append(format_wfo(formula))
-    elif kind == "step":
-        lines.append(format_step(formula))
-    elif kind == "fo":
-        lines.append(format_fo(formula))
-    else:
-        raise InputError("unknown formula kind %r" % kind)
+    lines.append(printer(formula))
     return "\n".join(lines) + "\n"

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from ..errors import InputError
 from .syntax import (
-    And, EqVar, Exists, Forall, FoTrue, Implies, Leq, LetterAt, Lt, Not, Or,
-    RunAtom, free_vars, freshen,
+    And, Exists, FoFormula, Forall, Implies, Lt, RunAtom, free_vars, freshen,
+    map_children,
 )
 
 
@@ -54,6 +54,8 @@ def relativize(phi, mode):
     """Rewrite the sentence phi so it speaks about the factor selected by
     mode; the mode's variables must not occur in phi."""
     _guard(mode, "z")  # validates the mode shape early
+    if not isinstance(phi, FoFormula):
+        raise TypeError("not an FO formula: %r" % (phi,))
     if free_vars(phi):
         raise InputError("can only relativize sentences, free: %s"
                          % ", ".join(sorted(free_vars(phi))))
@@ -63,16 +65,6 @@ def relativize(phi, mode):
 
 
 def _rel(phi, mode):
-    if isinstance(phi, (FoTrue, LetterAt, Leq, Lt, EqVar)):
-        return phi
-    if isinstance(phi, Not):
-        return Not(_rel(phi.sub, mode))
-    if isinstance(phi, And):
-        return And(_rel(phi.left, mode), _rel(phi.right, mode))
-    if isinstance(phi, Or):
-        return Or(_rel(phi.left, mode), _rel(phi.right, mode))
-    if isinstance(phi, Implies):
-        return Implies(_rel(phi.left, mode), _rel(phi.right, mode))
     if isinstance(phi, Forall):
         return Forall(phi.var,
                       Implies(_guard(mode, phi.var), _rel(phi.body, mode)))
@@ -84,4 +76,4 @@ def _rel(phi, mode):
             raise InputError("run atom %s is already bounded" % phi.name)
         lo, hi = _bounds(mode)
         return RunAtom(phi.name, phi.nfa, phi.p, phi.q, lo, hi, bounded=True)
-    raise TypeError("not an FO formula: %r" % (phi,))
+    return map_children(phi, lambda c: _rel(c, mode))

@@ -8,13 +8,19 @@ multisets of weight sequences.
 All nodes are immutable and hashable.  Invariant maintained by the parser
 and the construction helpers: bound variables are pairwise distinct and
 distinct from every free variable.
+
+Every walk goes through `nodes` (pre-order) or `map_children` (rebuild).
+Which fields of a node are sub-formulas is read once from the dataclass
+annotations; `_VARS` names the fields that hold variable occurrences.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, fields, replace
 from typing import Optional
 
+from ..errors import InputError
 from ..weights import format_weight
 
 
@@ -152,56 +158,50 @@ class SumX(WfoFormula):
     body: WfoFormula
 
 
-def _children(node):
-    if isinstance(node, (Not,)):
-        return (node.sub,)
-    if isinstance(node, (And, Or, Implies)):
-        return (node.left, node.right)
-    if isinstance(node, (Forall, Exists)):
-        return (node.body,)
-    if isinstance(node, StepIte):
-        return (node.cond, node.then, node.els)
-    if isinstance(node, ProdX):
-        return (node.step,)
-    if isinstance(node, WIte):
-        return (node.cond, node.then, node.els)
-    if isinstance(node, Plus):
-        return (node.left, node.right)
-    if isinstance(node, SumX):
-        return (node.body,)
-    return ()
+_BINDERS = (Forall, Exists, ProdX, SumX)
+
+# The fields that hold variable occurrences; a binder's `var` is not one.
+_VARS = {LetterAt: ("var",), Leq: ("left", "right"), Lt: ("left", "right"),
+         EqVar: ("left", "right"), RunAtom: ("lo", "hi")}
+
+# The sub-formula fields of every node class, read off its annotations.
+_SUB = {cls: tuple(f.name for f in fields(cls)
+                   if f.type in ("FoFormula", "StepFormula", "WfoFormula"))
+        for base in (FoFormula, StepFormula, WfoFormula)
+        for cls in base.__subclasses__()}
 
 
-def _binder_var(node):
-    if isinstance(node, (Forall, Exists, ProdX, SumX)):
-        return node.var
-    return None
+def nodes(phi):
+    """Every node of phi in pre-order, children in field order."""
+    stack = [phi]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(getattr(node, f) for f in reversed(_SUB[type(node)]))
+
+
+def map_children(phi, fn):
+    """phi with each sub-formula child c replaced by fn(c), the children
+    visited in field order."""
+    names = _SUB[type(phi)]
+    if not names:
+        return phi
+    return replace(phi, **{f: fn(getattr(phi, f)) for f in names})
 
 
 def free_vars(node) -> frozenset:
-    if isinstance(node, LetterAt):
-        return frozenset({node.var})
-    if isinstance(node, (Leq, Lt, EqVar)):
-        return frozenset({node.left, node.right})
-    if isinstance(node, RunAtom):
-        return frozenset(v for v in (node.lo, node.hi) if v is not None)
-    out = frozenset()
-    for child in _children(node):
-        out |= free_vars(child)
-    v = _binder_var(node)
-    if v is not None:
-        out -= {v}
-    return out
-
-
-def bound_vars(node) -> frozenset:
-    out = frozenset()
-    v = _binder_var(node)
-    if v is not None:
-        out |= {v}
-    for child in _children(node):
-        out |= bound_vars(child)
-    return out
+    out = set()
+    stack = [(node, frozenset())]
+    while stack:
+        n, bound = stack.pop()
+        for f in _VARS.get(type(n), ()):
+            v = getattr(n, f)
+            if v is not None and v not in bound:
+                out.add(v)
+        if isinstance(n, _BINDERS):
+            bound = bound | {n.var}
+        stack.extend((getattr(n, f), bound) for f in _SUB[type(n)])
+    return frozenset(out)
 
 
 def is_sentence(phi: FoFormula) -> bool:
@@ -209,67 +209,41 @@ def is_sentence(phi: FoFormula) -> bool:
 
 
 def uses_sumx(node) -> bool:
-    if isinstance(node, SumX):
-        return True
-    return any(uses_sumx(c) for c in _children(node)
-               if isinstance(c, WfoFormula))
+    return any(isinstance(n, SumX) for n in nodes(node))
 
 
 def uses_plus(node) -> bool:
-    if isinstance(node, Plus):
-        return True
-    return any(uses_plus(c) for c in _children(node)
-               if isinstance(c, WfoFormula))
+    return any(isinstance(n, Plus) for n in nodes(node))
 
 
 def fo_conditions(node):
     """FO conditions of a step/weighted formula, in syntax order, deduped."""
-    seen = []
-    def walk(n):
-        if isinstance(n, (StepIte, WIte)):
-            if n.cond not in seen:
-                seen.append(n.cond)
-            walk(n.then)
-            walk(n.els)
-        else:
-            for c in _children(n):
-                walk(c)
-    walk(node)
-    return list(seen)
+    return list(dict.fromkeys(n.cond for n in nodes(node)
+                              if isinstance(n, (StepIte, WIte))))
 
 
 def run_atoms(node):
-    out = []
-    def walk(n):
-        if isinstance(n, RunAtom):
-            if n not in out:
-                out.append(n)
-        for c in _children(n):
-            walk(c)
-    walk(node)
-    return out
+    return list(dict.fromkeys(n for n in nodes(node)
+                              if isinstance(n, RunAtom)))
 
 
 def map_run_atoms(node, fn):
     """The formula with every run atom replaced by fn(atom)."""
     if isinstance(node, RunAtom):
         return fn(node)
-    changes = {}
-    for f in fields(node):
-        child = getattr(node, f.name)
-        if isinstance(child, (FoFormula, StepFormula, WfoFormula)):
-            changes[f.name] = map_run_atoms(child, fn)
-    return replace(node, **changes) if changes else node
+    return map_children(node, lambda c: map_run_atoms(c, fn))
 
 
 def letters_in(node) -> set:
     """The letters a formula names: in letter atoms and as the alphabets
     of its run atoms' automata."""
-    if isinstance(node, LetterAt):
-        return {node.letter}
-    if isinstance(node, RunAtom):
-        return set(node.nfa.alphabet)
-    return set().union(*(letters_in(c) for c in _children(node)))
+    out = set()
+    for n in nodes(node):
+        if isinstance(n, LetterAt):
+            out.add(n.letter)
+        elif isinstance(n, RunAtom):
+            out |= n.nfa.alphabet
+    return out
 
 
 def fresh_name(base: str, used) -> str:
@@ -280,57 +254,14 @@ def fresh_name(base: str, used) -> str:
 
 
 def _rename_free(node, mapping):
-    def get(v):
-        return mapping.get(v, v)
-    if isinstance(node, LetterAt):
-        return LetterAt(node.letter, get(node.var))
-    if isinstance(node, Leq):
-        return Leq(get(node.left), get(node.right))
-    if isinstance(node, Lt):
-        return Lt(get(node.left), get(node.right))
-    if isinstance(node, EqVar):
-        return EqVar(get(node.left), get(node.right))
-    if isinstance(node, RunAtom):
-        lo = get(node.lo) if node.lo is not None else None
-        hi = get(node.hi) if node.hi is not None else None
-        return RunAtom(node.name, node.nfa, node.p, node.q, lo, hi,
-                       node.bounded)
-    if isinstance(node, FoTrue):
-        return node
-    if isinstance(node, Not):
-        return Not(_rename_free(node.sub, mapping))
-    if isinstance(node, And):
-        return And(_rename_free(node.left, mapping),
-                   _rename_free(node.right, mapping))
-    if isinstance(node, Or):
-        return Or(_rename_free(node.left, mapping),
-                  _rename_free(node.right, mapping))
-    if isinstance(node, Implies):
-        return Implies(_rename_free(node.left, mapping),
-                       _rename_free(node.right, mapping))
-    if isinstance(node, (Forall, Exists, SumX)):
-        inner = {k: v for k, v in mapping.items() if k != node.var}
-        body = _rename_free(node.body, inner)
-        return type(node)(node.var, body)
-    if isinstance(node, ProdX):
-        inner = {k: v for k, v in mapping.items() if k != node.var}
-        return ProdX(node.var, _rename_free(node.step, inner))
-    if isinstance(node, Const):
-        return node
-    if isinstance(node, StepIte):
-        return StepIte(_rename_free(node.cond, mapping),
-                       _rename_free(node.then, mapping),
-                       _rename_free(node.els, mapping))
-    if isinstance(node, Zero):
-        return node
-    if isinstance(node, WIte):
-        return WIte(_rename_free(node.cond, mapping),
-                    _rename_free(node.then, mapping),
-                    _rename_free(node.els, mapping))
-    if isinstance(node, Plus):
-        return Plus(_rename_free(node.left, mapping),
-                    _rename_free(node.right, mapping))
-    raise TypeError("not a formula node: %r" % (node,))
+    names = _VARS.get(type(node))
+    if names:
+        return replace(node, **{f: mapping.get(getattr(node, f),
+                                               getattr(node, f))
+                                for f in names})
+    if isinstance(node, _BINDERS) and node.var in mapping:
+        mapping = {k: v for k, v in mapping.items() if k != node.var}
+    return map_children(node, lambda c: _rename_free(c, mapping))
 
 
 def freshen(node, avoid=()):
@@ -339,22 +270,14 @@ def freshen(node, avoid=()):
     used = set(free_vars(node)) | set(avoid)
 
     def walk(n):
-        v = _binder_var(n)
-        if v is None:
-            if isinstance(n, Not):
-                return Not(walk(n.sub))
-            if isinstance(n, (And, Or, Implies, Plus)):
-                return type(n)(walk(n.left), walk(n.right))
-            if isinstance(n, (StepIte, WIte)):
-                return type(n)(walk(n.cond), walk(n.then), walk(n.els))
-            return n
-        new = fresh_name(v, used)
-        used.add(new)
-        if isinstance(n, ProdX):
-            body = n.step if new == v else _rename_free(n.step, {v: new})
-            return ProdX(new, walk(body))
-        body = n.body if new == v else _rename_free(n.body, {v: new})
-        return type(n)(new, walk(body))
+        if isinstance(n, _BINDERS):
+            v = n.var
+            new = fresh_name(v, used)
+            used.add(new)
+            if new != v:
+                n = replace(map_children(
+                    n, lambda c: _rename_free(c, {v: new})), var=new)
+        return map_children(n, walk)
 
     return walk(node)
 
@@ -368,20 +291,24 @@ _PREC_AND = 3
 _PREC_UNARY = 4
 _PREC_ATOM = 5
 
+_COMPARISONS = {Leq: "<=", Lt: "<", EqVar: "="}
+
+# what the parser reads after the P of a letter atom
+_LETTER_RE = re.compile(r"[A-Za-z0-9_']+")
+
 
 def _fmt_fo(phi, prec):
     if isinstance(phi, FoTrue):
         return "true"
     if isinstance(phi, LetterAt):
-        return "P%s(%s)" % (phi.letter, phi.var)
-    if isinstance(phi, Leq):
-        s = "%s <= %s" % (phi.left, phi.right)
-        return "(" + s + ")" if prec > _PREC_AND else s
-    if isinstance(phi, Lt):
-        s = "%s < %s" % (phi.left, phi.right)
-        return "(" + s + ")" if prec > _PREC_AND else s
-    if isinstance(phi, EqVar):
-        s = "%s = %s" % (phi.left, phi.right)
+        letter = str(phi.letter)
+        if not _LETTER_RE.fullmatch(letter):
+            raise InputError("letter %r cannot be written in a formula "
+                             "(formula letters use only A-Z a-z 0-9 _ ')"
+                             % letter)
+        return "P%s(%s)" % (letter, phi.var)
+    if type(phi) in _COMPARISONS:
+        s = "%s %s %s" % (phi.left, _COMPARISONS[type(phi)], phi.right)
         return "(" + s + ")" if prec > _PREC_AND else s
     if isinstance(phi, Not):
         return "!" + _fmt_fo(phi.sub, _PREC_ATOM)
@@ -452,9 +379,7 @@ def format_wfo(phi: WfoFormula) -> str:
 
 
 def _fmt_wfo_operand(phi):
-    if isinstance(phi, (WIte, Plus, SumX)):
-        return "(" + format_wfo(phi) + ")"
-    if isinstance(phi, ProdX):
+    if isinstance(phi, (WIte, Plus, SumX, ProdX)):
         return "(" + format_wfo(phi) + ")"
     return format_wfo(phi)
 

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from .automata import (
     WeightedAutomaton, ambiguity_witness, aperiodicity_index, letter_key,
-    scc_decompose, state_key, underlying_nfa,
+    scc_ambiguity_witness, scc_decompose, state_key, unambiguity_witness,
+    underlying_nfa,
 )
 from .errors import HypothesisError, InputError
 from .logic.syntax import (
@@ -129,9 +130,7 @@ def unambiguous_wa_to_wfo(a: WeightedAutomaton, name=ATOM_NAME):
     unambiguity makes at most one guard true, so no + is needed."""
     nfa = a.nfa
     _require_aperiodic(nfa)
-    w = ambiguity_witness(
-        nfa, {(i, j) for i in nfa.initial for j in nfa.initial},
-        {(f, g) for f in nfa.final for g in nfa.final})
+    w = unambiguity_witness(nfa)
     if w is not None:
         raise HypothesisError(
             "not unambiguous: %r has two accepting runs"
@@ -233,14 +232,12 @@ def scc_unambiguous_to_wfo(a: WeightedAutomaton, name=ATOM_NAME):
     sequence."""
     nfa = a.nfa
     _require_aperiodic(nfa)
+    w = scc_ambiguity_witness(nfa)
+    if w is not None:
+        raise HypothesisError(
+            "not SCC-unambiguous: %r has two runs inside one"
+            " component" % ("".join(map(str, w)),))
     scc = scc_decompose(nfa)
-    for comp in scc.components:
-        diagonal = {(s, s) for s in comp}
-        w = ambiguity_witness(nfa, diagonal, diagonal, within=comp)
-        if w is not None:
-            raise HypothesisError(
-                "not SCC-unambiguous: %r has two runs inside one"
-                " component" % ("".join(map(str, w)),))
     pairs = sorted(((p, q) for p in nfa.initial for q in nfa.final),
                    key=lambda pq: (state_key(pq[0]), state_key(pq[1])))
     parts = []

@@ -32,6 +32,11 @@ def save(tmp_path, name):
     return str(path)
 
 
+def read(path, mode="r"):
+    with open(path, mode) as handle:
+        return handle.read()
+
+
 def run(capsys, argv):
     rc = main(argv)
     captured = capsys.readouterr()
@@ -145,7 +150,7 @@ class TestCompile:
         assert run(capsys, ["compile", "--formula", phi_path,
                             "-o", back_path])[0] == 0
         original = parse_automaton(ALL_TEXTS["modeblocks"])
-        compiled = parse_automaton(open(back_path).read())
+        compiled = parse_automaton(read(back_path))
         for word in words_upto(original.nfa.alphabet, 4):
             assert abstract_semantics(compiled, word) \
                 == abstract_semantics(original, word)
@@ -189,7 +194,7 @@ class TestCompile:
             dst = str(tmp_path / (attempt + ".wa"))
             assert run(capsys, ["compile", "--formula", phi_path,
                                 "-o", dst])[0] == 0
-            outs.append(open(dst, "rb").read())
+            outs.append(read(dst, "rb"))
         assert outs[0] == outs[1]
 
 
@@ -381,6 +386,23 @@ class TestTologic:
                                   "--mode", "scc"])
         assert rc == 1 and "refused" in err
 
+    # a formula letter is what the parser reads after the P of Pa(x); a
+    # letter it cannot read must not reach the output
+    @pytest.mark.parametrize("letters", ["a.b c", "\u00e9 b"],
+                             ids=["dot", "accent"])
+    def test_unwritable_letter_is_an_input_error(self, tmp_path, capsys,
+                                                 letters):
+        first, second = letters.split()
+        path = tmp_path / "in.wa"
+        path.write_text("alphabet: %s\nstates: 1 2\ninitial: 1\nfinal: 2\n"
+                        "trans: 1 %s 2 1\ntrans: 2 %s 2 2\n"
+                        % (letters, first, second), encoding="utf-8")
+        phi_path = tmp_path / "in.wfo"
+        rc, _, err = run(capsys, ["tologic", "--automaton", str(path),
+                                  "-o", str(phi_path)])
+        assert rc == 2 and "letter %r" % first in err
+        assert not phi_path.exists()
+
 
 # two initial states, both final: only the empty word has two runs
 TWO_LOOPS = """
@@ -438,7 +460,7 @@ class TestEmptyWordIgnored:
         back_path = str(tmp_path / "back.wa")
         assert run(capsys, ["tologic", "--automaton", str(path),
                             "-o", phi_path])[0] == 0
-        assert "# fragment: no-sum no-plus" in open(phi_path).read()
+        assert "# fragment: no-sum no-plus" in read(phi_path)
         assert run(capsys, ["compile", "--formula", phi_path,
                             "-o", back_path])[0] == 0
         rc, out, _ = run(capsys, ["equiv", "--a", str(path),
@@ -462,7 +484,7 @@ class TestDecompose:
         assert rc == 0
         assert "bound K=3 (detected)" in out
         assert "A_>=3:" in out
-        parts = [parse_automaton(open("%s.%d.wa" % (prefix, ell)).read())
+        parts = [parse_automaton(read("%s.%d.wa" % (prefix, ell)))
                  for ell in (1, 2, 3)]
         original = parse_automaton(ALL_TEXTS["triplerun"])
         for word in words_upto(frozenset("ab"), 6):
@@ -507,7 +529,7 @@ class TestDecompose:
         rc, _, _ = run(capsys, ["decompose", "--automaton", mode,
                                 "-o", prefix, "--format", "dot"])
         assert rc == 0
-        assert open(prefix + ".1.dot").read().startswith("digraph")
+        assert read(prefix + ".1.dot").startswith("digraph")
 
 
 class TestClassify:

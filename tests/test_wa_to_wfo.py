@@ -229,3 +229,53 @@ class TestSccUnambiguousToWfo:
     def test_not_aperiodic(self):
         with pytest.raises(HypothesisError):
             scc_unambiguous_to_wfo(parity_automaton())
+
+
+# every refusal of the corpus, word for word: the witness is the first
+# shortest one in letter order, whichever function spells the search
+REFUSALS = [
+    ("blockmax", unambiguous_wa_to_wfo,
+     "not unambiguous: 'c' has two accepting runs"),
+    ("blockmax", scc_unambiguous_to_wfo,
+     "not SCC-unambiguous: 'cc' has two runs inside one component"),
+    ("countminmax", unambiguous_wa_to_wfo,
+     "not unambiguous: 'a' has two accepting runs"),
+    ("expsum", unambiguous_wa_to_wfo,
+     "not unambiguous: 'a' has two accepting runs"),
+    ("fibonacci", unambiguous_wa_to_wfo,
+     "not unambiguous: 'aaa' has two accepting runs"),
+    ("fibonacci", scc_unambiguous_to_wfo,
+     "not SCC-unambiguous: 'aa' has two runs inside one component"),
+    ("linearcount", unambiguous_wa_to_wfo,
+     "not unambiguous: 'aa' has two accepting runs"),
+    ("mingap", unambiguous_wa_to_wfo,
+     "not unambiguous: 'bbb' has two accepting runs"),
+    ("splitmax", unambiguous_wa_to_wfo,
+     "not unambiguous: 'a' has two accepting runs"),
+    ("splitmin", unambiguous_wa_to_wfo,
+     "not unambiguous: 'a' has two accepting runs"),
+    ("switchpoints", unambiguous_wa_to_wfo,
+     "not unambiguous: 'aaab' has two accepting runs"),
+    ("triplerun", unambiguous_wa_to_wfo,
+     "not unambiguous: 'aab' has two accepting runs"),
+]
+
+
+class TestRefusalTexts:
+    def test_table_is_every_refusal(self):
+        got = set()
+        for name in ALL_TEXTS:
+            for fn in (unambiguous_wa_to_wfo, scc_unambiguous_to_wfo):
+                try:
+                    fn(load(name))
+                except HypothesisError:
+                    got.add((name, fn))
+        assert got == {(name, fn) for name, fn, _ in REFUSALS}
+
+    @pytest.mark.parametrize("name,fn,text", REFUSALS,
+                             ids=["%s-%s" % (n, f.__name__[:3])
+                                  for n, f, _ in REFUSALS])
+    def test_text(self, name, fn, text):
+        with pytest.raises(HypothesisError) as err:
+            fn(load(name))
+        assert str(err.value) == text
