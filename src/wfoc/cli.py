@@ -25,8 +25,7 @@ from .semantics import (
     sum_product_aggregator,
 )
 from .textfmt import (
-    canonical_relabel, parse_automaton, parse_letter, serialize_automaton,
-    to_dot,
+    parse_automaton, parse_letter, serialize_automaton, to_dot,
 )
 from .wa_to_wfo import scc_unambiguous_to_wfo, unambiguous_wa_to_wfo
 from .wfo_compiler import compile_stages, compile_wfo
@@ -59,9 +58,13 @@ def _load_automaton(path):
 
 
 def _load_weighted(path) -> WeightedAutomaton:
+    """A weighted automaton; one without transitions has nothing to weigh
+    (`compile` writes `zero` that way), so it reads with no weights."""
     a = _load_automaton(path)
     if not isinstance(a, WeightedAutomaton):
-        raise InputError("%s has no transition weights" % path)
+        if a.transitions:
+            raise InputError("%s has no transition weights" % path)
+        a = WeightedAutomaton(a, {})
     return a
 
 
@@ -78,8 +81,12 @@ def _split_names(text):
 
 
 def _alphabet_for(formula, override):
-    if override:
-        return frozenset(parse_letter(t) for t in _split_names(override))
+    if override is not None:
+        names = _split_names(override)
+        if not names:
+            raise InputError("--alphabet must name at least one letter, "
+                             "not %r" % override)
+        return frozenset(parse_letter(t) for t in names)
     letters = letters_in(formula)
     if not letters:
         raise InputError("cannot infer an alphabet; pass --alphabet")
@@ -138,7 +145,6 @@ def _cmd_compile(args):
                   % (format_wfo(phi), len(wa.nfa.states),
                      _CLASS_WORDS[classify_ambiguity(wa)], idx, note))
             prev_idx = idx
-        wa = canonical_relabel(wa)
     else:
         wa = compile_wfo(parsed.formula, alphabet)
     _emit(_render(wa, args.format), args.out)

@@ -306,9 +306,13 @@ def dfa_from_nfa(nfa: Nfa) -> ClassifierDfa:
         lambda subset: not nfa.final.isdisjoint(subset), nfa.alphabet, ()))
 
 
-def compile_fo(phi, alphabet, vars=None) -> ClassifierDfa:
+def compile_fo(phi, alphabet, vars=None, memo=None) -> ClassifierDfa:
     """Classifier automaton for phi over the marked alphabet: F iff valid
-    and satisfied, G iff valid and falsified, reject iff invalid."""
+    and satisfied, G iff valid and falsified, reject iff invalid.
+
+    memo maps (subformula, variable context) to its classifier; callers
+    compiling several formulas over one alphabet pass one dict to share
+    their common subformulas."""
     if vars is None:
         vars = sorted(free_vars(phi))
     vars = tuple(sorted(set(vars)))
@@ -316,25 +320,36 @@ def compile_fo(phi, alphabet, vars=None) -> ClassifierDfa:
     if missing:
         raise InputError("free variables not in scope: %s"
                          % ", ".join(sorted(missing)))
-    return _compile(phi, frozenset(alphabet), vars)
+    return _compile(phi, frozenset(alphabet), vars,
+                    {} if memo is None else memo)
 
 
 _TAKE = {And: lambda a, b: a and b, Or: lambda a, b: a or b,
          Implies: lambda a, b: (not a) or b}
 
 
-def _compile(phi, base, vars) -> ClassifierDfa:
+def _compile(phi, base, vars, memo) -> ClassifierDfa:
+    key = (phi, vars)
+    c = memo.get(key)
+    if c is None:
+        c = memo[key] = _compile_node(phi, base, vars, memo)
+    return c
+
+
+def _compile_node(phi, base, vars, memo) -> ClassifierDfa:
     if isinstance(phi, Not):
-        return _swap(_compile(phi.sub, base, vars))
+        return _swap(_compile(phi.sub, base, vars, memo))
     if isinstance(phi, (And, Or, Implies)):
-        return _combine(_compile(phi.left, base, vars),
-                        _compile(phi.right, base, vars), _TAKE[type(phi)])
+        return _combine(_compile(phi.left, base, vars, memo),
+                        _compile(phi.right, base, vars, memo),
+                        _TAKE[type(phi)])
     if isinstance(phi, (Exists, Forall)):
         if phi.var in vars:
             raise InputError("variable %s is shadowed" % phi.var)
         inner_vars = tuple(sorted(vars + (phi.var,)))
         if isinstance(phi, Exists):
-            return _exists(_compile(phi.body, base, inner_vars), phi.var)
-        inner = _swap(_compile(phi.body, base, inner_vars))
+            return _exists(_compile(phi.body, base, inner_vars, memo),
+                           phi.var)
+        inner = _swap(_compile(phi.body, base, inner_vars, memo))
         return _swap(_exists(inner, phi.var))
     return _on_validity(_core(phi, _letters(base, vars), vars), base, vars)

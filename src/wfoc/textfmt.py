@@ -129,20 +129,7 @@ def parse_automaton_inline(text: str):
 def canonical_names(states):
     """The renaming of canonical_relabel: states sorted by structural key
     and numbered from 1."""
-    # state_key with each nested tuple's key built once per call: compiled
-    # state names share their subtuples.  Keyed by identity, which holds
-    # while the states are alive, so that (1,) and (True,) keep apart
-    memo = {}
-
-    def key(s):
-        if not isinstance(s, tuple):
-            return state_key(s)
-        k = memo.get(id(s))
-        if k is None:
-            k = memo[id(s)] = (3, tuple(key(x) for x in s))
-        return k
-
-    return {s: i for i, s in enumerate(sorted(states, key=key), 1)}
+    return {s: i for i, s in enumerate(sorted(states, key=state_key), 1)}
 
 
 def canonical_relabel(a):

@@ -8,7 +8,8 @@ each position, which picks the weight from the if-then-else cascade.
 The weighted if-then-else is a classifier product, + a disjoint union,
 and the variable sum a two-copy projection.  Every stage is built as the
 part of its construction reachable from the initial states
-(`automata.reachable_nfa`), so no state is made only to be pruned.
+(`automata.reachable_nfa`), so no state is made only to be pruned, and
+is numbered 1..n in canonical order before the next stage reads it.
 Outputs are aperiodic and SCC-unambiguous; without variable sums they
 are finite unions of unambiguous automata, and without sums at all they
 are unambiguous.
@@ -30,8 +31,8 @@ from .logic.syntax import (
 from .textfmt import canonical_relabel
 
 
-# verdict codes inside the suffix tables; tables are parts of state names,
-# so these values fix the order canonical_relabel numbers the output in
+# verdict codes inside the suffix tables; tables are numbered in sorted
+# order, so these values fix the order the output's states are numbered in
 _CODE = {True: 2, False: 1, None: 0}
 
 
@@ -69,7 +70,8 @@ def compile_product(step, var, alphabet, vars=()) -> WeightedAutomaton:
     for c in conds:
         if not free_vars(c) <= set(inner_vars):
             raise InputError("free variables of the condition not in scope")
-    clss = [compile_fo(c, alphabet, inner_vars) for c in conds]
+    memo = {}
+    clss = [compile_fo(c, alphabet, inner_vars, memo) for c in conds]
     rows = [c.delta for c in clss]
     k = len(clss)
     idx = inner_vars.index(var)
@@ -83,14 +85,13 @@ def compile_product(step, var, alphabet, vars=()) -> WeightedAutomaton:
     lifted = [(lift(a, 0), lift(a, 1), a) for a in letters]
 
     # Forward component: deterministic joint walk of the unmarked word,
-    # from the classifiers' initial states 1; one tuple per forward state
-    # and letter, which the product's states then share.
+    # from the classifiers' initial states 1.
     def walk(d):
         for j0, _, _ in lifted:
             yield j0, tuple(rows[i][d[i] - 1][j0] for i in range(k))
 
     d0 = (1,) * k
-    prefix_next = {(d, j0): d2 for (d, j0, d2) in explore([d0], walk)}
+    walked = list(explore([d0], walk))
 
     # Backward component: per classifier, the verdict (2 accept, 1
     # refute, 0 invalid) every state would reach on the rest of the word.
@@ -102,28 +103,38 @@ def compile_product(step, var, alphabet, vars=()) -> WeightedAutomaton:
                             for i in range(k))
 
     f_end = tuple(tuple(_CODE[v] for v in c.verdicts) for c in clss)
-    composed_from = {}
-    for (f, j0, f_src) in explore([f_end], unwind):
-        composed_from.setdefault((f_src, j0), []).append(f)
-    suffixes = {f_end} | {f for fs in composed_from.values() for f in fs}
+    unwound = list(explore([f_end], unwind))
 
-    # A state is (forward tuple, suffix table, started flag).  A
-    # transition consumes one position: the forward tuple advances, the
-    # suffix table unwinds by one composition, and the verdicts of the
-    # mark-here successors decode the position's bit vector, which picks
-    # the weight.  The started flag keeps the empty word out of the
-    # support.
+    # Both components are numbered by rank in sorted order, which is
+    # state_key order on these all-int tuples of one shape, so the
+    # product's states are flat triples ordered as the tuples would be.
+    forward = sorted({d for (d, _, _) in walked})
+    suffixes = sorted({f for (f, _, _) in unwound})
+    d_rank = {d: r for r, d in enumerate(forward)}
+    f_rank = {f: r for r, f in enumerate(suffixes)}
+    prefix_next = {(d_rank[d], j0): d_rank[d2] for (d, j0, d2) in walked}
+    composed_from = {}
+    for (f, j0, f_src) in unwound:
+        composed_from.setdefault((f_rank[f_src], j0), []).append(f_rank[f])
+
+    # A state is (forward rank, suffix rank, started flag).  A transition
+    # consumes one position: the forward tuple advances, the suffix table
+    # unwinds by one composition, and the verdicts of the mark-here
+    # successors decode the position's bit vector, which picks the
+    # weight.  The started flag keeps the empty word out of the support.
     cond_index = {c: i for i, c in enumerate(conds)}
     weights = {}
     wgt = {}
 
     def advance(state):
         d, f_src, _ = state
+        here = forward[d]
         for j0, j1, a in lifted:
             d2 = prefix_next[(d, j0)]
+            marked = [rows[i][here[i] - 1][j1] - 1 for i in range(k)]
             for f in composed_from.get((f_src, j0), ()):
-                verdicts = tuple(f[i][rows[i][d[i] - 1][j1] - 1]
-                                 for i in range(k))
+                table = suffixes[f]
+                verdicts = tuple(table[i][marked[i]] for i in range(k))
                 if 0 in verdicts:
                     continue
                 if verdicts not in weights:
@@ -133,8 +144,10 @@ def compile_product(step, var, alphabet, vars=()) -> WeightedAutomaton:
                 wgt[(state, a, dst)] = weights[verdicts]
                 yield a, dst
 
-    nfa = reachable_nfa([(d0, f, 0) for f in suffixes], advance, letters,
-                        lambda s: s[1] == f_end and s[2] == 1)
+    end = f_rank[f_end]
+    nfa = reachable_nfa([(d_rank[d0], f, 0) for f in range(len(suffixes))],
+                        advance, letters,
+                        lambda s: s[1] == end and s[2] == 1)
     return WeightedAutomaton(nfa, wgt)
 
 
@@ -213,13 +226,13 @@ def compile_wfo(phi, alphabet, vars=()) -> WeightedAutomaton:
     With the default empty variable context, phi must be a sentence."""
     for _, wa in compile_stages(phi, alphabet, vars):
         pass
-    return canonical_relabel(wa)
+    return wa
 
 
 def compile_stages(phi, alphabet, vars=()):
     """The induction on phi: yields (subterm, automaton) for every
-    weighted subterm, children before parents and phi last; automata keep
-    only reachable states, under the names their construction gave."""
+    weighted subterm, children before parents and phi last.  Automata keep
+    only reachable states, numbered 1..n in canonical_relabel's order."""
     vars = tuple(sorted(set(vars)))
     missing = free_vars(phi) - set(vars)
     if missing:
@@ -232,7 +245,13 @@ def compile_stages(phi, alphabet, vars=()):
 
 
 def _stages(phi, base, vars):
-    """Yield the stages of phi and return its automaton."""
+    """Yield the stages of phi and return its automaton.  Each stage is
+    numbered as soon as it is built, so the next one names its states by
+    small tuples of ints rather than by nested copies of every child's
+    names.  The numbering keeps the order canonical_relabel would give
+    the nested names (a construction only compares names of the same
+    child, after its own tags), so numbering every stage gives the same
+    output as numbering the last one."""
     if isinstance(phi, Zero):
         letters = ext_alphabet(base, vars)
         wa = WeightedAutomaton(Nfa({0}, letters, set(), {0}, set()), {})
@@ -256,6 +275,7 @@ def _stages(phi, base, vars):
         wa = compile_sum_var(body, phi.var, base, inner_vars)
     else:
         raise InputError("not a weighted formula: %r" % (phi,))
+    wa = canonical_relabel(wa)
     yield phi, wa
     return wa
 

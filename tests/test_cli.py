@@ -18,7 +18,7 @@ from wfoc.automata import (
 )
 from wfoc.cli import main
 from wfoc.logic.parser import parse_formula_file, serialize_formula_file
-from wfoc.logic.syntax import SumX, WfoFormula, format_wfo
+from wfoc.logic.syntax import SumX, WfoFormula, Zero, format_wfo
 from wfoc.multiset import SeqMultiset
 from wfoc.textfmt import parse_automaton
 from wfoc.wfo_compiler import compile_wfo
@@ -177,6 +177,16 @@ class TestCompile:
         rc, out, _ = run(capsys, ["compile", "--formula", str(src),
                                   "--alphabet", "a"])
         assert rc == 0 and "alphabet: a" in out
+
+    def test_empty_alphabet_is_an_input_error(self, tmp_path, capsys):
+        # not a fall-back to the formula's letters
+        src = tmp_path / "pa.wfo"
+        src.write_text("prod x. (Pa(x) ? 2 : 3)\n")
+        for flag in ("", " , "):
+            rc, out, err = run(capsys, ["compile", "--formula", str(src),
+                                        "--alphabet", flag])
+            assert rc == 2 and out == ""
+            assert "--alphabet" in err and repr(flag) in err
 
     def test_dot_format(self, tmp_path, capsys):
         src = tmp_path / "one.wfo"
@@ -359,6 +369,61 @@ class TestCompileFo:
         rc, out, _ = run(capsys, ["compile-fo", "--formula", str(src),
                                   "--vars", "x", "--alphabet", "a b"])
         assert rc == 0 and "a[1]" in out and "b[0]" in out
+
+    def test_empty_alphabet_is_an_input_error(self, tmp_path, capsys):
+        src = tmp_path / "atx.fo"
+        src.write_text("Pa(x)\n")
+        rc, out, err = run(capsys, ["compile-fo", "--formula", str(src),
+                                    "--vars", "x", "--alphabet", ""])
+        assert rc == 2 and out == "" and "--alphabet" in err
+
+
+class TestTransitionFree:
+    """`compile` writes `zero` as an automaton without transitions, so
+    without weights; every command reads it back."""
+
+    def compiled(self, capsys, tmp_path, name, text):
+        src = tmp_path / (name + ".wfo")
+        src.write_text(text)
+        dst = str(tmp_path / (name + ".wa"))
+        assert run(capsys, ["compile", "--formula", str(src),
+                            "--alphabet", "a,b", "-o", dst])[0] == 0
+        return dst
+
+    def test_equiv_with_itself(self, tmp_path, capsys):
+        zero = self.compiled(capsys, tmp_path, "zero", "zero\n")
+        assert "trans:" not in read(zero)
+        rc, out, _ = run(capsys, ["equiv", "--a", zero, "--b", zero,
+                                  "--maxlen", "4"])
+        assert rc == 0 and out == "EQUIV up to 4\n"
+
+    def test_equiv_with_a_product(self, tmp_path, capsys):
+        zero = self.compiled(capsys, tmp_path, "zero", "zero\n")
+        one = self.compiled(capsys, tmp_path, "one", "prod x. 1\n")
+        rc, out, _ = run(capsys, ["equiv", "--a", zero, "--b", one,
+                                  "--maxlen", "4"])
+        assert rc == 1
+        assert out == "COUNTEREXAMPLE a\na:\n(empty)\nb:\n1 x [1]\n"
+
+    def test_tologic_gives_zero_which_compiles_back(self, tmp_path, capsys):
+        zero = self.compiled(capsys, tmp_path, "zero", "zero\n")
+        back = str(tmp_path / "back.wfo")
+        assert run(capsys, ["tologic", "--automaton", zero,
+                            "-o", back])[0] == 0
+        assert parse_formula_file(read(back), "wfo").formula == Zero()
+        again = str(tmp_path / "again.wa")
+        assert run(capsys, ["compile", "--formula", back, "--alphabet",
+                            "a,b", "-o", again])[0] == 0
+        assert read(again, "rb") == read(zero, "rb")
+
+    def test_eval_and_decompose(self, tmp_path, capsys):
+        zero = self.compiled(capsys, tmp_path, "zero", "zero\n")
+        rc, out, _ = run(capsys, ["eval", "--automaton", zero, "--word", "ab",
+                                  "--semiring", "natural"])
+        assert rc == 0 and out == "0\n"
+        rc, out, _ = run(capsys, ["decompose", "--automaton", zero,
+                                  "-o", str(tmp_path / "part")])
+        assert rc == 0 and "K=0" in out
 
 
 class TestTologic:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from wfoc import HypothesisError, InputError
+from wfoc import HypothesisError, InputError, fo_compiler, wfo_compiler
 from wfoc.automata import (
     Nfa, WeightedAutomaton, abstract_semantics, ambiguity_degree_bounded,
     aperiodicity_index, classify_ambiguity, explore, is_unambiguous,
@@ -21,7 +21,7 @@ from wfoc.multiset import SeqMultiset
 from wfoc.semantics import (
     builtin_semiring, concrete_semantics, sum_product_aggregator,
 )
-from wfoc.textfmt import serialize_automaton
+from wfoc.textfmt import canonical_relabel, serialize_automaton
 from wfoc.wa_to_wfo import scc_unambiguous_to_wfo, unambiguous_wa_to_wfo
 from wfoc.wfo_compiler import (
     _CODE, _step_weight, compile_ite, compile_product, compile_stages,
@@ -279,8 +279,9 @@ class TestSumNormalForm:
 #
 # The product and the projection as they were first written: every
 # candidate state and transition, then a pass that keeps the part reachable
-# from the initial states.  The compiler builds that part directly, under
-# the same state names, so every stage must come out equal.
+# from the initial states, under names that nest the names of every child
+# stage.  The compiler builds that part directly and numbers it 1..n, so
+# every stage must come out equal to the reference, renumbered.
 
 
 def reachable_part(wa):
@@ -439,14 +440,21 @@ class TestReachableStages:
                                            contexts(phi, ())):
             assert sub == sub2
             if isinstance(sub, ProdX):
-                assert_same_automaton(
-                    wa, reference_product(sub.step, sub.var, alphabet, vars))
+                assert_same_automaton(wa, canonical_relabel(
+                    reference_product(sub.step, sub.var, alphabet, vars)))
             elif isinstance(sub, SumX):
                 # the stage before a sum is its body
                 inner = tuple(sorted(vars + (sub.var,)))
-                assert_same_automaton(
-                    wa, reference_sum_var(body, sub.var, alphabet, inner))
+                assert_same_automaton(wa, canonical_relabel(
+                    reference_sum_var(body, sub.var, alphabet, inner)))
             body = wa
+
+    @pytest.mark.parametrize("name,phi,alphabet", STAGE_CASES,
+                             ids=[c[0] for c in STAGE_CASES])
+    def test_every_stage_is_numbered(self, name, phi, alphabet):
+        for _, wa in compile_stages(phi, alphabet):
+            assert wa.nfa.states == frozenset(
+                range(1, len(wa.nfa.states) + 1))
 
     def test_sum_var_reads_one_mark(self):
         # a body that would read the mark at every position: the
@@ -460,3 +468,99 @@ class TestReachableStages:
             wa, reference_sum_var(body, "y", {"a"}, ("y",)))
         assert abstract_semantics(wa, ("a",) * 3) == SeqMultiset(
             {(2, 1, 1): 1, (1, 2, 1): 1, (1, 1, 2): 1})
+
+
+# -- numbering every stage keeps the bytes ---------------------------------
+#
+# The pipeline before stages were numbered: every stage named by nested
+# tuples of its children's names, and one renumbering at the end.  Its
+# output must be byte-identical to the compiler's.
+
+
+def nested_compile(phi, base, vars=()):
+    if isinstance(phi, Zero):
+        letters = ext_alphabet(base, vars)
+        return WeightedAutomaton(Nfa({0}, letters, set(), {0}, set()), {})
+    if isinstance(phi, ProdX):
+        return reference_product(phi.step, phi.var, base, vars)
+    if isinstance(phi, WIte):
+        return compile_ite(phi.cond, nested_compile(phi.then, base, vars),
+                           nested_compile(phi.els, base, vars), base, vars)
+    if isinstance(phi, Plus):
+        return weighted_union(nested_compile(phi.left, base, vars),
+                              nested_compile(phi.right, base, vars))
+    assert isinstance(phi, SumX)
+    inner = tuple(sorted(vars + (phi.var,)))
+    return reference_sum_var(nested_compile(phi.body, base, inner),
+                             phi.var, base, inner)
+
+
+def chain(n, rng):
+    """chain-N: states 1..N over {a, b}, `i a i+1` and `i b i`, initial 1,
+    final N, weights drawn from 0..3."""
+    wgt = {(i, "a", i + 1): rng.randint(0, 3) for i in range(1, n)}
+    wgt.update({(i, "b", i): rng.randint(0, 3) for i in range(1, n + 1)})
+    return WeightedAutomaton(
+        Nfa(range(1, n + 1), AB, set(wgt), {1}, {n}), wgt)
+
+
+def byte_cases():
+    cases = [c for c in STAGE_CASES if not c[0].startswith("random-")]
+    rng = random.Random(SEED + 13)
+    cases += [("random-%d" % i, random_wfo(rng, ("a", "b")), AB)
+              for i in range(40)]
+    cases += [("chain-%d" % n, tologic_formula(chain(n, rng)), AB)
+              for n in (10, 20, 30)]
+    return cases
+
+
+BYTE_CASES = byte_cases()
+
+
+class TestNumberedStagesKeepBytes:
+    def test_cases(self):
+        assert len(BYTE_CASES) == 9 + 40 + 3
+
+    @pytest.mark.parametrize("name,phi,alphabet", BYTE_CASES,
+                             ids=[c[0] for c in BYTE_CASES])
+    def test_same_bytes_as_nested_names(self, name, phi, alphabet):
+        want = canonical_relabel(nested_compile(phi, frozenset(alphabet)))
+        assert serialize_automaton(compile_wfo(phi, alphabet)) == \
+            serialize_automaton(want)
+
+
+class TestClassifierMemo:
+    def chain_product(self):
+        phi = tologic_formula(chain(10, random.Random(SEED)))
+        return next(sub for (sub, _) in contexts(phi, ())
+                    if isinstance(sub, ProdX))
+
+    def test_tables_equal_with_and_without_memo(self):
+        prod = self.chain_product()
+        memo = {}
+        for cond in fo_conditions(prod.step):
+            shared = compile_fo(cond, AB, (prod.var,), memo)
+            alone = compile_fo(cond, AB, (prod.var,))
+            assert (shared.letters, shared.delta, shared.verdicts) == \
+                (alone.letters, alone.delta, alone.verdicts)
+
+    def test_chain_product_minimizes_less(self, monkeypatch):
+        prod = self.chain_product()
+        calls = []
+        real_minimize = fo_compiler.minimize
+
+        def counting(c):
+            calls.append(1)
+            return real_minimize(c)
+
+        monkeypatch.setattr(fo_compiler, "minimize", counting)
+        shared = compile_product(prod.step, prod.var, AB)
+        with_memo = len(calls)
+        del calls[:]
+        monkeypatch.setattr(
+            wfo_compiler, "compile_fo",
+            lambda phi, alphabet, vars=None, memo=None:
+                compile_fo(phi, alphabet, vars))
+        alone = compile_product(prod.step, prod.var, AB)
+        assert 0 < with_memo < len(calls)
+        assert serialize_automaton(shared) == serialize_automaton(alone)
