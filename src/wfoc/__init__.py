@@ -11,7 +11,7 @@ from .automata import (
     transition_monoid, aperiodicity_index,
     product, disjoint_union, weighted_union, trim,
 )
-from .errors import HypothesisError, InputError, VerificationFailure
+from .errors import HypothesisError, InputError
 from .multiset import SeqMultiset
 from .semantics import (
     Aggregator, Semiring, builtin_semiring, SEMIRING_NAMES,

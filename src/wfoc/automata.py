@@ -6,13 +6,20 @@ constructions (synchronous product, disjoint union, trim), and the
 breadth-first exploration that every construction on reachable states
 shares.
 
+The deterministic order lives on `Nfa`: `order` sorts its states by
+`state_key` once, and `numbered()` reads the automaton through that order
+(letters sorted by `letter_key`, each state's position, per-letter
+successor bit masks and the sorted transitions).  Every analysis and the
+serializer read these instead of sorting on their own.
+
 All values are immutable after construction and every operation is a pure
 function of its inputs.
 """
 
 from __future__ import annotations
 
-import functools
+import collections
+import heapq
 import itertools
 from dataclasses import dataclass
 
@@ -44,7 +51,8 @@ class Nfa:
     named extra accepting sets."""
 
     __slots__ = ("states", "alphabet", "transitions", "initial", "final",
-                 "accepting", "_out", "_into", "_hash")
+                 "accepting", "_out", "_into", "_hash", "_order",
+                 "_numbered")
 
     def __init__(self, states, alphabet, transitions, initial, final,
                  accepting=None):
@@ -60,6 +68,8 @@ class Nfa:
         self._out = None
         self._into = None
         self._hash = None
+        self._order = None
+        self._numbered = None
         self._validate()
 
     def _validate(self):
@@ -93,11 +103,18 @@ class Nfa:
             self._into = table
         return self._into.get((dst, letter), [])
 
-    def with_sets(self, initial=None, final=None, accepting=None):
-        return Nfa(self.states, self.alphabet, self.transitions,
-                   self.initial if initial is None else initial,
-                   self.final if final is None else final,
-                   self.accepting if accepting is None else accepting)
+    @property
+    def order(self):
+        """The states sorted by state_key, fixed on first use."""
+        if self._order is None:
+            self._order = tuple(sorted(self.states, key=state_key))
+        return self._order
+
+    def numbered(self) -> "Numbered":
+        """The automaton read through `order`, built on first use."""
+        if self._numbered is None:
+            self._numbered = Numbered(self)
+        return self._numbered
 
     def _canon(self):
         return (self.states, self.alphabet, self.transitions, self.initial,
@@ -116,6 +133,49 @@ class Nfa:
     def __repr__(self):
         return "Nfa(%d states, %d transitions)" % (
             len(self.states), len(self.transitions))
+
+
+class Numbered:
+    """An Nfa over the positions of its states in `order`: the letters
+    sorted by letter_key, pos[s] the position of state s, the transitions
+    sorted by position, letter and position, and masks[j][i] the positions
+    letters[j] leads to from position i as a bit mask (built on first use,
+    as the serializer needs none)."""
+
+    __slots__ = ("letters", "pos", "transitions", "_masks")
+
+    def __init__(self, nfa: Nfa):
+        self.letters = tuple(sorted(nfa.alphabet, key=letter_key))
+        self.pos = pos = {s: i for i, s in enumerate(nfa.order)}
+        rank = {a: j for j, a in enumerate(self.letters)}
+        self.transitions = tuple(sorted(
+            nfa.transitions, key=lambda t: (pos[t[0]], rank[t[1]], pos[t[2]])))
+        self._masks = None
+
+    @property
+    def masks(self):
+        if self._masks is None:
+            rows = {a: [0] * len(self.pos) for a in self.letters}
+            for (s, a, d) in self.transitions:
+                rows[a][self.pos[s]] |= 1 << self.pos[d]
+            self._masks = tuple(tuple(rows[a]) for a in self.letters)
+        return self._masks
+
+
+def bits(mask):
+    """The positions set in a bit mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def image(rows, mask):
+    """The union of rows[i] over the positions i set in mask."""
+    out = 0
+    for i in bits(mask):
+        out |= rows[i]
+    return out
 
 
 class WeightedAutomaton:
@@ -413,92 +473,68 @@ class SccDecomposition:
 
 
 def scc_decompose(a) -> SccDecomposition:
-    """Tarjan, iterative; component ids are assigned in topological order
-    (sources first) with deterministic tie-breaking."""
+    """Tarjan, iterative, over positions.  Each component is named by its
+    least position, and the ids are assigned in topological order
+    (sources first), the ready component with the least name first."""
     nfa = underlying_nfa(a)
-    order = sorted(nfa.states, key=state_key)
-    succ = {s: [] for s in nfa.states}
-    for (s, _, d) in sorted(nfa.transitions,
-                            key=lambda t: (state_key(t[0]), letter_key(t[1]),
-                                           state_key(t[2]))):
-        if d not in succ[s]:
-            succ[s].append(d)
+    num = nfa.numbered()
+    n = len(nfa.order)
+    succ = [[] for _ in range(n)]
+    for (s, _, d) in num.transitions:
+        succ[num.pos[s]].append(num.pos[d])
+    index, low = [None] * n, [0] * n    # index: n once the SCC is done
+    comp_of = [None] * n
+    visits = itertools.count()
+    stack, work = [], []
 
-    index = {}
-    low = {}
-    on_stack = set()
-    stack = []
-    comps = []
-    counter = itertools.count()
+    def enter(s):
+        index[s] = low[s] = next(visits)
+        stack.append(s)
+        work.append((s, iter(succ[s])))
 
-    for root in order:
-        if root in index:
-            continue
-        work = [(root, iter(succ[root]))]
-        index[root] = low[root] = next(counter)
-        stack.append(root)
-        on_stack.add(root)
+    for root in range(n):
+        if index[root] is None:
+            enter(root)
         while work:
             node, it = work[-1]
-            advanced = False
             for child in it:
-                if child not in index:
-                    index[child] = low[child] = next(counter)
-                    stack.append(child)
-                    on_stack.add(child)
-                    work.append((child, iter(succ[child])))
-                    advanced = True
+                if index[child] is None:
+                    enter(child)
                     break
-                if child in on_stack:
-                    low[node] = min(low[node], index[child])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = set()
-                while True:
-                    s = stack.pop()
-                    on_stack.discard(s)
-                    comp.add(s)
-                    if s == node:
-                        break
-                comps.append(frozenset(comp))
+                low[node] = min(low[node], index[child])
+            else:
+                work.pop()
+                if work:
+                    low[work[-1][0]] = min(low[work[-1][0]], low[node])
+                if low[node] == index[node]:
+                    comp = [stack.pop()]
+                    while comp[-1] != node:
+                        comp.append(stack.pop())
+                    name = min(comp)
+                    for s in comp:
+                        index[s], comp_of[s] = n, name
 
-    # Tarjan emits components in reverse topological order; flip it and
-    # re-sort ties deterministically per topological layer.
-    comps.reverse()
-    comp_of_tmp = {}
-    for i, comp in enumerate(comps):
-        for s in comp:
-            comp_of_tmp[s] = i
-    edges = set()
-    for (s, _, d) in nfa.transitions:
-        ci, cj = comp_of_tmp[s], comp_of_tmp[d]
-        if ci != cj:
-            edges.add((ci, cj))
-    # topological renumber with stable tie-break by smallest member key
-    remaining = set(range(len(comps)))
-    indeg = {i: 0 for i in remaining}
-    for (i, j) in edges:
-        indeg[j] += 1
-    final_order = []
-    while remaining:
-        ready = [i for i in remaining if indeg[i] == 0]
-        ready.sort(key=lambda i: min(state_key(s) for s in comps[i]))
-        pick = ready[0]
-        final_order.append(pick)
-        remaining.discard(pick)
-        for (i, j) in edges:
-            if i == pick and j in remaining:
-                indeg[j] -= 1
-    renum = {old: new for new, old in enumerate(final_order)}
-    components = tuple(comps[old] for old in final_order)
-    component_of = {s: renum[comp_of_tmp[s]] for s in comp_of_tmp}
-    dag_edges = frozenset((renum[i], renum[j]) for (i, j) in edges)
-    return SccDecomposition(component_of, components, dag_edges)
+    later = {c: set() for c in comp_of}
+    for i, js in enumerate(succ):
+        later[comp_of[i]].update({comp_of[j] for j in js} - {comp_of[i]})
+    indeg = collections.Counter(itertools.chain.from_iterable(later.values()))
+    # Kahn's renumbering, the least ready name first
+    ready = [c for c in later if indeg[c] == 0]     # ascending: a heap
+    renum = {}
+    while ready:
+        c = heapq.heappop(ready)
+        renum[c] = len(renum)
+        for d in later[c]:
+            indeg[d] -= 1
+            if indeg[d] == 0:
+                heapq.heappush(ready, d)
+    members = [[] for _ in renum]
+    for i, s in enumerate(nfa.order):
+        members[renum[comp_of[i]]].append(s)
+    return SccDecomposition(
+        {s: renum[comp_of[i]] for i, s in enumerate(nfa.order)},
+        tuple(map(frozenset, members)),
+        frozenset((renum[c], renum[d]) for c in later for d in later[c]))
 
 
 # -- ambiguity --------------------------------------------------------------
@@ -510,32 +546,30 @@ def ambiguity_witness(a, start_pairs, end_pairs, within=None):
     `within` when given; None when there is no such word.
 
     One breadth-first pass over (pair, diverged) states of the square
-    product: the flag records that the two runs have differed so far.
-    Pairs sharing a word are expanded in `state_key` order, which fixes
-    the witness whatever the order of the sets."""
+    product, over positions in the automaton's `order`: the flag records
+    that the two runs have differed so far.  Pairs sharing a word are
+    expanded in position order, which fixes the witness whatever the
+    order of the sets."""
     nfa = underlying_nfa(a)
+    num = nfa.numbered()
     allowed = nfa.states if within is None else within
-    letters = sorted(nfa.alphabet, key=letter_key)
-
-    @functools.cache
-    def out(q, letter):
-        return sorted(nfa.out(q, letter), key=state_key)
+    keep = sum(1 << num.pos[s] for s in allowed)
 
     def step(state):
         r, s, diverged = state
-        for letter in letters:
-            for r2 in out(r, letter):
-                if r2 not in allowed:
-                    continue
-                for s2 in out(s, letter):
-                    if s2 in allowed:
-                        yield letter, (r2, s2, diverged or r2 != s2)
+        for letter, rows in zip(num.letters, num.masks):
+            outs = list(bits(rows[s] & keep))
+            for r2 in bits(rows[r] & keep):
+                for s2 in outs:
+                    yield letter, (r2, s2, diverged or r2 != s2)
 
-    starts = sorted(((r, s, r != s) for (r, s) in start_pairs
-                     if r in allowed and s in allowed),
-                    key=lambda st: state_key(st[:2]))
+    pos = num.pos
+    starts = sorted((pos[r], pos[s], r != s) for (r, s) in start_pairs
+                    if r in allowed and s in allowed)
+    ends = {(pos[f], pos[g]) for (f, g) in end_pairs
+            if f in allowed and g in allowed}
     return shortest_word(starts, step,
-                         lambda st: st[2] and st[:2] in end_pairs)
+                         lambda st: st[2] and st[:2] in ends)
 
 
 def unambiguity_witness(a):
@@ -573,7 +607,7 @@ def _has_same_word_loop_ladder(nfa) -> bool:
     """Distinct p != q with a common word looping p->p, going p->q and
     looping q->q (triple-product reachability)."""
     scc = scc_decompose(nfa)
-    letters = sorted(nfa.alphabet, key=letter_key)
+    letters = nfa.numbered().letters
     # the loops need p and q on cycles, and q reachable from p
     on_cycle = {s for comp in scc.components if len(comp) > 1
                 for s in comp} | {s for (s, _, d) in nfa.transitions
@@ -638,23 +672,22 @@ def max_accepting_runs(a, cap, maxlen=None):
     ambiguity degree, since a capped count would propagate to some final
     state and trigger."""
     nfa = underlying_nfa(a)
-    states = sorted(nfa.states, key=state_key)
-    letters = sorted(nfa.alphabet, key=letter_key)
-    idx = {s: i for i, s in enumerate(states)}
-    finals = [idx[s] for s in states if s in nfa.final]
-    pre = {}
-    for (s, letter, d) in nfa.transitions:
-        pre.setdefault((letter, idx[d]), []).append(idx[s])
-    start = tuple(1 if s in nfa.initial else 0 for s in states)
+    num = nfa.numbered()
+    finals = [num.pos[s] for s in nfa.final]
+    start = tuple(1 if s in nfa.initial else 0 for s in nfa.order)
     depth = {start: 0}
     best = 0
 
     def step(vec):
         if maxlen is not None and depth[vec] >= maxlen:
             return
-        for letter in letters:
-            nxt = tuple(min(cap, sum(vec[i] for i in pre.get((letter, j), ())))
-                        for j in range(len(states)))
+        for letter, rows in zip(num.letters, num.masks):
+            nxt = [0] * len(vec)
+            for i, n in enumerate(vec):
+                if n:
+                    for j in bits(rows[i]):
+                        nxt[j] += n
+            nxt = tuple(min(cap, n) for n in nxt)
             depth.setdefault(nxt, depth[vec] + 1)
             yield letter, nxt
 
@@ -683,34 +716,21 @@ def ambiguity_degree_bounded(a, maxlen) -> int:
 # -- aperiodicity -----------------------------------------------------------
 
 
-def _bool_matrices(nfa):
-    order = sorted(nfa.states, key=state_key)
-    pos = {s: i for i, s in enumerate(order)}
-    mats = {}
-    for a in sorted(nfa.alphabet, key=letter_key):
-        rows = [0] * len(order)
-        for (s, letter, d) in nfa.transitions:
-            if letter == a:
-                rows[pos[s]] |= 1 << pos[d]
-        mats[a] = tuple(rows)
-    return mats
-
-
 def _mat_mul(m1, m2):
     out = []
-    for bits in m1:
+    for mask in m1:
         row = 0
-        while bits:
-            low = bits & -bits
+        while mask:
+            low = mask & -mask
             row |= m2[low.bit_length() - 1]
-            bits ^= low
+            mask ^= low
         out.append(row)
     return tuple(out)
 
 
 def transition_monoid(nfa):
     """Closure of the per-letter boolean matrices under composition."""
-    gens = list(_bool_matrices(nfa).values())
+    gens = list(nfa.numbered().masks)
     products = explore(gens, lambda m: ((g, _mat_mul(m, g)) for g in gens))
     return set(gens) | {m for (_, _, m) in products}
 

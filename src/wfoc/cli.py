@@ -16,7 +16,7 @@ from .automata import (
     EXPONENTIALLY, FINITELY, POLYNOMIALLY, UNAMBIGUOUS,
 )
 from .decompose import decompose_with_trackers, ensure_single_initial
-from .errors import HypothesisError, InputError, VerificationFailure
+from .errors import HypothesisError, InputError
 from .fo_compiler import compile_fo
 from .logic.syntax import SumX, format_wfo, free_vars, letters_in
 from .logic.parser import parse_formula_file, serialize_formula_file
@@ -318,7 +318,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (HypothesisError, VerificationFailure) as err:
+    except HypothesisError as err:
         print("refused: %s" % err, file=sys.stderr)
         return 1
     except InputError as err:

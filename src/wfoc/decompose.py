@@ -18,11 +18,9 @@ from .automata import (
     UNAMBIGUOUS,
     WeightedAutomaton,
     classify_ambiguity,
-    letter_key,
     max_accepting_runs,
     product,
     reachable_nfa,
-    state_key,
     trim,
     underlying_nfa,
     weighted_union,
@@ -86,26 +84,25 @@ def build_a_geq_k(a, k) -> Nfa:
     States are flat tuples: k tracked base states followed by k - 1 order
     bits, bit ell turning 1 once run ell is strictly below run ell + 1 in
     the lexicographic order on state sequences.  The order on base states
-    is the canonical sort of the state ids.  Only the part reachable from
-    the all-initial tuple is materialized.
+    is their position in the automaton's `order`.  Only the part reachable
+    from the all-initial tuple is materialized.
     """
     if k < 1:
         raise InputError("run count must be >= 1")
     nfa = underlying_nfa(ensure_single_initial(underlying_nfa(a)))
     (q0,) = nfa.initial
-    rank = {s: i for i, s in enumerate(sorted(nfa.states, key=state_key))}
-    letters = sorted(nfa.alphabet, key=letter_key)
+    num = nfa.numbered()
 
     def step(src):
         qs, cs = src[:k], src[k:]
-        for letter in letters:
+        for letter in num.letters:
             outs = [nfa.out(qs[ell], letter) for ell in range(k)]
             for qs2 in itertools.product(*outs):
                 cs2 = []
                 for ell in range(k - 1):
                     if cs[ell] == 1:
                         cs2.append(1)
-                    elif rank[qs2[ell]] < rank[qs2[ell + 1]]:
+                    elif num.pos[qs2[ell]] < num.pos[qs2[ell + 1]]:
                         cs2.append(1)
                     elif qs2[ell] == qs2[ell + 1]:
                         cs2.append(0)

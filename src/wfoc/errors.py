@@ -1,8 +1,8 @@
 """Error taxonomy shared across the package.
 
-InputError maps to CLI exit code 2, VerificationFailure to exit code 1.
-HypothesisError signals a refused construction (violated precondition),
-carrying a witness when one is available.
+HypothesisError signals a refused construction (a violated precondition,
+named by a witness in its message) and maps to CLI exit code 1; any other
+InputError maps to exit code 2.
 """
 
 
@@ -10,11 +10,5 @@ class InputError(ValueError):
     pass
 
 
-class VerificationFailure(Exception):
-    pass
-
-
 class HypothesisError(InputError):
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
+    pass

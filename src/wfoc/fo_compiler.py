@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 
-from .automata import Nfa, explore, letter_key
+from .automata import Nfa, explore, image, letter_key
 from .errors import InputError
 from .logic.encoding import ext_alphabet
 from .logic.syntax import (
@@ -195,25 +195,24 @@ def _core_order(phi, letters, vars):
     return 0, rows.__getitem__, lambda s: s == 2
 
 
-def _nfa_subset_step(nfa, subset, base_letter):
-    out = set()
-    for s in subset:
-        out.update(nfa.out(s, base_letter))
-    return frozenset(out)
-
-
 def _core_run_atom(phi: RunAtom, letters, vars):
     nfa, p, q = phi.nfa, phi.p, phi.q
     if p not in nfa.states or q not in nfa.states:
         raise InputError("run atom %s uses unknown states" % phi.name)
 
+    num = nfa.numbered()
+    rows = dict(zip(num.letters, num.masks))
+    stuck = (0,) * len(nfa.states)
+    final = 1 << num.pos[q]
+
     def fired(a, v):
         return v is not None and a[1][vars.index(v)]
 
-    fires = [(fired(a, phi.lo), fired(a, phi.hi), _base_of(a, vars))
-             for a in letters]
+    # the automaton is simulated on subsets of positions, as bit masks
+    fires = [(fired(a, phi.lo), fired(a, phi.hi),
+              rows.get(_base_of(a, vars), stuck)) for a in letters]
     done = {True: ("d", True), False: ("d", False)}
-    simulate = ("s", frozenset([p]))
+    simulate = ("s", 1 << num.pos[p])
     wait = ("w",)
 
     def step(state):
@@ -223,14 +222,14 @@ def _core_run_atom(phi: RunAtom, letters, vars):
             return [done[p == q] if hi else simulate if lo else wait
                     for lo, hi, _ in fires]
         # the factor stops before a hi mark
-        return [done[q in state[1]] if hi
-                else ("s", _nfa_subset_step(nfa, state[1], b))
-                for _, hi, b in fires]
+        return [done[bool(state[1] & final)] if hi
+                else ("s", image(row, state[1]))
+                for _, hi, row in fires]
 
     def yes(state):
         # without a hi bound the verdict is read at the end of the word
         return state == done[True] or (
-            phi.hi is None and state[0] == "s" and q in state[1])
+            phi.hi is None and state[0] == "s" and bool(state[1] & final))
 
     # without a lo bound the simulation starts at once, else at the lo mark
     return simulate if phi.lo is None else wait, step, yes
@@ -298,12 +297,14 @@ def _exists(c: ClassifierDfa, var) -> ClassifierDfa:
 
 def dfa_from_nfa(nfa: Nfa) -> ClassifierDfa:
     """Subset-construction DFA over the plain alphabet: F = L(nfa), G = its
-    complement (no reject class)."""
-    letters = _letters(nfa.alphabet, ())
+    complement (no reject class).  Subsets are bit masks of positions in
+    the automaton's `order`."""
+    num = nfa.numbered()
+    final = sum(1 << num.pos[s] for s in nfa.final)
     return minimize(_table(
-        frozenset(nfa.initial),
-        lambda subset: [_nfa_subset_step(nfa, subset, a) for a in letters],
-        lambda subset: not nfa.final.isdisjoint(subset), nfa.alphabet, ()))
+        sum(1 << num.pos[s] for s in nfa.initial),
+        lambda subset: [image(rows, subset) for rows in num.masks],
+        lambda subset: bool(subset & final), nfa.alphabet, ()))
 
 
 def compile_fo(phi, alphabet, vars=None, memo=None) -> ClassifierDfa:

@@ -396,7 +396,7 @@ def serialize_formula_file(formula, kind) -> str:
         lines.append("# automaton %s: %s"
                      % (name, serialize_automaton_inline(named[name])))
     # the headers rename states to 1..n; the atoms must follow
-    names = {name: canonical_names(nfa.states) for name, nfa in named.items()}
+    names = {name: canonical_names(nfa) for name, nfa in named.items()}
     if any(k != v for m in names.values() for k, v in m.items()):
         formula = map_run_atoms(formula, lambda atom: replace(
             atom, p=names[atom.name][atom.p], q=names[atom.name][atom.q]))

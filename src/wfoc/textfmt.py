@@ -15,7 +15,7 @@ a[01].
 
 from __future__ import annotations
 
-from .automata import Nfa, WeightedAutomaton, state_key, letter_key
+from .automata import Nfa, WeightedAutomaton, underlying_nfa
 from .errors import InputError
 from .weights import format_weight, parse_weight
 
@@ -126,16 +126,16 @@ def parse_automaton_inline(text: str):
     return parse_automaton("\n".join(part for part in text.split(";")))
 
 
-def canonical_names(states):
-    """The renaming of canonical_relabel: states sorted by structural key
-    and numbered from 1."""
-    return {s: i for i, s in enumerate(sorted(states, key=state_key), 1)}
+def canonical_names(a):
+    """The renaming of canonical_relabel: the states in the automaton's
+    `order`, numbered from 1."""
+    return {s: i for i, s in enumerate(underlying_nfa(a).order, 1)}
 
 
 def canonical_relabel(a):
-    """Deterministically rename states to 1..n (sorted by structural key)."""
-    nfa = a.nfa if isinstance(a, WeightedAutomaton) else a
-    names = canonical_names(nfa.states)
+    """Deterministically rename states to 1..n in the automaton's order."""
+    nfa = underlying_nfa(a)
+    names = canonical_names(nfa)
     out = Nfa(names.values(), nfa.alphabet,
               {(names[s], l, names[d]) for (s, l, d) in nfa.transitions},
               {names[s] for s in nfa.initial},
@@ -147,40 +147,31 @@ def canonical_relabel(a):
     return out
 
 
-def _sorted_states(states):
-    return sorted(states, key=state_key)
-
-
-def _fmt_state(s):
-    return str(s)
+def _names(nfa, group):
+    """The canonical names of a set of states, ascending."""
+    return " ".join(str(i) for i, s in enumerate(nfa.order, 1) if s in group)
 
 
 def serialize_automaton(a) -> str:
-    """Canonical text form; byte-identical for equal automata."""
-    a = canonical_relabel(a)
-    nfa = a.nfa if isinstance(a, WeightedAutomaton) else a
+    """Canonical text form; byte-identical for equal automata.  States are
+    written by their canonical names, transitions in the automaton's
+    order."""
+    nfa = underlying_nfa(a)
     wgt = a.wgt if isinstance(a, WeightedAutomaton) else None
-    lines = []
-    lines.append("alphabet: " + " ".join(
-        render_letter(l) for l in sorted(nfa.alphabet, key=letter_key)))
-    lines.append("states: " + " ".join(
-        _fmt_state(s) for s in _sorted_states(nfa.states)))
-    lines.append("initial: " + " ".join(
-        _fmt_state(s) for s in _sorted_states(nfa.initial)))
-    lines.append("final: " + " ".join(
-        _fmt_state(s) for s in _sorted_states(nfa.final)))
+    num = nfa.numbered()
+    lines = ["alphabet: " + " ".join(map(render_letter, num.letters)),
+             "states: " + _names(nfa, nfa.states),
+             "initial: " + _names(nfa, nfa.initial),
+             "final: " + _names(nfa, nfa.final)]
     for name in sorted(nfa.accepting):
-        lines.append("accepting %s: %s" % (name, " ".join(
-            _fmt_state(s) for s in _sorted_states(nfa.accepting[name]))))
-    for t in sorted(nfa.transitions,
-                    key=lambda t: (state_key(t[0]), letter_key(t[1]),
-                                   state_key(t[2]))):
+        lines.append("accepting %s: %s"
+                     % (name, _names(nfa, nfa.accepting[name])))
+    for t in num.transitions:
         (s, l, d) = t
-        if wgt is None:
-            lines.append("trans: %s %s %s" % (s, render_letter(l), d))
-        else:
-            lines.append("trans: %s %s %s %s"
-                         % (s, render_letter(l), d, format_weight(wgt[t])))
+        line = "trans: %d %s %d" % (num.pos[s] + 1, render_letter(l),
+                                   num.pos[d] + 1)
+        lines.append(line if wgt is None
+                     else "%s %s" % (line, format_weight(wgt[t])))
     return "\n".join(lines) + "\n"
 
 
@@ -193,29 +184,29 @@ def _gvquote(s) -> str:
 
 
 def to_dot(a) -> str:
-    """One node per state (double circle when final, arrow-in when initial);
-    edge labels 'letter | weight' for weighted automata."""
-    a = canonical_relabel(a)
-    nfa = a.nfa if isinstance(a, WeightedAutomaton) else a
+    """One node per state (double circle when final, arrow-in when initial),
+    named by its canonical name; edge labels 'letter | weight' for
+    weighted automata."""
+    nfa = underlying_nfa(a)
     wgt = a.wgt if isinstance(a, WeightedAutomaton) else None
+    num = nfa.numbered()
     lines = ["digraph automaton {", "  rankdir=LR;"]
-    for s in _sorted_states(nfa.states):
+    for i, s in enumerate(nfa.order, 1):
         shape = "doublecircle" if s in nfa.final else "circle"
-        lines.append("  %s [shape=%s];" % (_gvquote(s), shape))
-    for i, s in enumerate(_sorted_states(nfa.initial)):
-        lines.append('  __start%d [shape=point, label=""];' % i)
-        lines.append("  __start%d -> %s;" % (i, _gvquote(s)))
+        lines.append("  %s [shape=%s];" % (_gvquote(i), shape))
+    for k, i in enumerate(_names(nfa, nfa.initial).split()):
+        lines.append('  __start%d [shape=point, label=""];' % k)
+        lines.append("  __start%d -> %s;" % (k, _gvquote(i)))
     grouped = {}
-    for t in nfa.transitions:
+    for t in num.transitions:
         (s, l, d) = t
         label = render_letter(l)
         if wgt is not None:
             label += " | " + format_weight(wgt[t])
-        grouped.setdefault((s, d), []).append(label)
-    for (s, d) in sorted(grouped, key=lambda sd: (state_key(sd[0]),
-                                                  state_key(sd[1]))):
-        label = "\\n".join(sorted(grouped[(s, d)]))
+        grouped.setdefault((num.pos[s] + 1, num.pos[d] + 1), []).append(label)
+    for (i, j), labels in sorted(grouped.items()):
+        label = "\\n".join(sorted(labels))
         lines.append('  %s -> %s [label="%s"];'
-                     % (_gvquote(s), _gvquote(d), label.replace('"', '\\"')))
+                     % (_gvquote(i), _gvquote(j), label.replace('"', '\\"')))
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -14,9 +14,8 @@ refuses inputs that violate its hypothesis, naming a witness.
 from __future__ import annotations
 
 from .automata import (
-    WeightedAutomaton, ambiguity_witness, aperiodicity_index, letter_key,
-    scc_ambiguity_witness, scc_decompose, state_key, unambiguity_witness,
-    underlying_nfa,
+    WeightedAutomaton, ambiguity_witness, aperiodicity_index,
+    scc_ambiguity_witness, scc_decompose, unambiguity_witness, underlying_nfa,
 )
 from .errors import HypothesisError, InputError
 from .logic.syntax import (
@@ -27,10 +26,10 @@ from .logic.syntax import (
 ATOM_NAME = "A"
 
 
-def _sorted_transitions(nfa):
-    return sorted(nfa.transitions,
-                  key=lambda t: (state_key(t[0]), letter_key(t[1]),
-                                 state_key(t[2])))
+def _end_pairs(nfa):
+    """The (initial, final) pairs in the automaton's order."""
+    finals = [q for q in nfa.order if q in nfa.final]
+    return [(p, q) for p in nfa.order if p in nfa.initial for q in finals]
 
 
 def _conj(parts):
@@ -121,7 +120,7 @@ def _guarded_product(a, p, q, name):
     """unambiguous_to_wfo once both hypotheses are known to hold."""
     guard = _lang_atom(a.nfa, p, q, name)
     pairs = [(transition_formula(a, p, q, t, "x", name), a.wgt[t])
-             for t in _sorted_transitions(a.nfa)]
+             for t in a.nfa.numbered().transitions]
     return WIte(guard, ProdX("x", _cascade(pairs)), Zero())
 
 
@@ -136,9 +135,7 @@ def unambiguous_wa_to_wfo(a: WeightedAutomaton, name=ATOM_NAME):
             "not unambiguous: %r has two accepting runs"
             % ("".join(map(str, w)),))
     out = Zero()
-    pairs = sorted(((p, q) for p in nfa.initial for q in nfa.final),
-                   key=lambda pq: (state_key(pq[0]), state_key(pq[1])))
-    for (p, q) in reversed(pairs):
+    for (p, q) in reversed(_end_pairs(nfa)):
         # two runs from p to q would be two accepting runs
         inner = _guarded_product(a, p, q, name)
         out = WIte(inner.cond, inner.then, out)
@@ -147,9 +144,10 @@ def unambiguous_wa_to_wfo(a: WeightedAutomaton, name=ATOM_NAME):
 
 def enumerate_switching(a, p, q):
     """All sequences of component-changing transitions a run from p to q
-    can take, in a deterministic order.  Each consecutive pair stays in
-    one component, so the sequence walks a strictly descending path in
-    the component DAG and the enumeration terminates."""
+    can take.  Each consecutive pair stays in one component, so the
+    sequence walks a strictly descending path in the component DAG and the
+    enumeration terminates.  The walk takes the transitions in order and
+    no sequence is a prefix of another, so they come out sorted."""
     nfa = underlying_nfa(a)
     scc = scc_decompose(nfa)
     if p not in nfa.states or q not in nfa.states:
@@ -158,7 +156,7 @@ def enumerate_switching(a, p, q):
         raise HypothesisError(
             "states %r and %r share a component; no switching is involved"
             % (p, q))
-    switching = [t for t in _sorted_transitions(nfa)
+    switching = [t for t in nfa.numbered().transitions
                  if not scc.same(t[0], t[2])]
     target = scc.component_of[q]
     out = []
@@ -174,7 +172,7 @@ def enumerate_switching(a, p, q):
                 extend(prefix + (t,), nxt)
 
     extend((), scc.component_of[p])
-    return sorted(out, key=state_key)
+    return out
 
 
 def _switch_vars(m):
@@ -203,7 +201,7 @@ def _switching_sentence(a, p, q, seq, name):
     guard = _conj(guard_parts)
 
     pairs = []
-    for t in _sorted_transitions(nfa):
+    for t in nfa.numbered().transitions:
         (r, letter, s) = t
         if t in seq:
             cond = EqVar("x", ys[seq.index(t)])
@@ -238,10 +236,8 @@ def scc_unambiguous_to_wfo(a: WeightedAutomaton, name=ATOM_NAME):
             "not SCC-unambiguous: %r has two runs inside one"
             " component" % ("".join(map(str, w)),))
     scc = scc_decompose(nfa)
-    pairs = sorted(((p, q) for p in nfa.initial for q in nfa.final),
-                   key=lambda pq: (state_key(pq[0]), state_key(pq[1])))
     parts = []
-    for (p, q) in pairs:
+    for (p, q) in _end_pairs(nfa):
         if scc.same(p, q):
             # two runs from p to q, closed by a path back to p, would be
             # two runs from p to p inside the component

@@ -341,7 +341,8 @@ def oracle_pool():
 
 
 def pair_runs(nfa, p, q, word):
-    return count_accepting_runs(nfa.with_sets(initial={p}, final={q}), word)
+    return count_accepting_runs(
+        Nfa(nfa.states, nfa.alphabet, nfa.transitions, {p}, {q}), word)
 
 
 @pytest.mark.parametrize("nfa", oracle_pool())

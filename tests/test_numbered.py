@@ -1,0 +1,414 @@
+"""Every reader of an automaton's fixed order against the sorting code it
+replaced.
+
+The references below are the earlier implementations: each sorted the
+automaton by `state_key`/`letter_key` on its own and kept a private index
+of it.  They must agree with the readers of `Nfa.order` and
+`Nfa.numbered()` on the corpus and on seeded random automata whose states
+mix ints, strings and tuples (tuples whose parts mix `bool` and `int`
+among them).
+"""
+
+import functools
+import itertools
+import random
+import time
+from fractions import Fraction
+
+import pytest
+
+from corpus import ALL_TEXTS, SEED, load
+from wfoc import Nfa, WeightedAutomaton, serialize_automaton, to_dot
+from wfoc.automata import (
+    ambiguity_witness, explore, letter_key, max_accepting_runs,
+    scc_decompose, shortest_word, state_key, transition_monoid,
+    underlying_nfa, _mat_mul,
+)
+from wfoc.fo_compiler import _letters, _table, dfa_from_nfa, minimize
+from wfoc.textfmt import _gvquote, render_letter
+from wfoc.wa_to_wfo import enumerate_switching
+from wfoc.weights import Symbol, format_weight
+
+
+# -- references ---------------------------------------------------------------
+
+
+def _sorted_transitions(nfa):
+    return sorted(nfa.transitions,
+                  key=lambda t: (state_key(t[0]), letter_key(t[1]),
+                                 state_key(t[2])))
+
+
+def reference_scc(a):
+    """Tarjan over states, then a topological renumbering that rescans
+    every component and edge per pick."""
+    nfa = underlying_nfa(a)
+    order = sorted(nfa.states, key=state_key)
+    succ = {s: [] for s in nfa.states}
+    for (s, _, d) in _sorted_transitions(nfa):
+        if d not in succ[s]:
+            succ[s].append(d)
+    index, low, on_stack, stack, comps = {}, {}, set(), [], []
+    counter = itertools.count()
+    for root in order:
+        if root in index:
+            continue
+        work = [(root, iter(succ[root]))]
+        index[root] = low[root] = next(counter)
+        stack.append(root)
+        on_stack.add(root)
+        while work:
+            node, it = work[-1]
+            advanced = False
+            for child in it:
+                if child not in index:
+                    index[child] = low[child] = next(counter)
+                    stack.append(child)
+                    on_stack.add(child)
+                    work.append((child, iter(succ[child])))
+                    advanced = True
+                    break
+                if child in on_stack:
+                    low[node] = min(low[node], index[child])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[node])
+            if low[node] == index[node]:
+                comp = set()
+                while True:
+                    s = stack.pop()
+                    on_stack.discard(s)
+                    comp.add(s)
+                    if s == node:
+                        break
+                comps.append(frozenset(comp))
+    comps.reverse()
+    comp_of_tmp = {s: i for i, comp in enumerate(comps) for s in comp}
+    edges = {(comp_of_tmp[s], comp_of_tmp[d]) for (s, _, d) in nfa.transitions
+             if comp_of_tmp[s] != comp_of_tmp[d]}
+    remaining = set(range(len(comps)))
+    indeg = {i: 0 for i in remaining}
+    for (i, j) in edges:
+        indeg[j] += 1
+    final_order = []
+    while remaining:
+        ready = [i for i in remaining if indeg[i] == 0]
+        ready.sort(key=lambda i: min(state_key(s) for s in comps[i]))
+        pick = ready[0]
+        final_order.append(pick)
+        remaining.discard(pick)
+        for (i, j) in edges:
+            if i == pick and j in remaining:
+                indeg[j] -= 1
+    renum = {old: new for new, old in enumerate(final_order)}
+    return (tuple(comps[old] for old in final_order),
+            {s: renum[comp_of_tmp[s]] for s in comp_of_tmp},
+            frozenset((renum[i], renum[j]) for (i, j) in edges))
+
+
+def reference_witness(a, start_pairs, end_pairs, within=None):
+    nfa = underlying_nfa(a)
+    allowed = nfa.states if within is None else within
+    letters = sorted(nfa.alphabet, key=letter_key)
+
+    @functools.cache
+    def out(q, letter):
+        return sorted(nfa.out(q, letter), key=state_key)
+
+    def step(state):
+        r, s, diverged = state
+        for letter in letters:
+            for r2 in out(r, letter):
+                if r2 not in allowed:
+                    continue
+                for s2 in out(s, letter):
+                    if s2 in allowed:
+                        yield letter, (r2, s2, diverged or r2 != s2)
+
+    starts = sorted(((r, s, r != s) for (r, s) in start_pairs
+                     if r in allowed and s in allowed),
+                    key=lambda st: state_key(st[:2]))
+    return shortest_word(starts, step,
+                         lambda st: st[2] and st[:2] in end_pairs)
+
+
+def reference_max_runs(a, cap, maxlen=None):
+    nfa = underlying_nfa(a)
+    states = sorted(nfa.states, key=state_key)
+    letters = sorted(nfa.alphabet, key=letter_key)
+    idx = {s: i for i, s in enumerate(states)}
+    finals = [idx[s] for s in states if s in nfa.final]
+    pre = {}
+    for (s, letter, d) in nfa.transitions:
+        pre.setdefault((letter, idx[d]), []).append(idx[s])
+    start = tuple(1 if s in nfa.initial else 0 for s in states)
+    depth = {start: 0}
+    best = 0
+
+    def step(vec):
+        if maxlen is not None and depth[vec] >= maxlen:
+            return
+        for letter in letters:
+            nxt = tuple(min(cap, sum(vec[i] for i in pre.get((letter, j), ())))
+                        for j in range(len(states)))
+            depth.setdefault(nxt, depth[vec] + 1)
+            yield letter, nxt
+
+    def reaches_cap(vec):
+        nonlocal best
+        acc = sum(vec[j] for j in finals)
+        best = max(best, acc)
+        return acc >= cap
+
+    word = shortest_word([start], step, reaches_cap)
+    return (best, None) if word is None else (cap, word)
+
+
+def reference_bool_matrices(nfa):
+    order = sorted(nfa.states, key=state_key)
+    pos = {s: i for i, s in enumerate(order)}
+    mats = {}
+    for a in sorted(nfa.alphabet, key=letter_key):
+        rows = [0] * len(order)
+        for (s, letter, d) in nfa.transitions:
+            if letter == a:
+                rows[pos[s]] |= 1 << pos[d]
+        mats[a] = tuple(rows)
+    return mats
+
+
+def reference_monoid(nfa):
+    gens = list(reference_bool_matrices(nfa).values())
+    products = explore(gens, lambda m: ((g, _mat_mul(m, g)) for g in gens))
+    return set(gens) | {m for (_, _, m) in products}
+
+
+def reference_dfa_from_nfa(nfa):
+    letters = _letters(nfa.alphabet, ())
+
+    def subset_step(subset, letter):
+        return frozenset(d for s in subset for d in nfa.out(s, letter))
+
+    return minimize(_table(
+        frozenset(nfa.initial),
+        lambda subset: [subset_step(subset, a) for a in letters],
+        lambda subset: not nfa.final.isdisjoint(subset), nfa.alphabet, ()))
+
+
+def reference_relabel(a):
+    nfa = underlying_nfa(a)
+    names = {s: i for i, s in enumerate(sorted(nfa.states, key=state_key), 1)}
+    out = Nfa(names.values(), nfa.alphabet,
+              {(names[s], l, names[d]) for (s, l, d) in nfa.transitions},
+              {names[s] for s in nfa.initial},
+              {names[s] for s in nfa.final},
+              {k: {names[s] for s in v} for k, v in nfa.accepting.items()})
+    if isinstance(a, WeightedAutomaton):
+        return WeightedAutomaton(out, {(names[s], l, names[d]): w
+                                       for (s, l, d), w in a.wgt.items()})
+    return out
+
+
+def _sorted_states(states):
+    return sorted(states, key=state_key)
+
+
+def reference_serialize(a):
+    a = reference_relabel(a)
+    nfa = underlying_nfa(a)
+    wgt = a.wgt if isinstance(a, WeightedAutomaton) else None
+    lines = ["alphabet: " + " ".join(
+        render_letter(l) for l in sorted(nfa.alphabet, key=letter_key))]
+    lines.append("states: " + " ".join(
+        str(s) for s in _sorted_states(nfa.states)))
+    lines.append("initial: " + " ".join(
+        str(s) for s in _sorted_states(nfa.initial)))
+    lines.append("final: " + " ".join(
+        str(s) for s in _sorted_states(nfa.final)))
+    for name in sorted(nfa.accepting):
+        lines.append("accepting %s: %s" % (name, " ".join(
+            str(s) for s in _sorted_states(nfa.accepting[name]))))
+    for t in _sorted_transitions(nfa):
+        (s, l, d) = t
+        if wgt is None:
+            lines.append("trans: %s %s %s" % (s, render_letter(l), d))
+        else:
+            lines.append("trans: %s %s %s %s"
+                         % (s, render_letter(l), d, format_weight(wgt[t])))
+    return "\n".join(lines) + "\n"
+
+
+def reference_dot(a):
+    a = reference_relabel(a)
+    nfa = underlying_nfa(a)
+    wgt = a.wgt if isinstance(a, WeightedAutomaton) else None
+    lines = ["digraph automaton {", "  rankdir=LR;"]
+    for s in _sorted_states(nfa.states):
+        shape = "doublecircle" if s in nfa.final else "circle"
+        lines.append("  %s [shape=%s];" % (_gvquote(s), shape))
+    for i, s in enumerate(_sorted_states(nfa.initial)):
+        lines.append('  __start%d [shape=point, label=""];' % i)
+        lines.append("  __start%d -> %s;" % (i, _gvquote(s)))
+    grouped = {}
+    for t in nfa.transitions:
+        (s, l, d) = t
+        label = render_letter(l)
+        if wgt is not None:
+            label += " | " + format_weight(wgt[t])
+        grouped.setdefault((s, d), []).append(label)
+    for (s, d) in sorted(grouped, key=lambda sd: (state_key(sd[0]),
+                                                  state_key(sd[1]))):
+        label = "\\n".join(sorted(grouped[(s, d)]))
+        lines.append('  %s -> %s [label="%s"];'
+                     % (_gvquote(s), _gvquote(d), label.replace('"', '\\"')))
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+# -- inputs -------------------------------------------------------------------
+
+
+# True == 1 and (True, 2) == (1, 2): a set keeps whichever comes first, and
+# state_key still orders bools before ints
+NAMES = [0, 1, 2, 7, 12, True, False, "p", "q", "r1", "Z", (0, 1),
+         (True, 2), (1, 2), (False, "a"), (1, (True, 0)), ("s", 3),
+         ((2, False), 1), (2, "b"), (True, (False, 3)), ((), 4)]
+ALPHABETS = [("a", "b"), ("b", "c", "a"), ("a",),
+             (("a", (0, 1)), ("a", (1, 0)), ("b", (0, 0)))]
+WEIGHTS = [0, 1, 2, 3, Fraction(1, 2), Symbol("x")]
+
+
+def mixed_automaton(rng, weighted=False):
+    states = list(dict.fromkeys(rng.sample(NAMES, rng.randint(1, 6))))
+    letters = rng.choice(ALPHABETS)
+    density = rng.choice([0.15, 0.3, 0.5])
+    trans = {(s, a, d) for s in states for a in letters for d in states
+             if rng.random() < density}
+    initial = {s for s in states if rng.random() < 0.4} or {states[0]}
+    final = {s for s in states if rng.random() < 0.5}
+    accepting = {"G": {s for s in states if rng.random() < 0.3}} \
+        if rng.random() < 0.3 else None
+    nfa = Nfa(states, letters, trans, initial, final, accepting)
+    if not weighted:
+        return nfa
+    return WeightedAutomaton(nfa, {t: rng.choice(WEIGHTS) for t in trans})
+
+
+def pool(count, seed, weighted=False):
+    rng = random.Random(seed)
+    corpus = [load(name) for name in sorted(ALL_TEXTS)]
+    if not weighted:
+        corpus = [wa.nfa for wa in corpus]
+    return corpus + [mixed_automaton(rng, weighted) for _ in range(count)]
+
+
+NFAS = pool(240, SEED + 11)
+
+
+def _pairs(rng, states, k):
+    states = list(states)
+    return {(rng.choice(states), rng.choice(states)) for _ in range(k)}
+
+
+# -- comparisons --------------------------------------------------------------
+
+
+def test_numbered_form_is_built_once():
+    for nfa in NFAS[:20]:
+        assert nfa.numbered() is nfa.numbered()
+        assert nfa.order is nfa.order
+        assert list(nfa.order) == sorted(nfa.states, key=state_key)
+
+
+def test_numbered_form_follows_the_sorts():
+    for nfa in NFAS:
+        num = nfa.numbered()
+        assert list(num.letters) == sorted(nfa.alphabet, key=letter_key)
+        assert num.pos == {s: i for i, s in enumerate(nfa.order)}
+        assert list(num.transitions) == _sorted_transitions(nfa)
+
+
+def test_scc_decompose_matches_reference():
+    rng = random.Random(SEED + 12)
+    cases = [wa.nfa for wa in map(load, sorted(ALL_TEXTS))]
+    cases += [mixed_automaton(rng) for _ in range(3000)]
+    for nfa in cases:
+        scc = scc_decompose(nfa)
+        components, component_of, dag_edges = reference_scc(nfa)
+        assert scc.components == components
+        assert scc.component_of == component_of
+        assert scc.dag_edges == dag_edges
+
+
+def test_scc_decompose_is_not_quadratic_in_components():
+    # an a-chain with a b back-edge every 7 states: 11,430 components
+    n = 20001
+    trans = {(i, "a", i + 1) for i in range(n - 1)}
+    trans |= {(i + 3, "b", i) for i in range(0, n - 3, 7)}
+    nfa = Nfa(range(n), "ab", trans, {0}, {n - 1})
+    started = time.process_time()
+    scc = scc_decompose(nfa)
+    assert time.process_time() - started < 3.0
+    assert len(scc.components) == 11430
+    assert scc.component_of[0] == 0 and scc.component_of[n - 1] == 11429
+
+
+@pytest.mark.parametrize("i", range(len(NFAS)))
+def test_ambiguity_witness_matches_reference(i):
+    nfa = NFAS[i]
+    rng = random.Random(SEED + i)
+    states = nfa.states
+    withins = [None, scc_decompose(nfa).components[0],
+               {s for s in states if rng.random() < 0.7}]
+    for within in withins:
+        for _ in range(3):
+            starts = _pairs(rng, states, rng.randint(1, 6))
+            ends = _pairs(rng, states, rng.randint(1, 8))
+            assert ambiguity_witness(nfa, starts, ends, within) == \
+                reference_witness(nfa, starts, ends, within)
+    every = set(itertools.product(states, states))
+    assert ambiguity_witness(nfa, every, every) == \
+        reference_witness(nfa, every, every)
+
+
+@pytest.mark.parametrize("i", range(len(NFAS)))
+def test_max_accepting_runs_matches_reference(i):
+    nfa = NFAS[i]
+    for cap in (1, 2, 3, 5):
+        for maxlen in (None, 1, 3):
+            assert max_accepting_runs(nfa, cap, maxlen) == \
+                reference_max_runs(nfa, cap, maxlen)
+
+
+def test_monoid_generators_match_reference():
+    for nfa in NFAS:
+        gens = reference_bool_matrices(nfa)
+        assert nfa.numbered().masks == tuple(gens.values())
+        assert transition_monoid(nfa) == reference_monoid(nfa)
+
+
+def test_classifier_tables_match_reference():
+    for nfa in NFAS:
+        got, want = dfa_from_nfa(nfa), reference_dfa_from_nfa(nfa)
+        assert (got.letters, got.delta, got.verdicts) == \
+            (want.letters, want.delta, want.verdicts)
+
+
+def test_serialized_bytes_match_reference():
+    for a in NFAS + pool(200, SEED + 13, weighted=True):
+        assert serialize_automaton(a) == reference_serialize(a)
+        assert to_dot(a) == reference_dot(a)
+
+
+def test_switching_sequences_come_out_sorted():
+    for wa in pool(200, SEED + 14, weighted=True):
+        nfa = wa.nfa
+        scc = scc_decompose(nfa)
+        for p, q in itertools.product(nfa.order, nfa.order):
+            if scc.same(p, q):
+                continue
+            seqs = enumerate_switching(nfa, p, q)
+            assert seqs == sorted(seqs, key=state_key)

@@ -189,7 +189,7 @@ def test_canonical_names_follow_state_key():
     for _ in range(12):
         phi = random_wfo(rng, ("a", "b"), depth=3, max_sum_vars=2)
         *_, (_, wa) = compile_stages(phi, {"a", "b"})
-        names = canonical_names(wa.nfa.states)
+        names = canonical_names(wa)
         assert list(names) == sorted(wa.nfa.states, key=state_key)
         assert list(names.values()) == list(range(1, len(names) + 1))
 
@@ -197,7 +197,8 @@ def test_canonical_names_follow_state_key():
 def test_canonical_names_keep_equal_subtuples_of_other_types_apart():
     # (True, 2) == (1, 2), but state_key orders bools before ints
     states = {((1, 2), "a"), ((True, 2), "b"), ((0, 3), "c")}
-    assert list(canonical_names(states)) == sorted(states, key=state_key)
+    nfa = Nfa(states, (), (), (), ())
+    assert list(canonical_names(nfa)) == sorted(states, key=state_key)
 
 
 def test_dot_output_shape():
