@@ -6,7 +6,7 @@ from .automata import (
     enumerate_runs, count_accepting_runs, abstract_semantics,
     pair_semantics, accepts, words_upto, language_upto,
     scc_decompose, is_unambiguous, is_scc_unambiguous,
-    classify_ambiguity, ambiguity_degree_bounded,
+    classify_ambiguity,
     UNAMBIGUOUS, FINITELY, POLYNOMIALLY, EXPONENTIALLY,
     transition_monoid, aperiodicity_index,
     product, disjoint_union, weighted_union, trim,

@@ -1,10 +1,11 @@
 """Non-deterministic and weighted automata.
 
-Run enumeration, multiset semantics, strongly connected components,
-ambiguity classification, aperiodicity analysis, the closure
-constructions (synchronous product, disjoint union, trim), and the
-breadth-first exploration that every construction on reachable states
-shares.
+Run enumeration, the forward pass that gives every value of a word (the
+multiset and each semiring's: one step, `_stepper`, moves a state ->
+value front in a `Carrier`), strongly connected components, ambiguity
+classification, aperiodicity analysis, the closure constructions
+(synchronous product, disjoint union, trim), and the breadth-first
+exploration that every construction on reachable states shares.
 
 The deterministic order lives on `Nfa`: `order` sorts its states by
 `state_key` once, and `numbered()` reads the automaton through that order
@@ -52,7 +53,7 @@ class Nfa:
 
     __slots__ = ("states", "alphabet", "transitions", "initial", "final",
                  "accepting", "_out", "_into", "_hash", "_order",
-                 "_numbered")
+                 "_numbered", "_sccs")
 
     def __init__(self, states, alphabet, transitions, initial, final,
                  accepting=None):
@@ -70,6 +71,7 @@ class Nfa:
         self._hash = None
         self._order = None
         self._numbered = None
+        self._sccs = None
         self._validate()
 
     def _validate(self):
@@ -368,40 +370,75 @@ def live_sets(nfa, steps):
     return live
 
 
-def _extend(wa, front, letter, keep):
-    """The runs of `front` (state -> {weight prefix -> count}) extended by
-    one letter, where they end in `keep`."""
-    nxt = {}
-    for s, seqs in front.items():
-        for d in wa.nfa.out(s, letter):
-            if d not in keep:
-                continue
-            w = wa.wgt[(s, letter, d)]
-            bucket = nxt.setdefault(d, {})
-            for seq, n in seqs.items():
-                key = seq + (w,)
-                bucket[key] = bucket.get(key, 0) + n
-    return nxt
+class Carrier(collections.namedtuple("Carrier", "one embed mac total")):
+    """What a forward pass values runs in.  Initial states start at `one`;
+    `embed` lifts a weight, raising for one outside the carrier;
+    `mac(front, d, v, w)` is front[d] <- front[d] + v.w (zero if missing),
+    runs of value v extended by w, and may change front[d] in place (the
+    step's new front owns it) but never v or `one`; `total` sums a front."""
 
 
-def _accepted(front) -> SeqMultiset:
-    """The multiset of a front whose states are all final."""
+def _extend_counts(front, d, v, w):
+    acc = front.setdefault(d, {})
+    for seq, n in v.items():
+        key = seq + (w,)
+        acc[key] = acc.get(key, 0) + n
+
+
+def _merge_counts(values) -> SeqMultiset:
     out = {}
-    for seqs in front.values():
-        for seq, n in seqs.items():
+    for counts in values:
+        for seq, n in counts.items():
             out[seq] = out.get(seq, 0) + n
     return SeqMultiset(out)
 
 
-def abstract_semantics(wa: WeightedAutomaton, word) -> SeqMultiset:
-    """Multiset of weight sequences of accepting runs on a non-empty word."""
+# the multiset semantics: a value counts weight sequences in a dict
+SEQ_COUNTS = Carrier({(): 1}, lambda w: w, _extend_counts, _merge_counts)
+
+
+def _stepper(wa: WeightedAutomaton, carrier: Carrier):
+    """The one forward step over wa in a carrier: advance(front, letter,
+    keep) is the front after one more letter, on the states of `keep`.
+    Each transition's weight is embedded once per stepper, when a run
+    first takes it into `keep`."""
+    out, wgt = wa.nfa.out, wa.wgt
+    embed, mac = carrier.embed, carrier.mac
+    lifted = {}
+
+    def advance(front, letter, keep):
+        nxt = {}
+        for s, v in front.items():
+            for d in out(s, letter):
+                if d in keep:
+                    t = (s, letter, d)
+                    w = lifted.get(t)
+                    if w is None:
+                        w = lifted[t] = embed(wgt[t])
+                    mac(nxt, d, v, w)
+        return nxt
+
+    return advance
+
+
+def forward(wa: WeightedAutomaton, word, carrier: Carrier):
+    """The carrier's sum, over the accepting runs on a non-empty word, of
+    the product of their embedded weights, left to right.  Runs are kept
+    only in states that read the rest of the word into a final state, so
+    a weight is embedded exactly when it lies on an accepting run."""
     word = tuple(word)
     check_word(wa.nfa, word)
     live = live_sets(wa.nfa, [(letter,) for letter in word])
-    front = {s: {(): 1} for s in wa.nfa.initial if s in live[0]}
+    front = {s: carrier.one for s in wa.nfa.initial if s in live[0]}
+    advance = _stepper(wa, carrier)
     for letter, keep in zip(word, live[1:]):
-        front = _extend(wa, front, letter, keep)
-    return _accepted(front)
+        front = advance(front, letter, keep)
+    return carrier.total(front.values())
+
+
+def abstract_semantics(wa: WeightedAutomaton, word) -> SeqMultiset:
+    """Multiset of weight sequences of accepting runs on a non-empty word."""
+    return forward(wa, word, SEQ_COUNTS)
 
 
 def semantics_upto(wa: WeightedAutomaton, alphabet, maxlen):
@@ -409,24 +446,26 @@ def semantics_upto(wa: WeightedAutomaton, alphabet, maxlen):
     words_upto(alphabet, maxlen), in that order; the multiset is None for
     a word with a letter outside the automaton's alphabet.
 
-    One depth-first pass per length extends each prefix's runs by one
+    One depth-first pass per length advances each prefix's front by one
     letter, so prefixes are shared and only the fronts of the current
     word's prefixes are alive.  Runs are kept only in states that can
     still reach a final state in the letters left."""
     letters = sorted(alphabet, key=letter_key)
     # reach[r]: the states some word of r more letters takes to a final one
     reach = live_sets(wa.nfa, [letters] * maxlen)[::-1]
-    start = {s: {(): 1} for s in wa.nfa.initial}
+    start = {s: SEQ_COUNTS.one for s in wa.nfa.initial}
+    advance = _stepper(wa, SEQ_COUNTS)
 
     def walk(prefix, front, left):
         for letter in letters:
             word = prefix + (letter,)
             nxt = None if front is None or letter not in wa.nfa.alphabet \
-                else _extend(wa, front, letter, reach[left - 1])
+                else advance(front, letter, reach[left - 1])
             if left > 1:
                 yield from walk(word, nxt, left - 1)
             else:
-                yield word, None if nxt is None else _accepted(nxt)
+                yield word, None if nxt is None else SEQ_COUNTS.total(
+                    nxt.values())
 
     for n in range(1, maxlen + 1):
         yield from walk((), start, n)
@@ -475,8 +514,11 @@ class SccDecomposition:
 def scc_decompose(a) -> SccDecomposition:
     """Tarjan, iterative, over positions.  Each component is named by its
     least position, and the ids are assigned in topological order
-    (sources first), the ready component with the least name first."""
+    (sources first), the ready component with the least name first.  The
+    result is kept on the Nfa, as numbered() is."""
     nfa = underlying_nfa(a)
+    if nfa._sccs is not None:
+        return nfa._sccs
     num = nfa.numbered()
     n = len(nfa.order)
     succ = [[] for _ in range(n)]
@@ -531,10 +573,11 @@ def scc_decompose(a) -> SccDecomposition:
     members = [[] for _ in renum]
     for i, s in enumerate(nfa.order):
         members[renum[comp_of[i]]].append(s)
-    return SccDecomposition(
+    nfa._sccs = SccDecomposition(
         {s: renum[comp_of[i]] for i, s in enumerate(nfa.order)},
         tuple(map(frozenset, members)),
         frozenset((renum[c], renum[d]) for c in later for d in later[c]))
+    return nfa._sccs
 
 
 # -- ambiguity --------------------------------------------------------------
@@ -663,33 +706,27 @@ def classify_ambiguity(a) -> str:
     return FINITELY
 
 
-def max_accepting_runs(a, cap, maxlen=None):
+def max_accepting_runs(a, cap):
     """Breadth-first search over per-state run-count vectors, entries
-    capped at `cap`, over the non-empty words of length at most `maxlen`
-    when given.  Returns (best, word): the largest accepting-run total
-    seen and the shortest word reaching `cap`, or None.  On a trim
-    automaton without a length bound, a None word makes `best` the exact
-    ambiguity degree, since a capped count would propagate to some final
-    state and trigger."""
+    capped at `cap`.  Returns (best, word): the largest accepting-run total
+    seen and the shortest non-empty word reaching `cap`, or None.  On a
+    trim automaton, a None word makes `best` the exact ambiguity degree,
+    since a capped count would propagate to some final state and
+    trigger."""
     nfa = underlying_nfa(a)
     num = nfa.numbered()
     finals = [num.pos[s] for s in nfa.final]
     start = tuple(1 if s in nfa.initial else 0 for s in nfa.order)
-    depth = {start: 0}
     best = 0
 
     def step(vec):
-        if maxlen is not None and depth[vec] >= maxlen:
-            return
         for letter, rows in zip(num.letters, num.masks):
             nxt = [0] * len(vec)
             for i, n in enumerate(vec):
                 if n:
                     for j in bits(rows[i]):
                         nxt[j] += n
-            nxt = tuple(min(cap, n) for n in nxt)
-            depth.setdefault(nxt, depth[vec] + 1)
-            yield letter, nxt
+            yield letter, tuple(min(cap, n) for n in nxt)
 
     def reaches_cap(vec):
         # every vector reached by a non-empty word passes here
@@ -700,17 +737,6 @@ def max_accepting_runs(a, cap, maxlen=None):
 
     word = shortest_word([start], step, reaches_cap)
     return (best, None) if word is None else (cap, word)
-
-
-def ambiguity_degree_bounded(a, maxlen) -> int:
-    """Exact max number of accepting runs over all words up to maxlen."""
-    nfa = underlying_nfa(a)
-    if maxlen < 1:
-        raise InputError("length bound must be >= 1")
-    # a word of length n has at most |Q|^(n+1) runs: the cap never binds
-    best, _ = max_accepting_runs(nfa, len(nfa.states) ** (maxlen + 1) + 1,
-                                 maxlen)
-    return best
 
 
 # -- aperiodicity -----------------------------------------------------------

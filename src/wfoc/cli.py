@@ -27,7 +27,9 @@ from .semantics import (
 from .textfmt import (
     parse_automaton, parse_letter, serialize_automaton, to_dot,
 )
-from .wa_to_wfo import scc_unambiguous_to_wfo, unambiguous_wa_to_wfo
+from .wa_to_wfo import (
+    ATOM_NAME, scc_unambiguous_to_wfo, unambiguous_wa_to_wfo,
+)
 from .wfo_compiler import compile_stages, compile_wfo
 
 SEMIRING_FLAGS = ("natural", "boolean", "minplus", "maxplus", "languages",
@@ -80,14 +82,16 @@ def _split_names(text):
     return [t for t in text.replace(",", " ").split() if t]
 
 
-def _alphabet_for(formula, override):
+def _alphabet_for(parsed, override):
+    """--alphabet, else the formula's letters, else its headers' letters."""
     if override is not None:
         names = _split_names(override)
         if not names:
             raise InputError("--alphabet must name at least one letter, "
                              "not %r" % override)
         return frozenset(parse_letter(t) for t in names)
-    letters = letters_in(formula)
+    letters = letters_in(parsed.formula) or set().union(
+        *(a.alphabet for a in parsed.automata.values()))
     if not letters:
         raise InputError("cannot infer an alphabet; pass --alphabet")
     return frozenset(letters)
@@ -133,7 +137,7 @@ def _cmd_eval(args):
 
 def _cmd_compile(args):
     parsed = parse_formula_file(_read(args.formula), "wfo")
-    alphabet = _alphabet_for(parsed.formula, args.alphabet)
+    alphabet = _alphabet_for(parsed, args.alphabet)
     if args.report:
         prev_idx = None                 # a sum's body is the stage before it
         for phi, wa in compile_stages(parsed.formula, alphabet):
@@ -153,7 +157,7 @@ def _cmd_compile(args):
 
 def _cmd_compile_fo(args):
     parsed = parse_formula_file(_read(args.formula), "fo")
-    alphabet = _alphabet_for(parsed.formula, args.alphabet)
+    alphabet = _alphabet_for(parsed, args.alphabet)
     vars = tuple(_split_names(args.vars)) if args.vars \
         else tuple(sorted(free_vars(parsed.formula)))
     cls = compile_fo(parsed.formula, alphabet, vars)
@@ -171,7 +175,8 @@ def _cmd_tologic(args):
         phi = unambiguous_wa_to_wfo(wa)
     else:
         phi = scc_unambiguous_to_wfo(wa)
-    _emit(serialize_formula_file(phi, "wfo"), args.out)
+    # the header keeps the alphabet of a sentence that names no letter
+    _emit(serialize_formula_file(phi, "wfo", {ATOM_NAME: wa.nfa}), args.out)
     return 0
 
 
@@ -226,12 +231,11 @@ def _cmd_equiv(args):
     alphabet = first.nfa.alphabet | second.nfa.alphabet
     for (word, got), (_, want) in zip(semantics_upto(first, alphabet, maxlen),
                                       semantics_upto(second, alphabet, maxlen)):
-        if got == want or (not got or got.total() == 0) and \
-                (not want or want.total() == 0):
+        if got == want or not got and not want:
             continue
         print("COUNTEREXAMPLE %s" % "".join(str(l) for l in word))
         for tag, sem in (("a", got), ("b", want)):
-            body = sem.pretty() if sem is not None and sem.total() else "(empty)"
+            body = sem.pretty() if sem else "(empty)"
             print("%s:" % tag)
             print(body)
         return 1

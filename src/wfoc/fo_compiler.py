@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import functools
 
-from .automata import Nfa, explore, image, letter_key
+from .automata import Nfa, explore, image
 from .errors import InputError
-from .logic.encoding import ext_alphabet
+from .logic.encoding import lift_table, marked_letters
 from .logic.syntax import (
     And, EqVar, Exists, Forall, FoTrue, Implies, Leq, LetterAt, Lt, Not, Or,
     RunAtom, free_vars,
@@ -76,11 +76,6 @@ class ClassifierDfa:
             len(self.delta), len(self.vars))
 
 
-@functools.lru_cache(maxsize=64)
-def _letters(base, vars):
-    return tuple(sorted(ext_alphabet(base, vars), key=letter_key))
-
-
 def _table(start, step, verdict, base, vars) -> ClassifierDfa:
     """Tabulate the part of an implicit DFA reachable from start.
 
@@ -88,7 +83,7 @@ def _table(start, step, verdict, base, vars) -> ClassifierDfa:
     verdict(state) is true for F, false for G and None for reject.  States
     are numbered 1..n in the order explore first reaches them, which is
     breadth-first over the sorted letters."""
-    letters = _letters(base, vars)
+    letters = marked_letters(base, vars)
     number = {start: 1}
     flat = []
     for (_, _, d) in explore([start], lambda s: enumerate(step(s))):
@@ -142,7 +137,7 @@ def _on_validity(core, base, vars) -> ClassifierDfa:
     start, step, yes = core
     step = functools.lru_cache(maxsize=None)(step)
     masks = [sum(b << i for i, b in enumerate(a[1])) if vars else 0
-             for a in _letters(base, vars)]
+             for a in marked_letters(base, vars)]
     full = (1 << len(vars)) - 1
 
     @functools.lru_cache(maxsize=None)
@@ -152,13 +147,6 @@ def _on_validity(core, base, vars) -> ClassifierDfa:
     return minimize(_table(
         (start, 0), lambda s: zip(step(s[0]), marks(s[1])),
         lambda s: yes(s[0]) if s[1] == full else None, base, vars))
-
-
-def validity_dfa(alphabet, vars) -> ClassifierDfa:
-    """Accepts (in F) exactly the valid encodings: every mark row fires
-    exactly once.  States are the reachable mark subsets plus, with some
-    variable, the sink of a twice-marked row; G is empty."""
-    return compile_fo(FoTrue(), alphabet, vars)
 
 
 def _base_of(letter, vars):
@@ -275,20 +263,12 @@ def _exists(c: ClassifierDfa, var) -> ClassifierDfa:
     """Erase var's mark row nondeterministically: a subset construction,
     run alongside validity over the remaining variables."""
     vars = tuple(v for v in c.vars if v != var)
-    idx = c.vars.index(var)
-    index = {a: i for i, a in enumerate(c.letters)}
-
-    def lift(a, bit):
-        base_letter, bits = a if vars else (a, ())
-        return index[(base_letter, bits[:idx] + (bit,) + bits[idx:])]
-
-    lifts = [(lift(a, 0), lift(a, 1))
-             for a in _letters(c.base_alphabet, vars)]
+    lifts = lift_table(c.base_alphabet, vars, var)
     rows = c.delta
 
     def step(subset):
-        return [frozenset(rows[s - 1][i] for s in subset for i in pair)
-                for pair in lifts]
+        return [frozenset(rows[s - 1][i] for s in subset for i in (i0, i1))
+                for _, i0, i1 in lifts]
 
     return _on_validity(
         (frozenset([1]), step, lambda subset: not c.f.isdisjoint(subset)),
@@ -353,4 +333,5 @@ def _compile_node(phi, base, vars, memo) -> ClassifierDfa:
                            phi.var)
         inner = _swap(_compile(phi.body, base, inner_vars, memo))
         return _swap(_exists(inner, phi.var))
-    return _on_validity(_core(phi, _letters(base, vars), vars), base, vars)
+    return _on_validity(_core(phi, marked_letters(base, vars), vars), base,
+                        vars)

@@ -383,11 +383,12 @@ def parse_formula_file(text, kind, automata=None):
     return FormulaFile(formula, kind, tuple(fragments), autos)
 
 
-def serialize_formula_file(formula, kind) -> str:
-    """Formula text with automaton headers for its run atoms and a
-    fragment header recording what the formula avoids."""
+def serialize_formula_file(formula, kind, automata=None) -> str:
+    """Formula text with automaton headers for its run atoms and for the
+    named `automata`, used by an atom or not, and a fragment header
+    recording what the formula avoids."""
     lines = []
-    named = {}
+    named = dict(automata or {})
     for atom in run_atoms(formula):
         if atom.name in named and named[atom.name] != atom.nfa:
             raise InputError("two different automata named %r" % atom.name)

@@ -4,17 +4,20 @@ The abstract layer assigns every word a finite multiset of weight sequences
 (one sequence per accepting run).  An aggregator collapses that multiset to
 a single value: sum-of-products over a chosen semiring, or max-of-averages.
 `aggr_sp` and `aggr_ma` are those definitions on multisets.
-`concrete_semantics` computes the same values in one forward pass over the
-word, state by state, without listing the runs (there can be exponentially
-many): sum-product by distributivity, keeping products in left-to-right
-order, and max-average as the max-plus value divided by the word length.
+`concrete_semantics` computes the same values without listing the runs
+(there can be exponentially many): each semiring is a carrier of
+`automata.forward`, the one forward pass that also computes the multiset,
+so sum-product follows by distributivity, with products in left-to-right
+order, and max-average is the max-plus value divided by the word length.
+The multiset semiring keeps the multiset pass itself.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
-from .automata import abstract_semantics, check_word, live_sets
+from .automata import Carrier, abstract_semantics, forward
 from .errors import InputError
 from .multiset import SeqMultiset
 from .weights import Symbol, format_weight
@@ -24,8 +27,10 @@ POS_INF = float("inf")
 
 
 class Semiring:
-    """Carrier with plus/times/zero/one.  `embed` lifts a raw transition
-    weight into the carrier and rejects weights outside it."""
+    """Semiring with plus/times/zero/one.  `embed` lifts a raw transition
+    weight into it and rejects weights outside it.  `carrier` is the
+    semiring as `automata.forward` computes in it: front[d] + v.w is
+    plus(front[d], times(v, w)), and the last front sums from zero."""
 
     def __init__(self, name, zero, one, plus, times, embed, fmt,
                  sample, commutative=True, idempotent=False):
@@ -39,6 +44,14 @@ class Semiring:
         self.sample = sample
         self.commutative = commutative
         self.idempotent = idempotent
+
+        def mac(front, d, v, w):
+            x = times(v, w)
+            front[d] = plus(front[d], x) if d in front else x
+
+        self.carrier = Carrier(
+            one, embed, mac,
+            lambda values: functools.reduce(plus, values, zero))
 
     def __repr__(self):
         return "Semiring(%s)" % self.name
@@ -227,53 +240,22 @@ def aggr_ma(multiset: SeqMultiset):
     return best
 
 
-def _forward(semiring: Semiring, wa, word):
-    """Sum over the accepting runs on `word` of the product of their lifted
-    weights, left to right, computed as a forward vector state -> value.
-    Only transitions on accepting runs are lifted, each once, so a weight
-    outside the carrier raises exactly when it occurs in the multiset."""
-    nfa = wa.nfa
-    check_word(nfa, word)
-    live = live_sets(nfa, [(letter,) for letter in word])
-    times, plus, embed = semiring.times, semiring.plus, semiring.embed
-    lifted = {}
-    front = {s: semiring.one for s in nfa.initial if s in live[0]}
-    for letter, ahead in zip(word, live[1:]):
-        nxt = {}
-        for s, v in front.items():
-            for d in nfa.out(s, letter):
-                if d not in ahead:
-                    continue
-                t = (s, letter, d)
-                w = lifted.get(t)
-                if w is None:
-                    w = lifted[t] = embed(wa.wgt[t])
-                x = times(v, w)
-                nxt[d] = plus(nxt[d], x) if d in nxt else x
-        front = nxt
-    total = semiring.zero
-    for v in front.values():
-        total = plus(total, v)
-    return total
-
-
 def sum_product_aggregator(semiring: Semiring) -> Aggregator:
     # in the free semiring the value is the multiset itself
-    forward = abstract_semantics if semiring is _CATALOG["multiset_seqs"] \
-        else (lambda wa, word: _forward(semiring, wa, word))
+    value = abstract_semantics if semiring is _CATALOG["multiset_seqs"] \
+        else (lambda wa, word: forward(wa, word, semiring.carrier))
     return Aggregator("sp/" + semiring.name,
-                      lambda m: aggr_sp(semiring, m), semiring.fmt, forward)
+                      lambda m: aggr_sp(semiring, m), semiring.fmt, value)
 
 
-# maxplus over numeric weights, with max-average's error for symbols
-_AVERAGE_SUMS = Semiring(
-    "max-average", NEG_INF, 0, max, lambda a, b: a + b,
-    _embed_tropical("max-average"), _fmt_plain, None, idempotent=True)
+# the maxplus carrier, with max-average's error for symbols
+_AVERAGE_SUMS = _CATALOG["maxplus"].carrier._replace(
+    embed=_embed_tropical("max-average"))
 
 
 def _max_average(wa, word):
     # every accepting run on word has len(word) weights
-    best = _forward(_AVERAGE_SUMS, wa, word)
+    best = forward(wa, word, _AVERAGE_SUMS)
     return best if best == NEG_INF else Fraction(best, len(word))
 
 

@@ -58,20 +58,6 @@ def _require_aperiodic(nfa):
             " transition behavior")
 
 
-def lang_sentence(a, p, q, name=ATOM_NAME):
-    """Sentence true exactly on the words with a run from p to q; the
-    empty factor counts as a run when p = q."""
-    nfa = underlying_nfa(a)
-    _require_aperiodic(nfa)
-    return _lang_atom(nfa, p, q, name)
-
-
-def _lang_atom(nfa, p, q, name):
-    if p not in nfa.states or q not in nfa.states:
-        raise InputError("unknown state %r/%r" % (p, q))
-    return RunAtom(name, nfa, p, q, None, None)
-
-
 def _factor_atom(nfa, p, q, lo, hi, name):
     return RunAtom(name, nfa, p, q, lo, hi, bounded=True)
 
@@ -118,7 +104,7 @@ def unambiguous_to_wfo(a: WeightedAutomaton, p, q, name=ATOM_NAME):
 
 def _guarded_product(a, p, q, name):
     """unambiguous_to_wfo once both hypotheses are known to hold."""
-    guard = _lang_atom(a.nfa, p, q, name)
+    guard = RunAtom(name, a.nfa, p, q, None, None)
     pairs = [(transition_formula(a, p, q, t, "x", name), a.wgt[t])
              for t in a.nfa.numbered().transitions]
     return WIte(guard, ProdX("x", _cascade(pairs)), Zero())

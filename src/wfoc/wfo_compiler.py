@@ -18,12 +18,11 @@ are unambiguous.
 from __future__ import annotations
 
 from .automata import (
-    Nfa, WeightedAutomaton, explore, letter_key, reachable_nfa,
-    weighted_union,
+    Nfa, WeightedAutomaton, explore, reachable_nfa, weighted_union,
 )
 from .errors import InputError
 from .fo_compiler import compile_fo
-from .logic.encoding import ext_alphabet
+from .logic.encoding import ext_alphabet, lift_table
 from .logic.syntax import (
     Const, FoTrue, Not, Plus, ProdX, StepIte, SumX, WIte, Zero,
     fo_conditions, free_vars, uses_sumx,
@@ -74,20 +73,13 @@ def compile_product(step, var, alphabet, vars=()) -> WeightedAutomaton:
     clss = [compile_fo(c, alphabet, inner_vars, memo) for c in conds]
     rows = [c.delta for c in clss]
     k = len(clss)
-    idx = inner_vars.index(var)
-    letters = sorted(ext_alphabet(alphabet, vars), key=letter_key)
-    index = {a: i for i, a in enumerate(clss[0].letters)}
-
-    def lift(a, bit):
-        base_letter, bits = (a, ()) if not vars else a
-        return index[(base_letter, bits[:idx] + (bit,) + bits[idx:])]
-
-    lifted = [(lift(a, 0), lift(a, 1), a) for a in letters]
+    lifted = lift_table(frozenset(alphabet), vars, var)
+    letters = [a for a, _, _ in lifted]
 
     # Forward component: deterministic joint walk of the unmarked word,
     # from the classifiers' initial states 1.
     def walk(d):
-        for j0, _, _ in lifted:
+        for _, j0, _ in lifted:
             yield j0, tuple(rows[i][d[i] - 1][j0] for i in range(k))
 
     d0 = (1,) * k
@@ -98,7 +90,7 @@ def compile_product(step, var, alphabet, vars=()) -> WeightedAutomaton:
     # A transition steps back from the suffix table it enters to the one
     # it leaves, so the exploration below needs the compositions inverted.
     def unwind(f):
-        for j0, _, _ in lifted:
+        for _, j0, _ in lifted:
             yield j0, tuple(tuple(f[i][row[j0] - 1] for row in rows[i])
                             for i in range(k))
 
@@ -129,7 +121,7 @@ def compile_product(step, var, alphabet, vars=()) -> WeightedAutomaton:
     def advance(state):
         d, f_src, _ = state
         here = forward[d]
-        for j0, j1, a in lifted:
+        for a, j0, j1 in lifted:
             d2 = prefix_next[(d, j0)]
             marked = [rows[i][here[i] - 1][j1] - 1 for i in range(k)]
             for f in composed_from.get((f_src, j0), ()):

@@ -6,8 +6,7 @@ import pytest
 from corpus import ALL_TEXTS, SEED, all_words, load, switchpoints_closed_form
 from wfoc import (
     EXPONENTIALLY, FINITELY, POLYNOMIALLY, UNAMBIGUOUS, Nfa,
-    abstract_semantics, accepts, ambiguity_degree_bounded,
-    aperiodicity_index, classify_ambiguity, count_accepting_runs,
+    abstract_semantics, accepts, aperiodicity_index, classify_ambiguity, count_accepting_runs,
     enumerate_runs, is_scc_unambiguous, is_unambiguous, pair_semantics,
     parse_automaton, scc_decompose, transition_monoid, trim, words_upto,
 )
@@ -177,12 +176,18 @@ def test_unambiguity_flags():
     assert not is_scc_unambiguous(load("blockmax").nfa)
 
 
+def max_runs_upto(nfa, maxlen):
+    """The most accepting runs of a word of length at most maxlen."""
+    return max(count_accepting_runs(nfa, u)
+               for u in words_upto(nfa.alphabet, maxlen))
+
+
 def test_ambiguity_degrees():
-    assert ambiguity_degree_bounded(load("triplerun").nfa, 6) == 3
-    assert ambiguity_degree_bounded(load("modeblocks").nfa, 5) == 1
-    assert ambiguity_degree_bounded(load("expsum").nfa, 6) == 2
-    assert ambiguity_degree_bounded(load("fibonacci").nfa, 9) == FIB[9]
-    assert ambiguity_degree_bounded(load("linearcount").nfa, 7) == 7
+    assert max_runs_upto(load("triplerun").nfa, 6) == 3
+    assert max_runs_upto(load("modeblocks").nfa, 5) == 1
+    assert max_runs_upto(load("expsum").nfa, 6) == 2
+    assert max_runs_upto(load("fibonacci").nfa, 9) == FIB[9]
+    assert max_runs_upto(load("linearcount").nfa, 7) == 7
 
 
 INDICES = {
@@ -230,7 +235,7 @@ def test_union_doubles_runs():
     nfa = load("modeblocks").nfa
     both = disjoint_union(nfa, nfa)
     assert len(both.states) == 6
-    assert ambiguity_degree_bounded(both, 4) == 2
+    assert max_runs_upto(both, 4) == 2
 
 
 def test_product_preserves_aperiodicity():
@@ -378,11 +383,14 @@ class TestSemanticsUpto:
 
     def test_prefixes_are_extended_once_per_length(self, monkeypatch):
         calls = []
-        real = automata._extend
-        monkeypatch.setattr(automata, "_extend",
-                            lambda wa, front, letter, keep:
-                            calls.append(letter) or real(wa, front, letter,
-                                                         keep))
+        real = automata._stepper
+
+        def stepper(wa, carrier):
+            advance = real(wa, carrier)
+            return lambda front, letter, keep: \
+                calls.append(letter) or advance(front, letter, keep)
+
+        monkeypatch.setattr(automata, "_stepper", stepper)
         wa = load("blockmax")
         assert len(list(semantics_upto(wa, wa.nfa.alphabet, 4))) \
             == 3 + 9 + 27 + 81

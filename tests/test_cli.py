@@ -416,6 +416,29 @@ class TestTransitionFree:
                             "a,b", "-o", again])[0] == 0
         assert read(again, "rb") == read(zero, "rb")
 
+    def test_tologic_round_trip_needs_no_alphabet(self, tmp_path, capsys):
+        # tologic declares its input even when no atom uses it, and
+        # compile takes the alphabet from that header
+        zero = self.compiled(capsys, tmp_path, "zero", "zero\n")
+        back = str(tmp_path / "back.wfo")
+        assert run(capsys, ["tologic", "--automaton", zero,
+                            "-o", back])[0] == 0
+        assert read(back) == ("# automaton A: alphabet: a b ; states: 1 ;"
+                              " initial: 1 ; final:\n"
+                              "# fragment: no-sum no-plus\nzero\n")
+        again = str(tmp_path / "again.wa")
+        assert run(capsys, ["compile", "--formula", back,
+                            "-o", again]) == (0, "", "")
+        assert run(capsys, ["equiv", "--a", zero, "--b", again]) \
+            == (0, "EQUIV up to 8\n", "")
+
+    def test_named_letters_win_over_headers(self, tmp_path, capsys):
+        src = tmp_path / "pa.wfo"
+        src.write_text("# automaton B: alphabet: a b c ; states: 1 ;"
+                       " initial: 1 ; final: 1\nprod x. (Pa(x) ? 2 : 3)\n")
+        rc, out, _ = run(capsys, ["compile", "--formula", str(src)])
+        assert rc == 0 and out.startswith("alphabet: a\n")
+
     def test_eval_and_decompose(self, tmp_path, capsys):
         zero = self.compiled(capsys, tmp_path, "zero", "zero\n")
         rc, out, _ = run(capsys, ["eval", "--automaton", zero, "--word", "ab",

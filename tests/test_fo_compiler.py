@@ -6,12 +6,12 @@ import pytest
 from wfoc import HypothesisError, InputError
 from wfoc.automata import aperiodicity_index, is_unambiguous, state_key
 from wfoc.fo_compiler import (
-    ClassifierDfa, compile_fo, dfa_from_nfa, minimize, validity_dfa,
+    ClassifierDfa, compile_fo, dfa_from_nfa, minimize,
 )
 from wfoc.logic import parse_fo
 from wfoc.logic.encoding import all_ext_words, decode, ext_alphabet
 from wfoc.logic.evaluate import eval_fo
-from wfoc.logic.syntax import RunAtom, fo_conditions, free_vars
+from wfoc.logic.syntax import FoTrue, RunAtom, fo_conditions, free_vars
 from wfoc.textfmt import parse_automaton, serialize_automaton
 from wfoc.wa_to_wfo import scc_unambiguous_to_wfo, unambiguous_wa_to_wfo
 
@@ -56,14 +56,14 @@ def oracle_check(phi, alphabet, vars, maxlen):
 class TestValidity:
     @pytest.mark.parametrize("vars", [(), ("x",), ("x", "y"), ("x", "y", "z")])
     def test_state_count(self, vars):
-        c = validity_dfa(AB, vars)
+        c = compile_fo(FoTrue(), AB, vars)
         # without variables every word is valid: no sink is reachable
         assert len(c.nfa.states) == (2 ** len(vars) + 1 if vars else 1)
         check_classifier(c)
         assert c.g == frozenset()
 
     def test_accepts_exactly_valid(self):
-        c = validity_dfa(AB, ("x",))
+        c = compile_fo(FoTrue(), AB, ("x",))
         for n in range(4):
             for ext in all_ext_words(AB, ("x",), n):
                 got = c.classify(ext.letters)

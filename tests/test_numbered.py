@@ -24,7 +24,8 @@ from wfoc.automata import (
     scc_decompose, shortest_word, state_key, transition_monoid,
     underlying_nfa, _mat_mul,
 )
-from wfoc.fo_compiler import _letters, _table, dfa_from_nfa, minimize
+from wfoc.fo_compiler import _table, dfa_from_nfa, minimize
+from wfoc.logic.encoding import marked_letters
 from wfoc.textfmt import _gvquote, render_letter
 from wfoc.wa_to_wfo import enumerate_switching
 from wfoc.weights import Symbol, format_weight
@@ -135,7 +136,7 @@ def reference_witness(a, start_pairs, end_pairs, within=None):
                          lambda st: st[2] and st[:2] in end_pairs)
 
 
-def reference_max_runs(a, cap, maxlen=None):
+def reference_max_runs(a, cap):
     nfa = underlying_nfa(a)
     states = sorted(nfa.states, key=state_key)
     letters = sorted(nfa.alphabet, key=letter_key)
@@ -145,17 +146,13 @@ def reference_max_runs(a, cap, maxlen=None):
     for (s, letter, d) in nfa.transitions:
         pre.setdefault((letter, idx[d]), []).append(idx[s])
     start = tuple(1 if s in nfa.initial else 0 for s in states)
-    depth = {start: 0}
     best = 0
 
     def step(vec):
-        if maxlen is not None and depth[vec] >= maxlen:
-            return
         for letter in letters:
-            nxt = tuple(min(cap, sum(vec[i] for i in pre.get((letter, j), ())))
-                        for j in range(len(states)))
-            depth.setdefault(nxt, depth[vec] + 1)
-            yield letter, nxt
+            yield letter, tuple(
+                min(cap, sum(vec[i] for i in pre.get((letter, j), ())))
+                for j in range(len(states)))
 
     def reaches_cap(vec):
         nonlocal best
@@ -187,7 +184,7 @@ def reference_monoid(nfa):
 
 
 def reference_dfa_from_nfa(nfa):
-    letters = _letters(nfa.alphabet, ())
+    letters = marked_letters(nfa.alphabet, ())
 
     def subset_step(subset, letter):
         return frozenset(d for s in subset for d in nfa.out(s, letter))
@@ -378,9 +375,7 @@ def test_ambiguity_witness_matches_reference(i):
 def test_max_accepting_runs_matches_reference(i):
     nfa = NFAS[i]
     for cap in (1, 2, 3, 5):
-        for maxlen in (None, 1, 3):
-            assert max_accepting_runs(nfa, cap, maxlen) == \
-                reference_max_runs(nfa, cap, maxlen)
+        assert max_accepting_runs(nfa, cap) == reference_max_runs(nfa, cap)
 
 
 def test_monoid_generators_match_reference():

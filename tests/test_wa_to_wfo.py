@@ -5,18 +5,20 @@ import re
 import pytest
 
 from corpus import ALL_TEXTS, all_words, load
+from wfoc import automata
 from wfoc.automata import (
     Nfa, WeightedAutomaton, classify_ambiguity, count_accepting_runs,
     enumerate_runs, is_scc_unambiguous, is_unambiguous, scc_decompose,
 )
 from wfoc.errors import HypothesisError, InputError
+from wfoc.fo_compiler import compile_fo
 from wfoc.logic.evaluate import eval_fo, eval_wfo_at
 from wfoc.logic.syntax import (
     ProdX, RunAtom, SumX, WIte, Zero, uses_plus, uses_sumx,
 )
 from wfoc.semantics import abstract_semantics
 from wfoc.wa_to_wfo import (
-    enumerate_switching, lang_sentence, scc_unambiguous_to_wfo,
+    enumerate_switching, scc_unambiguous_to_wfo,
     transition_formula, unambiguous_to_wfo, unambiguous_wa_to_wfo,
 )
 from wfoc.wfo_compiler import compile_wfo
@@ -41,21 +43,25 @@ def run_slice(a, p, q, word):
 
 
 class TestLangSentence:
+    """The unbounded run atom, the guard of every guarded product."""
+
     @pytest.mark.parametrize("p,q", [(1, 3), (2, 3), (1, 1), (3, 3)])
     def test_matches_run_existence(self, p, q):
         mode = load("modeblocks")
-        phi = lang_sentence(mode, p, q, name="M")
+        phi = RunAtom("M", mode.nfa, p, q, None, None)
         for w in all_words(("a", "b", "c"), 4, minlen=0):
             want = bool(enumerate_runs(mode, p, q, w)) if w else p == q
             assert eval_fo(phi, w) == want
 
     def test_unknown_state(self):
+        mode = load("modeblocks")
         with pytest.raises(InputError):
-            lang_sentence(load("modeblocks"), 1, 9)
+            compile_fo(RunAtom("M", mode.nfa, 1, 9, None, None),
+                       mode.nfa.alphabet)
 
     def test_not_aperiodic(self):
         with pytest.raises(HypothesisError):
-            lang_sentence(parity_automaton(), 1, 1)
+            unambiguous_wa_to_wfo(parity_automaton())
 
 
 class TestTransitionFormula:
@@ -279,3 +285,29 @@ class TestRefusalTexts:
         with pytest.raises(HypothesisError) as err:
             fn(load(name))
         assert str(err.value) == text
+
+
+def chain_union(k, n):
+    """k state-disjoint copies of the chain 1 -a-> 2 ... -a-> n with a b
+    loop on every state: each state is its own component."""
+    trans = {(c * n + i, "a", c * n + i + 1) for c in range(k)
+             for i in range(1, n)}
+    trans |= {(s, "b", s) for s in range(1, k * n + 1)}
+    nfa = Nfa(range(1, k * n + 1), "ab", trans,
+              {c * n + 1 for c in range(k)}, {c * n + n for c in range(k)})
+    return WeightedAutomaton(nfa, {t: 1 for t in trans})
+
+
+@pytest.mark.parametrize("k,n", [(3, 10), (4, 6)])
+def test_one_scc_decomposition_per_automaton(monkeypatch, k, n):
+    # every (initial, final) pair and every switching sequence reads the
+    # components kept on the automaton
+    calls = []
+    real = automata.SccDecomposition
+    monkeypatch.setattr(automata, "SccDecomposition",
+                        lambda *parts: calls.append(parts) or real(*parts))
+    wa = chain_union(k, n)
+    phi = scc_unambiguous_to_wfo(wa)
+    assert uses_sumx(phi)
+    assert scc_unambiguous_to_wfo(wa) == phi
+    assert len(calls) == 1
