@@ -9,9 +9,10 @@ exploration that every construction on reachable states shares.
 
 The deterministic order lives on `Nfa`: `order` sorts its states by
 `state_key` once, and `numbered()` reads the automaton through that order
-(letters sorted by `letter_key`, each state's position, per-letter
-successor bit masks and the sorted transitions).  Every analysis and the
-serializer read these instead of sorting on their own.
+(letters sorted by `letter_key`, each state's position, the sorted
+transitions, and the one successor table with per-letter bit masks
+derived from it).  Every analysis, construction and forward pass and the
+serializer read these instead of sorting or indexing on their own.
 
 All values are immutable after construction and every operation is a pure
 function of its inputs.
@@ -52,8 +53,7 @@ class Nfa:
     named extra accepting sets."""
 
     __slots__ = ("states", "alphabet", "transitions", "initial", "final",
-                 "accepting", "_out", "_into", "_hash", "_order",
-                 "_numbered", "_sccs")
+                 "accepting", "_hash", "_order", "_numbered", "_sccs")
 
     def __init__(self, states, alphabet, transitions, initial, final,
                  accepting=None):
@@ -66,8 +66,6 @@ class Nfa:
         for name, group in (accepting or {}).items():
             acc[name] = frozenset(group)
         self.accepting = acc
-        self._out = None
-        self._into = None
         self._hash = None
         self._order = None
         self._numbered = None
@@ -87,23 +85,13 @@ class Nfa:
             if not group <= self.states:
                 raise InputError("accepting/initial set outside states")
 
-    # -- derived lookup tables (built lazily, never mutated afterwards) --
-
     def out(self, src, letter):
-        if self._out is None:
-            table = {}
-            for (s, a, d) in self.transitions:
-                table.setdefault((s, a), []).append(d)
-            self._out = table
-        return self._out.get((src, letter), [])
-
-    def into(self, dst, letter):
-        if self._into is None:
-            table = {}
-            for (s, a, d) in self.transitions:
-                table.setdefault((d, a), []).append(s)
-            self._into = table
-        return self._into.get((dst, letter), [])
+        """The successors of src on letter, in `order`: a read of
+        numbered()'s successor table."""
+        num = self.numbered()
+        if letter not in num.rank:
+            return []
+        return [t[2] for _, t in num.succ[num.rank[letter]][num.pos[src]]]
 
     @property
     def order(self):
@@ -139,29 +127,47 @@ class Nfa:
 
 class Numbered:
     """An Nfa over the positions of its states in `order`: the letters
-    sorted by letter_key, pos[s] the position of state s, the transitions
-    sorted by position, letter and position, and masks[j][i] the positions
-    letters[j] leads to from position i as a bit mask (built on first use,
-    as the serializer needs none)."""
+    sorted by letter_key (rank[a] the index of letter a), pos[s] the
+    position of state s, the transitions sorted by position, letter and
+    position, and, built on first use, the one successor table: succ[j][i]
+    lists the transitions leaving position i on letters[j] as (target
+    position, transition) pairs in that order, and masks[j][i] has their
+    targets as a bit mask."""
 
-    __slots__ = ("letters", "pos", "transitions", "_masks")
+    __slots__ = ("letters", "rank", "pos", "transitions", "_succ", "_masks")
 
     def __init__(self, nfa: Nfa):
         self.letters = tuple(sorted(nfa.alphabet, key=letter_key))
+        self.rank = rank = {a: j for j, a in enumerate(self.letters)}
         self.pos = pos = {s: i for i, s in enumerate(nfa.order)}
-        rank = {a: j for j, a in enumerate(self.letters)}
         self.transitions = tuple(sorted(
             nfa.transitions, key=lambda t: (pos[t[0]], rank[t[1]], pos[t[2]])))
+        self._succ = None
         self._masks = None
+
+    @property
+    def succ(self):
+        if self._succ is None:
+            pos = self.pos
+            table = [[()] * len(pos) for _ in self.letters]
+            for (s, a), ts in itertools.groupby(self.transitions,
+                                                key=lambda t: t[:2]):
+                table[self.rank[a]][pos[s]] = tuple((pos[t[2]], t)
+                                                    for t in ts)
+            self._succ = tuple(map(tuple, table))
+        return self._succ
 
     @property
     def masks(self):
         if self._masks is None:
-            rows = {a: [0] * len(self.pos) for a in self.letters}
-            for (s, a, d) in self.transitions:
-                rows[a][self.pos[s]] |= 1 << self.pos[d]
-            self._masks = tuple(tuple(rows[a]) for a in self.letters)
+            self._masks = tuple(
+                tuple(sum(1 << d for d, _ in out) for out in rows)
+                for rows in self.succ)
         return self._masks
+
+    def mask(self, states):
+        """The positions of some states, as a bit mask."""
+        return sum(1 << self.pos[s] for s in states)
 
 
 def bits(mask):
@@ -174,10 +180,7 @@ def bits(mask):
 
 def image(rows, mask):
     """The union of rows[i] over the positions i set in mask."""
-    out = 0
-    for i in bits(mask):
-        out |= rows[i]
-    return out
+    return _mat_mul((mask,), rows)[0]
 
 
 class WeightedAutomaton:
@@ -284,24 +287,13 @@ class Run:
                 raise InputError("transition endpoints do not chain")
             prev = dst
 
-    @property
-    def end(self):
-        return self.trans[-1][2] if self.trans else self.start
-
-    @property
-    def label(self):
-        return tuple(a for (_, a, _) in self.trans)
-
-    @property
-    def state_sequence(self):
-        return (self.start,) + tuple(d for (_, _, d) in self.trans)
-
     def weights(self, wa: WeightedAutomaton):
         return tuple(wa.wgt[t] for t in self.trans)
 
 
 def enumerate_runs(a, p, q, word):
-    """All runs from p to q labeled by word, deterministically ordered.
+    """All runs from p to q labeled by word, sorted by state sequence:
+    the depth-first walk takes successors in `order`.
 
     The empty word is allowed only for p = q and yields the empty run.
     """
@@ -329,7 +321,6 @@ def enumerate_runs(a, p, q, word):
             acc.pop()
 
     walk(p, 0, [])
-    runs.sort(key=lambda r: tuple(state_key(s) for s in r.state_sequence))
     return runs
 
 
@@ -358,14 +349,18 @@ def check_word(nfa, word):
 
 
 def live_sets(nfa, steps):
-    """live[i] for i = 0..len(steps): the states from which a word that
-    takes its j-th letter from steps[j] for every j >= i can reach a final
-    state.  With steps = [(a,) for a in word], live[i] is the set of states
-    that read word[i:] into a final state."""
-    live = [frozenset(nfa.final)]
+    """live[i] for i = 0..len(steps), a bit mask over positions: the
+    states from which a word taking its j-th letter from steps[j], for
+    every j >= i, reaches a final state (with steps = [(a,) for a in word],
+    the states that read word[i:] into a final one)."""
+    num = nfa.numbered()
+    masks = dict(zip(num.letters, num.masks))
+    live = [num.mask(nfa.final)]
     for letters in reversed(steps):
-        live.append(frozenset(s for d in live[-1] for a in letters
-                              for s in nfa.into(d, a)))
+        after = live[-1]
+        pre = {i for a in letters for i, out in enumerate(masks.get(a, ()))
+               if out & after}
+        live.append(sum(1 << i for i in pre))
     live.reverse()
     return live
 
@@ -399,19 +394,20 @@ SEQ_COUNTS = Carrier({(): 1}, lambda w: w, _extend_counts, _merge_counts)
 
 def _stepper(wa: WeightedAutomaton, carrier: Carrier):
     """The one forward step over wa in a carrier: advance(front, letter,
-    keep) is the front after one more letter, on the states of `keep`.
+    keep) is the front, from positions to values, after one more letter
+    on the positions of the mask `keep`, visited in the table's order.
     Each transition's weight is embedded once per stepper, when a run
     first takes it into `keep`."""
-    out, wgt = wa.nfa.out, wa.wgt
+    num, wgt = wa.nfa.numbered(), wa.wgt
     embed, mac = carrier.embed, carrier.mac
     lifted = {}
 
     def advance(front, letter, keep):
+        out = num.succ[num.rank[letter]]
         nxt = {}
-        for s, v in front.items():
-            for d in out(s, letter):
-                if d in keep:
-                    t = (s, letter, d)
+        for i, v in front.items():
+            for d, t in out[i]:
+                if keep >> d & 1:
                     w = lifted.get(t)
                     if w is None:
                         w = lifted[t] = embed(wgt[t])
@@ -429,7 +425,8 @@ def forward(wa: WeightedAutomaton, word, carrier: Carrier):
     word = tuple(word)
     check_word(wa.nfa, word)
     live = live_sets(wa.nfa, [(letter,) for letter in word])
-    front = {s: carrier.one for s in wa.nfa.initial if s in live[0]}
+    initial = wa.nfa.numbered().mask(wa.nfa.initial)
+    front = dict.fromkeys(bits(initial & live[0]), carrier.one)
     advance = _stepper(wa, carrier)
     for letter, keep in zip(word, live[1:]):
         front = advance(front, letter, keep)
@@ -453,7 +450,8 @@ def semantics_upto(wa: WeightedAutomaton, alphabet, maxlen):
     letters = sorted(alphabet, key=letter_key)
     # reach[r]: the states some word of r more letters takes to a final one
     reach = live_sets(wa.nfa, [letters] * maxlen)[::-1]
-    start = {s: SEQ_COUNTS.one for s in wa.nfa.initial}
+    start = dict.fromkeys(bits(wa.nfa.numbered().mask(wa.nfa.initial)),
+                          SEQ_COUNTS.one)
     advance = _stepper(wa, SEQ_COUNTS)
 
     def walk(prefix, front, left):
@@ -477,12 +475,8 @@ def pair_semantics(wa: WeightedAutomaton, p, q, word) -> SeqMultiset:
 
 def accepts(a, word) -> bool:
     nfa = underlying_nfa(a)
-    current = set(nfa.initial)
-    for letter in word:
-        current = {d for s in current for d in nfa.out(s, letter)}
-        if not current:
-            return False
-    return bool(current & nfa.final)
+    live = live_sets(nfa, [(letter,) for letter in word])[0]
+    return bool(live & nfa.numbered().mask(nfa.initial))
 
 
 def words_upto(alphabet, maxlen):
@@ -519,11 +513,8 @@ def scc_decompose(a) -> SccDecomposition:
     nfa = underlying_nfa(a)
     if nfa._sccs is not None:
         return nfa._sccs
-    num = nfa.numbered()
+    succ = nfa.numbered().succ
     n = len(nfa.order)
-    succ = [[] for _ in range(n)]
-    for (s, _, d) in num.transitions:
-        succ[num.pos[s]].append(num.pos[d])
     index, low = [None] * n, [0] * n    # index: n once the SCC is done
     comp_of = [None] * n
     visits = itertools.count()
@@ -532,7 +523,7 @@ def scc_decompose(a) -> SccDecomposition:
     def enter(s):
         index[s] = low[s] = next(visits)
         stack.append(s)
-        work.append((s, iter(succ[s])))
+        work.append((s, (d for out in succ for d, _ in out[s])))
 
     for root in range(n):
         if index[root] is None:
@@ -557,8 +548,9 @@ def scc_decompose(a) -> SccDecomposition:
                         index[s], comp_of[s] = n, name
 
     later = {c: set() for c in comp_of}
-    for i, js in enumerate(succ):
-        later[comp_of[i]].update({comp_of[j] for j in js} - {comp_of[i]})
+    for i, c in enumerate(comp_of):
+        later[c].update(comp_of[d] for out in succ for d, _ in out[i])
+        later[c].discard(c)
     indeg = collections.Counter(itertools.chain.from_iterable(later.values()))
     # Kahn's renumbering, the least ready name first
     ready = [c for c in later if indeg[c] == 0]     # ascending: a heap
@@ -596,7 +588,7 @@ def ambiguity_witness(a, start_pairs, end_pairs, within=None):
     nfa = underlying_nfa(a)
     num = nfa.numbered()
     allowed = nfa.states if within is None else within
-    keep = sum(1 << num.pos[s] for s in allowed)
+    keep = num.mask(allowed)
 
     def step(state):
         r, s, diverged = state
@@ -648,32 +640,32 @@ def is_scc_unambiguous(a) -> bool:
 
 def _has_same_word_loop_ladder(nfa) -> bool:
     """Distinct p != q with a common word looping p->p, going p->q and
-    looping q->q (triple-product reachability)."""
+    looping q->q (triple-product reachability over positions)."""
     scc = scc_decompose(nfa)
-    letters = nfa.numbered().letters
+    num = nfa.numbered()
+    comp = [scc.component_of[s] for s in nfa.order]
+    moves = list(zip(num.letters, num.succ))
     # the loops need p and q on cycles, and q reachable from p
-    on_cycle = {s for comp in scc.components if len(comp) > 1
-                for s in comp} | {s for (s, _, d) in nfa.transitions
-                                  if s == d}
+    on_cycle = {i for i, c in enumerate(comp)
+                if len(scc.components[c]) > 1} | {
+        num.pos[s] for (s, _, d) in nfa.transitions if s == d}
 
-    def successors(s):
-        return ((a, d) for a in letters for d in nfa.out(s, a))
+    def successors(i):
+        return ((a, d) for a, out in moves for d, _ in out[i])
 
     for p in on_cycle:
-        comp_p = scc.components[scc.component_of[p]]
         reach = {d for (_, _, d) in explore([p], successors)}
         for q in (reach & on_cycle) - {p}:
-            comp_q = scc.components[scc.component_of[q]]
 
             def step(state):
                 r1, r2, r3 = state
-                for a in letters:
-                    for d1 in nfa.out(r1, a):
-                        if d1 not in comp_p:
+                for a, out in moves:
+                    for d1, _ in out[r1]:
+                        if comp[d1] != comp[p]:
                             continue
-                        for d2 in nfa.out(r2, a):
-                            for d3 in nfa.out(r3, a):
-                                if d3 in comp_q:
+                        for d2, _ in out[r2]:
+                            for d3, _ in out[r3]:
+                                if comp[d3] == comp[q]:
                                     yield a, (d1, d2, d3)
 
             target = (p, q, q)
@@ -796,7 +788,7 @@ def product(a: Nfa, b: Nfa) -> Nfa:
 
     def step(pair):
         p, q = pair
-        for letter in a.alphabet:
+        for letter in a.numbered().letters:
             for succ in itertools.product(a.out(p, letter), b.out(q, letter)):
                 yield letter, succ
 
@@ -825,15 +817,22 @@ def weighted_union(a: WeightedAutomaton, b: WeightedAutomaton) -> WeightedAutoma
 
 
 def reachable_states(nfa: Nfa):
+    letters = nfa.numbered().letters
     forward = explore(nfa.initial, lambda s: (
-        (a, d) for a in nfa.alphabet for d in nfa.out(s, a)))
+        (a, d) for a in letters for d in nfa.out(s, a)))
     return set(nfa.initial) | {d for (_, _, d) in forward}
 
 
 def coreachable_states(nfa: Nfa):
-    backward = explore(nfa.final, lambda s: (
-        (a, p) for a in nfa.alphabet for p in nfa.into(s, a)))
-    return set(nfa.final) | {p for (_, _, p) in backward}
+    """A component reaches a final state when it holds one or has an edge
+    into a component that does; the ids are topological, so sorting the
+    edges by source, last first, settles every target before its
+    sources."""
+    scc = scc_decompose(nfa)
+    live = [not comp.isdisjoint(nfa.final) for comp in scc.components]
+    for c, d in sorted(scc.dag_edges, reverse=True):
+        live[c] = live[c] or live[d]
+    return {s for s, c in scc.component_of.items() if live[c]}
 
 
 def restrict(nfa: Nfa, keep) -> Nfa:

@@ -7,6 +7,7 @@ bad input.  Output is deterministic for fixed inputs.
 """
 
 import argparse
+import functools
 import os
 import sys
 
@@ -255,6 +256,7 @@ def _add_format(sub):
     sub.add_argument("--format", choices=("text", "dot"), default="text")
 
 
+@functools.cache       # one per process: each leaves reference cycles
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="wfoc",

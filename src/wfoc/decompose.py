@@ -48,31 +48,24 @@ def ensure_single_initial(a):
     while any(isinstance(s, tuple) and s[:1] == (tag,) for s in nfa.states):
         tag += "'"
     start = (tag,)
-    copies = {(tag, i, q)
-              for (i, letter, q) in nfa.transitions if i in nfa.initial}
-    trans = set(nfa.transitions)
-    for (i, letter, q) in nfa.transitions:
-        if i in nfa.initial:
-            trans.add((start, letter, (tag, i, q)))
-    for (tag_, i, q) in copies:
-        for (s, letter, d) in nfa.transitions:
-            if s == q:
-                trans.add(((tag_, i, q), letter, d))
+    num = nfa.numbered()
+    # every transition, with the input transition whose weight it carries
+    origin = {t: t for t in nfa.transitions}
+    for t in nfa.transitions:
+        if t[0] in nfa.initial:
+            copy = (tag, t[0], t[2])
+            origin[(start, t[1], copy)] = t
+            origin.update(((copy, u[1], u[2]), u)
+                          for out in num.succ for _, u in out[num.pos[t[2]]])
+    copies = {d for (s, _, d) in origin if s == start}
     final = set(nfa.final) | {c for c in copies if c[2] in nfa.final}
     if nfa.initial & nfa.final:
         final.add(start)
     states = set(nfa.states) | copies | {start}
-    out = Nfa(states, nfa.alphabet, trans, {start}, final)
+    out = Nfa(states, nfa.alphabet, origin, {start}, final)
     if not isinstance(a, WeightedAutomaton):
         return out
-    wgt = dict(a.wgt)
-    for t in out.transitions - nfa.transitions:
-        src, letter, dst = t
-        if src == start:
-            wgt[t] = a.wgt[(dst[1], letter, dst[2])]
-        else:
-            wgt[t] = a.wgt[(src[2], letter, dst)]
-    return WeightedAutomaton(out, {t: wgt[t] for t in out.transitions})
+    return WeightedAutomaton(out, {t: a.wgt[u] for t, u in origin.items()})
 
 
 # -- at least / at most k accepting runs -------------------------------------

@@ -280,9 +280,9 @@ def dfa_from_nfa(nfa: Nfa) -> ClassifierDfa:
     complement (no reject class).  Subsets are bit masks of positions in
     the automaton's `order`."""
     num = nfa.numbered()
-    final = sum(1 << num.pos[s] for s in nfa.final)
+    final = num.mask(nfa.final)
     return minimize(_table(
-        sum(1 << num.pos[s] for s in nfa.initial),
+        num.mask(nfa.initial),
         lambda subset: [image(rows, subset) for rows in num.masks],
         lambda subset: bool(subset & final), nfa.alphabet, ()))
 

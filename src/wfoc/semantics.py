@@ -68,7 +68,8 @@ class Semiring:
 
 def _require_numeric(w, name):
     if isinstance(w, Symbol):
-        raise InputError("symbolic weight %s not usable in %s" % (w, name))
+        raise InputError("symbolic weight %s not usable in %s"
+                         % (format_weight(w), name))
     return w
 
 

@@ -156,14 +156,17 @@ def compile_ite(cond, then_wa: WeightedAutomaton, else_wa: WeightedAutomaton,
             or frozenset(else_wa.nfa.alphabet) != frozenset(letters):
         raise InputError("branch alphabet mismatch")
     branches = (then_wa, else_wa)
+    # both branches read their letters in the classifier's order
+    nums = [wa.nfa.numbered() for wa in branches]
     wgt = {}
 
     def step(state):
         (tag, c, q) = state
-        for a, c2 in zip(letters, cls.delta[c - 1]):
-            for q2 in branches[tag].nfa.out(q, a):
-                dst = (tag, c2, q2)
-                wgt[(state, a, dst)] = branches[tag].wgt[(q, a, q2)]
+        i, branch = nums[tag].pos[q], branches[tag].wgt
+        for a, c2, out in zip(letters, cls.delta[c - 1], nums[tag].succ):
+            for _, t in out[i]:
+                dst = (tag, c2, t[2])
+                wgt[(state, a, dst)] = branch[t]
                 yield a, dst
 
     def final(state):
@@ -193,19 +196,21 @@ def compile_sum_var(a: WeightedAutomaton, var, alphabet,
         rest = bits[:idx] + bits[idx + 1:]
         return (base_letter, rest) if out_vars else base_letter
 
-    edges = {}
-    for (p, l, q), w in a.wgt.items():
-        edges.setdefault(p, []).append((strip(l), l[1][idx], q, w))
+    num = a.nfa.numbered()
+    moves = [(strip(l), l[1][idx], out) for l, out in zip(num.letters,
+                                                           num.succ)]
     wgt = {}
 
     def step(state):
         p, c = state
-        for out_l, marked, q, w in edges.get(p, ()):
+        i = num.pos[p]
+        for out_l, marked, out in moves:
             if marked and c:
                 continue
-            dst = (q, 1 if marked else c)
-            wgt[(state, out_l, dst)] = w
-            yield out_l, dst
+            for _, t in out[i]:
+                dst = (t[2], 1 if marked else c)
+                wgt[(state, out_l, dst)] = a.wgt[t]
+                yield out_l, dst
 
     nfa = reachable_nfa([(q, 0) for q in a.nfa.initial], step,
                         ext_alphabet(alphabet, out_vars),

@@ -322,20 +322,43 @@ TIES_FORMULA = (
     " : (run:A(s,q4;<x) & Pa(x)) ? 3 : 1 : prod x. run:A(s,q3;<x) ? 4 : 0\n")
 
 
+# Two weights outside every numeric carrier on accepting runs of `bbba`,
+# both embedded on its last letter: the forward pass starts from state 3,
+# the first initial state in state order, so every refusal names t.
+SYMBOLS = """alphabet: a b
+states: q1 2 3 q4
+initial: q1 3
+final: 2 3
+trans: q1 b q1 1
+trans: q1 a 2 u
+trans: 3 b 3 1
+trans: 3 a 3 t
+trans: 2 a q4 1
+"""
+
+
+def run_fresh(workdir, argv, seed=0):
+    """Run the CLI in a fresh interpreter; returns its exit code, stdout
+    and stderr."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wfoc.__file__)))
+    env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "wfoc.cli"] + argv,
+                          cwd=str(workdir), env=env, capture_output=True,
+                          text=True, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
 def run_with_hash_seed(workdir, argv, seed):
     """Run the CLI in a fresh interpreter; returns its exit code, stdout,
     stderr and the bytes of every out* file it wrote."""
     workdir.mkdir()
     (workdir / "ties.wa").write_text(TIES)
     (workdir / "ties.wfo").write_text(TIES_FORMULA)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(wfoc.__file__)))
-    env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-m", "wfoc.cli"] + argv,
-                          cwd=str(workdir), env=env, capture_output=True,
-                          text=True, timeout=120)
+    (workdir / "symbols.wa").write_text(SYMBOLS)
+    rc, out, err = run_fresh(workdir, argv, seed)
     files = {p.name: p.read_bytes() for p in sorted(workdir.iterdir())
              if p.name.startswith("out")}
-    return proc.returncode, proc.stdout, proc.stderr, files
+    return rc, out, err, files
 
 
 class TestHashSeedDeterminism:
@@ -350,6 +373,66 @@ class TestHashSeedDeterminism:
         assert results[0][0] == rc
         assert results[0][1] or results[0][2]
         assert results[0] == results[1]
+
+    @pytest.mark.parametrize("flags,carrier", [
+        (["--semiring", "boolean"], "boolean"),
+        (["--aggregator", "ma"], "max-average"),
+    ], ids=["boolean", "ma"])
+    def test_eval_refusals_identical_across_hash_seeds(self, tmp_path, flags,
+                                                       carrier):
+        argv = ["eval", "--automaton", "symbols.wa", "--word", "bbba", *flags]
+        want = (2, "", "error: symbolic weight t not usable in %s\n"
+                % carrier, {})
+        for seed in range(6):
+            assert run_with_hash_seed(tmp_path / str(seed), argv, seed) \
+                == want
+
+
+class TestParserReuse:
+    """main builds its argument parser once per process; a command run
+    after another, failing one gives what it gives in a fresh process."""
+
+    @pytest.mark.parametrize("first", [
+        ["eval", "--automaton", "symbols.wa", "--word", "ba",
+         "--semiring", "natural"],
+        ["eval", "--automaton", "symbols.wa", "--word", "ba",
+         "--semiring", "tropical"],
+        ["equiv", "--a", "symbols.wa"],
+        ["eval", "--automaton", "missing.wa", "--word", "ba"],
+    ], ids=["refusal", "bad-choice", "missing-flag", "missing-file"])
+    def test_two_commands_in_one_process(self, tmp_path, capsys, monkeypatch,
+                                         first):
+        (tmp_path / "symbols.wa").write_text(SYMBOLS)
+        second = ["eval", "--automaton", "symbols.wa", "--word", "bbba",
+                  "--semiring", "natural"]
+        want = [run_fresh(tmp_path, argv) for argv in (first, second)]
+        monkeypatch.chdir(tmp_path)
+        got = []
+        for argv in (first, second):
+            try:
+                rc = main(argv)
+            except SystemExit as stop:
+                rc = stop.code
+            captured = capsys.readouterr()
+            got.append((rc, captured.out, captured.err))
+        assert got == want
+        assert want[0][0] == 2 and want[1][0] == 2
+        assert want[1][2] == "error: symbolic weight t not usable in natural\n"
+
+    def test_main_builds_no_parser_per_call(self, tmp_path, capsys,
+                                            monkeypatch):
+        wa = save(tmp_path, "triplerun")
+        assert run(capsys, ["eval", "--automaton", wa, "--word", "a"])[0] == 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a second parser was built")
+
+        monkeypatch.setattr("argparse.ArgumentParser", refuse)
+        for _ in range(2):
+            assert run(capsys, ["eval", "--automaton", wa, "--word",
+                                "aaab"])[:2] == (0, "1 x [2,1,4,3]\n"
+                                                    "1 x [2,1,5,3]\n"
+                                                    "1 x [2,2,3,3]\n")
 
 
 class TestCompileFo:

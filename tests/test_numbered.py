@@ -6,7 +6,9 @@ automaton by `state_key`/`letter_key` on its own and kept a private index
 of it.  They must agree with the readers of `Nfa.order` and
 `Nfa.numbered()` on the corpus and on seeded random automata whose states
 mix ints, strings and tuples (tuples whose parts mix `bool` and `int`
-among them).
+among them).  The successor table's readers (`Nfa.out`, the runs, the
+forward pass, trim and the product) are checked against references that
+read `transitions` alone.
 """
 
 import functools
@@ -20,10 +22,13 @@ import pytest
 from corpus import ALL_TEXTS, SEED, load
 from wfoc import Nfa, WeightedAutomaton, serialize_automaton, to_dot
 from wfoc.automata import (
-    ambiguity_witness, explore, letter_key, max_accepting_runs,
-    scc_decompose, shortest_word, state_key, transition_monoid,
-    underlying_nfa, _mat_mul,
+    SEQ_COUNTS, Run, ambiguity_witness, enumerate_runs, explore, forward,
+    letter_key, live_sets, max_accepting_runs, product, scc_decompose,
+    shortest_word, state_key, transition_monoid, trim, underlying_nfa,
+    words_upto, _mat_mul,
 )
+from wfoc.errors import InputError
+from wfoc.semantics import builtin_semiring
 from wfoc.fo_compiler import _table, dfa_from_nfa, minimize
 from wfoc.logic.encoding import marked_letters
 from wfoc.textfmt import _gvquote, render_letter
@@ -265,6 +270,102 @@ def reference_dot(a):
     return "\n".join(lines) + "\n"
 
 
+def _adjacency(nfa):
+    # successor lists in the set order of the transitions
+    out = {}
+    for (s, a, d) in nfa.transitions:
+        out.setdefault((s, a), []).append(d)
+    return out
+
+
+def reference_enumerate_runs(a, p, q, word):
+    """A depth-first walk in set order, then a sort by state sequence."""
+    nfa = underlying_nfa(a)
+    out = _adjacency(nfa)
+    runs = []
+
+    def walk(state, i, acc):
+        if i == len(word):
+            if state == q:
+                runs.append(Run(p, tuple(acc)))
+            return
+        for dst in out.get((state, word[i]), []):
+            acc.append((state, word[i], dst))
+            walk(dst, i + 1, acc)
+            acc.pop()
+
+    walk(p, 0, [])
+    runs.sort(key=lambda r: tuple(map(state_key, (p,) + tuple(
+        d for (_, _, d) in r.trans))))
+    return runs
+
+
+def reference_live_sets(nfa, steps):
+    live = [frozenset(nfa.final)]
+    for letters in reversed(steps):
+        live.append(frozenset(s for (s, a, d) in nfa.transitions
+                              if a in letters and d in live[-1]))
+    live.reverse()
+    return live
+
+
+def reference_forward(wa, word, carrier):
+    """The forward pass over the sorted transitions: the front starts at
+    the initial states in state_key order and each step scans the
+    transitions of its states in that order."""
+    live = reference_live_sets(wa.nfa, [(a,) for a in word])
+    trans = _sorted_transitions(wa.nfa)
+    front = {s: carrier.one for s in sorted(wa.nfa.initial, key=state_key)
+             if s in live[0]}
+    lifted = {}
+    for letter, keep in zip(word, live[1:]):
+        nxt = {}
+        for s, v in front.items():
+            for t in trans:
+                if t[0] == s and t[1] == letter and t[2] in keep:
+                    if t not in lifted:
+                        lifted[t] = carrier.embed(wa.wgt[t])
+                    carrier.mac(nxt, t[2], v, lifted[t])
+        front = nxt
+    return carrier.total(front.values())
+
+
+def reference_trim(nfa):
+    def closure(start, edges):
+        seen = set(start)
+        while True:
+            grown = seen | {d for (s, d) in edges if s in seen}
+            if grown == seen:
+                return seen
+            seen = grown
+
+    reach = closure(nfa.initial, {(s, d) for (s, _, d) in nfa.transitions})
+    coreach = closure(nfa.final, {(d, s) for (s, _, d) in nfa.transitions})
+    keep = reach & coreach
+    return Nfa(keep, nfa.alphabet,
+               {t for t in nfa.transitions if t[0] in keep and t[2] in keep},
+               nfa.initial & keep, nfa.final & keep,
+               {k: v & keep for k, v in nfa.accepting.items()})
+
+
+def reference_product(a, b):
+    states = {(p, q) for p in a.initial for q in b.initial}
+    trans = set()
+    while True:
+        new = {((p, q), x, (p2, q2))
+               for (p, x, p2) in a.transitions
+               for (q, y, q2) in b.transitions
+               if x == y and (p, q) in states}
+        if new <= trans:
+            break
+        trans |= new
+        states |= {d for (_, _, d) in new}
+    return Nfa(states, a.alphabet, trans,
+               {(p, q) for p in a.initial for q in b.initial},
+               {(p, q) for (p, q) in states
+                if p in a.final and q in b.final})
+
+
 # -- inputs -------------------------------------------------------------------
 
 
@@ -407,3 +508,86 @@ def test_switching_sequences_come_out_sorted():
                 continue
             seqs = enumerate_switching(nfa, p, q)
             assert seqs == sorted(seqs, key=state_key)
+
+
+# -- the successor table -------------------------------------------------------
+
+
+def test_out_lists_successors_in_order():
+    for nfa in NFAS:
+        for s, a in itertools.product(nfa.order, nfa.numbered().letters):
+            assert nfa.out(s, a) == [d for d in nfa.order
+                                     if (s, a, d) in nfa.transitions]
+        assert nfa.out(nfa.order[0], "not a letter") == []
+
+
+def test_enumerate_runs_matches_reference():
+    rng = random.Random(SEED + 15)
+    for nfa in NFAS:
+        letters = nfa.numbered().letters
+        for _ in range(4):
+            p, q = rng.choice(nfa.order), rng.choice(nfa.order)
+            word = tuple(rng.choice(letters)
+                         for _ in range(rng.randint(1, 4)))
+            assert enumerate_runs(nfa, p, q, word) == \
+                reference_enumerate_runs(nfa, p, q, word)
+
+
+def _states_of(nfa, mask):
+    return frozenset(s for i, s in enumerate(nfa.order) if mask >> i & 1)
+
+
+def test_live_sets_match_reference():
+    rng = random.Random(SEED + 16)
+    for nfa in NFAS:
+        letters = nfa.numbered().letters + ("not a letter",)
+        steps = [tuple(rng.sample(letters, rng.randint(1, len(letters))))
+                 for _ in range(rng.randint(0, 4))]
+        got = [_states_of(nfa, live) for live in live_sets(nfa, steps)]
+        assert got == reference_live_sets(nfa, steps)
+
+
+def _logged(carrier, log):
+    def embed(w):
+        log.append(w)
+        return carrier.embed(w)
+    return carrier._replace(embed=embed)
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except InputError as err:
+        return "error: %s" % err
+
+
+@pytest.mark.parametrize("semiring", [None, "natural", "boolean"])
+def test_forward_embeds_weights_in_the_reference_order(semiring):
+    # the order weights are embedded in fixes which refusal a word gets
+    carrier = SEQ_COUNTS if semiring is None \
+        else builtin_semiring(semiring).carrier
+    for wa in pool(120, SEED + 17, weighted=True):
+        for word in words_upto(wa.nfa.alphabet, 3):
+            got_log, want_log = [], []
+            got = _outcome(lambda: forward(wa, word,
+                                           _logged(carrier, got_log)))
+            want = _outcome(lambda: reference_forward(
+                wa, word, _logged(carrier, want_log)))
+            assert (got, got_log) == (want, want_log)
+
+
+def test_trim_matches_reference():
+    for a in NFAS + pool(100, SEED + 18, weighted=True):
+        nfa = underlying_nfa(a)
+        assert underlying_nfa(trim(a)) == reference_trim(nfa)
+
+
+def test_product_matches_reference():
+    rng = random.Random(SEED + 19)
+    by_alphabet = {}
+    for nfa in NFAS:
+        by_alphabet.setdefault(nfa.alphabet, []).append(nfa)
+    for group in by_alphabet.values():
+        for _ in range(min(40, len(group) ** 2)):
+            a, b = rng.choice(group), rng.choice(group)
+            assert product(a, b) == reference_product(a, b)
