@@ -9,7 +9,7 @@ from .automata import (
     classify_ambiguity,
     UNAMBIGUOUS, FINITELY, POLYNOMIALLY, EXPONENTIALLY,
     transition_monoid, aperiodicity_index,
-    product, disjoint_union, weighted_union, trim,
+    weighted_union, trim,
 )
 from .errors import HypothesisError, InputError
 from .multiset import SeqMultiset

@@ -4,8 +4,9 @@ Run enumeration, the forward pass that gives every value of a word (the
 multiset and each semiring's: one step, `_stepper`, moves a state ->
 value front in a `Carrier`), strongly connected components, ambiguity
 classification, aperiodicity analysis, the closure constructions
-(synchronous product, disjoint union, trim), and the breadth-first
-exploration that every construction on reachable states shares.
+(disjoint union, trim), and the breadth-first exploration that every
+construction on reachable states shares: `reachable_nfa` is the one
+builder of a construction's states.
 
 The deterministic order lives on `Nfa`: `order` sorts its states by
 `state_key` once, and `numbered()` reads the automaton through that order
@@ -780,39 +781,30 @@ def aperiodicity_index(a):
 # -- closure constructions --------------------------------------------------
 
 
-def product(a: Nfa, b: Nfa) -> Nfa:
-    """Synchronous product on the pair states reachable from the initial
-    pairs; a pair is final when both of its states are."""
-    if a.alphabet != b.alphabet:
-        raise InputError("product requires a common alphabet")
-
-    def step(pair):
-        p, q = pair
-        for letter in a.numbered().letters:
-            for succ in itertools.product(a.out(p, letter), b.out(q, letter)):
-                yield letter, succ
-
-    return reachable_nfa(
-        [(p, q) for p in a.initial for q in b.initial], step, a.alphabet,
-        lambda pair: pair[0] in a.final and pair[1] in b.final)
-
-
-def disjoint_union(a: Nfa, b: Nfa) -> Nfa:
-    """State-disjoint union with deterministic 0/1 tags."""
-    if a.alphabet != b.alphabet:
-        raise InputError("union requires a common alphabet")
-    st = {(0, s) for s in a.states} | {(1, s) for s in b.states}
-    tr = {((0, s), l, (0, d)) for (s, l, d) in a.transitions} | \
-         {((1, s), l, (1, d)) for (s, l, d) in b.transitions}
-    init = {(0, s) for s in a.initial} | {(1, s) for s in b.initial}
-    fin = {(0, s) for s in a.final} | {(1, s) for s in b.final}
-    return Nfa(st, a.alphabet, tr, init, fin)
-
-
 def weighted_union(a: WeightedAutomaton, b: WeightedAutomaton) -> WeightedAutomaton:
-    nfa = disjoint_union(a.nfa, b.nfa)
-    wgt = {((0, s), l, (0, d)): w for (s, l, d), w in a.wgt.items()}
-    wgt.update({((1, s), l, (1, d)): w for (s, l, d), w in b.wgt.items()})
+    """State-disjoint union on the part reachable from the initial states:
+    a state is (tag, position), tag 0 for a and 1 for b, the position in
+    that input's `order`.  Unreachable input states are dropped."""
+    if a.nfa.alphabet != b.nfa.alphabet:
+        raise InputError("union requires a common alphabet")
+    parts = (a, b)
+    nums = [wa.nfa.numbered() for wa in parts]
+    finals = [num.mask(wa.nfa.final) for num, wa in zip(nums, parts)]
+    wgt = {}
+
+    def step(state):
+        tag, i = state
+        branch = parts[tag].wgt
+        for letter, out in zip(nums[tag].letters, nums[tag].succ):
+            for d, t in out[i]:
+                dst = (tag, d)
+                wgt[(state, letter, dst)] = branch[t]
+                yield letter, dst
+
+    nfa = reachable_nfa([(tag, nums[tag].pos[q]) for tag in (0, 1)
+                         for q in parts[tag].nfa.initial],
+                        step, a.nfa.alphabet,
+                        lambda s: finals[s[0]] >> s[1] & 1)
     return WeightedAutomaton(nfa, wgt)
 
 

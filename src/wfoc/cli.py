@@ -12,8 +12,8 @@ import os
 import sys
 
 from .automata import (
-    WeightedAutomaton, abstract_semantics, aperiodicity_index, check_word,
-    classify_ambiguity, is_unambiguous, semantics_upto,
+    WeightedAutomaton, aperiodicity_index, check_word, classify_ambiguity,
+    is_unambiguous, semantics_upto,
     EXPONENTIALLY, FINITELY, POLYNOMIALLY, UNAMBIGUOUS,
 )
 from .decompose import decompose_with_trackers, ensure_single_initial
@@ -124,14 +124,13 @@ def _cmd_eval(args):
         if args.semiring:
             raise InputError("max-average takes no semiring")
         agg = max_average_aggregator()
-    elif args.semiring:
-        name = "multiset_seqs" if args.semiring == "multiset" else args.semiring
-        agg = sum_product_aggregator(builtin_semiring(name))
-    elif args.aggregator == "sp":
+    elif args.aggregator == "sp" and not args.semiring:
         raise InputError("sum-product needs --semiring")
     else:
-        print(abstract_semantics(wa, word).pretty())
-        return 0
+        # no flags mean the multiset, as --semiring multiset does
+        name = args.semiring or "multiset"
+        agg = sum_product_aggregator(builtin_semiring(
+            "multiset_seqs" if name == "multiset" else name))
     print(agg.fmt(concrete_semantics(wa, word, agg)))
     return 0
 

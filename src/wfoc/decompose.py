@@ -7,23 +7,15 @@ caps the count from above, and the product of the two with the weights of
 the ell-th tracked run (``build_a_k_ell``) is an unambiguous automaton
 whose support is the exactly-k-runs slice.  ``decompose`` stitches the
 slices into automata B_1, ..., B_K whose pointwise multiset union is the
-original behaviour.
+original behaviour.  Trackers, slices and unions are each built by
+`automata.reachable_nfa`.
 """
 
 import itertools
 
 from .automata import (
-    FINITELY,
-    Nfa,
-    UNAMBIGUOUS,
-    WeightedAutomaton,
-    classify_ambiguity,
-    max_accepting_runs,
-    product,
-    reachable_nfa,
-    trim,
-    underlying_nfa,
-    weighted_union,
+    FINITELY, UNAMBIGUOUS, Nfa, WeightedAutomaton, classify_ambiguity,
+    max_accepting_runs, reachable_nfa, trim, underlying_nfa, weighted_union,
 )
 from .errors import HypothesisError, InputError
 from .fo_compiler import ClassifierDfa, _swap, dfa_from_nfa
@@ -136,10 +128,24 @@ def build_a_k_ell(a: WeightedAutomaton, k, ell) -> WeightedAutomaton:
 
 
 def _exact_slice(geq_k: Nfa, geq_next: Nfa) -> Nfa:
-    """Trim product of the complement DFA of A_>=k+1 with the k-run
-    tracker A_>=k: one run per word with exactly k runs.  The product is
-    reachable already; trimming drops the pairs that cannot accept."""
-    return trim(product(_swap(dfa_from_nfa(geq_next)).nfa, geq_k))
+    """Trim product of the classifier of A_>=k+1 with the k-run tracker
+    A_>=k, on (classifier state, tracker state): one run per word with
+    exactly k runs, so a pair is final when the verdict is False (fewer
+    than k + 1 runs) and the tracker state is final."""
+    cls = dfa_from_nfa(geq_next)
+    num = geq_k.numbered()          # its letters are the classifier's
+
+    def step(pair):
+        c, q = pair
+        i = num.pos[q]
+        for letter, c2, out in zip(num.letters, cls.delta[c - 1], num.succ):
+            for _, t in out[i]:
+                yield letter, (c2, t[2])
+
+    return trim(reachable_nfa(
+        [(1, q) for q in geq_k.initial], step, geq_k.alphabet,
+        lambda pair: cls.verdicts[pair[0] - 1] is False
+        and pair[1] in geq_k.final))
 
 
 def _weigh_run(norm: WeightedAutomaton, joint: Nfa, ell) -> WeightedAutomaton:
@@ -193,7 +199,8 @@ def decompose_with_trackers(a: WeightedAutomaton, k=None):
                 "not %d-ambiguous: %r has at least %d accepting runs"
                 % (k, "".join(word), k + 1))
     # B_ell is the left-nested union over j = ell..k of the ell-th run
-    # on the exactly-j slice; each slice is built once
+    # on the exactly-j slice; each slice is built once and is reachable,
+    # so the unions keep every state
     norm = ensure_single_initial(a)
     geqs = [build_a_geq_k(norm.nfa, j) for j in range(1, k + 2)]
     out = []

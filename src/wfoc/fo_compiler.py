@@ -39,7 +39,7 @@ class ClassifierDfa:
     None for reject."""
 
     __slots__ = ("letters", "delta", "verdicts", "base_alphabet", "vars",
-                 "f", "g", "_nfa")
+                 "_nfa")
 
     def __init__(self, letters, delta, verdicts, base_alphabet, vars):
         self.letters = letters
@@ -47,8 +47,6 @@ class ClassifierDfa:
         self.verdicts = verdicts
         self.base_alphabet = frozenset(base_alphabet)
         self.vars = tuple(vars)
-        self.f = frozenset(s for s, v in enumerate(verdicts, 1) if v)
-        self.g = frozenset(s for s, v in enumerate(verdicts, 1) if v is False)
         self._nfa = None
 
     @property
@@ -58,8 +56,10 @@ class ClassifierDfa:
         if self._nfa is None:
             trans = {(s, a, d) for s, row in enumerate(self.delta, 1)
                      for a, d in zip(self.letters, row)}
+            verdicts = list(enumerate(self.verdicts, 1))
             self._nfa = Nfa(range(1, len(self.delta) + 1), self.letters,
-                            trans, {1}, self.f, {"G": self.g})
+                            trans, {1}, {s for s, v in verdicts if v},
+                            {"G": {s for s, v in verdicts if v is False}})
         return self._nfa
 
     def classify(self, letters):
@@ -265,13 +265,14 @@ def _exists(c: ClassifierDfa, var) -> ClassifierDfa:
     vars = tuple(v for v in c.vars if v != var)
     lifts = lift_table(c.base_alphabet, vars, var)
     rows = c.delta
+    accept = frozenset(s for s, v in enumerate(c.verdicts, 1) if v)
 
     def step(subset):
         return [frozenset(rows[s - 1][i] for s in subset for i in (i0, i1))
                 for _, i0, i1 in lifts]
 
     return _on_validity(
-        (frozenset([1]), step, lambda subset: not c.f.isdisjoint(subset)),
+        (frozenset([1]), step, lambda subset: not accept.isdisjoint(subset)),
         c.base_alphabet, vars)
 
 

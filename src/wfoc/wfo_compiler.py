@@ -9,7 +9,7 @@ The weighted if-then-else is a classifier product, + a disjoint union,
 and the variable sum a two-copy projection.  Every stage is built as the
 part of its construction reachable from the initial states
 (`automata.reachable_nfa`), so no state is made only to be pruned, and
-is numbered 1..n in canonical order before the next stage reads it.
+names its states by flat int tuples: its tags and its inputs' positions.
 Outputs are aperiodic and SCC-unambiguous; without variable sums they
 are finite unions of unambiguous automata, and without sums at all they
 are unambiguous.
@@ -27,7 +27,6 @@ from .logic.syntax import (
     Const, FoTrue, Not, Plus, ProdX, StepIte, SumX, WIte, Zero,
     fo_conditions, free_vars, uses_sumx,
 )
-from .textfmt import canonical_relabel
 
 
 # verdict codes inside the suffix tables; tables are numbered in sorted
@@ -146,9 +145,10 @@ def compile_product(step, var, alphabet, vars=()) -> WeightedAutomaton:
 def compile_ite(cond, then_wa: WeightedAutomaton, else_wa: WeightedAutomaton,
                 alphabet, vars=()) -> WeightedAutomaton:
     """Weighted if-then-else: product of the condition's classifier with
-    the disjoint union of the branches; a final pair needs F with the
-    then-branch and G with the else-branch, so invalid encodings and the
-    wrong branch die together."""
+    the disjoint union of the branches, on (tag, classifier state, branch
+    position).  A final state needs F in the then-branch (tag 0) and G in
+    the else-branch, so invalid encodings and the wrong branch die
+    together."""
     vars = tuple(sorted(vars))
     cls = compile_fo(cond, alphabet, vars)
     letters = cls.letters
@@ -158,23 +158,24 @@ def compile_ite(cond, then_wa: WeightedAutomaton, else_wa: WeightedAutomaton,
     branches = (then_wa, else_wa)
     # both branches read their letters in the classifier's order
     nums = [wa.nfa.numbered() for wa in branches]
+    finals = [num.mask(wa.nfa.final) for num, wa in zip(nums, branches)]
     wgt = {}
 
     def step(state):
-        (tag, c, q) = state
-        i, branch = nums[tag].pos[q], branches[tag].wgt
+        (tag, c, i) = state
+        branch = branches[tag].wgt
         for a, c2, out in zip(letters, cls.delta[c - 1], nums[tag].succ):
-            for _, t in out[i]:
-                dst = (tag, c2, t[2])
+            for d, t in out[i]:
+                dst = (tag, c2, d)
                 wgt[(state, a, dst)] = branch[t]
                 yield a, dst
 
     def final(state):
-        (tag, c, q) = state
-        return q in branches[tag].nfa.final \
-            and c in (cls.g if tag else cls.f)
+        (tag, c, i) = state
+        v = cls.verdicts[c - 1]
+        return finals[tag] >> i & 1 and (v is False if tag else v)
 
-    nfa = reachable_nfa([(tag, 1, q0) for tag in (0, 1)
+    nfa = reachable_nfa([(tag, 1, nums[tag].pos[q0]) for tag in (0, 1)
                          for q0 in branches[tag].nfa.initial],
                         step, letters, final)
     return WeightedAutomaton(nfa, wgt)
@@ -184,7 +185,8 @@ def compile_sum_var(a: WeightedAutomaton, var, alphabet,
                     vars) -> WeightedAutomaton:
     """Sum over a variable: erase its mark row and keep two copies of the
     automaton; the bit flips 0 to 1 exactly on the transition that read
-    the mark, so accepted runs correspond to (position, original run)."""
+    the mark, so accepted runs correspond to (position, original run).
+    A state is (position in the body's `order`, flag)."""
     vars = tuple(sorted(vars))
     if var not in vars:
         raise InputError("sum variable %s not present" % var)
@@ -199,22 +201,22 @@ def compile_sum_var(a: WeightedAutomaton, var, alphabet,
     num = a.nfa.numbered()
     moves = [(strip(l), l[1][idx], out) for l, out in zip(num.letters,
                                                            num.succ)]
+    final = num.mask(a.nfa.final)
     wgt = {}
 
     def step(state):
-        p, c = state
-        i = num.pos[p]
+        i, c = state
         for out_l, marked, out in moves:
             if marked and c:
                 continue
-            for _, t in out[i]:
-                dst = (t[2], 1 if marked else c)
+            for d, t in out[i]:
+                dst = (d, 1 if marked else c)
                 wgt[(state, out_l, dst)] = a.wgt[t]
                 yield out_l, dst
 
-    nfa = reachable_nfa([(q, 0) for q in a.nfa.initial], step,
+    nfa = reachable_nfa([(num.pos[q], 0) for q in a.nfa.initial], step,
                         ext_alphabet(alphabet, out_vars),
-                        lambda s: s[1] == 1 and s[0] in a.nfa.final)
+                        lambda s: s[1] == 1 and final >> s[0] & 1)
     return WeightedAutomaton(nfa, wgt)
 
 
@@ -229,7 +231,7 @@ def compile_wfo(phi, alphabet, vars=()) -> WeightedAutomaton:
 def compile_stages(phi, alphabet, vars=()):
     """The induction on phi: yields (subterm, automaton) for every
     weighted subterm, children before parents and phi last.  Automata keep
-    only reachable states, numbered 1..n in canonical_relabel's order."""
+    only reachable states, each an int or a flat tuple of ints."""
     vars = tuple(sorted(set(vars)))
     missing = free_vars(phi) - set(vars)
     if missing:
@@ -242,13 +244,10 @@ def compile_stages(phi, alphabet, vars=()):
 
 
 def _stages(phi, base, vars):
-    """Yield the stages of phi and return its automaton.  Each stage is
-    numbered as soon as it is built, so the next one names its states by
-    small tuples of ints rather than by nested copies of every child's
-    names.  The numbering keeps the order canonical_relabel would give
-    the nested names (a construction only compares names of the same
-    child, after its own tags), so numbering every stage gives the same
-    output as numbering the last one."""
+    """Yield the stages of phi and return its automaton.  A stage names
+    its states by its tags and its children's positions (ranks in `order`)
+    rather than by nested copies of their names; a construction compares
+    names of one child only, after its tags, so the bytes stay the same."""
     if isinstance(phi, Zero):
         letters = ext_alphabet(base, vars)
         wa = WeightedAutomaton(Nfa({0}, letters, set(), {0}, set()), {})
@@ -272,7 +271,6 @@ def _stages(phi, base, vars):
         wa = compile_sum_var(body, phi.var, base, inner_vars)
     else:
         raise InputError("not a weighted formula: %r" % (phi,))
-    wa = canonical_relabel(wa)
     yield phi, wa
     return wa
 

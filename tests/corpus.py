@@ -1,4 +1,5 @@
-"""Shared test fixtures: the example automata and random formula generators.
+"""Shared test fixtures: the example automata, random formula generators
+and reference constructions.
 
 Each automaton is kept as text in the package's own format and parsed
 through the public API, so the corpus doubles as a format test.
@@ -7,7 +8,7 @@ through the public API, so the corpus doubles as a format test.
 import random
 
 from wfoc import parse_automaton
-from wfoc.automata import letter_key
+from wfoc.automata import Nfa, WeightedAutomaton, letter_key
 from wfoc.fo_compiler import minimize
 from wfoc.logic import (
     And, Const, EqVar, Exists, Forall, FoTrue, Implies, LetterAt, Leq, Lt,
@@ -193,8 +194,7 @@ SEED = 0xA9E1
 def check_classifier(c):
     """The table contract of a minimal ClassifierDfa: sorted letters, one
     complete row per state, states 1..n numbered breadth-first from 1 over
-    the letters, F and G cached from the verdicts, and minimize returning
-    the same table."""
+    the letters, and minimize returning the same table."""
     n = len(c.delta)
     assert list(c.letters) == sorted(c.letters, key=letter_key)
     assert len(c.verdicts) == n
@@ -205,11 +205,25 @@ def check_classifier(c):
         order.extend(d for d in dict.fromkeys(c.delta[s - 1])
                      if d not in order)
     assert order == list(range(1, n + 1))
-    assert c.f == {s for s in order if c.verdicts[s - 1] is True}
-    assert c.g == {s for s in order if c.verdicts[s - 1] is False}
     again = minimize(c)
     assert (again.letters, again.delta, again.verdicts) \
         == (c.letters, c.delta, c.verdicts)
+
+
+def nested_union(a, b):
+    """The disjoint union of two weighted automata as first written: every
+    state of each, named (0, state) or (1, state) after its input."""
+    parts = (a, b)
+
+    def tagged(field):
+        return {(tag, s) for tag, wa in enumerate(parts)
+                for s in getattr(wa.nfa, field)}
+
+    wgt = {((tag, p), x, (tag, q)): w for tag, wa in enumerate(parts)
+           for (p, x, q), w in wa.wgt.items()}
+    return WeightedAutomaton(
+        Nfa(tagged("states"), a.nfa.alphabet, set(wgt), tagged("initial"),
+            tagged("final")), wgt)
 
 
 def switchpoints_closed_form(m, n, p):

@@ -231,58 +231,22 @@ trans: 2 a 1
 
 
 def test_union_doubles_runs():
-    from wfoc import disjoint_union
-    nfa = load("modeblocks").nfa
-    both = disjoint_union(nfa, nfa)
-    assert len(both.states) == 6
-    assert max_runs_upto(both, 4) == 2
+    from wfoc import weighted_union
+    wa = load("modeblocks")
+    both = weighted_union(wa, wa)
+    assert len(both.nfa.states) == 6
+    assert max_runs_upto(both.nfa, 4) == 2
 
 
 def test_product_preserves_aperiodicity():
-    from wfoc import product
-    a = load("switchpoints").nfa
-    b = load("mingap").nfa
-    assert aperiodicity_index(product(a, b)) is not None
-
-
-def test_product_of_full_loops():
-    from wfoc import parse_automaton, product
-    one = parse_automaton("""
-alphabet: a
-states: 1
-initial: 1
-final: 1
-trans: 1 a 1
-""")
-    p = product(one, one)
-    assert len(p.states) == 1
-    assert accepts(p, ("a", "a", "a"))
-
-
-def full_product(a, b):
-    """The synchronous product over every pair of states."""
-    trans = {((p, q), l, (p2, q2)) for (p, l, p2) in a.transitions
-             for (q, l2, q2) in b.transitions if l == l2}
-    return Nfa({(p, q) for p in a.states for q in b.states}, a.alphabet,
-               trans, {(p, q) for p in a.initial for q in b.initial},
-               {(p, q) for p in a.final for q in b.final})
-
-
-SAME_ALPHABET = [(x, y) for x in sorted(ALL_TEXTS) for y in sorted(ALL_TEXTS)
-                 if load(x).nfa.alphabet == load(y).nfa.alphabet]
-
-
-def test_product_is_the_reachable_part():
-    from wfoc import product
-    dropped = 0
-    for x, y in SAME_ALPHABET:
-        a, b = load(x).nfa, load(y).nfa
-        full = full_product(a, b)
-        got = product(a, b)
-        assert got == automata.restrict(full, automata.reachable_states(full))
-        dropped += len(full.states) - len(got.states)
-    # some pairs are unreachable, so the check is not vacuous
-    assert dropped > 0
+    # each exactly-k slice is the product of a classifier with a tracker
+    from wfoc.decompose import _exact_slice, build_a_geq_k
+    for name in ("switchpoints", "mingap"):
+        geqs = [build_a_geq_k(load(name).nfa, k) for k in (1, 2, 3)]
+        for geq_k, geq_next in zip(geqs, geqs[1:]):
+            sliced = _exact_slice(geq_k, geq_next)
+            assert sliced.states
+            assert aperiodicity_index(sliced) is not None
 
 
 def test_trim_drops_useless_states():

@@ -127,7 +127,7 @@ class TestEval:
         def refuse(*args):
             raise AssertionError("abstract_semantics called")
 
-        for mod in (wfoc.cli, wfoc.semantics, wfoc.automata):
+        for mod in (wfoc.semantics, wfoc.automata):
             monkeypatch.setattr(mod, "abstract_semantics", refuse)
         assert run(capsys, argv) == (0, want, "")
 
@@ -138,6 +138,19 @@ class TestEval:
                 argv = ["eval", "--automaton", path, "--word", word]
                 assert run(capsys, argv + ["--semiring", "multiset"]) \
                     == run(capsys, argv)
+
+    def test_no_flags_run_the_multiset_semiring(self, tmp_path, capsys,
+                                                monkeypatch):
+        tri = save(tmp_path, "triplerun")
+        names = []
+        real = wfoc.cli.sum_product_aggregator
+        monkeypatch.setattr(wfoc.cli, "sum_product_aggregator",
+                            lambda s: names.append(s.name) or real(s))
+        for word in ("aaabb", "b"):
+            rc, out, _ = run(capsys, ["eval", "--automaton", tri,
+                                      "--word", word])
+            assert rc == 0 and out.endswith("\n")
+        assert names == ["multiset_seqs"] * 2
 
 class TestCompile:
     def test_round_trip_through_files(self, tmp_path, capsys):
@@ -790,7 +803,8 @@ class TestEquiv:
         def refuse(*args):
             raise AssertionError("abstract_semantics called")
 
-        monkeypatch.setattr(wfoc.cli, "abstract_semantics", refuse)
+        for mod in (wfoc.semantics, wfoc.automata):
+            monkeypatch.setattr(mod, "abstract_semantics", refuse)
         rc, out, _ = run(capsys, ["equiv", "--a", save(tmp_path, pair[0]),
                                   "--b", save(tmp_path, pair[1]),
                                   "--maxlen", "5"])

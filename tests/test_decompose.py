@@ -1,23 +1,26 @@
 """Splitting finitely ambiguous automata into unambiguous slices."""
 
+import random
 import re
 from math import comb
 
 import pytest
 
-from tests.corpus import ALL_TEXTS, check_classifier, load
+from tests.corpus import ALL_TEXTS, SEED, check_classifier, load, nested_union
 from wfoc.automata import (
-    Nfa, WeightedAutomaton, abstract_semantics, accepts, aperiodicity_index,
-    count_accepting_runs, enumerate_runs, is_unambiguous, language_upto,
-    reachable_states, restrict, state_key, trim, words_upto,
+    FINITELY, Nfa, WeightedAutomaton, abstract_semantics, accepts,
+    aperiodicity_index, classify_ambiguity, count_accepting_runs,
+    enumerate_runs, is_unambiguous, language_upto, reachable_states,
+    restrict, state_key, trim, words_upto,
 )
 from wfoc.decompose import (
-    _exact_slice, build_a_geq_k, build_a_k_ell, build_a_leq_k, decompose,
-    decompose_with_trackers, ensure_single_initial,
+    _exact_slice, _weigh_run, build_a_geq_k, build_a_k_ell, build_a_leq_k,
+    decompose, decompose_with_trackers, ensure_single_initial,
 )
 from wfoc.errors import HypothesisError, InputError
 from wfoc.fo_compiler import _swap, dfa_from_nfa
 from wfoc.multiset import SeqMultiset
+from wfoc.textfmt import serialize_automaton
 
 CORPUS = sorted(ALL_TEXTS)
 MULTI_INITIAL = [n for n in CORPUS if len(load(n).nfa.initial) > 1]
@@ -295,3 +298,81 @@ def test_exact_slices_equal_full_product_then_trim(name):
     for j in range(1, k + 2):
         assert _exact_slice(geqs[j - 1], geqs[j]) == \
             reference_slice(geqs[j - 1], geqs[j])
+
+
+# -- the parts as they were built beside the one builder ---------------------
+#
+# Each slice as the full product of the complement classifier's Nfa with the
+# tracker, then trimmed, and each union named by nested copies of its
+# inputs' names.  The parts `decompose` builds through `reachable_nfa` alone
+# must serialize to the same bytes.
+
+
+def reference_parts(a, k):
+    norm = ensure_single_initial(a)
+    geqs = [build_a_geq_k(norm.nfa, j) for j in range(1, k + 2)]
+    out = []
+    for j in range(1, k + 1):
+        joint = reference_slice(geqs[j - 1], geqs[j])
+        for ell in range(1, j):
+            out[ell - 1] = nested_union(
+                out[ell - 1], _weigh_run(norm, joint, ell))
+        out.append(_weigh_run(norm, joint, j))
+    return out
+
+
+def mixed_chain_union(rng):
+    """k state-disjoint chain-n copies with a b loop on every state and
+    weights in 0..3; even copies name their states by ints, odd ones by
+    strings."""
+    k, n = rng.randint(2, 3), rng.randint(2, 5)
+    names = [[c * n + i if c % 2 == 0 else "c%di%d" % (c, i)
+              for i in range(1, n + 1)] for c in range(k)]
+    trans = {(copy[i], "a", copy[i + 1]) for copy in names
+             for i in range(n - 1)}
+    trans |= {(s, "b", s) for copy in names for s in copy}
+    nfa = Nfa([s for copy in names for s in copy], "ab", trans,
+              {copy[0] for copy in names}, {copy[-1] for copy in names})
+    return WeightedAutomaton(nfa, {t: rng.randint(0, 3) for t in trans})
+
+
+def random_finitely_ambiguous(rng):
+    """A seeded random automaton over {a, b} with 2 to 6 states named by
+    ints and strings that classifies as finitely ambiguous."""
+    while True:
+        states = rng.sample([1, 2, 3, 4, 5, "p", "q", "r"], rng.randint(2, 6))
+        trans = {(s, a, d) for s in states for a in "ab" for d in states
+                 if rng.random() < 0.3}
+        nfa = Nfa(states, "ab", trans,
+                  rng.sample(states, rng.randint(1, 2)),
+                  rng.sample(states, rng.randint(1, 2)))
+        if classify_ambiguity(nfa) == FINITELY:
+            return WeightedAutomaton(nfa, {t: rng.randint(0, 3)
+                                           for t in trans})
+
+
+def decompose_cases():
+    rng = random.Random(SEED + 23)
+    cases = [(name, load(name)) for name in DECOMPOSABLE]
+    cases += [("chains-%d" % i, mixed_chain_union(rng)) for i in range(12)]
+    cases += [("random-%d" % i, random_finitely_ambiguous(rng))
+              for i in range(100)]
+    return cases
+
+
+DECOMPOSE_CASES = decompose_cases()
+
+
+@pytest.mark.parametrize("name,wa", DECOMPOSE_CASES,
+                         ids=[c[0] for c in DECOMPOSE_CASES])
+def test_parts_match_reference_constructions(name, wa):
+    parts = decompose(wa)
+    assert [serialize_automaton(p) for p in parts] == \
+        [serialize_automaton(p) for p in reference_parts(wa, len(parts))]
+
+
+def test_reference_cases_reach_several_parts():
+    # the unions are exercised: several cases split into 3 or more parts
+    counts = [len(decompose(wa)) for _, wa in DECOMPOSE_CASES]
+    assert sum(k >= 3 for k in counts) >= 5
+    assert min(counts) >= 1

@@ -60,7 +60,8 @@ class TestValidity:
         # without variables every word is valid: no sink is reachable
         assert len(c.nfa.states) == (2 ** len(vars) + 1 if vars else 1)
         check_classifier(c)
-        assert c.g == frozenset()
+        assert False not in c.verdicts
+        assert c.nfa.accepting["G"] == frozenset()
 
     def test_accepts_exactly_valid(self):
         c = compile_fo(FoTrue(), AB, ("x",))
@@ -242,7 +243,8 @@ class TestDfaFromNfa:
 
     def test_total_split(self):
         c = dfa_from_nfa(load("modeblocks").nfa)
-        assert c.f | c.g == c.nfa.states
+        assert None not in c.verdicts
+        assert c.nfa.final | c.nfa.accepting["G"] == c.nfa.states
 
 
 class TestClassifierContract:

@@ -7,7 +7,7 @@ of it.  They must agree with the readers of `Nfa.order` and
 `Nfa.numbered()` on the corpus and on seeded random automata whose states
 mix ints, strings and tuples (tuples whose parts mix `bool` and `int`
 among them).  The successor table's readers (`Nfa.out`, the runs, the
-forward pass, trim and the product) are checked against references that
+forward pass, trim and the union) are checked against references that
 read `transitions` alone.
 """
 
@@ -23,8 +23,8 @@ from corpus import ALL_TEXTS, SEED, load
 from wfoc import Nfa, WeightedAutomaton, serialize_automaton, to_dot
 from wfoc.automata import (
     SEQ_COUNTS, Run, ambiguity_witness, enumerate_runs, explore, forward,
-    letter_key, live_sets, max_accepting_runs, product, scc_decompose,
-    shortest_word, state_key, transition_monoid, trim, underlying_nfa,
+    letter_key, live_sets, max_accepting_runs, scc_decompose, shortest_word,
+    state_key, transition_monoid, trim, underlying_nfa, weighted_union,
     words_upto, _mat_mul,
 )
 from wfoc.errors import InputError
@@ -348,22 +348,29 @@ def reference_trim(nfa):
                {k: v & keep for k, v in nfa.accepting.items()})
 
 
-def reference_product(a, b):
-    states = {(p, q) for p in a.initial for q in b.initial}
-    trans = set()
+def reference_union(a, b):
+    """The tagged union by a fixpoint over the transitions: states (tag,
+    rank in state_key order), kept when reachable from an initial one."""
+    parts = (a, b)
+    rank = [{s: i for i, s in enumerate(_sorted_states(wa.nfa.states))}
+            for wa in parts]
+
+    def tagged(tag, states):
+        return {(tag, rank[tag][s]) for s in states}
+
+    wgt = {((tag, rank[tag][p]), x, (tag, rank[tag][q])): w
+           for tag, wa in enumerate(parts) for (p, x, q), w in wa.wgt.items()}
+    initial = tagged(0, a.nfa.initial) | tagged(1, b.nfa.initial)
+    states = set(initial)
     while True:
-        new = {((p, q), x, (p2, q2))
-               for (p, x, p2) in a.transitions
-               for (q, y, q2) in b.transitions
-               if x == y and (p, q) in states}
-        if new <= trans:
+        grown = states | {d for (s, _, d) in wgt if s in states}
+        if grown == states:
             break
-        trans |= new
-        states |= {d for (_, _, d) in new}
-    return Nfa(states, a.alphabet, trans,
-               {(p, q) for p in a.initial for q in b.initial},
-               {(p, q) for (p, q) in states
-                if p in a.final and q in b.final})
+        states = grown
+    wgt = {t: w for t, w in wgt.items() if t[0] in states}
+    final = (tagged(0, a.nfa.final) | tagged(1, b.nfa.final)) & states
+    return WeightedAutomaton(
+        Nfa(states, a.nfa.alphabet, set(wgt), initial, final), wgt)
 
 
 # -- inputs -------------------------------------------------------------------
@@ -582,12 +589,12 @@ def test_trim_matches_reference():
         assert underlying_nfa(trim(a)) == reference_trim(nfa)
 
 
-def test_product_matches_reference():
+def test_union_matches_reference():
     rng = random.Random(SEED + 19)
     by_alphabet = {}
-    for nfa in NFAS:
-        by_alphabet.setdefault(nfa.alphabet, []).append(nfa)
+    for wa in pool(100, SEED + 20, weighted=True):
+        by_alphabet.setdefault(wa.nfa.alphabet, []).append(wa)
     for group in by_alphabet.values():
         for _ in range(min(40, len(group) ** 2)):
             a, b = rng.choice(group), rng.choice(group)
-            assert product(a, b) == reference_product(a, b)
+            assert weighted_union(a, b) == reference_union(a, b)

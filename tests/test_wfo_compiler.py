@@ -1,4 +1,6 @@
+import collections
 import random
+import sys
 
 import pytest
 
@@ -8,6 +10,7 @@ from wfoc.automata import (
     classify_ambiguity, count_accepting_runs, explore, is_unambiguous,
     letter_key, reachable_states, restrict, weighted_union, words_upto,
 )
+from wfoc.decompose import decompose_with_trackers
 from wfoc.fo_compiler import compile_fo
 from wfoc.logic import parse_fo, parse_wfo
 from wfoc.logic.encoding import ext_alphabet
@@ -15,7 +18,7 @@ from wfoc.logic.evaluate import eval_wfo_at
 from wfoc.logic.parser import parse_formula_file, serialize_formula_file
 from wfoc.logic.syntax import (
     Const, FoTrue, Not, Plus, ProdX, StepIte, SumX, WIte, Zero, fo_conditions,
-    uses_plus, uses_sumx,
+    nodes, uses_plus, uses_sumx,
 )
 from wfoc.multiset import SeqMultiset
 from wfoc.semantics import (
@@ -28,7 +31,9 @@ from wfoc.wfo_compiler import (
     compile_sum_var, compile_wfo, rewrite_sum_normal_form,
 )
 
-from corpus import ALL_TEXTS, SEED, all_words, load, random_wfo
+from corpus import (
+    ALL_TEXTS, SEED, all_words, load, nested_union, random_wfo,
+)
 
 AB = frozenset({"a", "b"})
 
@@ -278,11 +283,12 @@ class TestSumNormalForm:
 
 # -- the reachable part, built directly -----------------------------------
 #
-# The product and the projection as they were first written: every
-# candidate state and transition, then a pass that keeps the part reachable
-# from the initial states, under names that nest the names of every child
-# stage.  The compiler builds that part directly and numbers it 1..n, so
-# every stage must come out equal to the reference, renumbered.
+# The constructions as they were first written: every candidate state and
+# transition, then a pass that keeps the part reachable from the initial
+# states, under names that nest the names of every child stage.  The
+# compiler builds that part directly and names its states by the
+# positions of its children's states, so every stage must come out equal
+# to the reference once both are renumbered 1..n in their own order.
 
 
 def reachable_part(wa):
@@ -378,6 +384,37 @@ def reference_sum_var(a, var, alphabet, vars):
     return reachable_part(WeightedAutomaton(nfa, wgt))
 
 
+def reference_ite(cond, then_wa, else_wa, alphabet, vars=()):
+    # explored pair by pair from the branches' transitions: the product
+    # of every classifier state with a large branch is too big to prune
+    cls = compile_fo(cond, alphabet, tuple(sorted(vars)))
+    index = {a: i for i, a in enumerate(cls.letters)}
+    branches = (then_wa, else_wa)
+    leaving = {}
+    for tag, wa in enumerate(branches):
+        for t, w in wa.wgt.items():
+            leaving.setdefault((tag, t[0]), []).append((t, w))
+    wgt = {}
+
+    def step(state):
+        tag, c, p = state
+        for (_, a, q), w in leaving.get((tag, p), ()):
+            dst = (tag, cls.delta[c - 1][index[a]], q)
+            wgt[(state, a, dst)] = w
+            yield a, dst
+
+    initial = {(tag, 1, q) for tag, wa in enumerate(branches)
+               for q in wa.nfa.initial}
+    trans = set(explore(initial, step))
+    states = initial | {d for (_, _, d) in trans}
+    # the then-branch (tag 0) ends in F, the else-branch in G
+    final = {(tag, c, q) for (tag, c, q) in states
+             if q in branches[tag].nfa.final
+             and cls.verdicts[c - 1] is (tag == 0)}
+    return WeightedAutomaton(
+        Nfa(states, cls.letters, trans, initial, final), wgt)
+
+
 def contexts(phi, vars):
     """(subterm, variable context) in the order compile_stages yields."""
     if isinstance(phi, WIte):
@@ -436,26 +473,37 @@ class TestReachableStages:
     @pytest.mark.parametrize("name,phi,alphabet", STAGE_CASES,
                              ids=[c[0] for c in STAGE_CASES])
     def test_stages_equal_build_then_prune(self, name, phi, alphabet):
-        body = None
+        stages = {}         # (subterm, variable context) -> its stage
         for (sub, wa), (sub2, vars) in zip(compile_stages(phi, alphabet),
                                            contexts(phi, ())):
             assert sub == sub2
             if isinstance(sub, ProdX):
-                assert_same_automaton(wa, canonical_relabel(
-                    reference_product(sub.step, sub.var, alphabet, vars)))
+                want = reference_product(sub.step, sub.var, alphabet, vars)
+            elif isinstance(sub, WIte):
+                want = reference_ite(sub.cond, stages[sub.then, vars],
+                                     stages[sub.els, vars], alphabet, vars)
+            elif isinstance(sub, Plus):
+                want = nested_union(stages[sub.left, vars],
+                                    stages[sub.right, vars])
             elif isinstance(sub, SumX):
-                # the stage before a sum is its body
                 inner = tuple(sorted(vars + (sub.var,)))
-                assert_same_automaton(wa, canonical_relabel(
-                    reference_sum_var(body, sub.var, alphabet, inner)))
-            body = wa
+                want = reference_sum_var(stages[sub.body, vars + (sub.var,)],
+                                         sub.var, alphabet, inner)
+            else:
+                want = wa
+            assert_same_automaton(canonical_relabel(wa),
+                                  canonical_relabel(want))
+            stages[sub, vars] = wa
 
     @pytest.mark.parametrize("name,phi,alphabet", STAGE_CASES,
                              ids=[c[0] for c in STAGE_CASES])
     def test_every_stage_is_numbered(self, name, phi, alphabet):
+        # every state is an int or a flat tuple of ints: no stage nests
+        # its children's names
         for _, wa in compile_stages(phi, alphabet):
-            assert wa.nfa.states == frozenset(
-                range(1, len(wa.nfa.states) + 1))
+            for s in wa.nfa.states:
+                assert isinstance(s, int) or isinstance(s, tuple) and all(
+                    type(x) is int for x in s), s
 
     def test_sum_var_reads_one_mark(self):
         # a body that would read the mark at every position: the
@@ -465,17 +513,17 @@ class TestReachableStages:
             Nfa({1}, {a0, a1}, {(1, a0, 1), (1, a1, 1)}, {1}, {1}),
             {(1, a0, 1): 1, (1, a1, 1): 2})
         wa = compile_sum_var(body, "y", {"a"}, ("y",))
-        assert_same_automaton(
-            wa, reference_sum_var(body, "y", {"a"}, ("y",)))
+        assert_same_automaton(canonical_relabel(wa), canonical_relabel(
+            reference_sum_var(body, "y", {"a"}, ("y",))))
         assert abstract_semantics(wa, ("a",) * 3) == SeqMultiset(
             {(2, 1, 1): 1, (1, 2, 1): 1, (1, 1, 2): 1})
 
 
-# -- numbering every stage keeps the bytes ---------------------------------
+# -- naming states by positions keeps the bytes -----------------------------
 #
 # The pipeline before stages were numbered: every stage named by nested
-# tuples of its children's names, and one renumbering at the end.  Its
-# output must be byte-identical to the compiler's.
+# tuples of its children's names.  Its output must be byte-identical to
+# the compiler's.
 
 
 def nested_compile(phi, base, vars=()):
@@ -485,11 +533,11 @@ def nested_compile(phi, base, vars=()):
     if isinstance(phi, ProdX):
         return reference_product(phi.step, phi.var, base, vars)
     if isinstance(phi, WIte):
-        return compile_ite(phi.cond, nested_compile(phi.then, base, vars),
-                           nested_compile(phi.els, base, vars), base, vars)
+        return reference_ite(phi.cond, nested_compile(phi.then, base, vars),
+                             nested_compile(phi.els, base, vars), base, vars)
     if isinstance(phi, Plus):
-        return weighted_union(nested_compile(phi.left, base, vars),
-                              nested_compile(phi.right, base, vars))
+        return nested_union(nested_compile(phi.left, base, vars),
+                               nested_compile(phi.right, base, vars))
     assert isinstance(phi, SumX)
     inner = tuple(sorted(vars + (phi.var,)))
     return reference_sum_var(nested_compile(phi.body, base, inner),
@@ -505,6 +553,21 @@ def chain(n, rng):
         Nfa(range(1, n + 1), AB, set(wgt), {1}, {n}), wgt)
 
 
+def chain_union(k, n, rng):
+    """k state-disjoint chain-n copies, copy c on states c*n+1..c*n+n."""
+    wgt = {(c * n + p, a, c * n + q): w for c in range(k)
+           for (p, a, q), w in chain(n, rng).wgt.items()}
+    return WeightedAutomaton(
+        Nfa(range(1, k * n + 1), AB, set(wgt), {c * n + 1 for c in range(k)},
+            {c * n + n for c in range(k)}), wgt)
+
+
+def scc_formula(wa):
+    """The formula `wfoc tologic --mode scc` writes for wa, read back."""
+    return parse_formula_file(serialize_formula_file(
+        scc_unambiguous_to_wfo(wa), "wfo"), "wfo").formula
+
+
 def byte_cases():
     cases = [c for c in STAGE_CASES if not c[0].startswith("random-")]
     rng = random.Random(SEED + 13)
@@ -512,6 +575,10 @@ def byte_cases():
               for i in range(40)]
     cases += [("chain-%d" % n, tologic_formula(chain(n, rng)), AB)
               for n in (10, 20, 30)]
+    # nested sums, and with the union a + between them
+    cases += [("scc-chain-%d" % n, scc_formula(chain(n, rng)), AB)
+              for n in (4, 5)]
+    cases.append(("scc-union-2x4", scc_formula(chain_union(2, 4, rng)), AB))
     return cases
 
 
@@ -520,12 +587,16 @@ BYTE_CASES = byte_cases()
 
 class TestNumberedStagesKeepBytes:
     def test_cases(self):
-        assert len(BYTE_CASES) == 9 + 40 + 3
+        assert len(BYTE_CASES) == 9 + 40 + 3 + 3
+        sums = {name: sum(isinstance(sub, SumX) for sub in nodes(phi))
+                for name, phi, _ in BYTE_CASES[-3:]}
+        assert sums == {"scc-chain-4": 3, "scc-chain-5": 4, "scc-union-2x4": 6}
+        assert any(isinstance(sub, Plus) for sub in nodes(BYTE_CASES[-1][1]))
 
     @pytest.mark.parametrize("name,phi,alphabet", BYTE_CASES,
                              ids=[c[0] for c in BYTE_CASES])
     def test_same_bytes_as_nested_names(self, name, phi, alphabet):
-        want = canonical_relabel(nested_compile(phi, frozenset(alphabet)))
+        want = nested_compile(phi, frozenset(alphabet))
         assert serialize_automaton(compile_wfo(phi, alphabet)) == \
             serialize_automaton(want)
 
@@ -565,3 +636,58 @@ class TestClassifierMemo:
         alone = compile_product(prod.step, prod.var, AB)
         assert 0 < with_memo < len(calls)
         assert serialize_automaton(shared) == serialize_automaton(alone)
+
+
+# -- one builder ------------------------------------------------------------
+#
+# Every automaton a compilation or a decomposition makes is the reachable
+# part of a construction (`reachable_nfa`), a restriction of one (`restrict`,
+# behind `trim`), the single-initial normal form, or the one-state `zero`.
+
+
+def decomposable_corpus():
+    names = []
+    for name in sorted(ALL_TEXTS):
+        try:
+            decompose_with_trackers(load(name))
+        except HypothesisError:
+            continue
+        names.append(name)
+    return names
+
+
+class TestOneBuilder:
+    BUILDERS = {"wfoc.automata.reachable_nfa", "wfoc.automata.restrict",
+                "wfoc.decompose.ensure_single_initial",
+                "wfoc.wfo_compiler._stages"}
+
+    @staticmethod
+    def builders(monkeypatch, run):
+        """The functions that construct an Nfa while run() runs."""
+        seen = collections.Counter()
+        real = Nfa.__init__
+
+        def init(self, *args, **kwargs):
+            caller = sys._getframe(1)
+            seen["%s.%s" % (caller.f_globals["__name__"],
+                            caller.f_code.co_name)] += 1
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(Nfa, "__init__", init)
+        run()
+        monkeypatch.undo()
+        return seen
+
+    def test_compile_builds_through_the_builder(self, monkeypatch):
+        seen = self.builders(monkeypatch, lambda: [
+            compile_wfo(phi, alphabet) for _, phi, alphabet in STAGE_CASES])
+        assert set(seen) <= self.BUILDERS
+        assert seen["wfoc.automata.reachable_nfa"] > len(STAGE_CASES)
+
+    def test_decompose_builds_through_the_builder(self, monkeypatch):
+        cases = [load(name) for name in decomposable_corpus()]
+        assert len(cases) == 4
+        seen = self.builders(monkeypatch, lambda: [
+            decompose_with_trackers(wa) for wa in cases])
+        assert set(seen) <= self.BUILDERS
+        assert seen["wfoc.automata.reachable_nfa"] > len(cases)
