@@ -699,18 +699,15 @@ def classify_ambiguity(a) -> str:
     return FINITELY
 
 
-def max_accepting_runs(a, cap):
-    """Breadth-first search over per-state run-count vectors, entries
-    capped at `cap`.  Returns (best, word): the largest accepting-run total
-    seen and the shortest non-empty word reaching `cap`, or None.  On a
-    trim automaton, a None word makes `best` the exact ambiguity degree,
-    since a capped count would propagate to some final state and
-    trigger."""
+def runs_witness(a, cap):
+    """The shortlex-least non-empty word with at least `cap` accepting
+    runs, or None.  Breadth-first search over per-state run-count vectors
+    with entries capped at `cap`; dead states never feed a final one, so
+    trimming the automaton first does not change the word."""
     nfa = underlying_nfa(a)
     num = nfa.numbered()
     finals = [num.pos[s] for s in nfa.final]
     start = tuple(1 if s in nfa.initial else 0 for s in nfa.order)
-    best = 0
 
     def step(vec):
         for letter, rows in zip(num.letters, num.masks):
@@ -721,15 +718,8 @@ def max_accepting_runs(a, cap):
                         nxt[j] += n
             yield letter, tuple(min(cap, n) for n in nxt)
 
-    def reaches_cap(vec):
-        # every vector reached by a non-empty word passes here
-        nonlocal best
-        acc = sum(vec[j] for j in finals)
-        best = max(best, acc)
-        return acc >= cap
-
-    word = shortest_word([start], step, reaches_cap)
-    return (best, None) if word is None else (cap, word)
+    return shortest_word([start], step,
+                         lambda vec: sum(vec[j] for j in finals) >= cap)
 
 
 # -- aperiodicity -----------------------------------------------------------
@@ -809,10 +799,12 @@ def weighted_union(a: WeightedAutomaton, b: WeightedAutomaton) -> WeightedAutoma
 
 
 def reachable_states(nfa: Nfa):
-    letters = nfa.numbered().letters
-    forward = explore(nfa.initial, lambda s: (
-        (a, d) for a in letters for d in nfa.out(s, a)))
-    return set(nfa.initial) | {d for (_, _, d) in forward}
+    num = nfa.numbered()
+    starts = [num.pos[s] for s in nfa.initial]
+    forward = explore(starts, lambda i: (
+        (j, d) for j, out in enumerate(num.succ) for d, _ in out[i]))
+    reached = set(starts).union(d for (_, _, d) in forward)
+    return {nfa.order[i] for i in reached}
 
 
 def coreachable_states(nfa: Nfa):

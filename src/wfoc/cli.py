@@ -102,15 +102,18 @@ def _render(a, fmt):
     return to_dot(a) if fmt == "dot" else serialize_automaton(a)
 
 
+def _count(source, text, least):
+    """A count written in ASCII digits and at least `least` (0 or 1)."""
+    if not (text.isascii() and text.isdecimal() and int(text) >= least):
+        raise InputError("%s must be a %s integer, not %r" % (
+            source, "positive" if least else "non-negative", text))
+    return int(text)
+
+
 def _maxlen(args):
     if args.maxlen is not None:
-        source, text = "--maxlen", args.maxlen
-    else:
-        source, text = "WFOC_MAXLEN", os.environ.get("WFOC_MAXLEN", "8")
-    if not (text.isdecimal() and int(text) > 0):
-        raise InputError("%s must be a positive integer, not %r"
-                         % (source, text))
-    return int(text)
+        return _count("--maxlen", args.maxlen, 1)
+    return _count("WFOC_MAXLEN", os.environ.get("WFOC_MAXLEN", "8"), 1)
 
 
 # -- commands -----------------------------------------------------------------
@@ -182,13 +185,14 @@ def _cmd_tologic(args):
 
 def _cmd_decompose(args):
     wa = _load_weighted(args.automaton)
-    parts, geqs = decompose_with_trackers(wa, args.bound)
+    bound = None if args.bound is None else _count("-K", args.bound, 0)
+    parts, geqs = decompose_with_trackers(wa, bound)
     k = len(parts)
     norm = ensure_single_initial(wa)
     m = aperiodicity_index(norm)
     print("input: states=%d index=%s bound K=%d%s"
           % (len(wa.nfa.states), m, k,
-             "" if args.bound is not None else " (detected)"))
+             "" if bound is not None else " (detected)"))
     if norm is not wa:
         print("note: added a fresh initial state (input had %d)"
               % len(wa.nfa.initial))
@@ -296,7 +300,7 @@ def build_parser():
     sub = subs.add_parser("decompose",
                           help="split into unambiguous automata")
     sub.add_argument("--automaton", required=True)
-    sub.add_argument("-K", dest="bound", type=int)
+    sub.add_argument("-K", dest="bound")
     sub.add_argument("-o", "--out", required=True)
     _add_format(sub)
     sub.set_defaults(fn=_cmd_decompose)

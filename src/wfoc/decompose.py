@@ -2,23 +2,25 @@
 
 The route runs through run counting.  ``build_a_geq_k`` tracks k guessed
 runs at once, lexicographically ordered, and accepts exactly the words
-with at least k accepting runs.  Its complement DFA (``build_a_leq_k``)
-caps the count from above, and the product of the two with the weights of
-the ell-th tracked run (``build_a_k_ell``) is an unambiguous automaton
-whose support is the exactly-k-runs slice.  ``decompose`` stitches the
-slices into automata B_1, ..., B_K whose pointwise multiset union is the
-original behaviour.  Trackers, slices and unions are each built by
-`automata.reachable_nfa`.
+with at least k accepting runs.  The ambiguity degree K is the last k
+whose tracker accepts a non-empty word.  The product of the complement
+DFA of A_>=k+1 with A_>=k, weighted by the ell-th tracked run, is an
+unambiguous automaton whose support is the exactly-k-runs slice.
+``decompose`` stitches the slices into automata B_1, ..., B_K whose
+pointwise multiset union is the original behaviour.  Trackers, slices and
+unions are each built by `automata.reachable_nfa` over the successor
+table.
 """
 
 import itertools
 
 from .automata import (
     FINITELY, UNAMBIGUOUS, Nfa, WeightedAutomaton, classify_ambiguity,
-    max_accepting_runs, reachable_nfa, trim, underlying_nfa, weighted_union,
+    coreachable_states, reachable_nfa, restrict, runs_witness, trim,
+    underlying_nfa, weighted_union,
 )
 from .errors import HypothesisError, InputError
-from .fo_compiler import ClassifierDfa, _swap, dfa_from_nfa
+from .fo_compiler import dfa_from_nfa
 
 
 # -- single initial state ----------------------------------------------------
@@ -60,7 +62,7 @@ def ensure_single_initial(a):
     return WeightedAutomaton(out, {t: a.wgt[u] for t, u in origin.items()})
 
 
-# -- at least / at most k accepting runs -------------------------------------
+# -- at least k accepting runs ----------------------------------------------
 
 
 def build_a_geq_k(a, k) -> Nfa:
@@ -79,52 +81,31 @@ def build_a_geq_k(a, k) -> Nfa:
     num = nfa.numbered()
 
     def step(src):
-        qs, cs = src[:k], src[k:]
-        for letter in num.letters:
-            outs = [nfa.out(qs[ell], letter) for ell in range(k)]
-            for qs2 in itertools.product(*outs):
+        ps, cs = [num.pos[q] for q in src[:k]], src[k:]
+        for letter, out in zip(num.letters, num.succ):
+            # lists, not generators: CPython sizes a tuple built from a
+            # generator by a guess and shrinks it, and the shrunk tuples
+            # pile up in its free lists (peak memory of large trackers)
+            for moves in itertools.product(*[out[p] for p in ps]):
                 cs2 = []
                 for ell in range(k - 1):
-                    if cs[ell] == 1:
+                    d, e = moves[ell][0], moves[ell + 1][0]
+                    if cs[ell] == 1 or d < e:
                         cs2.append(1)
-                    elif num.pos[qs2[ell]] < num.pos[qs2[ell + 1]]:
-                        cs2.append(1)
-                    elif qs2[ell] == qs2[ell + 1]:
+                    elif d == e:
                         cs2.append(0)
                     else:
                         # equal prefixes may not fall out of order
                         break
                 else:
-                    yield letter, qs2 + tuple(cs2)
+                    yield letter, tuple([t[2] for _, t in moves] + cs2)
 
     return reachable_nfa(
         [(q0,) * k + (0,) * (k - 1)], step, nfa.alphabet,
         lambda s: all(q in nfa.final for q in s[:k]) and all(s[k:]))
 
 
-def build_a_leq_k(a, k) -> ClassifierDfa:
-    """Minimal complete DFA for the words with at most k accepting runs.
-
-    Built as the complement of the at-least-(k + 1) language; F holds the
-    accepted words and G the rest, so no word is ever rejected outright.
-    """
-    if k < 1:
-        raise InputError("run count must be >= 1")
-    return _swap(dfa_from_nfa(build_a_geq_k(a, k + 1)))
-
-
 # -- the ell-th run on the exactly-k slice ------------------------------------
-
-
-def build_a_k_ell(a: WeightedAutomaton, k, ell) -> WeightedAutomaton:
-    """Unambiguous automaton for the ell-th run weight, in lexicographic
-    order, on words carrying exactly k accepting runs; empty elsewhere."""
-    if not 1 <= ell <= k:
-        raise InputError("run index %r out of range 1..%r" % (ell, k))
-    norm = ensure_single_initial(a)
-    joint = _exact_slice(build_a_geq_k(norm.nfa, k),
-                         build_a_geq_k(norm.nfa, k + 1))
-    return _weigh_run(norm, joint, ell)
 
 
 def _exact_slice(geq_k: Nfa, geq_next: Nfa) -> Nfa:
@@ -142,10 +123,11 @@ def _exact_slice(geq_k: Nfa, geq_next: Nfa) -> Nfa:
             for _, t in out[i]:
                 yield letter, (c2, t[2])
 
-    return trim(reachable_nfa(
+    joint = reachable_nfa(
         [(1, q) for q in geq_k.initial], step, geq_k.alphabet,
         lambda pair: cls.verdicts[pair[0] - 1] is False
-        and pair[1] in geq_k.final))
+        and pair[1] in geq_k.final)
+    return restrict(joint, coreachable_states(joint))
 
 
 def _weigh_run(norm: WeightedAutomaton, joint: Nfa, ell) -> WeightedAutomaton:
@@ -174,35 +156,37 @@ def decompose(a: WeightedAutomaton, k=None) -> list:
 
 def decompose_with_trackers(a: WeightedAutomaton, k=None):
     """The parts of `decompose` together with the run trackers
-    A_>=1, ..., A_>=k+1 they were cut from, each built once."""
-    nfa = trim(underlying_nfa(a))
+    A_>=1, ..., A_>=k+1 they were cut from, each built once.  A detected
+    k is the last index whose tracker accepts a non-empty word."""
+    nfa = underlying_nfa(a)
     if k is None:
         kind = classify_ambiguity(nfa)
         if kind not in (UNAMBIGUOUS, FINITELY):
-            _, word = max_accepting_runs(nfa, len(nfa.states) + 1)
+            n = len(trim(nfa).states)
+            word = runs_witness(nfa, n + 1)
             raise HypothesisError(
                 "ambiguity grows %s; %r already has more than %d "
-                "accepting runs" % (kind, "".join(word), len(nfa.states)))
-        cap = 2
-        while True:
-            best, word = max_accepting_runs(nfa, cap)
-            if word is None:
-                k = best
-                break
-            cap *= 2
+                "accepting runs" % (kind, "".join(word), n))
+    elif k < 0:
+        raise InputError("ambiguity bound must be >= 0")
     else:
-        if k < 0:
-            raise InputError("ambiguity bound must be >= 0")
-        _, word = max_accepting_runs(nfa, k + 1)
+        word = runs_witness(nfa, k + 1)
         if word is not None:
             raise HypothesisError(
                 "not %d-ambiguous: %r has at least %d accepting runs"
                 % (k, "".join(word), k + 1))
+    norm = ensure_single_initial(a)
+    geqs = []
+    while k is None or len(geqs) <= k:
+        geqs.append(build_a_geq_k(norm.nfa, len(geqs) + 1))
+        # reachable states only: a non-empty word is accepted iff some
+        # transition enters a final state
+        if k is None and not any(t[2] in geqs[-1].final
+                                 for t in geqs[-1].transitions):
+            k = len(geqs) - 1
     # B_ell is the left-nested union over j = ell..k of the ell-th run
     # on the exactly-j slice; each slice is built once and is reachable,
     # so the unions keep every state
-    norm = ensure_single_initial(a)
-    geqs = [build_a_geq_k(norm.nfa, j) for j in range(1, k + 2)]
     out = []
     for j in range(1, k + 1):
         joint = _exact_slice(geqs[j - 1], geqs[j])

@@ -47,7 +47,7 @@ _TOKEN_RE = re.compile(r"""
   | (?P<comment>\#[^\n]*)
   | (?P<arrow>->)
   | (?P<le><=)
-  | (?P<num>-?\d+)
+  | (?P<num>-?[0-9]+)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
   | (?P<sym>[().,?:+&|!<=;>/])
 """, re.VERBOSE)
@@ -357,7 +357,8 @@ def parse_formula_file(text, kind, automata=None):
     autos = dict(automata) if automata else {}
     fragments = []
     body_lines = []
-    for raw in text.splitlines():
+    declared = {}               # automaton name -> its header's line
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
         if stripped.startswith("# fragment:"):
             names = stripped[len("# fragment:"):].replace(",", " ").split()
@@ -372,6 +373,10 @@ def parse_formula_file(text, kind, automata=None):
             name = name.strip()
             if not sep or not name:
                 raise InputError("malformed automaton header: %r" % raw)
+            if name in declared:
+                raise InputError("line %d: automaton %r already declared on "
+                                 "line %d" % (line_no, name, declared[name]))
+            declared[name] = line_no
             autos[name] = parse_automaton_inline(body)
         else:
             body_lines.append(raw)

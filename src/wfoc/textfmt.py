@@ -7,7 +7,8 @@
     accepting G: 2 3        # optional named extra sets
     trans: 1 a 1 2          # src letter dst weight (weight omitted for Nfa)
 
-'#' starts a comment.  Weights are decimal integers, rationals p/q, or
+'#' starts a comment, and every section but `trans` appears at most
+once.  Weights are decimal integers, rationals p/q (ASCII digits), or
 symbolic tokens spelled as identifiers.  Letters over an extended alphabet
 (base letter plus a bit per variable) are rendered as base[bits], e.g.
 a[01].
@@ -58,6 +59,7 @@ def _parse_fields(lines):
     final = None
     accepting = {}
     trans_lines = []
+    seen = {}                   # section -> the line that gave it
     for line_no, raw in enumerate(lines, start=1):
         line = _strip_comment(raw)
         if not line:
@@ -65,7 +67,11 @@ def _parse_fields(lines):
         key, sep, rest = line.partition(":")
         if not sep:
             raise InputError("malformed line: %r" % raw)
-        key = key.strip()
+        key = " ".join(key.split())
+        if key in seen and key != "trans":
+            raise InputError("line %d: section %r repeats line %d"
+                             % (line_no, key, seen[key]))
+        seen[key] = line_no
         tokens = rest.split()
         if key == "alphabet":
             alphabet = [parse_letter(t) for t in tokens]

@@ -41,16 +41,20 @@ KEYWORDS = frozenset({"true", "false", "forall", "exists", "prod", "sum",
                       "zero"})
 
 
+_NUMBER = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?\Z")
+
+
 def parse_weight(token: str):
-    """Decimal integer, rational p/q, or a symbol spelled as an identifier
-    of the formula syntax other than a keyword; anything else is an
-    InputError."""
+    """Integer, or rational p/q, in ASCII digits, or a symbol spelled as
+    an identifier of the formula syntax other than a keyword; anything
+    else is an InputError."""
     t = token.strip()
-    num, slash, den = t.partition("/")
-    if (num[1:] if num.startswith("-") else num).isdecimal():
-        if not slash:
-            return int(t)
-        if den.isdecimal() and int(den):
+    number = _NUMBER.match(t)
+    if number:
+        num, den = number.groups()
+        if den is None:
+            return int(num)
+        if int(den):
             q = Fraction(int(num), int(den))
             return int(q) if q.denominator == 1 else q
     elif t in KEYWORDS:

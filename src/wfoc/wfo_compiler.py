@@ -191,31 +191,24 @@ def compile_sum_var(a: WeightedAutomaton, var, alphabet,
     if var not in vars:
         raise InputError("sum variable %s not present" % var)
     out_vars = tuple(v for v in vars if v != var)
-    idx = vars.index(var)
-
-    def strip(l):
-        base_letter, bits = l
-        rest = bits[:idx] + bits[idx + 1:]
-        return (base_letter, rest) if out_vars else base_letter
-
+    # one row (a, i0, i1) per output letter a: the body reads a with the
+    # mark unset as its letter i0 and with the mark set as its letter i1
+    lifted = lift_table(frozenset(alphabet), out_vars, var)
     num = a.nfa.numbered()
-    moves = [(strip(l), l[1][idx], out) for l, out in zip(num.letters,
-                                                           num.succ)]
     final = num.mask(a.nfa.final)
     wgt = {}
 
     def step(state):
         i, c = state
-        for out_l, marked, out in moves:
-            if marked and c:
-                continue
-            for d, t in out[i]:
-                dst = (d, 1 if marked else c)
-                wgt[(state, out_l, dst)] = a.wgt[t]
-                yield out_l, dst
+        for out_l, i0, i1 in lifted:
+            for j, c2 in ((i0, c),) if c else ((i0, 0), (i1, 1)):
+                for d, t in num.succ[j][i]:
+                    dst = (d, c2)
+                    wgt[(state, out_l, dst)] = a.wgt[t]
+                    yield out_l, dst
 
     nfa = reachable_nfa([(num.pos[q], 0) for q in a.nfa.initial], step,
-                        ext_alphabet(alphabet, out_vars),
+                        [row[0] for row in lifted],
                         lambda s: s[1] == 1 and final >> s[0] & 1)
     return WeightedAutomaton(nfa, wgt)
 

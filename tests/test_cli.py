@@ -839,3 +839,80 @@ class TestDotAndErrors:
         with pytest.raises(SystemExit) as info:
             main(["frobnicate"])
         assert info.value.code == 2
+
+
+# -- input that is refused rather than reinterpreted --------------------------
+
+ONCE = ("alphabet: a b\nstates: 1 2\ninitial: 1\nfinal: 2\naccepting G: 1\n"
+        "trans: 1 a 2 1\ntrans: 2 b 2 3\n")
+HEADER = ("# automaton A: alphabet: a ; states: 1 2 ; initial: 1 ; final: 2"
+          " ; trans: 1 a 1 ; trans: 1 a 2\n")
+ARABIC_3 = "\u0663"
+CLASSIFY = ["classify", "--automaton", "in.wa"]
+COMPILE = ["compile", "--formula", "in.wfo"]
+EQUIV = ["equiv", "--a", "in.wa", "--b", "in.wa"]
+DECOMPOSE = ["decompose", "--automaton", "in.wa", "-o", "parts"]
+
+
+def input_cases():
+    """(id, input file text, argv, environment, substrings of the error);
+    a text for `in.wfo` when argv compiles, else for `in.wa`."""
+    cases = []
+    for line_no, line in enumerate(ONCE.splitlines()[:5], start=1):
+        key = line.partition(":")[0]
+        cases.append(("repeated-" + key.split()[0], ONCE + line + "\n",
+                      CLASSIFY, {},
+                      ["line 8", repr(key), "line %d" % line_no]))
+    return cases + [
+        ("weight-digit", ONCE.replace("2 b 2 3", "2 b 2 " + ARABIC_3),
+         CLASSIFY, {}, ["line 7", repr(ARABIC_3)]),
+        ("repeated-automaton-header",
+         HEADER + "# automaton A: alphabet: b ; states: 1 ; initial: 1 ;"
+         " final: 1 ; trans: 1 b 1\nprod x. 1\n",
+         COMPILE, {}, ["line 2", "'A'", "line 1"]),
+        ("prod-digit", "prod x. %s\n" % ARABIC_3,
+         COMPILE + ["--alphabet", "a"], {}, ["col 9", repr(ARABIC_3)]),
+        ("run-state-digit",
+         HEADER + "prod x. run:A(1,%s;<x) ? 1 : 0\n" % ARABIC_3, COMPILE, {},
+         ["col 17", repr(ARABIC_3)]),
+        ("maxlen-digit", ONCE, EQUIV + ["--maxlen", ARABIC_3], {},
+         ["--maxlen", repr(ARABIC_3)]),
+        ("maxlen-env-digit", ONCE, EQUIV, {"WFOC_MAXLEN": ARABIC_3},
+         ["WFOC_MAXLEN", repr(ARABIC_3)]),
+        ("bound-digit", ONCE, DECOMPOSE + ["-K", ARABIC_3], {},
+         ["-K", repr(ARABIC_3)]),
+        ("bound-underscore", ONCE, DECOMPOSE + ["-K", "1_0"], {},
+         ["-K", "'1_0'"]),
+        ("bound-negative", ONCE, DECOMPOSE + ["-K", "-1"], {},
+         ["-K", "'-1'"]),
+    ]
+
+
+def run_in(tmp_path, capsys, monkeypatch, text, argv, env=()):
+    monkeypatch.chdir(tmp_path)
+    for name, value in dict(env).items():
+        monkeypatch.setenv(name, value)
+    path = "in.wfo" if argv[0] == "compile" else "in.wa"
+    (tmp_path / path).write_text(text, encoding="utf-8")
+    return run(capsys, argv)
+
+
+class TestInputIsNotReinterpreted:
+    @pytest.mark.parametrize("case", input_cases(), ids=lambda c: c[0])
+    def test_refused_naming_line_or_token(self, tmp_path, capsys,
+                                          monkeypatch, case):
+        _, text, argv, env, words = case
+        rc, out, err = run_in(tmp_path, capsys, monkeypatch, text, argv, env)
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        for word in words:
+            assert word in err, (word, err)
+
+    @pytest.mark.parametrize("text,argv", [
+        (ONCE, CLASSIFY), (HEADER + "prod x. 1\n", COMPILE),
+        (ONCE, EQUIV + ["--maxlen", "3"]), (ONCE, DECOMPOSE + ["-K", "1"]),
+        (ONCE, DECOMPOSE + ["-K", "01"]),
+    ])
+    def test_each_section_once_parses(self, tmp_path, capsys, monkeypatch,
+                                      text, argv):
+        assert run_in(tmp_path, capsys, monkeypatch, text, argv)[0] == 0

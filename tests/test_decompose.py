@@ -6,6 +6,7 @@ from math import comb
 
 import pytest
 
+import wfoc.decompose
 from tests.corpus import ALL_TEXTS, SEED, check_classifier, load, nested_union
 from wfoc.automata import (
     FINITELY, Nfa, WeightedAutomaton, abstract_semantics, accepts,
@@ -14,8 +15,8 @@ from wfoc.automata import (
     restrict, state_key, trim, words_upto,
 )
 from wfoc.decompose import (
-    _exact_slice, _weigh_run, build_a_geq_k, build_a_k_ell, build_a_leq_k,
-    decompose, decompose_with_trackers, ensure_single_initial,
+    _exact_slice, _weigh_run, build_a_geq_k, decompose,
+    decompose_with_trackers, ensure_single_initial,
 )
 from wfoc.errors import HypothesisError, InputError
 from wfoc.fo_compiler import _swap, dfa_from_nfa
@@ -41,6 +42,22 @@ def union_sem(parts, word):
     for p in parts:
         out = out.union(abstract_semantics(p, word))
     return out
+
+
+def build_a_leq_k(a, k):
+    """Minimal complete DFA for the words with at most k accepting runs:
+    the complement of the at-least-(k + 1) language, F holding the
+    accepted words and G the rest."""
+    return _swap(dfa_from_nfa(build_a_geq_k(a, k + 1)))
+
+
+def build_a_k_ell(a, k, ell):
+    """Unambiguous automaton for the ell-th run weight, in lexicographic
+    order, on words carrying exactly k accepting runs; empty elsewhere."""
+    norm = ensure_single_initial(a)
+    joint = _exact_slice(build_a_geq_k(norm.nfa, k),
+                         build_a_geq_k(norm.nfa, k + 1))
+    return _weigh_run(norm, joint, ell)
 
 
 def witness_in(err):
@@ -199,13 +216,6 @@ class TestBuildAKEll:
         for i in range(3):
             for j in range(i + 1, 3):
                 assert not langs[i] & langs[j]
-
-    def test_rejects_out_of_range_index(self):
-        tri = load("triplerun")
-        with pytest.raises(InputError):
-            build_a_k_ell(tri, 2, 0)
-        with pytest.raises(InputError):
-            build_a_k_ell(tri, 2, 3)
 
 
 class TestDecompose:
@@ -376,3 +386,37 @@ def test_reference_cases_reach_several_parts():
     counts = [len(decompose(wa)) for _, wa in DECOMPOSE_CASES]
     assert sum(k >= 3 for k in counts) >= 5
     assert min(counts) >= 1
+
+
+# -- K from the trackers ------------------------------------------------------
+
+
+def brute_degree(wa, maxlen=7):
+    """The most accepting runs of a non-empty word of length at most
+    maxlen."""
+    return max(count_accepting_runs(wa, w)
+               for w in words_upto(wa.nfa.alphabet, maxlen))
+
+
+@pytest.mark.parametrize("name,wa", DECOMPOSE_CASES,
+                         ids=[c[0] for c in DECOMPOSE_CASES])
+def test_detected_bound_is_the_degree(name, wa):
+    parts, geqs = decompose_with_trackers(wa)
+    k = brute_degree(wa)
+    assert len(parts) == k and len(geqs) == k + 1
+    given_parts, given_geqs = decompose_with_trackers(wa, k)
+    assert list(map(serialize_automaton, parts)) == \
+        list(map(serialize_automaton, given_parts))
+    assert list(map(serialize_automaton, geqs)) == \
+        list(map(serialize_automaton, given_geqs))
+
+
+def test_detection_runs_no_witness_search(monkeypatch):
+    # a detected decomposition counts runs with its trackers alone
+    def refuse(*args):
+        raise AssertionError("witness search on a decomposable input")
+
+    monkeypatch.setattr(wfoc.decompose, "runs_witness", refuse)
+    for name, wa in DECOMPOSE_CASES:
+        parts, geqs = decompose_with_trackers(wa)
+        assert parts and len(geqs) == len(parts) + 1, name

@@ -22,11 +22,12 @@ import pytest
 from corpus import ALL_TEXTS, SEED, load
 from wfoc import Nfa, WeightedAutomaton, serialize_automaton, to_dot
 from wfoc.automata import (
-    SEQ_COUNTS, Run, ambiguity_witness, enumerate_runs, explore, forward,
-    letter_key, live_sets, max_accepting_runs, scc_decompose, shortest_word,
-    state_key, transition_monoid, trim, underlying_nfa, weighted_union,
-    words_upto, _mat_mul,
+    SEQ_COUNTS, Run, ambiguity_witness, count_accepting_runs,
+    enumerate_runs, explore, forward, letter_key, live_sets, reachable_nfa,
+    runs_witness, scc_decompose, shortest_word, state_key, transition_monoid,
+    trim, underlying_nfa, weighted_union, words_upto, _mat_mul,
 )
+from wfoc.decompose import build_a_geq_k, ensure_single_initial
 from wfoc.errors import InputError
 from wfoc.semantics import builtin_semiring
 from wfoc.fo_compiler import _table, dfa_from_nfa, minimize
@@ -141,7 +142,7 @@ def reference_witness(a, start_pairs, end_pairs, within=None):
                          lambda st: st[2] and st[:2] in end_pairs)
 
 
-def reference_max_runs(a, cap):
+def reference_runs_witness(a, cap):
     nfa = underlying_nfa(a)
     states = sorted(nfa.states, key=state_key)
     letters = sorted(nfa.alphabet, key=letter_key)
@@ -151,7 +152,6 @@ def reference_max_runs(a, cap):
     for (s, letter, d) in nfa.transitions:
         pre.setdefault((letter, idx[d]), []).append(idx[s])
     start = tuple(1 if s in nfa.initial else 0 for s in states)
-    best = 0
 
     def step(vec):
         for letter in letters:
@@ -159,14 +159,37 @@ def reference_max_runs(a, cap):
                 min(cap, sum(vec[i] for i in pre.get((letter, j), ())))
                 for j in range(len(states)))
 
-    def reaches_cap(vec):
-        nonlocal best
-        acc = sum(vec[j] for j in finals)
-        best = max(best, acc)
-        return acc >= cap
+    return shortest_word([start], step,
+                         lambda vec: sum(vec[j] for j in finals) >= cap)
 
-    word = shortest_word([start], step, reaches_cap)
-    return (best, None) if word is None else (cap, word)
+
+def reference_tracker(a, k):
+    """The k-run tracker stepping through `Nfa.out` by state name."""
+    nfa = underlying_nfa(ensure_single_initial(underlying_nfa(a)))
+    (q0,) = nfa.initial
+    num = nfa.numbered()
+
+    def step(src):
+        qs, cs = src[:k], src[k:]
+        for letter in num.letters:
+            outs = [nfa.out(qs[ell], letter) for ell in range(k)]
+            for qs2 in itertools.product(*outs):
+                cs2 = []
+                for ell in range(k - 1):
+                    if cs[ell] == 1:
+                        cs2.append(1)
+                    elif num.pos[qs2[ell]] < num.pos[qs2[ell + 1]]:
+                        cs2.append(1)
+                    elif qs2[ell] == qs2[ell + 1]:
+                        cs2.append(0)
+                    else:
+                        break
+                else:
+                    yield letter, qs2 + tuple(cs2)
+
+    return reachable_nfa(
+        [(q0,) * k + (0,) * (k - 1)], step, nfa.alphabet,
+        lambda s: all(q in nfa.final for q in s[:k]) and all(s[k:]))
 
 
 def reference_bool_matrices(nfa):
@@ -483,7 +506,31 @@ def test_ambiguity_witness_matches_reference(i):
 def test_max_accepting_runs_matches_reference(i):
     nfa = NFAS[i]
     for cap in (1, 2, 3, 5):
-        assert max_accepting_runs(nfa, cap) == reference_max_runs(nfa, cap)
+        assert runs_witness(nfa, cap) == reference_runs_witness(nfa, cap)
+
+
+def test_runs_witness_is_the_first_word_trimmed_or_not():
+    # the shortlex-least word with cap runs, whether or not dead states
+    # are trimmed first; checked by brute force on words up to length 5
+    for nfa in NFAS:
+        words = list(words_upto(nfa.alphabet, 5))
+        counts = [count_accepting_runs(nfa, w) for w in words]
+        for cap in (1, 2, 3, 5):
+            got = runs_witness(nfa, cap)
+            assert got == runs_witness(trim(nfa), cap)
+            first = next((w for w, n in zip(words, counts) if n >= cap),
+                         None)
+            if first is not None:
+                assert got == first
+            else:
+                assert got is None or len(got) > 5
+                assert got is None or count_accepting_runs(nfa, got) >= cap
+
+
+def test_trackers_match_reference():
+    for nfa in NFAS:
+        for k in (1, 2, 3):
+            assert build_a_geq_k(nfa, k) == reference_tracker(nfa, k)
 
 
 def test_monoid_generators_match_reference():
