@@ -3,7 +3,8 @@
 Run enumeration, the forward pass that gives every value of a word (the
 multiset and each semiring's: one step, `_stepper`, moves a state ->
 value front in a `Carrier`), strongly connected components, ambiguity
-classification, aperiodicity analysis, the closure constructions
+classification, aperiodicity analysis (the transition monoid with its
+right Cayley table), the closure constructions
 (disjoint union, trim), and the breadth-first exploration that every
 construction on reachable states shares: `reachable_nfa` is the one
 builder of a construction's states.
@@ -737,27 +738,78 @@ def _mat_mul(m1, m2):
     return tuple(out)
 
 
-def transition_monoid(nfa):
-    """Closure of the per-letter boolean matrices under composition."""
-    gens = list(nfa.numbered().masks)
-    products = explore(gens, lambda m: ((g, _mat_mul(m, g)) for g in gens))
-    return set(gens) | {m for (_, _, m) in products}
+@dataclass(frozen=True)
+class TransitionMonoid:
+    """The semigroup generated by the letters' boolean matrices (row i of a
+    matrix is the bit mask of the positions it takes position i to),
+    numbered breadth-first as the closure finds it: first the distinct
+    letter matrices in letter order, then every product the first time it
+    appears.  elements[e] is element e's matrix and right[e][g] the number
+    of elements[e] times letter g's matrix, one entry per letter, so
+    `right` is the right Cayley table.  parent[e] is (p, g) with element e
+    equal to element p times letter g, and p None for a letter's own
+    matrix; following it back spells a shortest word of e.  len() is the
+    element count."""
+
+    elements: tuple
+    right: tuple
+    parent: tuple
+
+    def __len__(self):
+        return len(self.elements)
+
+    def word(self, e):
+        """The letter indices of element e's shortest word, in order."""
+        word = []
+        while e is not None:
+            e, g = self.parent[e]
+            word.append(g)
+        word.reverse()
+        return word
+
+
+def transition_monoid(nfa) -> TransitionMonoid:
+    """Closure of the per-letter boolean matrices under composition, with
+    its right Cayley table: one matrix product per element and letter."""
+    gens = nfa.numbered().masks
+    number, elements, parent = {}, [], []
+
+    def element(matrix, via):
+        n = number.setdefault(matrix, len(elements))
+        if n == len(elements):
+            elements.append(matrix)
+            parent.append(via)
+        return n
+
+    for g, m in enumerate(gens):
+        element(m, (None, g))
+    right = []
+    for e, matrix in enumerate(elements):   # elements grows in the loop
+        right.append(tuple(element(_mat_mul(matrix, m), (e, g))
+                           for g, m in enumerate(gens)))
+    return TransitionMonoid(tuple(elements), tuple(right), tuple(parent))
 
 
 def aperiodicity_index(a):
     """Least m >= 1 with e^m = e^(m+1) for every transition-monoid element,
-    or None when some element never stabilizes (period > 1)."""
-    nfa = underlying_nfa(a)
-    monoid = transition_monoid(nfa)
-    if not monoid:
-        return 1
+    or None when some element never stabilizes (period > 1).
+
+    Powers are read off the right Cayley table: e^(t+1) is e^t walked
+    along e's word, one table lookup per letter, and the stop test
+    compares two element numbers.  The closure's products are the only
+    matrix products; element e then costs |word(e)| lookups per power."""
+    monoid = transition_monoid(underlying_nfa(a))
+    right = monoid.right
     bound = len(monoid) + 1
     worst = 1
-    for e in monoid:
+    for e in range(len(monoid)):
+        word = monoid.word(e)
         power = e
         t = 1
         while t <= bound:
-            nxt = _mat_mul(power, e)
+            nxt = power
+            for g in word:
+                nxt = right[nxt][g]
             if nxt == power:
                 break
             power = nxt

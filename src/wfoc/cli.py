@@ -26,7 +26,7 @@ from .semantics import (
     sum_product_aggregator,
 )
 from .textfmt import (
-    parse_automaton, parse_letter, serialize_automaton, to_dot,
+    parse_automaton, parse_letter, render_word, serialize_automaton, to_dot,
 )
 from .wa_to_wfo import (
     ATOM_NAME, scc_unambiguous_to_wfo, unambiguous_wa_to_wfo,
@@ -237,7 +237,7 @@ def _cmd_equiv(args):
                                       semantics_upto(second, alphabet, maxlen)):
         if got == want or not got and not want:
             continue
-        print("COUNTEREXAMPLE %s" % "".join(str(l) for l in word))
+        print("COUNTEREXAMPLE %s" % render_word(word))
         for tag, sem in (("a", got), ("b", want)):
             body = sem.pretty() if sem else "(empty)"
             print("%s:" % tag)

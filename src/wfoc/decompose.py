@@ -21,6 +21,7 @@ from .automata import (
 )
 from .errors import HypothesisError, InputError
 from .fo_compiler import dfa_from_nfa
+from .textfmt import render_word
 
 
 # -- single initial state ----------------------------------------------------
@@ -166,7 +167,7 @@ def decompose_with_trackers(a: WeightedAutomaton, k=None):
             word = runs_witness(nfa, n + 1)
             raise HypothesisError(
                 "ambiguity grows %s; %r already has more than %d "
-                "accepting runs" % (kind, "".join(word), n))
+                "accepting runs" % (kind, render_word(word), n))
     elif k < 0:
         raise InputError("ambiguity bound must be >= 0")
     else:
@@ -174,7 +175,7 @@ def decompose_with_trackers(a: WeightedAutomaton, k=None):
         if word is not None:
             raise HypothesisError(
                 "not %d-ambiguous: %r has at least %d accepting runs"
-                % (k, "".join(word), k + 1))
+                % (k, render_word(word), k + 1))
     norm = ensure_single_initial(a)
     geqs = []
     while k is None or len(geqs) <= k:

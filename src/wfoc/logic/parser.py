@@ -353,12 +353,14 @@ class FormulaFile:
 
 def parse_formula_file(text, kind, automata=None):
     """Formula plus optional '# fragment:' and '# automaton NAME:' headers;
-    kind is one of fo, step, wfo.  Fragment assertions are verified."""
+    kind is one of fo, step, wfo.  Fragment assertions are verified.  The
+    headers stay in the text the formula is parsed from, as comments, so
+    its errors count them among the lines."""
     autos = dict(automata) if automata else {}
     fragments = []
-    body_lines = []
+    lines = text.splitlines()
     declared = {}               # automaton name -> its header's line
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(lines, start=1):
         stripped = raw.strip()
         if stripped.startswith("# fragment:"):
             names = stripped[len("# fragment:"):].replace(",", " ").split()
@@ -378,9 +380,7 @@ def parse_formula_file(text, kind, automata=None):
                                  "line %d" % (line_no, name, declared[name]))
             declared[name] = line_no
             autos[name] = parse_automaton_inline(body)
-        else:
-            body_lines.append(raw)
-    formula = _parse("\n".join(body_lines), autos, _kind(kind)[0])
+    formula = _parse("\n".join(lines), autos, _kind(kind)[0])
     if "no-sum" in fragments and uses_sumx(formula):
         raise InputError("formula violates its no-sum fragment assertion")
     if "no-plus" in fragments and uses_plus(formula):

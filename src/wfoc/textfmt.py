@@ -11,7 +11,7 @@
 once.  Weights are decimal integers, rationals p/q (ASCII digits), or
 symbolic tokens spelled as identifiers.  Letters over an extended alphabet
 (base letter plus a bit per variable) are rendered as base[bits], e.g.
-a[01].
+a[01], here and in every witness word the program prints.
 """
 
 from __future__ import annotations
@@ -26,6 +26,11 @@ def render_letter(letter) -> str:
         base, bits = letter
         return "%s[%s]" % (base, "".join(str(b) for b in bits))
     return str(letter)
+
+
+def render_word(word) -> str:
+    """A word as its letters rendered one after another."""
+    return "".join(map(render_letter, word))
 
 
 def parse_letter(token: str):

@@ -22,6 +22,7 @@ from .logic.syntax import (
     And, Const, EqVar, FoTrue, LetterAt, Lt, Not, Plus, ProdX, RunAtom,
     StepIte, SumX, WIte, Zero,
 )
+from .textfmt import render_word
 
 ATOM_NAME = "A"
 
@@ -98,7 +99,7 @@ def unambiguous_to_wfo(a: WeightedAutomaton, p, q, name=ATOM_NAME):
     if w is not None:
         raise HypothesisError(
             "not unambiguous from %r to %r: %r has two runs"
-            % (p, q, "".join(map(str, w))))
+            % (p, q, render_word(w)))
     return _guarded_product(a, p, q, name)
 
 
@@ -119,7 +120,7 @@ def unambiguous_wa_to_wfo(a: WeightedAutomaton, name=ATOM_NAME):
     if w is not None:
         raise HypothesisError(
             "not unambiguous: %r has two accepting runs"
-            % ("".join(map(str, w)),))
+            % (render_word(w),))
     out = Zero()
     for (p, q) in reversed(_end_pairs(nfa)):
         # two runs from p to q would be two accepting runs
@@ -220,7 +221,7 @@ def scc_unambiguous_to_wfo(a: WeightedAutomaton, name=ATOM_NAME):
     if w is not None:
         raise HypothesisError(
             "not SCC-unambiguous: %r has two runs inside one"
-            " component" % ("".join(map(str, w)),))
+            " component" % (render_word(w),))
     scc = scc_decompose(nfa)
     parts = []
     for (p, q) in _end_pairs(nfa):

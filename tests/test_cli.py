@@ -659,6 +659,41 @@ class TestEmptyWordIgnored:
         assert "not unambiguous: 'a' has two accepting runs" in err
 
 
+# two states over marked letters; three runs on a[01]a[01]a[01]
+MARKED = ("alphabet: a[01] a[10]\nstates: 1 2\ninitial: 1\nfinal: 2\n"
+          "trans: 1 a[01] 1 1\ntrans: 1 a[01] 2 2\ntrans: 2 a[01] 2 3\n"
+          "trans: 2 a[10] 2 1\n")
+
+
+class TestMarkedLetterWitnesses:
+    """Witness words spell marked letters as the text format does."""
+
+    @pytest.mark.parametrize("argv,want", [
+        (["decompose", "-o", "p"],
+         "refused: ambiguity grows polynomially; 'a[01]a[01]a[01]' already"
+         " has more than 2 accepting runs\n"),
+        (["decompose", "-K", "0", "-o", "p"],
+         "refused: not 0-ambiguous: 'a[01]' has at least 1 accepting runs\n"),
+        (["tologic", "--mode", "unambiguous"],
+         "refused: not unambiguous: 'a[01]a[01]' has two accepting runs\n"),
+    ], ids=["decompose", "decompose-K0", "tologic"])
+    def test_refusal_names_the_word(self, tmp_path, capsys, monkeypatch,
+                                    argv, want):
+        argv = [argv[0], "--automaton", "in.wa"] + argv[1:]
+        assert run_in(tmp_path, capsys, monkeypatch, MARKED, argv) == \
+            (1, "", want)
+
+    def test_counterexample_names_the_word(self, tmp_path, capsys):
+        paths = []
+        for name, text in (("a", MARKED),
+                           ("b", MARKED.replace("a[10] 2 1", "a[10] 2 2"))):
+            (tmp_path / (name + ".wa")).write_text(text)
+            paths.append(str(tmp_path / (name + ".wa")))
+        assert run(capsys, ["equiv", "--a", paths[0], "--b", paths[1],
+                            "--maxlen", "3"])[:2] == (
+            1, "COUNTEREXAMPLE a[01]a[10]\na:\n1 x [2,1]\nb:\n1 x [2,2]\n")
+
+
 class TestDecompose:
     def test_triplerun_parts_sum_back(self, tmp_path, capsys):
         tri = save(tmp_path, "triplerun")
@@ -874,7 +909,7 @@ def input_cases():
          COMPILE + ["--alphabet", "a"], {}, ["col 9", repr(ARABIC_3)]),
         ("run-state-digit",
          HEADER + "prod x. run:A(1,%s;<x) ? 1 : 0\n" % ARABIC_3, COMPILE, {},
-         ["col 17", repr(ARABIC_3)]),
+         ["line 2 col 17", repr(ARABIC_3)]),
         ("maxlen-digit", ONCE, EQUIV + ["--maxlen", ARABIC_3], {},
          ["--maxlen", repr(ARABIC_3)]),
         ("maxlen-env-digit", ONCE, EQUIV, {"WFOC_MAXLEN": ARABIC_3},

@@ -8,7 +8,9 @@ of it.  They must agree with the readers of `Nfa.order` and
 mix ints, strings and tuples (tuples whose parts mix `bool` and `int`
 among them).  The successor table's readers (`Nfa.out`, the runs, the
 forward pass, trim and the union) are checked against references that
-read `transitions` alone.
+read `transitions` alone.  The transition monoid's Cayley table and the
+aperiodicity index read off it are checked against the closure and the
+power-by-multiplication loop they replaced.
 """
 
 import functools
@@ -22,8 +24,8 @@ import pytest
 from corpus import ALL_TEXTS, SEED, load
 from wfoc import Nfa, WeightedAutomaton, serialize_automaton, to_dot
 from wfoc.automata import (
-    SEQ_COUNTS, Run, ambiguity_witness, count_accepting_runs,
-    enumerate_runs, explore, forward, letter_key, live_sets, reachable_nfa,
+    SEQ_COUNTS, Run, ambiguity_witness, aperiodicity_index,
+    count_accepting_runs, enumerate_runs, explore, forward, letter_key, live_sets, reachable_nfa,
     runs_witness, scc_decompose, shortest_word, state_key, transition_monoid,
     trim, underlying_nfa, weighted_union, words_upto, _mat_mul,
 )
@@ -209,6 +211,29 @@ def reference_monoid(nfa):
     gens = list(reference_bool_matrices(nfa).values())
     products = explore(gens, lambda m: ((g, _mat_mul(m, g)) for g in gens))
     return set(gens) | {m for (_, _, m) in products}
+
+
+def reference_aperiodicity_index(a):
+    """Every power e^(t+1) = e^t . e as a matrix product, until it stops
+    changing."""
+    monoid = reference_monoid(underlying_nfa(a))
+    if not monoid:
+        return 1
+    bound = len(monoid) + 1
+    worst = 1
+    for e in monoid:
+        power = e
+        t = 1
+        while t <= bound:
+            nxt = _mat_mul(power, e)
+            if nxt == power:
+                break
+            power = nxt
+            t += 1
+        else:
+            return None
+        worst = max(worst, t)
+    return worst
 
 
 def reference_dfa_from_nfa(nfa):
@@ -537,7 +562,95 @@ def test_monoid_generators_match_reference():
     for nfa in NFAS:
         gens = reference_bool_matrices(nfa)
         assert nfa.numbered().masks == tuple(gens.values())
-        assert transition_monoid(nfa) == reference_monoid(nfa)
+        assert set(transition_monoid(nfa).elements) == reference_monoid(nfa)
+
+
+def chain(n):
+    """States 1..n over {a, b}: i a i+1 and i b i; index n."""
+    return Nfa(range(1, n + 1), "ab",
+               [(i, "a", i + 1) for i in range(1, n)]
+               + [(i, "b", i) for i in range(1, n + 1)], {1}, {n})
+
+
+def chain_union(k, n):
+    """k state-disjoint copies of chain(n); index n."""
+    copies = [chain(n) for _ in range(k)]
+    return Nfa([(c, s) for c in range(k) for s in copies[c].states], "ab",
+               [((c, p), a, (c, q)) for c in range(k)
+                for (p, a, q) in copies[c].transitions],
+               [(c, 1) for c in range(k)], [(c, n) for c in range(k)])
+
+
+def cycle(n):
+    """An a-cycle of length n: a^t never stabilizes for n >= 2."""
+    return Nfa(range(n), "a", [(i, "a", (i + 1) % n) for i in range(n)],
+               {0}, {0})
+
+
+MONOID_CASES = (
+    [load(name).nfa for name in sorted(ALL_TEXTS)]
+    + [chain(n) for n in (60, 100, 150)]
+    + [chain_union(k, n) for k, n in ((3, 10), (3, 15), (4, 6))]
+    + pool(300, 0xA9E1)[len(ALL_TEXTS):]
+    + [cycle(2), cycle(3),
+       Nfa({1, 2}, "ab", (), {1}, {2}),                  # no transitions
+       Nfa({1}, (), (), {1}, {1}),                        # no letters
+       Nfa({1, 2, 3}, "abc", {(1, "a", 2), (1, "b", 2), (2, "a", 3),
+                              (2, "b", 3), (3, "c", 1)}, {1}, {3})])
+
+
+def test_aperiodicity_index_matches_power_products():
+    for nfa in MONOID_CASES:
+        assert aperiodicity_index(nfa) == reference_aperiodicity_index(nfa)
+        assert set(transition_monoid(nfa).elements) == reference_monoid(nfa)
+
+
+def test_aperiodicity_index_edge_cases():
+    assert [aperiodicity_index(nfa) for nfa in MONOID_CASES[-5:]] == \
+        [None, None, 1, 1, 3]
+    assert [aperiodicity_index(chain(n)) for n in (60, 100, 150)] == \
+        [60, 100, 150]
+
+
+def test_cayley_table_multiplies_out():
+    for nfa in MONOID_CASES:
+        gens = nfa.numbered().masks
+        monoid = transition_monoid(nfa)
+        elements = monoid.elements
+        assert len(set(elements)) == len(monoid) == len(monoid.right)
+        lengths = []
+        for e, matrix in enumerate(elements):
+            assert [elements[n] for n in monoid.right[e]] == \
+                [_mat_mul(matrix, g) for g in gens]
+            word = monoid.word(e)
+            product = gens[word[0]]
+            for g in word[1:]:
+                product = _mat_mul(product, gens[g])
+            assert product == matrix
+            lengths.append(len(word))
+        assert lengths == sorted(lengths)       # numbered breadth-first
+
+
+def test_equal_letters_are_one_element():
+    monoid = transition_monoid(MONOID_CASES[-1])
+    assert monoid.parent[:2] == ((None, 0), (None, 2))
+    assert all(row[0] == row[1] for row in monoid.right)
+
+
+def test_index_multiplies_only_in_the_closure(monkeypatch):
+    import wfoc.automata
+    calls = []
+
+    def counted(m1, m2):
+        calls.append(None)
+        return _mat_mul(m1, m2)
+
+    monkeypatch.setattr(wfoc.automata, "_mat_mul", counted)
+    nfa = chain(150)
+    size = len(transition_monoid(nfa))     # b, a, a^2, ..., a^149 and 0
+    calls.clear()
+    assert aperiodicity_index(nfa) == 150
+    assert len(calls) == size * len(nfa.alphabet) == 302
 
 
 def test_classifier_tables_match_reference():

@@ -17,6 +17,7 @@ from wfoc.logic.syntax import (
     ProdX, RunAtom, SumX, WIte, Zero, uses_plus, uses_sumx,
 )
 from wfoc.semantics import abstract_semantics
+from wfoc.textfmt import parse_automaton
 from wfoc.wa_to_wfo import (
     enumerate_switching, scc_unambiguous_to_wfo,
     transition_formula, unambiguous_to_wfo, unambiguous_wa_to_wfo,
@@ -265,6 +266,31 @@ REFUSALS = [
     ("triplerun", unambiguous_wa_to_wfo,
      "not unambiguous: 'aab' has two accepting runs"),
 ]
+
+
+# marked letters are spelled as the text format writes them
+MARKED_REFUSALS = [
+    ("alphabet: a[01] a[10]\nstates: 1 2\ninitial: 1\nfinal: 2\n"
+     "trans: 1 a[01] 1 1\ntrans: 1 a[01] 2 1\ntrans: 2 a[01] 2 1\n",
+     lambda a: unambiguous_to_wfo(a, 1, 2),
+     "not unambiguous from 1 to 2: 'a[01]a[01]' has two runs"),
+    ("alphabet: a[01] a[10]\nstates: 1 2\ninitial: 1\nfinal: 2\n"
+     "trans: 1 a[01] 1 1\ntrans: 1 a[01] 2 1\ntrans: 2 a[01] 2 1\n",
+     unambiguous_wa_to_wfo,
+     "not unambiguous: 'a[01]a[01]' has two accepting runs"),
+    ("alphabet: a[01] a[10]\nstates: 1 2\ninitial: 1\nfinal: 1\n"
+     "trans: 1 a[10] 1 1\ntrans: 1 a[10] 2 1\ntrans: 2 a[10] 1 1\n",
+     scc_unambiguous_to_wfo,
+     "not SCC-unambiguous: 'a[10]a[10]' has two runs inside one component"),
+]
+
+
+@pytest.mark.parametrize("text,translate,want", MARKED_REFUSALS,
+                         ids=["pair", "unambiguous", "scc"])
+def test_marked_witness_is_rendered(text, translate, want):
+    with pytest.raises(HypothesisError) as err:
+        translate(parse_automaton(text))
+    assert str(err.value) == want
 
 
 class TestRefusalTexts:
