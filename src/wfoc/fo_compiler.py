@@ -10,10 +10,12 @@ Every classifier comes out of the same two steps.  An implicit DFA, given
 by a start state, a successor function and a verdict function, is
 explored once into a table (``_table``), and the table is minimized once
 by Moore refinement from the {F, G, reject} partition (``minimize``).
-Atomic formulas are small semantic cores run alongside the validity DFA;
-negation swaps F and G, the binary connectives are synchronous products,
-and the existential quantifier is a mark-erasing subset construction run
-alongside validity over the remaining variables.
+Negation swaps F and G and the binary connectives are synchronous
+products; every other classifier is one subset construction of a bit-mask
+automaton (``_subsets``).  The atoms are automata of 1, 2 or 3 bits, or
+a run atom's automaton plus two bits; the existential quantifier erases
+a variable's mark row from the body's table; both are run alongside the
+validity DFA over their variables.  ``dfa_from_nfa`` determinizes an Nfa.
 """
 
 from __future__ import annotations
@@ -149,90 +151,70 @@ def _on_validity(core, base, vars) -> ClassifierDfa:
         lambda s: yes(s[0]) if s[1] == full else None, base, vars))
 
 
-def _base_of(letter, vars):
-    return letter[0] if vars else letter
+def _subsets(start, rows, accept):
+    """The subset construction of a bit-mask automaton, as a core: rows[j][i]
+    is the mask of the states that state i reaches on the j-th marked
+    letter, and a subset says yes when it meets `accept`."""
+    return (start, lambda subset: [image(row, subset) for row in rows],
+            lambda subset: bool(subset & accept))
 
 
 # ---------------------------------------------------------------------------
-# semantic cores: (start, step, yes) triples, correct on valid words
+# atoms: bit-mask automata (start, rows, accept), correct on valid words; a
+# word that settles "no" leaves the empty subset
 
 
-def _core_true(letters):
-    return 0, lambda s: [0] * len(letters), lambda s: True
+def _atom(phi, letters, vars):
+    if isinstance(phi, FoTrue):
+        return 1, [(1,)] * len(letters), 1
+    if isinstance(phi, LetterAt):
+        # pending (1) until the mark, then yes (2) for good
+        i = vars.index(phi.var)
+        return 1, [((2 if a[0] == phi.letter else 0) if a[1][i] else 1, 2)
+                   for a in letters], 2
+    if isinstance(phi, (Leq, Lt, EqVar)):
+        # neither mark seen (1) / x seen first (2) / yes (4); a y mark
+        # before the x mark decides no at once
+        ix, iy = vars.index(phi.left), vars.index(phi.right)
+        on_both = 0 if isinstance(phi, Lt) else 4
+        on_x = 0 if isinstance(phi, EqVar) else 2
+        return 1, [((on_both if a[1][iy] else on_x) if a[1][ix]
+                    else 0 if a[1][iy] else 1, 4 if a[1][iy] else 2, 4)
+                   for a in letters], 4
+    if isinstance(phi, RunAtom):
+        return _run_atom(phi, letters, vars)
+    raise InputError("not an FO formula: %r" % (phi,))
 
 
-def _core_letter_at(phi: LetterAt, letters, vars):
-    # pending (0) until the mark, then yes (1) or no (2) for good
-    i = vars.index(phi.var)
-    pending = [(1 if a[0] == phi.letter else 2) if a[1][i] else 0
-               for a in letters]
-    rows = (pending, [1] * len(letters), [2] * len(letters))
-    return 0, rows.__getitem__, lambda s: s == 1
-
-
-def _core_order(phi, letters, vars):
-    # neither mark seen (0) / x seen first (1) / yes (2) / no (3); a y
-    # mark before the x mark decides no at once
-    ix, iy = vars.index(phi.left), vars.index(phi.right)
-    on_both = 3 if isinstance(phi, Lt) else 2
-    on_x = 3 if isinstance(phi, EqVar) else 1
-    neither = [on_both if a[1][ix] and a[1][iy] else on_x if a[1][ix]
-               else 3 if a[1][iy] else 0 for a in letters]
-    xfirst = [2 if a[1][iy] else 1 for a in letters]
-    rows = (neither, xfirst, [2] * len(letters), [3] * len(letters))
-    return 0, rows.__getitem__, lambda s: s == 2
-
-
-def _core_run_atom(phi: RunAtom, letters, vars):
+def _run_atom(phi: RunAtom, letters, vars):
+    """The atom automaton's positions, then a wait bit (before the lo
+    mark) and a yes bit (the hi mark was read while q was in the
+    subset)."""
     nfa, p, q = phi.nfa, phi.p, phi.q
     if p not in nfa.states or q not in nfa.states:
         raise InputError("run atom %s uses unknown states" % phi.name)
-
     num = nfa.numbered()
-    rows = dict(zip(num.letters, num.masks))
-    stuck = (0,) * len(nfa.states)
-    final = 1 << num.pos[q]
+    succ = dict(zip(num.letters, num.masks))
+    n = len(num.pos)
+    start, wait, yes = 1 << num.pos[p], 1 << n, 2 << n
+    ends = [yes if i == num.pos[q] else 0 for i in range(n)]
 
     def fired(a, v):
         return v is not None and a[1][vars.index(v)]
 
-    # the automaton is simulated on subsets of positions, as bit masks
-    fires = [(fired(a, phi.lo), fired(a, phi.hi),
-              rows.get(_base_of(a, vars), stuck)) for a in letters]
-    done = {True: ("d", True), False: ("d", False)}
-    simulate = ("s", 1 << num.pos[p])
-    wait = ("w",)
-
-    def step(state):
-        if state[0] == "d":
-            return [state] * len(fires)
-        if state == wait:        # hi before lo: the factor is empty
-            return [done[p == q] if hi else simulate if lo else wait
-                    for lo, hi, _ in fires]
-        # the factor stops before a hi mark
-        return [done[bool(state[1] & final)] if hi
-                else ("s", image(row, state[1]))
-                for _, hi, row in fires]
-
-    def yes(state):
-        # without a hi bound the verdict is read at the end of the word
-        return state == done[True] or (
-            phi.hi is None and state[0] == "s" and bool(state[1] & final))
-
-    # without a lo bound the simulation starts at once, else at the lo mark
-    return simulate if phi.lo is None else wait, step, yes
-
-
-def _core(phi, letters, vars):
-    if isinstance(phi, FoTrue):
-        return _core_true(letters)
-    if isinstance(phi, LetterAt):
-        return _core_letter_at(phi, letters, vars)
-    if isinstance(phi, (Leq, Lt, EqVar)):
-        return _core_order(phi, letters, vars)
-    if isinstance(phi, RunAtom):
-        return _core_run_atom(phi, letters, vars)
-    raise InputError("not an FO formula: %r" % (phi,))
+    rows = []
+    for a in letters:
+        if fired(a, phi.hi):
+            # the factor stops before the hi mark; from wait it is empty
+            row = [*ends, ends[num.pos[p]]]
+        else:
+            row = [*succ.get(a[0] if vars else a, (0,) * n),
+                   start if fired(a, phi.lo) else wait]
+        rows.append((*row, yes))
+    # without a lo bound the simulation starts at once, else at the lo
+    # mark; without a hi bound the verdict is read at the end of the word
+    return (start if phi.lo is None else wait, rows,
+            yes | (1 << num.pos[q] if phi.hi is None else 0))
 
 
 # ---------------------------------------------------------------------------
@@ -260,20 +242,14 @@ def _combine(c1: ClassifierDfa, c2: ClassifierDfa, take) -> ClassifierDfa:
 
 
 def _exists(c: ClassifierDfa, var) -> ClassifierDfa:
-    """Erase var's mark row nondeterministically: a subset construction,
-    run alongside validity over the remaining variables."""
+    """Erase var's mark row nondeterministically: the subset construction
+    of the erased table (bit s for state s), run alongside validity over
+    the remaining variables."""
     vars = tuple(v for v in c.vars if v != var)
-    lifts = lift_table(c.base_alphabet, vars, var)
-    rows = c.delta
-    accept = frozenset(s for s, v in enumerate(c.verdicts, 1) if v)
-
-    def step(subset):
-        return [frozenset(rows[s - 1][i] for s in subset for i in (i0, i1))
-                for _, i0, i1 in lifts]
-
-    return _on_validity(
-        (frozenset([1]), step, lambda subset: not accept.isdisjoint(subset)),
-        c.base_alphabet, vars)
+    rows = [(0, *(1 << row[i0] | 1 << row[i1] for row in c.delta))
+            for _, i0, i1 in lift_table(c.base_alphabet, vars, var)]
+    accept = sum(1 << s for s, v in enumerate(c.verdicts, 1) if v)
+    return _on_validity(_subsets(2, rows, accept), c.base_alphabet, vars)
 
 
 def dfa_from_nfa(nfa: Nfa) -> ClassifierDfa:
@@ -281,11 +257,9 @@ def dfa_from_nfa(nfa: Nfa) -> ClassifierDfa:
     complement (no reject class).  Subsets are bit masks of positions in
     the automaton's `order`."""
     num = nfa.numbered()
-    final = num.mask(nfa.final)
     return minimize(_table(
-        num.mask(nfa.initial),
-        lambda subset: [image(rows, subset) for rows in num.masks],
-        lambda subset: bool(subset & final), nfa.alphabet, ()))
+        *_subsets(num.mask(nfa.initial), num.masks, num.mask(nfa.final)),
+        nfa.alphabet, ()))
 
 
 def compile_fo(phi, alphabet, vars=None, memo=None) -> ClassifierDfa:
@@ -334,5 +308,5 @@ def _compile_node(phi, base, vars, memo) -> ClassifierDfa:
                            phi.var)
         inner = _swap(_compile(phi.body, base, inner_vars, memo))
         return _swap(_exists(inner, phi.var))
-    return _on_validity(_core(phi, marked_letters(base, vars), vars), base,
-                        vars)
+    atom = _atom(phi, marked_letters(base, vars), vars)
+    return _on_validity(_subsets(*atom), base, vars)

@@ -35,7 +35,11 @@ from ..weights import KEYWORDS, parse_weight
 
 
 class ParseError(InputError):
-    pass
+    """A syntax error; `where` is the (line, col) it was found at."""
+
+    def __init__(self, where, message):
+        super().__init__("line %d col %d: %s" % (*where, message))
+        self.where = where
 
 
 class ScopeError(InputError):
@@ -60,8 +64,8 @@ def _tokenize(text):
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
-            raise ParseError("line %d col %d: unexpected character %r"
-                             % (line, col, text[pos]))
+            raise ParseError((line, col),
+                             "unexpected character %r" % text[pos])
         chunk = m.group(0)
         kind = m.lastgroup
         if kind not in ("ws", "comment"):
@@ -84,6 +88,7 @@ class _Parser:
         self.pos = 0
         self.automata = dict(automata) if automata else {}
         self.scope = []
+        self.dropped = None     # the furthest error a ternary backed out of
 
     def peek(self):
         return self.tokens[self.pos]
@@ -108,14 +113,13 @@ class _Parser:
     def expect(self, kind, what=None):
         tok = self.next()
         if tok[0] != kind:
-            raise ParseError("line %d col %d: expected %s, got %r"
-                             % (tok[2], tok[3], what or kind, tok[1]))
+            raise ParseError(tok[2:], "expected %s, got %r"
+                             % (what or kind, tok[1]))
         return tok
 
     def fail(self, message):
         tok = self.peek()
-        raise ParseError("line %d col %d: %s, got %r"
-                         % (tok[2], tok[3], message, tok[1]))
+        raise ParseError(tok[2:], "%s, got %r" % (message, tok[1]))
 
     # FO layer -------------------------------------------------------------
 
@@ -149,8 +153,7 @@ class _Parser:
     def ident(self, what):
         tok = self.expect("ident", what)
         if tok[1] in KEYWORDS:
-            raise ParseError("line %d col %d: %r is reserved"
-                             % (tok[2], tok[3], tok[1]))
+            raise ParseError(tok[2:], "%r is reserved" % tok[1])
         return tok[1]
 
     def binder(self, node, body):
@@ -198,14 +201,18 @@ class _Parser:
             return EqVar(left, self.ident("variable"))
         self.fail("expected a comparison after %r" % left)
 
-    def state_token(self):
+    def state(self, name):
         tok = self.next()
         if tok[0] == "num" and not tok[1].startswith("-"):
-            return int(tok[1])
-        if tok[0] == "ident":
-            return tok[1]
-        raise ParseError("line %d col %d: expected a state, got %r"
-                         % (tok[2], tok[3], tok[1]))
+            state = int(tok[1])
+        elif tok[0] == "ident":
+            state = tok[1]
+        else:
+            raise ParseError(tok[2:], "expected a state, got %r" % tok[1])
+        if state not in self.automata[name].states:
+            raise ParseError(tok[2:], "automaton %r has no state %r"
+                             % (name, state))
+        return state
 
     def run_atom(self):
         self.next()  # 'run'
@@ -213,13 +220,12 @@ class _Parser:
         name_tok = self.expect("ident", "automaton name")
         name = name_tok[1]
         if name not in self.automata:
-            raise ParseError("line %d col %d: unknown automaton %r "
-                             "(declare it with '# automaton %s: ...')"
-                             % (name_tok[2], name_tok[3], name, name))
+            raise ParseError(name_tok[2:], "unknown automaton %r (declare it "
+                             "with '# automaton %s: ...')" % (name, name))
         self.expect("(")
-        p = self.state_token()
+        p = self.state(name)
         self.expect(",")
-        q = self.state_token()
+        q = self.state(name)
         lo = hi = None
         bounded = False
         if self.accept(";"):
@@ -233,11 +239,7 @@ class _Parser:
                 self.expect(",")
                 hi = self.ident("variable")
         self.expect(")")
-        nfa = self.automata[name]
-        if p not in nfa.states or q not in nfa.states:
-            raise ParseError("automaton %r has no state %r/%r"
-                             % (name, p, q))
-        return RunAtom(name, nfa, p, q, lo, hi, bounded)
+        return RunAtom(name, self.automata[name], p, q, lo, hi, bounded)
 
     # step layer -----------------------------------------------------------
 
@@ -251,7 +253,9 @@ class _Parser:
         saved = self.pos
         try:
             cond = self.fo()
-        except ParseError:
+        except ParseError as err:
+            if self.dropped is None or err.where > self.dropped.where:
+                self.dropped = err.with_traceback(None)
             self.pos = saved
             return None
         if not self.accept("?"):
@@ -275,12 +279,11 @@ class _Parser:
         if tok[0] == "num" and self.accept("/"):
             text += "/" + self.expect("num", "denominator")[1]
         elif tok[0] != "num" and (tok[0] != "ident" or text in KEYWORDS):
-            raise ParseError("line %d col %d: expected a weight, got %r"
-                             % (tok[2], tok[3], text))
+            raise ParseError(tok[2:], "expected a weight, got %r" % text)
         try:
             return parse_weight(text)
         except InputError as err:
-            raise ParseError("line %d col %d: %s" % (tok[2], tok[3], err))
+            raise ParseError(tok[2:], str(err))
 
     # weighted layer -------------------------------------------------------
 
@@ -310,11 +313,18 @@ class _Parser:
 
 def _parse(text, automata, production):
     parser = _Parser(text, automata)
-    tree = production(parser)
-    tok = parser.peek()
-    if tok[0] != "eof":
-        raise ParseError("line %d col %d: trailing input %r"
-                         % (tok[2], tok[3], tok[1]))
+    try:
+        tree = production(parser)
+        tok = parser.peek()
+        if tok[0] != "eof":
+            raise ParseError(tok[2:], "trailing input %r" % tok[1])
+    except ParseError as err:
+        # a ternary's condition that failed further into the input was
+        # meant as one: its error is the one to report
+        dropped = parser.dropped
+        if dropped is not None and dropped.where > err.where:
+            raise dropped from None
+        raise
     return freshen(tree)
 
 

@@ -335,6 +335,32 @@ TIES_FORMULA = (
     " : (run:A(s,q4;<x) & Pa(x)) ? 3 : 1 : prod x. run:A(s,q3;<x) ? 4 : 0\n")
 
 
+# some y > x reads b, and the letters strictly between x and y spell a*b
+BETWEEN = ("# automaton A: alphabet: a b ; states: 1 2 ; initial: 1 ;"
+           " final: 2 ; trans: 1 a 1 ; trans: 1 b 2\n"
+           "exists y. x < y & run:A(1,2;x,y) & Pb(y)\n")
+COMPILE_BETWEEN = ["compile-fo", "--formula", "between.fo", "--vars", "x",
+                   "--alphabet", "a b"]
+BETWEEN_CLASSIFIER = (
+    "alphabet: a[0] a[1] b[0] b[1]\n"
+    "states: 1 2 3 4 5 6\n"
+    "initial: 1\n"
+    "final: 6\n"
+    "accepting G: 2 4 5\n"
+    "trans: 1 a[0] 1\n" "trans: 1 a[1] 2\n"
+    "trans: 1 b[0] 1\n" "trans: 1 b[1] 2\n"
+    "trans: 2 a[0] 2\n" "trans: 2 a[1] 3\n"
+    "trans: 2 b[0] 4\n" "trans: 2 b[1] 3\n"
+    "trans: 3 a[0] 3\n" "trans: 3 a[1] 3\n"
+    "trans: 3 b[0] 3\n" "trans: 3 b[1] 3\n"
+    "trans: 4 a[0] 5\n" "trans: 4 a[1] 3\n"
+    "trans: 4 b[0] 6\n" "trans: 4 b[1] 3\n"
+    "trans: 5 a[0] 5\n" "trans: 5 a[1] 3\n"
+    "trans: 5 b[0] 5\n" "trans: 5 b[1] 3\n"
+    "trans: 6 a[0] 6\n" "trans: 6 a[1] 3\n"
+    "trans: 6 b[0] 6\n" "trans: 6 b[1] 3\n")
+
+
 # Two weights outside every numeric carrier on accepting runs of `bbba`,
 # both embedded on its last letter: the forward pass starts from state 3,
 # the first initial state in state order, so every refusal names t.
@@ -368,6 +394,7 @@ def run_with_hash_seed(workdir, argv, seed):
     (workdir / "ties.wa").write_text(TIES)
     (workdir / "ties.wfo").write_text(TIES_FORMULA)
     (workdir / "symbols.wa").write_text(SYMBOLS)
+    (workdir / "between.fo").write_text(BETWEEN)
     rc, out, err = run_fresh(workdir, argv, seed)
     files = {p.name: p.read_bytes() for p in sorted(workdir.iterdir())
              if p.name.startswith("out")}
@@ -379,7 +406,8 @@ class TestHashSeedDeterminism:
         (["compile", "--report", "--formula", "ties.wfo", "-o", "out.wa"], 0),
         (["tologic", "--mode", "unambiguous", "--automaton", "ties.wa"], 1),
         (["decompose", "--automaton", "ties.wa", "-o", "out"], 0),
-    ], ids=["compile-report", "tologic-refusal", "decompose"])
+        (COMPILE_BETWEEN, 0),
+    ], ids=["compile-report", "tologic-refusal", "decompose", "compile-fo"])
     def test_outputs_identical_across_hash_seeds(self, tmp_path, argv, rc):
         results = [run_with_hash_seed(tmp_path / str(seed), argv, seed)
                    for seed in (0, 1)]
@@ -465,6 +493,12 @@ class TestCompileFo:
         rc, out, _ = run(capsys, ["compile-fo", "--formula", str(src),
                                   "--vars", "x", "--alphabet", "a b"])
         assert rc == 0 and "a[1]" in out and "b[0]" in out
+
+    def test_classifier_bytes(self, tmp_path, capsys, monkeypatch):
+        # a run atom between x and y under an exists: every byte is pinned
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "between.fo").write_text(BETWEEN)
+        assert run(capsys, COMPILE_BETWEEN) == (0, BETWEEN_CLASSIFIER, "")
 
     def test_empty_alphabet_is_an_input_error(self, tmp_path, capsys):
         src = tmp_path / "atx.fo"

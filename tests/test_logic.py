@@ -68,6 +68,24 @@ class TestParser:
         assert str(err.value).startswith("line %d col %d: not a weight"
                                          % (line, col))
 
+    @pytest.mark.parametrize("text,line,col,message", [
+        ("prod x. Pa(x) & ? 1 : 2", 1, 17, "expected an atom, got '?'"),
+        ("prod x. (Pa(x) | x <) ? 1 : 2", 1, 21,
+         "expected variable, got ')'"),
+        ("exists y. y < ? prod x. 1 : zero", 1, 15,
+         "expected variable, got '?'"),
+        ("prod x.\n  (Pa(x) & ) ? 1 : 2", 2, 12, "expected an atom, got ')'"),
+        ("prod x. run:M(1,7) ? 1 : 0", 1, 17, "automaton 'M' has no state 7"),
+        ("prod x. 1 : 2", 1, 11, "trailing input ':'"),
+    ])
+    def test_error_is_the_furthest_failure(self, text, line, col, message):
+        # a '?:' condition that fails is backed out of; when the rest fails
+        # too, the error that got furthest into the input is reported
+        with pytest.raises(ParseError) as err:
+            parse_wfo(text, automata={"M": chain_nfa()})
+        assert str(err.value) == "line %d col %d: %s" % (line, col, message)
+        assert err.value.where == (line, col)
+
     @pytest.mark.parametrize("text", ["prod x. 1.5", "prod x. 1e3"])
     def test_non_weight_is_trailing_input(self, text):
         with pytest.raises(InputError, match="line 1 col 10"):

@@ -10,7 +10,10 @@ among them).  The successor table's readers (`Nfa.out`, the runs, the
 forward pass, trim and the union) are checked against references that
 read `transitions` alone.  The transition monoid's Cayley table and the
 aperiodicity index read off it are checked against the closure and the
-power-by-multiplication loop they replaced.
+power-by-multiplication loop they replaced.  Every classifier, built
+through one subset construction of bit-mask automata, is checked against
+the per-atom cores and the frozenset subsets for the existential
+quantifier that came before it.
 """
 
 import functools
@@ -21,19 +24,27 @@ from fractions import Fraction
 
 import pytest
 
-from corpus import ALL_TEXTS, SEED, load
+from corpus import ALL_TEXTS, SEED, load, random_fo
 from wfoc import Nfa, WeightedAutomaton, serialize_automaton, to_dot
 from wfoc.automata import (
     SEQ_COUNTS, Run, ambiguity_witness, aperiodicity_index,
     count_accepting_runs, enumerate_runs, explore, forward, letter_key, live_sets, reachable_nfa,
     runs_witness, scc_decompose, shortest_word, state_key, transition_monoid,
-    trim, underlying_nfa, weighted_union, words_upto, _mat_mul,
+    trim, underlying_nfa, weighted_union, words_upto, _mat_mul, image,
 )
 from wfoc.decompose import build_a_geq_k, ensure_single_initial
 from wfoc.errors import InputError
 from wfoc.semantics import builtin_semiring
-from wfoc.fo_compiler import _table, dfa_from_nfa, minimize
-from wfoc.logic.encoding import marked_letters
+from wfoc.fo_compiler import (
+    _TAKE, _combine, _on_validity, _swap, _table, compile_fo, dfa_from_nfa,
+    minimize,
+)
+from wfoc.logic import (
+    And, EqVar, Exists, Forall, FoTrue, Implies, LetterAt, Leq, Lt, Not, Or,
+    RunAtom,
+)
+from wfoc.logic.encoding import lift_table, marked_letters
+from wfoc.logic.syntax import nodes
 from wfoc.textfmt import _gvquote, render_letter
 from wfoc.wa_to_wfo import enumerate_switching
 from wfoc.weights import Symbol, format_weight
@@ -246,6 +257,111 @@ def reference_dfa_from_nfa(nfa):
         frozenset(nfa.initial),
         lambda subset: [subset_step(subset, a) for a in letters],
         lambda subset: not nfa.final.isdisjoint(subset), nfa.alphabet, ()))
+
+
+def reference_core_true(letters):
+    return 0, lambda s: [0] * len(letters), lambda s: True
+
+
+def reference_core_letter_at(phi, letters, vars):
+    # pending (0) until the mark, then yes (1) or no (2) for good
+    i = vars.index(phi.var)
+    pending = [(1 if a[0] == phi.letter else 2) if a[1][i] else 0
+               for a in letters]
+    rows = (pending, [1] * len(letters), [2] * len(letters))
+    return 0, rows.__getitem__, lambda s: s == 1
+
+
+def reference_core_order(phi, letters, vars):
+    # neither mark seen (0) / x seen first (1) / yes (2) / no (3); a y
+    # mark before the x mark decides no at once
+    ix, iy = vars.index(phi.left), vars.index(phi.right)
+    on_both = 3 if isinstance(phi, Lt) else 2
+    on_x = 3 if isinstance(phi, EqVar) else 1
+    neither = [on_both if a[1][ix] and a[1][iy] else on_x if a[1][ix]
+               else 3 if a[1][iy] else 0 for a in letters]
+    xfirst = [2 if a[1][iy] else 1 for a in letters]
+    rows = (neither, xfirst, [2] * len(letters), [3] * len(letters))
+    return 0, rows.__getitem__, lambda s: s == 2
+
+
+def reference_core_run_atom(phi, letters, vars):
+    """Tagged states: ("w",) before the lo mark, ("s", mask) while the
+    factor is simulated and ("d", verdict) once the hi mark decided."""
+    nfa, p, q = phi.nfa, phi.p, phi.q
+    num = nfa.numbered()
+    rows = dict(zip(num.letters, num.masks))
+    stuck = (0,) * len(nfa.states)
+    final = 1 << num.pos[q]
+
+    def fired(a, v):
+        return v is not None and a[1][vars.index(v)]
+
+    fires = [(fired(a, phi.lo), fired(a, phi.hi),
+              rows.get(a[0] if vars else a, stuck)) for a in letters]
+    done = {True: ("d", True), False: ("d", False)}
+    simulate = ("s", 1 << num.pos[p])
+    wait = ("w",)
+
+    def step(state):
+        if state[0] == "d":
+            return [state] * len(fires)
+        if state == wait:
+            return [done[p == q] if hi else simulate if lo else wait
+                    for lo, hi, _ in fires]
+        return [done[bool(state[1] & final)] if hi
+                else ("s", image(row, state[1]))
+                for _, hi, row in fires]
+
+    def yes(state):
+        return state == done[True] or (
+            phi.hi is None and state[0] == "s" and bool(state[1] & final))
+
+    return simulate if phi.lo is None else wait, step, yes
+
+
+def reference_core(phi, letters, vars):
+    if isinstance(phi, FoTrue):
+        return reference_core_true(letters)
+    if isinstance(phi, LetterAt):
+        return reference_core_letter_at(phi, letters, vars)
+    if isinstance(phi, (Leq, Lt, EqVar)):
+        return reference_core_order(phi, letters, vars)
+    return reference_core_run_atom(phi, letters, vars)
+
+
+def reference_exists(c, var):
+    """The mark-erasing subset construction on frozensets of states."""
+    vars = tuple(v for v in c.vars if v != var)
+    lifts = lift_table(c.base_alphabet, vars, var)
+    rows = c.delta
+    accept = frozenset(s for s, v in enumerate(c.verdicts, 1) if v)
+
+    def step(subset):
+        return [frozenset(rows[s - 1][i] for s in subset for i in (i0, i1))
+                for _, i0, i1 in lifts]
+
+    return _on_validity(
+        (frozenset([1]), step, lambda subset: not accept.isdisjoint(subset)),
+        c.base_alphabet, vars)
+
+
+def reference_compile(phi, base, vars):
+    """compile_fo with the cores above in place of the one subset core."""
+    if isinstance(phi, Not):
+        return _swap(reference_compile(phi.sub, base, vars))
+    if isinstance(phi, (And, Or, Implies)):
+        return _combine(reference_compile(phi.left, base, vars),
+                        reference_compile(phi.right, base, vars),
+                        _TAKE[type(phi)])
+    if isinstance(phi, (Exists, Forall)):
+        inner = tuple(sorted(vars + (phi.var,)))
+        body = reference_compile(phi.body, base, inner)
+        if isinstance(phi, Exists):
+            return reference_exists(body, phi.var)
+        return _swap(reference_exists(_swap(body), phi.var))
+    return _on_validity(
+        reference_core(phi, marked_letters(base, vars), vars), base, vars)
 
 
 def reference_relabel(a):
@@ -658,6 +774,80 @@ def test_classifier_tables_match_reference():
         got, want = dfa_from_nfa(nfa), reference_dfa_from_nfa(nfa)
         assert (got.letters, got.delta, got.verdicts) == \
             (want.letters, want.delta, want.verdicts)
+
+
+# run atoms read the corpus automata and mixed ones over plain letters
+RUN_NFAS = [nfa for nfa in NFAS[:len(ALL_TEXTS) + 40]
+            if all(isinstance(a, str) for a in nfa.alphabet)]
+CONTEXTS = [(), ("x",), ("x", "y")]
+
+
+def run_atoms_of_every_shape(vars):
+    """For every automaton: each lo and hi bound (None or a variable of
+    vars, lo = hi among them), with p = q and with p != q where it can."""
+    bounds = [None, *vars]
+    for i, nfa in enumerate(RUN_NFAS):
+        p, q = nfa.order[0], nfa.order[-1]
+        for lo in bounds:
+            for hi in bounds:
+                for end in dict.fromkeys((p, q)):
+                    yield RunAtom("A%d" % i, nfa, p, end, lo, hi)
+
+
+def random_classifier_formula(rng, scope, depth):
+    kind = rng.choice(["atom", "run", "not", "and", "or", "implies",
+                       "exists", "forall"] if depth > 0 else ["atom", "run"])
+    if kind == "atom":
+        return random_fo(rng, ("a", "b", "c"), list(scope), 0)
+    if kind == "run":
+        i = rng.randrange(len(RUN_NFAS))
+        nfa = RUN_NFAS[i]
+        p = rng.choice(nfa.order)
+        q = p if rng.random() < 0.25 else rng.choice(nfa.order)
+        return RunAtom("A%d" % i, nfa, p, q, rng.choice([None, *scope]),
+                       rng.choice([None, *scope]))
+    if kind == "not":
+        return Not(random_classifier_formula(rng, scope, depth - 1))
+    if kind in ("and", "or", "implies"):
+        return {"and": And, "or": Or, "implies": Implies}[kind](
+            random_classifier_formula(rng, scope, depth - 1),
+            random_classifier_formula(rng, scope, depth - 1))
+    var = "v%d" % len(scope)
+    body = random_classifier_formula(rng, scope + (var,), depth - 1)
+    return (Exists if kind == "exists" else Forall)(var, body)
+
+
+def _same_classifier(phi, base, vars):
+    got, want = compile_fo(phi, base, vars), reference_compile(phi, base, vars)
+    assert (got.letters, got.delta, got.verdicts) == \
+        (want.letters, want.delta, want.verdicts), (phi, base, vars)
+
+
+@pytest.mark.parametrize("vars", CONTEXTS, ids=["none", "x", "x-y"])
+def test_run_atoms_of_every_shape_match_reference(vars):
+    atoms = list(run_atoms_of_every_shape(vars))
+    shapes = {(a.lo, a.hi, a.p == a.q) for a in atoms}
+    assert len(shapes) == 2 * (len(vars) + 1) ** 2
+    assert {a.nfa for a in atoms} >= {load(name).nfa for name in ALL_TEXTS}
+    for phi in atoms:
+        _same_classifier(phi, frozenset("ab"), vars)
+
+
+@pytest.mark.parametrize("vars", CONTEXTS, ids=["none", "x", "x-y"])
+def test_classifiers_match_reference(vars):
+    rng = random.Random(SEED + len(vars))
+    kinds, nested = set(), 0
+    for _ in range(200):
+        base = frozenset(rng.choice(["a", "ab", "abc"]))
+        phi = random_classifier_formula(rng, vars, rng.randint(2, 4))
+        kinds |= {type(node) for node in nodes(phi)}
+        nested += any(isinstance(inner, (Exists, Forall))
+                      for node in nodes(phi)
+                      if isinstance(node, (Exists, Forall))
+                      for inner in nodes(node.body))
+        _same_classifier(phi, base, vars)
+    assert {Exists, Forall, RunAtom, LetterAt, Not, And, Or, Implies} <= kinds
+    assert nested >= 20
 
 
 def test_serialized_bytes_match_reference():
