@@ -1,4 +1,4 @@
-"""Concrete syntax for the three formula layers.
+"""Concrete syntax for the three formula layers, read in one pass.
 
     FO:    true false !phi  phi & psi  phi | psi  phi -> psi
            Pa(x)  x <= y  x < y  x = y  forall x. phi  exists x. phi
@@ -6,9 +6,12 @@
     step:  weight | cond ? step : step          (right-associative)
     wfo:   zero | prod x. step | sum x. wfo | wfo + wfo | cond ? wfo : wfo
 
-Precedence: unary > comparisons > & > | > ->, binders extend maximally to
-the right, '?:' binds loosest.  Weights are integers, rationals p/q, or
-bare identifiers (symbolic).
+Precedence, tightest first: unary, comparisons, &, |, -> (right-
+associative), +, ?:.  So `+` binds tighter than `?:`, and an operand of
+`+` is zero, prod, sum or a parenthesised wfo.  A binder's body goes right
+as far as its layer does: forall and exists take an FO formula, which
+stops before `?`; prod a step, which stops before `+`; sum a wfo.  Weights
+are integers, rationals p/q, or bare identifiers (symbolic).
 
 Formula files may start with header lines:
     # fragment: no-sum no-plus
@@ -25,10 +28,10 @@ from dataclasses import dataclass, field, replace
 from ..errors import InputError
 from ..textfmt import parse_automaton_inline
 from .syntax import (
-    And, Const, EqVar, Exists, Forall, FoTrue, Implies, Leq, LetterAt, Lt,
-    Not, Or, Plus, ProdX, RunAtom, StepIte, SumX, WIte, Zero,
-    format_fo, format_step, format_wfo, freshen, map_run_atoms, run_atoms,
-    uses_plus, uses_sumx,
+    And, Const, EqVar, Exists, FoFormula, Forall, FoTrue, Implies, Leq,
+    LetterAt, Lt, Not, Or, Plus, ProdX, RunAtom, StepFormula, StepIte, SumX,
+    WfoFormula, WIte, Zero, format_fo, format_step, format_wfo, freshen,
+    map_run_atoms, run_atoms, uses_plus, uses_sumx,
 )
 from ..textfmt import canonical_names, serialize_automaton_inline
 from ..weights import KEYWORDS, parse_weight
@@ -42,8 +45,8 @@ class ParseError(InputError):
         self.where = where
 
 
-class ScopeError(InputError):
-    pass
+class ScopeError(ParseError):
+    """A binder that rebinds a variable in scope, at that variable."""
 
 
 _TOKEN_RE = re.compile(r"""
@@ -82,13 +85,32 @@ def _tokenize(text):
     return tokens
 
 
+def _is_letter(name, after):
+    return len(name) > 1 and name[0] == "P" and after == "("
+
+
+_PRIM = "prim"  # the slot of a '+' operand
+_BINDERS = {"forall": (Forall, FoFormula), "exists": (Exists, FoFormula),
+            "prod": (ProdX, StepFormula), "sum": (SumX, WfoFormula)}
+_BINARY = {"&": And, "|": Or, "->": Implies}
+_ITE = {StepFormula: StepIte, WfoFormula: WIte}
+_COMPARE = {"<=": Leq, "<": Lt, "=": EqVar}
+_CLOSE = {"(": ")", "?": "':' of '?:'"}  # what an open ( or ? awaits
+# FO operators: how tightly one holds on the stack, and one coming in binds
+_HOLDS = {Not: 4, And: 3, Or: 2, Implies: 1}
+_BINDS = {"&": 3, "|": 2, "->": 2}
+
+
 class _Parser:
-    def __init__(self, text, automata=None):
+    """`ops` holds (operator, slot, extra): a node class, '(', '?' or None
+    (the bottom); what the operand after it must be, a layer class or _PRIM;
+    a binder's variable or the slot a '(' stands in."""
+
+    def __init__(self, text, automata, layer):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.automata = dict(automata) if automata else {}
-        self.scope = []
-        self.dropped = None     # the furthest error a ternary backed out of
+        self.scope, self.ops, self.vals = [], [(None, layer, None)], []
 
     def peek(self):
         return self.tokens[self.pos]
@@ -98,57 +120,127 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def at(self, kind):
-        return self.tokens[self.pos][0] == kind
-
-    def at_ident(self, text):
-        tok = self.tokens[self.pos]
-        return tok[0] == "ident" and tok[1] == text
-
     def accept(self, kind):
-        if self.at(kind):
-            return self.next()
-        return None
+        return self.next() if self.peek()[0] == kind else None
 
     def expect(self, kind, what=None):
-        tok = self.next()
-        if tok[0] != kind:
-            raise ParseError(tok[2:], "expected %s, got %r"
-                             % (what or kind, tok[1]))
-        return tok
+        if self.peek()[0] != kind:
+            self.fail("expected %s" % (what or kind))
+        return self.next()
 
     def fail(self, message):
         tok = self.peek()
-        raise ParseError(tok[2:], "%s, got %r" % (message, tok[1]))
+        got = "end of input" if tok[0] == "eof" else repr(tok[1])
+        raise ParseError(tok[2:], "%s, got %s" % (message, got))
 
-    # FO layer -------------------------------------------------------------
+    def shift(self, op, slot, extra=None):
+        self.next()
+        self.ops.append((op, slot, extra))
+        return True
 
-    def fo(self):
-        left = self.fo_or()
-        if self.accept("->"):
-            return Implies(left, self.fo())
-        return left
+    def parse(self):
+        while True:
+            self.vals.append(self.operand())
+            if not self.operator():
+                return freshen(self.vals.pop())
 
-    def fo_or(self):
-        left = self.fo_and()
-        while self.accept("|"):
-            left = Or(left, self.fo_and())
-        return left
+    def operand(self):
+        """Reads prefixes ('(', '!', binders) up to one atom, which it
+        returns, each checked against the slot it stands in."""
+        while True:
+            slot = self.ops[-1][1]
+            kind, text = self.peek()[:2]
+            word = text if kind == "ident" else None
+            wfo = slot in (_PRIM, WfoFormula)
+            if kind == "(":
+                self.shift("(", WfoFormula if slot is _PRIM else slot, slot)
+            elif word in ("prod", "sum") and wfo or slot is not _PRIM and \
+                    word in ("forall", "exists"):
+                self.binder(word)
+            elif kind == "!" and slot is not _PRIM:
+                self.shift(Not, FoFormula)
+            elif word == "zero" and wfo:
+                self.next()
+                return Zero()
+            elif wfo and (slot is _PRIM or kind != "ident"):
+                self.fail("expected zero, prod, sum or '('")
+            elif slot is StepFormula and not (word and self.atom_ahead(word)):
+                return Const(self.weight())
+            else:
+                return self.fo_atom()
 
-    def fo_and(self):
-        left = self.fo_unary()
-        while self.accept("&"):
-            left = And(left, self.fo_unary())
-        return left
+    def operator(self):
+        """Reads and reduces past an operand up to an operator that takes
+        a right operand (True) or to the end of the input (False)."""
+        ops, vals = self.ops, self.vals
+        while True:
+            kind = self.peek()[0]
+            if kind in _BINDS and isinstance(vals[-1], FoFormula):
+                while _HOLDS.get(ops[-1][0], 0) >= _BINDS[kind]:
+                    self.reduce()
+                return self.shift(_BINARY[kind], FoFormula)
+            # nothing else continues an FO formula: its binders end here
+            while ops[-1][1] is FoFormula and ops[-1][0] not in ("(", None):
+                self.reduce()
+            top, slot, outer = ops[-1]
+            if isinstance(vals[-1], FoFormula) and slot is not FoFormula:
+                if kind == "?":
+                    return self.shift("?", slot)
+                if top != "(" or outer is _PRIM:
+                    self.fail("expected '?' after the condition")
+            if kind == "+":
+                while ops[-1][0] in (Plus, ProdX, StepIte):
+                    self.reduce()
+                if isinstance(vals[-1], WfoFormula):
+                    return self.shift(Plus, _PRIM)
+            elif kind in (":", ")", "eof"):
+                while ops[-1][0] not in ("?", "(", None):
+                    self.reduce()
+                top, slot, _ = ops[-1]
+                if (kind, top) == ("eof", None):
+                    return False
+                if (kind, top) in ((":", "?"), (")", "(")):
+                    ops.pop()
+                    if kind == ":":
+                        return self.shift(_ITE[slot], slot)
+                    self.next()
+                    continue
+            self.stuck()
 
-    def fo_unary(self):
-        if self.accept("!"):
-            return Not(self.fo_unary())
-        if self.at_ident("forall"):
-            return self.binder(Forall, self.fo)
-        if self.at_ident("exists"):
-            return self.binder(Exists, self.fo)
-        return self.fo_atom()
+    def reduce(self):
+        node, _, var = self.ops.pop()
+        right = self.vals.pop()
+        if node is Not:
+            right = Not(right)
+        elif node in (StepIte, WIte):
+            then = self.vals.pop()
+            right = node(self.vals.pop(), then, right)
+        elif var is None:           # a binary operator
+            right = node(self.vals.pop(), right)
+        else:                       # a binder: its variable leaves scope
+            self.scope.pop()
+            right = node(var, right)
+        self.vals.append(right)
+
+    def opener(self):
+        return next((o for o, _, _ in reversed(self.ops) if o in _CLOSE), None)
+
+    def stuck(self):
+        """The next token continues nothing: blame the innermost opener."""
+        if self.opener():
+            self.fail("expected %s" % _CLOSE[self.opener()])
+        tok = self.peek()
+        raise ParseError(tok[2:], "trailing input %r" % tok[1])
+
+    def atom_ahead(self, word):
+        """Whether an FO atom, not a weight, starts a step here: `run :`
+        does unless a '?' awaits the ':' and it names no automaton."""
+        after = self.tokens[self.pos + 1][0]
+        if word == "run" and after == ":":
+            return (self.tokens[self.pos + 2][1] in self.automata
+                    or self.opener() != "?")
+        return (word in ("true", "false") or after in _COMPARE
+                or _is_letter(word, after))
 
     def ident(self, what):
         tok = self.expect("ident", what)
@@ -156,66 +248,53 @@ class _Parser:
             raise ParseError(tok[2:], "%r is reserved" % tok[1])
         return tok[1]
 
-    def binder(self, node, body):
-        """keyword var . body, with var in scope while body is read."""
+    def binder(self, keyword):
+        """keyword var . ; var is in scope until the binder is reduced."""
         self.next()
+        where = self.peek()[2:]
         var = self.ident("variable")
         if var in self.scope:
-            raise ScopeError("variable %s is already bound" % var)
+            raise ScopeError(where, "variable %s is already bound" % var)
         self.scope.append(var)
-        try:
-            self.expect(".", "'.' after binder")
-            return node(var, body())
-        finally:
-            self.scope.pop()
+        self.expect(".", "'.' after binder")
+        self.ops.append((*_BINDERS[keyword], var))
 
     def fo_atom(self):
-        if self.at_ident("true"):
-            self.next()
-            return FoTrue()
-        if self.at_ident("false"):
-            self.next()
-            return Not(FoTrue())
-        if self.at_ident("run"):
-            return self.run_atom()
-        if self.accept("("):
-            inner = self.fo()
-            self.expect(")")
-            return inner
-        tok = self.peek()
-        if tok[0] != "ident":
+        kind, word = self.peek()[:2]
+        if kind != "ident":
             self.fail("expected an atom")
-        name = tok[1]
-        if len(name) > 1 and name[0] == "P" and self.tokens[self.pos + 1][0] == "(":
+        if word in ("true", "false", "run"):
             self.next()
-            self.next()
+            if word == "run":
+                return self.run_atom()
+            return FoTrue() if word == "true" else Not(FoTrue())
+        if _is_letter(word, self.tokens[self.pos + 1][0]):
+            self.pos += 2
             var = self.ident("variable")
             self.expect(")")
-            return LetterAt(name[1:], var)
+            return LetterAt(word[1:], var)
         left = self.ident("variable")
-        if self.accept("<="):
-            return Leq(left, self.ident("variable"))
-        if self.accept("<"):
-            return Lt(left, self.ident("variable"))
-        if self.accept("="):
-            return EqVar(left, self.ident("variable"))
-        self.fail("expected a comparison after %r" % left)
+        compare = _COMPARE.get(self.peek()[0])
+        if compare is None:
+            self.fail("expected a comparison after %r" % left)
+        self.next()
+        return compare(left, self.ident("variable"))
 
     def state(self, name):
-        tok = self.next()
+        tok = self.peek()
         if tok[0] == "num" and not tok[1].startswith("-"):
             state = int(tok[1])
         elif tok[0] == "ident":
             state = tok[1]
         else:
-            raise ParseError(tok[2:], "expected a state, got %r" % tok[1])
+            self.fail("expected a state")
+        self.next()
         if state not in self.automata[name].states:
             raise ParseError(tok[2:], "automaton %r has no state %r"
                              % (name, state))
         return state
 
     def run_atom(self):
-        self.next()  # 'run'
         self.expect(":")
         name_tok = self.expect("ident", "automaton name")
         name = name_tok[1]
@@ -227,124 +306,49 @@ class _Parser:
         self.expect(",")
         q = self.state(name)
         lo = hi = None
-        bounded = False
-        if self.accept(";"):
-            bounded = True
-            if self.accept("<"):
-                hi = self.ident("variable")
-            elif self.accept(">"):
-                lo = self.ident("variable")
-            else:
-                lo = self.ident("variable")
-                self.expect(",")
-                hi = self.ident("variable")
+        bounded = self.accept(";") is not None
+        if bounded and self.accept("<"):
+            hi = self.ident("variable")
+        elif bounded and self.accept(">"):
+            lo = self.ident("variable")
+        elif bounded:
+            lo = self.ident("variable")
+            self.expect(",")
+            hi = self.ident("variable")
         self.expect(")")
         return RunAtom(name, self.automata[name], p, q, lo, hi, bounded)
 
-    # step layer -----------------------------------------------------------
-
-    def step(self):
-        ternary = self.try_ternary(self.step, StepIte)
-        if ternary is not None:
-            return ternary
-        return self.step_atom()
-
-    def try_ternary(self, branch, node):
-        saved = self.pos
-        try:
-            cond = self.fo()
-        except ParseError as err:
-            if self.dropped is None or err.where > self.dropped.where:
-                self.dropped = err.with_traceback(None)
-            self.pos = saved
-            return None
-        if not self.accept("?"):
-            self.pos = saved
-            return None
-        then = branch()
-        self.expect(":", "':' of '?:'")
-        els = branch()
-        return node(cond, then, els)
-
-    def step_atom(self):
-        if self.accept("("):
-            inner = self.step()
-            self.expect(")")
-            return inner
-        return Const(self.weight())
-
     def weight(self):
-        tok = self.next()
-        text = tok[1]
+        tok = self.peek()
+        if tok[0] != "num" and (tok[0] != "ident" or tok[1] in KEYWORDS):
+            self.fail("expected a weight")
+        text = self.next()[1]
         if tok[0] == "num" and self.accept("/"):
             text += "/" + self.expect("num", "denominator")[1]
-        elif tok[0] != "num" and (tok[0] != "ident" or text in KEYWORDS):
-            raise ParseError(tok[2:], "expected a weight, got %r" % text)
         try:
             return parse_weight(text)
         except InputError as err:
             raise ParseError(tok[2:], str(err))
 
-    # weighted layer -------------------------------------------------------
-
-    def wfo(self):
-        ternary = self.try_ternary(self.wfo, WIte)
-        if ternary is not None:
-            return ternary
-        left = self.wfo_primary()
-        while self.accept("+"):
-            left = Plus(left, self.wfo_primary())
-        return left
-
-    def wfo_primary(self):
-        if self.at_ident("zero"):
-            self.next()
-            return Zero()
-        if self.at_ident("prod"):
-            return self.binder(ProdX, self.step)
-        if self.at_ident("sum"):
-            return self.binder(SumX, self.wfo)
-        if self.accept("("):
-            inner = self.wfo()
-            self.expect(")")
-            return inner
-        self.fail("expected zero, prod, sum or '('")
-
-
-def _parse(text, automata, production):
-    parser = _Parser(text, automata)
-    try:
-        tree = production(parser)
-        tok = parser.peek()
-        if tok[0] != "eof":
-            raise ParseError(tok[2:], "trailing input %r" % tok[1])
-    except ParseError as err:
-        # a ternary's condition that failed further into the input was
-        # meant as one: its error is the one to report
-        dropped = parser.dropped
-        if dropped is not None and dropped.where > err.where:
-            raise dropped from None
-        raise
-    return freshen(tree)
-
 
 def parse_fo(text, automata=None):
-    return _parse(text, automata, _Parser.fo)
+    return _Parser(text, automata, FoFormula).parse()
 
 
 def parse_step(text, automata=None):
-    return _parse(text, automata, _Parser.step)
+    return _Parser(text, automata, StepFormula).parse()
 
 
 def parse_wfo(text, automata=None):
-    return _parse(text, automata, _Parser.wfo)
+    return _Parser(text, automata, WfoFormula).parse()
 
 
-_FRAGMENTS = ("no-sum", "no-plus")
+# fragment name -> the test that a formula breaks it
+_FRAGMENTS = {"no-sum": uses_sumx, "no-plus": uses_plus}
 
-# formula kind -> (production, printer)
-_KINDS = {"fo": (_Parser.fo, format_fo), "step": (_Parser.step, format_step),
-          "wfo": (_Parser.wfo, format_wfo)}
+# formula kind -> (layer, printer)
+_KINDS = {"fo": (FoFormula, format_fo), "step": (StepFormula, format_step),
+          "wfo": (WfoFormula, format_wfo)}
 
 
 def _kind(kind):
@@ -373,15 +377,13 @@ def parse_formula_file(text, kind, automata=None):
     for line_no, raw in enumerate(lines, start=1):
         stripped = raw.strip()
         if stripped.startswith("# fragment:"):
-            names = stripped[len("# fragment:"):].replace(",", " ").split()
-            for n in names:
+            for n in stripped[len("# fragment:"):].replace(",", " ").split():
                 if n not in _FRAGMENTS:
                     raise InputError("unknown fragment %r (have: %s)"
                                      % (n, ", ".join(_FRAGMENTS)))
                 fragments.append(n)
         elif stripped.startswith("# automaton "):
-            rest = stripped[len("# automaton "):]
-            name, sep, body = rest.partition(":")
+            name, sep, body = stripped[len("# automaton "):].partition(":")
             name = name.strip()
             if not sep or not name:
                 raise InputError("malformed automaton header: %r" % raw)
@@ -389,12 +391,12 @@ def parse_formula_file(text, kind, automata=None):
                 raise InputError("line %d: automaton %r already declared on "
                                  "line %d" % (line_no, name, declared[name]))
             declared[name] = line_no
-            autos[name] = parse_automaton_inline(body)
-    formula = _parse("\n".join(lines), autos, _kind(kind)[0])
-    if "no-sum" in fragments and uses_sumx(formula):
-        raise InputError("formula violates its no-sum fragment assertion")
-    if "no-plus" in fragments and uses_plus(formula):
-        raise InputError("formula violates its no-plus fragment assertion")
+            autos[name] = parse_automaton_inline(body, line_no)
+    formula = _Parser("\n".join(lines), autos, _kind(kind)[0]).parse()
+    for name, breaks in _FRAGMENTS.items():
+        if name in fragments and breaks(formula):
+            raise InputError("formula violates its %s fragment assertion"
+                             % name)
     return FormulaFile(formula, kind, tuple(fragments), autos)
 
 
@@ -416,13 +418,10 @@ def serialize_formula_file(formula, kind, automata=None) -> str:
     if any(k != v for m in names.values() for k, v in m.items()):
         formula = map_run_atoms(formula, lambda atom: replace(
             atom, p=names[atom.name][atom.p], q=names[atom.name][atom.q]))
-    printer = _kind(kind)[1]
+    printer = _kind(kind)[1]            # checks the kind first
     if kind == "wfo":
-        flags = []
-        if not uses_sumx(formula):
-            flags.append("no-sum")
-        if not uses_plus(formula):
-            flags.append("no-plus")
+        flags = [name for name, breaks in _FRAGMENTS.items()
+                 if not breaks(formula)]
         if flags:
             lines.append("# fragment: " + " ".join(flags))
     lines.append(printer(formula))

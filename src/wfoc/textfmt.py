@@ -58,6 +58,7 @@ def _strip_comment(line: str) -> str:
 
 
 def _parse_fields(lines):
+    """Sections of the (line number, text) pairs `lines`."""
     alphabet = None
     states = None
     initial = None
@@ -65,7 +66,7 @@ def _parse_fields(lines):
     accepting = {}
     trans_lines = []
     seen = {}                   # section -> the line that gave it
-    for line_no, raw in enumerate(lines, start=1):
+    for line_no, raw in lines:
         line = _strip_comment(raw)
         if not line:
             continue
@@ -104,11 +105,12 @@ def _parse_fields(lines):
     return alphabet, states, initial, final, accepting, trans_lines
 
 
-def parse_automaton(text: str):
+def parse_automaton(text: str, line_no=None):
     """Parse the text format; returns WeightedAutomaton when every trans
-    line carries a weight, Nfa when none does."""
-    alphabet, states, initial, final, accepting, trans_lines = \
-        _parse_fields(text.splitlines())
+    line carries a weight, Nfa when none does.  Errors name the line they
+    are on, or `line_no` for every line when it is given."""
+    alphabet, states, initial, final, accepting, trans_lines = _parse_fields(
+        (line_no or n, raw) for n, raw in enumerate(text.splitlines(), 1))
     weighted_flags = {len(t) == 4 for (_, t) in trans_lines}
     if len(weighted_flags) > 1:
         raise InputError("mix of weighted and unweighted transitions")
@@ -132,9 +134,10 @@ def parse_automaton(text: str):
     return WeightedAutomaton(nfa, wgt) if weighted else nfa
 
 
-def parse_automaton_inline(text: str):
-    """Same format with ';' separating the lines (for single-line headers)."""
-    return parse_automaton("\n".join(part for part in text.split(";")))
+def parse_automaton_inline(text: str, line_no=1):
+    """Same format with ';' separating the lines, for a single-line header
+    on line `line_no` of its file, which every error names."""
+    return parse_automaton("\n".join(text.split(";")), line_no)
 
 
 def canonical_names(a):

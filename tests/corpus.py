@@ -190,6 +190,29 @@ def load(name):
 
 SEED = 0xA9E1
 
+# FO formulas with free variables among x and y, for the FO compiler's
+# tests and the parser's
+FORMULAS = [
+    "true",
+    "!true",
+    "Pa(x)",
+    "!Pa(x)",
+    "Pc(x)",
+    "x<=y",
+    "x<y",
+    "x=y",
+    "Pa(x) & Pb(y)",
+    "Pa(x) | !(x<=y)",
+    "Pa(x) -> Pb(x)",
+    "exists x. Pa(x)",
+    "forall x. Pa(x)",
+    "forall x. (Pa(x) -> exists y. (x<y & Pb(y)))",
+    "exists x. exists y. (x<y & Pa(x) & Pb(y))",
+    "forall x. forall y. (x<=y | Pb(x))",
+    "exists y. x<=y",
+    "forall y. y<=x",
+]
+
 
 def check_classifier(c):
     """The table contract of a minimal ClassifierDfa: sorted letters, one

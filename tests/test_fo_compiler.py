@@ -16,7 +16,8 @@ from wfoc.textfmt import parse_automaton, serialize_automaton
 from wfoc.wa_to_wfo import scc_unambiguous_to_wfo, unambiguous_wa_to_wfo
 
 from corpus import (
-    ALL_TEXTS, SEED, check_classifier, load, random_fo, random_fo_sentence,
+    ALL_TEXTS, FORMULAS, SEED, check_classifier, load, random_fo,
+    random_fo_sentence,
 )
 
 AB = frozenset({"a", "b"})
@@ -70,28 +71,6 @@ class TestValidity:
                 got = c.classify(ext.letters)
                 assert (got == "F") == ext.is_valid()
                 assert got in ("F", None)
-
-
-FORMULAS = [
-    "true",
-    "!true",
-    "Pa(x)",
-    "!Pa(x)",
-    "Pc(x)",
-    "x<=y",
-    "x<y",
-    "x=y",
-    "Pa(x) & Pb(y)",
-    "Pa(x) | !(x<=y)",
-    "Pa(x) -> Pb(x)",
-    "exists x. Pa(x)",
-    "forall x. Pa(x)",
-    "forall x. (Pa(x) -> exists y. (x<y & Pb(y)))",
-    "exists x. exists y. (x<y & Pa(x) & Pb(y))",
-    "forall x. forall y. (x<=y | Pb(x))",
-    "exists y. x<=y",
-    "forall y. y<=x",
-]
 
 
 class TestCompileFo:

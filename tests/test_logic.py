@@ -79,8 +79,8 @@ class TestParser:
         ("prod x. 1 : 2", 1, 11, "trailing input ':'"),
     ])
     def test_error_is_the_furthest_failure(self, text, line, col, message):
-        # a '?:' condition that fails is backed out of; when the rest fails
-        # too, the error that got furthest into the input is reported
+        # the error is reported at the first token no formula can go on
+        # with, whichever layer the text around it turns out to be
         with pytest.raises(ParseError) as err:
             parse_wfo(text, automata={"M": chain_nfa()})
         assert str(err.value) == "line %d col %d: %s" % (line, col, message)
@@ -96,10 +96,23 @@ class TestParser:
         assert got == WIte(FoTrue(), Plus(Zero(), Zero()), Zero())
 
     def test_rebinding_in_scope_is_an_error(self):
-        with pytest.raises(ScopeError):
+        with pytest.raises(ScopeError) as err:
             parse_wfo("sum x. sum x. zero")
-        with pytest.raises(ScopeError):
-            parse_fo("forall x. exists x. true")
+        assert str(err.value) == "line 1 col 12: variable x is already bound"
+        with pytest.raises(ScopeError) as err:
+            parse_fo("forall x.\n  exists x. true")
+        assert err.value.where == (2, 10)
+
+    @pytest.mark.parametrize("text,message", [
+        ("prod x. (1", "line 1 col 11: expected ), got end of input"),
+        ("Pa(x) ? zero", "line 1 col 13: expected ':' of '?:', got end of "
+         "input"),
+        ("prod x.", "line 1 col 8: expected a weight, got end of input"),
+    ])
+    def test_error_at_end_of_input(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_wfo(text)
+        assert str(err.value) == message
 
     def test_parallel_binders_get_renamed_apart(self):
         got = parse_wfo("(sum x. zero) + (sum x. zero)")
@@ -168,6 +181,18 @@ class TestFormulaFile:
         again = parse_formula_file(text, "fo")
         assert again.formula == Forall(
             "x", RunAtom("M", nfa, 1, 2, hi="x", bounded=True))
+
+    @pytest.mark.parametrize("header,message", [
+        ("states: 1 2 ; initial: 1 ; final: 2 ; states: 1 2",
+         "line 2: section 'states' repeats line 2"),
+        ("states: 1 ; initial: 1 ; final: 1 ; trans: 1 a 01",
+         "line 2: state '01' must be written 1"),
+    ])
+    def test_header_errors_name_the_header_line(self, header, message):
+        text = "# fragment: no-sum\n# automaton A: alphabet: a ; %s\nzero\n"
+        with pytest.raises(InputError) as err:
+            parse_formula_file(text % header, "wfo")
+        assert str(err.value) == message
 
     def test_wfo_file_round_trip(self):
         rng = random.Random(SEED + 2)
