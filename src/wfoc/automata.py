@@ -2,12 +2,13 @@
 
 Run enumeration, the forward pass that gives every value of a word (the
 multiset and each semiring's: one step, `_stepper`, moves a state ->
-value front in a `Carrier`), strongly connected components, ambiguity
-classification, aperiodicity analysis (the transition monoid with its
-right Cayley table), the closure constructions
-(disjoint union, trim), and the breadth-first exploration that every
-construction on reachable states shares: `reachable_nfa` is the one
-builder of a construction's states.
+value front in a `Carrier`; the multiset's carrier, `seq_counts`, is
+built per pass over a weight table and extends runs as rank strings),
+strongly connected components, ambiguity classification, aperiodicity
+analysis (the transition monoid with its right Cayley table), the
+closure constructions (disjoint union, trim), and the breadth-first
+exploration that every construction on reachable states shares:
+`reachable_nfa` is the one builder of a construction's states.
 
 The deterministic order lives on `Nfa`: `order` sorts its states by
 `state_key` once, and `numbered()` reads the automaton through that order
@@ -28,7 +29,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import InputError
-from .multiset import SeqMultiset
+from .multiset import SeqMultiset, weight_table
 from .weights import is_weight
 
 
@@ -368,30 +369,43 @@ def live_sets(nfa, steps):
 
 
 class Carrier(collections.namedtuple("Carrier", "one embed mac total")):
-    """What a forward pass values runs in.  Initial states start at `one`;
+    """What a forward pass values runs in: a semiring's (`semantics`) or
+    the multiset's (`seq_counts`).  Initial states start at `one`;
     `embed` lifts a weight, raising for one outside the carrier;
     `mac(front, d, v, w)` is front[d] <- front[d] + v.w (zero if missing),
     runs of value v extended by w, and may change front[d] in place (the
     step's new front owns it) but never v or `one`; `total` sums a front."""
 
 
-def _extend_counts(front, d, v, w):
-    acc = front.setdefault(d, {})
-    for seq, n in v.items():
-        key = seq + (w,)
-        acc[key] = acc.get(key, 0) + n
+def seq_counts(weights) -> Carrier:
+    """The multiset semantics as a carrier over the weight table `weights`
+    (`multiset.weight_table`; it must hold every weight the pass embeds):
+    a value maps the codes of weight sequences to counts, a weight embeds
+    as its rank character, and a run extends by one concatenation."""
+    chars = {w: chr(i) for i, w in enumerate(weights)}
+
+    def mac(front, d, v, w):
+        acc = front.get(d)
+        if acc is None:
+            front[d] = {code + w: n for code, n in v.items()}
+            return
+        for code, n in v.items():
+            code += w
+            acc[code] = acc.get(code, 0) + n
+
+    def total(values) -> SeqMultiset:
+        out = {}
+        for counts in values:
+            for code, n in counts.items():
+                out[code] = out.get(code, 0) + n
+        return SeqMultiset.over(weights, out)
+
+    return Carrier({"": 1}, chars.__getitem__, mac, total)
 
 
-def _merge_counts(values) -> SeqMultiset:
-    out = {}
-    for counts in values:
-        for seq, n in counts.items():
-            out[seq] = out.get(seq, 0) + n
-    return SeqMultiset(out)
-
-
-# the multiset semantics: a value counts weight sequences in a dict
-SEQ_COUNTS = Carrier({(): 1}, lambda w: w, _extend_counts, _merge_counts)
+def weights_of(wa: WeightedAutomaton) -> tuple:
+    """The weight table of wa's transition weights."""
+    return weight_table(wa.wgt.values())
 
 
 def _stepper(wa: WeightedAutomaton, carrier: Carrier):
@@ -437,13 +451,15 @@ def forward(wa: WeightedAutomaton, word, carrier: Carrier):
 
 def abstract_semantics(wa: WeightedAutomaton, word) -> SeqMultiset:
     """Multiset of weight sequences of accepting runs on a non-empty word."""
-    return forward(wa, word, SEQ_COUNTS)
+    return forward(wa, word, seq_counts(weights_of(wa)))
 
 
-def semantics_upto(wa: WeightedAutomaton, alphabet, maxlen):
+def semantics_upto(wa: WeightedAutomaton, alphabet, maxlen, weights=None):
     """(word, abstract_semantics(wa, word)) for every word of
     words_upto(alphabet, maxlen), in that order; the multiset is None for
-    a word with a letter outside the automaton's alphabet.
+    a word with a letter outside the automaton's alphabet.  The multisets
+    are over the weight table `weights` (by default wa's own), so two
+    sweeps over one table compare word by word as dicts.
 
     One depth-first pass per length advances each prefix's front by one
     letter, so prefixes are shared and only the fronts of the current
@@ -452,9 +468,10 @@ def semantics_upto(wa: WeightedAutomaton, alphabet, maxlen):
     letters = sorted(alphabet, key=letter_key)
     # reach[r]: the states some word of r more letters takes to a final one
     reach = live_sets(wa.nfa, [letters] * maxlen)[::-1]
+    carrier = seq_counts(weights_of(wa) if weights is None else weights)
     start = dict.fromkeys(bits(wa.nfa.numbered().mask(wa.nfa.initial)),
-                          SEQ_COUNTS.one)
-    advance = _stepper(wa, SEQ_COUNTS)
+                          carrier.one)
+    advance = _stepper(wa, carrier)
 
     def walk(prefix, front, left):
         for letter in letters:
@@ -464,7 +481,7 @@ def semantics_upto(wa: WeightedAutomaton, alphabet, maxlen):
             if left > 1:
                 yield from walk(word, nxt, left - 1)
             else:
-                yield word, None if nxt is None else SEQ_COUNTS.total(
+                yield word, None if nxt is None else carrier.total(
                     nxt.values())
 
     for n in range(1, maxlen + 1):

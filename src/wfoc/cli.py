@@ -21,6 +21,7 @@ from .errors import HypothesisError, InputError
 from .fo_compiler import compile_fo
 from .logic.syntax import SumX, format_wfo, free_vars, letters_in
 from .logic.parser import parse_formula_file, serialize_formula_file
+from .multiset import weight_table
 from .semantics import (
     builtin_semiring, concrete_semantics, max_average_aggregator,
     sum_product_aggregator,
@@ -233,8 +234,11 @@ def _cmd_equiv(args):
     second = _load_weighted(args.b)
     maxlen = _maxlen(args)
     alphabet = first.nfa.alphabet | second.nfa.alphabet
-    for (word, got), (_, want) in zip(semantics_upto(first, alphabet, maxlen),
-                                      semantics_upto(second, alphabet, maxlen)):
+    # one weight table for both sweeps: each word compares as two dicts
+    weights = weight_table([*first.wgt.values(), *second.wgt.values()])
+    for (word, got), (_, want) in zip(
+            semantics_upto(first, alphabet, maxlen, weights),
+            semantics_upto(second, alphabet, maxlen, weights)):
         if got == want or not got and not want:
             continue
         print("COUNTEREXAMPLE %s" % render_word(word))

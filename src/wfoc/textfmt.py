@@ -72,7 +72,7 @@ def _parse_fields(lines):
             continue
         key, sep, rest = line.partition(":")
         if not sep:
-            raise InputError("malformed line: %r" % raw)
+            raise InputError("line %d: malformed line: %r" % (line_no, raw))
         key = " ".join(key.split())
         if key in seen and key != "trans":
             raise InputError("line %d: section %r repeats line %d"
@@ -90,14 +90,16 @@ def _parse_fields(lines):
         elif key.startswith("accepting"):
             parts = key.split()
             if len(parts) != 2:
-                raise InputError("accepting sets need a name: %r" % raw)
+                raise InputError("line %d: accepting sets need a name: %r"
+                                 % (line_no, raw))
             accepting[parts[1]] = [_parse_state(t, line_no) for t in tokens]
         elif key == "trans":
             if len(tokens) not in (3, 4):
-                raise InputError("trans needs 3 or 4 fields: %r" % raw)
+                raise InputError("line %d: trans needs 3 or 4 fields: %r"
+                                 % (line_no, raw))
             trans_lines.append((line_no, tokens))
         else:
-            raise InputError("unknown section %r" % key)
+            raise InputError("line %d: unknown section %r" % (line_no, key))
     if alphabet is None or states is None:
         raise InputError("missing alphabet or states section")
     if initial is None or final is None:
@@ -123,7 +125,8 @@ def parse_automaton(text: str, line_no=None):
         dst = _parse_state(tokens[2], line_no)
         t = (src, letter, dst)
         if t in transitions:
-            raise InputError("duplicate transition %r" % (t,))
+            raise InputError("line %d: duplicate transition %r"
+                             % (line_no, t))
         transitions.add(t)
         if weighted:
             try:

@@ -26,6 +26,21 @@ from wfoc.wfo_compiler import compile_wfo
 from tests.corpus import ALL_TEXTS, SEED, load, random_wfo
 
 
+# every state initial and final: aa has the 8 runs over -2, 9, 10, 1/2
+MIXED = ("alphabet: a b\nstates: 1 2\ninitial: 1 2\nfinal: 1 2\n"
+         "trans: 1 a 1 -2\ntrans: 1 a 2 9\ntrans: 2 a 1 10\n"
+         "trans: 2 a 2 1/2\ntrans: 1 b 1 t\ntrans: 2 b 2 t\n")
+
+_RUNS = ("alphabet: a b\nstates: 1 2 3 4\ninitial: 1\nfinal: 2\n"
+         "trans: 1 a 1 -2\ntrans: 1 a 2 1/2\ntrans: 1 b 1 t\n")
+DIFFERENT_TABLES = {
+    "p": _RUNS + "trans: 2 b 2 9\ntrans: 1 b 3 10\n",
+    "q": _RUNS + "trans: 2 b 2 9\ntrans: 2 a 3 u\n",
+    "s": _RUNS + "trans: 2 b 2 10\ntrans: 1 a 4 u\ntrans: 4 b 2 -2\n",
+    "mixed": MIXED,
+}
+
+
 def save(tmp_path, name):
     path = tmp_path / (name + ".wa")
     path.write_text(ALL_TEXTS[name])
@@ -151,6 +166,35 @@ class TestEval:
                                       "--word", word])
             assert rc == 0 and out.endswith("\n")
         assert names == ["multiset_seqs"] * 2
+
+    def test_mixed_weights_print_in_canonical_order(self, tmp_path, capsys):
+        # numbers by value (9 before 10, -2 before 1/2), then symbols
+        path = tmp_path / "mixed.wa"
+        path.write_text(MIXED)
+        rc, out, _ = run(capsys, ["eval", "--automaton", str(path),
+                                  "--word", "aab"])
+        assert rc == 0
+        assert out == ("1 x [-2,-2,t]\n1 x [-2,9,t]\n1 x [1/2,1/2,t]\n"
+                       "1 x [1/2,10,t]\n1 x [9,1/2,t]\n1 x [9,10,t]\n"
+                       "1 x [10,-2,t]\n1 x [10,9,t]\n")
+
+    def test_weights_are_ranked_once_per_eval(self, tmp_path, capsys,
+                                              monkeypatch):
+        # no sort key per sequence or per weight occurrence: 2^13 runs of
+        # 40 weights each rank the automaton's distinct weights once
+        text = MIXED.replace("trans: 1 b 1 t", "trans: 1 b 1 u")
+        path = tmp_path / "runs.wa"
+        path.write_text(text)
+        distinct = len(set(parse_automaton(text).wgt.values()))
+        calls = []
+        real = wfoc.multiset.weight_sort_key
+        monkeypatch.setattr(wfoc.multiset, "weight_sort_key",
+                            lambda w: calls.append(w) or real(w))
+        rc, out, _ = run(capsys, ["eval", "--automaton", str(path),
+                                  "--word", "abb" + "a" * 11 + "b" * 26])
+        assert rc == 0 and out.count("\n") == 2 ** 13
+        assert len(calls) <= distinct == 6
+
 
 class TestCompile:
     def test_round_trip_through_files(self, tmp_path, capsys):
@@ -835,6 +879,30 @@ class TestEquiv:
             rc, out, err = run(capsys, ["equiv", "--a", fib, "--b", fib])
             assert rc == 2 and out == ""
             assert "WFOC_MAXLEN" in err and repr(bad) in err
+
+    def test_different_weight_tables(self, tmp_path, capsys):
+        # weights on dead transitions put 10 only in p's table and u only
+        # in q's; s adds a run of [u,-2] on ab
+        paths = {}
+        for name, text in DIFFERENT_TABLES.items():
+            paths[name] = str(tmp_path / (name + ".wa"))
+            with open(paths[name], "w") as handle:
+                handle.write(text)
+        cases = [
+            (("p", "q", "4"), 0, "EQUIV up to 4\n"),
+            (("q", "p", None), 0, "EQUIV up to 8\n"),
+            (("p", "s", None), 1, "COUNTEREXAMPLE ab\na:\n1 x [1/2,9]\n"
+             "b:\n1 x [1/2,10]\n1 x [u,-2]\n"),
+            (("s", "p", "3"), 1, "COUNTEREXAMPLE ab\na:\n1 x [1/2,10]\n"
+             "1 x [u,-2]\nb:\n1 x [1/2,9]\n"),
+            (("s", "mixed", "3"), 1, "COUNTEREXAMPLE a\na:\n1 x [1/2]\n"
+             "b:\n1 x [-2]\n1 x [1/2]\n1 x [9]\n1 x [10]\n"),
+        ]
+        for (a, b, maxlen), code, want in cases:
+            argv = ["equiv", "--a", paths[a], "--b", paths[b]]
+            if maxlen:
+                argv += ["--maxlen", maxlen]
+            assert run(capsys, argv) == (code, want, "")
 
     @pytest.mark.parametrize("bad", ["0", "-3", "abc", "2.5", "", "\u00b2"])
     def test_bad_maxlen_flag_is_an_input_error(self, tmp_path, capsys, bad):

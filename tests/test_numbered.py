@@ -27,10 +27,11 @@ import pytest
 from corpus import ALL_TEXTS, SEED, load, random_fo
 from wfoc import Nfa, WeightedAutomaton, serialize_automaton, to_dot
 from wfoc.automata import (
-    SEQ_COUNTS, Run, ambiguity_witness, aperiodicity_index,
+    Run, ambiguity_witness, aperiodicity_index,
     count_accepting_runs, enumerate_runs, explore, forward, letter_key, live_sets, reachable_nfa,
-    runs_witness, scc_decompose, shortest_word, state_key, transition_monoid,
-    trim, underlying_nfa, weighted_union, words_upto, _mat_mul, image,
+    runs_witness, scc_decompose, seq_counts, shortest_word, state_key,
+    transition_monoid, trim, underlying_nfa, weighted_union, weights_of,
+    words_upto, _mat_mul, image,
 )
 from wfoc.decompose import build_a_geq_k, ensure_single_initial
 from wfoc.errors import InputError
@@ -921,9 +922,9 @@ def _outcome(fn):
 @pytest.mark.parametrize("semiring", [None, "natural", "boolean"])
 def test_forward_embeds_weights_in_the_reference_order(semiring):
     # the order weights are embedded in fixes which refusal a word gets
-    carrier = SEQ_COUNTS if semiring is None \
-        else builtin_semiring(semiring).carrier
     for wa in pool(120, SEED + 17, weighted=True):
+        carrier = seq_counts(weights_of(wa)) if semiring is None \
+            else builtin_semiring(semiring).carrier
         for word in words_upto(wa.nfa.alphabet, 3):
             got_log, want_log = [], []
             got = _outcome(lambda: forward(wa, word,

@@ -89,6 +89,41 @@ final: 2
 """)
 
 
+_HEAD = "alphabet: a\nstates: 1\ninitial: 1\nfinal: 1\n"
+
+
+@pytest.mark.parametrize("text,message", [
+    (_HEAD + "# comment\ntrans 1 a 1 2\n",
+     "line 6: malformed line: 'trans 1 a 1 2'"),
+    (_HEAD + "accepting: 1\n",
+     "line 5: accepting sets need a name: 'accepting: 1'"),
+    (_HEAD + "trans: 1 a\n",
+     "line 5: trans needs 3 or 4 fields: 'trans: 1 a'"),
+    ("alphabet: a\ntrnas: 1 a 1 2\n", "line 2: unknown section 'trnas'"),
+    (_HEAD + "trans: 1 a 1 1\n\ntrans: 1 a 1 2\n",
+     "line 7: duplicate transition (1, 'a', 1)"),
+])
+def test_section_errors_name_their_line(text, message):
+    with pytest.raises(InputError) as err:
+        parse_automaton(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("body,message", [
+    ("trans 1 a 1", "malformed line: ' trans 1 a 1'"),
+    ("accepting: 1", "accepting sets need a name: ' accepting: 1'"),
+    ("trans: 1 a", "trans needs 3 or 4 fields: ' trans: 1 a'"),
+    ("trnas: 1 a 1", "unknown section 'trnas'"),
+    ("trans: 1 a 1 ; trans: 1 a 1", "duplicate transition (1, 'a', 1)"),
+])
+def test_header_section_errors_name_the_file_line(body, message):
+    text = ("# fragment: no-sum\n\n# automaton A: alphabet: a ; states: 1 ;"
+            " initial: 1 ; final: 1 ; %s\nzero\n" % body)
+    with pytest.raises(InputError) as err:
+        parser.parse_formula_file(text, "wfo")
+    assert str(err.value) == "line 3: " + message
+
+
 @pytest.mark.parametrize("text,line,token", [
     # `01` used to be read as state 1, silently merging the two
     ("alphabet: a\nstates: 1 01 2\ninitial: 1\nfinal: 2\n"
