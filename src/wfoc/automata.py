@@ -4,6 +4,8 @@ Run enumeration, the forward pass that gives every value of a word (the
 multiset and each semiring's: one step, `_stepper`, moves a state ->
 value front in a `Carrier`; the multiset's carrier, `seq_counts`, is
 built per pass over a weight table and extends runs as rank strings),
+the shortest length at which two automata's multisets differ (exactly,
+from a basis of forward vectors),
 strongly connected components, ambiguity classification, aperiodicity
 analysis (the transition monoid with its right Cayley table), the
 closure constructions (disjoint union, trim), and the breadth-first
@@ -26,6 +28,7 @@ from __future__ import annotations
 import collections
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import InputError
@@ -454,6 +457,9 @@ def abstract_semantics(wa: WeightedAutomaton, word) -> SeqMultiset:
     return forward(wa, word, seq_counts(weights_of(wa)))
 
 
+_DONE = object()
+
+
 def semantics_upto(wa: WeightedAutomaton, alphabet, maxlen, weights=None):
     """(word, abstract_semantics(wa, word)) for every word of
     words_upto(alphabet, maxlen), in that order; the multiset is None for
@@ -463,8 +469,9 @@ def semantics_upto(wa: WeightedAutomaton, alphabet, maxlen, weights=None):
 
     One depth-first pass per length advances each prefix's front by one
     letter, so prefixes are shared and only the fronts of the current
-    word's prefixes are alive.  Runs are kept only in states that can
-    still reach a final state in the letters left."""
+    word's prefixes are alive.  They are kept on an explicit stack, so a
+    word may be longer than the recursion limit.  Runs are kept only in
+    states that can still reach a final state in the letters left."""
     letters = sorted(alphabet, key=letter_key)
     # reach[r]: the states some word of r more letters takes to a final one
     reach = live_sets(wa.nfa, [letters] * maxlen)[::-1]
@@ -472,20 +479,109 @@ def semantics_upto(wa: WeightedAutomaton, alphabet, maxlen, weights=None):
     start = dict.fromkeys(bits(wa.nfa.numbered().mask(wa.nfa.initial)),
                           carrier.one)
     advance = _stepper(wa, carrier)
-
-    def walk(prefix, front, left):
-        for letter in letters:
-            word = prefix + (letter,)
-            nxt = None if front is None or letter not in wa.nfa.alphabet \
-                else advance(front, letter, reach[left - 1])
-            if left > 1:
-                yield from walk(word, nxt, left - 1)
-            else:
-                yield word, None if nxt is None else carrier.total(
-                    nxt.values())
+    known = wa.nfa.alphabet
 
     for n in range(1, maxlen + 1):
-        yield from walk((), start, n)
+        # stack[d]: the front after the first d letters of word, and the
+        # letters still to try at position d
+        word, stack = [], [(start, iter(letters))]
+        while stack:
+            front, todo = stack[-1]
+            letter = next(todo, _DONE)
+            if letter is _DONE:
+                stack.pop()
+                del word[-1:]
+                continue
+            nxt = None if front is None or letter not in known \
+                else advance(front, letter, reach[n - len(stack)])
+            if len(stack) < n:
+                word.append(letter)
+                stack.append((nxt, iter(letters)))
+            else:
+                yield (*word, letter), None if nxt is None \
+                    else carrier.total(nxt.values())
+
+
+def first_difference(a: WeightedAutomaton, b: WeightedAutomaton, maxlen):
+    """The length of the shortest non-empty word of length at most maxlen
+    on which a and b have different multisets (a letter outside an
+    automaton's alphabet gives it the empty one), or None if there is none.
+
+    A multiset automaton is an automaton with natural counts over the
+    letters (letter, rank of the weight in the table of both automata's
+    weights): a word's multiset gives each weight sequence the count of
+    the accepting runs labelled by it.  So the question is one of linear
+    algebra over the two automata's state vectors side by side (Tzeng,
+    SIAM J. Comput. 1992).  A breadth-first search by word length steps
+    every vector kept at one length by every such letter, starting from
+    the initial vector (the empty word is never tested), and keeps a new
+    vector only if it is independent of the kept ones (fraction-free
+    integer elimination).  The kept vectors of lengths 1..n span every
+    word's vector of those lengths, so the first non-zero difference of
+    final counts comes on a kept vector, at the shortest differing length.
+    A length that keeps no vector leaves the span closed: no longer word
+    differs either."""
+    weights = weight_table([*a.wgt.values(), *b.wgt.values()])
+    rank = {w: r for r, w in enumerate(weights)}
+    code = {letter: j * len(weights) for j, letter in enumerate(
+        sorted(a.nfa.alphabet | b.nfa.alphabet, key=letter_key))}
+    # edges[i]: the (letter, weight) code and target of each transition
+    # leaving position i of a then b; final[i]: +1 on a's, -1 on b's.  A
+    # state that reaches no final state would only add a free coordinate,
+    # so no edge enters one.
+    edges, start, final = [], {}, {}
+    for sign, wa in ((1, a), (-1, b)):
+        num, base = wa.nfa.numbered(), len(edges)
+        live = num.mask(coreachable_states(wa.nfa))
+        rows = [[] for _ in num.pos]
+        for letter, out in zip(num.letters, num.succ):
+            for row, ts in zip(rows, out):
+                row += [(code[letter] + rank[wa.wgt[t]], base + d)
+                        for d, t in ts if live >> d & 1]
+        edges += rows
+        start.update(dict.fromkeys(
+            (base + i for i in bits(num.mask(wa.nfa.initial) & live)), 1))
+        final.update(dict.fromkeys(
+            (base + i for i in bits(num.mask(wa.nfa.final))), sign))
+    basis = {}          # least position of a kept vector -> the vector
+
+    def reduce(vec):
+        """vec minus its part in the span of `basis`, divided by the gcd
+        of its entries, without zero entries: empty iff vec lies in that
+        span."""
+        while True:
+            g = math.gcd(*vec.values())
+            vec = {i: v // g for i, v in vec.items() if v}
+            pivots = [i for i in vec if i in basis]
+            if not pivots:
+                return vec
+            p = min(pivots)
+            row, y = basis[p], vec[p]
+            vec = {i: row[p] * v for i, v in vec.items()}
+            for i, v in row.items():
+                vec[i] = vec.get(i, 0) - y * v
+
+    level = [start]
+    for n in range(1, maxlen + 1):
+        kept = []
+        for vec in level:
+            steps = {}
+            for i, v in vec.items():
+                for c, d in edges[i]:
+                    nxt = steps.setdefault(c, {})
+                    nxt[d] = nxt.get(d, 0) + v
+            for c in sorted(steps):
+                new = reduce(steps[c])
+                if not new:
+                    continue
+                if sum(v * final[i] for i, v in new.items() if i in final):
+                    return n
+                basis[min(new)] = new
+                kept.append(new)
+        if not kept:
+            return None
+        level = kept
+    return None
 
 
 def pair_semantics(wa: WeightedAutomaton, p, q, word) -> SeqMultiset:

@@ -13,7 +13,7 @@ import sys
 
 from .automata import (
     WeightedAutomaton, aperiodicity_index, check_word, classify_ambiguity,
-    is_unambiguous, semantics_upto,
+    first_difference, is_unambiguous, semantics_upto,
     EXPONENTIALLY, FINITELY, POLYNOMIALLY, UNAMBIGUOUS,
 )
 from .decompose import decompose_with_trackers, ensure_single_initial
@@ -233,22 +233,26 @@ def _cmd_equiv(args):
     first = _load_weighted(args.a)
     second = _load_weighted(args.b)
     maxlen = _maxlen(args)
+    length = first_difference(first, second, maxlen)
+    if length is None:
+        print("EQUIV up to %d" % maxlen)
+        return 0
+    # decided exactly: the sweep up to that length only finds the first
+    # counterexample to print, over one weight table for both automata,
+    # so that each word compares as two dicts
     alphabet = first.nfa.alphabet | second.nfa.alphabet
-    # one weight table for both sweeps: each word compares as two dicts
     weights = weight_table([*first.wgt.values(), *second.wgt.values()])
-    for (word, got), (_, want) in zip(
-            semantics_upto(first, alphabet, maxlen, weights),
-            semantics_upto(second, alphabet, maxlen, weights)):
-        if got == want or not got and not want:
-            continue
-        print("COUNTEREXAMPLE %s" % render_word(word))
-        for tag, sem in (("a", got), ("b", want)):
-            body = sem.pretty() if sem else "(empty)"
-            print("%s:" % tag)
-            print(body)
-        return 1
-    print("EQUIV up to %d" % maxlen)
-    return 0
+    word, got, want = next(
+        (word, got, want) for (word, got), (_, want) in zip(
+            semantics_upto(first, alphabet, length, weights),
+            semantics_upto(second, alphabet, length, weights))
+        if got != want and (got or want))
+    print("COUNTEREXAMPLE %s" % render_word(word))
+    for tag, sem in (("a", got), ("b", want)):
+        body = sem.pretty() if sem else "(empty)"
+        print("%s:" % tag)
+        print(body)
+    return 1
 
 
 def _cmd_dot(args):

@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 
 import pytest
 
@@ -364,6 +365,17 @@ class TestSemanticsUpto:
 
     def test_empty_sweep(self):
         assert list(semantics_upto(load("fibonacci"), {"a"}, 0)) == []
+
+    def test_words_longer_than_the_recursion_limit(self):
+        # the sweep keeps its prefixes on an explicit stack, not in frames
+        n = sys.getrecursionlimit() + 100
+        wa = parse_automaton(
+            "alphabet: a\nstates: %s\ninitial: 0\nfinal: %d\n%s" % (
+                " ".join(map(str, range(n + 1))), n,
+                "".join("trans: %d a %d 1\n" % (i, i + 1) for i in range(n))))
+        *_, (word, last) = semantics_upto(wa, wa.nfa.alphabet, n)
+        assert word == ("a",) * n
+        assert last.pretty() == "1 x [%s]" % ",".join("1" * n)
 
 
 def _mat_mul_by_bits(m1, m2):

@@ -40,6 +40,17 @@ DIFFERENT_TABLES = {
     "mixed": MIXED,
 }
 
+# five states over {a, b, c}, 27 transitions, three initial states: the
+# number of runs grows exponentially with the word length
+DENSE = ("alphabet: a b c\nstates: 1 2 3 4 5\ninitial: 1 2 3\nfinal: 4 5\n"
+         "trans: 1 a 1 1\ntrans: 1 b 2 3\ntrans: 1 b 5 3\ntrans: 1 c 1 0\n"
+         "trans: 2 a 4 2\ntrans: 2 a 5 2\ntrans: 2 b 1 1\ntrans: 2 b 4 0\n"
+         "trans: 2 b 5 2\ntrans: 2 c 2 3\ntrans: 3 a 1 1\ntrans: 3 a 2 2\n"
+         "trans: 3 b 2 1\ntrans: 3 b 3 3\ntrans: 3 c 1 2\ntrans: 3 c 2 3\n"
+         "trans: 3 c 4 1\ntrans: 4 a 3 3\ntrans: 4 b 2 3\ntrans: 4 b 4 3\n"
+         "trans: 4 c 1 3\ntrans: 5 a 1 2\ntrans: 5 a 2 0\ntrans: 5 a 3 3\n"
+         "trans: 5 b 1 2\ntrans: 5 b 5 2\ntrans: 5 c 3 2\n")
+
 
 def save(tmp_path, name):
     path = tmp_path / (name + ".wa")
@@ -903,6 +914,42 @@ class TestEquiv:
             if maxlen:
                 argv += ["--maxlen", maxlen]
             assert run(capsys, argv) == (code, want, "")
+
+    def test_equivalent_inputs_never_run_the_sweep(self, tmp_path, capsys,
+                                                   monkeypatch):
+        tri = save(tmp_path, "triplerun")
+        phi, back = str(tmp_path / "tri.wfo"), str(tmp_path / "back.wa")
+        assert run(capsys, ["tologic", "--automaton", tri, "-o", phi])[0] == 0
+        assert run(capsys, ["compile", "--formula", phi, "-o", back])[0] == 0
+        dense = tmp_path / "dense.wa"
+        dense.write_text(DENSE)
+
+        def refuse(*args):
+            raise AssertionError("semantics_upto called")
+
+        monkeypatch.setattr(wfoc.cli, "semantics_upto", refuse)
+        assert run(capsys, ["equiv", "--a", tri, "--b", back]) == (
+            0, "EQUIV up to 8\n", "")
+        # runs grow exponentially with the length: a sweep would not answer
+        assert run(capsys, ["equiv", "--a", str(dense), "--b", str(dense),
+                            "--maxlen", "40"]) == (0, "EQUIV up to 40\n", "")
+
+    def test_first_difference_beyond_maxlen(self, tmp_path, capsys):
+        # a^5 is the one word either accepts, with weights ending 1 and 2
+        argv = ["equiv"]
+        for flag, last in (("--a", 1), ("--b", 2)):
+            path = tmp_path / ("chain%d.wa" % last)
+            path.write_text(
+                "alphabet: a\nstates: 1 2 3 4 5 6\ninitial: 1\nfinal: 6\n"
+                + "".join("trans: %d a %d %d\n" % (i, i + 1, last if i == 5
+                                                     else 1)
+                          for i in range(1, 6)))
+            argv += [flag, str(path)]
+        assert run(capsys, argv + ["--maxlen", "4"]) == (
+            0, "EQUIV up to 4\n", "")
+        assert run(capsys, argv + ["--maxlen", "9"]) == (
+            1, "COUNTEREXAMPLE aaaaa\na:\n1 x [1,1,1,1,1]\n"
+            "b:\n1 x [1,1,1,1,2]\n", "")
 
     @pytest.mark.parametrize("bad", ["0", "-3", "abc", "2.5", "", "\u00b2"])
     def test_bad_maxlen_flag_is_an_input_error(self, tmp_path, capsys, bad):
