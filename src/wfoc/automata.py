@@ -460,12 +460,14 @@ def abstract_semantics(wa: WeightedAutomaton, word) -> SeqMultiset:
 _DONE = object()
 
 
-def semantics_upto(wa: WeightedAutomaton, alphabet, maxlen, weights=None):
+def semantics_upto(wa: WeightedAutomaton, alphabet, maxlen, weights=None,
+                   first=1):
     """(word, abstract_semantics(wa, word)) for every word of
-    words_upto(alphabet, maxlen), in that order; the multiset is None for
-    a word with a letter outside the automaton's alphabet.  The multisets
-    are over the weight table `weights` (by default wa's own), so two
-    sweeps over one table compare word by word as dicts.
+    words_upto(alphabet, maxlen) of length `first` or more, in that order;
+    the multiset is None for a word with a letter outside the automaton's
+    alphabet.  The multisets are over the weight table `weights` (by
+    default wa's own), so two sweeps over one table compare word by word
+    as dicts.
 
     One depth-first pass per length advances each prefix's front by one
     letter, so prefixes are shared and only the fronts of the current
@@ -481,7 +483,7 @@ def semantics_upto(wa: WeightedAutomaton, alphabet, maxlen, weights=None):
     advance = _stepper(wa, carrier)
     known = wa.nfa.alphabet
 
-    for n in range(1, maxlen + 1):
+    for n in range(first, maxlen + 1):
         # stack[d]: the front after the first d letters of word, and the
         # letters still to try at position d
         word, stack = [], [(start, iter(letters))]

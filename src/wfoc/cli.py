@@ -237,15 +237,16 @@ def _cmd_equiv(args):
     if length is None:
         print("EQUIV up to %d" % maxlen)
         return 0
-    # decided exactly: the sweep up to that length only finds the first
-    # counterexample to print, over one weight table for both automata,
-    # so that each word compares as two dicts
+    # decided exactly: every shorter word is equal, so the sweep of that
+    # one length only finds the first counterexample to print, over one
+    # weight table for both automata, so that each word compares as two
+    # dicts
     alphabet = first.nfa.alphabet | second.nfa.alphabet
     weights = weight_table([*first.wgt.values(), *second.wgt.values()])
     word, got, want = next(
         (word, got, want) for (word, got), (_, want) in zip(
-            semantics_upto(first, alphabet, length, weights),
-            semantics_upto(second, alphabet, length, weights))
+            semantics_upto(first, alphabet, length, weights, length),
+            semantics_upto(second, alphabet, length, weights, length))
         if got != want and (got or want))
     print("COUNTEREXAMPLE %s" % render_word(word))
     for tag, sem in (("a", got), ("b", want)):

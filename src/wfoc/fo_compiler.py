@@ -9,13 +9,15 @@ numbers per state over the sorted letters, and one verdict per state.
 Every classifier comes out of the same two steps.  An implicit DFA, given
 by a start state, a successor function and a verdict function, is
 explored once into a table (``_table``), and the table is minimized once
-by Moore refinement from the {F, G, reject} partition (``minimize``).
+by Moore refinement from the {F, G, reject} partition (``minimize``),
+whose rounds read each distinct letter column of the table once.
 Negation swaps F and G and the binary connectives are synchronous
 products; every other classifier is one subset construction of a bit-mask
 automaton (``_subsets``).  The atoms are automata of 1, 2 or 3 bits, or
 a run atom's automaton plus two bits; the existential quantifier erases
 a variable's mark row from the body's table; both are run alongside the
-validity DFA over their variables.  ``dfa_from_nfa`` determinizes an Nfa.
+validity DFA over their variables, whose words that mark a variable twice
+all end in one reject sink.  ``dfa_from_nfa`` determinizes an Nfa.
 """
 
 from __future__ import annotations
@@ -102,18 +104,22 @@ _CLASS = {True: 0, False: 1, None: 2}
 def minimize(c: ClassifierDfa) -> ClassifierDfa:
     """Moore refinement from the {F, G, reject} partition.
 
-    Every round numbers the blocks by their first state.  On a table
-    numbered breadth-first this numbers the quotient breadth-first too
-    (its states in the shortlex order of their shortest words), so equal
-    classifiers come out as equal tables and repeated compilations are
-    byte-identical."""
+    A round gives each state the signature of its block and the blocks of
+    its successors, read column by column: one column per distinct letter
+    column of the table, since two letters with the same successors refine
+    alike.  Every round numbers the blocks by their first state.  On a
+    table numbered breadth-first this numbers the quotient breadth-first
+    too (its states in the shortlex order of their shortest words), so
+    equal classifiers come out as equal tables and repeated compilations
+    are byte-identical."""
     block = [None] + [_CLASS[v] for v in c.verdicts]    # block[s], s >= 1
     count = len(set(c.verdicts))
+    cols = list(dict.fromkeys(zip(*c.delta)))
     while True:
         sigs = {}
         new = [None] + [
-            sigs.setdefault((block[s], *[block[d] for d in row]), len(sigs))
-            for s, row in enumerate(c.delta, 1)]
+            sigs.setdefault(sig, len(sigs)) for sig in zip(
+                block[1:], *[map(block.__getitem__, col) for col in cols])]
         if len(sigs) == count:
             break
         block, count = new, len(sigs)
@@ -134,20 +140,29 @@ def _on_validity(core, base, vars) -> ClassifierDfa:
     A core (start, step, yes) is an implicit DFA over the marked letters
     whose yes(state) is the right answer on valid encodings.  The product
     is in F where the core says yes on a valid word and in G where it says
-    no.  Validity states are the bit masks of the variables marked so far,
-    and -1 once some variable is marked twice."""
+    no.  Validity states are the bit masks of the variables marked so far;
+    once some variable is marked twice the word is rejected for good, so
+    every such state is the one reject sink (None, -1)."""
     start, step, yes = core
     step = functools.lru_cache(maxsize=None)(step)
     masks = [sum(b << i for i, b in enumerate(a[1])) if vars else 0
              for a in marked_letters(base, vars)]
     full = (1 << len(vars)) - 1
+    sink = (None, -1)
+    stuck = [sink] * len(masks)
 
     @functools.lru_cache(maxsize=None)
     def marks(seen):
-        return [-1 if seen < 0 or seen & m else seen | m for m in masks]
+        return [-1 if seen & m else seen | m for m in masks]
+
+    def succ(s):
+        if s[1] < 0:
+            return stuck
+        return [(d, m) if m >= 0 else sink
+                for d, m in zip(step(s[0]), marks(s[1]))]
 
     return minimize(_table(
-        (start, 0), lambda s: zip(step(s[0]), marks(s[1])),
+        (start, 0), succ,
         lambda s: yes(s[0]) if s[1] == full else None, base, vars))
 
 

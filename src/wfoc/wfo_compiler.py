@@ -42,6 +42,27 @@ def _step_weight(psi, cond_index, bits):
     return psi.weight
 
 
+def _suffix_tables(c, lifted):
+    """One classifier's suffix tables, reachable from the verdict codes of
+    the empty suffix, in sorted order; the rank of that first table; and
+    back[n][r], the rank of the table for the n-th letter of `lifted`
+    (read unmarked) followed by the suffix of table r."""
+    cols = [[row[j0] - 1 for row in c.delta] for _, j0, _ in lifted]
+
+    def unwind(t):
+        for n, col in enumerate(cols):
+            yield n, tuple(map(t.__getitem__, col))
+
+    end = tuple(_CODE[v] for v in c.verdicts)
+    edges = list(explore([end], unwind))
+    tables = sorted({t for (t, _, _) in edges})
+    rank = {t: r for r, t in enumerate(tables)}
+    back = [[0] * len(tables) for _ in cols]
+    for (t, n, t2) in edges:
+        back[n][rank[t]] = rank[t2]
+    return tables, rank[end], back
+
+
 def compile_product(step, var, alphabet, vars=()) -> WeightedAutomaton:
     """Automaton for the position product of a step formula: each
     position's transition is weighted by the cascade under the bit
@@ -84,17 +105,22 @@ def compile_product(step, var, alphabet, vars=()) -> WeightedAutomaton:
     d0 = (1,) * k
     walked = list(explore([d0], walk))
 
-    # Backward component: per classifier, the verdict (2 accept, 1
-    # refute, 0 invalid) every state would reach on the rest of the word.
-    # A transition steps back from the suffix table it enters to the one
-    # it leaves, so the exploration below needs the compositions inverted.
-    def unwind(f):
-        for _, j0, _ in lifted:
-            yield j0, tuple(tuple(f[i][row[j0] - 1] for row in rows[i])
-                            for i in range(k))
+    # Backward component: per classifier, the suffix table of the verdict
+    # (2 accept, 1 refute, 0 invalid) every state would reach on the rest
+    # of the word.  Each classifier's tables are explored on their own and
+    # numbered by rank in sorted order, and a joint suffix state is the
+    # tuple of the k ranks: it sorts as the tuple of the k tables would, so
+    # one lookup per classifier and letter steps it.  A transition steps
+    # back from the suffix state it enters to the one it leaves, so the
+    # exploration below needs the compositions inverted.
+    tables, ends, backs = zip(*(_suffix_tables(c, lifted) for c in clss))
+    back = list(zip(*backs))        # back[n][i]: classifier i on letter n
 
-    f_end = tuple(tuple(_CODE[v] for v in c.verdicts) for c in clss)
-    unwound = list(explore([f_end], unwind))
+    def unwind(f):
+        for n, (_, j0, _) in enumerate(lifted):
+            yield j0, tuple(map(list.__getitem__, back[n], f))
+
+    unwound = list(explore([ends], unwind))
 
     # Both components are numbered by rank in sorted order, which is
     # state_key order on these all-int tuples of one shape, so the
@@ -109,8 +135,8 @@ def compile_product(step, var, alphabet, vars=()) -> WeightedAutomaton:
         composed_from.setdefault((f_rank[f_src], j0), []).append(f_rank[f])
 
     # A state is (forward rank, suffix rank, started flag).  A transition
-    # consumes one position: the forward tuple advances, the suffix table
-    # unwinds by one composition, and the verdicts of the mark-here
+    # consumes one position: the forward tuple advances, the suffix tables
+    # unwind by one composition, and the verdicts of the mark-here
     # successors decode the position's bit vector, which picks the
     # weight.  The started flag keeps the empty word out of the support.
     cond_index = {c: i for i, c in enumerate(conds)}
@@ -124,8 +150,9 @@ def compile_product(step, var, alphabet, vars=()) -> WeightedAutomaton:
             d2 = prefix_next[(d, j0)]
             marked = [rows[i][here[i] - 1][j1] - 1 for i in range(k)]
             for f in composed_from.get((f_src, j0), ()):
-                table = suffixes[f]
-                verdicts = tuple(table[i][marked[i]] for i in range(k))
+                ranks = suffixes[f]
+                verdicts = tuple(tables[i][ranks[i]][marked[i]]
+                                 for i in range(k))
                 if 0 in verdicts:
                     continue
                 if verdicts not in weights:
@@ -135,7 +162,7 @@ def compile_product(step, var, alphabet, vars=()) -> WeightedAutomaton:
                 wgt[(state, a, dst)] = weights[verdicts]
                 yield a, dst
 
-    end = f_rank[f_end]
+    end = f_rank[ends]
     nfa = reachable_nfa([(d_rank[d0], f, 0) for f in range(len(suffixes))],
                         advance, letters,
                         lambda s: s[1] == end and s[2] == 1)

@@ -366,6 +366,15 @@ class TestSemanticsUpto:
     def test_empty_sweep(self):
         assert list(semantics_upto(load("fibonacci"), {"a"}, 0)) == []
 
+    @pytest.mark.parametrize("name", sorted(ALL_TEXTS))
+    def test_first_length_skips_the_shorter_words(self, name):
+        wa = _load(name)
+        alphabet = wa.nfa.alphabet | {"z"}
+        full = list(semantics_upto(wa, alphabet, 4))
+        for first in (1, 3, 4, 5):
+            assert list(semantics_upto(wa, alphabet, 4, first=first)) == [
+                (word, sem) for word, sem in full if len(word) >= first]
+
     def test_words_longer_than_the_recursion_limit(self):
         # the sweep keeps its prefixes on an explicit stack, not in frames
         n = sys.getrecursionlimit() + 100

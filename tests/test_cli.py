@@ -951,6 +951,38 @@ class TestEquiv:
             1, "COUNTEREXAMPLE aaaaa\na:\n1 x [1,1,1,1,1]\n"
             "b:\n1 x [1,1,1,1,2]\n", "")
 
+    def test_counterexample_sweep_reads_only_its_length(
+            self, tmp_path, capsys, monkeypatch):
+        # first_difference has shown every shorter word equal, so the sweep
+        # that prints the counterexample visits the words of its length only
+        paths = {}
+        for name in ("p", "s"):
+            paths[name] = tmp_path / (name + ".wa")
+            paths[name].write_text(DIFFERENT_TABLES[name])
+        for last in (1, 2):
+            paths[last] = tmp_path / ("chain%d.wa" % last)
+            paths[last].write_text(
+                "alphabet: a\nstates: 1 2 3 4 5 6\ninitial: 1\nfinal: 6\n"
+                + "".join("trans: %d a %d %d\n" % (i, i + 1, last if i == 5
+                                                     else 1)
+                          for i in range(1, 6)))
+        sweep, lengths = wfoc.cli.semantics_upto, []
+
+        def recording(*args):
+            for word, sem in sweep(*args):
+                lengths.append(len(word))
+                yield word, sem
+
+        monkeypatch.setattr(wfoc.cli, "semantics_upto", recording)
+        cases = [(("p", "s"), "COUNTEREXAMPLE ab\n", 2),
+                 ((1, 2), "COUNTEREXAMPLE aaaaa\n", 5)]
+        for (a, b), head, length in cases:
+            lengths.clear()
+            rc, out, err = run(capsys, ["equiv", "--a", str(paths[a]),
+                                        "--b", str(paths[b])])
+            assert (rc, err) == (1, "") and out.startswith(head)
+            assert lengths and set(lengths) == {length}, lengths
+
     @pytest.mark.parametrize("bad", ["0", "-3", "abc", "2.5", "", "\u00b2"])
     def test_bad_maxlen_flag_is_an_input_error(self, tmp_path, capsys, bad):
         # the two automata differ on every word, so no sweep may say EQUIV

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from wfoc import HypothesisError, InputError
+from wfoc import HypothesisError, InputError, fo_compiler
 from wfoc.automata import aperiodicity_index, is_unambiguous, state_key
 from wfoc.fo_compiler import (
     ClassifierDfa, compile_fo, dfa_from_nfa, minimize,
@@ -71,6 +71,49 @@ class TestValidity:
                 got = c.classify(ext.letters)
                 assert (got == "F") == ext.is_valid()
                 assert got in ("F", None)
+
+    @pytest.mark.parametrize("vars", [("x",), ("x", "y"), ("x", "y", "z")])
+    def test_twice_marked_words_share_one_sink(self, vars, monkeypatch):
+        # a state from which no word reaches F or G has some variable
+        # marked twice: the table tabulated alongside validity holds at
+        # most one such state before minimize sees it
+        real_on_validity, real_minimize = \
+            fo_compiler._on_validity, fo_compiler.minimize
+        inside, tables = [], []
+
+        def on_validity(*args):
+            inside.append(True)
+            try:
+                return real_on_validity(*args)
+            finally:
+                inside.pop()
+
+        def minimize(c):
+            if inside:
+                tables.append(c)
+            return real_minimize(c)
+
+        monkeypatch.setattr(fo_compiler, "_on_validity", on_validity)
+        monkeypatch.setattr(fo_compiler, "minimize", minimize)
+        rng = random.Random(SEED + len(vars))
+        for _ in range(30):
+            compile_fo(random_fo(rng, ("a", "b"), list(vars), 3), AB, vars)
+        assert len(tables) > 30
+        dead = [len(c.delta) - len(_live_states(c)) for c in tables]
+        assert set(dead) == {1}, dead
+
+
+def _live_states(c):
+    """The states of a classifier table from which a word reaches F or G."""
+    live = {s for s, v in enumerate(c.verdicts, 1) if v is not None}
+    grew = True
+    while grew:
+        grew = False
+        for s, row in enumerate(c.delta, 1):
+            if s not in live and not live.isdisjoint(row):
+                live.add(s)
+                grew = True
+    return live
 
 
 class TestCompileFo:

@@ -13,7 +13,9 @@ aperiodicity index read off it are checked against the closure and the
 power-by-multiplication loop they replaced.  Every classifier, built
 through one subset construction of bit-mask automata, is checked against
 the per-atom cores and the frozenset subsets for the existential
-quantifier that came before it.
+quantifier that came before it, run alongside a validity DFA with one
+state per core state for the words that mark a variable twice and
+minimized by a row-by-row Moore refinement.
 """
 
 import functools
@@ -37,7 +39,7 @@ from wfoc.decompose import build_a_geq_k, ensure_single_initial
 from wfoc.errors import InputError
 from wfoc.semantics import builtin_semiring
 from wfoc.fo_compiler import (
-    _TAKE, _combine, _on_validity, _swap, _table, compile_fo, dfa_from_nfa,
+    _CLASS, _TAKE, _swap, _table, ClassifierDfa, compile_fo, dfa_from_nfa,
     minimize,
 )
 from wfoc.logic import (
@@ -248,13 +250,65 @@ def reference_aperiodicity_index(a):
     return worst
 
 
+def reference_minimize(c):
+    """Moore refinement from the {F, G, reject} partition, each round's
+    signatures read row by row over every letter."""
+    block = [None] + [_CLASS[v] for v in c.verdicts]    # block[s], s >= 1
+    count = len(set(c.verdicts))
+    while True:
+        sigs = {}
+        new = [None] + [
+            sigs.setdefault((block[s], *[block[d] for d in row]), len(sigs))
+            for s, row in enumerate(c.delta, 1)]
+        if len(sigs) == count:
+            break
+        block, count = new, len(sigs)
+    if count == len(c.delta):
+        return c
+    first = {}
+    for s in range(1, len(new)):
+        first.setdefault(new[s], s)
+    delta = tuple(tuple(new[d] + 1 for d in c.delta[s - 1])
+                  for s in first.values())
+    verdicts = tuple(c.verdicts[s - 1] for s in first.values())
+    return ClassifierDfa(c.letters, delta, verdicts, c.base_alphabet, c.vars)
+
+
+def reference_on_validity(core, base, vars):
+    """The core alongside the validity DFA, with one state (core, -1) per
+    core state reached after some variable was marked twice."""
+    start, step, yes = core
+    step = functools.lru_cache(maxsize=None)(step)
+    masks = [sum(b << i for i, b in enumerate(a[1])) if vars else 0
+             for a in marked_letters(base, vars)]
+    full = (1 << len(vars)) - 1
+
+    @functools.lru_cache(maxsize=None)
+    def marks(seen):
+        return [-1 if seen < 0 or seen & m else seen | m for m in masks]
+
+    return reference_minimize(_table(
+        (start, 0), lambda s: zip(step(s[0]), marks(s[1])),
+        lambda s: yes(s[0]) if s[1] == full else None, base, vars))
+
+
+def reference_combine(c1, c2, take):
+    def verdict(state):
+        v1, v2 = c1.verdicts[state[0] - 1], c2.verdicts[state[1] - 1]
+        return None if v1 is None or v2 is None else take(v1, v2)
+
+    return reference_minimize(_table(
+        (1, 1), lambda s: zip(c1.delta[s[0] - 1], c2.delta[s[1] - 1]),
+        verdict, c1.base_alphabet, c1.vars))
+
+
 def reference_dfa_from_nfa(nfa):
     letters = marked_letters(nfa.alphabet, ())
 
     def subset_step(subset, letter):
         return frozenset(d for s in subset for d in nfa.out(s, letter))
 
-    return minimize(_table(
+    return reference_minimize(_table(
         frozenset(nfa.initial),
         lambda subset: [subset_step(subset, a) for a in letters],
         lambda subset: not nfa.final.isdisjoint(subset), nfa.alphabet, ()))
@@ -342,7 +396,7 @@ def reference_exists(c, var):
         return [frozenset(rows[s - 1][i] for s in subset for i in (i0, i1))
                 for _, i0, i1 in lifts]
 
-    return _on_validity(
+    return reference_on_validity(
         (frozenset([1]), step, lambda subset: not accept.isdisjoint(subset)),
         c.base_alphabet, vars)
 
@@ -352,16 +406,16 @@ def reference_compile(phi, base, vars):
     if isinstance(phi, Not):
         return _swap(reference_compile(phi.sub, base, vars))
     if isinstance(phi, (And, Or, Implies)):
-        return _combine(reference_compile(phi.left, base, vars),
-                        reference_compile(phi.right, base, vars),
-                        _TAKE[type(phi)])
+        return reference_combine(reference_compile(phi.left, base, vars),
+                                 reference_compile(phi.right, base, vars),
+                                 _TAKE[type(phi)])
     if isinstance(phi, (Exists, Forall)):
         inner = tuple(sorted(vars + (phi.var,)))
         body = reference_compile(phi.body, base, inner)
         if isinstance(phi, Exists):
             return reference_exists(body, phi.var)
         return _swap(reference_exists(_swap(body), phi.var))
-    return _on_validity(
+    return reference_on_validity(
         reference_core(phi, marked_letters(base, vars), vars), base, vars)
 
 
@@ -775,6 +829,51 @@ def test_classifier_tables_match_reference():
         got, want = dfa_from_nfa(nfa), reference_dfa_from_nfa(nfa)
         assert (got.letters, got.delta, got.verdicts) == \
             (want.letters, want.delta, want.verdicts)
+
+
+def _hand_table(delta, verdicts):
+    letters = tuple("abcd"[:len(delta[0])])
+    return ClassifierDfa(letters, tuple(map(tuple, delta)), tuple(verdicts),
+                         letters, ())
+
+
+HAND_TABLES = {
+    # columns a and c are equal, b differs from both
+    "duplicate-columns": _hand_table(
+        [(2, 1, 2), (3, 4, 3), (3, 3, 3), (4, 4, 4)],
+        [None, True, False, False]),
+    "all-columns-equal": _hand_table(
+        [(2, 2, 2), (3, 3, 3), (1, 1, 1)], [True, True, False]),
+    "one-state": _hand_table([(1, 1)], [True]),
+    "one-reject-state": _hand_table([(1,)], [None]),
+    "all-reject": _hand_table([(2, 3), (3, 1), (1, 2)], [None] * 3),
+    "already-minimal": _hand_table(
+        [(2, 3), (2, 4), (4, 3), (4, 4)], [None, True, False, None]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_TABLES))
+def test_minimize_matches_reference_on_hand_tables(name):
+    c = HAND_TABLES[name]
+    got, want = minimize(c), reference_minimize(c)
+    assert (got.letters, got.delta, got.verdicts) == \
+        (want.letters, want.delta, want.verdicts)
+    if name == "already-minimal":
+        assert got is c
+    if name in ("one-state", "one-reject-state", "all-reject"):
+        assert len(got.delta) == 1
+
+
+def test_minimize_matches_reference_on_random_tables():
+    rng = random.Random(SEED + 17)
+    for _ in range(300):
+        n, k = rng.randint(1, 12), rng.randint(1, 4)
+        cols = [[rng.randint(1, n) for _ in range(n)] for _ in range(k)]
+        cols += [rng.choice(cols) for _ in range(rng.randint(0, 2))]
+        c = _hand_table(list(zip(*cols[:4])),
+                        [rng.choice((True, False, None)) for _ in range(n)])
+        got, want = minimize(c), reference_minimize(c)
+        assert (got.delta, got.verdicts) == (want.delta, want.verdicts), c
 
 
 # run atoms read the corpus automata and mixed ones over plain letters
