@@ -2,9 +2,7 @@
 between them, with multiset abstract semantics and semiring aggregators."""
 
 from .automata import (
-    Nfa, WeightedAutomaton, Run,
-    enumerate_runs, count_accepting_runs, abstract_semantics,
-    pair_semantics, accepts, words_upto, language_upto,
+    Nfa, WeightedAutomaton, abstract_semantics,
     scc_decompose, is_unambiguous, is_scc_unambiguous,
     classify_ambiguity,
     UNAMBIGUOUS, FINITELY, POLYNOMIALLY, EXPONENTIALLY,

@@ -1,16 +1,16 @@
 """Non-deterministic and weighted automata.
 
-Run enumeration, the forward pass that gives every value of a word (the
-multiset and each semiring's: one step, `_stepper`, moves a state ->
-value front in a `Carrier`; the multiset's carrier, `seq_counts`, is
-built per pass over a weight table and extends runs as rank strings),
-the shortest length at which two automata's multisets differ (exactly,
-from a basis of forward vectors),
-strongly connected components, ambiguity classification, aperiodicity
-analysis (the transition monoid with its right Cayley table), the
-closure constructions (disjoint union, trim), and the breadth-first
-exploration that every construction on reachable states shares:
-`reachable_nfa` is the one builder of a construction's states.
+The forward pass that gives every value of a word (the multiset and
+each semiring's: one step, `_stepper`, moves a state -> value front in a
+`Carrier`; the multiset's carrier, `seq_counts`, is built per pass over a
+weight table and extends runs as rank strings), the shortest length at
+which two automata's multisets differ (exactly, from a basis of forward
+vectors), strongly connected components, ambiguity classification,
+aperiodicity analysis (the transition monoid with its right Cayley
+table), the closure constructions (disjoint union, trim), and the
+breadth-first exploration that every construction on reachable states
+shares: `reachable_nfa` is the one builder of a construction's states.
+No function lists the runs one by one.
 
 The deterministic order lives on `Nfa`: `order` sorts its states by
 `state_key` once, and `numbered()` reads the automaton through that order
@@ -278,73 +278,6 @@ def shortest_word(starts, step, goal):
     return None
 
 
-@dataclass(frozen=True)
-class Run:
-    """A run: start state plus a chain of transitions with matching
-    endpoints.  The empty chain is the empty run from start to start."""
-
-    start: object
-    trans: tuple
-
-    def __post_init__(self):
-        prev = self.start
-        for (src, _, dst) in self.trans:
-            if src != prev:
-                raise InputError("transition endpoints do not chain")
-            prev = dst
-
-    def weights(self, wa: WeightedAutomaton):
-        return tuple(wa.wgt[t] for t in self.trans)
-
-
-def enumerate_runs(a, p, q, word):
-    """All runs from p to q labeled by word, sorted by state sequence:
-    the depth-first walk takes successors in `order`.
-
-    The empty word is allowed only for p = q and yields the empty run.
-    """
-    nfa = underlying_nfa(a)
-    if p not in nfa.states or q not in nfa.states:
-        raise InputError("unknown state")
-    word = tuple(word)
-    for letter in word:
-        if letter not in nfa.alphabet:
-            raise InputError("unknown letter %r" % (letter,))
-    if not word:
-        if p != q:
-            raise InputError("empty word requires p = q")
-        return [Run(p, ())]
-    runs = []
-
-    def walk(state, i, acc):
-        if i == len(word):
-            if state == q:
-                runs.append(Run(p, tuple(acc)))
-            return
-        for dst in nfa.out(state, word[i]):
-            acc.append((state, word[i], dst))
-            walk(dst, i + 1, acc)
-            acc.pop()
-
-    walk(p, 0, [])
-    return runs
-
-
-def count_accepting_runs(a, word):
-    nfa = underlying_nfa(a)
-    word = tuple(word)
-    if not word:
-        raise InputError("semantics is defined on non-empty words only")
-    counts = {s: 1 for s in nfa.initial}
-    for letter in word:
-        nxt = {}
-        for s, n in counts.items():
-            for d in nfa.out(s, letter):
-                nxt[d] = nxt.get(d, 0) + n
-        counts = nxt
-    return sum(n for s, n in counts.items() if s in nfa.final)
-
-
 def check_word(nfa, word):
     """InputError unless word is a non-empty word over the alphabet."""
     if not word:
@@ -462,10 +395,11 @@ _DONE = object()
 
 def semantics_upto(wa: WeightedAutomaton, alphabet, maxlen, weights=None,
                    first=1):
-    """(word, abstract_semantics(wa, word)) for every word of
-    words_upto(alphabet, maxlen) of length `first` or more, in that order;
-    the multiset is None for a word with a letter outside the automaton's
-    alphabet.  The multisets are over the weight table `weights` (by
+    """(word, abstract_semantics(wa, word)) for every word over alphabet
+    of length `first` to maxlen, shortest first and each length in
+    lexicographic order of the letters sorted by letter_key; the multiset
+    is None for a word with a letter outside the automaton's alphabet.
+    The multisets are over the weight table `weights` (by
     default wa's own), so two sweeps over one table compare word by word
     as dicts.
 
@@ -584,29 +518,6 @@ def first_difference(a: WeightedAutomaton, b: WeightedAutomaton, maxlen):
             return None
         level = kept
     return None
-
-
-def pair_semantics(wa: WeightedAutomaton, p, q, word) -> SeqMultiset:
-    return SeqMultiset([r.weights(wa) for r in enumerate_runs(wa, p, q, word)])
-
-
-def accepts(a, word) -> bool:
-    nfa = underlying_nfa(a)
-    live = live_sets(nfa, [(letter,) for letter in word])[0]
-    return bool(live & nfa.numbered().mask(nfa.initial))
-
-
-def words_upto(alphabet, maxlen):
-    """All non-empty words up to maxlen, deterministic order."""
-    letters = sorted(alphabet, key=letter_key)
-    for n in range(1, maxlen + 1):
-        for word in itertools.product(letters, repeat=n):
-            yield word
-
-
-def language_upto(a, maxlen):
-    return {w for w in words_upto(underlying_nfa(a).alphabet, maxlen)
-            if accepts(a, w)}
 
 
 # -- strongly connected components -----------------------------------------
@@ -933,6 +844,25 @@ def aperiodicity_index(a):
             return None
         worst = max(worst, t)
     return worst
+
+
+def aperiodicity_witness(a):
+    """(word, period) for the first transition-monoid element whose powers
+    end in a cycle of period > 1, or None when the automaton is aperiodic:
+    word is the element's shortest word, as letters.  Elements are
+    numbered breadth-first, so no shorter word has powers that cycle."""
+    nfa = underlying_nfa(a)
+    monoid = transition_monoid(nfa)
+    for e in range(len(monoid)):
+        word, power, seen = monoid.word(e), e, {}
+        while power not in seen:
+            seen[power] = len(seen) + 1     # the exponent of this power
+            for g in word:
+                power = monoid.right[power][g]
+        period = len(seen) + 1 - seen[power]
+        if period > 1:
+            return tuple(nfa.numbered().letters[g] for g in word), period
+    return None
 
 
 # -- closure constructions --------------------------------------------------

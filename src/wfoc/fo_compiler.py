@@ -66,15 +66,6 @@ class ClassifierDfa:
                             {"G": {s for s, v in verdicts if v is False}})
         return self._nfa
 
-    def classify(self, letters):
-        """'F', 'G', or None (rejected / invalid encoding)."""
-        index = {a: i for i, a in enumerate(self.letters)}
-        s = 1
-        for a in letters:
-            s = self.delta[s - 1][index[a]]
-        verdict = self.verdicts[s - 1]
-        return None if verdict is None else "F" if verdict else "G"
-
     def __repr__(self):
         return "ClassifierDfa(%d states, %d vars)" % (
             len(self.delta), len(self.vars))

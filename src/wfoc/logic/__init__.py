@@ -2,11 +2,11 @@ from .syntax import (
     FoTrue, LetterAt, Leq, Lt, EqVar, Not, And, Or, Implies, Forall, Exists,
     RunAtom, Const, StepIte, Zero, ProdX, WIte, Plus, SumX,
     FoFormula, StepFormula, WfoFormula,
-    free_vars, is_sentence, uses_sumx, uses_plus,
+    free_vars, uses_sumx, uses_plus,
     fo_conditions, run_atoms, freshen, fresh_name,
     format_fo, format_step, format_wfo,
 )
-from .encoding import ExtWord, encode, decode, ext_alphabet, all_ext_words
+from .encoding import ExtWord, encode, decode, ext_alphabet
 from .parser import (
     ParseError, ScopeError,
     parse_fo, parse_step, parse_wfo, parse_formula_file, FormulaFile,
@@ -20,10 +20,10 @@ __all__ = [
     "Implies", "Forall", "Exists", "RunAtom", "Const", "StepIte",
     "Zero", "ProdX", "WIte", "Plus", "SumX",
     "FoFormula", "StepFormula", "WfoFormula",
-    "free_vars", "is_sentence", "uses_sumx", "uses_plus",
+    "free_vars", "uses_sumx", "uses_plus",
     "fo_conditions", "run_atoms", "freshen", "fresh_name",
     "format_fo", "format_step", "format_wfo",
-    "ExtWord", "encode", "decode", "ext_alphabet", "all_ext_words",
+    "ExtWord", "encode", "decode", "ext_alphabet",
     "ParseError", "ScopeError",
     "parse_fo", "parse_step", "parse_wfo", "parse_formula_file",
     "FormulaFile", "serialize_formula_file",

@@ -124,10 +124,3 @@ def lift_table(base, vars, var):
 
     return tuple((a, lift(a, 0), lift(a, 1))
                  for a in marked_letters(base, vars))
-
-
-def all_ext_words(alphabet, vars, length):
-    """Every extended word of the given length (valid and invalid alike)."""
-    return [ExtWord(vars, letters)
-            for letters in iproduct(ext_alphabet(alphabet, vars),
-                                    repeat=length)]

@@ -204,10 +204,6 @@ def free_vars(node) -> frozenset:
     return frozenset(out)
 
 
-def is_sentence(phi: FoFormula) -> bool:
-    return not free_vars(phi)
-
-
 def uses_sumx(node) -> bool:
     return any(isinstance(n, SumX) for n in nodes(node))
 

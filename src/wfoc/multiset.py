@@ -81,14 +81,6 @@ class SeqMultiset:
         out._hash = None
         return out
 
-    @classmethod
-    def singleton(cls, seq):
-        return cls([seq])
-
-    @classmethod
-    def empty(cls):
-        return _EMPTY
-
     def union(self, *others: "SeqMultiset") -> "SeqMultiset":
         parts = [m for m in (self,) + others if m._counts]
         if not parts:

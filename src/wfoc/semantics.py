@@ -3,13 +3,14 @@
 The abstract layer assigns every word a finite multiset of weight sequences
 (one sequence per accepting run).  An aggregator collapses that multiset to
 a single value: sum-of-products over a chosen semiring, or max-of-averages.
-`aggr_sp` and `aggr_ma` are those definitions on multisets.
-`concrete_semantics` computes the same values without listing the runs
-(there can be exponentially many): each semiring is a carrier of
-`automata.forward`, the one forward pass that also computes the multiset,
-so sum-product follows by distributivity, with products in left-to-right
-order, and max-average is the max-plus value divided by the word length.
-The multiset semiring keeps the multiset pass itself.
+`aggr_sp` and `aggr_ma` are those definitions on a multiset, the
+specification of an `Aggregator`; every command computes its value with
+`concrete_semantics` instead, without listing the runs (there can be
+exponentially many): each semiring is a carrier of `automata.forward`, the
+one forward pass that also computes the multiset, so sum-product follows
+by distributivity, with products in left-to-right order, and max-average
+is the max-plus value divided by the word length.  The multiset semiring
+keeps the multiset pass itself.
 """
 
 from __future__ import annotations
@@ -32,8 +33,7 @@ class Semiring:
     semiring as `automata.forward` computes in it: front[d] + v.w is
     plus(front[d], times(v, w)), and the last front sums from zero."""
 
-    def __init__(self, name, zero, one, plus, times, embed, fmt,
-                 sample, commutative=True, idempotent=False):
+    def __init__(self, name, zero, one, plus, times, embed, fmt):
         self.name = name
         self.zero = zero
         self.one = one
@@ -41,9 +41,6 @@ class Semiring:
         self.times = times
         self.embed = embed
         self.fmt = fmt
-        self.sample = sample
-        self.commutative = commutative
-        self.idempotent = idempotent
 
         def mac(front, d, v, w):
             x = times(v, w)
@@ -55,15 +52,6 @@ class Semiring:
 
     def __repr__(self):
         return "Semiring(%s)" % self.name
-
-    def scale(self, count: int, value):
-        # count >= 1 repetitions of `value` under plus
-        if self.idempotent:
-            return value
-        acc = value
-        for _ in range(count - 1):
-            acc = self.plus(acc, value)
-        return acc
 
 
 def _require_numeric(w, name):
@@ -110,74 +98,37 @@ def _concat_langs(a, b):
     return frozenset(x + y for x in a for y in b)
 
 
-def _natural_scale(count, value):
-    return count * value
-
-
-def _sample_int(lo, hi):
-    def sample(rng):
-        return rng.randrange(lo, hi)
-    return sample
-
-
-def _sample_tropical(zero):
-    def sample(rng):
-        return zero if rng.random() < 0.1 else rng.randrange(0, 20)
-    return sample
-
-
-def _sample_language(rng):
-    n = rng.randrange(0, 3)
-    return frozenset("".join(rng.choice("ab") for _ in range(rng.randrange(3)))
-                     for _ in range(n))
-
-
-def _sample_multiset(rng):
-    seqs = {}
-    for _ in range(rng.randrange(0, 3)):
-        seq = tuple(rng.randrange(0, 4) for _ in range(rng.randrange(3)))
-        seqs[seq] = seqs.get(seq, 0) + rng.randrange(1, 3)
-    return SeqMultiset(seqs)
-
-
 def _make_catalog():
     natural = Semiring(
         "natural", 0, 1,
         lambda a, b: a + b, lambda a, b: a * b,
-        _embed_natural, _fmt_plain, _sample_int(0, 50))
-    natural.scale = _natural_scale
+        _embed_natural, _fmt_plain)
 
     boolean = Semiring(
         "boolean", False, True,
         lambda a, b: a or b, lambda a, b: a and b,
-        _embed_boolean, _fmt_plain,
-        lambda rng: rng.random() < 0.5, idempotent=True)
+        _embed_boolean, _fmt_plain)
 
     minplus = Semiring(
         "minplus", POS_INF, 0,
         min, lambda a, b: a + b,
-        _embed_tropical("minplus"), _fmt_plain,
-        _sample_tropical(POS_INF), idempotent=True)
+        _embed_tropical("minplus"), _fmt_plain)
 
     maxplus = Semiring(
         "maxplus", NEG_INF, 0,
         max, lambda a, b: a + b,
-        _embed_tropical("maxplus"), _fmt_plain,
-        _sample_tropical(NEG_INF), idempotent=True)
+        _embed_tropical("maxplus"), _fmt_plain)
 
     languages = Semiring(
         "languages", frozenset(), frozenset({""}),
         lambda a, b: a | b, _concat_langs,
-        lambda w: frozenset({format_weight(w)}), _fmt_language,
-        _sample_language, commutative=False, idempotent=True)
+        lambda w: frozenset({format_weight(w)}), _fmt_language)
 
     multiset_seqs = Semiring(
         "multiset_seqs", SeqMultiset(), SeqMultiset({(): 1}),
         lambda a, b: a.union(b), lambda a, b: a.cauchy(b),
         lambda w: SeqMultiset({(w,): 1}),
-        lambda m: m.pretty(), _sample_multiset, commutative=False)
-    multiset_seqs.scale = lambda count, m: SeqMultiset(
-        {seq: count * c for seq, c in m.items()})
+        lambda m: m.pretty())
 
     return {s.name: s for s in
             (natural, boolean, minplus, maxplus, languages, multiset_seqs)}
@@ -196,18 +147,14 @@ def builtin_semiring(name: str) -> Semiring:
 
 
 class Aggregator:
-    """Total map from multisets of weight sequences to a value.  `forward`
-    computes the same value from (wa, word) without building the
-    multiset."""
+    """A total map from multisets of weight sequences to a value, as
+    `forward` computes it from (wa, word) without building the multiset
+    (`aggr_sp` and `aggr_ma` give the values on a multiset)."""
 
-    def __init__(self, name, fn, fmt, forward):
+    def __init__(self, name, fmt, forward):
         self.name = name
-        self._fn = fn
         self.fmt = fmt
         self.forward = forward
-
-    def __call__(self, multiset: SeqMultiset):
-        return self._fn(multiset)
 
     def __repr__(self):
         return "Aggregator(%s)" % self.name
@@ -221,7 +168,8 @@ def aggr_sp(semiring: Semiring, multiset: SeqMultiset):
         prod = semiring.one
         for w in seq:
             prod = semiring.times(prod, semiring.embed(w))
-        total = semiring.plus(total, semiring.scale(count, prod))
+        for _ in range(count):
+            total = semiring.plus(total, prod)
     return total
 
 
@@ -245,8 +193,7 @@ def sum_product_aggregator(semiring: Semiring) -> Aggregator:
     # in the free semiring the value is the multiset itself
     value = abstract_semantics if semiring is _CATALOG["multiset_seqs"] \
         else (lambda wa, word: forward(wa, word, semiring.carrier))
-    return Aggregator("sp/" + semiring.name,
-                      lambda m: aggr_sp(semiring, m), semiring.fmt, value)
+    return Aggregator("sp/" + semiring.name, semiring.fmt, value)
 
 
 # the maxplus carrier, with max-average's error for symbols
@@ -261,7 +208,7 @@ def _max_average(wa, word):
 
 
 def max_average_aggregator() -> Aggregator:
-    return Aggregator("ma", aggr_ma, _fmt_plain, _max_average)
+    return Aggregator("ma", _fmt_plain, _max_average)
 
 
 def concrete_semantics(wa, word, aggregator: Aggregator):

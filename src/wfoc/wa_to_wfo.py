@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from .automata import (
     WeightedAutomaton, ambiguity_witness, aperiodicity_index,
-    scc_ambiguity_witness, scc_decompose, unambiguity_witness, underlying_nfa,
+    aperiodicity_witness, scc_ambiguity_witness, scc_decompose,
+    unambiguity_witness, underlying_nfa,
 )
 from .errors import HypothesisError, InputError
 from .logic.syntax import (
@@ -54,9 +55,10 @@ def _plus(parts):
 
 def _require_aperiodic(nfa):
     if aperiodicity_index(nfa) is None:
+        word, period = aperiodicity_witness(nfa)
         raise HypothesisError(
-            "automaton is not aperiodic; the translation needs counter-free"
-            " transition behavior")
+            "automaton is not aperiodic: the powers of %r cycle with period %d"
+            % (render_word(word), period))
 
 
 def _factor_atom(nfa, p, q, lo, hi, name):

@@ -15,9 +15,10 @@ from tests.corpus import (
     ALL_TEXTS, SEED, all_words, load, random_fo, random_fo_sentence,
     random_wfo, switchpoints_closed_form,
 )
+from reference_semantics import accepts, enumerate_runs, words_upto
 from wfoc.automata import (
     EXPONENTIALLY, abstract_semantics, aperiodicity_index, classify_ambiguity,
-    enumerate_runs, is_scc_unambiguous, is_unambiguous, language_upto,
+    is_scc_unambiguous, is_unambiguous,
 )
 from wfoc.decompose import build_a_geq_k, decompose, ensure_single_initial
 from wfoc.fo_compiler import compile_fo
@@ -87,7 +88,8 @@ def test_03_three_run_tracker():
                        (5, 5, 6, 1, 1), (6, 6, 6, 1, 1), (6, 6, 6, 1, 1)]
         want = {tuple("a" * m + "b" * p)
                 for m in range(3, 8) for p in range(1, 9 - m)}
-        assert language_upto(geq, 8) == want
+        assert {w for w in words_upto(geq.alphabet, 8)
+                if accepts(geq, w)} == want
 
 
 def test_04_finite_ambiguity_decomposition():
@@ -100,7 +102,7 @@ def test_04_finite_ambiguity_decomposition():
             assert is_unambiguous(part.nfa)
             assert aperiodicity_index(part.nfa) is not None
         for word in all_words(AB, 8):
-            merged = SeqMultiset.empty()
+            merged = SeqMultiset()
             for part in parts:
                 merged = merged.union(abstract_semantics(part, word))
             assert merged == abstract_semantics(wa, word), word

@@ -5,14 +5,20 @@ import sys
 import pytest
 
 from corpus import ALL_TEXTS, SEED, all_words, load, switchpoints_closed_form
+from reference_semantics import (
+    accepting_runs, accepts, count_runs, enumerate_runs, runs_multiset,
+    words_upto,
+)
 from wfoc import (
     EXPONENTIALLY, FINITELY, POLYNOMIALLY, UNAMBIGUOUS, Nfa,
-    abstract_semantics, accepts, aperiodicity_index, classify_ambiguity, count_accepting_runs,
-    enumerate_runs, is_scc_unambiguous, is_unambiguous, pair_semantics,
-    parse_automaton, scc_decompose, transition_monoid, trim, words_upto,
+    abstract_semantics, aperiodicity_index, classify_ambiguity,
+    is_scc_unambiguous, is_unambiguous, parse_automaton, scc_decompose,
+    transition_monoid, trim,
 )
 from wfoc import automata
-from wfoc.automata import _mat_mul, ambiguity_witness, semantics_upto
+from wfoc.automata import (
+    _mat_mul, ambiguity_witness, aperiodicity_witness, semantics_upto,
+)
 from wfoc.errors import InputError
 from wfoc.multiset import SeqMultiset
 
@@ -39,16 +45,6 @@ trans: 2 b 2 5
 
 def _load(name):
     return parse_automaton(DEADENDS) if name == "deadends" else load(name)
-
-
-def _runs_multiset(wa, word):
-    counts = {}
-    for p in wa.nfa.initial:
-        for q in wa.nfa.final:
-            for r in enumerate_runs(wa, p, q, word):
-                seq = r.weights(wa)
-                counts[seq] = counts.get(seq, 0) + 1
-    return SeqMultiset(counts)
 
 
 FIB = [0, 1, 1, 2, 3, 5, 8, 13, 21, 34, 55]
@@ -87,7 +83,7 @@ class TestAbstractSemantics:
             wa = _load(name)
             for word in words_upto(wa.nfa.alphabet, 4):
                 assert abstract_semantics(wa, word) \
-                    == _runs_multiset(wa, word), (name, word)
+                    == runs_multiset(wa, word), (name, word)
 
     def test_fibonacci_three_letters(self):
         m = abstract_semantics(load("fibonacci"), w("aaa"))
@@ -95,7 +91,7 @@ class TestAbstractSemantics:
 
     def test_pair_semantics_empty_word(self):
         wa = load("fibonacci")
-        assert pair_semantics(wa, 1, 1, ()) == SeqMultiset({(): 1})
+        assert [r.weights(wa) for r in enumerate_runs(wa, 1, 1, ())] == [()]
 
     def test_empty_run_needs_matching_states(self):
         with pytest.raises(InputError):
@@ -108,12 +104,14 @@ class TestAbstractSemantics:
 class TestRunCounts:
     @pytest.mark.parametrize("n", range(1, 11))
     def test_fibonacci_run_count(self, n):
-        assert count_accepting_runs(load("fibonacci"), ("a",) * n) == FIB[n]
+        word = ("a",) * n
+        fib = load("fibonacci")
+        assert count_runs(fib, word) == len(accepting_runs(fib, word)) \
+            == FIB[n]
 
     def test_linearcount(self):
         for n in range(1, 8):
-            assert count_accepting_runs(load("linearcount"),
-                                        ("a",) * n) == n
+            assert count_runs(load("linearcount"), ("a",) * n) == n
 
 
 class TestLanguages:
@@ -179,7 +177,7 @@ def test_unambiguity_flags():
 
 def max_runs_upto(nfa, maxlen):
     """The most accepting runs of a word of length at most maxlen."""
-    return max(count_accepting_runs(nfa, u)
+    return max(count_runs(nfa, u)
                for u in words_upto(nfa.alphabet, maxlen))
 
 
@@ -229,6 +227,7 @@ trans: 1 a 2
 trans: 2 a 1
 """)
     assert aperiodicity_index(flip) is None
+    assert aperiodicity_witness(flip) == (("a",), 2)
 
 
 def test_union_doubles_runs():
@@ -291,7 +290,7 @@ class TestEmptyWordIgnored:
     def test_countminmax_witness_is_non_empty(self):
         nfa = load("countminmax").nfa
         assert accepting_witness(nfa) == w("a")
-        assert count_accepting_runs(nfa, w("a")) == 2
+        assert count_runs(nfa, w("a")) == 2
 
 
 def random_automaton(rng):
@@ -310,11 +309,6 @@ def oracle_pool():
     return pool + [random_automaton(rng) for _ in range(60)]
 
 
-def pair_runs(nfa, p, q, word):
-    return count_accepting_runs(
-        Nfa(nfa.states, nfa.alphabet, nfa.transitions, {p}, {q}), word)
-
-
 @pytest.mark.parametrize("nfa", oracle_pool())
 def test_ambiguity_witness_oracle(nfa):
     letters = sorted(nfa.alphabet)
@@ -322,16 +316,51 @@ def test_ambiguity_witness_oracle(nfa):
     if found is None:
         shorter = all_words(letters, 6)
     else:
-        assert count_accepting_runs(nfa, found) >= 2
+        assert count_runs(nfa, found) >= 2
         shorter = all_words(letters, len(found) - 1)
-    assert all(count_accepting_runs(nfa, u) < 2 for u in shorter)
+    assert all(count_runs(nfa, u) < 2 for u in shorter)
     assert is_unambiguous(nfa) == (found is None)
 
     scc = scc_decompose(nfa)
     same = [(p, q) for p in nfa.states for q in nfa.states if scc.same(p, q)]
-    ambiguous = any(pair_runs(nfa, p, q, u) >= 2
+    ambiguous = any(len(enumerate_runs(nfa, p, q, u)) >= 2
                     for u in all_words(letters, 6) for (p, q) in same)
     assert is_scc_unambiguous(nfa) == (not ambiguous)
+
+
+def _power_period(nfa, word):
+    """The period of the cycle that the powers of word's transition
+    relation end in, the relation stepped through `Nfa.out` as sets."""
+    def step(rel):
+        for letter in word:
+            rel = {s: frozenset(d for x in ds for d in nfa.out(x, letter))
+                   for s, ds in rel.items()}
+        return rel
+
+    powers = [step({s: frozenset([s]) for s in nfa.states})]
+    while powers[-1] not in powers[:-1]:
+        powers.append(step(powers[-1]))
+    return len(powers) - 1 - powers.index(powers[-1])
+
+
+@pytest.mark.parametrize("nfa", oracle_pool())
+def test_aperiodicity_witness_oracle(nfa):
+    # the witness word's powers cycle with the period named, and no
+    # shorter word's do; it is None exactly when the index exists
+    got = aperiodicity_witness(nfa)
+    assert (got is None) == (aperiodicity_index(nfa) is not None)
+    if got is None:
+        shorter = all_words(sorted(nfa.alphabet), 3)
+    else:
+        word, period = got
+        assert _power_period(nfa, word) == period > 1
+        shorter = all_words(sorted(nfa.alphabet), len(word) - 1)
+    assert all(_power_period(nfa, u) == 1 for u in shorter)
+
+
+def test_aperiodicity_oracle_pool_has_both_kinds():
+    assert {aperiodicity_witness(nfa) is None for nfa in oracle_pool()} \
+        == {True, False}
 
 
 class TestSemanticsUpto:

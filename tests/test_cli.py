@@ -14,7 +14,7 @@ import pytest
 import wfoc
 from wfoc import decompose, wfo_compiler
 from wfoc.automata import (
-    abstract_semantics, aperiodicity_index, classify_ambiguity, words_upto,
+    abstract_semantics, aperiodicity_index, classify_ambiguity,
 )
 from wfoc.cli import main
 from wfoc.logic.parser import parse_formula_file, serialize_formula_file
@@ -23,6 +23,7 @@ from wfoc.multiset import SeqMultiset
 from wfoc.textfmt import parse_automaton
 from wfoc.wfo_compiler import compile_wfo
 
+from reference_semantics import words_upto
 from tests.corpus import ALL_TEXTS, SEED, load, random_wfo
 
 
@@ -783,6 +784,40 @@ class TestMarkedLetterWitnesses:
             1, "COUNTEREXAMPLE a[01]a[10]\na:\n1 x [2,1]\nb:\n1 x [2,2]\n")
 
 
+class TestAperiodicityRefusal:
+    """Every translation mode refuses a non-aperiodic automaton naming the
+    shortest word whose powers cycle, and the period of that cycle."""
+
+    @pytest.mark.parametrize("mode", [[], ["--mode", "unambiguous"],
+                                      ["--mode", "scc"]],
+                             ids=["default", "unambiguous", "scc"])
+    @pytest.mark.parametrize("text,word,period", [
+        # the a-cycle
+        ("alphabet: a\nstates: 1 2\ninitial: 1\nfinal: 2\n"
+         "trans: 1 a 2 1\ntrans: 2 a 1 1\n", "a", 2),
+        ("alphabet: a\nstates: 1 2 3\ninitial: 1\nfinal: 3\n"
+         "trans: 1 a 2 1\ntrans: 2 a 3 1\ntrans: 3 a 1 1\n", "a", 3),
+        # a fixes every state, b swaps 1 and 2
+        ("alphabet: a b\nstates: 1 2\ninitial: 1\nfinal: 2\n"
+         "trans: 1 a 1 0\ntrans: 2 a 2 0\ntrans: 1 b 2 1\ntrans: 2 b 1 1\n",
+         "b", 2),
+        # a, b and ba all have powers that settle; ab swaps 1 and 2
+        ("alphabet: a b\nstates: 1 2 3\ninitial: 1\nfinal: 3\n"
+         "trans: 1 a 1 0\ntrans: 1 b 2 1\ntrans: 2 a 3 2\n"
+         "trans: 3 a 3 0\ntrans: 3 b 1 1\n", "ab", 2),
+        ("alphabet: a[01] a[10]\nstates: 1 2\ninitial: 1\nfinal: 1\n"
+         "trans: 1 a[10] 1 0\ntrans: 1 a[01] 2 1\ntrans: 2 a[01] 1 1\n",
+         "a[01]", 2),
+    ], ids=["cycle2", "cycle3", "swap-b", "swap-ab", "marked"])
+    def test_aperiodicity_refusal_names_word_and_period(
+            self, tmp_path, capsys, monkeypatch, text, word, period, mode):
+        want = ("refused: automaton is not aperiodic: the powers of %r cycle"
+                " with period %d\n" % (word, period))
+        argv = ["tologic", "--automaton", "in.wa"] + mode
+        assert run_in(tmp_path, capsys, monkeypatch, text, argv) == \
+            (1, "", want)
+
+
 class TestDecompose:
     def test_triplerun_parts_sum_back(self, tmp_path, capsys):
         tri = save(tmp_path, "triplerun")
@@ -796,7 +831,7 @@ class TestDecompose:
                  for ell in (1, 2, 3)]
         original = parse_automaton(ALL_TEXTS["triplerun"])
         for word in words_upto(frozenset("ab"), 6):
-            merged = SeqMultiset.empty()
+            merged = SeqMultiset()
             for part in parts:
                 merged = merged.union(abstract_semantics(part, word))
             assert merged == abstract_semantics(original, word)

@@ -11,17 +11,17 @@ twice, as its carrier is the one that extends values in place; every
 semiring and max-average value is a new object at each step.
 """
 
+import functools
 import random
 from fractions import Fraction
 
 import pytest
 
+from reference_semantics import runs_multiset, words_upto
 from wfoc.automata import (
-    Nfa, WeightedAutomaton, abstract_semantics, pair_semantics,
-    semantics_upto, words_upto,
+    Nfa, WeightedAutomaton, abstract_semantics, semantics_upto,
 )
 from wfoc.errors import InputError
-from wfoc.multiset import SeqMultiset
 from wfoc.semantics import (
     SEMIRING_NAMES, aggr_ma, aggr_sp, builtin_semiring, concrete_semantics,
     max_average_aggregator, sum_product_aggregator,
@@ -62,8 +62,10 @@ def sweep_pool():
 
 
 POOL = sweep_pool()
-AGGREGATORS = [sum_product_aggregator(builtin_semiring(name))
-               for name in SEMIRING_NAMES]
+# each aggregator with its definition on the multiset
+AGGREGATORS = [(sum_product_aggregator(s), functools.partial(aggr_sp, s))
+               for s in map(builtin_semiring, SEMIRING_NAMES)] \
+    + [(max_average_aggregator(), aggr_ma)]
 
 
 def outcome(fn):
@@ -90,18 +92,14 @@ def test_pool_has_every_feature():
 def test_forward_step_sweep(i):
     wa = POOL[i]
     nfa = wa.nfa
-    pairs = [(p, q) for p in nfa.initial for q in nfa.final]
-    ma = max_average_aggregator()
     values = {}
     for word in words_upto(nfa.alphabet, MAXLEN):
         m = values[word] = abstract_semantics(wa, word)
-        want = SeqMultiset().union(
-            *(pair_semantics(wa, p, q, word) for p, q in pairs))
-        assert m == want, word
+        assert m == runs_multiset(wa, word), word
         assert abstract_semantics(wa, word) == m
-        for agg in AGGREGATORS + [ma]:
+        for agg, definition in AGGREGATORS:
             assert outcome(lambda: concrete_semantics(wa, word, agg)) \
-                == outcome(lambda: agg(m)), (word, agg)
+                == outcome(lambda: definition(m)), (word, agg)
     alphabet = nfa.alphabet | {"z"}
     for _ in range(2):
         swept = list(semantics_upto(wa, alphabet, MAXLEN))

@@ -27,13 +27,13 @@ from fractions import Fraction
 import pytest
 
 from corpus import ALL_TEXTS, SEED, load, random_fo
+from reference_semantics import Run, count_runs, enumerate_runs, words_upto
 from wfoc import Nfa, WeightedAutomaton, serialize_automaton, to_dot
 from wfoc.automata import (
-    Run, ambiguity_witness, aperiodicity_index,
-    count_accepting_runs, enumerate_runs, explore, forward, letter_key, live_sets, reachable_nfa,
-    runs_witness, scc_decompose, seq_counts, shortest_word, state_key,
-    transition_monoid, trim, underlying_nfa, weighted_union, weights_of,
-    words_upto, _mat_mul, image,
+    ambiguity_witness, aperiodicity_index, explore, forward, letter_key,
+    live_sets, reachable_nfa, runs_witness, scc_decompose, seq_counts,
+    shortest_word, state_key, transition_monoid, trim, underlying_nfa,
+    weighted_union, weights_of, _mat_mul, image,
 )
 from wfoc.decompose import build_a_geq_k, ensure_single_initial
 from wfoc.errors import InputError
@@ -710,7 +710,7 @@ def test_runs_witness_is_the_first_word_trimmed_or_not():
     # are trimmed first; checked by brute force on words up to length 5
     for nfa in NFAS:
         words = list(words_upto(nfa.alphabet, 5))
-        counts = [count_accepting_runs(nfa, w) for w in words]
+        counts = [count_runs(nfa, w) for w in words]
         for cap in (1, 2, 3, 5):
             got = runs_witness(nfa, cap)
             assert got == runs_witness(trim(nfa), cap)
@@ -720,7 +720,7 @@ def test_runs_witness_is_the_first_word_trimmed_or_not():
                 assert got == first
             else:
                 assert got is None or len(got) > 5
-                assert got is None or count_accepting_runs(nfa, got) >= cap
+                assert got is None or count_runs(nfa, got) >= cap
 
 
 def test_trackers_match_reference():

@@ -4,11 +4,12 @@ import sys
 
 import pytest
 
+from reference_semantics import count_runs, words_upto
 from wfoc import HypothesisError, InputError, fo_compiler, wfo_compiler
 from wfoc.automata import (
     Nfa, WeightedAutomaton, abstract_semantics, aperiodicity_index,
-    classify_ambiguity, count_accepting_runs, explore, is_unambiguous,
-    letter_key, reachable_states, restrict, weighted_union, words_upto,
+    classify_ambiguity, explore, is_unambiguous, letter_key,
+    reachable_states, restrict, weighted_union,
 )
 from wfoc.decompose import decompose_with_trackers
 from wfoc.fo_compiler import compile_fo
@@ -131,7 +132,7 @@ class TestPlus:
     def test_union_of_unambiguous_is_two_ambiguous(self):
         a = compile_wfo(parse_wfo("prod x. 1"), AB)
         both = weighted_union(a, a)
-        assert max(count_accepting_runs(both, u)
+        assert max(count_runs(both, u)
                    for u in words_upto(AB, 5)) == 2
 
 
