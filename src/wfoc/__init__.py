@@ -12,9 +12,8 @@ from .automata import (
 from .errors import HypothesisError, InputError
 from .multiset import SeqMultiset
 from .semantics import (
-    Aggregator, Semiring, builtin_semiring, SEMIRING_NAMES,
-    aggr_sp, aggr_ma, sum_product_aggregator, max_average_aggregator,
-    concrete_semantics,
+    Semiring, builtin_semiring, SEMIRING_NAMES, aggr_sp, aggr_ma,
+    max_average,
 )
 from .textfmt import (
     parse_automaton, parse_automaton_inline, serialize_automaton,

@@ -12,8 +12,9 @@ import os
 import sys
 
 from .automata import (
-    WeightedAutomaton, aperiodicity_index, check_word, classify_ambiguity,
-    first_difference, is_unambiguous, semantics_upto,
+    WeightedAutomaton, abstract_semantics, aperiodicity_index, check_word,
+    classify_ambiguity, first_difference, forward, is_unambiguous,
+    semantics_upto,
     EXPONENTIALLY, FINITELY, POLYNOMIALLY, UNAMBIGUOUS,
 )
 from .decompose import decompose_with_trackers, ensure_single_initial
@@ -22,10 +23,7 @@ from .fo_compiler import compile_fo
 from .logic.syntax import SumX, format_wfo, free_vars, letters_in
 from .logic.parser import parse_formula_file, serialize_formula_file
 from .multiset import weight_table
-from .semantics import (
-    builtin_semiring, concrete_semantics, max_average_aggregator,
-    sum_product_aggregator,
-)
+from .semantics import builtin_semiring, format_value, max_average
 from .textfmt import (
     parse_automaton, parse_letter, render_word, serialize_automaton, to_dot,
 )
@@ -127,15 +125,16 @@ def _cmd_eval(args):
     if args.aggregator == "ma":
         if args.semiring:
             raise InputError("max-average takes no semiring")
-        agg = max_average_aggregator()
+        print(format_value(max_average(wa, word)))
     elif args.aggregator == "sp" and not args.semiring:
         raise InputError("sum-product needs --semiring")
+    elif args.semiring in (None, "multiset"):
+        # no flags mean the multiset, as --semiring multiset does: it is
+        # the value in the free semiring
+        print(abstract_semantics(wa, word).pretty())
     else:
-        # no flags mean the multiset, as --semiring multiset does
-        name = args.semiring or "multiset"
-        agg = sum_product_aggregator(builtin_semiring(
-            "multiset_seqs" if name == "multiset" else name))
-    print(agg.fmt(concrete_semantics(wa, word, agg)))
+        semiring = builtin_semiring(args.semiring)
+        print(semiring.fmt(forward(wa, word, semiring.carrier)))
     return 0
 
 

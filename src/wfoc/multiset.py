@@ -7,7 +7,8 @@ is stored as its code, the string of `chr(rank)` of its weights' ranks in
 the table.  So string order is the canonical order (weight by weight, a
 prefix first), a code caches its hash, and extending a sequence by one
 weight is one concatenation.  Union is pointwise addition of counts;
-equality is exact, whatever the two tables.
+equality is exact, whatever the two tables.  `automata.abstract_semantics`
+builds a word's multiset; the command line prints it with `pretty`.
 """
 
 from __future__ import annotations
@@ -92,50 +93,17 @@ class SeqMultiset:
                 counts[code] = counts.get(code, 0) + n
         return SeqMultiset.over(table, counts)
 
-    def cauchy(self, other: "SeqMultiset") -> "SeqMultiset":
-        # pairwise concatenation, multiplicities multiply
-        table, (left, right) = _common((self, other))
-        counts = {}
-        for c1, n1 in left.items():
-            for c2, n2 in right.items():
-                code = c1 + c2
-                counts[code] = counts.get(code, 0) + n1 * n2
-        return SeqMultiset.over(table, counts)
-
-    def _seq(self, code) -> tuple:
-        return tuple(map(self.weights.__getitem__, map(ord, code)))
-
-    def count(self, seq) -> int:
-        char = {w: chr(i) for i, w in enumerate(self.weights)}
-        try:
-            code = "".join(map(char.__getitem__, seq))
-        except KeyError:
-            return 0
-        return self._counts.get(code, 0)
-
-    def total(self) -> int:
-        """Total multiplicity (number of sequences counted with repetition)."""
-        return sum(self._counts.values())
-
-    def support(self):
-        return set(map(self._seq, self._counts))
-
     def items(self):
-        return [(self._seq(code), n) for code, n in self._counts.items()]
-
-    def sorted_items(self):
-        """Items in canonical order: sequences sorted lexicographically."""
-        counts = self._counts
-        return [(self._seq(code), counts[code]) for code in sorted(counts)]
+        """(sequence, count) pairs, in no fixed order."""
+        weight = self.weights.__getitem__
+        return [(tuple(map(weight, map(ord, code))), n)
+                for code, n in self._counts.items()]
 
     def __bool__(self):
         return bool(self._counts)
 
     def __len__(self):
         return len(self._counts)
-
-    def __iter__(self):
-        return map(self._seq, self._counts)
 
     def __eq__(self, other):
         if not isinstance(other, SeqMultiset):

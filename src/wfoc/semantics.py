@@ -4,13 +4,11 @@ The abstract layer assigns every word a finite multiset of weight sequences
 (one sequence per accepting run).  An aggregator collapses that multiset to
 a single value: sum-of-products over a chosen semiring, or max-of-averages.
 `aggr_sp` and `aggr_ma` are those definitions on a multiset, the
-specification of an `Aggregator`; every command computes its value with
-`concrete_semantics` instead, without listing the runs (there can be
-exponentially many): each semiring is a carrier of `automata.forward`, the
-one forward pass that also computes the multiset, so sum-product follows
-by distributivity, with products in left-to-right order, and max-average
-is the max-plus value divided by the word length.  The multiset semiring
-keeps the multiset pass itself.
+specification; no command lists the runs (there can be exponentially
+many).  Each semiring is instead a carrier of `automata.forward`, the one
+forward pass that also computes the multiset, so sum-product follows by
+distributivity, with products in left-to-right order, and `max_average`
+is the max-plus value divided by the word length.
 """
 
 from __future__ import annotations
@@ -18,7 +16,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from .automata import Carrier, abstract_semantics, forward
+from .automata import Carrier, forward
 from .errors import InputError
 from .multiset import SeqMultiset
 from .weights import Symbol, format_weight
@@ -79,7 +77,9 @@ def _embed_tropical(name):
     return embed
 
 
-def _fmt_plain(v):
+def format_value(v):
+    """A number, truth value or infinity as text: the format of the four
+    numeric semirings and of max-average."""
     if isinstance(v, bool):
         return "true" if v else "false"
     if v == POS_INF:
@@ -102,36 +102,30 @@ def _make_catalog():
     natural = Semiring(
         "natural", 0, 1,
         lambda a, b: a + b, lambda a, b: a * b,
-        _embed_natural, _fmt_plain)
+        _embed_natural, format_value)
 
     boolean = Semiring(
         "boolean", False, True,
         lambda a, b: a or b, lambda a, b: a and b,
-        _embed_boolean, _fmt_plain)
+        _embed_boolean, format_value)
 
     minplus = Semiring(
         "minplus", POS_INF, 0,
         min, lambda a, b: a + b,
-        _embed_tropical("minplus"), _fmt_plain)
+        _embed_tropical("minplus"), format_value)
 
     maxplus = Semiring(
         "maxplus", NEG_INF, 0,
         max, lambda a, b: a + b,
-        _embed_tropical("maxplus"), _fmt_plain)
+        _embed_tropical("maxplus"), format_value)
 
     languages = Semiring(
         "languages", frozenset(), frozenset({""}),
         lambda a, b: a | b, _concat_langs,
         lambda w: frozenset({format_weight(w)}), _fmt_language)
 
-    multiset_seqs = Semiring(
-        "multiset_seqs", SeqMultiset(), SeqMultiset({(): 1}),
-        lambda a, b: a.union(b), lambda a, b: a.cauchy(b),
-        lambda w: SeqMultiset({(w,): 1}),
-        lambda m: m.pretty())
-
     return {s.name: s for s in
-            (natural, boolean, minplus, maxplus, languages, multiset_seqs)}
+            (natural, boolean, minplus, maxplus, languages)}
 
 
 _CATALOG = _make_catalog()
@@ -144,20 +138,6 @@ def builtin_semiring(name: str) -> Semiring:
         raise InputError("unknown semiring %r (have: %s)"
                          % (name, ", ".join(SEMIRING_NAMES)))
     return _CATALOG[name]
-
-
-class Aggregator:
-    """A total map from multisets of weight sequences to a value, as
-    `forward` computes it from (wa, word) without building the multiset
-    (`aggr_sp` and `aggr_ma` give the values on a multiset)."""
-
-    def __init__(self, name, fmt, forward):
-        self.name = name
-        self.fmt = fmt
-        self.forward = forward
-
-    def __repr__(self):
-        return "Aggregator(%s)" % self.name
 
 
 def aggr_sp(semiring: Semiring, multiset: SeqMultiset):
@@ -189,29 +169,13 @@ def aggr_ma(multiset: SeqMultiset):
     return best
 
 
-def sum_product_aggregator(semiring: Semiring) -> Aggregator:
-    # in the free semiring the value is the multiset itself
-    value = abstract_semantics if semiring is _CATALOG["multiset_seqs"] \
-        else (lambda wa, word: forward(wa, word, semiring.carrier))
-    return Aggregator("sp/" + semiring.name, semiring.fmt, value)
-
-
 # the maxplus carrier, with max-average's error for symbols
 _AVERAGE_SUMS = _CATALOG["maxplus"].carrier._replace(
     embed=_embed_tropical("max-average"))
 
 
-def _max_average(wa, word):
-    # every accepting run on word has len(word) weights
+def max_average(wa, word):
+    """aggr_ma(abstract_semantics(wa, word)), in one forward pass over the
+    word: every accepting run on it has len(word) weights."""
     best = forward(wa, word, _AVERAGE_SUMS)
     return best if best == NEG_INF else Fraction(best, len(word))
-
-
-def max_average_aggregator() -> Aggregator:
-    return Aggregator("ma", _fmt_plain, _max_average)
-
-
-def concrete_semantics(wa, word, aggregator: Aggregator):
-    """aggregator(abstract_semantics(wa, word)), in one forward pass over
-    the word."""
-    return aggregator.forward(wa, tuple(word))

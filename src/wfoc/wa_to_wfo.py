@@ -14,9 +14,9 @@ refuses inputs that violate its hypothesis, naming a witness.
 from __future__ import annotations
 
 from .automata import (
-    WeightedAutomaton, ambiguity_witness, aperiodicity_index,
-    aperiodicity_witness, scc_ambiguity_witness, scc_decompose,
-    unambiguity_witness, underlying_nfa,
+    WeightedAutomaton, ambiguity_witness, aperiodicity_witness,
+    scc_ambiguity_witness, scc_decompose, unambiguity_witness,
+    underlying_nfa,
 )
 from .errors import HypothesisError, InputError
 from .logic.syntax import (
@@ -54,8 +54,9 @@ def _plus(parts):
 
 
 def _require_aperiodic(nfa):
-    if aperiodicity_index(nfa) is None:
-        word, period = aperiodicity_witness(nfa)
+    witness = aperiodicity_witness(nfa)
+    if witness is not None:
+        word, period = witness
         raise HypothesisError(
             "automaton is not aperiodic: the powers of %r cycle with period %d"
             % (render_word(word), period))

@@ -1,13 +1,18 @@
 """The tuple-keyed multiset that `wfoc.multiset.SeqMultiset` replaced,
-kept as the test oracle for its texts, orders, counts and equality.
+kept as the test oracle for its texts, orders, counts and equality, and
+the free semiring built on it.
 
 Each sequence is a tuple of weights in one dict; canonical order ranks
 the weights present.  The class below is the replaced code as it stood,
-importing the weight helpers from the library.
+importing the weight helpers from the library.  `MULTISET_SEQS` is the
+semiring of these multisets under union and pairwise concatenation: the
+sum-product of a word's multiset in it is that multiset, which is what
+`wfoc eval` prints with no flag or with `--semiring multiset`.
 """
 
 from __future__ import annotations
 
+from wfoc.semantics import Semiring
 from wfoc.weights import weight_sort_key, format_weight
 
 
@@ -117,3 +122,8 @@ class SeqMultiset:
 
 
 _EMPTY = SeqMultiset()
+
+MULTISET_SEQS = Semiring(
+    "multiset_seqs", _EMPTY, SeqMultiset({(): 1}),
+    lambda a, b: a.union(b), lambda a, b: a.cauchy(b),
+    lambda w: SeqMultiset({(w,): 1}), lambda m: m.pretty())

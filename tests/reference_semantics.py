@@ -7,8 +7,8 @@ pair, so a test can compare a value against its definition on runs; run
 counts too large to list are summed per state, also through `Nfa.out`.
 Word acceptance is a set simulation
 (`wfoc.logic.evaluate.nfa_run_accepts`) that shares no live sets with the
-forward pass.  The samplers draw random values of each catalog semiring
-for the semiring-law test.
+forward pass.  The samplers draw random values of each catalog semiring,
+and of `reference_multiset.MULTISET_SEQS`, for the semiring-law test.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ from wfoc.logic.encoding import ExtWord, ext_alphabet
 from wfoc.logic.evaluate import nfa_run_accepts
 from wfoc.multiset import SeqMultiset
 from wfoc.semantics import NEG_INF, POS_INF
+
+from reference_multiset import SeqMultiset as ReferenceMultiset
 
 
 @dataclass(frozen=True)
@@ -167,7 +169,7 @@ def _sample_multiset(rng):
     for _ in range(rng.randrange(0, 3)):
         seq = tuple(rng.randrange(0, 4) for _ in range(rng.randrange(3)))
         seqs[seq] = seqs.get(seq, 0) + rng.randrange(1, 3)
-    return SeqMultiset(seqs)
+    return ReferenceMultiset(seqs)
 
 
 # semiring name -> sample(rng), a random value of that semiring

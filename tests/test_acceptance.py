@@ -18,7 +18,7 @@ from tests.corpus import (
 from reference_semantics import accepts, enumerate_runs, words_upto
 from wfoc.automata import (
     EXPONENTIALLY, abstract_semantics, aperiodicity_index, classify_ambiguity,
-    is_scc_unambiguous, is_unambiguous,
+    forward, is_scc_unambiguous, is_unambiguous,
 )
 from wfoc.decompose import build_a_geq_k, decompose, ensure_single_initial
 from wfoc.fo_compiler import compile_fo
@@ -27,16 +27,14 @@ from wfoc.logic import (
     eval_wfo_at, parse_fo, relativize, uses_plus, uses_sumx,
 )
 from wfoc.multiset import SeqMultiset
-from wfoc.semantics import (
-    builtin_semiring, concrete_semantics, sum_product_aggregator,
-)
+from wfoc.semantics import builtin_semiring
 from wfoc.wa_to_wfo import scc_unambiguous_to_wfo, unambiguous_wa_to_wfo
 from wfoc.wfo_compiler import compile_product, compile_sum_var, compile_wfo
 
 AB = ("a", "b")
-NAT = sum_product_aggregator(builtin_semiring("natural"))
-MAX = sum_product_aggregator(builtin_semiring("maxplus"))
-MIN = sum_product_aggregator(builtin_semiring("minplus"))
+NAT = builtin_semiring("natural").carrier
+MAX = builtin_semiring("maxplus").carrier
+MIN = builtin_semiring("minplus").carrier
 
 
 @contextlib.contextmanager
@@ -72,8 +70,7 @@ def test_02_natural_semiring_product():
         for n in range(0, 4):
             for p in range(0, 4):
                 word = tuple("a" * n + "aaa" + "b" + "b" * p)
-                assert concrete_semantics(wa, word, NAT) \
-                    == 2 ** n * 90 * 3 ** p, (n, p)
+                assert forward(wa, word, NAT) == 2 ** n * 90 * 3 ** p, (n, p)
 
 
 def test_03_three_run_tracker():
@@ -217,23 +214,23 @@ def test_09_aggregator_anchors():
             want.append(want[-1] + want[-2])
         assert want[20] == 6765
         for n in range(1, 21):
-            assert concrete_semantics(fib, ("a",) * n, NAT) == want[n]
+            assert forward(fib, ("a",) * n, NAT) == want[n]
 
         cmm = load("countminmax")
         for word in all_words(AB, 8):
             na, nb = word.count("a"), word.count("b")
-            assert concrete_semantics(cmm, word, MAX) == max(na, nb)
-            assert concrete_semantics(cmm, word, MIN) == min(na, nb)
+            assert forward(cmm, word, MAX) == max(na, nb)
+            assert forward(cmm, word, MIN) == min(na, nb)
 
         blocky = load("blockmax")
         for word in all_words(("a", "b", "c"), 6):
             blocks = "".join(word).split("c")
-            assert concrete_semantics(blocky, word, MAX) \
+            assert forward(blocky, word, MAX) \
                 == sum(max(b.count("a"), b.count("b")) for b in blocks)
 
         expsum = load("expsum")
         for word in all_words(AB, 8):
-            assert concrete_semantics(expsum, word, NAT) \
+            assert forward(expsum, word, NAT) \
                 == 2 ** word.count("a") + 3 ** word.count("b")
 
         assert classify_ambiguity(blocky.nfa) == EXPONENTIALLY

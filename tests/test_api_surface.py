@@ -6,11 +6,14 @@ the command line's `main`, each module's import-time statements and the
 allow-list below, following those references must reach every public
 module-level function and class.  A reference is matched by name alone,
 to every definition of that name, so the graph can only over-reach: a
-name it calls unreachable has no caller in the package at all.
+name it calls unreachable has no caller in the package at all.  A public
+method of a public class is reachable when some code in the package
+outside its own definition mentions its name.
 Brute-force references for tests belong in `tests/reference_*.py`.
 """
 
 import ast
+import collections
 import pathlib
 
 import wfoc
@@ -87,3 +90,24 @@ def test_every_public_name_is_reachable():
 def test_allowed_names_exist():
     defs, _ = reference_graph()
     assert sorted(set(ALLOWED) - set(defs)) == []
+
+
+def unmentioned_methods():
+    """`Class.method` for each public method of a public module-level
+    class whose name no code in the package mentions outside the
+    method's own definition."""
+    mentions, methods = collections.Counter(), []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        mentions.update(_names(tree))
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
+                methods += [(cls.name, fn) for fn in cls.body
+                            if isinstance(fn, ast.FunctionDef)
+                            and not fn.name.startswith("_")]
+    return sorted("%s.%s" % (cls, fn.name) for cls, fn in methods
+                  if mentions[fn.name] == list(_names(fn)).count(fn.name))
+
+
+def test_every_public_method_is_mentioned():
+    assert unmentioned_methods() == []

@@ -20,9 +20,13 @@ from wfoc.cli import main
 from wfoc.logic.parser import parse_formula_file, serialize_formula_file
 from wfoc.logic.syntax import SumX, WfoFormula, Zero, format_wfo
 from wfoc.multiset import SeqMultiset
+from wfoc.semantics import (
+    SEMIRING_NAMES, aggr_ma, aggr_sp, builtin_semiring, format_value,
+)
 from wfoc.textfmt import parse_automaton
 from wfoc.wfo_compiler import compile_wfo
 
+from reference_multiset import MULTISET_SEQS
 from reference_semantics import words_upto
 from tests.corpus import ALL_TEXTS, SEED, load, random_wfo
 
@@ -51,6 +55,29 @@ DENSE = ("alphabet: a b c\nstates: 1 2 3 4 5\ninitial: 1 2 3\nfinal: 4 5\n"
          "trans: 3 c 4 1\ntrans: 4 a 3 3\ntrans: 4 b 2 3\ntrans: 4 b 4 3\n"
          "trans: 4 c 1 3\ntrans: 5 a 1 2\ntrans: 5 a 2 0\ntrans: 5 a 3 3\n"
          "trans: 5 b 1 2\ntrans: 5 b 5 2\ntrans: 5 c 3 2\n")
+
+
+def _spec(name):
+    """The text eval prints under --semiring name, from a word's multiset:
+    its sum-product in that semiring, or in the free one of multisets."""
+    s = MULTISET_SEQS if name == "multiset" else builtin_semiring(name)
+    return lambda m: s.fmt(aggr_sp(s, m))
+
+
+# each output mode of eval: its flags and its printed definition
+EVAL_MODES = [([], _spec("multiset")),
+              (["--aggregator", "ma"], lambda m: format_value(aggr_ma(m)))] \
+    + [(flags + ["--semiring", name], _spec(name))
+       for name in SEMIRING_NAMES + ("multiset",)
+       for flags in ([], ["--aggregator", "sp"])]
+
+# eval's flag errors, each with its message
+EVAL_FLAG_ERRORS = [
+    (["--word", "a", "--aggregator", "ma", "--semiring", "natural"],
+     "max-average takes no semiring"),
+    (["--word", "a", "--aggregator", "sp"], "sum-product needs --semiring"),
+    ([], "need --word or --word-tokens"),
+]
 
 
 def save(tmp_path, name):
@@ -154,7 +181,7 @@ class TestEval:
         def refuse(*args):
             raise AssertionError("abstract_semantics called")
 
-        for mod in (wfoc.semantics, wfoc.automata):
+        for mod in (wfoc.cli, wfoc.automata):
             monkeypatch.setattr(mod, "abstract_semantics", refuse)
         assert run(capsys, argv) == (0, want, "")
 
@@ -166,18 +193,39 @@ class TestEval:
                 assert run(capsys, argv + ["--semiring", "multiset"]) \
                     == run(capsys, argv)
 
-    def test_no_flags_run_the_multiset_semiring(self, tmp_path, capsys,
-                                                monkeypatch):
-        tri = save(tmp_path, "triplerun")
-        names = []
-        real = wfoc.cli.sum_product_aggregator
-        monkeypatch.setattr(wfoc.cli, "sum_product_aggregator",
-                            lambda s: names.append(s.name) or real(s))
-        for word in ("aaabb", "b"):
-            rc, out, _ = run(capsys, ["eval", "--automaton", tri,
-                                      "--word", word])
-            assert rc == 0 and out.endswith("\n")
-        assert names == ["multiset_seqs"] * 2
+    def test_every_mode_prints_its_specification(self, tmp_path, capsys):
+        # each mode's output is its definition on the word's multiset,
+        # formatted; where the definition refuses a weight, eval refuses
+        # one on a single line (which weight it names is the forward
+        # pass's order)
+        rng = random.Random(SEED)
+        texts = dict(ALL_TEXTS, mixed=MIXED)
+        refused = 0
+        for name in sorted(texts):
+            path = tmp_path / (name + ".wa")
+            path.write_text(texts[name])
+            wa = parse_automaton(texts[name])
+            letters = sorted(wa.nfa.alphabet)
+            for _ in range(5):
+                word = "".join(rng.choice(letters)
+                               for _ in range(rng.randint(1, 6)))
+                m = abstract_semantics(wa, word)
+                for flags, spec in EVAL_MODES:
+                    argv = ["eval", "--automaton", str(path), "--word", word]
+                    rc, out, err = run(capsys, argv + flags)
+                    try:
+                        want = spec(m) + "\n"
+                    except wfoc.InputError:
+                        refused += 1
+                        assert (rc, out, err.count("\n")) == (2, "", 1)
+                        assert err.startswith("error: "), err
+                    else:
+                        assert (rc, out, err) == (0, want, ""), (name, word)
+            for flags, message in EVAL_FLAG_ERRORS:
+                argv = ["eval", "--automaton", str(path)] + flags
+                assert run(capsys, argv) \
+                    == (2, "", "error: %s\n" % message), (name, flags)
+        assert refused > 0
 
     def test_mixed_weights_print_in_canonical_order(self, tmp_path, capsys):
         # numbers by value (9 before 10, -2 before 1/2), then symbols
@@ -817,6 +865,22 @@ class TestAperiodicityRefusal:
         assert run_in(tmp_path, capsys, monkeypatch, text, argv) == \
             (1, "", want)
 
+    @pytest.mark.parametrize("mode", [[], ["--mode", "unambiguous"],
+                                      ["--mode", "scc"]],
+                             ids=["default", "unambiguous", "scc"])
+    def test_refusal_builds_one_monoid(self, tmp_path, capsys, monkeypatch,
+                                       mode):
+        built = []
+        real = wfoc.automata.transition_monoid
+        monkeypatch.setattr(wfoc.automata, "transition_monoid",
+                            lambda nfa: built.append(nfa) or real(nfa))
+        cycle = ("alphabet: a\nstates: 1 2\ninitial: 1\nfinal: 2\n"
+                 "trans: 1 a 2 1\ntrans: 2 a 1 1\n")
+        argv = ["tologic", "--automaton", "in.wa"] + mode
+        rc, _, err = run_in(tmp_path, capsys, monkeypatch, cycle, argv)
+        assert rc == 1 and err.startswith("refused: automaton is not")
+        assert len(built) == 1
+
 
 class TestDecompose:
     def test_triplerun_parts_sum_back(self, tmp_path, capsys):
@@ -1054,7 +1118,7 @@ class TestEquiv:
         def refuse(*args):
             raise AssertionError("abstract_semantics called")
 
-        for mod in (wfoc.semantics, wfoc.automata):
+        for mod in (wfoc.cli, wfoc.automata):
             monkeypatch.setattr(mod, "abstract_semantics", refuse)
         rc, out, _ = run(capsys, ["equiv", "--a", save(tmp_path, pair[0]),
                                   "--b", save(tmp_path, pair[1]),

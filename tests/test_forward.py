@@ -17,14 +17,14 @@ from fractions import Fraction
 
 import pytest
 
+from reference_multiset import MULTISET_SEQS
 from reference_semantics import runs_multiset, words_upto
 from wfoc.automata import (
-    Nfa, WeightedAutomaton, abstract_semantics, semantics_upto,
+    Nfa, WeightedAutomaton, abstract_semantics, forward, semantics_upto,
 )
 from wfoc.errors import InputError
 from wfoc.semantics import (
-    SEMIRING_NAMES, aggr_ma, aggr_sp, builtin_semiring, concrete_semantics,
-    max_average_aggregator, sum_product_aggregator,
+    SEMIRING_NAMES, aggr_ma, aggr_sp, builtin_semiring, max_average,
 )
 from wfoc.weights import Symbol
 
@@ -62,10 +62,17 @@ def sweep_pool():
 
 
 POOL = sweep_pool()
-# each aggregator with its definition on the multiset
-AGGREGATORS = [(sum_product_aggregator(s), functools.partial(aggr_sp, s))
+
+
+def sum_product(semiring):
+    return lambda wa, word: forward(wa, word, semiring.carrier)
+
+
+# each semiring's forward pass and max-average, with the definition on
+# the multiset
+AGGREGATORS = [(sum_product(s), functools.partial(aggr_sp, s))
                for s in map(builtin_semiring, SEMIRING_NAMES)] \
-    + [(max_average_aggregator(), aggr_ma)]
+    + [(max_average, aggr_ma)]
 
 
 def outcome(fn):
@@ -97,9 +104,10 @@ def test_forward_step_sweep(i):
         m = values[word] = abstract_semantics(wa, word)
         assert m == runs_multiset(wa, word), word
         assert abstract_semantics(wa, word) == m
-        for agg, definition in AGGREGATORS:
-            assert outcome(lambda: concrete_semantics(wa, word, agg)) \
-                == outcome(lambda: definition(m)), (word, agg)
+        assert m.pretty() == aggr_sp(MULTISET_SEQS, m).pretty(), word
+        for value, definition in AGGREGATORS:
+            assert outcome(lambda: value(wa, word)) \
+                == outcome(lambda: definition(m)), (word, value)
     alphabet = nfa.alphabet | {"z"}
     for _ in range(2):
         swept = list(semantics_upto(wa, alphabet, MAXLEN))
@@ -111,7 +119,7 @@ def test_forward_step_sweep(i):
 
 def test_sweep_sees_values_and_refusals():
     # the pool is not vacuous: every oracle answers somewhere, and all but
-    # languages and multisets refuse somewhere
+    # languages refuse somewhere
     seen = {name: set() for name in SEMIRING_NAMES + ("ma",)}
     for wa in POOL[:40]:
         for word in words_upto(wa.nfa.alphabet, 3):
@@ -122,5 +130,5 @@ def test_sweep_sees_values_and_refusals():
             seen["ma"].add(outcome(lambda: aggr_ma(m))[0])
     for name, kinds in seen.items():
         assert "value" in kinds, name
-        if name not in ("languages", "multiset_seqs"):
+        if name != "languages":
             assert "raise" in kinds, name

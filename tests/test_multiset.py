@@ -11,8 +11,8 @@ from wfoc.weights import Symbol, format_weight, weight_sort_key
 
 def test_empty():
     m = SeqMultiset()
-    assert m.total() == 0
-    assert not m.support()
+    assert not m and len(m) == 0
+    assert m.items() == []
     assert m.pretty() == ""
 
 
@@ -20,33 +20,14 @@ def test_union_adds_multiplicities():
     a = SeqMultiset({(1, 2): 2, (3,): 1})
     b = SeqMultiset({(1, 2): 1})
     u = a.union(b)
-    assert u.count((1, 2)) == 3
-    assert u.count((3,)) == 1
-    assert u.total() == 4
-    assert a.count((1, 2)) == 2  # inputs untouched
+    assert dict(u.items()) == {(1, 2): 3, (3,): 1}
+    assert dict(a.items()) == {(1, 2): 2, (3,): 1}  # inputs untouched
 
 
 def test_union_many():
     parts = [SeqMultiset({(i,): 1}) for i in range(4)]
     u = SeqMultiset().union(*parts)
-    assert u.total() == 4
-
-
-def test_cauchy_concatenates_pairwise():
-    a = SeqMultiset({(1,): 2})
-    b = SeqMultiset({(2,): 3, (9, 9): 1})
-    c = a.cauchy(b)
-    assert c.count((1, 2)) == 6
-    assert c.count((1, 9, 9)) == 2
-    assert c.total() == 8
-
-
-def test_cauchy_identity_and_zero():
-    one = SeqMultiset({(): 1})
-    m = SeqMultiset({(5, 6): 2})
-    assert one.cauchy(m) == m
-    assert m.cauchy(one) == m
-    assert m.cauchy(SeqMultiset()) == SeqMultiset()
+    assert dict(u.items()) == {(i,): 1 for i in range(4)}
 
 
 def test_equality_is_exact():
@@ -75,7 +56,7 @@ def test_pretty_mixed_weights():
     assert m.pretty() == "1 x [1/2,t]"
 
 
-def test_sorted_items_and_pretty_match_per_entry_definition():
+def test_pretty_matches_per_entry_definition():
     rng = random.Random(0xA9E1)
     pool = [0, 1, -2, 7, Fraction(1, 2), Fraction(-3, 4), Fraction(5, 3),
             Symbol("t"), Symbol("u"), Symbol("a_1")]
@@ -86,7 +67,6 @@ def test_sorted_items_and_pretty_match_per_entry_definition():
                          for _ in range(rng.randrange(0, 12))})
         want = sorted(m.items(),
                       key=lambda it: tuple(weight_sort_key(w) for w in it[0]))
-        assert m.sorted_items() == want
         assert m.pretty() == "\n".join(
             "%d x [%s]" % (n, ",".join(format_weight(w) for w in seq))
             for seq, n in want)
@@ -123,12 +103,8 @@ def random_pair(rng):
 
 def assert_same(got, want):
     assert got.pretty() == want.pretty()
-    assert got.sorted_items() == want.sorted_items()
     assert list(got.items()) == list(want.items())
-    assert got.support() == want.support()
-    assert list(got) == list(want)
-    assert (len(got), got.total(), bool(got)) == (
-        len(want), want.total(), bool(want))
+    assert (len(got), bool(got)) == (len(want), bool(want))
     assert hash(got) == hash(want)
     assert got == SeqMultiset(dict(want.items()))
 
@@ -140,11 +116,6 @@ def test_multisets_match_the_reference():
               (SeqMultiset({(): 2}), ReferenceMultiset({(): 2}))]
     for got, want in pairs:
         assert_same(got, want)
-        probes = list(want.support()) + [
-            tuple(rng.choice(POOL + [99]) for _ in range(rng.randrange(4)))
-            for _ in range(5)]
-        for seq in probes:
-            assert got.count(seq) == want.count(seq)
     for _ in range(500):
         (a, ra), (b, rb) = rng.choice(pairs), rng.choice(pairs)
         if rng.random() < 0.3:
@@ -154,7 +125,6 @@ def test_multisets_match_the_reference():
         assert (a == b) == (ra == rb)
         assert (a != b) == (ra != rb)
         assert_same(a.union(b), ra.union(rb))
-        assert_same(a.cauchy(b), ra.cauchy(rb))
         (c, rc) = rng.choice(pairs)
         assert_same(a.union(b, c, SeqMultiset()), ra.union(rb, rc))
 
@@ -182,8 +152,6 @@ def test_large_tables_match_the_reference(size):
     small = {(Symbol("t"), -1): 2, (Fraction(1, 2),): 1, (): 1}
     assert_same(sparse.union(SeqMultiset(small)),
                 ReferenceMultiset(seqs).union(ReferenceMultiset(small)))
-    assert_same(SeqMultiset(small).cauchy(sparse),
-                ReferenceMultiset(small).cauchy(ReferenceMultiset(seqs)))
 
 
 def test_every_rank_is_a_code_point():

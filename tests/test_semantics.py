@@ -5,12 +5,14 @@ from fractions import Fraction
 import pytest
 
 from corpus import ALL_TEXTS, SEED, all_words, load
+from reference_multiset import MULTISET_SEQS
+from reference_multiset import SeqMultiset as ReferenceMultiset
 from reference_semantics import SAMPLERS
 from wfoc import (
-    InputError, SeqMultiset, Symbol, abstract_semantics, aggr_ma, aggr_sp,
-    builtin_semiring, concrete_semantics, max_average_aggregator,
-    parse_automaton, sum_product_aggregator,
+    InputError, SEMIRING_NAMES, SeqMultiset, Symbol, abstract_semantics,
+    aggr_ma, aggr_sp, builtin_semiring, max_average, parse_automaton,
 )
+from wfoc.automata import forward
 from wfoc.semantics import NEG_INF, POS_INF
 
 FIB = [0, 1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610,
@@ -18,8 +20,7 @@ FIB = [0, 1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610,
 
 
 def test_builtin_names():
-    for name in ("natural", "boolean", "minplus", "maxplus", "languages",
-                 "multiset_seqs"):
+    for name in ("natural", "boolean", "minplus", "maxplus", "languages"):
         assert builtin_semiring(name).name == name
     with pytest.raises(InputError):
         builtin_semiring("nope")
@@ -52,10 +53,15 @@ LAWS = {
 }
 
 
+# the catalog, and the free semiring that `eval` prints a multiset from
+SEMIRINGS = dict({name: builtin_semiring(name) for name in SEMIRING_NAMES},
+                 multiset_seqs=MULTISET_SEQS)
+
+
 @pytest.mark.parametrize("name", ["natural", "boolean", "minplus",
                                   "maxplus", "languages", "multiset_seqs"])
 def test_semiring_axioms_sampled(name):
-    s = builtin_semiring(name)
+    s = SEMIRINGS[name]
     sample = SAMPLERS[name]
     rng = random.Random(SEED)
     for _ in range(1000):
@@ -116,10 +122,11 @@ def _random_multiset(rng):
 
 def test_aggr_sp_multiset_semiring_is_identity():
     wa = load("switchpoints")
-    s = builtin_semiring("multiset_seqs")
     for word in all_words(("a", "b"), 5):
         m = abstract_semantics(wa, word)
-        assert aggr_sp(s, m) == m
+        value = aggr_sp(MULTISET_SEQS, m)
+        assert value == ReferenceMultiset(dict(m.items()))
+        assert value.pretty() == m.pretty()
 
 
 def test_aggr_ma():
@@ -151,28 +158,27 @@ def test_symbolic_weights_flow_through_languages():
 
 
 class TestConcreteSemantics:
-    nat = sum_product_aggregator(builtin_semiring("natural"))
-    mx = sum_product_aggregator(builtin_semiring("maxplus"))
-    mn = sum_product_aggregator(builtin_semiring("minplus"))
+    nat = builtin_semiring("natural").carrier
+    mx = builtin_semiring("maxplus").carrier
+    mn = builtin_semiring("minplus").carrier
 
     @pytest.mark.parametrize("n", range(1, 21))
     def test_fibonacci(self, n):
-        got = concrete_semantics(load("fibonacci"), ("a",) * n, self.nat)
+        got = forward(load("fibonacci"), ("a",) * n, self.nat)
         assert got == FIB[n]
 
     def test_countminmax(self):
         wa = load("countminmax")
         for word in all_words(("a", "b"), 6):
             na, nb = word.count("a"), word.count("b")
-            assert concrete_semantics(wa, word, self.mx) == max(na, nb)
-            assert concrete_semantics(wa, word, self.mn) == min(na, nb)
+            assert forward(wa, word, self.mx) == max(na, nb)
+            assert forward(wa, word, self.mn) == min(na, nb)
 
     def test_expsum_closed_form(self):
         wa = load("expsum")
         for word in all_words(("a", "b"), 6):
             na, nb = word.count("a"), word.count("b")
-            assert concrete_semantics(wa, word, self.nat) \
-                == 2 ** na + 3 ** nb
+            assert forward(wa, word, self.nat) == 2 ** na + 3 ** nb
 
     def test_blockmax_both_readings(self):
         wa = load("blockmax")
@@ -180,18 +186,16 @@ class TestConcreteSemantics:
             blocks = "".join(word).split("c")
             fmax = sum(max(b.count("a"), b.count("b")) for b in blocks)
             fmin = sum(min(b.count("a"), b.count("b")) for b in blocks)
-            assert concrete_semantics(wa, word, self.mx) == fmax
-            assert concrete_semantics(wa, word, self.mn) == fmin
+            assert forward(wa, word, self.mx) == fmax
+            assert forward(wa, word, self.mn) == fmin
 
     def test_splitmax_splitmin(self):
         for word in all_words(("a", "b"), 6):
             s = "".join(word)
             splits = [(s[:i], s[i:]) for i in range(len(s) + 1)]
             vals = [u.count("a") + v.count("b") for u, v in splits]
-            assert concrete_semantics(load("splitmax"), word, self.mx) \
-                == max(vals)
-            assert concrete_semantics(load("splitmin"), word, self.mn) \
-                == min(vals)
+            assert forward(load("splitmax"), word, self.mx) == max(vals)
+            assert forward(load("splitmin"), word, self.mn) == min(vals)
 
     def test_mingap(self):
         wa = load("mingap")
@@ -206,26 +210,23 @@ class TestConcreteSemantics:
                         gaps.append(j - i - 1)
                         break
             expect = min(gaps) if gaps else POS_INF
-            assert concrete_semantics(wa, word, self.mn) == expect
+            assert forward(wa, word, self.mn) == expect
 
     def test_linearcount(self):
         for n in range(1, 8):
-            assert concrete_semantics(load("linearcount"), ("a",) * n,
-                                      self.nat) == n
+            assert forward(load("linearcount"), ("a",) * n, self.nat) == n
 
     def test_triplerun_family(self):
         wa = load("triplerun")
         for n in range(4):
             for p in range(4):
                 word = ("a",) * n + tuple("aaab") + ("b",) * p
-                assert concrete_semantics(wa, word, self.nat) \
-                    == 2 ** n * 90 * 3 ** p
+                assert forward(wa, word, self.nat) == 2 ** n * 90 * 3 ** p
 
     def test_max_average(self):
         wa = load("countminmax")
-        ma = max_average_aggregator()
         # averages of the two constant-rate runs: #a/n and #b/n
-        got = concrete_semantics(wa, tuple("aab"), ma)
+        got = max_average(wa, tuple("aab"))
         assert got == Fraction(2, 3)
 
 
@@ -245,15 +246,26 @@ trans: 3 a 3 0
 trans: 3 b 3 3
 """
 
-ORACLE_SEMIRINGS = [
-    builtin_semiring(name)
-    for name in ("natural", "boolean", "minplus", "maxplus", "languages",
-                 "multiset_seqs")]
-ORACLE_AGGREGATORS = [sum_product_aggregator(s) for s in ORACLE_SEMIRINGS] \
-    + [max_average_aggregator()]
-# each oracle aggregator's definition on a multiset, in the same order
+ORACLE_SEMIRINGS = [builtin_semiring(name) for name in SEMIRING_NAMES]
+
+
+def _sum_product(semiring):
+    return lambda wa, word: forward(wa, word, semiring.carrier)
+
+
+def _multiset_text(wa, word):
+    return abstract_semantics(wa, word).pretty()
+
+
+# each value `eval` prints, as it computes it: a forward pass per
+# semiring, the multiset's text, max-average
+ORACLE_VALUES = [_sum_product(s) for s in ORACLE_SEMIRINGS] \
+    + [_multiset_text, max_average]
+# each value's definition on a multiset, in the same order
 DEFINITIONS = [functools.partial(aggr_sp, s) for s in ORACLE_SEMIRINGS] \
-    + [aggr_ma]
+    + [lambda m: aggr_sp(MULTISET_SEQS, m).pretty(), aggr_ma]
+NAT, BOOL, LANGS = (_sum_product(builtin_semiring(name))
+                    for name in ("natural", "boolean", "languages"))
 
 
 def _outcome(fn):
@@ -268,57 +280,51 @@ def test_forward_pass_matches_multiset_oracle(name):
     wa = parse_automaton(MIXED) if name == "mixed" else load(name)
     for word in all_words(sorted(wa.nfa.alphabet), 6):
         m = abstract_semantics(wa, word)
-        for agg, definition in zip(ORACLE_AGGREGATORS, DEFINITIONS):
-            assert _outcome(lambda: concrete_semantics(wa, word, agg)) \
-                == _outcome(lambda: definition(m)), (name, word, agg)
+        for value, definition in zip(ORACLE_VALUES, DEFINITIONS):
+            assert _outcome(lambda: value(wa, word)) \
+                == _outcome(lambda: definition(m)), (name, word, value)
 
 
 def test_forward_pass_oracle_sees_every_outcome():
     # on the mixed automaton some words answer and some refuse
     wa = parse_automaton(MIXED)
-    nat = ORACLE_AGGREGATORS[0]
-    outcomes = {_outcome(lambda: concrete_semantics(wa, w, nat))[0]
+    outcomes = {_outcome(lambda: NAT(wa, w))[0]
                 for w in all_words(("a", "b"), 4)}
     assert outcomes == {"value", "raise"}
-    ma = max_average_aggregator()
-    assert concrete_semantics(wa, tuple("bb"), ma) == Fraction(7, 4)
+    assert max_average(wa, tuple("bb")) == Fraction(7, 4)
     with pytest.raises(InputError):      # -1 lies on an accepting run
-        concrete_semantics(wa, tuple("ab"), nat)
+        NAT(wa, tuple("ab"))
 
 
 def test_dead_branch_symbol_still_evaluates_under_natural():
     # t is only on the a-move into the dead state 4, and the -1 loop on 1
     # reaches no final state by a-moves
     wa = parse_automaton(MIXED)
-    nat = ORACLE_AGGREGATORS[0]
     assert abstract_semantics(wa, tuple("aa")) == SeqMultiset({(2, 0): 1})
-    assert concrete_semantics(wa, tuple("a"), nat) == 2
-    assert concrete_semantics(wa, tuple("aa"), nat) == 0
-    assert concrete_semantics(wa, tuple("aa"), max_average_aggregator()) == 1
+    assert NAT(wa, tuple("a")) == 2
+    assert NAT(wa, tuple("aa")) == 0
+    assert max_average(wa, tuple("aa")) == 1
     with pytest.raises(InputError, match="symbolic"):   # u is live on ba
-        concrete_semantics(wa, tuple("ba"), ORACLE_AGGREGATORS[1])
+        BOOL(wa, tuple("ba"))
 
 
 def test_forward_pass_rejects_what_abstract_semantics_rejects():
     wa = load("fibonacci")
-    for agg in ORACLE_AGGREGATORS:
+    for value in ORACLE_VALUES:
         for word in ((), ("z",), ("a", "z")):
             with pytest.raises(InputError):
-                concrete_semantics(wa, word, agg)
+                value(wa, word)
 
 
 def test_forward_pass_keeps_product_order():
     # languages is not commutative: the value lists weights left to right
     wa = load("triplerun")
-    langs = ORACLE_AGGREGATORS[4]
-    assert concrete_semantics(wa, tuple("aaab"), langs) \
-        == frozenset({"2143", "2153", "2233"})
+    assert LANGS(wa, tuple("aaab")) == frozenset({"2143", "2153", "2233"})
 
 
 def test_ma_error_names_max_average():
     wa = parse_automaton(MIXED)
     with pytest.raises(InputError, match="max-average"):
-        concrete_semantics(wa, tuple("ba"), max_average_aggregator())
+        max_average(wa, tuple("ba"))
     # mingap accepts only words with two b's
-    assert concrete_semantics(load("mingap"), ("a",) * 3,
-                              max_average_aggregator()) == NEG_INF
+    assert max_average(load("mingap"), ("a",) * 3) == NEG_INF

@@ -8,7 +8,7 @@ from reference_semantics import count_runs, words_upto
 from wfoc import HypothesisError, InputError, fo_compiler, wfo_compiler
 from wfoc.automata import (
     Nfa, WeightedAutomaton, abstract_semantics, aperiodicity_index,
-    classify_ambiguity, explore, is_unambiguous, letter_key,
+    classify_ambiguity, explore, forward, is_unambiguous, letter_key,
     reachable_states, restrict, weighted_union,
 )
 from wfoc.decompose import decompose_with_trackers
@@ -22,9 +22,7 @@ from wfoc.logic.syntax import (
     nodes, uses_plus, uses_sumx,
 )
 from wfoc.multiset import SeqMultiset
-from wfoc.semantics import (
-    builtin_semiring, concrete_semantics, sum_product_aggregator,
-)
+from wfoc.semantics import builtin_semiring
 from wfoc.textfmt import canonical_relabel, serialize_automaton
 from wfoc.wa_to_wfo import scc_unambiguous_to_wfo, unambiguous_wa_to_wfo
 from wfoc.wfo_compiler import (
@@ -100,7 +98,7 @@ class TestIte:
         phi, mode = modeblocks_sentence()
         wa = compile_wfo(WIte(phi.cond, phi.then, Zero()),
                          mode.nfa.alphabet)
-        assert abstract_semantics(wa, ("a", "c")).total() == 0
+        assert not abstract_semantics(wa, ("a", "c"))
         assert abstract_semantics(wa, ("a", "b")) == \
             SeqMultiset({(2, 1): 1})
 
@@ -172,7 +170,7 @@ class TestCompileWfo:
     def test_zero(self):
         wa = compile_wfo(parse_wfo("zero"), AB)
         for w in all_words(("a", "b"), 3):
-            assert abstract_semantics(wa, w).total() == 0
+            assert not abstract_semantics(wa, w)
 
     def test_modeblocks_oracle_both_ways(self):
         phi, mode = modeblocks_sentence()
@@ -189,14 +187,14 @@ class TestCompileWfo:
             "sum y. sum z. ((forall u. ((y<=u & u<=z) -> Pa(u))) ? "
             "(prod x. ((y<=x & x<=z) ? 1 : 0)) : (prod x. 0))")
         wa = compile_wfo(phi, AB)
-        ag = sum_product_aggregator(builtin_semiring("maxplus"))
+        maxplus = builtin_semiring("maxplus").carrier
         for w in all_words(("a", "b"), 6):
             best = 0
             run = 0
             for ch in w:
                 run = run + 1 if ch == "a" else 0
                 best = max(best, run)
-            assert concrete_semantics(wa, w, ag) == best
+            assert forward(wa, w, maxplus) == best
 
     def test_random_sentences_master_oracle(self):
         rng = random.Random(SEED)
