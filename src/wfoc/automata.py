@@ -816,33 +816,32 @@ def transition_monoid(nfa) -> TransitionMonoid:
     return TransitionMonoid(tuple(elements), tuple(right), tuple(parent))
 
 
-def aperiodicity_index(a):
-    """Least m >= 1 with e^m = e^(m+1) for every transition-monoid element,
-    or None when some element never stabilizes (period > 1).
+def _power_cycle(monoid: TransitionMonoid, e):
+    """(index, period) of element e: e^index is the first power that comes
+    back, and it comes back every period-th power.
 
     Powers are read off the right Cayley table: e^(t+1) is e^t walked
-    along e's word, one table lookup per letter, and the stop test
-    compares two element numbers.  The closure's products are the only
-    matrix products; element e then costs |word(e)| lookups per power."""
+    along e's word, one table lookup per letter.  The closure's products
+    are the only matrix products; the walk costs |word(e)| lookups per
+    power and stops at the first power it has seen."""
+    word, power, seen = monoid.word(e), e, {}
+    while power not in seen:
+        seen[power] = len(seen) + 1     # the exponent of this power
+        for g in word:
+            power = monoid.right[power][g]
+    return seen[power], len(seen) + 1 - seen[power]
+
+
+def aperiodicity_index(a):
+    """Least m >= 1 with e^m = e^(m+1) for every transition-monoid element,
+    or None when some element's powers cycle with period > 1."""
     monoid = transition_monoid(underlying_nfa(a))
-    right = monoid.right
-    bound = len(monoid) + 1
     worst = 1
     for e in range(len(monoid)):
-        word = monoid.word(e)
-        power = e
-        t = 1
-        while t <= bound:
-            nxt = power
-            for g in word:
-                nxt = right[nxt][g]
-            if nxt == power:
-                break
-            power = nxt
-            t += 1
-        else:
+        index, period = _power_cycle(monoid, e)
+        if period > 1:
             return None
-        worst = max(worst, t)
+        worst = max(worst, index)
     return worst
 
 
@@ -854,14 +853,10 @@ def aperiodicity_witness(a):
     nfa = underlying_nfa(a)
     monoid = transition_monoid(nfa)
     for e in range(len(monoid)):
-        word, power, seen = monoid.word(e), e, {}
-        while power not in seen:
-            seen[power] = len(seen) + 1     # the exponent of this power
-            for g in word:
-                power = monoid.right[power][g]
-        period = len(seen) + 1 - seen[power]
+        period = _power_cycle(monoid, e)[1]
         if period > 1:
-            return tuple(nfa.numbered().letters[g] for g in word), period
+            letters = nfa.numbered().letters
+            return tuple(letters[g] for g in monoid.word(e)), period
     return None
 
 

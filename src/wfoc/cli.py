@@ -17,7 +17,7 @@ from .automata import (
     semantics_upto,
     EXPONENTIALLY, FINITELY, POLYNOMIALLY, UNAMBIGUOUS,
 )
-from .decompose import decompose_with_trackers, ensure_single_initial
+from .decompose import decompose_with_trackers
 from .errors import HypothesisError, InputError
 from .fo_compiler import compile_fo
 from .logic.syntax import SumX, format_wfo, free_vars, letters_in
@@ -186,9 +186,8 @@ def _cmd_tologic(args):
 def _cmd_decompose(args):
     wa = _load_weighted(args.automaton)
     bound = None if args.bound is None else _count("-K", args.bound, 0)
-    parts, geqs = decompose_with_trackers(wa, bound)
+    parts, geqs, norm = decompose_with_trackers(wa, bound)
     k = len(parts)
-    norm = ensure_single_initial(wa)
     m = aperiodicity_index(norm)
     print("input: states=%d index=%s bound K=%d%s"
           % (len(wa.nfa.states), m, k,

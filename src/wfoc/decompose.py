@@ -156,9 +156,10 @@ def decompose(a: WeightedAutomaton, k=None) -> list:
 
 
 def decompose_with_trackers(a: WeightedAutomaton, k=None):
-    """The parts of `decompose` together with the run trackers
-    A_>=1, ..., A_>=k+1 they were cut from, each built once.  A detected
-    k is the last index whose tracker accepts a non-empty word."""
+    """(parts, trackers, norm): the parts of `decompose`, the run trackers
+    A_>=1, ..., A_>=k+1 they were cut from, each built once, and
+    `ensure_single_initial(a)`, which the trackers track runs of.  A
+    detected k is the last index whose tracker accepts a non-empty word."""
     nfa = underlying_nfa(a)
     if k is None:
         kind = classify_ambiguity(nfa)
@@ -195,4 +196,4 @@ def decompose_with_trackers(a: WeightedAutomaton, k=None):
             out[ell - 1] = weighted_union(out[ell - 1],
                                           _weigh_run(norm, joint, ell))
         out.append(_weigh_run(norm, joint, j))
-    return out, geqs
+    return out, geqs, norm

@@ -6,13 +6,13 @@ from .syntax import (
     fo_conditions, run_atoms, freshen, fresh_name,
     format_fo, format_step, format_wfo,
 )
-from .encoding import ExtWord, encode, decode, ext_alphabet
+from .encoding import ext_alphabet
 from .parser import (
     ParseError, ScopeError,
     parse_fo, parse_step, parse_wfo, parse_formula_file, FormulaFile,
     serialize_formula_file,
 )
-from .evaluate import eval_fo, eval_step, eval_wfo, eval_wfo_at
+from .evaluate import eval_fo, eval_step, eval_wfo_at
 from .relativize import relativize, before, after, between
 
 __all__ = [
@@ -23,10 +23,10 @@ __all__ = [
     "free_vars", "uses_sumx", "uses_plus",
     "fo_conditions", "run_atoms", "freshen", "fresh_name",
     "format_fo", "format_step", "format_wfo",
-    "ExtWord", "encode", "decode", "ext_alphabet",
+    "ext_alphabet",
     "ParseError", "ScopeError",
     "parse_fo", "parse_step", "parse_wfo", "parse_formula_file",
     "FormulaFile", "serialize_formula_file",
-    "eval_fo", "eval_step", "eval_wfo", "eval_wfo_at",
+    "eval_fo", "eval_step", "eval_wfo_at",
     "relativize", "before", "after", "between",
 ]

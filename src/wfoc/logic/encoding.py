@@ -1,10 +1,13 @@
-"""Words over the extended alphabet: one extra bit row per variable.
+"""The marked alphabet the compilers read: one extra bit per variable.
 
-A letter is the plain base letter when the variable set is empty, and a
-pair (base, bits) otherwise, with bits ordered by sorted variable name.
-An encoding is valid when every row contains exactly one 1; a valid word
-decodes to the base word plus the valuation mapping each variable to the
-position of its 1 (positions are 1-based).
+A word with a valuation of the variables V is read by a compiled
+automaton as one word over the letters Sigma x {0,1}^V: the letter at
+position i carries variable v's bit 1 exactly when v is valued i.  A
+letter is the plain base letter when V is empty, and a pair (base, bits)
+otherwise, with bits ordered by sorted variable name.  A marked word is
+valid when each variable's bit is 1 at exactly one position.  The
+brute-force evaluator (`logic.evaluate`) reads the word and valuation as
+they are.
 """
 
 from __future__ import annotations
@@ -13,83 +16,6 @@ import functools
 from itertools import product as iproduct
 
 from ..automata import letter_key
-from ..errors import InputError
-
-
-class ExtWord:
-    __slots__ = ("vars", "letters")
-
-    def __init__(self, vars, letters):
-        self.vars = tuple(sorted(vars))
-        if tuple(sorted(set(vars))) != self.vars:
-            raise InputError("duplicate variables in %r" % (vars,))
-        letters = tuple(letters)
-        for l in letters:
-            if self.vars:
-                if (not isinstance(l, tuple) or len(l) != 2
-                        or len(l[1]) != len(self.vars)
-                        or any(b not in (0, 1) for b in l[1])):
-                    raise InputError("bad extended letter %r" % (l,))
-            elif isinstance(l, tuple):
-                raise InputError("extended letter %r without variables"
-                                 % (l,))
-        self.letters = letters
-
-    def __len__(self):
-        return len(self.letters)
-
-    def __eq__(self, other):
-        return (isinstance(other, ExtWord) and self.vars == other.vars
-                and self.letters == other.letters)
-
-    def __hash__(self):
-        return hash((self.vars, self.letters))
-
-    def __repr__(self):
-        return "ExtWord(%r, %r)" % (self.vars, self.letters)
-
-    def base_word(self):
-        if not self.vars:
-            return self.letters
-        return tuple(l[0] for l in self.letters)
-
-    def row(self, var):
-        i = self.vars.index(var)
-        return tuple(l[1][i] for l in self.letters)
-
-    def is_valid(self) -> bool:
-        return all(sum(self.row(v)) == 1 for v in self.vars)
-
-
-def encode(word, valuation, vars=None) -> ExtWord:
-    """Mark each variable's position with a 1 bit; always valid."""
-    word = tuple(word)
-    if vars is None:
-        vars = valuation.keys()
-    vars = tuple(sorted(vars))
-    if set(valuation) != set(vars):
-        raise InputError("valuation domain %r does not match variables %r"
-                         % (sorted(valuation), list(vars)))
-    for v, i in valuation.items():
-        if not 1 <= i <= len(word):
-            raise InputError("position %r out of range for %s" % (i, v))
-    if not vars:
-        return ExtWord((), word)
-    letters = []
-    for pos, a in enumerate(word, start=1):
-        bits = tuple(1 if valuation[v] == pos else 0 for v in vars)
-        letters.append((a, bits))
-    return ExtWord(vars, letters)
-
-
-def decode(ext: ExtWord):
-    """(base word, valuation) when valid, else None."""
-    if not ext.is_valid():
-        return None
-    valuation = {}
-    for v in ext.vars:
-        valuation[v] = ext.row(v).index(1) + 1
-    return ext.base_word(), valuation
 
 
 def ext_alphabet(alphabet, vars):

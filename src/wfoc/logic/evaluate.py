@@ -1,14 +1,18 @@
 """Direct, brute-force semantics for all three formula layers.
 
 This is the oracle: every compiler in the package is tested against these
-functions on exhaustive small-word sweeps.
+functions on exhaustive small-word sweeps.  Each reads a word and a
+valuation of its free variables (positions, 1-based) as they are; only
+the compilers encode the pair as one word over the marked letters
+(`logic.encoding`).
 """
 
 from __future__ import annotations
 
+from collections import Counter
+
 from ..errors import InputError
 from ..multiset import SeqMultiset
-from .encoding import ExtWord, decode, encode
 from .syntax import (
     And, Const, EqVar, Exists, Forall, FoTrue, Implies, Leq, LetterAt, Lt,
     Not, Or, Plus, ProdX, RunAtom, StepIte, SumX, WIte, Zero,
@@ -105,45 +109,45 @@ def _step(psi, u, sigma):
     raise TypeError("not a step formula: %r" % (psi,))
 
 
-def eval_wfo(phi, ext: ExtWord) -> SeqMultiset:
-    if len(ext) == 0:
+def eval_wfo_at(phi, word, valuation=None) -> SeqMultiset:
+    """The multiset of weight sequences that phi denotes on the non-empty
+    `word` under `valuation`, which must bind every free variable."""
+    u = tuple(word)
+    sigma = dict(valuation) if valuation else {}
+    free = free_vars(phi)
+    if free - set(sigma):
+        raise InputError("valuation domain %r does not match variables %r"
+                         % (sorted(sigma), sorted(free | set(sigma))))
+    for v, i in sigma.items():
+        if not 1 <= i <= len(u):
+            raise InputError("position %r out of range for %s" % (i, v))
+    if not u:
         raise InputError("weighted formulas are defined on non-empty words")
-    extra = free_vars(phi) - set(ext.vars)
-    if extra:
-        raise InputError("free variables %s not carried by the word"
-                         % ", ".join(sorted(extra)))
-    decoded = decode(ext)
-    if decoded is None:
-        return SeqMultiset()
-    u, sigma = decoded
-    return _wfo(phi, u, sigma)
+    return SeqMultiset(_wfo(phi, u, sigma))
 
 
-def eval_wfo_at(phi, word, valuation=None, vars=None) -> SeqMultiset:
-    valuation = dict(valuation) if valuation else {}
-    if vars is None:
-        vars = set(valuation) | set(free_vars(phi))
-    return eval_wfo(phi, encode(word, valuation, vars))
-
-
-def _wfo(phi, u, sigma) -> SeqMultiset:
+def _wfo(phi, u, sigma) -> Counter:
+    """{weight sequence: count} of phi on u under sigma."""
     if isinstance(phi, Zero):
-        return SeqMultiset()
+        return Counter()
     if isinstance(phi, ProdX):
         if phi.var in sigma:
             raise InputError("shadowed variable %s" % phi.var)
         seq = tuple(_step(phi.step, u, {**sigma, phi.var: i})
                     for i in range(1, len(u) + 1))
-        return SeqMultiset({seq: 1})
+        return Counter({seq: 1})
     if isinstance(phi, WIte):
         branch = phi.then if _fo(phi.cond, u, sigma) else phi.els
         return _wfo(branch, u, sigma)
     if isinstance(phi, Plus):
-        return _wfo(phi.left, u, sigma).union(_wfo(phi.right, u, sigma))
+        total = _wfo(phi.left, u, sigma)
+        total.update(_wfo(phi.right, u, sigma))
+        return total
     if isinstance(phi, SumX):
         if phi.var in sigma:
             raise InputError("shadowed variable %s" % phi.var)
-        parts = [_wfo(phi.body, u, {**sigma, phi.var: i})
-                 for i in range(1, len(u) + 1)]
-        return SeqMultiset().union(*parts)
+        total = Counter()
+        for i in range(1, len(u) + 1):
+            total.update(_wfo(phi.body, u, {**sigma, phi.var: i}))
+        return total
     raise TypeError("not a weighted formula: %r" % (phi,))

@@ -7,11 +7,13 @@
     wfo:   zero | prod x. step | sum x. wfo | wfo + wfo | cond ? wfo : wfo
 
 Precedence, tightest first: unary, comparisons, &, |, -> (right-
-associative), +, ?:.  So `+` binds tighter than `?:`, and an operand of
-`+` is zero, prod, sum or a parenthesised wfo.  A binder's body goes right
-as far as its layer does: forall and exists take an FO formula, which
-stops before `?`; prod a step, which stops before `+`; sum a wfo.  Weights
-are integers, rationals p/q, or bare identifiers (symbolic).
+associative), +, ?:.  The FO operators' symbols and precedences come
+from `syntax.FO_OPERATORS`, which the printer reads too.  `+` binds
+tighter than `?:`, and an operand of `+` is zero, prod, sum or a
+parenthesised wfo.  A binder's body goes right as far as its layer does:
+forall and exists take an FO formula, which stops before `?`; prod a
+step, which stops before `+`; sum a wfo.  Weights are integers,
+rationals p/q, or bare identifiers (symbolic).
 
 Formula files may start with header lines:
     # fragment: no-sum no-plus
@@ -28,8 +30,8 @@ from dataclasses import dataclass, field, replace
 from ..errors import InputError
 from ..textfmt import parse_automaton_inline
 from .syntax import (
-    And, Const, EqVar, Exists, FoFormula, Forall, FoTrue, Implies, Leq,
-    LetterAt, Lt, Not, Or, Plus, ProdX, RunAtom, StepFormula, StepIte, SumX,
+    FO_OPERATORS, UNARY, Const, Exists, FoFormula, Forall, FoTrue,
+    LetterAt, Not, Plus, ProdX, RunAtom, StepFormula, StepIte, SumX,
     WfoFormula, WIte, Zero, format_fo, format_step, format_wfo, freshen,
     map_run_atoms, run_atoms, uses_plus, uses_sumx,
 )
@@ -92,13 +94,18 @@ def _is_letter(name, after):
 _PRIM = "prim"  # the slot of a '+' operand
 _BINDERS = {"forall": (Forall, FoFormula), "exists": (Exists, FoFormula),
             "prod": (ProdX, StepFormula), "sum": (SumX, WfoFormula)}
-_BINARY = {"&": And, "|": Or, "->": Implies}
+_BINARY = {sym: op for op, (sym, _, assoc) in FO_OPERATORS.items() if assoc}
+_COMPARE = {sym: op for op, (sym, _, assoc) in FO_OPERATORS.items()
+            if not assoc}
 _ITE = {StepFormula: StepIte, WfoFormula: WIte}
-_COMPARE = {"<=": Leq, "<": Lt, "=": EqVar}
 _CLOSE = {"(": ")", "?": "':' of '?:'"}  # what an open ( or ? awaits
-# FO operators: how tightly one holds on the stack, and one coming in binds
-_HOLDS = {Not: 4, And: 3, Or: 2, Implies: 1}
-_BINDS = {"&": 3, "|": 2, "->": 2}
+# FO operators: how tightly one holds on the stack, and one coming in
+# binds; a right-associative one binds tighter than it holds, so an equal
+# one on the stack waits for it
+_HOLDS = {Not: UNARY, **{op: prec for op, (_, prec, assoc)
+                         in FO_OPERATORS.items() if assoc}}
+_BINDS = {sym: prec + (assoc == "right")
+          for sym, prec, assoc in FO_OPERATORS.values() if assoc}
 
 
 class _Parser:

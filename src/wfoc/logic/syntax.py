@@ -281,13 +281,18 @@ def freshen(node, avoid=()):
 # ---------------------------------------------------------------------------
 # printing (round-trips through the parser)
 
-_PREC_IMPLIES = 1
-_PREC_OR = 2
-_PREC_AND = 3
-_PREC_UNARY = 4
-_PREC_ATOM = 5
-
-_COMPARISONS = {Leq: "<=", Lt: "<", EqVar: "="}
+# The binary FO operators, as the parser reads them too: node class ->
+# (symbol, precedence, associativity).  A higher precedence binds
+# tighter, and `!` (UNARY) binds tighter than all of them.  A connective
+# is "left" or "right" associative; a comparison (None) joins two
+# variables, so the parser reads it as an atom and the printer brackets
+# it wherever it would bracket an `&`.
+FO_OPERATORS = {
+    Implies: ("->", 1, "right"), Or: ("|", 2, "left"), And: ("&", 3, "left"),
+    Leq: ("<=", 3, None), Lt: ("<", 3, None), EqVar: ("=", 3, None),
+}
+UNARY = 4
+_PREC_ATOM = UNARY + 1
 
 # what the parser reads after the P of a letter atom
 _LETTER_RE = re.compile(r"[A-Za-z0-9_']+")
@@ -303,23 +308,17 @@ def _fmt_fo(phi, prec):
                              "(formula letters use only A-Z a-z 0-9 _ ')"
                              % letter)
         return "P%s(%s)" % (letter, phi.var)
-    if type(phi) in _COMPARISONS:
-        s = "%s %s %s" % (phi.left, _COMPARISONS[type(phi)], phi.right)
-        return "(" + s + ")" if prec > _PREC_AND else s
+    if type(phi) in FO_OPERATORS:
+        symbol, own, assoc = FO_OPERATORS[type(phi)]
+        if assoc is None:
+            left, right = phi.left, phi.right
+        else:   # only the associative side takes the same operator bare
+            left = _fmt_fo(phi.left, own + (assoc == "right"))
+            right = _fmt_fo(phi.right, own + (assoc == "left"))
+        s = "%s %s %s" % (left, symbol, right)
+        return "(" + s + ")" if prec > own else s
     if isinstance(phi, Not):
         return "!" + _fmt_fo(phi.sub, _PREC_ATOM)
-    if isinstance(phi, And):
-        s = "%s & %s" % (_fmt_fo(phi.left, _PREC_AND),
-                         _fmt_fo(phi.right, _PREC_UNARY))
-        return "(" + s + ")" if prec > _PREC_AND else s
-    if isinstance(phi, Or):
-        s = "%s | %s" % (_fmt_fo(phi.left, _PREC_OR),
-                         _fmt_fo(phi.right, _PREC_AND))
-        return "(" + s + ")" if prec > _PREC_OR else s
-    if isinstance(phi, Implies):
-        s = "%s -> %s" % (_fmt_fo(phi.left, _PREC_OR),
-                          _fmt_fo(phi.right, _PREC_IMPLIES))
-        return "(" + s + ")" if prec > _PREC_IMPLIES else s
     if isinstance(phi, (Forall, Exists)):
         kw = "forall" if isinstance(phi, Forall) else "exists"
         s = "%s %s. %s" % (kw, phi.var, _fmt_fo(phi.body, 0))

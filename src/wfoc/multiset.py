@@ -6,9 +6,10 @@ It is kept over a weight table, `weights`: distinct weights sorted by
 is stored as its code, the string of `chr(rank)` of its weights' ranks in
 the table.  So string order is the canonical order (weight by weight, a
 prefix first), a code caches its hash, and extending a sequence by one
-weight is one concatenation.  Union is pointwise addition of counts;
-equality is exact, whatever the two tables.  `automata.abstract_semantics`
-builds a word's multiset; the command line prints it with `pretty`.
+weight is one concatenation.  Equality is exact, whatever the two
+tables.  `automata.abstract_semantics` builds a word's multiset over the
+automaton's table; `logic.evaluate` builds one from its sequences' counts.
+The command line prints it with `pretty`.
 """
 
 from __future__ import annotations
@@ -28,26 +29,6 @@ def weight_table(weights) -> tuple:
         raise InputError("%d distinct weights; weight sequences take at "
                          "most %d" % (len(table), MAX_WEIGHTS))
     return table
-
-
-def _common(parts):
-    """(table, each part's counts over it): the parts' one table when they
-    share it, else the table of all their weights, into which a part over
-    another table is re-coded by one translate per sequence."""
-    table = parts[0].weights
-    if all(part.weights == table for part in parts):
-        return table, [part._counts for part in parts]
-    table = weight_table(w for part in parts for w in part.weights)
-    rank = {w: chr(i) for i, w in enumerate(table)}
-    out = []
-    for part in parts:
-        if part.weights == table:
-            out.append(part._counts)
-            continue
-        move = {i: rank[w] for i, w in enumerate(part.weights)}
-        out.append({code.translate(move): n
-                    for code, n in part._counts.items()})
-    return table, out
 
 
 class SeqMultiset:
@@ -82,17 +63,6 @@ class SeqMultiset:
         out._hash = None
         return out
 
-    def union(self, *others: "SeqMultiset") -> "SeqMultiset":
-        parts = [m for m in (self,) + others if m._counts]
-        if not parts:
-            return _EMPTY
-        table, codes = _common(parts)
-        counts = dict(codes[0])
-        for part in codes[1:]:
-            for code, n in part.items():
-                counts[code] = counts.get(code, 0) + n
-        return SeqMultiset.over(table, counts)
-
     def items(self):
         """(sequence, count) pairs, in no fixed order."""
         weight = self.weights.__getitem__
@@ -110,8 +80,7 @@ class SeqMultiset:
             return NotImplemented
         if self.weights == other.weights:
             return self._counts == other._counts
-        left, right = _common((self, other))[1]
-        return left == right
+        return dict(self.items()) == dict(other.items())
 
     def __hash__(self):
         if self._hash is None:
@@ -129,6 +98,3 @@ class SeqMultiset:
         counts = self._counts
         return "\n".join("%d x [%s]" % (counts[code], code.translate(text)[1:])
                          for code in sorted(counts))
-
-
-_EMPTY = SeqMultiset()

@@ -34,6 +34,9 @@ def render_word(word) -> str:
 
 
 def parse_letter(token: str):
+    if "#" in token:
+        raise InputError("letter %r cannot be written: '#' starts a comment"
+                         % token)
     if token.endswith("]") and "[" in token:
         base, _, rest = token.partition("[")
         bits = rest[:-1]

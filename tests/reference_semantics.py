@@ -13,12 +13,13 @@ and of `reference_multiset.MULTISET_SEQS`, for the semiring-law test.
 
 from __future__ import annotations
 
+import collections
 import itertools
 from dataclasses import dataclass
 
 from wfoc.automata import letter_key, underlying_nfa
 from wfoc.errors import InputError
-from wfoc.logic.encoding import ExtWord, ext_alphabet
+from wfoc.logic.encoding import ext_alphabet
 from wfoc.logic.evaluate import nfa_run_accepts
 from wfoc.multiset import SeqMultiset
 from wfoc.semantics import NEG_INF, POS_INF
@@ -114,6 +115,14 @@ def runs_multiset(wa, word) -> SeqMultiset:
     return SeqMultiset([r.weights(wa) for r in accepting_runs(wa, word)])
 
 
+def multiset_sum(parts) -> SeqMultiset:
+    """The pointwise sum of the multisets `parts`: counts add."""
+    counts = collections.Counter()
+    for m in parts:
+        counts.update(dict(m.items()))
+    return SeqMultiset(counts)
+
+
 def accepts(a, word) -> bool:
     """Some run on word goes from an initial to a final state."""
     nfa = underlying_nfa(a)
@@ -130,10 +139,28 @@ def words_upto(alphabet, maxlen):
 
 
 def all_ext_words(alphabet, vars, length):
-    """Every extended word of the given length (valid and invalid alike)."""
-    return [ExtWord(vars, letters)
-            for letters in itertools.product(ext_alphabet(alphabet, vars),
-                                             repeat=length)]
+    """Every word of the given length over the marked letters
+    ext_alphabet(alphabet, vars), valid and invalid alike, as a tuple of
+    letters."""
+    return list(itertools.product(ext_alphabet(alphabet, vars),
+                                  repeat=length))
+
+
+def unmark(vars, letters):
+    """(base word, valuation) of a word over the marked letters of the
+    variables `vars`, or None when some variable's bit is not 1 at
+    exactly one position."""
+    if not vars:
+        return tuple(letters), {}
+    vars = sorted(vars)
+    word = tuple(a for a, _ in letters)
+    valuation = {}
+    for row, v in enumerate(vars):
+        marked = [i for i, (_, bits) in enumerate(letters, 1) if bits[row]]
+        if len(marked) != 1:
+            return None
+        valuation[v] = marked[0]
+    return word, valuation
 
 
 def classify(c, letters):

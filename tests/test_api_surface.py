@@ -10,15 +10,22 @@ name it calls unreachable has no caller in the package at all.  A public
 method of a public class is reachable when some code in the package
 outside its own definition mentions its name.
 Brute-force references for tests belong in `tests/reference_*.py`.
+
+The names the benchmark reads must exist: each per-layer metric of
+`BENCHMARK.json` that names a function or method, and each `wfoc` import
+in `bench/*.py`.  Both files are only read here.
 """
 
 import ast
 import collections
+import importlib
+import json
 import pathlib
 
 import wfoc
 
 SRC = pathlib.Path(wfoc.__file__).parent
+REPO = pathlib.Path(__file__).resolve().parent.parent
 
 # kept without a caller in the package: name -> why
 ALLOWED = {
@@ -111,3 +118,62 @@ def unmentioned_methods():
 
 def test_every_public_method_is_mentioned():
     assert unmentioned_methods() == []
+
+
+# -- the names the benchmark reads -------------------------------------------
+
+
+def _modules():
+    """The dotted names of the package's modules, without `wfoc.`."""
+    return {".".join(p.relative_to(SRC).with_suffix("").parts)
+            for p in SRC.rglob("*.py") if p.name != "__init__.py"}
+
+
+def layer_targets():
+    """(metric, module, attribute path) for each per-layer metric of
+    BENCHMARK.json named `<module>.<function or Class.method>.<field>`:
+    the longest prefix that names a module, and the rest but the field."""
+    modules = _modules()
+    spec = json.loads((REPO / "BENCHMARK.json").read_text())
+    out = []
+    for metric in spec["per_layer"]:
+        parts = metric["name"].split(".")[:-1]
+        cut = next((i for i in range(len(parts), 0, -1)
+                    if ".".join(parts[:i]) in modules), None)
+        if cut is not None and cut < len(parts):
+            out.append((metric["name"], ".".join(parts[:cut]), parts[cut:]))
+    return out
+
+
+def test_benchmark_layers_resolve():
+    targets = layer_targets()
+    assert targets
+    missing = []
+    for metric, module, path in targets:
+        obj = importlib.import_module("wfoc." + module)
+        for attr in path:
+            obj = getattr(obj, attr, None)
+        if not callable(obj):
+            missing.append(metric)
+    assert missing == []
+
+
+def test_bench_imports_resolve():
+    """Every `from wfoc... import name` and `import wfoc...` in bench/."""
+    missing, seen = [], 0
+    for path in sorted((REPO / "bench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module \
+                    and node.module.split(".")[0] == "wfoc":
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    seen += 1
+                    if not hasattr(module, alias.name):
+                        missing.append("%s: %s.%s" % (path.name, node.module,
+                                                      alias.name))
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.split(".")[0] == "wfoc":
+                        seen += 1
+                        importlib.import_module(alias.name)
+    assert seen and missing == []

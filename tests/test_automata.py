@@ -17,7 +17,8 @@ from wfoc import (
 )
 from wfoc import automata
 from wfoc.automata import (
-    _mat_mul, ambiguity_witness, aperiodicity_witness, semantics_upto,
+    _mat_mul, _power_cycle, ambiguity_witness, aperiodicity_witness,
+    semantics_upto,
 )
 from wfoc.errors import InputError
 from wfoc.multiset import SeqMultiset
@@ -328,9 +329,10 @@ def test_ambiguity_witness_oracle(nfa):
     assert is_scc_unambiguous(nfa) == (not ambiguous)
 
 
-def _power_period(nfa, word):
-    """The period of the cycle that the powers of word's transition
-    relation end in, the relation stepped through `Nfa.out` as sets."""
+def _relation_cycle(nfa, word):
+    """(index, period) of the cycle that the powers of word's transition
+    relation end in, the relation stepped through `Nfa.out` as sets:
+    power `index` is the first that comes back, every period-th power."""
     def step(rel):
         for letter in word:
             rel = {s: frozenset(d for x in ds for d in nfa.out(x, letter))
@@ -340,7 +342,8 @@ def _power_period(nfa, word):
     powers = [step({s: frozenset([s]) for s in nfa.states})]
     while powers[-1] not in powers[:-1]:
         powers.append(step(powers[-1]))
-    return len(powers) - 1 - powers.index(powers[-1])
+    first = powers.index(powers[-1])
+    return first + 1, len(powers) - 1 - first
 
 
 @pytest.mark.parametrize("nfa", oracle_pool())
@@ -353,9 +356,26 @@ def test_aperiodicity_witness_oracle(nfa):
         shorter = all_words(sorted(nfa.alphabet), 3)
     else:
         word, period = got
-        assert _power_period(nfa, word) == period > 1
+        assert _relation_cycle(nfa, word)[1] == period > 1
         shorter = all_words(sorted(nfa.alphabet), len(word) - 1)
-    assert all(_power_period(nfa, u) == 1 for u in shorter)
+    assert all(_relation_cycle(nfa, u)[1] == 1 for u in shorter)
+
+
+@pytest.mark.parametrize("nfa", oracle_pool())
+def test_power_cycles_match_the_relations(nfa):
+    # each element's (index, period) is its word's relation's; the index
+    # is the largest index exactly when every period is 1, and the
+    # witness is None exactly then
+    monoid = transition_monoid(nfa)
+    letters = nfa.numbered().letters
+    cycles = [_power_cycle(monoid, e) for e in range(len(monoid))]
+    for e, cycle in enumerate(cycles):
+        word = [letters[g] for g in monoid.word(e)]
+        assert _relation_cycle(nfa, word) == cycle
+    aperiodic = all(period == 1 for _, period in cycles)
+    want = max([1] + [index for index, _ in cycles]) if aperiodic else None
+    assert aperiodicity_index(nfa) == want
+    assert (aperiodicity_witness(nfa) is None) == aperiodic
 
 
 def test_aperiodicity_oracle_pool_has_both_kinds():

@@ -27,7 +27,7 @@ from wfoc.textfmt import parse_automaton
 from wfoc.wfo_compiler import compile_wfo
 
 from reference_multiset import MULTISET_SEQS
-from reference_semantics import words_upto
+from reference_semantics import multiset_sum, words_upto
 from tests.corpus import ALL_TEXTS, SEED, load, random_wfo
 
 
@@ -304,6 +304,27 @@ class TestCompile:
                                         "--alphabet", flag])
             assert rc == 2 and out == ""
             assert "--alphabet" in err and repr(flag) in err
+
+    def test_comment_sign_in_a_letter_is_an_input_error(self, tmp_path,
+                                                        capsys):
+        # an automaton written with it would not read back: '#' starts a
+        # comment in the text format
+        src = tmp_path / "one.wfo"
+        src.write_text("prod x. (Pa(x) ? 2 : 1)\n")
+        out_path = tmp_path / "h.wa"
+        for letters in ("a,#", "a b#"):
+            rc, out, err = run(capsys, ["compile", "--formula", str(src),
+                                        "--alphabet", letters,
+                                        "-o", str(out_path)])
+            assert (rc, out) == (2, "")
+            assert err.startswith("error: letter '") and "'#'" in err
+            assert not out_path.exists()
+        wa = save(tmp_path, "triplerun")
+        rc, out, err = run(capsys, ["eval", "--automaton", wa,
+                                    "--word-tokens", "a #x"])
+        assert (rc, out) == (2, "")
+        assert err == ("error: letter '#x' cannot be written: '#' starts "
+                       "a comment\n")
 
     def test_dot_format(self, tmp_path, capsys):
         src = tmp_path / "one.wfo"
@@ -895,9 +916,8 @@ class TestDecompose:
                  for ell in (1, 2, 3)]
         original = parse_automaton(ALL_TEXTS["triplerun"])
         for word in words_upto(frozenset("ab"), 6):
-            merged = SeqMultiset()
-            for part in parts:
-                merged = merged.union(abstract_semantics(part, word))
+            merged = multiset_sum(abstract_semantics(part, word)
+                                  for part in parts)
             assert merged == abstract_semantics(original, word)
 
     def test_each_tracker_built_once(self, tmp_path, capsys, monkeypatch):
@@ -929,6 +949,26 @@ class TestDecompose:
         assert rc == 0
         assert "added a fresh initial state" in out
         assert "B_1:" in out
+
+    @pytest.mark.parametrize("name", ["modeblocks", "countminmax", "expsum"])
+    def test_one_single_initial_copy(self, tmp_path, capsys, monkeypatch,
+                                     name):
+        # the parts and the input's note: and index lines share one copy
+        # with a fresh initial state, which ensure_single_initial builds
+        # as the decompose module's only Nfa(...)
+        copies = []
+        real = decompose.Nfa
+
+        def counting(*args):
+            copies.append(args[3])
+            return real(*args)
+
+        monkeypatch.setattr(decompose, "Nfa", counting)
+        path = save(tmp_path, name)
+        rc, out, _ = run(capsys, ["decompose", "--automaton", path,
+                                  "-o", str(tmp_path / "m")])
+        assert rc == 0 and "added a fresh initial state" in out
+        assert len(copies) == 1
 
     def test_dot_output_files(self, tmp_path, capsys):
         mode = save(tmp_path, "modeblocks")

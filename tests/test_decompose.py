@@ -8,7 +8,7 @@ import pytest
 
 import wfoc.decompose
 from reference_semantics import (
-    accepts, classify, count_runs, enumerate_runs, words_upto,
+    accepts, classify, count_runs, enumerate_runs, multiset_sum, words_upto,
 )
 from tests.corpus import ALL_TEXTS, SEED, check_classifier, load, nested_union
 from wfoc.automata import (
@@ -40,10 +40,7 @@ def sorted_runs(wa, word):
 
 
 def union_sem(parts, word):
-    out = SeqMultiset()
-    for p in parts:
-        out = out.union(abstract_semantics(p, word))
-    return out
+    return multiset_sum(abstract_semantics(p, word) for p in parts)
 
 
 def build_a_leq_k(a, k):
@@ -309,7 +306,7 @@ def test_decomposable_names_are_the_corpus_ones():
 def test_exact_slices_equal_full_product_then_trim(name):
     # one more slice than detected, so an empty slice is covered too
     k = len(decompose(load(name)))
-    _, geqs = decompose_with_trackers(load(name), k + 1)
+    _, geqs, _ = decompose_with_trackers(load(name), k + 1)
     for j in range(1, k + 2):
         assert _exact_slice(geqs[j - 1], geqs[j]) == \
             reference_slice(geqs[j - 1], geqs[j])
@@ -406,10 +403,11 @@ def brute_degree(wa, maxlen=7):
 @pytest.mark.parametrize("name,wa", DECOMPOSE_CASES,
                          ids=[c[0] for c in DECOMPOSE_CASES])
 def test_detected_bound_is_the_degree(name, wa):
-    parts, geqs = decompose_with_trackers(wa)
+    parts, geqs, norm = decompose_with_trackers(wa)
     k = brute_degree(wa)
     assert len(parts) == k and len(geqs) == k + 1
-    given_parts, given_geqs = decompose_with_trackers(wa, k)
+    assert norm == ensure_single_initial(wa)
+    given_parts, given_geqs, _ = decompose_with_trackers(wa, k)
     assert list(map(serialize_automaton, parts)) == \
         list(map(serialize_automaton, given_parts))
     assert list(map(serialize_automaton, geqs)) == \
@@ -423,5 +421,5 @@ def test_detection_runs_no_witness_search(monkeypatch):
 
     monkeypatch.setattr(wfoc.decompose, "runs_witness", refuse)
     for name, wa in DECOMPOSE_CASES:
-        parts, geqs = decompose_with_trackers(wa)
+        parts, geqs, _ = decompose_with_trackers(wa)
         assert parts and len(geqs) == len(parts) + 1, name

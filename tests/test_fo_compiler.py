@@ -3,14 +3,13 @@ import re
 
 import pytest
 
-from reference_semantics import all_ext_words, classify
+from reference_semantics import all_ext_words, classify, unmark
 from wfoc import HypothesisError, InputError, fo_compiler
 from wfoc.automata import aperiodicity_index, is_unambiguous, state_key
 from wfoc.fo_compiler import (
     ClassifierDfa, compile_fo, dfa_from_nfa, minimize,
 )
 from wfoc.logic import parse_fo
-from wfoc.logic.encoding import decode, ext_alphabet
 from wfoc.logic.evaluate import eval_fo
 from wfoc.logic.syntax import FoTrue, RunAtom, fo_conditions, free_vars
 from wfoc.textfmt import parse_automaton, serialize_automaton
@@ -41,9 +40,9 @@ def oracle_check(phi, alphabet, vars, maxlen):
     check_classifier(c)
     assert set(map(type, c.nfa.states)) == {int}
     for n in range(0, maxlen + 1):
-        for ext in all_ext_words(alphabet, vars, n):
-            got = classify(c, ext.letters)
-            dec = decode(ext)
+        for letters in all_ext_words(alphabet, vars, n):
+            got = classify(c, letters)
+            dec = unmark(vars, letters)
             if dec is None:
                 assert got is None
             else:
@@ -51,7 +50,7 @@ def oracle_check(phi, alphabet, vars, maxlen):
                 if n == 0 and free_vars(phi):
                     continue
                 want = "F" if eval_fo(phi, u, sigma) else "G"
-                assert got == want, (phi, ext.letters, got, want)
+                assert got == want, (phi, letters, got, want)
     return c
 
 
@@ -68,9 +67,9 @@ class TestValidity:
     def test_accepts_exactly_valid(self):
         c = compile_fo(FoTrue(), AB, ("x",))
         for n in range(4):
-            for ext in all_ext_words(AB, ("x",), n):
-                got = classify(c, ext.letters)
-                assert (got == "F") == ext.is_valid()
+            for letters in all_ext_words(AB, ("x",), n):
+                got = classify(c, letters)
+                assert (got == "F") == (unmark(("x",), letters) is not None)
                 assert got in ("F", None)
 
     @pytest.mark.parametrize("vars", [("x",), ("x", "y"), ("x", "y", "z")])
@@ -181,11 +180,11 @@ class TestRunAtoms:
         check_classifier(c)
         pat = re.compile(r"a*b(a*b|a*c)*\Z")
         for n in range(7):
-            for ext in all_ext_words(wa.nfa.alphabet, (), n):
-                want = "F" if pat.match("".join(ext.letters)) else "G"
+            for w in all_ext_words(wa.nfa.alphabet, (), n):
+                want = "F" if pat.match("".join(w)) else "G"
                 if n == 0:
                     want = "G"
-                assert classify(c, ext.letters) == want
+                assert classify(c, w) == want
 
     def test_self_loop_pair_accepts_empty(self):
         nfa = chain_nfa()
@@ -258,8 +257,7 @@ class TestDfaFromNfa:
         c = dfa_from_nfa(chain_nfa())
         check_classifier(c)
         for n in range(6):
-            for ext in all_ext_words(AB, (), n):
-                w = ext.letters
+            for w in all_ext_words(AB, (), n):
                 want = "F" if (w and set(w[:-1]) <= {"a"}
                                and w[-1] == "b") else "G"
                 assert classify(c, w) == want

@@ -1,19 +1,22 @@
+import hashlib
 import random
 
 import pytest
 
 from corpus import SEED, all_words, random_fo_sentence, random_wfo
-from reference_semantics import all_ext_words
+from reference_semantics import all_ext_words, classify, unmark
 from wfoc import InputError, Nfa, SeqMultiset, Symbol
+from wfoc.fo_compiler import compile_fo
 from wfoc.logic import (
-    And, Const, EqVar, Exists, ExtWord, Forall, FoTrue, Implies, LetterAt,
+    And, Const, EqVar, Exists, Forall, FoTrue, Implies, LetterAt,
     Leq, Lt, Not, Or, ParseError, Plus, ProdX, RunAtom, ScopeError, StepIte,
-    SumX, WIte, Zero, after, before, between, decode, encode,
-    eval_fo, eval_step, eval_wfo, eval_wfo_at, ext_alphabet, format_fo,
+    SumX, WIte, Zero, after, before, between,
+    eval_fo, eval_step, eval_wfo_at, ext_alphabet, format_fo,
     format_step, format_wfo, free_vars, parse_fo,
     parse_formula_file, parse_step, parse_wfo, relativize,
     serialize_formula_file, uses_plus, uses_sumx,
 )
+from wfoc.logic.syntax import nodes
 
 AB = ("a", "b")
 
@@ -147,6 +150,29 @@ class TestParser:
         atom = got.body.body
         assert atom.bounded
 
+    @pytest.mark.parametrize("phi,text", [
+        (And(LetterAt("a", "x"), Leq("x", "y")), "Pa(x) & (x <= y)"),
+        (And(Lt("x", "y"), LetterAt("a", "x")), "x < y & Pa(x)"),
+        (Or(EqVar("x", "y"), EqVar("y", "x")), "x = y | y = x"),
+        (Not(Leq("x", "y")), "!(x <= y)"),
+        (And(And(FoTrue(), FoTrue()), FoTrue()), "true & true & true"),
+        (And(FoTrue(), And(FoTrue(), FoTrue())), "true & (true & true)"),
+        (Or(And(FoTrue(), FoTrue()), FoTrue()), "true & true | true"),
+        (And(Or(FoTrue(), FoTrue()), FoTrue()), "(true | true) & true"),
+        (Implies(FoTrue(), Implies(FoTrue(), FoTrue())),
+         "true -> true -> true"),
+        (Implies(Implies(FoTrue(), FoTrue()), FoTrue()),
+         "(true -> true) -> true"),
+        (Implies(Or(FoTrue(), FoTrue()), Or(FoTrue(), FoTrue())),
+         "true | true -> true | true"),
+        (Or(Implies(FoTrue(), FoTrue()), FoTrue()), "(true -> true) | true"),
+    ])
+    def test_operators_print_by_precedence(self, phi, text):
+        # brackets only where FO_OPERATORS' precedence and associativity
+        # need them, and comparisons bracketed where an & would be
+        assert format_fo(phi) == text
+        assert parse_fo(text) == phi
+
     def test_fo_round_trip_random(self):
         rng = random.Random(SEED)
         for _ in range(60):
@@ -204,34 +230,44 @@ class TestFormulaFile:
 
 
 class TestEncoding:
+    """The marked letters of `ext_alphabet`, read back by the test oracle
+    `unmark` and by a compiled classifier."""
 
     def test_round_trip_random(self):
+        # a word and a valuation are the unmarking of one marked word
         rng = random.Random(SEED)
         for _ in range(100):
-            n = rng.randrange(1, 7)
+            n = rng.randrange(1, 4)
             word = tuple(rng.choice(AB) for _ in range(n))
             k = rng.randrange(0, 3)
-            vars = sorted(rng.sample(["x", "y", "z"], k))
+            vars = tuple(sorted(rng.sample(["x", "y", "z"], k)))
             sigma = {v: rng.randrange(1, n + 1) for v in vars}
-            ext = encode(word, sigma)
-            assert ext.is_valid()
-            assert decode(ext) == (word, sigma)
+            marked = [w for w in all_ext_words(AB, vars, n)
+                      if unmark(vars, w) == (word, sigma)]
+            assert len(marked) == 1
 
     def test_invalid_encodings(self):
-        assert decode(ExtWord(("x",), (("a", (0,)), ("b", (0,))))) is None
-        assert decode(ExtWord(("x",), (("a", (1,)), ("b", (1,))))) is None
+        # no mark, or two marks, of x: no valuation, and the classifier
+        # of a compiled formula rejects the word
+        c = compile_fo(FoTrue(), AB, ("x",))
+        for letters in [(("a", (0,)), ("b", (0,))),
+                        (("a", (1,)), ("b", (1,)))]:
+            assert unmark(("x",), letters) is None
+            assert classify(c, letters) is None
+        assert classify(c, (("a", (0,)), ("b", (1,)))) == "F"
 
     def test_plain_letters_only_without_vars(self):
-        with pytest.raises(InputError):
-            ExtWord((), (("a", (1,)),))
-        with pytest.raises(InputError):
-            ExtWord(("x",), ("a",))
+        assert ext_alphabet(AB, ()) == list(AB)
+        for a, bits in ext_alphabet(AB, ("y", "x")):
+            assert a in AB and len(bits) == 2 and set(bits) <= {0, 1}
 
     def test_valuation_domain_must_match(self):
-        with pytest.raises(InputError):
-            encode(("a",), {"x": 1}, vars=("x", "y"))
-        with pytest.raises(InputError):
-            encode(("a",), {"x": 2})
+        # the valuation binds every free variable, at a position of the word
+        phi = WIte(LetterAt("a", "y"), ProdX("x", Const(1)), Zero())
+        with pytest.raises(InputError, match="does not match variables"):
+            eval_wfo_at(phi, ("a",), {"x": 1})
+        with pytest.raises(InputError, match="position 2 out of range"):
+            eval_wfo_at(phi, ("a",), {"y": 2})
 
     def test_ext_alphabet_size(self):
         assert len(ext_alphabet(AB, ("x", "y"))) == 8
@@ -334,17 +370,63 @@ class TestEvalWfo:
         with pytest.raises(InputError):
             eval_wfo_at(ProdX("x", Const(1)), ())
 
-    def test_invalid_encoding_gives_empty_multiset(self):
-        phi = ProdX("x", Const(1))
-        bad = ExtWord(("y",), (("a", (0,)), ("a", (0,))))
-        assert eval_wfo(phi, bad) == SeqMultiset()
-
     def test_free_vars_must_be_carried(self):
         phi = WIte(LetterAt("a", "y"), ProdX("x", Const(1)), Zero())
         with pytest.raises(InputError):
-            eval_wfo(phi, ExtWord((), tuple("aa")))
-        got = eval_wfo_at(phi, tuple("ab"), {"y": 2})
-        assert got == SeqMultiset()
+            eval_wfo_at(phi, tuple("aa"))
+        assert eval_wfo_at(phi, tuple("ab"), {"y": 2}) == SeqMultiset()
+        assert eval_wfo_at(phi, tuple("ab"), {"y": 1}) \
+            == SeqMultiset({(1, 1): 1})
+
+    @pytest.mark.parametrize("phi,word,valuation,message", [
+        (ProdX("x", Const(1)), (), None,
+         "weighted formulas are defined on non-empty words"),
+        (ProdX("x", Const(1)), ("a",), {"y": 0},
+         "position 0 out of range for y"),
+        (ProdX("x", Const(1)), (), {"y": 1},
+         "position 1 out of range for y"),
+        (WIte(LetterAt("a", "y"), Zero(), Zero()), ("a",), {"z": 1},
+         "valuation domain ['z'] does not match variables ['y', 'z']"),
+        (SumX("y", ProdX("x", Const(1))), ("a",), {"y": 1},
+         "shadowed variable y"),
+        (ProdX("y", Const(1)), ("a",), {"y": 1}, "shadowed variable y"),
+        (ProdX("x", StepIte(Exists("y", FoTrue()), Const(1), Const(2))),
+         ("a",), {"y": 1}, "shadowed variable y"),
+    ])
+    def test_input_errors(self, phi, word, valuation, message):
+        with pytest.raises(InputError) as err:
+            eval_wfo_at(phi, word, valuation)
+        assert str(err.value) == message
+
+    def test_same_values_and_errors_as_the_marked_word_evaluator(self):
+        # The multisets and InputErrors of 42,840 calls: 300 seeded
+        # sentences, each also under a free y, on every word up to length
+        # 3, with valuations that bind, leave y unbound, fall out of range
+        # or shadow a binder.  The digest was recorded from the evaluator
+        # that encoded each word and valuation as one marked word and
+        # decoded it again.
+        rng = random.Random(SEED + 23)
+        digest = hashlib.sha256()
+        calls = 0
+        for _ in range(300):
+            phi = random_wfo(rng, AB)
+            bound = sorted(n.var for n in nodes(phi) if hasattr(n, "var")
+                           and not isinstance(n, LetterAt))
+            valuations = [{}, {"y": 1}, {"y": 3, "z": 2}, {"y": 0}]
+            if bound:
+                valuations.append({"y": 2, rng.choice(bound): 1})
+            for f in (phi, WIte(LetterAt("a", "y"), phi, Zero())):
+                for word in [()] + all_words(AB, 3):
+                    for valuation in valuations:
+                        try:
+                            got = eval_wfo_at(f, word, valuation).pretty()
+                        except InputError as err:
+                            got = "error: %s" % err
+                        digest.update(("%s\n" % got).encode())
+                        calls += 1
+        assert calls == 42840
+        assert digest.hexdigest() == ("e2c3671113580515076552ce695f7d5b"
+                                      "11e08cf058928603e23a2733637b605c")
 
     def test_sum_normal_form_identities(self):
         rng = random.Random(SEED + 3)

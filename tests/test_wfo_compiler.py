@@ -76,8 +76,7 @@ class TestProduct:
         assert abstract_semantics(wa, ("a", "b")) == \
             SeqMultiset({(2, 1): 1})
         for w in all_words(("a", "b", "c"), 4):
-            assert abstract_semantics(wa, w) == \
-                eval_wfo_at(prod13, w, vars=())
+            assert abstract_semantics(wa, w) == eval_wfo_at(prod13, w)
 
     def test_unambiguous_and_aperiodic(self):
         psi = parse_wfo("prod x. (Pa(x) ? 2 : (x<=x ? 3 : 4))")
@@ -180,7 +179,7 @@ class TestCompileWfo:
         for w in all_words(("a", "b", "c"), 6):
             want = abstract_semantics(mode, w)
             assert abstract_semantics(wa, w) == want
-            assert eval_wfo_at(phi, w, vars=()) == want
+            assert eval_wfo_at(phi, w) == want
 
     def test_max_a_block(self):
         phi = parse_wfo(
@@ -204,7 +203,7 @@ class TestCompileWfo:
             assert classify_ambiguity(wa.nfa) != "exponentially"
             for w in all_words(("a", "b"), 4):
                 assert abstract_semantics(wa, w) == \
-                    eval_wfo_at(phi, w, vars=()), (phi, w)
+                    eval_wfo_at(phi, w), (phi, w)
 
     def test_fragment_flags(self):
         rng = random.Random(SEED + 7)
@@ -275,8 +274,7 @@ class TestSumNormalForm:
             got = rewrite_sum_normal_form(phi)
             self._check_shape(got)
             for w in all_words(("a", "b"), 4):
-                assert eval_wfo_at(got, w, vars=()) == \
-                    eval_wfo_at(phi, w, vars=())
+                assert eval_wfo_at(got, w) == eval_wfo_at(phi, w)
             done += 1
 
 
