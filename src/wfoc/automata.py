@@ -184,11 +184,6 @@ def bits(mask):
         mask ^= low
 
 
-def image(rows, mask):
-    """The union of rows[i] over the positions i set in mask."""
-    return _mat_mul((mask,), rows)[0]
-
-
 class WeightedAutomaton:
     """An Nfa together with a total weight map on its transitions."""
 

@@ -8,23 +8,26 @@ numbers per state over the sorted letters, and one verdict per state.
 
 Every classifier comes out of the same two steps.  An implicit DFA, given
 by a start state, a successor function and a verdict function, is
-explored once into a table (``_table``), and the table is minimized once
-by Moore refinement from the {F, G, reject} partition (``minimize``),
-whose rounds read each distinct letter column of the table once.
-Negation swaps F and G and the binary connectives are synchronous
-products; every other classifier is one subset construction of a bit-mask
-automaton (``_subsets``).  The atoms are automata of 1, 2 or 3 bits, or
-a run atom's automaton plus two bits; the existential quantifier erases
-a variable's mark row from the body's table; both are run alongside the
-validity DFA over their variables, whose words that mark a variable twice
-all end in one reject sink.  ``dfa_from_nfa`` determinizes an Nfa.
+explored once into a table (``_table``, which looks each successor up
+once), and the table is minimized once by Moore refinement (``minimize``)
+from the partition by breadth-first distance to F and to G, which most
+tables leave stable after one round; each round reads each distinct
+letter column of the table once.  Negation swaps F and G and the binary
+connectives are synchronous products; every other classifier is one
+subset construction of a bit-mask automaton (``_subsets``), which steps a
+subset by OR-ing its states' successor vectors.  The atoms are automata
+of 1, 2 or 3 bits, or a run atom's automaton plus two bits; the
+existential quantifier erases a variable's mark row from the body's
+table; both are run alongside the validity DFA over their variables,
+whose words that mark a variable twice all end in one reject sink.
+``dfa_from_nfa`` determinizes an Nfa.
 """
 
 from __future__ import annotations
 
 import functools
 
-from .automata import Nfa, explore, image
+from .automata import Nfa
 from .errors import InputError
 from .logic.encoding import lift_table, marked_letters
 from .logic.syntax import (
@@ -74,39 +77,76 @@ class ClassifierDfa:
 def _table(start, step, verdict, base, vars) -> ClassifierDfa:
     """Tabulate the part of an implicit DFA reachable from start.
 
-    step(state) lists the successors of a state in letter order, and
-    verdict(state) is true for F, false for G and None for reject.  States
-    are numbered 1..n in the order explore first reaches them, which is
-    breadth-first over the sorted letters."""
+    step(state) returns the list of a state's successors in letter order,
+    and verdict(state) is true for F, false for G and None for reject.
+    States are numbered 1..n in the order they are first reached,
+    breadth-first over the sorted letters.  Every successor is looked up
+    once; only a new one is looked up again, to number it."""
     letters = marked_letters(base, vars)
     number = {start: 1}
-    flat = []
-    for (_, _, d) in explore([start], lambda s: enumerate(step(s))):
-        flat.append(number.setdefault(d, len(number) + 1))
-    k = len(letters)
-    delta = tuple(tuple(flat[i * k:(i + 1) * k]) for i in range(len(number)))
-    return ClassifierDfa(letters, delta, tuple(map(verdict, number)),
+    order = [start]                     # order grows during the loop
+    delta = []
+    for state in order:
+        succs = step(state)
+        row = list(map(number.get, succs))
+        if None in row:
+            for i, d in enumerate(succs):
+                if row[i] is None:
+                    row[i] = number.setdefault(d, len(order) + 1)
+                    if row[i] > len(order):
+                        order.append(d)
+        delta.append(tuple(row))
+    return ClassifierDfa(letters, tuple(delta), tuple(map(verdict, order)),
                          base, vars)
 
 
-_CLASS = {True: 0, False: 1, None: 2}
+def _distances(preds, targets):
+    """Breadth-first distance from each state 1..n to the nearest state in
+    targets, read backward along preds; -1 where no target is reachable."""
+    dist = [-1] * len(preds)
+    for s in targets:
+        dist[s] = 0
+    frontier, layer = targets, 0
+    while frontier:
+        layer += 1
+        reached = []
+        for d in frontier:
+            for s in preds[d]:
+                if dist[s] < 0:
+                    dist[s] = layer
+                    reached.append(s)
+        frontier = reached
+    return dist
 
 
 def minimize(c: ClassifierDfa) -> ClassifierDfa:
-    """Moore refinement from the {F, G, reject} partition.
+    """Moore refinement from the partition by distance to F and to G.
 
-    A round gives each state the signature of its block and the blocks of
-    its successors, read column by column: one column per distinct letter
-    column of the table, since two letters with the same successors refine
-    alike.  Every round numbers the blocks by their first state.  On a
-    table numbered breadth-first this numbers the quotient breadth-first
-    too (its states in the shortlex order of their shortest words), so
-    equal classifiers come out as equal tables and repeated compilations
-    are byte-identical."""
-    block = [None] + [_CLASS[v] for v in c.verdicts]    # block[s], s >= 1
-    count = len(set(c.verdicts))
+    The seed block of a state is its pair of breadth-first distances to
+    the nearest F state and the nearest G state (-1 where there is none),
+    which also tells its verdict.  Equivalent states have equal distances,
+    so the coarsest congruence refining the seed is still the one refining
+    {F, G, reject}, reached in far fewer rounds.  A round gives each state
+    the signature of its block and the blocks of its successors, read
+    column by column: one column per distinct letter column of the table,
+    since two letters with the same successors refine alike.  Every round
+    numbers the blocks by their first state.  On a table numbered
+    breadth-first this numbers the quotient breadth-first too (its states
+    in the shortlex order of their shortest words), so equal classifiers
+    come out as equal tables and repeated compilations are
+    byte-identical."""
+    n = len(c.delta)
     cols = list(dict.fromkeys(zip(*c.delta)))
-    while True:
+    preds = [[] for _ in range(n + 1)]
+    for col in cols:
+        for s, d in enumerate(col, 1):
+            preds[d].append(s)
+    to_f = _distances(preds, [s for s, v in enumerate(c.verdicts, 1) if v])
+    to_g = _distances(preds, [s for s, v in enumerate(c.verdicts, 1)
+                              if v is False])
+    block = [f * (n + 2) + g for f, g in zip(to_f, to_g)]   # block[s], s >= 1
+    count = len(set(block[1:]))
+    while count < n:                    # a partition into singletons is stable
         sigs = {}
         new = [None] + [
             sigs.setdefault(sig, len(sigs)) for sig in zip(
@@ -114,7 +154,7 @@ def minimize(c: ClassifierDfa) -> ClassifierDfa:
         if len(sigs) == count:
             break
         block, count = new, len(sigs)
-    if count == len(c.delta):
+    if count == n:
         return c
     first = {}
     for s in range(1, len(new)):
@@ -160,9 +200,34 @@ def _on_validity(core, base, vars) -> ClassifierDfa:
 def _subsets(start, rows, accept):
     """The subset construction of a bit-mask automaton, as a core: rows[j][i]
     is the mask of the states that state i reaches on the j-th marked
-    letter, and a subset says yes when it meets `accept`."""
-    return (start, lambda subset: [image(row, subset) for row in rows],
-            lambda subset: bool(subset & accept))
+    letter, and a subset says yes when it meets `accept`.
+
+    The rows are transposed once, into each state's successor vector; a
+    subset of one state steps to its vector as it is, a larger one to the
+    OR of its states' vectors, each packed into one int of len(rows)
+    fields of n bits."""
+    def yes(subset):
+        return bool(subset & accept)
+
+    if not rows:                        # no letters: no successors
+        return start, lambda subset: (), yes
+    n, k = len(rows[0]), len(rows)
+    full = (1 << n) - 1
+    vectors = [(0,) * k, *zip(*rows)]    # vectors[i + 1]: state i's successors
+    packed = [sum(mask << n * j for j, mask in enumerate(vector))
+              for vector in vectors[1:]]
+
+    def step(subset):
+        if not subset & (subset - 1):
+            return vectors[subset.bit_length()]
+        acc = 0
+        while subset:
+            low = subset & -subset
+            acc |= packed[low.bit_length() - 1]
+            subset ^= low
+        return [acc >> n * j & full for j in range(k)]
+
+    return start, step, yes
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +308,8 @@ def _combine(c1: ClassifierDfa, c2: ClassifierDfa, take) -> ClassifierDfa:
         return None if v1 is None or v2 is None else take(v1, v2)
 
     return minimize(_table(
-        (1, 1), lambda s: zip(rows1[s[0] - 1], rows2[s[1] - 1]), verdict,
-        c1.base_alphabet, c1.vars))
+        (1, 1), lambda s: list(zip(rows1[s[0] - 1], rows2[s[1] - 1])),
+        verdict, c1.base_alphabet, c1.vars))
 
 
 def _exists(c: ClassifierDfa, var) -> ClassifierDfa:
@@ -275,10 +340,9 @@ def compile_fo(phi, alphabet, vars=None, memo=None) -> ClassifierDfa:
     memo maps (subformula, variable context) to its classifier; callers
     compiling several formulas over one alphabet pass one dict to share
     their common subformulas."""
-    if vars is None:
-        vars = sorted(free_vars(phi))
-    vars = tuple(sorted(set(vars)))
-    missing = free_vars(phi) - set(vars)
+    free = free_vars(phi)
+    vars = tuple(sorted(free if vars is None else set(vars)))
+    missing = free - set(vars)
     if missing:
         raise InputError("free variables not in scope: %s"
                          % ", ".join(sorted(missing)))

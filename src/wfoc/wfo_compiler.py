@@ -17,6 +17,8 @@ are unambiguous.
 
 from __future__ import annotations
 
+from operator import getitem
+
 from .automata import (
     Nfa, WeightedAutomaton, explore, reachable_nfa, weighted_union,
 )
@@ -34,12 +36,21 @@ from .logic.syntax import (
 _CODE = {True: 2, False: 1, None: 0}
 
 
-def _step_weight(psi, cond_index, bits):
-    while isinstance(psi, StepIte):
-        psi = psi.then if bits[cond_index[psi.cond]] else psi.els
-    if not isinstance(psi, Const):
-        raise InputError("not a step formula: %r" % (psi,))
-    return psi.weight
+def _cascade(step, cond_index):
+    """The if-then-else cascade of a step formula as nested tuples
+    (condition index, then, else) over its leaves, built without
+    recursion."""
+    stack, built = [(step, False)], []
+    while stack:
+        psi, ready = stack.pop()
+        if not isinstance(psi, StepIte):
+            built.append(psi)
+        elif ready:
+            els, then = built.pop(), built.pop()
+            built.append((cond_index[psi.cond], then, els))
+        else:
+            stack += [(psi, True), (psi.els, False), (psi.then, False)]
+    return built[0]
 
 
 def _suffix_tables(c, lifted):
@@ -75,6 +86,11 @@ def compile_product(step, var, alphabet, vars=()) -> WeightedAutomaton:
     two meet at every position to decode its bit vector outright.  The
     suffix component is guessed up front and consumed co-
     deterministically, so every word keeps exactly one accepting run.
+    A transition is decoded from lookups alone: the forward state's
+    marked successors are kept per letter, the first classifier alone
+    tells an invalid encoding (all k reject together), the k verdicts are
+    read in one pass, and the cascade, built once as a tree over
+    condition indices, is walked once per distinct verdict vector.
     (Guess-and-verify per position, as in the underlying proof, builds
     sets of pending verification threads; those power-set states made
     translations of modest automata unbuildable.)"""
@@ -86,11 +102,15 @@ def compile_product(step, var, alphabet, vars=()) -> WeightedAutomaton:
         step = StepIte(FoTrue(), step, step)
         conds = [FoTrue()]
     inner_vars = tuple(sorted(vars + (var,)))
-    for c in conds:
-        if not free_vars(c) <= set(inner_vars):
-            raise InputError("free variables of the condition not in scope")
     memo = {}
-    clss = [compile_fo(c, alphabet, inner_vars, memo) for c in conds]
+    try:
+        clss = [compile_fo(c, alphabet, inner_vars, memo) for c in conds]
+    except InputError:
+        # the scope is checked on the error path only, so that each
+        # condition is walked once, by compile_fo
+        if any(not free_vars(c) <= set(inner_vars) for c in conds):
+            raise InputError("free variables of the condition not in scope")
+        raise
     rows = [c.delta for c in clss]
     k = len(clss)
     lifted = lift_table(frozenset(alphabet), vars, var)
@@ -130,36 +150,54 @@ def compile_product(step, var, alphabet, vars=()) -> WeightedAutomaton:
     d_rank = {d: r for r, d in enumerate(forward)}
     f_rank = {f: r for r, f in enumerate(suffixes)}
     prefix_next = {(d_rank[d], j0): d_rank[d2] for (d, j0, d2) in walked}
+    # composed_from[(f_src, j0)]: each suffix state that steps back to
+    # f_src on j0, with its k tables
+    joint = [[tables[i][r] for i, r in enumerate(f)] for f in suffixes]
     composed_from = {}
     for (f, j0, f_src) in unwound:
-        composed_from.setdefault((f_rank[f_src], j0), []).append(f_rank[f])
+        f = f_rank[f]
+        composed_from.setdefault((f_rank[f_src], j0), []).append(
+            (f, joint[f]))
 
     # A state is (forward rank, suffix rank, started flag).  A transition
     # consumes one position: the forward tuple advances, the suffix tables
     # unwind by one composition, and the verdicts of the mark-here
     # successors decode the position's bit vector, which picks the
-    # weight.  The started flag keeps the empty word out of the support.
-    cond_index = {c: i for i, c in enumerate(conds)}
-    weights = {}
-    wgt = {}
+    # weight.  Every classifier runs over the same variables, so their
+    # verdicts are 0 (an invalid encoding) together: classifier 0 alone
+    # tells validity.  A valid position reads the k verdicts in one pass
+    # and walks the cascade once per distinct verdict vector.  The
+    # started flag keeps the empty word out of the support.
+    cascade = _cascade(step, {c: i for i, c in enumerate(conds)})
+    weights, wgt = {}, {}
+
+    def decode(codes):
+        psi = cascade
+        while type(psi) is tuple:
+            i, then, els = psi
+            psi = then if codes[i] == 2 else els
+        if not isinstance(psi, Const):
+            raise InputError("not a step formula: %r" % (psi,))
+        return psi.weight
+
+    # moves[d]: per letter of `lifted`, the letter, its unmarked index, the
+    # forward successor and the k marked successors of forward[d]
+    moves = [[(a, j0, prefix_next[(d, j0)],
+               [rows[i][here[i] - 1][j1] - 1 for i in range(k)])
+              for a, j0, j1 in lifted] for d, here in enumerate(forward)]
 
     def advance(state):
         d, f_src, _ = state
-        here = forward[d]
-        for a, j0, j1 in lifted:
-            d2 = prefix_next[(d, j0)]
-            marked = [rows[i][here[i] - 1][j1] - 1 for i in range(k)]
-            for f in composed_from.get((f_src, j0), ()):
-                ranks = suffixes[f]
-                verdicts = tuple(tables[i][ranks[i]][marked[i]]
-                                 for i in range(k))
-                if 0 in verdicts:
+        for a, j0, d2, marked in moves[d]:
+            for f, tabs in composed_from.get((f_src, j0), ()):
+                if not tabs[0][marked[0]]:
                     continue
-                if verdicts not in weights:
-                    bits = tuple(v == 2 for v in verdicts)
-                    weights[verdicts] = _step_weight(step, cond_index, bits)
+                codes = bytes(map(getitem, tabs, marked))
+                w = weights.get(codes)
+                if w is None:
+                    w = weights[codes] = decode(codes)
                 dst = (d2, f, 1)
-                wgt[(state, a, dst)] = weights[verdicts]
+                wgt[(state, a, dst)] = w
                 yield a, dst
 
     end = f_rank[ends]

@@ -4,6 +4,7 @@ Commands run in-process through main(argv) so exit codes and output are
 asserted directly; files go through tmp_path.
 """
 
+import hashlib
 import os
 import random
 import subprocess
@@ -344,6 +345,30 @@ class TestCompile:
                                 "-o", dst])[0] == 0
             outs.append(read(dst, "rb"))
         assert outs[0] == outs[1]
+
+    def test_chain_60_bytes_are_pinned(self, tmp_path, capsys):
+        # chain-60 with fixed weights, past the benchmark's chain-30: its
+        # classifiers take the most refinement rounds.  Both digests were
+        # recorded before minimize was seeded by distances.
+        n = 60
+        lines = ["alphabet: a b",
+                 "states: " + " ".join(map(str, range(1, n + 1))),
+                 "initial: 1", "final: %d" % n]
+        lines += ["trans: %d a %d %d" % (i, i + 1, i % 4)
+                  for i in range(1, n)]
+        lines += ["trans: %d b %d %d" % (i, i, i * 7 % 4)
+                  for i in range(1, n + 1)]
+        chain = tmp_path / "chain60.wa"
+        chain.write_text("\n".join(lines) + "\n")
+        phi, back = tmp_path / "chain60.wfo", tmp_path / "back.wa"
+        assert run(capsys, ["tologic", "--automaton", str(chain),
+                            "-o", str(phi)])[0] == 0
+        assert run(capsys, ["compile", "--formula", str(phi),
+                            "-o", str(back)])[0] == 0
+        assert hashlib.sha256(read(phi, "rb")).hexdigest() == (
+            "95559b712e938e3de5c0b9c6fee5409dd9b1ddb3c41fcc8f4ccbb994b0556bc9")
+        assert hashlib.sha256(read(back, "rb")).hexdigest() == (
+            "ec299e6e2334e7f14d56c3300d350be0128eee7566eabc6cd4ab758fbd2f35eb")
 
 
 # corpus automata that `tologic` translates; the others are refused

@@ -33,14 +33,13 @@ from wfoc.automata import (
     ambiguity_witness, aperiodicity_index, explore, forward, letter_key,
     live_sets, reachable_nfa, runs_witness, scc_decompose, seq_counts,
     shortest_word, state_key, transition_monoid, trim, underlying_nfa,
-    weighted_union, weights_of, _mat_mul, image,
+    weighted_union, weights_of, _mat_mul,
 )
 from wfoc.decompose import build_a_geq_k, ensure_single_initial
 from wfoc.errors import InputError
 from wfoc.semantics import builtin_semiring
 from wfoc.fo_compiler import (
-    _CLASS, _TAKE, _swap, _table, ClassifierDfa, compile_fo, dfa_from_nfa,
-    minimize,
+    _TAKE, _swap, _table, ClassifierDfa, compile_fo, dfa_from_nfa, minimize,
 )
 from wfoc.logic import (
     And, EqVar, Exists, Forall, FoTrue, Implies, LetterAt, Leq, Lt, Not, Or,
@@ -250,6 +249,14 @@ def reference_aperiodicity_index(a):
     return worst
 
 
+_CLASS = {True: 0, False: 1, None: 2}
+
+
+def image(rows, mask):
+    """The union of rows[i] over the positions i set in mask."""
+    return _mat_mul((mask,), rows)[0]
+
+
 def reference_minimize(c):
     """Moore refinement from the {F, G, reject} partition, each round's
     signatures read row by row over every letter."""
@@ -288,7 +295,7 @@ def reference_on_validity(core, base, vars):
         return [-1 if seen < 0 or seen & m else seen | m for m in masks]
 
     return reference_minimize(_table(
-        (start, 0), lambda s: zip(step(s[0]), marks(s[1])),
+        (start, 0), lambda s: list(zip(step(s[0]), marks(s[1]))),
         lambda s: yes(s[0]) if s[1] == full else None, base, vars))
 
 
@@ -298,7 +305,8 @@ def reference_combine(c1, c2, take):
         return None if v1 is None or v2 is None else take(v1, v2)
 
     return reference_minimize(_table(
-        (1, 1), lambda s: zip(c1.delta[s[0] - 1], c2.delta[s[1] - 1]),
+        (1, 1),
+        lambda s: list(zip(c1.delta[s[0] - 1], c2.delta[s[1] - 1])),
         verdict, c1.base_alphabet, c1.vars))
 
 
@@ -876,6 +884,65 @@ def test_minimize_matches_reference_on_random_tables():
         assert (got.delta, got.verdicts) == (want.delta, want.verdicts), c
 
 
+def _cycle_table(rng, n, k):
+    """Every letter permutes the states; the first letter is one n-cycle,
+    so every state reaches every other and the distances to F and to G tie
+    along the cycle wherever the verdicts repeat."""
+    cycle = [*range(2, n + 1), 1]
+    cols = [cycle] + [rng.sample(range(1, n + 1), n) for _ in range(k - 1)]
+    period = rng.choice([p for p in range(1, n + 1) if n % p == 0])
+    pattern = [rng.choice((True, False, None)) for _ in range(period)]
+    return _hand_table(list(zip(*cols)), [pattern[s % period]
+                                          for s in range(n)])
+
+
+def _unreaching_table(rng, n, k):
+    """States 1..m may enter a trap m+1..n that holds no F state (or no G
+    state): the trap's states are at distance -1 from F (or G)."""
+    m = rng.randint(1, n - 1)
+    missing = rng.choice((True, False))
+    rows = [[rng.randint(1, n) for _ in range(k)] for _ in range(m)]
+    rows += [[rng.randint(m + 1, n) for _ in range(k)] for _ in range(m, n)]
+    verdicts = [rng.choice((True, False, None)) for _ in range(m)]
+    verdicts += [rng.choice((not missing, None)) for _ in range(m, n)]
+    return _hand_table(rows, verdicts)
+
+
+def _distance(c, s, verdict):
+    """Length of a shortest word leading from s to a state with the
+    verdict, or -1."""
+    front, seen = [s], {s}
+    for length in range(len(c.delta)):
+        if any(c.verdicts[t - 1] is verdict for t in front):
+            return length
+        front = [d for t in front for d in c.delta[t - 1] if d not in seen]
+        seen.update(front)
+    return -1
+
+
+def test_seeded_minimize_matches_reference():
+    # minimize starts from the distances to F and to G; the reference
+    # refines from {F, G, reject} alone, row by row
+    rng = random.Random(SEED + 25)
+    tables = []
+    for _ in range(200):
+        n, k = rng.randint(2, 14), rng.randint(1, 4)
+        tables.append(_cycle_table(rng, n, k))
+        tables.append(_unreaching_table(rng, n, k))
+    split = unreached = 0
+    for c in tables:
+        got, want = minimize(c), reference_minimize(c)
+        assert (got.delta, got.verdicts) == (want.delta, want.verdicts), c
+        assert minimize(got) is got
+        seeds = {(_distance(c, s, True), _distance(c, s, False))
+                 for s in range(1, len(c.delta) + 1)}
+        split += len(seeds) < len(got.delta)
+        unreached += any(-1 in seed for seed in seeds)
+    # Moore still splits what the distances leave tied, and many tables
+    # have states that reach no F or no G
+    assert split > 150 and unreached > 200
+
+
 # run atoms read the corpus automata and mixed ones over plain letters
 RUN_NFAS = [nfa for nfa in NFAS[:len(ALL_TEXTS) + 40]
             if all(isinstance(a, str) for a in nfa.alphabet)]
@@ -949,6 +1016,18 @@ def test_classifiers_match_reference(vars):
     assert {Exists, Forall, RunAtom, LetterAt, Not, And, Or, Implies} <= kinds
     assert nested >= 20
 
+
+def test_classifiers_over_no_letters_match_reference():
+    # with no letters the subset construction has no rows to transpose
+    rng = random.Random(SEED + 26)
+    for vars in CONTEXTS:
+        for _ in range(20):
+            phi = random_classifier_formula(rng, vars, rng.randint(0, 3))
+            _same_classifier(phi, frozenset(), vars)
+    empty = Nfa({1, 2}, set(), set(), {1}, {2})
+    got, want = dfa_from_nfa(empty), reference_dfa_from_nfa(empty)
+    assert (got.delta, got.verdicts) == (want.delta, want.verdicts) == (
+        ((),), (False,))
 
 def test_serialized_bytes_match_reference():
     for a in NFAS + pool(200, SEED + 13, weighted=True):

@@ -14,19 +14,19 @@ from wfoc.automata import (
 from wfoc.decompose import decompose_with_trackers
 from wfoc.fo_compiler import compile_fo
 from wfoc.logic import parse_fo, parse_wfo
-from wfoc.logic.encoding import ext_alphabet
+from wfoc.logic.encoding import ext_alphabet, lift_table
 from wfoc.logic.evaluate import eval_wfo_at
 from wfoc.logic.parser import parse_formula_file, serialize_formula_file
 from wfoc.logic.syntax import (
-    Const, FoTrue, Not, Plus, ProdX, StepIte, SumX, WIte, Zero, fo_conditions,
-    nodes, uses_plus, uses_sumx,
+    Const, FoTrue, LetterAt, Lt, Not, Plus, ProdX, StepIte, SumX, WIte, Zero,
+    fo_conditions, nodes, uses_plus, uses_sumx,
 )
 from wfoc.multiset import SeqMultiset
 from wfoc.semantics import builtin_semiring
 from wfoc.textfmt import canonical_relabel, serialize_automaton
 from wfoc.wa_to_wfo import scc_unambiguous_to_wfo, unambiguous_wa_to_wfo
 from wfoc.wfo_compiler import (
-    _CODE, _step_weight, compile_ite, compile_product, compile_stages,
+    _CODE, compile_ite, compile_product, compile_stages,
     compile_sum_var, compile_wfo, rewrite_sum_normal_form,
 )
 
@@ -293,6 +293,14 @@ def reachable_part(wa):
     return WeightedAutomaton(nfa, {t: wa.wgt[t] for t in nfa.transitions})
 
 
+def _step_weight(psi, cond_index, bits):
+    while isinstance(psi, StepIte):
+        psi = psi.then if bits[cond_index[psi.cond]] else psi.els
+    if not isinstance(psi, Const):
+        raise InputError("not a step formula: %r" % (psi,))
+    return psi.weight
+
+
 def reference_product(step, var, alphabet, vars=()):
     vars = tuple(sorted(vars))
     conds = fo_conditions(step)
@@ -514,6 +522,96 @@ class TestReachableStages:
             reference_sum_var(body, "y", {"a"}, ("y",))))
         assert abstract_semantics(wa, ("a",) * 3) == SeqMultiset(
             {(2, 1, 1): 1, (1, 2, 1): 1, (1, 1, 2): 1})
+
+
+
+# -- the bimachine decode ----------------------------------------------------
+#
+# compile_product reads validity off the first classifier alone and then
+# only the verdicts its cascade reaches.  That is sound when the k
+# classifiers of a product, all over the same variables, reject together.
+
+
+def decoded_codes(step, var, alphabet, vars=()):
+    """The k suffix codes the bimachine of a position product reads: for
+    every reachable joint prefix state, reachable joint suffix table and
+    letter marked at the position."""
+    conds = fo_conditions(step) or [FoTrue()]
+    inner_vars = tuple(sorted(vars + (var,)))
+    rows = [compile_fo(c, alphabet, inner_vars).delta for c in conds]
+    lifted = lift_table(frozenset(alphabet), tuple(sorted(vars)), var)
+
+    def advance(d):
+        for _, j0, _ in lifted:
+            yield j0, tuple(r[s - 1][j0] for r, s in zip(rows, d))
+
+    def unwind(f):
+        for _, j0, _ in lifted:
+            yield j0, tuple(tuple(t[row[j0] - 1] for row in r)
+                            for r, t in zip(rows, f))
+
+    d0 = (1,) * len(rows)
+    f_end = tuple(tuple(_CODE[v] for v in compile_fo(
+        c, alphabet, inner_vars).verdicts) for c in conds)
+    orbit = {d0} | {d2 for (_, _, d2) in explore([d0], advance)}
+    suffixes = {f_end} | {f2 for (_, _, f2) in explore([f_end], unwind)}
+    for d in orbit:
+        for f in suffixes:
+            for _, _, j1 in lifted:
+                yield tuple(t[r[s - 1][j1] - 1]
+                            for r, s, t in zip(rows, d, f))
+
+
+def product_cases():
+    """Every position product, with its variable context, of the corpus
+    sentences and of 200 seeded random sentences."""
+    rng = random.Random(SEED + 25)
+    sentences = [c for c in STAGE_CASES if not c[0].startswith("random-")]
+    sentences += [("random-%d" % i, random_wfo(rng, ("a", "b")), AB)
+                  for i in range(200)]
+    return [(name, sub, vars, alphabet) for name, phi, alphabet in sentences
+            for sub, vars in contexts(phi, ()) if isinstance(sub, ProdX)]
+
+
+PRODUCT_CASES = product_cases()
+
+
+class TestBimachineDecode:
+    def test_classifiers_reject_together(self):
+        joint, valid, invalid = 0, 0, 0
+        for name, prod, vars, alphabet in PRODUCT_CASES:
+            joint += len(fo_conditions(prod.step)) > 1
+            for codes in decoded_codes(prod.step, prod.var, alphabet, vars):
+                assert all(codes) or not any(codes), (name, prod, codes)
+                valid += all(codes)
+                invalid += not any(codes)
+        assert len(PRODUCT_CASES) > 200 and joint >= 30
+        assert valid > 1000 and invalid > 10000
+
+    def test_products_equal_reference(self):
+        for name, prod, vars, alphabet in PRODUCT_CASES:
+            got = compile_product(prod.step, prod.var, alphabet, vars)
+            want = reference_product(prod.step, prod.var, alphabet, vars)
+            assert_same_automaton(canonical_relabel(got),
+                                  canonical_relabel(want))
+
+    def test_non_step_leaf_is_an_input_error_when_reached(self):
+        with pytest.raises(InputError) as err:
+            compile_product(StepIte(LetterAt("a", "x"), Const(1), Zero()),
+                            "x", AB)
+        assert str(err.value) == "not a step formula: Zero()"
+        # x < x never holds: no position reaches the leaf
+        wa = compile_product(StepIte(Lt("x", "x"), Zero(), Const(2)),
+                             "x", AB)
+        assert abstract_semantics(wa, ("a", "b")) == SeqMultiset(
+            {(2, 2): 1})
+
+    def test_condition_out_of_scope(self):
+        for cond in (LetterAt("a", "y"), Lt("x", "z")):
+            with pytest.raises(InputError) as err:
+                compile_product(StepIte(cond, Const(1), Const(2)), "x", AB)
+            assert str(err.value) == \
+                "free variables of the condition not in scope"
 
 
 # -- naming states by positions keeps the bytes -----------------------------
