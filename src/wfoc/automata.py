@@ -14,8 +14,8 @@ No function lists the runs one by one.
 
 The deterministic order lives on `Nfa`: `order` sorts its states by
 `state_key` once, and `numbered()` reads the automaton through that order
-(letters sorted by `letter_key`, each state's position, the sorted
-transitions, and the one successor table with per-letter bit masks
+(letters sorted by `letter_key`, each state's position, and the one
+successor table, with the sorted transitions and per-letter bit masks
 derived from it).  Every analysis, construction and forward pass and the
 serializer read these instead of sorting or indexing on their own.
 
@@ -101,9 +101,14 @@ class Nfa:
 
     @property
     def order(self):
-        """The states sorted by state_key, fixed on first use."""
+        """The states sorted by state_key, fixed on first use; plain ints,
+        or tuples of them (no bool), sort as their keys do, so directly."""
         if self._order is None:
-            self._order = tuple(sorted(self.states, key=state_key))
+            kinds = set(map(type, self.states))
+            if kinds == {tuple}:
+                kinds = set(map(type, itertools.chain(*self.states)))
+            self._order = tuple(sorted(
+                self.states, key=None if kinds <= {int} else state_key))
         return self._order
 
     def numbered(self) -> "Numbered":
@@ -134,34 +139,45 @@ class Nfa:
 class Numbered:
     """An Nfa over the positions of its states in `order`: the letters
     sorted by letter_key (rank[a] the index of letter a), pos[s] the
-    position of state s, the transitions sorted by position, letter and
-    position, and, built on first use, the one successor table: succ[j][i]
-    lists the transitions leaving position i on letters[j] as (target
-    position, transition) pairs in that order, and masks[j][i] has their
-    targets as a bit mask."""
+    position of state s, and, built on first use, the one successor table:
+    succ[j][i] lists the transitions leaving position i on letters[j] as
+    (target position, transition) pairs, by target position (only a cell
+    of two or more is sorted); masks[j][i] has their targets as a bit mask
+    and `transitions` walks the table in (position, letter, position) order."""
 
-    __slots__ = ("letters", "rank", "pos", "transitions", "_succ", "_masks")
+    __slots__ = ("letters", "rank", "pos", "_edges", "_succ", "_masks",
+                 "_transitions")
 
     def __init__(self, nfa: Nfa):
         self.letters = tuple(sorted(nfa.alphabet, key=letter_key))
-        self.rank = rank = {a: j for j, a in enumerate(self.letters)}
-        self.pos = pos = {s: i for i, s in enumerate(nfa.order)}
-        self.transitions = tuple(sorted(
-            nfa.transitions, key=lambda t: (pos[t[0]], rank[t[1]], pos[t[2]])))
-        self._succ = None
-        self._masks = None
+        self.rank = {a: j for j, a in enumerate(self.letters)}
+        self.pos = {s: i for i, s in enumerate(nfa.order)}
+        self._edges = nfa.transitions
+        self._succ = self._masks = self._transitions = None
 
     @property
     def succ(self):
         if self._succ is None:
-            pos = self.pos
+            rank, pos = self.rank, self.pos
             table = [[()] * len(pos) for _ in self.letters]
-            for (s, a), ts in itertools.groupby(self.transitions,
-                                                key=lambda t: t[:2]):
-                table[self.rank[a]][pos[s]] = tuple((pos[t[2]], t)
-                                                    for t in ts)
+            more = collections.defaultdict(list)    # a cell's later pairs
+            for t in self._edges:
+                row, i = table[rank[t[1]]], pos[t[0]]
+                if row[i]:
+                    more[rank[t[1]], i].append((pos[t[2]], t))
+                else:
+                    row[i] = ((pos[t[2]], t),)
+            for (j, i), out in more.items():    # distinct target positions
+                table[j][i] = tuple(sorted(table[j][i] + tuple(out)))
             self._succ = tuple(map(tuple, table))
         return self._succ
+
+    @property
+    def transitions(self):
+        if self._transitions is None:
+            self._transitions = tuple(t for i in range(len(self.pos))
+                                      for out in self.succ for _, t in out[i])
+        return self._transitions
 
     @property
     def masks(self):
@@ -747,16 +763,14 @@ def runs_witness(a, cap):
 # -- aperiodicity -----------------------------------------------------------
 
 
-def _mat_mul(m1, m2):
-    out = []
-    for mask in m1:
-        row = 0
-        while mask:
-            low = mask & -mask
-            row |= m2[low.bit_length() - 1]
-            mask ^= low
-        out.append(row)
-    return tuple(out)
+def _image(rows, mask):
+    """The union of rows[i] over the positions i set in mask."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= rows[low.bit_length() - 1]
+        mask ^= low
+    return out
 
 
 @dataclass(frozen=True)
@@ -791,24 +805,41 @@ class TransitionMonoid:
 
 def transition_monoid(nfa) -> TransitionMonoid:
     """Closure of the per-letter boolean matrices under composition, with
-    its right Cayley table: one matrix product per element and letter."""
-    gens = nfa.numbered().masks
+    its right Cayley table, over interned rows: each distinct row mask is
+    numbered (the singletons first) and its image under each letter is
+    computed once.  An element is the tuple of its rows' numbers, its
+    product with a letter one lookup per row; `elements` reads the
+    matrices back at the end."""
+    gens, n = nfa.numbered().masks, len(nfa.order)
+    rows = [1 << i for i in range(n)]
+    row_number = {m: r for r, m in enumerate(rows)}
+    img = [[] for _ in gens]        # img[g][r]: the number of rows[r] . g
+    for mask in rows:               # rows grows in the loop
+        for g, gen in enumerate(gens):
+            out = _image(gen, mask)
+            r = row_number.setdefault(out, len(rows))
+            if r == len(rows):
+                rows.append(out)
+            img[g].append(r)
     number, elements, parent = {}, [], []
 
     def element(matrix, via):
-        n = number.setdefault(matrix, len(elements))
-        if n == len(elements):
+        e = number.setdefault(matrix, len(elements))
+        if e == len(elements):
             elements.append(matrix)
             parent.append(via)
-        return n
+        return e
 
-    for g, m in enumerate(gens):
-        element(m, (None, g))
+    for g, step in enumerate(img):
+        element(tuple(step[:n]), (None, g))
+    steps = [step.__getitem__ for step in img]
     right = []
     for e, matrix in enumerate(elements):   # elements grows in the loop
-        right.append(tuple(element(_mat_mul(matrix, m), (e, g))
-                           for g, m in enumerate(gens)))
-    return TransitionMonoid(tuple(elements), tuple(right), tuple(parent))
+        right.append(tuple(element(tuple(map(step, matrix)), (e, g))
+                           for g, step in enumerate(steps)))
+    return TransitionMonoid(
+        tuple(tuple(map(rows.__getitem__, e)) for e in elements),
+        tuple(right), tuple(parent))
 
 
 def _power_cycle(monoid: TransitionMonoid, e):
@@ -816,8 +847,8 @@ def _power_cycle(monoid: TransitionMonoid, e):
     back, and it comes back every period-th power.
 
     Powers are read off the right Cayley table: e^(t+1) is e^t walked
-    along e's word, one table lookup per letter.  The closure's products
-    are the only matrix products; the walk costs |word(e)| lookups per
+    along e's word, one table lookup per letter.  The closure's row
+    images are the only products; the walk costs |word(e)| lookups per
     power and stops at the first power it has seen."""
     word, power, seen = monoid.word(e), e, {}
     while power not in seen:
@@ -895,15 +926,14 @@ def reachable_states(nfa: Nfa):
 
 
 def coreachable_states(nfa: Nfa):
-    """A component reaches a final state when it holds one or has an edge
-    into a component that does; the ids are topological, so sorting the
-    edges by source, last first, settles every target before its
-    sources."""
-    scc = scc_decompose(nfa)
-    live = [not comp.isdisjoint(nfa.final) for comp in scc.components]
-    for c, d in sorted(scc.dag_edges, reverse=True):
-        live[c] = live[c] or live[d]
-    return {s for s, c in scc.component_of.items() if live[c]}
+    """The states some word takes to a final state (the final states
+    included): one backward sweep from F over predecessor lists, read off
+    the transitions, so the automaton need not be numbered."""
+    pred = collections.defaultdict(list)
+    for s, _, d in nfa.transitions:
+        pred[d].append(s)
+    back = explore(nfa.final, lambda d: ((None, s) for s in pred[d]))
+    return set(nfa.final).union(s for (_, _, s) in back)
 
 
 def restrict(nfa: Nfa, keep) -> Nfa:

@@ -1,0 +1,60 @@
+"""The constructions the numbered form and the analyses replaced, kept as
+test oracles.
+
+`mat_mul` is the boolean matrix product the transition monoid's closure
+used before it interned rows.  `ReferenceNumbered` builds the numbered
+form by sorting every transition with a key, as `Numbered` did before it
+bucketed them.  `reference_coreachable` reads co-reachability off the
+strongly connected components and their topological order, as
+`coreachable_states` did before its backward sweep.
+"""
+
+import itertools
+
+from wfoc.automata import letter_key, scc_decompose
+
+
+def mat_mul(m1, m2):
+    """The product of two boolean matrices given as row bit masks."""
+    out = []
+    for mask in m1:
+        row = 0
+        while mask:
+            low = mask & -mask
+            row |= m2[low.bit_length() - 1]
+            mask ^= low
+        out.append(row)
+    return tuple(out)
+
+
+class ReferenceNumbered:
+    """`letters`, `pos`, `transitions`, `succ` and `masks` of an Nfa, with
+    the transitions sorted by (position, letter, position) through a key
+    and the successor table grouped from that order."""
+
+    def __init__(self, nfa):
+        self.letters = tuple(sorted(nfa.alphabet, key=letter_key))
+        rank = {a: j for j, a in enumerate(self.letters)}
+        self.pos = pos = {s: i for i, s in enumerate(nfa.order)}
+        self.transitions = tuple(sorted(
+            nfa.transitions, key=lambda t: (pos[t[0]], rank[t[1]], pos[t[2]])))
+        table = [[()] * len(pos) for _ in self.letters]
+        for (s, a), ts in itertools.groupby(self.transitions,
+                                            key=lambda t: t[:2]):
+            table[rank[a]][pos[s]] = tuple((pos[t[2]], t) for t in ts)
+        self.succ = tuple(map(tuple, table))
+        self.masks = tuple(
+            tuple(sum(1 << d for d, _ in out) for out in rows)
+            for rows in self.succ)
+
+
+def reference_coreachable(nfa):
+    """A component reaches a final state when it holds one or has an edge
+    into a component that does; the ids are topological, so sorting the
+    edges by source, last first, settles every target before its
+    sources."""
+    scc = scc_decompose(nfa)
+    live = [not comp.isdisjoint(nfa.final) for comp in scc.components]
+    for c, d in sorted(scc.dag_edges, reverse=True):
+        live[c] = live[c] or live[d]
+    return {s for s, c in scc.component_of.items() if live[c]}

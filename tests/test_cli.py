@@ -371,6 +371,62 @@ class TestCompile:
             "ec299e6e2334e7f14d56c3300d350be0128eee7566eabc6cd4ab758fbd2f35eb")
 
 
+def _chain_lines(n, offset=0):
+    """chain-n's transitions on states offset+1..offset+n, fixed weights."""
+    return (["trans: %d a %d %d" % (offset + i, offset + i + 1, i % 4)
+             for i in range(1, n)]
+            + ["trans: %d b %d %d" % (offset + i, offset + i, i * 7 % 4)
+               for i in range(1, n + 1)])
+
+
+# the benchmark's analyze inputs past the corpus, with fixed weights: the
+# benchmark draws their weights from its seed, so its digests cover only
+# the corpus
+ANALYZE_PINS = {
+    "chain150": "\n".join(
+        ["alphabet: a b", "states: " + " ".join(map(str, range(1, 151))),
+         "initial: 1", "final: 150"] + _chain_lines(150)) + "\n",
+    "union3x15": "\n".join(
+        ["alphabet: a b", "states: " + " ".join(map(str, range(1, 46))),
+         "initial: 1 16 31", "final: 15 30 45"]
+        + [line for c in range(3) for line in _chain_lines(15, 15 * c)])
+    + "\n",
+}
+
+# sha256 of each command's stdout followed by the files it wrote, in name
+# order; recorded before the transition monoid was built over interned rows
+ANALYZE_DIGESTS = {
+    ("chain150", "classify"):
+        "0d8ed815326402a86d8c48d258c3166a331493bd42a978c998c5bb303fb1e4b0",
+    ("chain150", "tologic"):
+        "6dfe189d0b487f83f67f7afa75abbe06ffa105b594544cd8a2387eba3837f83e",
+    ("chain150", "decompose"):
+        "cee8b8e4292dd9bb88033db6f91df0bd66d18f82bb31fb7a4c79d92633f7c2f2",
+    ("union3x15", "classify"):
+        "3d319d032c369f3aa1db5f8588dcba65759edd91d7dce41c479227081b7d3c2b",
+    ("union3x15", "tologic"):
+        "8e2af70aeddf807f96752ef7f53ede52d7627522ef5cbf599afa53e3a3df6df9",
+    ("union3x15", "decompose"):
+        "7418f78dacab395b245cf414e4bca5ded594a18ca9ddff1b8d00de1108c64193",
+}
+
+
+@pytest.mark.parametrize("name,command", sorted(ANALYZE_DIGESTS))
+def test_analyze_bytes_are_pinned(name, command, tmp_path, monkeypatch,
+                                  capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "in.wa").write_text(ANALYZE_PINS[name])
+    (tmp_path / "out").mkdir()
+    extra = {"classify": [], "tologic": ["-o", "out/phi.wfo"],
+             "decompose": ["-o", "out/parts"]}[command]
+    rc, out, err = run(capsys, [command, "--automaton", "in.wa"] + extra)
+    assert (rc, err) == (0, "")
+    digest = hashlib.sha256(out.encode())
+    for path in sorted((tmp_path / "out").iterdir()):
+        digest.update(path.read_bytes())
+    assert digest.hexdigest() == ANALYZE_DIGESTS[name, command]
+
+
 # corpus automata that `tologic` translates; the others are refused
 TRANSLATABLE = ("countminmax", "expsum", "linearcount", "mingap", "modeblocks",
                 "splitmax", "splitmin", "switchpoints", "triplerun")

@@ -6,7 +6,11 @@ automaton by `state_key`/`letter_key` on its own and kept a private index
 of it.  They must agree with the readers of `Nfa.order` and
 `Nfa.numbered()` on the corpus and on seeded random automata whose states
 mix ints, strings and tuples (tuples whose parts mix `bool` and `int`
-among them).  The successor table's readers (`Nfa.out`, the runs, the
+among them).  `Nfa.order`, which sorts plain int names without
+`state_key`, is checked against the keyed sort; the bucketed numbered form
+against the key-sorted one (`reference_automata.ReferenceNumbered`), and
+the backward co-reachability sweep against the component-based one it
+replaced.  The successor table's readers (`Nfa.out`, the runs, the
 forward pass, trim and the union) are checked against references that
 read `transitions` alone.  The transition monoid's Cayley table and the
 aperiodicity index read off it are checked against the closure and the
@@ -21,19 +25,23 @@ minimized by a row-by-row Moore refinement.
 import functools
 import itertools
 import random
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 
 from corpus import ALL_TEXTS, SEED, load, random_fo
+from reference_automata import (
+    ReferenceNumbered, mat_mul, reference_coreachable,
+)
 from reference_semantics import Run, count_runs, enumerate_runs, words_upto
 from wfoc import Nfa, WeightedAutomaton, serialize_automaton, to_dot
 from wfoc.automata import (
-    ambiguity_witness, aperiodicity_index, explore, forward, letter_key,
-    live_sets, reachable_nfa, runs_witness, scc_decompose, seq_counts,
-    shortest_word, state_key, transition_monoid, trim, underlying_nfa,
-    weighted_union, weights_of, _mat_mul,
+    ambiguity_witness, aperiodicity_index, coreachable_states, explore,
+    forward, letter_key, live_sets, reachable_nfa, runs_witness,
+    scc_decompose, seq_counts, shortest_word, state_key, transition_monoid,
+    trim, underlying_nfa, weighted_union, weights_of,
 )
 from wfoc.decompose import build_a_geq_k, ensure_single_initial
 from wfoc.errors import InputError
@@ -222,7 +230,7 @@ def reference_bool_matrices(nfa):
 
 def reference_monoid(nfa):
     gens = list(reference_bool_matrices(nfa).values())
-    products = explore(gens, lambda m: ((g, _mat_mul(m, g)) for g in gens))
+    products = explore(gens, lambda m: ((g, mat_mul(m, g)) for g in gens))
     return set(gens) | {m for (_, _, m) in products}
 
 
@@ -238,7 +246,7 @@ def reference_aperiodicity_index(a):
         power = e
         t = 1
         while t <= bound:
-            nxt = _mat_mul(power, e)
+            nxt = mat_mul(power, e)
             if nxt == power:
                 break
             power = nxt
@@ -254,7 +262,7 @@ _CLASS = {True: 0, False: 1, None: 2}
 
 def image(rows, mask):
     """The union of rows[i] over the positions i set in mask."""
-    return _mat_mul((mask,), rows)[0]
+    return mat_mul((mask,), rows)[0]
 
 
 def reference_minimize(c):
@@ -663,6 +671,108 @@ def test_numbered_form_follows_the_sorts():
         assert list(num.transitions) == _sorted_transitions(nfa)
 
 
+def _name_sets(rng):
+    """Seeded (kind, names) pairs; the first two kinds are sorted as they
+    are by `Nfa.order`, the others through state_key."""
+    ints = [rng.randint(-50, 50) for _ in range(12)]
+    flat = [tuple(rng.randint(-3, 3) for _ in range(rng.randint(0, 4)))
+            for _ in range(12)]
+    yield "ints", ints
+    yield "flat int tuples", flat
+    yield "bools in tuples", flat + [(True, 0), (1, False), (0,), (False,),
+                                     (True, True, 2)]
+    yield "ints and bools", ints + [True, False]
+    yield "bools", [True, False]
+    yield "strings", ["s%d" % rng.randint(0, 99) for _ in range(8)] + ["", "Z"]
+    yield "nested tuples", flat + [((1, 2), 3), (0, (rng.randint(0, 3),)),
+                                   ((),)]
+    yield "frozensets", [frozenset(rng.sample(range(6), rng.randint(0, 3)))
+                         for _ in range(8)]
+    yield "mixed", rng.sample(NAMES, 8)
+    yield "empty", []
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_order_sorts_plain_ints_as_state_key_does(seed, monkeypatch):
+    import wfoc.automata
+    calls = []
+
+    def counted(s):
+        calls.append(s)
+        return state_key(s)
+
+    monkeypatch.setattr(wfoc.automata, "state_key", counted)
+    for kind, names in _name_sets(random.Random(SEED + seed)):
+        calls.clear()
+        nfa = Nfa(names, (), (), (), ())
+        order, keyed = nfa.order, bool(calls)
+        plain = kind in ("ints", "flat int tuples", "empty")
+        assert keyed != plain, kind
+        assert list(order) == sorted(nfa.states, key=state_key), kind
+
+
+def test_compile_sorts_no_state_through_state_key(tmp_path, monkeypatch,
+                                                  capsys):
+    # every compile stage names its states by flat int tuples, and the
+    # parsed automaton and run-atom headers by ints
+    import wfoc.automata
+    from wfoc.cli import main
+    order = Nfa.order.fget.__code__
+    calls = []
+
+    def counted(s):
+        if sys._getframe(1).f_code is order:
+            calls.append(s)
+        return state_key(s)
+
+    nfa = chain(30)
+    chain_wa = tmp_path / "chain.wa"
+    chain_wa.write_text(serialize_automaton(
+        WeightedAutomaton(nfa, dict.fromkeys(nfa.transitions, 1))))
+    phi, back = str(tmp_path / "chain.wfo"), str(tmp_path / "back.wa")
+    monkeypatch.setattr(wfoc.automata, "state_key", counted)
+    assert main(["tologic", "--automaton", str(chain_wa), "-o", phi]) == 0
+    assert main(["compile", "--formula", phi, "-o", back]) == 0
+    capsys.readouterr()
+    assert calls == []
+    # a state name of another kind still goes through state_key
+    Nfa({"p", "q"}, (), (), (), ()).order
+    assert sorted(calls) == ["p", "q"]
+
+
+@functools.cache
+def numbering_cases():
+    """The corpus, the 300 random automata of the monoid cases and 3,000
+    more: states mixing ints, strings and tuples, letters with no
+    transition, automata with no final state."""
+    rng = random.Random(SEED + 21)
+    return ([load(name).nfa for name in sorted(ALL_TEXTS)]
+            + pool(300, 0xA9E1)[len(ALL_TEXTS):]
+            + [mixed_automaton(rng) for _ in range(3000)])
+
+
+def test_numbering_cases_cover_the_edge_cases():
+    cases = numbering_cases()
+    assert any(not nfa.final for nfa in cases)
+    assert any({a for (_, a, _) in nfa.transitions} < nfa.alphabet
+               for nfa in cases)
+    assert any(len({type(s) for s in nfa.states}) == 3 for nfa in cases)
+
+
+def test_numbered_matches_sorted_reference():
+    for nfa in numbering_cases():
+        got, want = nfa.numbered(), ReferenceNumbered(nfa)
+        assert (got.letters, got.pos) == (want.letters, want.pos)
+        assert got.succ == want.succ
+        assert got.transitions == want.transitions
+        assert got.masks == want.masks
+
+
+def test_coreachable_states_match_scc_reference():
+    for nfa in numbering_cases():
+        assert coreachable_states(nfa) == reference_coreachable(nfa)
+
+
 def test_scc_decompose_matches_reference():
     rng = random.Random(SEED + 12)
     cases = [wa.nfa for wa in map(load, sorted(ALL_TEXTS))]
@@ -800,11 +910,11 @@ def test_cayley_table_multiplies_out():
         lengths = []
         for e, matrix in enumerate(elements):
             assert [elements[n] for n in monoid.right[e]] == \
-                [_mat_mul(matrix, g) for g in gens]
+                [mat_mul(matrix, g) for g in gens]
             word = monoid.word(e)
             product = gens[word[0]]
             for g in word[1:]:
-                product = _mat_mul(product, gens[g])
+                product = mat_mul(product, gens[g])
             assert product == matrix
             lengths.append(len(word))
         assert lengths == sorted(lengths)       # numbered breadth-first
@@ -816,20 +926,24 @@ def test_equal_letters_are_one_element():
     assert all(row[0] == row[1] for row in monoid.right)
 
 
-def test_index_multiplies_only_in_the_closure(monkeypatch):
+def test_index_images_each_row_once_in_the_closure(monkeypatch):
+    # the closure computes each distinct row's image once per letter, and
+    # the index reads the Cayley table without computing another
     import wfoc.automata
     calls = []
+    image = wfoc.automata._image
 
-    def counted(m1, m2):
+    def counted(rows, mask):
         calls.append(None)
-        return _mat_mul(m1, m2)
+        return image(rows, mask)
 
-    monkeypatch.setattr(wfoc.automata, "_mat_mul", counted)
+    monkeypatch.setattr(wfoc.automata, "_image", counted)
     nfa = chain(150)
-    size = len(transition_monoid(nfa))     # b, a, a^2, ..., a^149 and 0
+    transition_monoid(nfa)      # rows: the 150 singletons and the empty row
+    assert len(calls) == 151 * len(nfa.alphabet) == 302
     calls.clear()
     assert aperiodicity_index(nfa) == 150
-    assert len(calls) == size * len(nfa.alphabet) == 302
+    assert len(calls) == 302
 
 
 def test_classifier_tables_match_reference():
