@@ -1,16 +1,17 @@
 """Non-deterministic and weighted automata.
 
-The forward pass that gives every value of a word (the multiset and
-each semiring's: one step, `_stepper`, moves a state -> value front in a
-`Carrier`; the multiset's carrier, `seq_counts`, is built per pass over a
-weight table and extends runs as rank strings), the shortest length at
-which two automata's multisets differ (exactly, from a basis of forward
-vectors), strongly connected components, ambiguity classification,
-aperiodicity analysis (the transition monoid with its right Cayley
-table), the closure constructions (disjoint union, trim), and the
-breadth-first exploration that every construction on reachable states
-shares: `reachable_nfa` is the one builder of a construction's states.
-No function lists the runs one by one.
+The forward pass that gives every value of a word (the multiset and each
+semiring's: one step, `_stepper`, moves a state -> value front in a
+`Carrier`; the multiset's carrier, `seq_counts`, is built per pass over
+a weight table and extends runs as rank strings onto a suffix that the
+runs in one state share, copying a run only where runs meet), the
+shortest length at which two automata's multisets differ (exactly, from
+a basis of forward vectors), strongly connected components, ambiguity
+classification, aperiodicity analysis (the transition monoid with its
+right Cayley table), the closure constructions (disjoint union, trim),
+and the breadth-first exploration that every construction on reachable
+states shares: `reachable_nfa` is the one builder of a construction's
+states.  No function lists the runs one by one.
 
 The deterministic order lives on `Nfa`: `order` sorts its states by
 `state_key` once, and `numbered()` reads the automaton through that order
@@ -300,17 +301,24 @@ def check_word(nfa, word):
 
 def live_sets(nfa, steps):
     """live[i] for i = 0..len(steps), a bit mask over positions: the
-    states from which a word taking its j-th letter from steps[j], for
-    every j >= i, reaches a final state (with steps = [(a,) for a in word],
-    the states that read word[i:] into a final one)."""
+    states from which a word taking its j-th letter from steps[j] (a
+    tuple), for every j >= i, reaches a final state (with steps =
+    [(a,) for a in word], the states that read word[i:] into a final
+    one).  Each distinct (letters, after) pair is computed once, so on a
+    long word over a small automaton a position is one lookup."""
     num = nfa.numbered()
     masks = dict(zip(num.letters, num.masks))
     live = [num.mask(nfa.final)]
+    memo = {}
     for letters in reversed(steps):
         after = live[-1]
-        pre = {i for a in letters for i, out in enumerate(masks.get(a, ()))
-               if out & after}
-        live.append(sum(1 << i for i in pre))
+        pre = memo.get((letters, after))
+        if pre is None:
+            pre = memo[letters, after] = sum(
+                1 << i for i in {i for a in letters
+                                 for i, out in enumerate(masks.get(a, ()))
+                                 if out & after})
+        live.append(pre)
     live.reverse()
     return live
 
@@ -320,34 +328,45 @@ class Carrier(collections.namedtuple("Carrier", "one embed mac total")):
     the multiset's (`seq_counts`).  Initial states start at `one`;
     `embed` lifts a weight, raising for one outside the carrier;
     `mac(front, d, v, w)` is front[d] <- front[d] + v.w (zero if missing),
-    runs of value v extended by w, and may change front[d] in place (the
-    step's new front owns it) but never v or `one`; `total` sums a front."""
+    runs of value v extended by w; it may change only what the step's new
+    front owns, never v, `one` or what they share; `total` sums a front."""
 
 
 def seq_counts(weights) -> Carrier:
     """The multiset semantics as a carrier over the weight table `weights`
-    (`multiset.weight_table`; it must hold every weight the pass embeds):
-    a value maps the codes of weight sequences to counts, a weight embeds
-    as its rank character, and a run extends by one concatenation."""
+    (`multiset.weight_table`; it must hold every weight the pass embeds).
+    A weight embeds as its rank character.  A value is a pair (counts,
+    suffix), every code of counts followed by suffix (`one` is ({"": 1},
+    "")): a run into an empty slot shares v's counts under suffix + w, and
+    a second run turns the slot into a dict of full codes that the new
+    front owns (suffix ""), so a code is copied only where runs meet and
+    shared counts never change."""
     chars = {w: chr(i) for i, w in enumerate(weights)}
 
     def mac(front, d, v, w):
+        counts, suffix = v
         acc = front.get(d)
         if acc is None:
-            front[d] = {code + w: n for code, n in v.items()}
+            front[d] = counts, suffix + w
             return
-        for code, n in v.items():
-            code += w
+        acc, tail = acc
+        if tail:
+            acc = {code + tail: n for code, n in acc.items()}
+            front[d] = acc, ""
+        suffix += w
+        for code, n in counts.items():
+            code += suffix
             acc[code] = acc.get(code, 0) + n
 
     def total(values) -> SeqMultiset:
         out = {}
-        for counts in values:
+        for counts, suffix in values:
             for code, n in counts.items():
+                code += suffix
                 out[code] = out.get(code, 0) + n
         return SeqMultiset.over(weights, out)
 
-    return Carrier({"": 1}, chars.__getitem__, mac, total)
+    return Carrier(({"": 1}, ""), chars.__getitem__, mac, total)
 
 
 def weights_of(wa: WeightedAutomaton) -> tuple:
@@ -362,11 +381,12 @@ def _stepper(wa: WeightedAutomaton, carrier: Carrier):
     Each transition's weight is embedded once per stepper, when a run
     first takes it into `keep`."""
     num, wgt = wa.nfa.numbered(), wa.wgt
+    succ, rank = num.succ, num.rank
     embed, mac = carrier.embed, carrier.mac
     lifted = {}
 
     def advance(front, letter, keep):
-        out = num.succ[num.rank[letter]]
+        out = succ[rank[letter]]
         nxt = {}
         for i, v in front.items():
             for d, t in out[i]:
@@ -419,7 +439,7 @@ def semantics_upto(wa: WeightedAutomaton, alphabet, maxlen, weights=None,
     word's prefixes are alive.  They are kept on an explicit stack, so a
     word may be longer than the recursion limit.  Runs are kept only in
     states that can still reach a final state in the letters left."""
-    letters = sorted(alphabet, key=letter_key)
+    letters = tuple(sorted(alphabet, key=letter_key))
     # reach[r]: the states some word of r more letters takes to a final one
     reach = live_sets(wa.nfa, [letters] * maxlen)[::-1]
     carrier = seq_counts(weights_of(wa) if weights is None else weights)

@@ -42,16 +42,22 @@ def _factor(u, sigma, atom: RunAtom):
     return u[lo:hi - 1]
 
 
+def _require_bound(phi, sigma):
+    """Raise for the free variables of phi that sigma does not bind."""
+    missing = free_vars(phi) - set(sigma)
+    if missing:
+        raise InputError("unbound variables: %s"
+                         % ", ".join(sorted(missing)))
+
+
 def eval_fo(phi, u, sigma=None) -> bool:
     u = tuple(u)
     sigma = dict(sigma) if sigma else {}
-    missing = free_vars(phi) - set(sigma)
+    missing = free_vars(phi) - set(sigma) if not u else ()
     if missing:
-        if not u:
-            raise InputError("empty word needs a sentence, free: %s"
-                             % ", ".join(sorted(missing)))
-        raise InputError("unbound variables: %s"
+        raise InputError("empty word needs a sentence, free: %s"
                          % ", ".join(sorted(missing)))
+    _require_bound(phi, sigma)
     return _fo(phi, u, sigma)
 
 
@@ -94,10 +100,7 @@ def eval_step(psi, u, sigma=None):
     if not u:
         raise InputError("step formulas need a non-empty word")
     sigma = dict(sigma) if sigma else {}
-    missing = free_vars(psi) - set(sigma)
-    if missing:
-        raise InputError("unbound variables: %s"
-                         % ", ".join(sorted(missing)))
+    _require_bound(psi, sigma)
     return _step(psi, u, sigma)
 
 
@@ -114,10 +117,7 @@ def eval_wfo_at(phi, word, valuation=None) -> SeqMultiset:
     `word` under `valuation`, which must bind every free variable."""
     u = tuple(word)
     sigma = dict(valuation) if valuation else {}
-    free = free_vars(phi)
-    if free - set(sigma):
-        raise InputError("valuation domain %r does not match variables %r"
-                         % (sorted(sigma), sorted(free | set(sigma))))
+    _require_bound(phi, sigma)
     for v, i in sigma.items():
         if not 1 <= i <= len(u):
             raise InputError("position %r out of range for %s" % (i, v))

@@ -14,6 +14,7 @@ is the max-plus value divided by the word length.
 from __future__ import annotations
 
 import functools
+import operator
 from fractions import Fraction
 
 from .automata import Carrier, forward
@@ -101,27 +102,27 @@ def _concat_langs(a, b):
 def _make_catalog():
     natural = Semiring(
         "natural", 0, 1,
-        lambda a, b: a + b, lambda a, b: a * b,
+        operator.add, operator.mul,
         _embed_natural, format_value)
 
     boolean = Semiring(
         "boolean", False, True,
-        lambda a, b: a or b, lambda a, b: a and b,
+        operator.or_, operator.and_,
         _embed_boolean, format_value)
 
     minplus = Semiring(
         "minplus", POS_INF, 0,
-        min, lambda a, b: a + b,
+        min, operator.add,
         _embed_tropical("minplus"), format_value)
 
     maxplus = Semiring(
         "maxplus", NEG_INF, 0,
-        max, lambda a, b: a + b,
+        max, operator.add,
         _embed_tropical("maxplus"), format_value)
 
     languages = Semiring(
         "languages", frozenset(), frozenset({""}),
-        lambda a, b: a | b, _concat_langs,
+        operator.or_, _concat_langs,
         lambda w: frozenset({format_weight(w)}), _fmt_language)
 
     return {s.name: s for s in

@@ -6,12 +6,15 @@ used before it interned rows.  `ReferenceNumbered` builds the numbered
 form by sorting every transition with a key, as `Numbered` did before it
 bucketed them.  `reference_coreachable` reads co-reachability off the
 strongly connected components and their topological order, as
-`coreachable_states` did before its backward sweep.
+`coreachable_states` did before its backward sweep.  `eager_seq_counts`
+is the multiset carrier as it was before runs shared suffixes: every
+run's code is copied at every letter.
 """
 
 import itertools
 
-from wfoc.automata import letter_key, scc_decompose
+from wfoc.automata import Carrier, letter_key, scc_decompose
+from wfoc.multiset import SeqMultiset
 
 
 def mat_mul(m1, m2):
@@ -58,3 +61,28 @@ def reference_coreachable(nfa):
     for c, d in sorted(scc.dag_edges, reverse=True):
         live[c] = live[c] or live[d]
     return {s for s, c in scc.component_of.items() if live[c]}
+
+
+def eager_seq_counts(weights):
+    """The multiset carrier over the weight table `weights` with a value a
+    dict from full codes to counts: a run into an empty slot copies v's
+    codes, each extended by w, and later runs add into that copy."""
+    chars = {w: chr(i) for i, w in enumerate(weights)}
+
+    def mac(front, d, v, w):
+        acc = front.get(d)
+        if acc is None:
+            front[d] = {code + w: n for code, n in v.items()}
+            return
+        for code, n in v.items():
+            code += w
+            acc[code] = acc.get(code, 0) + n
+
+    def total(values):
+        out = {}
+        for counts in values:
+            for code, n in counts.items():
+                out[code] = out.get(code, 0) + n
+        return SeqMultiset.over(weights, out)
+
+    return Carrier({"": 1}, chars.__getitem__, mac, total)

@@ -427,6 +427,97 @@ def test_analyze_bytes_are_pinned(name, command, tmp_path, monkeypatch,
     assert digest.hexdigest() == ANALYZE_DIGESTS[name, command]
 
 
+def _mixed_ab(n, salt):
+    """A fixed word of n letters a and b, spread irregularly."""
+    return "".join("ab"[(i * i + salt * i) // 3 % 2] for i in range(n))
+
+
+def _blockmax_word(blocks):
+    """`blocks` short a/b blocks joined by c: 2^blocks runs on blockmax."""
+    return "c".join(_mixed_ab(1 + i * 3 % 4, i) for i in range(blocks))
+
+
+# fixed long words, one per corpus automaton, of the shapes the benchmark
+# draws from its seed: the benchmark's semantics digests cover only equiv
+SEMANTICS_WORDS = {
+    "switchpoints": "a" * 30 + "ba" * 10 + "b" * 30,
+    "modeblocks": "".join("a" * (i * 7 % 6) + "bc"[i * i % 3 % 2]
+                          for i in range(60)),
+    "triplerun": "a" * 60 + "aaab" + "b" * 60,
+    "fibonacci": "a" * 250,
+    "blockmax": _blockmax_word(14),
+    "countminmax": _mixed_ab(250, 1),
+    "expsum": _mixed_ab(250, 2),
+    "linearcount": "a" * 250,
+    "splitmax": _mixed_ab(200, 3),
+    "splitmin": _mixed_ab(200, 4),
+    "mingap": "".join("b" if i * 13 % 200 < 66 else "a" for i in range(200)),
+}
+
+# sha256 of eval's stdout in the 8 output modes, one after the other (the
+# multiset semiring and languages get blockmax's word of 10 blocks, as in
+# the benchmark: their sums are quadratic); recorded before the multiset
+# carrier shared run suffixes
+SEMANTICS_DIGESTS = {
+    "blockmax":
+        "950d938bf7cc640a14f5a73904a1fe7ae0cb62dc317f6af5c7a50374bd0a6488",
+    "countminmax":
+        "8313f2bbd993c82449e2002b1a7f37d163f48bb8172e057183459dd5c3621a53",
+    "expsum":
+        "7593576dcdb77b23bf9eaa762b1328c5dee171e122dfcda47e6f4c5f66243f7b",
+    "fibonacci":
+        "ae455d3706f75a3ce1f8217a3ba3f3cff58a1073066f615ee707bea95c727ba0",
+    "linearcount":
+        "9dcdfbd06e528a0612c31cec323ccdc98fab70aa874c50cea4414fa3107ddb51",
+    "mingap":
+        "2417368986bb9ccf891373127c1c24a7fbc781066bbe814c95b8674ab1673ba0",
+    "modeblocks":
+        "27fbd7c8cd760f69ed8449cfec99caf9f6de1d346a0fac2aaa2170e5519217d6",
+    "splitmax":
+        "f5045e70f4bbc5cfb2bc860652508308a7e1b0806bed09e1fe4c54f7a2fcfc55",
+    "splitmin":
+        "23480d3b95b95f19d18414e4503ff94ad147a96e2c3fac0bbcae9cdd98784b7f",
+    "switchpoints":
+        "3253bb5e668049b24177c92509e1152eaf76346980d9cbda7cb37ca2975b2c53",
+    "triplerun":
+        "68f5bcac8067195ab570b121bd8eeb199f0786518b42d8a239588922043efd4e",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEMANTICS_DIGESTS))
+def test_eval_bytes_are_pinned(name, tmp_path, capsys):
+    wa = save(tmp_path, name)
+    digest = hashlib.sha256()
+    lines = []
+    for flags in ([], ["--semiring", "natural"], ["--semiring", "boolean"],
+                  ["--semiring", "minplus"], ["--semiring", "maxplus"],
+                  ["--semiring", "languages"], ["--semiring", "multiset"],
+                  ["--aggregator", "ma"]):
+        word = SEMANTICS_WORDS[name]
+        if name == "blockmax" and flags[1:] in (["languages"], ["multiset"]):
+            word = _blockmax_word(10)
+        rc, out, err = run(capsys, ["eval", "--automaton", wa, "--word", word]
+                           + flags)
+        assert (rc, err) == (0, "")
+        digest.update(out.encode())
+        lines.append(out.count("\n"))
+    if name == "blockmax":
+        assert lines[0] == 2 ** 14
+    assert digest.hexdigest() == SEMANTICS_DIGESTS[name]
+
+
+def test_equiv_counterexample_bytes_are_pinned(tmp_path, capsys):
+    a = save(tmp_path, "triplerun")
+    b = tmp_path / "perturbed.wa"
+    b.write_text(ALL_TEXTS["triplerun"].replace("trans: 5 b 6 3",
+                                                "trans: 5 b 6 4"))
+    rc, out, err = run(capsys, ["equiv", "--a", a, "--b", str(b)])
+    assert (rc, err) == (1, "")
+    assert out.startswith("COUNTEREXAMPLE aab\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "2403f3835ad0a3c91351231719908858d1cc7503209b7ee7f325dc70e3d01d63")
+
+
 # corpus automata that `tologic` translates; the others are refused
 TRANSLATABLE = ("countminmax", "expsum", "linearcount", "mingap", "modeblocks",
                 "splitmax", "splitmin", "switchpoints", "triplerun")

@@ -11,6 +11,7 @@ length, or both none.
 
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -186,13 +187,17 @@ def test_zero_against_zero_and_itself():
     assert agreed(zero, load("triplerun"), 6) == 3
 
 
-def chain(n, last):
+def chain_text(n, last):
     """a^(n-1) on one run through states 1..n, weights 1 and then `last`."""
     text = ["alphabet: a\nstates: %s\ninitial: 1\nfinal: %d\n"
             % (" ".join(map(str, range(1, n + 1))), n)]
     text += ["trans: %d a %d %d\n" % (i, i + 1, 1 if i < n - 1 else last)
              for i in range(1, n)]
-    return parse_automaton("".join(text))
+    return "".join(text)
+
+
+def chain(n, last):
+    return parse_automaton(chain_text(n, last))
 
 
 def test_difference_beyond_the_bound():
@@ -205,3 +210,25 @@ def test_long_chains_differ_at_their_length():
     n = sys.getrecursionlimit() + 500
     assert first_difference(chain(n, 1), chain(n, 2), n + 500) == n - 1
     assert first_difference(chain(n, 1), chain(n, 1), n + 500) is None
+
+
+def test_long_chain_counterexample_memory(tmp_path, capsys):
+    # the sweep to the counterexample keeps one front per prefix, each
+    # state's value sharing the counts it came from: a table of successors
+    # per (letter, live mask) would hold one row set per step
+    n = 300
+    for last in (1, 2):
+        (tmp_path / ("chain%d.wa" % last)).write_text(chain_text(n, last))
+    argv = ["equiv", "--a", str(tmp_path / "chain1.wa"),
+            "--b", str(tmp_path / "chain2.wa"), "--maxlen", "400"]
+    tracemalloc.start()
+    try:
+        rc = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 1
+    assert lines[0] == "COUNTEREXAMPLE " + "a" * (n - 1)
+    assert lines[4] == "1 x [%s,2]" % ",".join("1" * (n - 2))
+    assert peak < 2 * 2 ** 20, peak

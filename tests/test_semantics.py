@@ -42,6 +42,35 @@ def test_languages_concatenation():
     assert s.times(frozenset({"a"}), frozenset({"b", "c"})) == {"ab", "ac"}
 
 
+# plus and times as Python functions, before the catalog took operator's
+# builtins where one fits, and values of each carrier
+_NUMBERS = [0, 1, 3, -2, 10 ** 30, Fraction(1, 2), Fraction(-7, 3),
+            POS_INF, NEG_INF]
+LAMBDA_OPERATORS = {
+    "natural": (lambda a, b: a + b, lambda a, b: a * b,
+                [False, True, 0, 1, 2, 7, 10 ** 30]),
+    "boolean": (lambda a, b: a or b, lambda a, b: a and b, [False, True]),
+    "minplus": (min, lambda a, b: a + b, _NUMBERS),
+    "maxplus": (max, lambda a, b: a + b, _NUMBERS),
+    "languages": (lambda a, b: a | b,
+                  lambda a, b: frozenset(x + y for x in a for y in b),
+                  [frozenset(), frozenset({""}), frozenset({"1", "23"}),
+                   frozenset({"23", "t", "1/2"})]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAMBDA_OPERATORS))
+def test_operators_match_the_lambdas(name):
+    s = builtin_semiring(name)
+    plus, times, values = LAMBDA_OPERATORS[name]
+    for a in values:
+        for b in values:
+            for new, old in ((s.plus, plus), (s.times, times)):
+                got, want = new(a, b), old(a, b)
+                assert type(got) is type(want), (name, a, b)
+                assert got == want or got != got and want != want, (a, b)
+
+
 # the laws beyond the semiring axioms that each catalog semiring obeys
 LAWS = {
     "natural": {"commutative"},
