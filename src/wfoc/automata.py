@@ -13,11 +13,12 @@ and the breadth-first exploration that every construction on reachable
 states shares: `reachable_nfa` is the one builder of a construction's
 states.  No function lists the runs one by one.
 
-The deterministic order lives on `Nfa`: `order` sorts its states by
-`state_key` once, and `numbered()` reads the automaton through that order
-(letters sorted by `letter_key`, each state's position, and the one
-successor table, with the sorted transitions and per-letter bit masks
-derived from it).  Every analysis, construction and forward pass and the
+An `Nfa` is its own numbered form: its states sorted by `state_key` once
+(`order`, each state's position in `pos`), its letters sorted by
+`letter_key` (`letters`, `rank`) and one successor table over positions,
+from which the transitions in order and the per-letter bit masks are
+derived.  A weighted automaton's weights are a tuple read by transition
+number.  Every analysis, construction and forward pass and the
 serializer read these instead of sorting or indexing on their own.
 
 All values are immutable after construction and every operation is a pure
@@ -57,127 +58,73 @@ letter_key = state_key
 
 class Nfa:
     """A non-deterministic automaton (Q, Sigma, Delta, I, F) plus optional
-    named extra accepting sets."""
+    named extra accepting sets, over the positions of its states: `order`
+    sorts the states by state_key (pos[s] the position of s, `states` a
+    set view), `letters` the alphabet by letter_key (rank[a] the index of
+    a), and succ[j][i] lists the transitions leaving position i on
+    letters[j] as (target position, number) pairs, by target.  Numbers
+    count the transitions in (position, letter, position) order, the
+    order of `transitions`; masks[j][i] has succ[j][i]'s targets as bits.
+    The constructor checks named transitions; a construction's automata
+    are filled by position (`reachable_nfa`)."""
 
-    __slots__ = ("states", "alphabet", "transitions", "initial", "final",
-                 "accepting", "_hash", "_order", "_numbered", "_sccs")
+    __slots__ = ("order", "pos", "states", "letters", "rank", "alphabet",
+                 "succ", "initial", "final", "accepting", "_transitions",
+                 "_masks", "_hash", "_sccs")
 
     def __init__(self, states, alphabet, transitions, initial, final,
                  accepting=None):
-        self.states = frozenset(states)
-        self.alphabet = frozenset(alphabet)
-        self.transitions = frozenset(transitions)
-        self.initial = frozenset(initial)
-        self.final = frozenset(final)
-        acc = {}
-        for name, group in (accepting or {}).items():
-            acc[name] = frozenset(group)
-        self.accepting = acc
-        self._hash = None
-        self._order = None
-        self._numbered = None
-        self._sccs = None
-        self._validate()
-
-    def _validate(self):
-        for t in self.transitions:
+        states, transitions = frozenset(states), frozenset(transitions)
+        self._set(states, alphabet, initial, final, accepting)
+        for t in transitions:
             if len(t) != 3:
                 raise InputError("malformed transition %r" % (t,))
             src, letter, dst = t
-            if src not in self.states or dst not in self.states:
+            if src not in states or dst not in states:
                 raise InputError("transition %r uses undeclared state" % (t,))
-            if letter not in self.alphabet:
+            if letter not in self.rank:
                 raise InputError("transition %r uses undeclared letter" % (t,))
         for group in (self.initial, self.final, *self.accepting.values()):
-            if not group <= self.states:
+            if not group <= states:
                 raise InputError("accepting/initial set outside states")
+        edges = ((s, self.rank[a], d, None) for s, a, d in transitions)
+        self.succ = _successors(self, edges, self.pos)[0]
 
-    def out(self, src, letter):
-        """The successors of src on letter, in `order`: a read of
-        numbered()'s successor table."""
-        num = self.numbered()
-        if letter not in num.rank:
-            return []
-        return [t[2] for _, t in num.succ[num.rank[letter]][num.pos[src]]]
-
-    @property
-    def order(self):
-        """The states sorted by state_key, fixed on first use; plain ints,
-        or tuples of them (no bool), sort as their keys do, so directly."""
-        if self._order is None:
-            kinds = set(map(type, self.states))
-            if kinds == {tuple}:
-                kinds = set(map(type, itertools.chain(*self.states)))
-            self._order = tuple(sorted(
-                self.states, key=None if kinds <= {int} else state_key))
-        return self._order
-
-    def numbered(self) -> "Numbered":
-        """The automaton read through `order`, built on first use."""
-        if self._numbered is None:
-            self._numbered = Numbered(self)
-        return self._numbered
-
-    def _canon(self):
-        return (self.states, self.alphabet, self.transitions, self.initial,
-                self.final, frozenset((k, v) for k, v in self.accepting.items()))
-
-    def __eq__(self, other):
-        if not isinstance(other, Nfa):
-            return NotImplemented
-        return self._canon() == other._canon()
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self._canon())
-        return self._hash
-
-    def __repr__(self):
-        return "Nfa(%d states, %d transitions)" % (
-            len(self.states), len(self.transitions))
-
-
-class Numbered:
-    """An Nfa over the positions of its states in `order`: the letters
-    sorted by letter_key (rank[a] the index of letter a), pos[s] the
-    position of state s, and, built on first use, the one successor table:
-    succ[j][i] lists the transitions leaving position i on letters[j] as
-    (target position, transition) pairs, by target position (only a cell
-    of two or more is sorted); masks[j][i] has their targets as a bit mask
-    and `transitions` walks the table in (position, letter, position) order."""
-
-    __slots__ = ("letters", "rank", "pos", "_edges", "_succ", "_masks",
-                 "_transitions")
-
-    def __init__(self, nfa: Nfa):
-        self.letters = tuple(sorted(nfa.alphabet, key=letter_key))
+    def _set(self, states, alphabet, initial, final, accepting=None):
+        """Every field but `succ`.  Plain int names, or tuples of them (no
+        bool), sort as their state_key does, so directly."""
+        kinds = set(map(type, states))
+        if kinds == {tuple}:
+            kinds = set(map(type, itertools.chain(*states)))
+        self.order = tuple(sorted(
+            states, key=None if kinds <= {int} else state_key))
+        self.pos = {s: i for i, s in enumerate(self.order)}
+        self.states = self.pos.keys()
+        self.alphabet = frozenset(alphabet)
+        self.letters = tuple(sorted(self.alphabet, key=letter_key))
         self.rank = {a: j for j, a in enumerate(self.letters)}
-        self.pos = {s: i for i, s in enumerate(nfa.order)}
-        self._edges = nfa.transitions
-        self._succ = self._masks = self._transitions = None
+        self.initial = frozenset(initial)
+        self.final = frozenset(final)
+        self.accepting = {name: frozenset(group)
+                          for name, group in (accepting or {}).items()}
+        self._transitions = self._masks = self._hash = self._sccs = None
 
-    @property
-    def succ(self):
-        if self._succ is None:
-            rank, pos = self.rank, self.pos
-            table = [[()] * len(pos) for _ in self.letters]
-            more = collections.defaultdict(list)    # a cell's later pairs
-            for t in self._edges:
-                row, i = table[rank[t[1]]], pos[t[0]]
-                if row[i]:
-                    more[rank[t[1]], i].append((pos[t[2]], t))
-                else:
-                    row[i] = ((pos[t[2]], t),)
-            for (j, i), out in more.items():    # distinct target positions
-                table[j][i] = tuple(sorted(table[j][i] + tuple(out)))
-            self._succ = tuple(map(tuple, table))
-        return self._succ
+    def edges(self):
+        """(position, letter index, target position, number) for every
+        transition, by number."""
+        for i in range(len(self.order)):
+            for j, out in enumerate(self.succ):
+                for d, t in out[i]:
+                    yield i, j, d, t
 
     @property
     def transitions(self):
+        """The transitions (src, letter, dst) by number."""
         if self._transitions is None:
-            self._transitions = tuple(t for i in range(len(self.pos))
-                                      for out in self.succ for _, t in out[i])
+            order, letters = self.order, self.letters
+            self._transitions = tuple(
+                (s, a, order[d]) for i, s in enumerate(order)
+                for a, out in zip(letters, self.succ) for d, _ in out[i])
         return self._transitions
 
     @property
@@ -192,6 +139,63 @@ class Numbered:
         """The positions of some states, as a bit mask."""
         return sum(1 << self.pos[s] for s in states)
 
+    def out(self, src, letter):
+        """The successors of src on letter, in `order`."""
+        j = self.rank.get(letter)
+        return [] if j is None else [
+            self.order[d] for d, _ in self.succ[j][self.pos[src]]]
+
+    def _canon(self):
+        return (self.order, self.letters, self.succ, self.initial,
+                self.final, frozenset(self.accepting.items()))
+
+    def __eq__(self, other):
+        if not isinstance(other, Nfa):
+            return NotImplemented
+        return self._canon() == other._canon()
+
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = hash(self._canon())
+        return self._hash
+
+    def __repr__(self):
+        return "Nfa(%d states, %d transitions)" % (
+            len(self.order), len(self.transitions))
+
+
+def _successors(nfa, edges, at):
+    """nfa's successor table and the payloads by transition number, from
+    (source, letter index, target, payload) `edges`, each (source, letter,
+    target) once, whose ends at[] maps to positions.  A cell holds its one
+    pair until a second comes; only a cell of two or more is sorted."""
+    n = len(nfa.order)
+    table = [[None] * n for _ in nfa.letters]
+    for s, j, d, w in edges:
+        row, i, pair = table[j], at[s], (at[d], w)
+        cell = row[i]
+        if cell is None:
+            row[i] = pair
+        elif type(cell) is list:
+            cell.append(pair)
+        else:
+            row[i] = [cell, pair]
+    payloads = []
+    for i in range(n):
+        for row in table:
+            cell = row[i]
+            if cell is None:
+                row[i] = ()
+            elif type(cell) is tuple:       # a lone pair
+                row[i] = ((cell[0], len(payloads)),)
+                payloads.append(cell[1])
+            else:
+                cell.sort()         # by target: the targets are distinct
+                row[i] = tuple([(d, len(payloads) + k)
+                                for k, (d, _) in enumerate(cell)])
+                payloads += [w for _, w in cell]
+    return tuple(map(tuple, table)), payloads
+
 
 def bits(mask):
     """The positions set in a bit mask, ascending."""
@@ -202,40 +206,43 @@ def bits(mask):
 
 
 class WeightedAutomaton:
-    """An Nfa together with a total weight map on its transitions."""
+    """An Nfa together with a total weight map on its transitions, read by
+    number: weights[t] weighs nfa.transitions[t]."""
 
-    __slots__ = ("nfa", "wgt", "_hash")
+    __slots__ = ("nfa", "weights", "_hash")
 
     def __init__(self, nfa: Nfa, wgt):
-        self.nfa = nfa
+        """wgt maps each transition (src, letter, dst) to its weight."""
         wgt = dict(wgt)
-        if set(wgt) != set(nfa.transitions):
+        if len(wgt) != len(nfa.transitions) \
+                or not all(map(wgt.__contains__, nfa.transitions)):
             raise InputError("weight map must cover exactly the transitions")
         for w in wgt.values():
             if not is_weight(w):
                 raise InputError("bad weight %r" % (w,))
-        self.wgt = wgt
-        self._hash = None
+        self.nfa, self._hash = nfa, None
+        self.weights = tuple(map(wgt.__getitem__, nfa.transitions))
 
-    states = property(lambda self: self.nfa.states)
-    alphabet = property(lambda self: self.nfa.alphabet)
-    transitions = property(lambda self: self.nfa.transitions)
-    initial = property(lambda self: self.nfa.initial)
-    final = property(lambda self: self.nfa.final)
+    @classmethod
+    def from_weights(cls, nfa: Nfa, weights) -> "WeightedAutomaton":
+        """nfa weighted by transition number, as constructions make it."""
+        out = cls.__new__(cls)
+        out.nfa, out.weights, out._hash = nfa, tuple(weights), None
+        return out
 
     def __eq__(self, other):
         if not isinstance(other, WeightedAutomaton):
             return NotImplemented
-        return self.nfa == other.nfa and self.wgt == other.wgt
+        return self.nfa == other.nfa and self.weights == other.weights
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.nfa, frozenset(self.wgt.items())))
+            self._hash = hash((self.nfa, self.weights))
         return self._hash
 
     def __repr__(self):
         return "WeightedAutomaton(%d states, %d transitions)" % (
-            len(self.nfa.states), len(self.nfa.transitions))
+            len(self.nfa.order), len(self.weights))
 
 
 def underlying_nfa(a):
@@ -264,14 +271,29 @@ def explore(starts, step):
             yield state, letter, nxt
 
 
-def reachable_nfa(initial, step, alphabet, final) -> Nfa:
+def reachable_nfa(initial, step, alphabet, final):
     """The part of an automaton reachable from `initial`, given by its
-    step function in explore's form; final(state) tells the final states.
-    Weighted callers record each edge's weight as their step yields it."""
-    initial = set(initial)
-    trans = set(explore(initial, step))
-    states = initial | {d for (_, _, d) in trans}
-    return Nfa(states, alphabet, trans, initial, filter(final, states))
+    step function, and the weights of its transitions by number.
+    step(state) lists a state's (letter, successor, weight) triples, each
+    (letter, successor) once; final(state) tells the final states.  The
+    reached names are sorted once, and the successor table and the
+    weights filled by position in one pass, unchecked."""
+    found = list(dict.fromkeys(initial))
+    starts, number = found[:], {s: k for k, s in enumerate(found)}
+    rank = {a: j for j, a in enumerate(sorted(alphabet, key=letter_key))}
+    edges = []      # flat: source, letter index, target, weight, ...
+    for k, state in enumerate(found):       # found grows during the loop
+        for letter, nxt, w in step(state):
+            d = number.get(nxt)
+            if d is None:
+                d = number[nxt] = len(found)
+                found.append(nxt)
+            edges += (k, rank[letter], d, w)
+    nfa = Nfa.__new__(Nfa)
+    nfa._set(found, rank, starts, filter(final, found))
+    nfa.succ, weights = _successors(nfa, zip(*[iter(edges)] * 4),
+                                    list(map(nfa.pos.__getitem__, found)))
+    return nfa, weights
 
 
 def shortest_word(starts, step, goal):
@@ -306,9 +328,8 @@ def live_sets(nfa, steps):
     [(a,) for a in word], the states that read word[i:] into a final
     one).  Each distinct (letters, after) pair is computed once, so on a
     long word over a small automaton a position is one lookup."""
-    num = nfa.numbered()
-    masks = dict(zip(num.letters, num.masks))
-    live = [num.mask(nfa.final)]
+    masks = dict(zip(nfa.letters, nfa.masks))
+    live = [nfa.mask(nfa.final)]
     memo = {}
     for letters in reversed(steps):
         after = live[-1]
@@ -369,21 +390,15 @@ def seq_counts(weights) -> Carrier:
     return Carrier(({"": 1}, ""), chars.__getitem__, mac, total)
 
 
-def weights_of(wa: WeightedAutomaton) -> tuple:
-    """The weight table of wa's transition weights."""
-    return weight_table(wa.wgt.values())
-
-
 def _stepper(wa: WeightedAutomaton, carrier: Carrier):
     """The one forward step over wa in a carrier: advance(front, letter,
     keep) is the front, from positions to values, after one more letter
     on the positions of the mask `keep`, visited in the table's order.
     Each transition's weight is embedded once per stepper, when a run
     first takes it into `keep`."""
-    num, wgt = wa.nfa.numbered(), wa.wgt
-    succ, rank = num.succ, num.rank
+    succ, rank, weights = wa.nfa.succ, wa.nfa.rank, wa.weights
     embed, mac = carrier.embed, carrier.mac
-    lifted = {}
+    lifted = [None] * len(weights)
 
     def advance(front, letter, keep):
         out = succ[rank[letter]]
@@ -391,9 +406,9 @@ def _stepper(wa: WeightedAutomaton, carrier: Carrier):
         for i, v in front.items():
             for d, t in out[i]:
                 if keep >> d & 1:
-                    w = lifted.get(t)
+                    w = lifted[t]
                     if w is None:
-                        w = lifted[t] = embed(wgt[t])
+                        w = lifted[t] = embed(weights[t])
                     mac(nxt, d, v, w)
         return nxt
 
@@ -408,7 +423,7 @@ def forward(wa: WeightedAutomaton, word, carrier: Carrier):
     word = tuple(word)
     check_word(wa.nfa, word)
     live = live_sets(wa.nfa, [(letter,) for letter in word])
-    initial = wa.nfa.numbered().mask(wa.nfa.initial)
+    initial = wa.nfa.mask(wa.nfa.initial)
     front = dict.fromkeys(bits(initial & live[0]), carrier.one)
     advance = _stepper(wa, carrier)
     for letter, keep in zip(word, live[1:]):
@@ -418,7 +433,7 @@ def forward(wa: WeightedAutomaton, word, carrier: Carrier):
 
 def abstract_semantics(wa: WeightedAutomaton, word) -> SeqMultiset:
     """Multiset of weight sequences of accepting runs on a non-empty word."""
-    return forward(wa, word, seq_counts(weights_of(wa)))
+    return forward(wa, word, seq_counts(weight_table(wa.weights)))
 
 
 _DONE = object()
@@ -442,8 +457,9 @@ def semantics_upto(wa: WeightedAutomaton, alphabet, maxlen, weights=None,
     letters = tuple(sorted(alphabet, key=letter_key))
     # reach[r]: the states some word of r more letters takes to a final one
     reach = live_sets(wa.nfa, [letters] * maxlen)[::-1]
-    carrier = seq_counts(weights_of(wa) if weights is None else weights)
-    start = dict.fromkeys(bits(wa.nfa.numbered().mask(wa.nfa.initial)),
+    carrier = seq_counts(weight_table(wa.weights) if weights is None
+                         else weights)
+    start = dict.fromkeys(bits(wa.nfa.mask(wa.nfa.initial)),
                           carrier.one)
     advance = _stepper(wa, carrier)
     known = wa.nfa.alphabet
@@ -488,7 +504,7 @@ def first_difference(a: WeightedAutomaton, b: WeightedAutomaton, maxlen):
     final counts comes on a kept vector, at the shortest differing length.
     A length that keeps no vector leaves the span closed: no longer word
     differs either."""
-    weights = weight_table([*a.wgt.values(), *b.wgt.values()])
+    weights = weight_table([*a.weights, *b.weights])
     rank = {w: r for r, w in enumerate(weights)}
     code = {letter: j * len(weights) for j, letter in enumerate(
         sorted(a.nfa.alphabet | b.nfa.alphabet, key=letter_key))}
@@ -498,18 +514,18 @@ def first_difference(a: WeightedAutomaton, b: WeightedAutomaton, maxlen):
     # so no edge enters one.
     edges, start, final = [], {}, {}
     for sign, wa in ((1, a), (-1, b)):
-        num, base = wa.nfa.numbered(), len(edges)
-        live = num.mask(coreachable_states(wa.nfa))
-        rows = [[] for _ in num.pos]
-        for letter, out in zip(num.letters, num.succ):
-            for row, ts in zip(rows, out):
-                row += [(code[letter] + rank[wa.wgt[t]], base + d)
-                        for d, t in ts if live >> d & 1]
+        nfa, base = wa.nfa, len(edges)
+        live = coreachable_states(nfa)
+        rows = [[] for _ in nfa.order]
+        for i, j, d, t in nfa.edges():
+            if d in live:
+                rows[i].append((code[nfa.letters[j]] + rank[wa.weights[t]],
+                                base + d))
         edges += rows
         start.update(dict.fromkeys(
-            (base + i for i in bits(num.mask(wa.nfa.initial) & live)), 1))
+            (base + i for i in bits(nfa.mask(nfa.initial)) if i in live), 1))
         final.update(dict.fromkeys(
-            (base + i for i in bits(num.mask(wa.nfa.final))), sign))
+            (base + i for i in bits(nfa.mask(nfa.final))), sign))
     basis = {}          # least position of a kept vector -> the vector
 
     def reduce(vec):
@@ -568,11 +584,11 @@ def scc_decompose(a) -> SccDecomposition:
     """Tarjan, iterative, over positions.  Each component is named by its
     least position, and the ids are assigned in topological order
     (sources first), the ready component with the least name first.  The
-    result is kept on the Nfa, as numbered() is."""
+    result is kept on the Nfa."""
     nfa = underlying_nfa(a)
     if nfa._sccs is not None:
         return nfa._sccs
-    succ = nfa.numbered().succ
+    succ = nfa.succ
     n = len(nfa.order)
     index, low = [None] * n, [0] * n    # index: n once the SCC is done
     comp_of = [None] * n
@@ -645,19 +661,18 @@ def ambiguity_witness(a, start_pairs, end_pairs, within=None):
     expanded in position order, which fixes the witness whatever the
     order of the sets."""
     nfa = underlying_nfa(a)
-    num = nfa.numbered()
     allowed = nfa.states if within is None else within
-    keep = num.mask(allowed)
+    keep = nfa.mask(allowed)
 
     def step(state):
         r, s, diverged = state
-        for letter, rows in zip(num.letters, num.masks):
+        for letter, rows in zip(nfa.letters, nfa.masks):
             outs = list(bits(rows[s] & keep))
             for r2 in bits(rows[r] & keep):
                 for s2 in outs:
                     yield letter, (r2, s2, diverged or r2 != s2)
 
-    pos = num.pos
+    pos = nfa.pos
     starts = sorted((pos[r], pos[s], r != s) for (r, s) in start_pairs
                     if r in allowed and s in allowed)
     ends = {(pos[f], pos[g]) for (f, g) in end_pairs
@@ -701,13 +716,12 @@ def _has_same_word_loop_ladder(nfa) -> bool:
     """Distinct p != q with a common word looping p->p, going p->q and
     looping q->q (triple-product reachability over positions)."""
     scc = scc_decompose(nfa)
-    num = nfa.numbered()
     comp = [scc.component_of[s] for s in nfa.order]
-    moves = list(zip(num.letters, num.succ))
+    moves = list(zip(nfa.letters, nfa.succ))
     # the loops need p and q on cycles, and q reachable from p
     on_cycle = {i for i, c in enumerate(comp)
                 if len(scc.components[c]) > 1} | {
-        num.pos[s] for (s, _, d) in nfa.transitions if s == d}
+        i for i, _, d, _ in nfa.edges() if d == i}
 
     def successors(i):
         return ((a, d) for a, out in moves for d, _ in out[i])
@@ -763,12 +777,11 @@ def runs_witness(a, cap):
     with entries capped at `cap`; dead states never feed a final one, so
     trimming the automaton first does not change the word."""
     nfa = underlying_nfa(a)
-    num = nfa.numbered()
-    finals = [num.pos[s] for s in nfa.final]
+    finals = [nfa.pos[s] for s in nfa.final]
     start = tuple(1 if s in nfa.initial else 0 for s in nfa.order)
 
     def step(vec):
-        for letter, rows in zip(num.letters, num.masks):
+        for letter, rows in zip(nfa.letters, nfa.masks):
             nxt = [0] * len(vec)
             for i, n in enumerate(vec):
                 if n:
@@ -830,7 +843,7 @@ def transition_monoid(nfa) -> TransitionMonoid:
     computed once.  An element is the tuple of its rows' numbers, its
     product with a letter one lookup per row; `elements` reads the
     matrices back at the end."""
-    gens, n = nfa.numbered().masks, len(nfa.order)
+    gens, n = nfa.masks, len(nfa.order)
     rows = [1 << i for i in range(n)]
     row_number = {m: r for r, m in enumerate(rows)}
     img = [[] for _ in gens]        # img[g][r]: the number of rows[r] . g
@@ -901,8 +914,7 @@ def aperiodicity_witness(a):
     for e in range(len(monoid)):
         period = _power_cycle(monoid, e)[1]
         if period > 1:
-            letters = nfa.numbered().letters
-            return tuple(letters[g] for g in monoid.word(e)), period
+            return tuple(nfa.letters[g] for g in monoid.word(e)), period
     return None
 
 
@@ -916,60 +928,66 @@ def weighted_union(a: WeightedAutomaton, b: WeightedAutomaton) -> WeightedAutoma
     if a.nfa.alphabet != b.nfa.alphabet:
         raise InputError("union requires a common alphabet")
     parts = (a, b)
-    nums = [wa.nfa.numbered() for wa in parts]
-    finals = [num.mask(wa.nfa.final) for num, wa in zip(nums, parts)]
-    wgt = {}
+    finals = [wa.nfa.mask(wa.nfa.final) for wa in parts]
 
     def step(state):
         tag, i = state
-        branch = parts[tag].wgt
-        for letter, out in zip(nums[tag].letters, nums[tag].succ):
+        nfa, weights = parts[tag].nfa, parts[tag].weights
+        for letter, out in zip(nfa.letters, nfa.succ):
             for d, t in out[i]:
-                dst = (tag, d)
-                wgt[(state, letter, dst)] = branch[t]
-                yield letter, dst
+                yield letter, (tag, d), weights[t]
 
-    nfa = reachable_nfa([(tag, nums[tag].pos[q]) for tag in (0, 1)
-                         for q in parts[tag].nfa.initial],
-                        step, a.nfa.alphabet,
-                        lambda s: finals[s[0]] >> s[1] & 1)
-    return WeightedAutomaton(nfa, wgt)
+    return WeightedAutomaton.from_weights(*reachable_nfa(
+        [(tag, wa.nfa.pos[q]) for tag, wa in enumerate(parts)
+         for q in wa.nfa.initial],
+        step, a.nfa.alphabet, lambda s: finals[s[0]] >> s[1] & 1))
 
 
 def reachable_states(nfa: Nfa):
-    num = nfa.numbered()
-    starts = [num.pos[s] for s in nfa.initial]
+    """The positions of the states reachable from an initial one."""
+    starts = [nfa.pos[s] for s in nfa.initial]
     forward = explore(starts, lambda i: (
-        (j, d) for j, out in enumerate(num.succ) for d, _ in out[i]))
-    reached = set(starts).union(d for (_, _, d) in forward)
-    return {nfa.order[i] for i in reached}
+        (j, d) for j, out in enumerate(nfa.succ) for d, _ in out[i]))
+    return set(starts).union(d for (_, _, d) in forward)
 
 
 def coreachable_states(nfa: Nfa):
-    """The states some word takes to a final state (the final states
-    included): one backward sweep from F over predecessor lists, read off
-    the transitions, so the automaton need not be numbered."""
-    pred = collections.defaultdict(list)
-    for s, _, d in nfa.transitions:
-        pred[d].append(s)
-    back = explore(nfa.final, lambda d: ((None, s) for s in pred[d]))
-    return set(nfa.final).union(s for (_, _, s) in back)
+    """The positions of the states some word takes to a final state (the
+    final states included): one backward sweep from F over predecessor
+    lists read off the successor table."""
+    pred = [[] for _ in nfa.order]
+    for out in nfa.succ:
+        for i, ts in enumerate(out):
+            for d, _ in ts:
+                pred[d].append(i)
+    finals = [nfa.pos[s] for s in nfa.final]
+    back = explore(finals, lambda d: ((None, i) for i in pred[d]))
+    return set(finals).union(i for (_, _, i) in back)
 
 
-def restrict(nfa: Nfa, keep) -> Nfa:
-    keep = set(keep)
-    return Nfa(keep, nfa.alphabet,
-               {t for t in nfa.transitions if t[0] in keep and t[2] in keep},
-               nfa.initial & keep, nfa.final & keep,
-               {k: v & keep for k, v in nfa.accepting.items()})
+def restrict(nfa: Nfa, keep):
+    """The part of nfa on the positions `keep` that its initial states
+    reach inside them (all of them when keep holds the states on
+    accepting runs), and the number in nfa of each of its transitions."""
+    pos, order = nfa.pos, nfa.order
+
+    def step(s):
+        for letter, out in zip(nfa.letters, nfa.succ):
+            for d, t in out[pos[s]]:
+                if d in keep:
+                    yield letter, order[d], t
+
+    sub, numbers = reachable_nfa([q for q in nfa.initial if pos[q] in keep],
+                                 step, nfa.alphabet, nfa.final.__contains__)
+    sub.accepting = {k: v.intersection(sub.states)
+                     for k, v in nfa.accepting.items()}
+    return sub, numbers
 
 
 def trim(a):
     """Restriction to states both reachable and co-reachable."""
     nfa = underlying_nfa(a)
-    keep = reachable_states(nfa) & coreachable_states(nfa)
-    trimmed = restrict(nfa, keep)
-    if isinstance(a, WeightedAutomaton):
-        wgt = {t: a.wgt[t] for t in trimmed.transitions}
-        return WeightedAutomaton(trimmed, wgt)
-    return trimmed
+    sub, numbers = restrict(nfa,
+                            reachable_states(nfa) & coreachable_states(nfa))
+    return sub if nfa is a else WeightedAutomaton.from_weights(
+        sub, map(a.weights.__getitem__, numbers))

@@ -240,7 +240,7 @@ def _cmd_equiv(args):
     # weight table for both automata, so that each word compares as two
     # dicts
     alphabet = first.nfa.alphabet | second.nfa.alphabet
-    weights = weight_table([*first.wgt.values(), *second.wgt.values()])
+    weights = weight_table([*first.weights, *second.weights])
     word, got, want = next(
         (word, got, want) for (word, got), (_, want) in zip(
             semantics_upto(first, alphabet, length, weights, length),

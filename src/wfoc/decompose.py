@@ -9,7 +9,9 @@ unambiguous automaton whose support is the exactly-k-runs slice.
 ``decompose`` stitches the slices into automata B_1, ..., B_K whose
 pointwise multiset union is the original behaviour.  Trackers, slices and
 unions are each built by `automata.reachable_nfa` over the successor
-table.
+table, and name their states by positions: a tracker state by k base
+positions and k - 1 order bits, a slice state by (classifier state,
+tracker position).
 """
 
 import itertools
@@ -43,24 +45,25 @@ def ensure_single_initial(a):
     while any(isinstance(s, tuple) and s[:1] == (tag,) for s in nfa.states):
         tag += "'"
     start = (tag,)
-    num = nfa.numbered()
-    # every transition, with the input transition whose weight it carries
-    origin = {t: t for t in nfa.transitions}
-    for t in nfa.transitions:
-        if t[0] in nfa.initial:
-            copy = (tag, t[0], t[2])
-            origin[(start, t[1], copy)] = t
-            origin.update(((copy, u[1], u[2]), u)
-                          for out in num.succ for _, u in out[num.pos[t[2]]])
+    order, letters = nfa.order, nfa.letters
+    # every transition, with the number of the input transition whose
+    # weight it carries
+    origin = dict(zip(nfa.transitions, itertools.count()))
+    for i, j, d, t in nfa.edges():
+        if order[i] in nfa.initial:
+            copy = (tag, order[i], order[d])
+            origin[(start, letters[j], copy)] = t
+            origin.update(((copy, b, order[e]), u)
+                          for b, row in zip(letters, nfa.succ)
+                          for e, u in row[d])
     copies = {d for (s, _, d) in origin if s == start}
     final = set(nfa.final) | {c for c in copies if c[2] in nfa.final}
     if nfa.initial & nfa.final:
         final.add(start)
     states = set(nfa.states) | copies | {start}
     out = Nfa(states, nfa.alphabet, origin, {start}, final)
-    if not isinstance(a, WeightedAutomaton):
-        return out
-    return WeightedAutomaton(out, {t: a.wgt[u] for t, u in origin.items()})
+    return out if nfa is a else WeightedAutomaton(
+        out, {t: a.weights[u] for t, u in origin.items()})
 
 
 # -- at least k accepting runs ----------------------------------------------
@@ -69,21 +72,21 @@ def ensure_single_initial(a):
 def build_a_geq_k(a, k) -> Nfa:
     """Automaton accepting the words with at least k accepting runs.
 
-    States are flat tuples: k tracked base states followed by k - 1 order
-    bits, bit ell turning 1 once run ell is strictly below run ell + 1 in
-    the lexicographic order on state sequences.  The order on base states
-    is their position in the automaton's `order`.  Only the part reachable
-    from the all-initial tuple is materialized.
+    States are flat tuples: the positions of k tracked base states in
+    the automaton's `order` followed by k - 1 order bits, bit ell turning
+    1 once run ell is strictly below run ell + 1 in the lexicographic
+    order on state sequences.  Only the part reachable from the
+    all-initial tuple is materialized.
     """
     if k < 1:
         raise InputError("run count must be >= 1")
     nfa = underlying_nfa(ensure_single_initial(underlying_nfa(a)))
     (q0,) = nfa.initial
-    num = nfa.numbered()
+    finals = nfa.mask(nfa.final)
 
     def step(src):
-        ps, cs = [num.pos[q] for q in src[:k]], src[k:]
-        for letter, out in zip(num.letters, num.succ):
+        ps, cs = src[:k], src[k:]
+        for letter, out in zip(nfa.letters, nfa.succ):
             # lists, not generators: CPython sizes a tuple built from a
             # generator by a guess and shrinks it, and the shrunk tuples
             # pile up in its free lists (peak memory of large trackers)
@@ -99,11 +102,11 @@ def build_a_geq_k(a, k) -> Nfa:
                         # equal prefixes may not fall out of order
                         break
                 else:
-                    yield letter, tuple([t[2] for _, t in moves] + cs2)
+                    yield letter, tuple([d for d, _ in moves] + cs2), None
 
     return reachable_nfa(
-        [(q0,) * k + (0,) * (k - 1)], step, nfa.alphabet,
-        lambda s: all(q in nfa.final for q in s[:k]) and all(s[k:]))
+        [(nfa.pos[q0],) * k + (0,) * (k - 1)], step, nfa.alphabet,
+        lambda s: all(finals >> p & 1 for p in s[:k]) and all(s[k:]))[0]
 
 
 # -- the ell-th run on the exactly-k slice ------------------------------------
@@ -111,34 +114,36 @@ def build_a_geq_k(a, k) -> Nfa:
 
 def _exact_slice(geq_k: Nfa, geq_next: Nfa) -> Nfa:
     """Trim product of the classifier of A_>=k+1 with the k-run tracker
-    A_>=k, on (classifier state, tracker state): one run per word with
+    A_>=k, on (classifier state, tracker position): one run per word with
     exactly k runs, so a pair is final when the verdict is False (fewer
     than k + 1 runs) and the tracker state is final."""
     cls = dfa_from_nfa(geq_next)
-    num = geq_k.numbered()          # its letters are the classifier's
+    finals = geq_k.mask(geq_k.final)
 
     def step(pair):
-        c, q = pair
-        i = num.pos[q]
-        for letter, c2, out in zip(num.letters, cls.delta[c - 1], num.succ):
-            for _, t in out[i]:
-                yield letter, (c2, t[2])
+        c, i = pair     # geq_k's letters are the classifier's
+        for letter, c2, out in zip(geq_k.letters, cls.delta[c - 1],
+                                   geq_k.succ):
+            for d, _ in out[i]:
+                yield letter, (c2, d), None
 
     joint = reachable_nfa(
-        [(1, q) for q in geq_k.initial], step, geq_k.alphabet,
+        [(1, geq_k.pos[q]) for q in geq_k.initial], step, geq_k.alphabet,
         lambda pair: cls.verdicts[pair[0] - 1] is False
-        and pair[1] in geq_k.final)
-    return restrict(joint, coreachable_states(joint))
+        and finals >> pair[1] & 1)[0]
+    return restrict(joint, coreachable_states(joint))[0]
 
 
-def _weigh_run(norm: WeightedAutomaton, joint: Nfa, ell) -> WeightedAutomaton:
+def _weigh_run(norm: WeightedAutomaton, geq_k: Nfa, joint: Nfa,
+               ell) -> WeightedAutomaton:
     """Weight each transition of an exactly-k slice of `norm` by the
-    transition its ell-th tracked run takes."""
-    wgt = {}
-    for t in joint.transitions:
-        (_, src), letter, (_, dst) = t
-        wgt[t] = norm.wgt[(src[ell - 1], letter, dst[ell - 1])]
-    return WeightedAutomaton(joint, wgt)
+    transition its ell-th tracked run takes, read by position: a tracker
+    state holds its runs' positions in `norm`, over the same letters."""
+    runs = [geq_k.order[q][ell - 1] for _, q in joint.order]
+    succ = norm.nfa.succ
+    return WeightedAutomaton.from_weights(joint, [
+        next(norm.weights[t] for e, t in succ[j][runs[i]] if e == runs[d])
+        for i, j, d, _ in joint.edges()])
 
 
 # -- the decomposition ---------------------------------------------------------
@@ -180,11 +185,13 @@ def decompose_with_trackers(a: WeightedAutomaton, k=None):
     norm = ensure_single_initial(a)
     geqs = []
     while k is None or len(geqs) <= k:
-        geqs.append(build_a_geq_k(norm.nfa, len(geqs) + 1))
+        geq = build_a_geq_k(norm.nfa, len(geqs) + 1)
+        geqs.append(geq)
         # reachable states only: a non-empty word is accepted iff some
         # transition enters a final state
-        if k is None and not any(t[2] in geqs[-1].final
-                                 for t in geqs[-1].transitions):
+        finals = geq.mask(geq.final)
+        if k is None and not any(m & finals for rows in geq.masks
+                                 for m in rows):
             k = len(geqs) - 1
     # B_ell is the left-nested union over j = ell..k of the ell-th run
     # on the exactly-j slice; each slice is built once and is reachable,
@@ -193,7 +200,7 @@ def decompose_with_trackers(a: WeightedAutomaton, k=None):
     for j in range(1, k + 1):
         joint = _exact_slice(geqs[j - 1], geqs[j])
         for ell in range(1, j):
-            out[ell - 1] = weighted_union(out[ell - 1],
-                                          _weigh_run(norm, joint, ell))
-        out.append(_weigh_run(norm, joint, j))
+            out[ell - 1] = weighted_union(
+                out[ell - 1], _weigh_run(norm, geqs[j - 1], joint, ell))
+        out.append(_weigh_run(norm, geqs[j - 1], joint, j))
     return out, geqs, norm

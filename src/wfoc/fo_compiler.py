@@ -264,11 +264,10 @@ def _run_atom(phi: RunAtom, letters, vars):
     nfa, p, q = phi.nfa, phi.p, phi.q
     if p not in nfa.states or q not in nfa.states:
         raise InputError("run atom %s uses unknown states" % phi.name)
-    num = nfa.numbered()
-    succ = dict(zip(num.letters, num.masks))
-    n = len(num.pos)
-    start, wait, yes = 1 << num.pos[p], 1 << n, 2 << n
-    ends = [yes if i == num.pos[q] else 0 for i in range(n)]
+    succ = dict(zip(nfa.letters, nfa.masks))
+    n = len(nfa.order)
+    start, wait, yes = 1 << nfa.pos[p], 1 << n, 2 << n
+    ends = [yes if i == nfa.pos[q] else 0 for i in range(n)]
 
     def fired(a, v):
         return v is not None and a[1][vars.index(v)]
@@ -277,7 +276,7 @@ def _run_atom(phi: RunAtom, letters, vars):
     for a in letters:
         if fired(a, phi.hi):
             # the factor stops before the hi mark; from wait it is empty
-            row = [*ends, ends[num.pos[p]]]
+            row = [*ends, ends[nfa.pos[p]]]
         else:
             row = [*succ.get(a[0] if vars else a, (0,) * n),
                    start if fired(a, phi.lo) else wait]
@@ -285,7 +284,7 @@ def _run_atom(phi: RunAtom, letters, vars):
     # without a lo bound the simulation starts at once, else at the lo
     # mark; without a hi bound the verdict is read at the end of the word
     return (start if phi.lo is None else wait, rows,
-            yes | (1 << num.pos[q] if phi.hi is None else 0))
+            yes | (1 << nfa.pos[q] if phi.hi is None else 0))
 
 
 # ---------------------------------------------------------------------------
@@ -327,9 +326,8 @@ def dfa_from_nfa(nfa: Nfa) -> ClassifierDfa:
     """Subset-construction DFA over the plain alphabet: F = L(nfa), G = its
     complement (no reject class).  Subsets are bit masks of positions in
     the automaton's `order`."""
-    num = nfa.numbered()
     return minimize(_table(
-        *_subsets(num.mask(nfa.initial), num.masks, num.mask(nfa.final)),
+        *_subsets(nfa.mask(nfa.initial), nfa.masks, nfa.mask(nfa.final)),
         nfa.alphabet, ()))
 
 

@@ -56,21 +56,15 @@ def _parse_state(token: str, line_no: int):
     return int(token)
 
 
-def _strip_comment(line: str) -> str:
-    return line.split("#", 1)[0].strip()
-
-
 def _parse_fields(lines):
-    """Sections of the (line number, text) pairs `lines`."""
-    alphabet = None
-    states = None
-    initial = None
-    final = None
-    accepting = {}
-    trans_lines = []
+    """Sections of the (line number, text) pairs `lines`: the sets of
+    letters and of states, {section: states} for initial, final and each
+    accepting set, checked against the states, and the trans lines."""
+    alphabet = states = None
+    groups, trans_lines = {}, []
     seen = {}                   # section -> the line that gave it
     for line_no, raw in lines:
-        line = _strip_comment(raw)
+        line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         key, sep, rest = line.partition(":")
@@ -83,19 +77,14 @@ def _parse_fields(lines):
         seen[key] = line_no
         tokens = rest.split()
         if key == "alphabet":
-            alphabet = [parse_letter(t) for t in tokens]
+            alphabet = {parse_letter(t) for t in tokens}
         elif key == "states":
-            states = [_parse_state(t, line_no) for t in tokens]
-        elif key == "initial":
-            initial = [_parse_state(t, line_no) for t in tokens]
-        elif key == "final":
-            final = [_parse_state(t, line_no) for t in tokens]
-        elif key.startswith("accepting"):
-            parts = key.split()
-            if len(parts) != 2:
+            states = {_parse_state(t, line_no) for t in tokens}
+        elif key in ("initial", "final") or key.startswith("accepting"):
+            if key.startswith("accepting") and len(key.split()) != 2:
                 raise InputError("line %d: accepting sets need a name: %r"
                                  % (line_no, raw))
-            accepting[parts[1]] = [_parse_state(t, line_no) for t in tokens]
+            groups[key] = [_parse_state(t, line_no) for t in tokens]
         elif key == "trans":
             if len(tokens) not in (3, 4):
                 raise InputError("line %d: trans needs 3 or 4 fields: %r"
@@ -105,16 +94,21 @@ def _parse_fields(lines):
             raise InputError("line %d: unknown section %r" % (line_no, key))
     if alphabet is None or states is None:
         raise InputError("missing alphabet or states section")
-    if initial is None or final is None:
+    if "initial" not in groups or "final" not in groups:
         raise InputError("missing initial or final section")
-    return alphabet, states, initial, final, accepting, trans_lines
+    for key, group in groups.items():
+        for s in group:
+            if s not in states:
+                raise InputError("line %d: %s names undeclared state %r"
+                                 % (seen[key], key, str(s)))
+    return alphabet, states, groups, trans_lines
 
 
 def parse_automaton(text: str, line_no=None):
     """Parse the text format; returns WeightedAutomaton when every trans
     line carries a weight, Nfa when none does.  Errors name the line they
     are on, or `line_no` for every line when it is given."""
-    alphabet, states, initial, final, accepting, trans_lines = _parse_fields(
+    alphabet, states, groups, trans_lines = _parse_fields(
         (line_no or n, raw) for n, raw in enumerate(text.splitlines(), 1))
     weighted_flags = {len(t) == 4 for (_, t) in trans_lines}
     if len(weighted_flags) > 1:
@@ -126,6 +120,12 @@ def parse_automaton(text: str, line_no=None):
         src = _parse_state(tokens[0], line_no)
         letter = parse_letter(tokens[1])
         dst = _parse_state(tokens[2], line_no)
+        if src not in states or letter not in alphabet or dst not in states:
+            kind, token = ("state", tokens[0]) if src not in states else \
+                ("letter", tokens[1]) if letter not in alphabet \
+                else ("state", tokens[2])
+            raise InputError("line %d: trans names undeclared %s %r"
+                             % (line_no, kind, token))
         t = (src, letter, dst)
         if t in transitions:
             raise InputError("line %d: duplicate transition %r"
@@ -136,7 +136,9 @@ def parse_automaton(text: str, line_no=None):
                 wgt[t] = parse_weight(tokens[3])
             except InputError as err:
                 raise InputError("line %d: %s" % (line_no, err))
-    nfa = Nfa(states, alphabet, transitions, initial, final, accepting)
+    nfa = Nfa(states, alphabet, transitions, groups.pop("initial"),
+              groups.pop("final"),
+              {key.split()[1]: group for key, group in groups.items()})
     return WeightedAutomaton(nfa, wgt) if weighted else nfa
 
 
@@ -157,14 +159,11 @@ def canonical_relabel(a):
     nfa = underlying_nfa(a)
     names = canonical_names(nfa)
     out = Nfa(names.values(), nfa.alphabet,
-              {(names[s], l, names[d]) for (s, l, d) in nfa.transitions},
-              {names[s] for s in nfa.initial},
-              {names[s] for s in nfa.final},
-              {k: {names[s] for s in v} for k, v in nfa.accepting.items()})
-    if isinstance(a, WeightedAutomaton):
-        wgt = {(names[s], l, names[d]): w for (s, l, d), w in a.wgt.items()}
-        return WeightedAutomaton(out, wgt)
-    return out
+              [(names[s], l, names[d]) for (s, l, d) in nfa.transitions],
+              map(names.get, nfa.initial), map(names.get, nfa.final),
+              {k: map(names.get, v) for k, v in nfa.accepting.items()})
+    # the renaming keeps the order, so every transition its number
+    return out if nfa is a else WeightedAutomaton.from_weights(out, a.weights)
 
 
 def _names(nfa, group):
@@ -177,21 +176,19 @@ def serialize_automaton(a) -> str:
     written by their canonical names, transitions in the automaton's
     order."""
     nfa = underlying_nfa(a)
-    wgt = a.wgt if isinstance(a, WeightedAutomaton) else None
-    num = nfa.numbered()
-    lines = ["alphabet: " + " ".join(map(render_letter, num.letters)),
+    lines = ["alphabet: " + " ".join(map(render_letter, nfa.letters)),
              "states: " + _names(nfa, nfa.states),
              "initial: " + _names(nfa, nfa.initial),
              "final: " + _names(nfa, nfa.final)]
     for name in sorted(nfa.accepting):
         lines.append("accepting %s: %s"
                      % (name, _names(nfa, nfa.accepting[name])))
-    for t in num.transitions:
-        (s, l, d) = t
-        line = "trans: %d %s %d" % (num.pos[s] + 1, render_letter(l),
-                                   num.pos[d] + 1)
-        lines.append(line if wgt is None
-                     else "%s %s" % (line, format_weight(wgt[t])))
+    weights = a.weights if isinstance(a, WeightedAutomaton) else None
+    labels = list(map(render_letter, nfa.letters))
+    for i, j, d, t in nfa.edges():
+        line = "trans: %d %s %d" % (i + 1, labels[j], d + 1)
+        lines.append(line if weights is None
+                     else "%s %s" % (line, format_weight(weights[t])))
     return "\n".join(lines) + "\n"
 
 
@@ -208,8 +205,6 @@ def to_dot(a) -> str:
     named by its canonical name; edge labels 'letter | weight' for
     weighted automata."""
     nfa = underlying_nfa(a)
-    wgt = a.wgt if isinstance(a, WeightedAutomaton) else None
-    num = nfa.numbered()
     lines = ["digraph automaton {", "  rankdir=LR;"]
     for i, s in enumerate(nfa.order, 1):
         shape = "doublecircle" if s in nfa.final else "circle"
@@ -217,13 +212,13 @@ def to_dot(a) -> str:
     for k, i in enumerate(_names(nfa, nfa.initial).split()):
         lines.append('  __start%d [shape=point, label=""];' % k)
         lines.append("  __start%d -> %s;" % (k, _gvquote(i)))
+    weights = a.weights if isinstance(a, WeightedAutomaton) else None
     grouped = {}
-    for t in num.transitions:
-        (s, l, d) = t
-        label = render_letter(l)
-        if wgt is not None:
-            label += " | " + format_weight(wgt[t])
-        grouped.setdefault((num.pos[s] + 1, num.pos[d] + 1), []).append(label)
+    for i, j, d, t in nfa.edges():
+        label = render_letter(nfa.letters[j])
+        if weights is not None:
+            label += " | " + format_weight(weights[t])
+        grouped.setdefault((i + 1, d + 1), []).append(label)
     for (i, j), labels in sorted(grouped.items()):
         label = "\\n".join(sorted(labels))
         lines.append('  %s -> %s [label="%s"];'

@@ -62,22 +62,20 @@ def _require_aperiodic(nfa):
             % (render_word(word), period))
 
 
-def _factor_atom(nfa, p, q, lo, hi, name):
-    return RunAtom(name, nfa, p, q, lo, hi, bounded=True)
-
-
 def transition_formula(a, p, q, delta, var="x", name=ATOM_NAME):
     """Open formula true at position var exactly when the word has a run
     from p to q whose var-th transition is delta; needs the automaton to
     be unambiguous from p to q for the exactness part."""
     nfa = underlying_nfa(a)
     (r, letter, s) = delta
-    if delta not in nfa.transitions:
+    pos, rank = nfa.pos, nfa.rank
+    if r not in pos or s not in pos or letter not in rank \
+            or not nfa.masks[rank[letter]][pos[r]] >> pos[s] & 1:
         raise InputError("unknown transition %r" % (delta,))
     return _conj([
-        _factor_atom(nfa, p, r, None, var, name),
+        RunAtom(name, nfa, p, r, None, var, bounded=True),
         LetterAt(letter, var),
-        _factor_atom(nfa, s, q, var, None, name),
+        RunAtom(name, nfa, s, q, var, None, bounded=True),
     ])
 
 
@@ -109,8 +107,8 @@ def unambiguous_to_wfo(a: WeightedAutomaton, p, q, name=ATOM_NAME):
 def _guarded_product(a, p, q, name):
     """unambiguous_to_wfo once both hypotheses are known to hold."""
     guard = RunAtom(name, a.nfa, p, q, None, None)
-    pairs = [(transition_formula(a, p, q, t, "x", name), a.wgt[t])
-             for t in a.nfa.numbered().transitions]
+    pairs = [(transition_formula(a, p, q, t, "x", name), w)
+             for t, w in zip(a.nfa.transitions, a.weights)]
     return WIte(guard, ProdX("x", _cascade(pairs)), Zero())
 
 
@@ -146,8 +144,7 @@ def enumerate_switching(a, p, q):
         raise HypothesisError(
             "states %r and %r share a component; no switching is involved"
             % (p, q))
-    switching = [t for t in nfa.numbered().transitions
-                 if not scc.same(t[0], t[2])]
+    switching = [t for t in nfa.transitions if not scc.same(t[0], t[2])]
     target = scc.component_of[q]
     out = []
 
@@ -165,17 +162,13 @@ def enumerate_switching(a, p, q):
     return out
 
 
-def _switch_vars(m):
-    return ["y%d" % i for i in range(1, m + 1)]
-
-
 def _switching_sentence(a, p, q, seq, name):
     """Sum over the switch positions of a guarded product; the guard pins
     the switching skeleton and the cascade names each position's
     transition relative to its segment."""
     nfa = a.nfa
     scc = scc_decompose(nfa)
-    ys = _switch_vars(len(seq))
+    ys = ["y%d" % i for i in range(1, len(seq) + 1)]
     comps = [scc.component_of[p]] + [scc.component_of[t[2]] for t in seq]
     # segment j runs from enter[j] after position lo[j] to leave[j]
     # before position hi[j]; None leaves that end open
@@ -186,12 +179,12 @@ def _switching_sentence(a, p, q, seq, name):
 
     guard_parts = [Lt(y1, y2) for y1, y2 in zip(ys, ys[1:])]
     guard_parts += [LetterAt(t[1], y) for t, y in zip(seq, ys)]
-    guard_parts += [_factor_atom(nfa, *seg, name)
+    guard_parts += [RunAtom(name, nfa, *seg, bounded=True)
                     for seg in zip(enter, leave, lo, hi)]
     guard = _conj(guard_parts)
 
     pairs = []
-    for t in nfa.numbered().transitions:
+    for t, w in zip(nfa.transitions, a.weights):
         (r, letter, s) = t
         if t in seq:
             cond = EqVar("x", ys[seq.index(t)])
@@ -200,13 +193,13 @@ def _switching_sentence(a, p, q, seq, name):
             conj = [] if lo[j] is None else [Lt(lo[j], "x")]
             if hi[j] is not None:
                 conj.append(Lt("x", hi[j]))
-            conj += [_factor_atom(nfa, enter[j], r, lo[j], "x", name),
+            conj += [RunAtom(name, nfa, enter[j], r, lo[j], "x", bounded=True),
                      LetterAt(letter, "x"),
-                     _factor_atom(nfa, s, leave[j], "x", hi[j], name)]
+                     RunAtom(name, nfa, s, leave[j], "x", hi[j], bounded=True)]
             cond = _conj(conj)
         else:
             cond = Not(FoTrue())
-        pairs.append((cond, a.wgt[t]))
+        pairs.append((cond, w))
 
     body = WIte(guard, ProdX("x", _cascade(pairs)), Zero())
     for y in reversed(ys):

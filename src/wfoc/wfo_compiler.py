@@ -17,6 +17,7 @@ are unambiguous.
 
 from __future__ import annotations
 
+import functools
 from operator import getitem
 
 from .automata import (
@@ -169,8 +170,8 @@ def compile_product(step, var, alphabet, vars=()) -> WeightedAutomaton:
     # and walks the cascade once per distinct verdict vector.  The
     # started flag keeps the empty word out of the support.
     cascade = _cascade(step, {c: i for i, c in enumerate(conds)})
-    weights, wgt = {}, {}
 
+    @functools.cache        # one walk per distinct verdict vector
     def decode(codes):
         psi = cascade
         while type(psi) is tuple:
@@ -192,19 +193,12 @@ def compile_product(step, var, alphabet, vars=()) -> WeightedAutomaton:
             for f, tabs in composed_from.get((f_src, j0), ()):
                 if not tabs[0][marked[0]]:
                     continue
-                codes = bytes(map(getitem, tabs, marked))
-                w = weights.get(codes)
-                if w is None:
-                    w = weights[codes] = decode(codes)
-                dst = (d2, f, 1)
-                wgt[(state, a, dst)] = w
-                yield a, dst
+                yield a, (d2, f, 1), decode(bytes(map(getitem, tabs, marked)))
 
     end = f_rank[ends]
-    nfa = reachable_nfa([(d_rank[d0], f, 0) for f in range(len(suffixes))],
-                        advance, letters,
-                        lambda s: s[1] == end and s[2] == 1)
-    return WeightedAutomaton(nfa, wgt)
+    return WeightedAutomaton.from_weights(*reachable_nfa(
+        [(d_rank[d0], f, 0) for f in range(len(suffixes))], advance, letters,
+        lambda s: s[1] == end and s[2] == 1))
 
 
 def compile_ite(cond, then_wa: WeightedAutomaton, else_wa: WeightedAutomaton,
@@ -222,28 +216,23 @@ def compile_ite(cond, then_wa: WeightedAutomaton, else_wa: WeightedAutomaton,
         raise InputError("branch alphabet mismatch")
     branches = (then_wa, else_wa)
     # both branches read their letters in the classifier's order
-    nums = [wa.nfa.numbered() for wa in branches]
-    finals = [num.mask(wa.nfa.final) for num, wa in zip(nums, branches)]
-    wgt = {}
+    finals = [wa.nfa.mask(wa.nfa.final) for wa in branches]
 
     def step(state):
         (tag, c, i) = state
-        branch = branches[tag].wgt
-        for a, c2, out in zip(letters, cls.delta[c - 1], nums[tag].succ):
+        succ, weights = branches[tag].nfa.succ, branches[tag].weights
+        for a, c2, out in zip(letters, cls.delta[c - 1], succ):
             for d, t in out[i]:
-                dst = (tag, c2, d)
-                wgt[(state, a, dst)] = branch[t]
-                yield a, dst
+                yield a, (tag, c2, d), weights[t]
 
     def final(state):
         (tag, c, i) = state
         v = cls.verdicts[c - 1]
         return finals[tag] >> i & 1 and (v is False if tag else v)
 
-    nfa = reachable_nfa([(tag, 1, nums[tag].pos[q0]) for tag in (0, 1)
-                         for q0 in branches[tag].nfa.initial],
-                        step, letters, final)
-    return WeightedAutomaton(nfa, wgt)
+    return WeightedAutomaton.from_weights(*reachable_nfa(
+        [(tag, 1, wa.nfa.pos[q0]) for tag, wa in enumerate(branches)
+         for q0 in wa.nfa.initial], step, letters, final))
 
 
 def compile_sum_var(a: WeightedAutomaton, var, alphabet,
@@ -259,23 +248,20 @@ def compile_sum_var(a: WeightedAutomaton, var, alphabet,
     # one row (a, i0, i1) per output letter a: the body reads a with the
     # mark unset as its letter i0 and with the mark set as its letter i1
     lifted = lift_table(frozenset(alphabet), out_vars, var)
-    num = a.nfa.numbered()
-    final = num.mask(a.nfa.final)
-    wgt = {}
+    succ, weights = a.nfa.succ, a.weights
+    final = a.nfa.mask(a.nfa.final)
 
     def step(state):
         i, c = state
         for out_l, i0, i1 in lifted:
             for j, c2 in ((i0, c),) if c else ((i0, 0), (i1, 1)):
-                for d, t in num.succ[j][i]:
-                    dst = (d, c2)
-                    wgt[(state, out_l, dst)] = a.wgt[t]
-                    yield out_l, dst
+                for d, t in succ[j][i]:
+                    yield out_l, (d, c2), weights[t]
 
-    nfa = reachable_nfa([(num.pos[q], 0) for q in a.nfa.initial], step,
-                        [row[0] for row in lifted],
-                        lambda s: s[1] == 1 and final >> s[0] & 1)
-    return WeightedAutomaton(nfa, wgt)
+    return WeightedAutomaton.from_weights(*reachable_nfa(
+        [(a.nfa.pos[q], 0) for q in a.nfa.initial], step,
+        [row[0] for row in lifted],
+        lambda s: s[1] == 1 and final >> s[0] & 1))
 
 
 def compile_wfo(phi, alphabet, vars=()) -> WeightedAutomaton:

@@ -214,6 +214,11 @@ FORMULAS = [
 ]
 
 
+def named_weights(wa):
+    """wa's weights keyed by their named transitions (src, letter, dst)."""
+    return dict(zip(wa.nfa.transitions, wa.weights))
+
+
 def check_classifier(c):
     """The table contract of a minimal ClassifierDfa: sorted letters, one
     complete row per state, states 1..n numbered breadth-first from 1 over
@@ -243,7 +248,7 @@ def nested_union(a, b):
                 for s in getattr(wa.nfa, field)}
 
     wgt = {((tag, p), x, (tag, q)): w for tag, wa in enumerate(parts)
-           for (p, x, q), w in wa.wgt.items()}
+           for (p, x, q), w in named_weights(wa).items()}
     return WeightedAutomaton(
         Nfa(tagged("states"), a.nfa.alphabet, set(wgt), tagged("initial"),
             tagged("final")), wgt)

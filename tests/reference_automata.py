@@ -3,8 +3,9 @@ test oracles.
 
 `mat_mul` is the boolean matrix product the transition monoid's closure
 used before it interned rows.  `ReferenceNumbered` builds the numbered
-form by sorting every transition with a key, as `Numbered` did before it
-bucketed them.  `reference_coreachable` reads co-reachability off the
+form of an Nfa (its `letters`, `pos`, `transitions`, `succ` and `masks`)
+by sorting every transition with a key, as the numbered form did before
+it bucketed them.  `reference_coreachable` reads co-reachability off the
 strongly connected components and their topological order, as
 `coreachable_states` did before its backward sweep.  `eager_seq_counts`
 is the multiset carrier as it was before runs shared suffixes: every
@@ -32,8 +33,8 @@ def mat_mul(m1, m2):
 
 class ReferenceNumbered:
     """`letters`, `pos`, `transitions`, `succ` and `masks` of an Nfa, with
-    the transitions sorted by (position, letter, position) through a key
-    and the successor table grouped from that order."""
+    the transitions sorted by (position, letter, position) through a key,
+    numbered in that order, and the successor table grouped from it."""
 
     def __init__(self, nfa):
         self.letters = tuple(sorted(nfa.alphabet, key=letter_key))
@@ -42,9 +43,10 @@ class ReferenceNumbered:
         self.transitions = tuple(sorted(
             nfa.transitions, key=lambda t: (pos[t[0]], rank[t[1]], pos[t[2]])))
         table = [[()] * len(pos) for _ in self.letters]
-        for (s, a), ts in itertools.groupby(self.transitions,
-                                            key=lambda t: t[:2]):
-            table[rank[a]][pos[s]] = tuple((pos[t[2]], t) for t in ts)
+        numbered = zip(self.transitions, itertools.count())
+        for (s, a), ts in itertools.groupby(numbered,
+                                            key=lambda tn: tn[0][:2]):
+            table[rank[a]][pos[s]] = tuple((pos[t[2]], n) for t, n in ts)
         self.succ = tuple(map(tuple, table))
         self.masks = tuple(
             tuple(sum(1 << d for d, _ in out) for out in rows)

@@ -24,6 +24,7 @@ from wfoc.logic.evaluate import nfa_run_accepts
 from wfoc.multiset import SeqMultiset
 from wfoc.semantics import NEG_INF, POS_INF
 
+from corpus import named_weights
 from reference_multiset import SeqMultiset as ReferenceMultiset
 
 
@@ -43,7 +44,7 @@ class Run:
             prev = dst
 
     def weights(self, wa):
-        return tuple(wa.wgt[t] for t in self.trans)
+        return tuple(map(named_weights(wa).__getitem__, self.trans))
 
 
 def enumerate_runs(a, p, q, word):

@@ -76,14 +76,16 @@ def test_02_natural_semiring_product():
 
 def test_03_three_run_tracker():
     with check("03 three-run tracker"):
+        # tracker states hold positions: triplerun's states 1..6 are at
+        # positions 0..5
         geq = build_a_geq_k(load("triplerun").nfa, 3)
         runs = [r for f in geq.final
-                for r in enumerate_runs(geq, (1, 1, 1, 0, 0), f,
+                for r in enumerate_runs(geq, (0, 0, 0, 0, 0), f,
                                         tuple("aaabb"))]
         assert len(runs) == 1
         seq = [runs[0].start] + [t[2] for t in runs[0].trans]
-        assert seq == [(1, 1, 1, 0, 0), (1, 1, 2, 0, 1), (2, 3, 4, 1, 1),
-                       (5, 5, 6, 1, 1), (6, 6, 6, 1, 1), (6, 6, 6, 1, 1)]
+        assert seq == [(0, 0, 0, 0, 0), (0, 0, 1, 0, 1), (1, 2, 3, 1, 1),
+                       (4, 4, 5, 1, 1), (5, 5, 5, 1, 1), (5, 5, 5, 1, 1)]
         want = {tuple("a" * m + "b" * p)
                 for m in range(3, 8) for p in range(1, 9 - m)}
         assert {w for w in words_upto(geq.alphabet, 8)

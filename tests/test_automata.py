@@ -262,7 +262,7 @@ trans: 1 a 2 1
 trans: 3 a 3 1
 """)
     t = trim(wa)
-    assert set(t.states) == {1, 2}
+    assert set(t.nfa.states) == {1, 2}
 
 
 # two initial states, both final: only the empty word has two runs
@@ -368,7 +368,7 @@ def test_power_cycles_match_the_relations(nfa):
     # is the largest index exactly when every period is 1, and the
     # witness is None exactly then
     monoid = transition_monoid(nfa)
-    letters = nfa.numbered().letters
+    letters = nfa.letters
     cycles = [_power_cycle(monoid, e) for e in range(len(monoid))]
     for e, cycle in enumerate(cycles):
         word = [letters[g] for g in monoid.word(e)]

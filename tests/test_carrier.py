@@ -21,9 +21,9 @@ from reference_multiset import SeqMultiset as TupleMultiset
 from wfoc import automata
 from wfoc.automata import (
     Nfa, WeightedAutomaton, abstract_semantics, bits, forward, seq_counts,
-    semantics_upto, weights_of,
+    semantics_upto,
 )
-from wfoc.multiset import SeqMultiset
+from wfoc.multiset import SeqMultiset, weight_table
 from wfoc.weights import Symbol
 
 from tests.corpus import ALL_TEXTS, SEED, all_words, load
@@ -34,7 +34,7 @@ from tests.test_forward import random_weighted
 def eager(wa, word, weights=None):
     """abstract_semantics(wa, word) through the eager carrier."""
     return forward(wa, word, eager_seq_counts(
-        weights_of(wa) if weights is None else weights))
+        weight_table(wa.weights) if weights is None else weights))
 
 
 def same(got, want):
@@ -73,7 +73,7 @@ def test_random_automata_match_the_eager_carrier():
     texts = 0
     for _ in range(3000):
         wa = random_weighted(rng)
-        weights = weights_of(wa)
+        weights = weight_table(wa.weights)
         for word, sem in semantics_upto(wa, wa.nfa.alphabet, 3):
             texts += bool(same(sem, eager(wa, word, weights)))
     assert texts > 10000
@@ -96,7 +96,7 @@ def wide_automaton(width=12):
 
 def test_more_than_256_weights():
     wa = wide_automaton()
-    assert len(weights_of(wa)) > 256
+    assert len(weight_table(wa.weights)) > 256
     sem = abstract_semantics(wa, "aaaa")
     assert len(sem) == 12 ** 3
     assert max(ord(c) for code in sem._counts for c in code) > 255
@@ -120,8 +120,7 @@ def fronts(wa, carrier, word):
     """The fronts after each prefix of word, every state kept."""
     advance = automata._stepper(wa, carrier)
     everything = (1 << len(wa.nfa.states)) - 1
-    num = wa.nfa.numbered()
-    front = dict.fromkeys(bits(num.mask(wa.nfa.initial)), carrier.one)
+    front = dict.fromkeys(bits(wa.nfa.mask(wa.nfa.initial)), carrier.one)
     out = [front]
     for letter in word:
         out.append(advance(out[-1], letter, everything))
@@ -138,8 +137,8 @@ def test_a_shared_front_is_never_changed(source):
     else:
         pool = [wide_automaton(5)]
     for wa in pool:
-        weights = weights_of(wa)
-        letters = wa.nfa.numbered().letters
+        weights = weight_table(wa.weights)
+        letters = wa.nfa.letters
         for prefix in all_words(letters, 2):
             advance, keep, lazy = fronts(wa, seq_counts(weights), prefix)
             front = lazy[-1]

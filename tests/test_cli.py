@@ -246,7 +246,7 @@ class TestEval:
         text = MIXED.replace("trans: 1 b 1 t", "trans: 1 b 1 u")
         path = tmp_path / "runs.wa"
         path.write_text(text)
-        distinct = len(set(parse_automaton(text).wgt.values()))
+        distinct = len(set(parse_automaton(text).weights))
         calls = []
         real = wfoc.multiset.weight_sort_key
         monkeypatch.setattr(wfoc.multiset, "weight_sort_key",
@@ -425,6 +425,59 @@ def test_analyze_bytes_are_pinned(name, command, tmp_path, monkeypatch,
     for path in sorted((tmp_path / "out").iterdir()):
         digest.update(path.read_bytes())
     assert digest.hexdigest() == ANALYZE_DIGESTS[name, command]
+
+
+# two chain copies with string state names, as in the CI decompose step
+CHAINS = """alphabet: a b
+states: p1 p2 p3 q1 q2 q3
+initial: p1 q1
+final: p3 q3
+trans: p1 a p2 1
+trans: p2 a p3 2
+trans: p1 b p1 0
+trans: p2 b p2 1
+trans: p3 b p3 3
+trans: q1 a q2 2
+trans: q2 a q3 0
+trans: q1 b q1 1
+trans: q2 b q2 3
+trans: q3 b q3 1
+"""
+
+# writers that no other pin covers: (files to write, argv, sha256 of
+# stdout followed by the out* files written, in name order); recorded
+# before the numbered form was merged into Nfa
+WRITER_PINS = {
+    "dot": (
+        {"in.wa": ALL_TEXTS["modeblocks"]}, ["dot", "--automaton", "in.wa"],
+        "452589e8d629511fd618d0362972506ae64cae0c839260d63c17d50743cff59f"),
+    "compile-fo": (
+        {"in.fo": "(exists y. x < y & Pb(y)) & (forall z. z < x -> Pa(z))\n"},
+        ["compile-fo", "--formula", "in.fo", "--vars", "x",
+         "--alphabet", "a b"],
+        "0ca24690414ac406384def8d932341e77fb31e998fd9bf9e0fd230ae1a6b94e9"),
+    "compile-report": (
+        {"in.wfo": "sum y. (Pa(y) ? prod x. 1 : prod x. 0)\n"},
+        ["compile", "--report", "--formula", "in.wfo", "--alphabet", "a,b"],
+        "173d4c0add53576797d66da8fd77bd11767937777fcc958b073a47a7fab69735"),
+    "decompose": (
+        {"in.wa": CHAINS}, ["decompose", "--automaton", "in.wa", "-o", "out"],
+        "aabf06c66b0aba991bc012ff2bced590353dc5b64d0d6b0f5ddff27fc2ec0db7"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITER_PINS))
+def test_writer_bytes_are_pinned(name, tmp_path, monkeypatch, capsys):
+    files, argv, want = WRITER_PINS[name]
+    monkeypatch.chdir(tmp_path)
+    for path, text in files.items():
+        (tmp_path / path).write_text(text)
+    rc, out, err = run(capsys, argv)
+    assert (rc, err) == (0, "")
+    digest = hashlib.sha256(out.encode())
+    for path in sorted(tmp_path.glob("out*")):
+        digest.update(path.read_bytes())
+    assert digest.hexdigest() == want
 
 
 def _mixed_ab(n, salt):

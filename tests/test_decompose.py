@@ -2,10 +2,12 @@
 
 import random
 import re
+import sys
 from math import comb
 
 import pytest
 
+import wfoc.automata
 import wfoc.decompose
 from reference_semantics import (
     accepts, classify, count_runs, enumerate_runs, multiset_sum, words_upto,
@@ -54,9 +56,9 @@ def build_a_k_ell(a, k, ell):
     """Unambiguous automaton for the ell-th run weight, in lexicographic
     order, on words carrying exactly k accepting runs; empty elsewhere."""
     norm = ensure_single_initial(a)
-    joint = _exact_slice(build_a_geq_k(norm.nfa, k),
-                         build_a_geq_k(norm.nfa, k + 1))
-    return _weigh_run(norm, joint, ell)
+    geq_k = build_a_geq_k(norm.nfa, k)
+    joint = _exact_slice(geq_k, build_a_geq_k(norm.nfa, k + 1))
+    return _weigh_run(norm, geq_k, joint, ell)
 
 
 def witness_in(err):
@@ -90,14 +92,16 @@ class TestEnsureSingleInitial:
 
 class TestBuildAGeqK:
     def test_three_run_tracker_on_aaabb(self):
+        # tracker states hold positions: triplerun's states 1..6 are at
+        # positions 0..5
         geq = build_a_geq_k(load("triplerun").nfa, 3)
-        start = (1, 1, 1, 0, 0)
+        start = (0, 0, 0, 0, 0)
         runs = [r for f in geq.final
                 for r in enumerate_runs(geq, start, f, tuple("aaabb"))]
         assert len(runs) == 1
         seq = [runs[0].start] + [t[2] for t in runs[0].trans]
-        assert seq == [(1, 1, 1, 0, 0), (1, 1, 2, 0, 1), (2, 3, 4, 1, 1),
-                       (5, 5, 6, 1, 1), (6, 6, 6, 1, 1), (6, 6, 6, 1, 1)]
+        assert seq == [(0, 0, 0, 0, 0), (0, 0, 1, 0, 1), (1, 2, 3, 1, 1),
+                       (4, 4, 5, 1, 1), (5, 5, 5, 1, 1), (5, 5, 5, 1, 1)]
 
     def test_three_run_language(self):
         geq = build_a_geq_k(load("triplerun").nfa, 3)
@@ -110,12 +114,13 @@ class TestBuildAGeqK:
     def test_k1_accessible_part_is_the_automaton(self, name):
         base = ensure_single_initial(load(name).nfa)
         geq = build_a_geq_k(base, 1)
-        acc = restrict(base, reachable_states(base))
-        assert geq.states == {(q,) for q in acc.states}
-        assert geq.transitions == {((p,), a, (q,))
-                                   for (p, a, q) in acc.transitions}
-        assert geq.initial == {(q,) for q in acc.initial}
-        assert geq.final == {(q,) for q in acc.final}
+        acc = restrict(base, reachable_states(base))[0]
+        pos = base.pos
+        assert geq.states == {(pos[q],) for q in acc.states}
+        assert set(geq.transitions) == {((pos[p],), a, (pos[q],))
+                                        for (p, a, q) in acc.transitions}
+        assert geq.initial == {(pos[q],) for q in acc.initial}
+        assert geq.final == {(pos[q],) for q in acc.final}
 
     @pytest.mark.parametrize("name", CORPUS)
     @pytest.mark.parametrize("k", [2, 3])
@@ -193,7 +198,7 @@ class TestBuildAKEll:
             for w in words_upto(wa.nfa.alphabet, 5):
                 runs = sorted_runs(norm, w)
                 if len(runs) == k:
-                    picked = [norm.wgt[t] for t in runs[ell - 1].trans]
+                    picked = runs[ell - 1].weights(norm)
                     want = SeqMultiset([picked])
                 else:
                     want = SeqMultiset()
@@ -212,7 +217,7 @@ class TestBuildAKEll:
     def test_disjoint_supports_across_counts(self):
         tri = load("triplerun")
         slices = [build_a_k_ell(tri, k, 1) for k in (1, 2, 3)]
-        langs = [{w for w in words_upto(tri.alphabet, 7) if accepts(b, w)}
+        langs = [{w for w in words_upto(tri.nfa.alphabet, 7) if accepts(b, w)}
                  for b in slices]
         assert langs[0] and langs[1] and langs[2]
         for i in range(3):
@@ -278,14 +283,16 @@ class TestDecompose:
 
 def reference_slice(geq_k, geq_next):
     """The exactly-k slice as first written: the product over every pair of
-    a complement DFA state and a tracker state, then trimmed."""
+    a complement DFA state and a tracker state, then trimmed; a pair names
+    the tracker state by its position."""
     dfa = _swap(dfa_from_nfa(geq_next)).nfa
-    trans = {((p, q), l, (p2, q2)) for (p, l, p2) in dfa.transitions
+    pos = geq_k.pos
+    trans = {((p, pos[q]), l, (p2, pos[q2])) for (p, l, p2) in dfa.transitions
              for (q, l2, q2) in geq_k.transitions if l == l2}
-    return trim(Nfa({(p, q) for p in dfa.states for q in geq_k.states},
+    return trim(Nfa({(p, pos[q]) for p in dfa.states for q in geq_k.states},
                     dfa.alphabet, trans,
-                    {(p, q) for p in dfa.initial for q in geq_k.initial},
-                    {(p, q) for p in dfa.final for q in geq_k.final}))
+                    {(p, pos[q]) for p in dfa.initial for q in geq_k.initial},
+                    {(p, pos[q]) for p in dfa.final for q in geq_k.final}))
 
 
 DECOMPOSABLE = ["countminmax", "expsum", "modeblocks", "triplerun"]
@@ -328,8 +335,8 @@ def reference_parts(a, k):
         joint = reference_slice(geqs[j - 1], geqs[j])
         for ell in range(1, j):
             out[ell - 1] = nested_union(
-                out[ell - 1], _weigh_run(norm, joint, ell))
-        out.append(_weigh_run(norm, joint, j))
+                out[ell - 1], _weigh_run(norm, geqs[j - 1], joint, ell))
+        out.append(_weigh_run(norm, geqs[j - 1], joint, j))
     return out
 
 
@@ -423,3 +430,33 @@ def test_detection_runs_no_witness_search(monkeypatch):
     for name, wa in DECOMPOSE_CASES:
         parts, geqs, _ = decompose_with_trackers(wa)
         assert parts and len(geqs) == len(parts) + 1, name
+
+
+# -- trackers and slices are named by positions -------------------------------
+
+
+def test_trackers_and_slices_sort_no_state_through_state_key(monkeypatch):
+    # three chain-15 copies, so K = 3: a tracker state is k positions and
+    # k - 1 order bits, a slice state (classifier state, tracker position),
+    # and both are flat int tuples, sorted without a key; only the mixed
+    # names of the single-initial normal form go through state_key
+    trans = {(15 * c + i, "a", 15 * c + i + 1)
+             for c in range(3) for i in range(1, 15)}
+    trans |= {(s, "b", s) for s in range(1, 46)}
+    wa = WeightedAutomaton(Nfa(range(1, 46), "ab", trans, {1, 16, 31},
+                               {15, 30, 45}), dict.fromkeys(trans, 1))
+    calls = []
+    fill = Nfa._set.__code__
+
+    def counted(s):
+        if sys._getframe(1).f_code is fill:
+            calls.append(s)
+        return state_key(s)
+
+    monkeypatch.setattr(wfoc.automata, "state_key", counted)
+    norm = ensure_single_initial(wa)
+    assert len(calls) == len(norm.nfa.states) == 52
+    del calls[:]
+    parts, geqs, _ = decompose_with_trackers(norm, 3)
+    assert len(parts) == 3 and len(geqs) == 4
+    assert calls == []

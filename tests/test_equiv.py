@@ -26,7 +26,7 @@ from wfoc.textfmt import parse_automaton
 from wfoc.weights import Symbol
 from wfoc.wfo_compiler import compile_wfo
 
-from tests.corpus import ALL_TEXTS, SEED, load
+from tests.corpus import ALL_TEXTS, SEED, load, named_weights
 from tests.test_cli import DIFFERENT_TABLES, TRANSLATABLE
 
 WEIGHTS = (0, 1, 2, 3, -1, Fraction(1, 2), Symbol("u"))
@@ -36,7 +36,7 @@ def swept_length(a, b, maxlen):
     """The length of the first word the sweep finds with different
     multisets (None and the empty multiset count as equal), or None."""
     alphabet = a.nfa.alphabet | b.nfa.alphabet
-    weights = weight_table([*a.wgt.values(), *b.wgt.values()])
+    weights = weight_table([*a.weights, *b.weights])
     for (word, got), (_, want) in zip(
             semantics_upto(a, alphabet, maxlen, weights),
             semantics_upto(b, alphabet, maxlen, weights)):
@@ -61,24 +61,24 @@ def rebuilt(wa, trans, wgt, initial=None, final=None, extra=()):
 
 
 def reweighted(wa, rng):
-    t = rng.choice(sorted(trim(wa).transitions, key=repr))
-    w = rng.choice([w for w in WEIGHTS if w != wa.wgt[t]])
-    return rebuilt(wa, wa.transitions, {**wa.wgt, t: w})
+    t = rng.choice(sorted(trim(wa).nfa.transitions, key=repr))
+    w = rng.choice([w for w in WEIGHTS if w != named_weights(wa)[t]])
+    return rebuilt(wa, wa.nfa.transitions, {**named_weights(wa), t: w})
 
 
 def dropped(wa, rng):
-    t = rng.choice(sorted(trim(wa).transitions, key=repr))
-    wgt = {u: w for u, w in wa.wgt.items() if u != t}
+    t = rng.choice(sorted(trim(wa).nfa.transitions, key=repr))
+    wgt = {u: w for u, w in named_weights(wa).items() if u != t}
     return rebuilt(wa, set(wgt), wgt)
 
 
 def duplicated(wa, rng):
     """wa with a copy of one state: every transition into, out of or
     around it taken again through the copy, with the same weight."""
-    q = rng.choice(sorted(wa.states, key=repr))
+    q = rng.choice(sorted(wa.nfa.states, key=repr))
     copy = ("copy", q)
-    wgt = dict(wa.wgt)
-    for (s, a, d), w in wa.wgt.items():
+    wgt = dict(named_weights(wa))
+    for (s, a, d), w in named_weights(wa).items():
         if q in (s, d):
             for s2 in {s, copy} if s == q else {s}:
                 for d2 in {d, copy} if d == q else {d}:
@@ -87,7 +87,7 @@ def duplicated(wa, rng):
     def like(group):
         return group | {copy} if q in group else group
 
-    return rebuilt(wa, set(wgt), wgt, like(wa.initial), like(wa.final),
+    return rebuilt(wa, set(wgt), wgt, like(wa.nfa.initial), like(wa.nfa.final),
                    [copy])
 
 
@@ -110,15 +110,16 @@ def random_pair(rng):
     renamed, or the first perturbed."""
     a = random_automaton(rng)
     kind = rng.randrange(5)
-    if kind == 0 or not a.transitions:
+    if kind == 0 or not a.nfa.transitions:
         return a, random_automaton(rng)
     if kind == 1:
-        name = {s: "r%d" % s for s in a.states}
-        wgt = {(name[s], x, name[d]): w for (s, x, d), w in a.wgt.items()}
+        name = {s: "r%d" % s for s in a.nfa.states}
+        wgt = {(name[s], x, name[d]): w
+               for (s, x, d), w in named_weights(a).items()}
         return a, WeightedAutomaton(Nfa(
-            name.values(), "ab", wgt, [name[s] for s in a.initial],
-            [name[s] for s in a.final]), wgt)
-    if not trim(a).transitions:
+            name.values(), "ab", wgt, [name[s] for s in a.nfa.initial],
+            [name[s] for s in a.nfa.final]), wgt)
+    if not trim(a).nfa.transitions:
         return a, a
     return a, PERTURBATIONS[kind - 2](a, rng)
 

@@ -91,7 +91,7 @@ def test_pool_has_every_feature():
             into.setdefault((a, d), set()).add(s)
         assert max(map(len, into.values())) >= 2
     assert {type(s) for wa in POOL for s in wa.nfa.states} == {int, str}
-    assert {type(w) for wa in POOL for w in wa.wgt.values()} \
+    assert {type(w) for wa in POOL for w in wa.weights} \
         == {int, Fraction, Symbol}
 
 

@@ -3,12 +3,13 @@ replaced.
 
 The references below are the earlier implementations: each sorted the
 automaton by `state_key`/`letter_key` on its own and kept a private index
-of it.  They must agree with the readers of `Nfa.order` and
-`Nfa.numbered()` on the corpus and on seeded random automata whose states
-mix ints, strings and tuples (tuples whose parts mix `bool` and `int`
-among them).  `Nfa.order`, which sorts plain int names without
-`state_key`, is checked against the keyed sort; the bucketed numbered form
-against the key-sorted one (`reference_automata.ReferenceNumbered`), and
+of it.  They must agree with the readers of an Nfa's numbered form
+(`order`, `pos`, `letters`, `succ` and what is derived from them) on the
+corpus and on seeded random automata whose states mix ints, strings and
+tuples (tuples whose parts mix `bool` and `int` among them).
+`Nfa.order`, which sorts plain int names without `state_key`, is checked
+against the keyed sort; the bucketed successor table against the
+key-sorted one (`reference_automata.ReferenceNumbered`), and
 the backward co-reachability sweep against the component-based one it
 replaced.  The successor table's readers (`Nfa.out`, the runs, the
 forward pass, trim and the union) are checked against references that
@@ -31,7 +32,7 @@ from fractions import Fraction
 
 import pytest
 
-from corpus import ALL_TEXTS, SEED, load, random_fo
+from corpus import ALL_TEXTS, SEED, load, named_weights, random_fo
 from reference_automata import (
     ReferenceNumbered, mat_mul, reference_coreachable,
 )
@@ -41,9 +42,10 @@ from wfoc.automata import (
     ambiguity_witness, aperiodicity_index, coreachable_states, explore,
     forward, letter_key, live_sets, reachable_nfa, runs_witness,
     scc_decompose, seq_counts, shortest_word, state_key, transition_monoid,
-    trim, underlying_nfa, weighted_union, weights_of,
+    trim, underlying_nfa, weighted_union,
 )
 from wfoc.decompose import build_a_geq_k, ensure_single_initial
+from wfoc.multiset import weight_table
 from wfoc.errors import InputError
 from wfoc.semantics import builtin_semiring
 from wfoc.fo_compiler import (
@@ -187,32 +189,39 @@ def reference_runs_witness(a, cap):
 
 
 def reference_tracker(a, k):
-    """The k-run tracker stepping through `Nfa.out` by state name."""
+    """The k-run tracker stepping through `Nfa.out` by state name, its
+    states renamed to positions once it is built."""
     nfa = underlying_nfa(ensure_single_initial(underlying_nfa(a)))
     (q0,) = nfa.initial
-    num = nfa.numbered()
 
     def step(src):
         qs, cs = src[:k], src[k:]
-        for letter in num.letters:
+        for letter in nfa.letters:
             outs = [nfa.out(qs[ell], letter) for ell in range(k)]
             for qs2 in itertools.product(*outs):
                 cs2 = []
                 for ell in range(k - 1):
                     if cs[ell] == 1:
                         cs2.append(1)
-                    elif num.pos[qs2[ell]] < num.pos[qs2[ell + 1]]:
+                    elif nfa.pos[qs2[ell]] < nfa.pos[qs2[ell + 1]]:
                         cs2.append(1)
                     elif qs2[ell] == qs2[ell + 1]:
                         cs2.append(0)
                     else:
                         break
                 else:
-                    yield letter, qs2 + tuple(cs2)
+                    yield letter, qs2 + tuple(cs2), None
 
-    return reachable_nfa(
+    named = reachable_nfa(
         [(q0,) * k + (0,) * (k - 1)], step, nfa.alphabet,
-        lambda s: all(q in nfa.final for q in s[:k]) and all(s[k:]))
+        lambda s: all(q in nfa.final for q in s[:k]) and all(s[k:]))[0]
+
+    def rename(s):
+        return tuple(nfa.pos[q] for q in s[:k]) + s[k:]
+
+    return Nfa(map(rename, named.states), named.alphabet,
+               {(rename(p), x, rename(q)) for p, x, q in named.transitions},
+               map(rename, named.initial), map(rename, named.final))
 
 
 def reference_bool_matrices(nfa):
@@ -360,10 +369,9 @@ def reference_core_run_atom(phi, letters, vars):
     """Tagged states: ("w",) before the lo mark, ("s", mask) while the
     factor is simulated and ("d", verdict) once the hi mark decided."""
     nfa, p, q = phi.nfa, phi.p, phi.q
-    num = nfa.numbered()
-    rows = dict(zip(num.letters, num.masks))
+    rows = dict(zip(nfa.letters, nfa.masks))
     stuck = (0,) * len(nfa.states)
-    final = 1 << num.pos[q]
+    final = 1 << nfa.pos[q]
 
     def fired(a, v):
         return v is not None and a[1][vars.index(v)]
@@ -371,7 +379,7 @@ def reference_core_run_atom(phi, letters, vars):
     fires = [(fired(a, phi.lo), fired(a, phi.hi),
               rows.get(a[0] if vars else a, stuck)) for a in letters]
     done = {True: ("d", True), False: ("d", False)}
-    simulate = ("s", 1 << num.pos[p])
+    simulate = ("s", 1 << nfa.pos[p])
     wait = ("w",)
 
     def step(state):
@@ -444,8 +452,9 @@ def reference_relabel(a):
               {names[s] for s in nfa.final},
               {k: {names[s] for s in v} for k, v in nfa.accepting.items()})
     if isinstance(a, WeightedAutomaton):
+        wgt = named_weights(a)
         return WeightedAutomaton(out, {(names[s], l, names[d]): w
-                                       for (s, l, d), w in a.wgt.items()})
+                                       for (s, l, d), w in wgt.items()})
     return out
 
 
@@ -456,7 +465,7 @@ def _sorted_states(states):
 def reference_serialize(a):
     a = reference_relabel(a)
     nfa = underlying_nfa(a)
-    wgt = a.wgt if isinstance(a, WeightedAutomaton) else None
+    wgt = named_weights(a) if isinstance(a, WeightedAutomaton) else None
     lines = ["alphabet: " + " ".join(
         render_letter(l) for l in sorted(nfa.alphabet, key=letter_key))]
     lines.append("states: " + " ".join(
@@ -481,7 +490,7 @@ def reference_serialize(a):
 def reference_dot(a):
     a = reference_relabel(a)
     nfa = underlying_nfa(a)
-    wgt = a.wgt if isinstance(a, WeightedAutomaton) else None
+    wgt = named_weights(a) if isinstance(a, WeightedAutomaton) else None
     lines = ["digraph automaton {", "  rankdir=LR;"]
     for s in _sorted_states(nfa.states):
         shape = "doublecircle" if s in nfa.final else "circle"
@@ -552,14 +561,14 @@ def reference_forward(wa, word, carrier):
     trans = _sorted_transitions(wa.nfa)
     front = {s: carrier.one for s in sorted(wa.nfa.initial, key=state_key)
              if s in live[0]}
-    lifted = {}
+    lifted, wgt = {}, named_weights(wa)
     for letter, keep in zip(word, live[1:]):
         nxt = {}
         for s, v in front.items():
             for t in trans:
                 if t[0] == s and t[1] == letter and t[2] in keep:
                     if t not in lifted:
-                        lifted[t] = carrier.embed(wa.wgt[t])
+                        lifted[t] = carrier.embed(wgt[t])
                     carrier.mac(nxt, t[2], v, lifted[t])
         front = nxt
     return carrier.total(front.values())
@@ -594,7 +603,8 @@ def reference_union(a, b):
         return {(tag, rank[tag][s]) for s in states}
 
     wgt = {((tag, rank[tag][p]), x, (tag, rank[tag][q])): w
-           for tag, wa in enumerate(parts) for (p, x, q), w in wa.wgt.items()}
+           for tag, wa in enumerate(parts)
+           for (p, x, q), w in named_weights(wa).items()}
     initial = tagged(0, a.nfa.initial) | tagged(1, b.nfa.initial)
     states = set(initial)
     while True:
@@ -657,18 +667,19 @@ def _pairs(rng, states, k):
 
 
 def test_numbered_form_is_built_once():
+    # what is derived from the successor table is derived on first use
     for nfa in NFAS[:20]:
-        assert nfa.numbered() is nfa.numbered()
-        assert nfa.order is nfa.order
+        assert nfa.transitions is nfa.transitions
+        assert nfa.masks is nfa.masks
         assert list(nfa.order) == sorted(nfa.states, key=state_key)
 
 
 def test_numbered_form_follows_the_sorts():
     for nfa in NFAS:
-        num = nfa.numbered()
-        assert list(num.letters) == sorted(nfa.alphabet, key=letter_key)
-        assert num.pos == {s: i for i, s in enumerate(nfa.order)}
-        assert list(num.transitions) == _sorted_transitions(nfa)
+        assert list(nfa.letters) == sorted(nfa.alphabet, key=letter_key)
+        assert nfa.pos == {s: i for i, s in enumerate(nfa.order)}
+        assert list(nfa.transitions) == _sorted_transitions(nfa)
+        assert list(nfa.states) == list(nfa.order)
 
 
 def _name_sets(rng):
@@ -717,7 +728,7 @@ def test_compile_sorts_no_state_through_state_key(tmp_path, monkeypatch,
     # parsed automaton and run-atom headers by ints
     import wfoc.automata
     from wfoc.cli import main
-    order = Nfa.order.fget.__code__
+    order = Nfa._set.__code__
     calls = []
 
     def counted(s):
@@ -736,7 +747,7 @@ def test_compile_sorts_no_state_through_state_key(tmp_path, monkeypatch,
     capsys.readouterr()
     assert calls == []
     # a state name of another kind still goes through state_key
-    Nfa({"p", "q"}, (), (), (), ()).order
+    Nfa({"p", "q"}, (), (), (), ())
     assert sorted(calls) == ["p", "q"]
 
 
@@ -761,7 +772,7 @@ def test_numbering_cases_cover_the_edge_cases():
 
 def test_numbered_matches_sorted_reference():
     for nfa in numbering_cases():
-        got, want = nfa.numbered(), ReferenceNumbered(nfa)
+        got, want = nfa, ReferenceNumbered(nfa)
         assert (got.letters, got.pos) == (want.letters, want.pos)
         assert got.succ == want.succ
         assert got.transitions == want.transitions
@@ -770,7 +781,8 @@ def test_numbered_matches_sorted_reference():
 
 def test_coreachable_states_match_scc_reference():
     for nfa in numbering_cases():
-        assert coreachable_states(nfa) == reference_coreachable(nfa)
+        assert {nfa.order[i] for i in coreachable_states(nfa)} \
+            == reference_coreachable(nfa)
 
 
 def test_scc_decompose_matches_reference():
@@ -850,7 +862,7 @@ def test_trackers_match_reference():
 def test_monoid_generators_match_reference():
     for nfa in NFAS:
         gens = reference_bool_matrices(nfa)
-        assert nfa.numbered().masks == tuple(gens.values())
+        assert nfa.masks == tuple(gens.values())
         assert set(transition_monoid(nfa).elements) == reference_monoid(nfa)
 
 
@@ -903,7 +915,7 @@ def test_aperiodicity_index_edge_cases():
 
 def test_cayley_table_multiplies_out():
     for nfa in MONOID_CASES:
-        gens = nfa.numbered().masks
+        gens = nfa.masks
         monoid = transition_monoid(nfa)
         elements = monoid.elements
         assert len(set(elements)) == len(monoid) == len(monoid.right)
@@ -1165,7 +1177,7 @@ def test_switching_sequences_come_out_sorted():
 
 def test_out_lists_successors_in_order():
     for nfa in NFAS:
-        for s, a in itertools.product(nfa.order, nfa.numbered().letters):
+        for s, a in itertools.product(nfa.order, nfa.letters):
             assert nfa.out(s, a) == [d for d in nfa.order
                                      if (s, a, d) in nfa.transitions]
         assert nfa.out(nfa.order[0], "not a letter") == []
@@ -1174,7 +1186,7 @@ def test_out_lists_successors_in_order():
 def test_enumerate_runs_matches_reference():
     rng = random.Random(SEED + 15)
     for nfa in NFAS:
-        letters = nfa.numbered().letters
+        letters = nfa.letters
         for _ in range(4):
             p, q = rng.choice(nfa.order), rng.choice(nfa.order)
             word = tuple(rng.choice(letters)
@@ -1190,7 +1202,7 @@ def _states_of(nfa, mask):
 def test_live_sets_match_reference():
     rng = random.Random(SEED + 16)
     for nfa in NFAS:
-        letters = nfa.numbered().letters + ("not a letter",)
+        letters = nfa.letters + ("not a letter",)
         steps = [tuple(rng.sample(letters, rng.randint(1, len(letters))))
                  for _ in range(rng.randint(0, 4))]
         got = [_states_of(nfa, live) for live in live_sets(nfa, steps)]
@@ -1215,7 +1227,8 @@ def _outcome(fn):
 def test_forward_embeds_weights_in_the_reference_order(semiring):
     # the order weights are embedded in fixes which refusal a word gets
     for wa in pool(120, SEED + 17, weighted=True):
-        carrier = seq_counts(weights_of(wa)) if semiring is None \
+        carrier = seq_counts(weight_table(wa.weights)) \
+            if semiring is None \
             else builtin_semiring(semiring).carrier
         for word in words_upto(wa.nfa.alphabet, 3):
             got_log, want_log = [], []

@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from corpus import ALL_TEXTS, SEED, load, random_wfo
+from corpus import ALL_TEXTS, SEED, load, named_weights, random_wfo
 from wfoc import (
     InputError, Nfa, Symbol, parse_automaton, parse_automaton_inline,
     serialize_automaton, serialize_automaton_inline, to_dot,
 )
 from wfoc.automata import state_key
+from wfoc.cli import main
 from wfoc.logic import parser
 from wfoc.textfmt import canonical_names
 from wfoc.weights import KEYWORDS
@@ -124,6 +125,48 @@ def test_header_section_errors_name_the_file_line(body, message):
     assert str(err.value) == "line 3: " + message
 
 
+# an undeclared state or letter: the file, the error its line and token
+_TWO = "alphabet: a\nstates: 1 2\n"
+UNDECLARED = [
+    (_TWO + "initial: 1\nfinal: 2\ntrans: 1 a 3 1\n",
+     "line 5: trans names undeclared state '3'"),
+    (_TWO + "initial: 1\nfinal: 2\n# comment\ntrans: 3 a 1 1\n",
+     "line 6: trans names undeclared state '3'"),
+    (_TWO + "initial: 1\nfinal: 2\ntrans: 1 b 2 1\n",
+     "line 5: trans names undeclared letter 'b'"),
+    (_TWO + "initial: 1\nfinal: 2\ntrans: 1 a[01] 2\n",
+     "line 5: trans names undeclared letter 'a[01]'"),
+    (_TWO + "initial: 1 5\nfinal: 2\n",
+     "line 3: initial names undeclared state '5'"),
+    ("final: q\n" + _TWO + "initial: 1\n",
+     "line 1: final names undeclared state 'q'"),
+    (_TWO + "initial: 1\nfinal: 2\naccepting  G: 2 7\n",
+     "line 5: accepting G names undeclared state '7'"),
+]
+
+
+@pytest.mark.parametrize("text,message", UNDECLARED)
+def test_undeclared_names_name_their_line(text, message, tmp_path, capsys):
+    with pytest.raises(InputError) as err:
+        parse_automaton(text)
+    assert str(err.value) == message
+    path = tmp_path / "in.wa"
+    path.write_text(text)
+    assert main(["classify", "--automaton", str(path)]) == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
+
+
+@pytest.mark.parametrize("text,message", UNDECLARED)
+def test_undeclared_names_in_a_header_name_its_line(text, message, tmp_path,
+                                                    capsys):
+    header = "# automaton A: " + " ; ".join(text.splitlines())
+    path = tmp_path / "in.wfo"
+    path.write_text("# fragment: no-sum\n\n%s\nzero\n" % header)
+    assert main(["compile", "--formula", str(path), "--alphabet", "a"]) == 2
+    want = "line 3:" + message.split(":", 1)[1]
+    assert capsys.readouterr().err == "error: %s\n" % want
+
+
 @pytest.mark.parametrize("text,line,token", [
     # `01` used to be read as state 1, silently merging the two
     ("alphabet: a\nstates: 1 01 2\ninitial: 1\nfinal: 2\n"
@@ -163,7 +206,7 @@ final: 1
 trans: 1 a 1 1/2
 """)
     from fractions import Fraction
-    assert a.wgt[(1, "a", 1)] == Fraction(1, 2)
+    assert named_weights(a)[(1, "a", 1)] == Fraction(1, 2)
     assert "1/2" in serialize_automaton(a)
     b = parse_automaton("""
 alphabet: a
@@ -173,7 +216,7 @@ final: 1
 trans: 1 a 1 t
 """)
     from wfoc import Symbol
-    assert b.wgt[(1, "a", 1)] == Symbol("t")
+    assert named_weights(b)[(1, "a", 1)] == Symbol("t")
 
 
 WEIGHTED_LINE = ("alphabet: a\nstates: 1\ninitial: 1\nfinal: 1\n"
@@ -196,7 +239,7 @@ def test_non_weight_token_rejected(token):
     ("4/2", 2), ("t", Symbol("t")), ("w_1'", Symbol("w_1'")),
 ])
 def test_weight_tokens_accepted(token, weight):
-    assert parse_automaton(WEIGHTED_LINE % token).wgt[(1, "a", 1)] == weight
+    assert parse_automaton(WEIGHTED_LINE % token).weights == (weight,)
 
 
 @pytest.mark.parametrize("token", sorted(KEYWORDS))
@@ -211,8 +254,7 @@ def test_keyword_weight_rejected(token):
 @pytest.mark.parametrize("token", ["zeros", "Zero", "sum_", "prod'", "True",
                                    "exists1", "_false"])
 def test_keyword_lookalikes_are_symbols(token):
-    assert parse_automaton(WEIGHTED_LINE % token).wgt[(1, "a", 1)] \
-        == Symbol(token)
+    assert parse_automaton(WEIGHTED_LINE % token).weights == (Symbol(token),)
 
 
 def test_formula_parser_shares_the_keywords():

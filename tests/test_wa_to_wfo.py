@@ -38,7 +38,7 @@ def witness_in(err):
 def run_slice(a, p, q, word):
     got = {}
     for run in enumerate_runs(a, p, q, word):
-        seq = tuple(a.wgt[t] for t in run.trans)
+        seq = run.weights(a)
         got[seq] = got.get(seq, 0) + 1
     return got
 
@@ -73,7 +73,8 @@ class TestTransitionFormula:
                  if eval_fo(phi, ("a", "a", "b"), {"x": i})]
         assert holds == [1, 2]
 
-    @pytest.mark.parametrize("delta", sorted(load("modeblocks").wgt))
+    @pytest.mark.parametrize("delta",
+                             sorted(load("modeblocks").nfa.transitions))
     def test_names_the_taken_transition(self, delta):
         mode = load("modeblocks")
         phi = transition_formula(mode, 1, 3, delta, name="M")

@@ -31,7 +31,8 @@ from wfoc.wfo_compiler import (
 )
 
 from corpus import (
-    ALL_TEXTS, SEED, all_words, load, nested_union, random_wfo,
+    ALL_TEXTS, SEED, all_words, load, named_weights, nested_union,
+    random_wfo,
 )
 
 AB = frozenset({"a", "b"})
@@ -289,8 +290,9 @@ class TestSumNormalForm:
 
 
 def reachable_part(wa):
-    nfa = restrict(wa.nfa, reachable_states(wa.nfa))
-    return WeightedAutomaton(nfa, {t: wa.wgt[t] for t in nfa.transitions})
+    nfa = restrict(wa.nfa, reachable_states(wa.nfa))[0]
+    wgt = named_weights(wa)
+    return WeightedAutomaton(nfa, {t: wgt[t] for t in nfa.transitions})
 
 
 def _step_weight(psi, cond_index, bits):
@@ -376,7 +378,7 @@ def reference_sum_var(a, var, alphabet, vars):
         return (base_letter, rest) if out_vars else base_letter
 
     wgt = {}
-    for (p, l, q), w in a.wgt.items():
+    for (p, l, q), w in named_weights(a).items():
         if l[1][idx]:
             wgt[((p, 0), strip(l), (q, 1))] = w
         else:
@@ -397,7 +399,7 @@ def reference_ite(cond, then_wa, else_wa, alphabet, vars=()):
     branches = (then_wa, else_wa)
     leaving = {}
     for tag, wa in enumerate(branches):
-        for t, w in wa.wgt.items():
+        for t, w in named_weights(wa).items():
             leaving.setdefault((tag, t[0]), []).append((t, w))
     wgt = {}
 
@@ -437,7 +439,7 @@ def assert_same_automaton(got, want):
     assert got.nfa.alphabet == want.nfa.alphabet
     assert got.nfa.states == want.nfa.states
     assert got.nfa.transitions == want.nfa.transitions
-    assert got.wgt == want.wgt
+    assert named_weights(got) == named_weights(want)
     assert got.nfa.initial == want.nfa.initial
     assert got.nfa.final == want.nfa.final
 
@@ -651,7 +653,7 @@ def chain(n, rng):
 def chain_union(k, n, rng):
     """k state-disjoint chain-n copies, copy c on states c*n+1..c*n+n."""
     wgt = {(c * n + p, a, c * n + q): w for c in range(k)
-           for (p, a, q), w in chain(n, rng).wgt.items()}
+           for (p, a, q), w in named_weights(chain(n, rng)).items()}
     return WeightedAutomaton(
         Nfa(range(1, k * n + 1), AB, set(wgt), {c * n + 1 for c in range(k)},
             {c * n + n for c in range(k)}), wgt)
@@ -758,17 +760,21 @@ class TestOneBuilder:
 
     @staticmethod
     def builders(monkeypatch, run):
-        """The functions that construct an Nfa while run() runs."""
+        """The functions that construct an Nfa while run() runs: every Nfa
+        gets its fields from `Nfa._set`, called by the checked constructor
+        or by a construction that fills the successor table itself."""
         seen = collections.Counter()
-        real = Nfa.__init__
+        real, checked = Nfa._set, Nfa.__init__.__code__
 
-        def init(self, *args, **kwargs):
+        def fill(self, *args, **kwargs):
             caller = sys._getframe(1)
+            if caller.f_code is checked:
+                caller = caller.f_back
             seen["%s.%s" % (caller.f_globals["__name__"],
                             caller.f_code.co_name)] += 1
             real(self, *args, **kwargs)
 
-        monkeypatch.setattr(Nfa, "__init__", init)
+        monkeypatch.setattr(Nfa, "_set", fill)
         run()
         monkeypatch.undo()
         return seen
