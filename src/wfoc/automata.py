@@ -8,18 +8,23 @@ runs in one state share, copying a run only where runs meet), the
 shortest length at which two automata's multisets differ (exactly, from
 a basis of forward vectors), strongly connected components, ambiguity
 classification, aperiodicity analysis (the transition monoid with its
-right Cayley table), the closure constructions (disjoint union, trim),
-and the breadth-first exploration that every construction on reachable
-states shares: `reachable_nfa` is the one builder of a construction's
-states.  No function lists the runs one by one.
+right Cayley table, its elements held as tuples of interned row numbers,
+and one walk of powers shared by the index and the witness that skips
+every power of an element it has walked), the closure constructions
+(disjoint union, trim), and the breadth-first exploration that every
+construction on reachable states shares: `reachable_nfa` is the one
+builder of a construction's states.  No function lists the runs one by
+one.
 
 An `Nfa` is its own numbered form: its states sorted by `state_key` once
 (`order`, each state's position in `pos`), its letters sorted by
 `letter_key` (`letters`, `rank`) and one successor table over positions,
 from which the transitions in order and the per-letter bit masks are
 derived.  A weighted automaton's weights are a tuple read by transition
-number.  Every analysis, construction and forward pass and the
-serializer read these instead of sorting or indexing on their own.
+number; a parsed automaton's come with its lines, as the successor
+table is filled (`filled_nfa`).  Every analysis, construction and
+forward pass and the serializer read these instead of sorting or
+indexing on their own.
 
 All values are immutable after construction and every operation is a pure
 function of its inputs.
@@ -66,7 +71,8 @@ class Nfa:
     count the transitions in (position, letter, position) order, the
     order of `transitions`; masks[j][i] has succ[j][i]'s targets as bits.
     The constructor checks named transitions; a construction's automata
-    are filled by position (`reachable_nfa`)."""
+    (`reachable_nfa`) and a parsed one (`filled_nfa`) are filled by
+    position."""
 
     __slots__ = ("order", "pos", "states", "letters", "rank", "alphabet",
                  "succ", "initial", "final", "accepting", "_transitions",
@@ -294,6 +300,18 @@ def reachable_nfa(initial, step, alphabet, final):
     nfa.succ, weights = _successors(nfa, zip(*[iter(edges)] * 4),
                                     list(map(nfa.pos.__getitem__, found)))
     return nfa, weights
+
+
+def filled_nfa(states, alphabet, initial, final, accepting, edges):
+    """An Nfa over these names, unchecked, and the payloads of its
+    transitions by number: edges(nfa) lists (position, letter index,
+    target position, payload) for each transition once, reading the
+    positions off nfa's `pos` and `rank` (a reader checks its lines
+    there)."""
+    nfa = Nfa.__new__(Nfa)
+    nfa._set(states, alphabet, initial, final, accepting)
+    nfa.succ, payloads = _successors(nfa, edges(nfa), range(len(nfa.order)))
+    return nfa, payloads
 
 
 def shortest_word(starts, step, goal):
@@ -806,25 +824,36 @@ def _image(rows, mask):
     return out
 
 
-@dataclass(frozen=True)
 class TransitionMonoid:
     """The semigroup generated by the letters' boolean matrices (row i of a
     matrix is the bit mask of the positions it takes position i to),
     numbered breadth-first as the closure finds it: first the distinct
     letter matrices in letter order, then every product the first time it
-    appears.  elements[e] is element e's matrix and right[e][g] the number
-    of elements[e] times letter g's matrix, one entry per letter, so
-    `right` is the right Cayley table.  parent[e] is (p, g) with element e
-    equal to element p times letter g, and p None for a letter's own
-    matrix; following it back spells a shortest word of e.  len() is the
-    element count."""
+    appears.  by_rows[e] is element e as the tuple of its rows' numbers
+    in `rows`, the distinct row masks; `elements[e]`, its matrix, is read
+    back from them on first use.  right[e][g] is the number of
+    element e times letter g's matrix, one entry per letter, so `right`
+    is the right Cayley table.  parent[e] is (p, g) with element e equal
+    to element p times letter g, and p None for a letter's own matrix;
+    following it back spells a shortest word of e.  len() is the element
+    count, read off `right`."""
 
-    elements: tuple
-    right: tuple
-    parent: tuple
+    __slots__ = ("rows", "by_rows", "right", "parent", "_elements")
+
+    def __init__(self, rows, by_rows, right, parent):
+        self.rows, self.by_rows = rows, by_rows
+        self.right, self.parent = right, parent
+        self._elements = None
+
+    @property
+    def elements(self):
+        if self._elements is None:
+            self._elements = tuple(tuple(map(self.rows.__getitem__, e))
+                                   for e in self.by_rows)
+        return self._elements
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.right)
 
     def word(self, e):
         """The letter indices of element e's shortest word, in order."""
@@ -841,8 +870,7 @@ def transition_monoid(nfa) -> TransitionMonoid:
     its right Cayley table, over interned rows: each distinct row mask is
     numbered (the singletons first) and its image under each letter is
     computed once.  An element is the tuple of its rows' numbers, its
-    product with a letter one lookup per row; `elements` reads the
-    matrices back at the end."""
+    product with a letter one lookup per row."""
     gens, n = nfa.masks, len(nfa.order)
     rows = [1 << i for i in range(n)]
     row_number = {m: r for r, m in enumerate(rows)}
@@ -855,53 +883,70 @@ def transition_monoid(nfa) -> TransitionMonoid:
                 rows.append(out)
             img[g].append(r)
     number, elements, parent = {}, [], []
-
-    def element(matrix, via):
-        e = number.setdefault(matrix, len(elements))
-        if e == len(elements):
-            elements.append(matrix)
-            parent.append(via)
-        return e
-
     for g, step in enumerate(img):
-        element(tuple(step[:n]), (None, g))
+        matrix = tuple(step[:n])
+        if number.setdefault(matrix, len(elements)) == len(elements):
+            elements.append(matrix)
+            parent.append((None, g))
     steps = [step.__getitem__ for step in img]
     right = []
     for e, matrix in enumerate(elements):   # elements grows in the loop
-        right.append(tuple(element(tuple(map(step, matrix)), (e, g))
-                           for g, step in enumerate(steps)))
-    return TransitionMonoid(
-        tuple(tuple(map(rows.__getitem__, e)) for e in elements),
-        tuple(right), tuple(parent))
+        out = []
+        for g, step in enumerate(steps):
+            product = tuple(map(step, matrix))
+            f = number.setdefault(product, len(elements))
+            if f == len(elements):
+                elements.append(product)
+                parent.append((e, g))
+            out.append(f)
+        right.append(tuple(out))
+    return TransitionMonoid(tuple(rows), tuple(elements), tuple(right),
+                            tuple(parent))
 
 
 def _power_cycle(monoid: TransitionMonoid, e):
-    """(index, period) of element e: e^index is the first power that comes
-    back, and it comes back every period-th power.
+    """(index, period, powers) of element e: e^index is the first power
+    that comes back, and it comes back every period-th power; powers
+    lists e, e^2, ... up to the last power before the first repeat.
 
     Powers are read off the right Cayley table: e^(t+1) is e^t walked
     along e's word, one table lookup per letter.  The closure's row
     images are the only products; the walk costs |word(e)| lookups per
     power and stops at the first power it has seen."""
-    word, power, seen = monoid.word(e), e, {}
+    word, power, seen, right = monoid.word(e), e, {}, monoid.right
     while power not in seen:
         seen[power] = len(seen) + 1     # the exponent of this power
         for g in word:
-            power = monoid.right[power][g]
-    return seen[power], len(seen) + 1 - seen[power]
+            power = right[power][g]
+    return seen[power], len(seen) + 1 - seen[power], seen
+
+
+def _aperiodicity(monoid: TransitionMonoid):
+    """(index, None) when every element's powers settle, index the least
+    m >= 1 with e^m = e^(m+1) for all e; else (None, (e, period)) for the
+    first element e whose powers cycle with period > 1.
+
+    The elements are walked in their breadth-first order, skipping every
+    power of an element already walked: if e^m = e^(m+1), then e^j
+    settles by power ceil(m/j) <= m, also with period 1, so a skipped
+    element moves neither the index nor the first element that cycles."""
+    worst, walked = 1, bytearray(len(monoid))
+    for e in range(len(monoid)):
+        if walked[e]:
+            continue
+        index, period, powers = _power_cycle(monoid, e)
+        if period > 1:
+            return None, (e, period)
+        worst = max(worst, index)
+        for p in powers:
+            walked[p] = 1
+    return worst, None
 
 
 def aperiodicity_index(a):
     """Least m >= 1 with e^m = e^(m+1) for every transition-monoid element,
     or None when some element's powers cycle with period > 1."""
-    monoid = transition_monoid(underlying_nfa(a))
-    worst = 1
-    for e in range(len(monoid)):
-        index, period = _power_cycle(monoid, e)
-        if period > 1:
-            return None
-        worst = max(worst, index)
-    return worst
+    return _aperiodicity(transition_monoid(underlying_nfa(a)))[0]
 
 
 def aperiodicity_witness(a):
@@ -911,11 +956,11 @@ def aperiodicity_witness(a):
     numbered breadth-first, so no shorter word has powers that cycle."""
     nfa = underlying_nfa(a)
     monoid = transition_monoid(nfa)
-    for e in range(len(monoid)):
-        period = _power_cycle(monoid, e)[1]
-        if period > 1:
-            return tuple(nfa.letters[g] for g in monoid.word(e)), period
-    return None
+    cycling = _aperiodicity(monoid)[1]
+    if cycling is None:
+        return None
+    e, period = cycling
+    return tuple(nfa.letters[g] for g in monoid.word(e)), period
 
 
 # -- closure constructions --------------------------------------------------

@@ -14,7 +14,7 @@ import sys
 from .automata import (
     WeightedAutomaton, abstract_semantics, aperiodicity_index, check_word,
     classify_ambiguity, first_difference, forward, is_unambiguous,
-    semantics_upto,
+    semantics_upto, underlying_nfa,
     EXPONENTIALLY, FINITELY, POLYNOMIALLY, UNAMBIGUOUS,
 )
 from .decompose import decompose_with_trackers
@@ -28,7 +28,7 @@ from .textfmt import (
     parse_automaton, parse_letter, render_word, serialize_automaton, to_dot,
 )
 from .wa_to_wfo import (
-    ATOM_NAME, scc_unambiguous_to_wfo, unambiguous_wa_to_wfo,
+    ATOM_NAME, auto_wa_to_wfo, scc_unambiguous_to_wfo, unambiguous_wa_to_wfo,
 )
 from .wfo_compiler import compile_stages, compile_wfo
 
@@ -174,10 +174,8 @@ def _cmd_tologic(args):
         phi = unambiguous_wa_to_wfo(wa)
     elif args.mode == "scc":
         phi = scc_unambiguous_to_wfo(wa)
-    elif is_unambiguous(wa):
-        phi = unambiguous_wa_to_wfo(wa)
     else:
-        phi = scc_unambiguous_to_wfo(wa)
+        phi = auto_wa_to_wfo(wa)
     # the header keeps the alphabet of a sentence that names no letter
     _emit(serialize_formula_file(phi, "wfo", {ATOM_NAME: wa.nfa}), args.out)
     return 0
@@ -188,7 +186,18 @@ def _cmd_decompose(args):
     bound = None if args.bound is None else _count("-K", args.bound, 0)
     parts, geqs, norm = decompose_with_trackers(wa, bound)
     k = len(parts)
-    m = aperiodicity_index(norm)
+    # the monoid reads the letters' matrices alone, so automata that share
+    # a successor table (norm and A_>=1 when every state is reachable, an
+    # unambiguous input's B_1, a union's parts) share one index
+    indices = {}
+
+    def index(a):
+        table = underlying_nfa(a).masks
+        if table not in indices:
+            indices[table] = aperiodicity_index(a)
+        return indices[table]
+
+    m = index(norm)
     print("input: states=%d index=%s bound K=%d%s"
           % (len(wa.nfa.states), m, k,
              "" if bound is not None else " (detected)"))
@@ -198,7 +207,7 @@ def _cmd_decompose(args):
     for stage, geq in enumerate(geqs[:k], start=1):
         bound = "" if m is None else " bound=%d" % (stage * (m + 1))
         print("A_>=%d: states=%d index=%s%s"
-              % (stage, len(geq.states), aperiodicity_index(geq), bound))
+              % (stage, len(geq.states), index(geq), bound))
     suffix = "dot" if args.format == "dot" else "wa"
     for ell, part in enumerate(parts, start=1):
         path = "%s.%d.%s" % (args.out, ell, suffix)
@@ -206,7 +215,7 @@ def _cmd_decompose(args):
         print("B_%d: states=%d unambiguous=%s index=%s -> %s"
               % (ell, len(part.nfa.states),
                  "yes" if is_unambiguous(part) else "no",
-                 aperiodicity_index(part), path))
+                 index(part), path))
     return 0
 
 

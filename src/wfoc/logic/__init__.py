@@ -3,7 +3,7 @@ from .syntax import (
     RunAtom, Const, StepIte, Zero, ProdX, WIte, Plus, SumX,
     FoFormula, StepFormula, WfoFormula,
     free_vars, uses_sumx, uses_plus,
-    fo_conditions, run_atoms, freshen, fresh_name,
+    fo_conditions, survey, freshen, fresh_name,
     format_fo, format_step, format_wfo,
 )
 from .encoding import ext_alphabet
@@ -21,7 +21,7 @@ __all__ = [
     "Zero", "ProdX", "WIte", "Plus", "SumX",
     "FoFormula", "StepFormula", "WfoFormula",
     "free_vars", "uses_sumx", "uses_plus",
-    "fo_conditions", "run_atoms", "freshen", "fresh_name",
+    "fo_conditions", "survey", "freshen", "fresh_name",
     "format_fo", "format_step", "format_wfo",
     "ext_alphabet",
     "ParseError", "ScopeError",

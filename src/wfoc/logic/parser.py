@@ -33,7 +33,7 @@ from .syntax import (
     FO_OPERATORS, UNARY, Const, Exists, FoFormula, Forall, FoTrue,
     LetterAt, Not, Plus, ProdX, RunAtom, StepFormula, StepIte, SumX,
     WfoFormula, WIte, Zero, format_fo, format_step, format_wfo, freshen,
-    map_run_atoms, run_atoms, uses_plus, uses_sumx,
+    map_run_atoms, survey, uses_plus, uses_sumx,
 )
 from ..textfmt import canonical_names, serialize_automaton_inline
 from ..weights import KEYWORDS, parse_weight
@@ -413,7 +413,8 @@ def serialize_formula_file(formula, kind, automata=None) -> str:
     recording what the formula avoids."""
     lines = []
     named = dict(automata or {})
-    for atom in run_atoms(formula):
+    atoms, sums, pluses = survey(formula)
+    for atom in atoms:
         if atom.name in named and named[atom.name] != atom.nfa:
             raise InputError("two different automata named %r" % atom.name)
         named[atom.name] = atom.nfa
@@ -427,8 +428,8 @@ def serialize_formula_file(formula, kind, automata=None) -> str:
             atom, p=names[atom.name][atom.p], q=names[atom.name][atom.q]))
     printer = _kind(kind)[1]            # checks the kind first
     if kind == "wfo":
-        flags = [name for name, breaks in _FRAGMENTS.items()
-                 if not breaks(formula)]
+        breaks = {"no-sum": sums, "no-plus": pluses}
+        flags = [name for name in _FRAGMENTS if not breaks[name]]
         if flags:
             lines.append("# fragment: " + " ".join(flags))
     lines.append(printer(formula))

@@ -218,9 +218,20 @@ def fo_conditions(node):
                               if isinstance(n, (StepIte, WIte))))
 
 
-def run_atoms(node):
-    return list(dict.fromkeys(n for n in nodes(node)
-                              if isinstance(n, RunAtom)))
+def survey(node):
+    """(run atoms, uses SumX, uses Plus) from one walk: the distinct run
+    atoms in pre-order, and whether a sum over a variable and a plus
+    occur."""
+    atoms, sums, pluses = {}, False, False
+    for n in nodes(node):
+        kind = type(n)
+        if kind is RunAtom:
+            atoms[n] = None
+        elif kind is SumX:
+            sums = True
+        elif kind is Plus:
+            pluses = True
+    return list(atoms), sums, pluses
 
 
 def map_run_atoms(node, fn):

@@ -16,7 +16,7 @@ a[01], here and in every witness word the program prints.
 
 from __future__ import annotations
 
-from .automata import Nfa, WeightedAutomaton, underlying_nfa
+from .automata import Nfa, WeightedAutomaton, filled_nfa, underlying_nfa
 from .errors import InputError
 from .weights import format_weight, parse_weight
 
@@ -114,32 +114,41 @@ def parse_automaton(text: str, line_no=None):
     if len(weighted_flags) > 1:
         raise InputError("mix of weighted and unweighted transitions")
     weighted = weighted_flags == {True}
-    transitions = set()
-    wgt = {}
-    for line_no, tokens in trans_lines:
-        src = _parse_state(tokens[0], line_no)
-        letter = parse_letter(tokens[1])
-        dst = _parse_state(tokens[2], line_no)
-        if src not in states or letter not in alphabet or dst not in states:
-            kind, token = ("state", tokens[0]) if src not in states else \
-                ("letter", tokens[1]) if letter not in alphabet \
-                else ("state", tokens[2])
-            raise InputError("line %d: trans names undeclared %s %r"
-                             % (line_no, kind, token))
-        t = (src, letter, dst)
-        if t in transitions:
-            raise InputError("line %d: duplicate transition %r"
-                             % (line_no, t))
-        transitions.add(t)
-        if weighted:
-            try:
-                wgt[t] = parse_weight(tokens[3])
-            except InputError as err:
-                raise InputError("line %d: %s" % (line_no, err))
-    nfa = Nfa(states, alphabet, transitions, groups.pop("initial"),
-              groups.pop("final"),
-              {key.split()[1]: group for key, group in groups.items()})
-    return WeightedAutomaton(nfa, wgt) if weighted else nfa
+
+    def edges(nfa):
+        """Each trans line as (position, letter index, target position,
+        weight), checked in line order."""
+        pos, rank = nfa.pos, nfa.rank
+        n, letters = len(nfa.order), len(nfa.letters)
+        seen = set()            # the lines' (position, letter, position)
+        for line_no, tokens in trans_lines:
+            src = pos.get(_parse_state(tokens[0], line_no))
+            j = rank.get(parse_letter(tokens[1]))
+            dst = pos.get(_parse_state(tokens[2], line_no))
+            if src is None or j is None or dst is None:
+                kind, token = ("state", tokens[0]) if src is None else \
+                    ("letter", tokens[1]) if j is None \
+                    else ("state", tokens[2])
+                raise InputError("line %d: trans names undeclared %s %r"
+                                 % (line_no, kind, token))
+            key = (src * letters + j) * n + dst
+            if key in seen:
+                raise InputError(
+                    "line %d: duplicate transition %r" % (line_no, (
+                        nfa.order[src], nfa.letters[j], nfa.order[dst])))
+            seen.add(key)
+            w = None
+            if weighted:
+                try:
+                    w = parse_weight(tokens[3])
+                except InputError as err:
+                    raise InputError("line %d: %s" % (line_no, err))
+            yield src, j, dst, w
+
+    nfa, weights = filled_nfa(
+        states, alphabet, groups.pop("initial"), groups.pop("final"),
+        {key.split()[1]: group for key, group in groups.items()}, edges)
+    return WeightedAutomaton.from_weights(nfa, weights) if weighted else nfa
 
 
 def parse_automaton_inline(text: str, line_no=1):

@@ -122,8 +122,23 @@ def unambiguous_wa_to_wfo(a: WeightedAutomaton, name=ATOM_NAME):
         raise HypothesisError(
             "not unambiguous: %r has two accepting runs"
             % (render_word(w),))
+    return _unambiguous_sentence(a, name)
+
+
+def auto_wa_to_wfo(a: WeightedAutomaton, name=ATOM_NAME):
+    """The unambiguous translation when the automaton is unambiguous, the
+    SCC one otherwise, each hypothesis checked once, aperiodicity first:
+    the refusals are those of the translation taken."""
+    _require_aperiodic(a.nfa)
+    if unambiguity_witness(a.nfa) is None:
+        return _unambiguous_sentence(a, name)
+    return _scc_sentence(a, name)
+
+
+def _unambiguous_sentence(a, name):
+    """unambiguous_wa_to_wfo once both hypotheses are known to hold."""
     out = Zero()
-    for (p, q) in reversed(_end_pairs(nfa)):
+    for (p, q) in reversed(_end_pairs(a.nfa)):
         # two runs from p to q would be two accepting runs
         inner = _guarded_product(a, p, q, name)
         out = WIte(inner.cond, inner.then, out)
@@ -211,8 +226,14 @@ def scc_unambiguous_to_wfo(a: WeightedAutomaton, name=ATOM_NAME):
     """Sum over initial/final pairs: within one component the unambiguous
     translation applies, across components one summand per switching
     sequence."""
+    _require_aperiodic(a.nfa)
+    return _scc_sentence(a, name)
+
+
+def _scc_sentence(a, name):
+    """scc_unambiguous_to_wfo once the automaton is known to be
+    aperiodic."""
     nfa = a.nfa
-    _require_aperiodic(nfa)
     w = scc_ambiguity_witness(nfa)
     if w is not None:
         raise HypothesisError(

@@ -9,12 +9,18 @@ it bucketed them.  `reference_coreachable` reads co-reachability off the
 strongly connected components and their topological order, as
 `coreachable_states` did before its backward sweep.  `eager_seq_counts`
 is the multiset carrier as it was before runs shared suffixes: every
-run's code is copied at every letter.
+run's code is copied at every letter.  `walked_aperiodicity` reads
+the aperiodicity index and witness off a transition monoid as the
+program did before its walk skipped the powers of elements it had
+walked: every element's powers are walked (`walked_index` and
+`walked_witness` on an automaton).
 """
 
 import itertools
 
-from wfoc.automata import Carrier, letter_key, scc_decompose
+from wfoc.automata import (
+    Carrier, letter_key, scc_decompose, transition_monoid, underlying_nfa,
+)
 from wfoc.multiset import SeqMultiset
 
 
@@ -88,3 +94,41 @@ def eager_seq_counts(weights):
         return SeqMultiset.over(weights, out)
 
     return Carrier({"": 1}, chars.__getitem__, mac, total)
+
+
+def power_cycle(monoid, e):
+    """(index, period) of element e: e^index is the first power that comes
+    back, every period-th power; e^(t+1) is e^t walked along e's word."""
+    word, power, seen = monoid.word(e), e, {}
+    while power not in seen:
+        seen[power] = len(seen) + 1
+        for g in word:
+            power = monoid.right[power][g]
+    return seen[power], len(seen) + 1 - seen[power]
+
+
+def walked_aperiodicity(monoid):
+    """(index, None), the largest index over every element, or (None, (e,
+    period)) for the first element e whose powers cycle with period > 1;
+    every element's powers are walked."""
+    worst = 1
+    for e in range(len(monoid)):
+        index, period = power_cycle(monoid, e)
+        if period > 1:
+            return None, (e, period)
+        worst = max(worst, index)
+    return worst, None
+
+
+def walked_index(a):
+    return walked_aperiodicity(transition_monoid(underlying_nfa(a)))[0]
+
+
+def walked_witness(a):
+    nfa = underlying_nfa(a)
+    monoid = transition_monoid(nfa)
+    cycling = walked_aperiodicity(monoid)[1]
+    if cycling is None:
+        return None
+    e, period = cycling
+    return tuple(nfa.letters[g] for g in monoid.word(e)), period

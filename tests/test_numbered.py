@@ -34,15 +34,19 @@ import pytest
 
 from corpus import ALL_TEXTS, SEED, load, named_weights, random_fo
 from reference_automata import (
-    ReferenceNumbered, mat_mul, reference_coreachable,
+    ReferenceNumbered, mat_mul, reference_coreachable, walked_aperiodicity,
+    walked_index, walked_witness,
 )
 from reference_semantics import Run, count_runs, enumerate_runs, words_upto
-from wfoc import Nfa, WeightedAutomaton, serialize_automaton, to_dot
+import wfoc.automata
+from wfoc import (
+    Nfa, WeightedAutomaton, parse_automaton, serialize_automaton, to_dot,
+)
 from wfoc.automata import (
-    ambiguity_witness, aperiodicity_index, coreachable_states, explore,
-    forward, letter_key, live_sets, reachable_nfa, runs_witness,
-    scc_decompose, seq_counts, shortest_word, state_key, transition_monoid,
-    trim, underlying_nfa, weighted_union,
+    ambiguity_witness, aperiodicity_index, aperiodicity_witness,
+    coreachable_states, explore, forward, letter_key, live_sets,
+    reachable_nfa, runs_witness, scc_decompose, seq_counts, shortest_word,
+    state_key, transition_monoid, trim, underlying_nfa, weighted_union,
 )
 from wfoc.decompose import build_a_geq_k, ensure_single_initial
 from wfoc.multiset import weight_table
@@ -956,6 +960,100 @@ def test_index_images_each_row_once_in_the_closure(monkeypatch):
     calls.clear()
     assert aperiodicity_index(nfa) == 150
     assert len(calls) == 302
+
+
+def small_nfas(count, seed):
+    """Seeded automata of 1-7 states over 1-3 letters, each (state,
+    letter, state) a transition with chance d/n, d one of 0.5, 1 and 1.5:
+    sparse enough that the powers of many of them cycle."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n, letters = rng.randint(1, 7), "abc"[:rng.randint(1, 3)]
+        chance = rng.choice((0.5, 1.0, 1.5)) / n
+        out.append(Nfa(range(n), letters,
+                       {(s, a, d) for s in range(n) for a in letters
+                        for d in range(n) if rng.random() < chance},
+                       {0}, {n - 1}))
+    return out
+
+
+def test_power_walk_matches_walking_every_element():
+    # skipping the powers of walked elements moves neither the index nor
+    # the first element whose powers cycle
+    kinds = set()
+    for nfa in small_nfas(2000, SEED + 29):
+        monoid = transition_monoid(nfa)
+        got = wfoc.automata._aperiodicity(monoid)
+        assert got == walked_aperiodicity(monoid)
+        kinds.add(got[0] is None)
+    assert kinds == {True, False}
+
+
+def test_aperiodicity_matches_walking_every_element():
+    # MONOID_CASES: the corpus, chain-N, chain unions, 300 random automata
+    # and cycles
+    for nfa in MONOID_CASES:
+        assert aperiodicity_index(nfa) == walked_index(nfa)
+        assert aperiodicity_witness(nfa) == walked_witness(nfa)
+    assert {walked_index(nfa) is None for nfa in MONOID_CASES} \
+        == {True, False}
+
+
+def test_chain_index_walks_the_powers_of_two_elements(monkeypatch):
+    # the letter a's powers are every element but b's, the identity
+    walks = []
+    power_cycle = wfoc.automata._power_cycle
+
+    def counted(monoid, e):
+        walks.append(e)
+        return power_cycle(monoid, e)
+
+    monkeypatch.setattr(wfoc.automata, "_power_cycle", counted)
+    assert aperiodicity_index(chain(150)) == 150
+    assert len(walks) == 2
+
+
+def test_decompose_closes_one_monoid_per_table(tmp_path, monkeypatch,
+                                               capsys):
+    # norm, A_>=1 and B_1 of chain-150 share one successor table
+    from wfoc.cli import main
+    closures = []
+    closure = wfoc.automata.transition_monoid
+
+    def counted(nfa):
+        closures.append(nfa)
+        return closure(nfa)
+
+    nfa = chain(150)
+    path = tmp_path / "chain.wa"
+    path.write_text(serialize_automaton(
+        WeightedAutomaton(nfa, dict.fromkeys(nfa.transitions, 1))))
+    monkeypatch.setattr(wfoc.automata, "transition_monoid", counted)
+    assert main(["decompose", "--automaton", str(path),
+                 "-o", str(tmp_path / "out")]) == 0
+    out = capsys.readouterr().out
+    assert "A_>=1: states=150 index=150 bound=151" in out
+    assert "B_1: states=150 unambiguous=yes index=150" in out
+    assert len(closures) == 1
+
+
+def test_parse_reads_no_named_transitions(monkeypatch):
+    # the parser fills the successor table and the weights by position
+    reads = []
+    named = Nfa.transitions
+
+    def counted(nfa):
+        reads.append(nfa)
+        return named.fget(nfa)
+
+    texts = [serialize_automaton(load(name)) for name in sorted(ALL_TEXTS)]
+    texts.append(serialize_automaton(chain(30)))
+    monkeypatch.setattr(Nfa, "transitions", property(counted))
+    parsed = [parse_automaton(text) for text in texts]
+    assert reads == []
+    monkeypatch.undo()
+    assert [serialize_automaton(a) for a in parsed] == texts
 
 
 def test_classifier_tables_match_reference():

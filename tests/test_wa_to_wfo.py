@@ -18,8 +18,9 @@ from wfoc.logic.syntax import (
     ProdX, RunAtom, SumX, WIte, Zero, uses_plus, uses_sumx,
 )
 from wfoc.textfmt import parse_automaton
+from wfoc.textfmt import serialize_automaton
 from wfoc.wa_to_wfo import (
-    enumerate_switching, scc_unambiguous_to_wfo,
+    auto_wa_to_wfo, enumerate_switching, scc_unambiguous_to_wfo,
     transition_formula, unambiguous_to_wfo, unambiguous_wa_to_wfo,
 )
 from wfoc.wfo_compiler import compile_wfo
@@ -338,3 +339,41 @@ def test_one_scc_decomposition_per_automaton(monkeypatch, k, n):
     assert uses_sumx(phi)
     assert scc_unambiguous_to_wfo(wa) == phi
     assert len(calls) == 1
+
+
+def _outcome(translate, wa):
+    """The sentence, or the refusal's text."""
+    try:
+        return translate(wa)
+    except HypothesisError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("name", sorted(ALL_TEXTS) + ["parity"])
+def test_auto_takes_the_branch_the_hypotheses_pick(name):
+    # the unambiguous translation exactly when the automaton is
+    # unambiguous, with the same sentence or the same refusal
+    wa = parity_automaton() if name == "parity" else load(name)
+    chosen = unambiguous_wa_to_wfo if is_unambiguous(wa) \
+        else scc_unambiguous_to_wfo
+    assert _outcome(auto_wa_to_wfo, wa) == _outcome(chosen, wa)
+
+
+def test_tologic_auto_checks_each_hypothesis_once(tmp_path, monkeypatch,
+                                                  capsys):
+    # one square-product search and one monoid closure on an unambiguous
+    # input
+    from wfoc.cli import main
+    searches, closures = [], []
+    search, closure = automata.ambiguity_witness, automata.transition_monoid
+    monkeypatch.setattr(automata, "ambiguity_witness",
+                        lambda *args, **kw: searches.append(args)
+                        or search(*args, **kw))
+    monkeypatch.setattr(automata, "transition_monoid",
+                        lambda nfa: closures.append(nfa) or closure(nfa))
+    path = tmp_path / "chain.wa"
+    path.write_text(serialize_automaton(chain_union(1, 10)))
+    assert main(["tologic", "--automaton", str(path),
+                 "-o", str(tmp_path / "chain.wfo")]) == 0
+    capsys.readouterr()
+    assert (len(searches), len(closures)) == (1, 1)

@@ -18,7 +18,7 @@ from wfoc.logic import (
     And, Const, EqVar, Exists, FoFormula, Forall, FoTrue, Implies, LetterAt,
     Leq, Lt, Not, Or, Plus, ProdX, RunAtom, StepFormula, StepIte, SumX,
     WfoFormula, WIte, Zero, after, before, between, fo_conditions, free_vars,
-    freshen, relativize, run_atoms, uses_plus, uses_sumx,
+    freshen, relativize, survey, uses_plus, uses_sumx,
 )
 from wfoc.logic.relativize import _bounds, _guard
 from wfoc.logic.syntax import _rename_free, letters_in, map_run_atoms, nodes
@@ -379,7 +379,8 @@ class TestSeededFormulas:
         assert uses_sumx(phi) == ref_uses_sumx(phi)
         assert uses_plus(phi) == ref_uses_plus(phi)
         assert fo_conditions(phi) == ref_fo_conditions(phi)
-        assert run_atoms(phi) == ref_run_atoms(phi)
+        assert survey(phi) == (ref_run_atoms(phi), ref_uses_sumx(phi),
+                               ref_uses_plus(phi))
         assert letters_in(phi) == ref_letters_in(phi)
         for mapping in ({"x": "y"}, {"x": "z", "z": "x"}, {"y": "w"}):
             assert _rename_free(phi, mapping) \
