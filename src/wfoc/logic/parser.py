@@ -59,32 +59,33 @@ _TOKEN_RE = re.compile(r"""
   | (?P<num>-?[0-9]+)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
   | (?P<sym>[().,?:+&|!<=;>/])
+  | (?P<bad>.)
 """, re.VERBOSE)
+_SKIP = ("ws", "comment")
+_NAMED = ("num", "ident")   # the kinds not spelled by their text
 
 
 def _tokenize(text):
+    """The tokens of text, each (kind, text, offset), then an "eof" one
+    at the end: one pass, with no line or column until an error asks."""
     tokens = []
-    pos = 0
-    line, col = 1, 1
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError((line, col),
-                             "unexpected character %r" % text[pos])
-        chunk = m.group(0)
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        if kind not in ("ws", "comment"):
-            tokens.append((kind if kind in ("num", "ident") else chunk,
-                           chunk, line, col))
-        newlines = chunk.count("\n")
-        if newlines:
-            line += newlines
-            col = len(chunk) - chunk.rfind("\n")
-        else:
-            col += len(chunk)
-        pos = m.end()
-    tokens.append(("eof", "", line, col))
+        if kind in _SKIP:
+            continue
+        if kind == "bad":
+            raise ParseError(_where(text, m.start()),
+                             "unexpected character %r" % m.group())
+        chunk = m.group()
+        tokens.append((kind if kind in _NAMED else chunk, chunk, m.start()))
+    tokens.append(("eof", "", len(text)))
     return tokens
+
+
+def _where(text, offset):
+    """The (line, col) of offset in text, both counted from 1."""
+    return (text.count("\n", 0, offset) + 1,
+            offset - text.rfind("\n", 0, offset))
 
 
 def _is_letter(name, after):
@@ -114,6 +115,7 @@ class _Parser:
     a binder's variable or the slot a '(' stands in."""
 
     def __init__(self, text, automata, layer):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.automata = dict(automata) if automata else {}
@@ -135,10 +137,13 @@ class _Parser:
             self.fail("expected %s" % (what or kind))
         return self.next()
 
+    def where(self, tok):
+        return _where(self.text, tok[2])
+
     def fail(self, message):
         tok = self.peek()
         got = "end of input" if tok[0] == "eof" else repr(tok[1])
-        raise ParseError(tok[2:], "%s, got %s" % (message, got))
+        raise ParseError(self.where(tok), "%s, got %s" % (message, got))
 
     def shift(self, op, slot, extra=None):
         self.next()
@@ -237,7 +242,7 @@ class _Parser:
         if self.opener():
             self.fail("expected %s" % _CLOSE[self.opener()])
         tok = self.peek()
-        raise ParseError(tok[2:], "trailing input %r" % tok[1])
+        raise ParseError(self.where(tok), "trailing input %r" % tok[1])
 
     def atom_ahead(self, word):
         """Whether an FO atom, not a weight, starts a step here: `run :`
@@ -252,16 +257,17 @@ class _Parser:
     def ident(self, what):
         tok = self.expect("ident", what)
         if tok[1] in KEYWORDS:
-            raise ParseError(tok[2:], "%r is reserved" % tok[1])
+            raise ParseError(self.where(tok), "%r is reserved" % tok[1])
         return tok[1]
 
     def binder(self, keyword):
         """keyword var . ; var is in scope until the binder is reduced."""
         self.next()
-        where = self.peek()[2:]
+        tok = self.peek()
         var = self.ident("variable")
         if var in self.scope:
-            raise ScopeError(where, "variable %s is already bound" % var)
+            raise ScopeError(self.where(tok),
+                             "variable %s is already bound" % var)
         self.scope.append(var)
         self.expect(".", "'.' after binder")
         self.ops.append((*_BINDERS[keyword], var))
@@ -297,8 +303,8 @@ class _Parser:
             self.fail("expected a state")
         self.next()
         if state not in self.automata[name].states:
-            raise ParseError(tok[2:], "automaton %r has no state %r"
-                             % (name, state))
+            raise ParseError(self.where(tok), "automaton %r has no state "
+                             "%r" % (name, state))
         return state
 
     def run_atom(self):
@@ -306,8 +312,9 @@ class _Parser:
         name_tok = self.expect("ident", "automaton name")
         name = name_tok[1]
         if name not in self.automata:
-            raise ParseError(name_tok[2:], "unknown automaton %r (declare it "
-                             "with '# automaton %s: ...')" % (name, name))
+            raise ParseError(self.where(name_tok),
+                             "unknown automaton %r (declare it with "
+                             "'# automaton %s: ...')" % (name, name))
         self.expect("(")
         p = self.state(name)
         self.expect(",")
@@ -335,7 +342,7 @@ class _Parser:
         try:
             return parse_weight(text)
         except InputError as err:
-            raise ParseError(tok[2:], str(err))
+            raise ParseError(self.where(tok), str(err))
 
 
 def parse_fo(text, automata=None):

@@ -9,7 +9,14 @@ prefix first), a code caches its hash, and extending a sequence by one
 weight is one concatenation.  Equality is exact, whatever the two
 tables.  `automata.abstract_semantics` builds a word's multiset over the
 automaton's table; `logic.evaluate` builds one from its sequences' counts.
-The command line prints it with `pretty`.
+The command line prints it with `pretty`, which sorts the codes once and
+makes the lines a block of codes at a time.  When every weight prints as
+one ASCII character, a block's codes are joined by a separator that no
+rank uses and translated byte for byte in one call, the commas put in by
+one slice assignment, and the result split into lines: weight texts hold
+neither ',' nor a line break (a symbol is an identifier: `parse_weight`),
+so only the separator makes one.  Any other table maps each rank to ','
+and its text, one `str.translate` per code.
 """
 
 from __future__ import annotations
@@ -19,6 +26,10 @@ from .weights import weight_sort_key, format_weight
 
 # one code point per rank: chr takes 0 .. 0x10FFFF
 MAX_WEIGHTS = 0x110000
+
+# codes `pretty` translates per call: few enough that a block's texts stay
+# small beside the lines they make
+PRETTY_BLOCK = 256
 
 
 def weight_table(weights) -> tuple:
@@ -94,7 +105,37 @@ class SeqMultiset:
 
     def pretty(self) -> str:
         """Canonical text form: one 'k x [w1,w2,...]' line per sequence."""
-        text = {i: "," + format_weight(w) for i, w in enumerate(self.weights)}
         counts = self._counts
-        return "\n".join("%d x [%s]" % (counts[code], code.translate(text)[1:])
-                         for code in sorted(counts))
+        codes = sorted(counts)
+        out = []
+        if codes and not codes[0]:      # the empty sequence sorts first
+            out.append("%d x []" % counts[codes.pop(0)])
+        inner = _inner_texts(list(map(format_weight, self.weights)))
+        for i in range(0, len(codes), PRETTY_BLOCK):
+            block = codes[i:i + PRETTY_BLOCK]
+            out.append("\n".join(map("%d x [%s]".__mod__, zip(
+                map(counts.__getitem__, block), inner(block)))))
+        return "\n".join(out)
+
+
+def _inner_texts(text):
+    """A function from a block of non-empty codes over a table whose
+    weights print as `text` to their 'w1,w2,...' texts, in order."""
+    chars = "".join(text)
+    if len(text) < 256 and all(len(t) == 1 for t in text) \
+            and chars.isascii():
+        # byte for byte: each rank and sep is one byte, mapped to one
+        sep = chr(len(text))    # no rank: it ends each code but the last
+        table = bytes.maketrans(bytes(range(len(text) + 1)),
+                                chars.encode() + b"\n")
+
+        def inner(block):
+            raw = sep.join(block).encode("latin-1").translate(table)
+            # a comma between every two bytes: ',\n,' ends a code
+            buf = bytearray(b",") * (2 * len(raw) - 1)
+            buf[::2] = raw
+            return buf.decode().split(",\n,")
+        return inner
+    # one character to many: one call per code is faster than per block
+    table = {rank: "," + t for rank, t in enumerate(text)}
+    return lambda block: [code.translate(table)[1:] for code in block]

@@ -5,11 +5,15 @@ It tries an FO condition at every step or wFO position and backs out when
 no '?' follows; a failed condition that got further into the input than
 the final error is the one reported.  The class and `_parse` below are
 the replaced code as it stood, with `ScopeError` defined here because the
-library's now carries a position.
+library's now carries a position.  `_tokenize` is the tokenizer it read,
+which finds each token's line and column as it goes: the library's reads
+its tokens in one pass and finds a position only for an error.
 """
 
+import re
+
 from wfoc.errors import InputError
-from wfoc.logic.parser import ParseError, _tokenize
+from wfoc.logic.parser import ParseError
 from wfoc.logic.syntax import (
     And, Const, EqVar, Exists, Forall, FoTrue, Implies, Leq, LetterAt, Lt,
     Not, Or, Plus, ProdX, RunAtom, StepIte, SumX, WIte, Zero, freshen,
@@ -19,6 +23,42 @@ from wfoc.weights import KEYWORDS, parse_weight
 
 class ScopeError(InputError):
     pass
+
+
+_TOKEN_RE = re.compile(r"""
+    (?P<ws>\s+)
+  | (?P<comment>\#[^\n]*)
+  | (?P<arrow>->)
+  | (?P<le><=)
+  | (?P<num>-?[0-9]+)
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
+  | (?P<sym>[().,?:+&|!<=;>/])
+""", re.VERBOSE)
+
+
+def _tokenize(text):
+    tokens = []
+    pos = 0
+    line, col = 1, 1
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            raise ParseError((line, col),
+                             "unexpected character %r" % text[pos])
+        chunk = m.group(0)
+        kind = m.lastgroup
+        if kind not in ("ws", "comment"):
+            tokens.append((kind if kind in ("num", "ident") else chunk,
+                           chunk, line, col))
+        newlines = chunk.count("\n")
+        if newlines:
+            line += newlines
+            col = len(chunk) - chunk.rfind("\n")
+        else:
+            col += len(chunk)
+        pos = m.end()
+    tokens.append(("eof", "", line, col))
+    return tokens
 
 
 class _Parser:

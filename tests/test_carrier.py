@@ -8,7 +8,9 @@ code copied at every letter).  They are compared on the corpus, on 3,000
 seeded random automata and on `semantics_upto` sweeps, where sibling words
 extend one shared front; a shared front must come out of every step
 unchanged.  `SeqMultiset.pretty` is checked against the reference
-multiset's on codes of every shape the carrier makes.
+multiset's on codes of every shape the carrier makes, on both of its
+routes (tables of one-character weights, and every other table) and at
+its block seams.
 """
 
 import random
@@ -23,7 +25,7 @@ from wfoc.automata import (
     Nfa, WeightedAutomaton, abstract_semantics, bits, forward, seq_counts,
     semantics_upto,
 )
-from wfoc.multiset import SeqMultiset, weight_table
+from wfoc.multiset import PRETTY_BLOCK, SeqMultiset, weight_table
 from wfoc.weights import Symbol
 
 from tests.corpus import ALL_TEXTS, SEED, all_words, load
@@ -172,3 +174,69 @@ def test_pretty_edge_cases():
     for m in cases:
         assert m.pretty() == TupleMultiset(dict(m.items())).pretty()
 
+
+def random_multiset(rng, weights, n, empty):
+    """n distinct non-empty sequences of `weights` (and the empty one if
+    `empty`), each with a count of 1-1000, over the table of `weights`."""
+    longest = 1     # so that there are at least 4n sequences to draw
+    while sum(len(weights) ** k for k in range(1, longest + 1)) < 4 * n:
+        longest += 1
+    # one sequence holds every weight, so the table is `weights`
+    counts = {tuple(weights): rng.randint(1, 1000)}
+    if empty:
+        counts[()] = rng.randint(1, 1000)
+    while len(counts) < n + empty:
+        seq = tuple(rng.choice(weights)
+                    for _ in range(rng.randint(1, longest)))
+        counts.setdefault(seq, rng.randint(1, 1000))
+    m = SeqMultiset(counts)
+    assert len(m.weights) == len(weights) and len(m) == n + empty
+    return m
+
+
+LETTERS = [Symbol(c) for c in "tuvwxyzabcdefghijklmnopqrsABCDEFGHIJ"]
+PRETTY_TABLES = {
+    # every weight printed as one ASCII character: translated byte for
+    # byte, whatever the ranks (rank 10 is a line break, rank 44 a comma)
+    **{"digits%d" % k: list(range(k)) for k in range(1, 11)},
+    **{"letters%d" % k: LETTERS[:k] for k in (1, 2, 5, 10)},
+    "mixed10": [0, 1, 2, 3, 4, 5, 6, *LETTERS[:3]],
+    "digits_and_t": [*range(10), Symbol("t")],
+    "digits_and_letters46": [*range(10), *LETTERS],
+    # some weight printed wider: ',' and its text per rank
+    "digits_and_ten": list(range(11)),
+    "ints45": list(range(45)),
+    "ints300": list(range(300)),
+    "signed": [-3, -2, -1, 0, 1, 2],
+    "rational": [Fraction(1, 2), Fraction(-1, 3), 1, 2],
+    "two_chars": [10, 11, 12, Symbol("tt")],
+    "one_wide": [1, 2, 3, 12],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRETTY_TABLES))
+def test_pretty_routes_match_the_reference(name):
+    weights = PRETTY_TABLES[name]
+    rng = random.Random("%d %s" % (SEED, name))
+    for n in (1, 2, 30):
+        for empty in (False, True):
+            m = random_multiset(rng, weights, n, empty)
+            assert m.pretty() == TupleMultiset(dict(m.items())).pretty()
+
+
+@pytest.mark.parametrize("name", ["digits2", "digits_and_t",
+                                  "digits_and_letters46", "digits_and_ten",
+                                  "two_chars"])
+@pytest.mark.parametrize("n", [PRETTY_BLOCK - 2, PRETTY_BLOCK - 1,
+                               PRETTY_BLOCK, PRETTY_BLOCK + 1,
+                               2 * PRETTY_BLOCK + 1])
+def test_pretty_block_seams_match_the_reference(name, n):
+    # n codes and the empty one: n or n + 1 lines, n non-empty codes in
+    # blocks of PRETTY_BLOCK
+    weights = PRETTY_TABLES[name]
+    rng = random.Random("%d %s %d" % (SEED, name, n))
+    for empty in (False, True):
+        m = random_multiset(rng, weights, n, empty)
+        want = TupleMultiset(dict(m.items())).pretty()
+        assert m.pretty() == want
+        assert want.count("\n") + 1 == len(m)

@@ -17,7 +17,8 @@ from fractions import Fraction
 import pytest
 
 from wfoc.automata import (
-    Nfa, WeightedAutomaton, first_difference, semantics_upto, trim,
+    Nfa, WeightedAutomaton, abstract_semantics, first_difference,
+    semantics_upto, trim,
 )
 from wfoc.cli import main
 from wfoc.logic.syntax import Zero
@@ -27,7 +28,9 @@ from wfoc.weights import Symbol
 from wfoc.wfo_compiler import compile_wfo
 
 from tests.corpus import ALL_TEXTS, SEED, load, named_weights
-from tests.test_cli import DIFFERENT_TABLES, TRANSLATABLE
+from tests.test_cli import (
+    DIFFERENT_TABLES, SEMANTICS_WORDS, TRANSLATABLE,
+)
 
 WEIGHTS = (0, 1, 2, 3, -1, Fraction(1, 2), Symbol("u"))
 
@@ -233,3 +236,21 @@ def test_long_chain_counterexample_memory(tmp_path, capsys):
     assert lines[0] == "COUNTEREXAMPLE " + "a" * (n - 1)
     assert lines[4] == "1 x [%s,2]" % ",".join("1" * (n - 2))
     assert peak < 2 * 2 ** 20, peak
+
+
+def test_blockmax_pretty_memory():
+    # printing blockmax's 16,384 sequences sets the peak of eval's
+    # multiset: each block's lines are joined before the next block is
+    # made, so no line outlives its block.  Under CPython 3.11, joining
+    # all 16,384 lines at once peaks at 4,265,982 bytes, and translating
+    # all the codes in one block at 7.0 MB
+    sem = abstract_semantics(load("blockmax"), SEMANTICS_WORDS["blockmax"])
+    assert len(sem) == 16384
+    tracemalloc.start()
+    try:
+        text = sem.pretty()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.count("\n") == 16383
+    assert peak < 4265982, peak

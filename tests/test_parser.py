@@ -16,6 +16,7 @@ from corpus import (
     ALL_TEXTS, FORMULAS, SEED, random_fo_sentence, random_step, random_wfo,
 )
 from reference_parser import ScopeError as ReferenceScopeError
+from reference_parser import _tokenize as reference_tokenize
 from reference_parser import reference_parse
 from wfoc import InputError, parse_automaton
 from wfoc.automata import is_unambiguous
@@ -25,7 +26,7 @@ from wfoc.logic import (
     format_step, format_wfo, parse_formula_file, serialize_formula_file,
 )
 from wfoc.logic import parser
-from wfoc.logic.parser import _tokenize
+from wfoc.logic.parser import _tokenize, _where
 from wfoc.wa_to_wfo import (
     ATOM_NAME, scc_unambiguous_to_wfo, unambiguous_wa_to_wfo,
 )
@@ -181,6 +182,44 @@ def test_same_error_positions_on_mutations():
             assert new[1] > old[1], (mutant, old, new)
             moved += 1
     assert moved < same / 5
+
+
+def _tokens(tokenize, text):
+    """tokenize's tokens of text as (kind, text, line, col), or its
+    error's position and text."""
+    try:
+        tokens = tokenize(text)
+    except ParseError as err:
+        return ("error", err.where, str(err))
+    if tokenize is _tokenize:
+        return [(kind, chunk, *_where(text, offset))
+                for kind, chunk, offset in tokens]
+    return tokens
+
+
+def test_tokens_match_the_reference_tokenizer():
+    """The one-pass tokenizer finds the tokens, lines, columns and bad
+    characters that the line-counting one did: on the corpus, the bench
+    inputs, and seeded texts of tokens, comments, line breaks and
+    characters that start no token."""
+    texts = [text for _, text, _ in CORPUS]
+    for name in sorted(os.listdir(INPUTS)):
+        if name.endswith(".wfo"):
+            with open(os.path.join(INPUTS, name), encoding="utf-8") as f:
+                texts.append(f.read())
+    rng = random.Random(SEED)
+    pieces = ["x", "Pa", "12", "-3", "->", "<=", "<", "(", ")", ".", ",",
+              "?", ":", "+", "&", "|", "!", ";", "/", " ", "  ", "\n",
+              "\r\n", "\t", "# note", "# a -> b\n", "\u00e9", "$", "\x00"]
+    for _ in range(3000):
+        texts.append("".join(rng.choice(pieces)
+                             for _ in range(rng.randint(0, 30))))
+    errors = 0
+    for text in texts:
+        want = _tokens(reference_tokenize, text)
+        assert _tokens(_tokenize, text) == want, text
+        errors += want[0] == "error"
+    assert 500 < errors < 2500
 
 
 @pytest.mark.parametrize("parse,template", [
