@@ -9,9 +9,11 @@ All nodes are immutable and hashable.  Invariant maintained by the parser
 and the construction helpers: bound variables are pairwise distinct and
 distinct from every free variable.
 
-Every walk goes through `nodes` (pre-order) or `map_children` (rebuild).
-Which fields of a node are sub-formulas is read once from the dataclass
-annotations; `_VARS` names the fields that hold variable occurrences.
+Every walk goes through `nodes` (pre-order), `map_children` (one level)
+or `_rebuild` (a whole tree, bottom-up on an explicit stack, so that
+`freshen` and `map_run_atoms` take any depth).  Which fields of a node
+are sub-formulas is read once from the dataclass annotations; `_VARS`
+names the fields that hold variable occurrences.
 """
 
 from __future__ import annotations
@@ -234,11 +236,34 @@ def survey(node):
     return list(atoms), sums, pluses
 
 
+def _rebuild(node, enter, leave):
+    """node rebuilt bottom-up without recursion.  enter(n) sees every node
+    in pre-order, children in field order, and returns a node to put in
+    n's place as it is, or None to rebuild n: once all of n's children are
+    rebuilt, leave(n, kids) gets them by field name and returns n's
+    replacement."""
+    stack, built = [(node, None)], []
+    while stack:
+        n, names = stack.pop()
+        if names is not None:
+            kids = dict(zip(names, built[-len(names):]))
+            del built[-len(names):]
+            built.append(leave(n, kids))
+            continue
+        out = enter(n)
+        names = _SUB[type(n)]
+        if out is not None or not names:
+            built.append(n if out is None else out)
+        else:
+            stack.append((n, names))
+            stack.extend((getattr(n, f), None) for f in reversed(names))
+    return built[0]
+
+
 def map_run_atoms(node, fn):
     """The formula with every run atom replaced by fn(atom)."""
-    if isinstance(node, RunAtom):
-        return fn(node)
-    return map_children(node, lambda c: map_run_atoms(c, fn))
+    return _rebuild(node, lambda n: fn(n) if type(n) is RunAtom else None,
+                    lambda n, kids: replace(n, **kids))
 
 
 def letters_in(node) -> set:
@@ -260,33 +285,39 @@ def fresh_name(base: str, used) -> str:
     return name
 
 
-def _rename_free(node, mapping):
-    names = _VARS.get(type(node))
-    if names:
-        return replace(node, **{f: mapping.get(getattr(node, f),
-                                               getattr(node, f))
-                                for f in names})
-    if isinstance(node, _BINDERS) and node.var in mapping:
-        mapping = {k: v for k, v in mapping.items() if k != node.var}
-    return map_children(node, lambda c: _rename_free(c, mapping))
-
-
 def freshen(node, avoid=()):
     """Alpha-rename binders so that all bound names are pairwise distinct
-    and avoid the free variables plus `avoid`."""
+    and avoid the free variables plus `avoid`.  Binders draw their names
+    with `fresh_name` in pre-order, and each occurrence takes the new name
+    of the binder that binds it, so no renamed variable is captured."""
     used = set(free_vars(node)) | set(avoid)
+    env, shadowed = {}, []      # old name -> new; the entries a binder hid
 
-    def walk(n):
-        if isinstance(n, _BINDERS):
-            v = n.var
-            new = fresh_name(v, used)
+    def enter(n):
+        kind = type(n)
+        if kind in _BINDERS:
+            new = fresh_name(n.var, used)
             used.add(new)
-            if new != v:
-                n = replace(map_children(
-                    n, lambda c: _rename_free(c, {v: new})), var=new)
-        return map_children(n, walk)
+            shadowed.append(env.get(n.var))
+            env[n.var] = new
+            return None
+        names = _VARS.get(kind)
+        if names:
+            return replace(n, **{f: env.get(getattr(n, f), getattr(n, f))
+                                 for f in names})
+        return None
 
-    return walk(node)
+    def leave(n, kids):
+        if type(n) in _BINDERS:
+            v = n.var
+            kids["var"], hidden = env[v], shadowed.pop()
+            if hidden is None:
+                del env[v]
+            else:
+                env[v] = hidden
+        return replace(n, **kids)
+
+    return _rebuild(node, enter, leave)
 
 
 # ---------------------------------------------------------------------------

@@ -4,21 +4,25 @@ The pipeline follows the structure of the formula.  A position product
 becomes a bimachine: a forward component walks the condition classifiers
 over the prefix, a backward component carries their verdicts on the
 suffix, and together they decode the bit vector of the FO conditions at
-each position, which picks the weight from the if-then-else cascade.
-The weighted if-then-else is a classifier product, + a disjoint union,
-and the variable sum a two-copy projection.  Every stage is built as the
-part of its construction reachable from the initial states
-(`automata.reachable_nfa`), so no state is made only to be pruned, and
-names its states by flat int tuples: its tags and its inputs' positions.
-Outputs are aperiodic and SCC-unambiguous; without variable sums they
-are finite unions of unambiguous automata, and without sums at all they
-are unambiguous.
+each position, which picks the weight from the if-then-else cascade
+(Schutzenberger's bimachine, "A remark on finite transducers", 1961).
+A position reads only the conditions whose classifier can still accept
+on some suffix, and the suffix tables are bytes, so the product costs
+about its states and transitions plus its classifiers' tables
+(quadratic on chain-N).  The weighted if-then-else is a classifier
+product, + a disjoint union, and the variable sum a two-copy projection.
+Every stage is built as the part of its construction reachable from the
+initial states (`automata.reachable_nfa`), so no state is made only to
+be pruned, and names its states by flat int tuples: its tags and its
+inputs' positions.  Outputs are aperiodic and SCC-unambiguous; without
+variable sums they are finite unions of unambiguous automata, and
+without sums at all they are unambiguous.
 """
 
 from __future__ import annotations
 
 import functools
-from operator import getitem
+from operator import itemgetter
 
 from .automata import (
     Nfa, WeightedAutomaton, explore, reachable_nfa, weighted_union,
@@ -55,17 +59,22 @@ def _cascade(step, cond_index):
 
 
 def _suffix_tables(c, lifted):
-    """One classifier's suffix tables, reachable from the verdict codes of
-    the empty suffix, in sorted order; the rank of that first table; and
+    """One classifier's suffix tables as `bytes`, reachable from the
+    verdict codes of the empty suffix, in sorted order (codes of one
+    length sort as their tuples would); the rank of that first table; and
     back[n][r], the rank of the table for the n-th letter of `lifted`
     (read unmarked) followed by the suffix of table r."""
     cols = [[row[j0] - 1 for row in c.delta] for _, j0, _ in lifted]
+    # one gather per letter: the new table reads the old one at each
+    # state's successor; a one-index itemgetter would return a scalar
+    gathers = ([itemgetter(*col) for col in cols] if len(c.delta) > 1
+               else [bytes] * len(cols))
 
     def unwind(t):
-        for n, col in enumerate(cols):
-            yield n, tuple(map(t.__getitem__, col))
+        for n, gather in enumerate(gathers):
+            yield n, bytes(gather(t))
 
-    end = tuple(_CODE[v] for v in c.verdicts)
+    end = bytes(_CODE[v] for v in c.verdicts)
     edges = list(explore([end], unwind))
     tables = sorted({t for (t, _, _) in edges})
     rank = {t: r for r, t in enumerate(tables)}
@@ -73,6 +82,24 @@ def _suffix_tables(c, lifted):
     for (t, n, t2) in edges:
         back[n][rank[t]] = rank[t2]
     return tables, rank[end], back
+
+
+def _can_accept(c, lifted):
+    """Per state of classifier c (by index), whether some word of the
+    unmarked letters of `lifted` leads it to an accepting state: exactly
+    where some suffix table reads 2.  One backward sweep from F."""
+    preds = [[] for _ in c.delta]
+    for s, row in enumerate(c.delta):
+        for _, j0, _ in lifted:
+            preds[row[j0] - 1].append(s)
+    live = [v is True for v in c.verdicts]
+    stack = [s for s, v in enumerate(live) if v]
+    while stack:
+        for s in preds[stack.pop()]:
+            if not live[s]:
+                live[s] = True
+                stack.append(s)
+    return live
 
 
 def compile_product(step, var, alphabet, vars=()) -> WeightedAutomaton:
@@ -89,9 +116,11 @@ def compile_product(step, var, alphabet, vars=()) -> WeightedAutomaton:
     deterministically, so every word keeps exactly one accepting run.
     A transition is decoded from lookups alone: the forward state's
     marked successors are kept per letter, the first classifier alone
-    tells an invalid encoding (all k reject together), the k verdicts are
-    read in one pass, and the cascade, built once as a tree over
-    condition indices, is walked once per distinct verdict vector.
+    tells an invalid encoding (all k reject together), only the
+    conditions that some suffix can still make true are read, and the
+    cascade, built once as a tree over condition indices, is walked once
+    per distinct set of true conditions, so a step costs its candidates,
+    not k.
     (Guess-and-verify per position, as in the underlying proof, builds
     sets of pending verification threads; those power-set states made
     translations of modest automata unbuildable.)"""
@@ -128,12 +157,13 @@ def compile_product(step, var, alphabet, vars=()) -> WeightedAutomaton:
 
     # Backward component: per classifier, the suffix table of the verdict
     # (2 accept, 1 refute, 0 invalid) every state would reach on the rest
-    # of the word.  Each classifier's tables are explored on their own and
-    # numbered by rank in sorted order, and a joint suffix state is the
-    # tuple of the k ranks: it sorts as the tuple of the k tables would, so
-    # one lookup per classifier and letter steps it.  A transition steps
-    # back from the suffix state it enters to the one it leaves, so the
-    # exploration below needs the compositions inverted.
+    # of the word, one byte per state.  Each classifier's tables are
+    # explored on their own and numbered by rank in sorted order, and a
+    # joint suffix state is the tuple of the k ranks: it sorts as the
+    # tuple of the k tables would, so one lookup per classifier and letter
+    # steps it.  A transition steps back from the suffix state it enters
+    # to the one it leaves, so the exploration below needs the
+    # compositions inverted.
     tables, ends, backs = zip(*(_suffix_tables(c, lifted) for c in clss))
     back = list(zip(*backs))        # back[n][i]: classifier i on letter n
 
@@ -166,34 +196,45 @@ def compile_product(step, var, alphabet, vars=()) -> WeightedAutomaton:
     # successors decode the position's bit vector, which picks the
     # weight.  Every classifier runs over the same variables, so their
     # verdicts are 0 (an invalid encoding) together: classifier 0 alone
-    # tells validity.  A valid position reads the k verdicts in one pass
-    # and walks the cascade once per distinct verdict vector.  The
-    # started flag keeps the empty word out of the support.
+    # tells validity.  A condition whose marked successor reaches no
+    # accepting state on any suffix is false whatever the suffix table, so
+    # a valid position reads only the other, candidate, conditions and
+    # walks the cascade once per distinct set of true ones.  The started
+    # flag keeps the empty word out of the support.
     cascade = _cascade(step, {c: i for i, c in enumerate(conds)})
 
-    @functools.cache        # one walk per distinct verdict vector
-    def decode(codes):
+    @functools.cache        # one walk per distinct set of true conditions
+    def decode(true):
         psi = cascade
         while type(psi) is tuple:
             i, then, els = psi
-            psi = then if codes[i] == 2 else els
+            psi = then if i in true else els
         if not isinstance(psi, Const):
             raise InputError("not a step formula: %r" % (psi,))
         return psi.weight
 
     # moves[d]: per letter of `lifted`, the letter, its unmarked index, the
-    # forward successor and the k marked successors of forward[d]
-    moves = [[(a, j0, prefix_next[(d, j0)],
-               [rows[i][here[i] - 1][j1] - 1 for i in range(k)])
-              for a, j0, j1 in lifted] for d, here in enumerate(forward)]
+    # forward successor of forward[d], classifier 0's marked successor and
+    # the candidates: each condition, with its classifier's marked
+    # successor, that some suffix can still make true
+    live = [_can_accept(c, lifted) for c in clss]
+    moves = []
+    for d, here in enumerate(forward):
+        row = []
+        for a, j0, j1 in lifted:
+            marked = [rows[i][s - 1][j1] - 1 for i, s in enumerate(here)]
+            row.append((a, j0, prefix_next[(d, j0)], marked[0],
+                        [(i, m) for i, m in enumerate(marked) if live[i][m]]))
+        moves.append(row)
 
     def advance(state):
         d, f_src, _ = state
-        for a, j0, d2, marked in moves[d]:
+        for a, j0, d2, m0, candidates in moves[d]:
             for f, tabs in composed_from.get((f_src, j0), ()):
-                if not tabs[0][marked[0]]:
+                if not tabs[0][m0]:
                     continue
-                yield a, (d2, f, 1), decode(bytes(map(getitem, tabs, marked)))
+                yield a, (d2, f, 1), decode(tuple(
+                    i for i, m in candidates if tabs[i][m] == 2))
 
     end = f_rank[ends]
     return WeightedAutomaton.from_weights(*reachable_nfa(

@@ -7,16 +7,19 @@ the final error is the one reported.  The class and `_parse` below are
 the replaced code as it stood, with `ScopeError` defined here because the
 library's now carries a position.  `_tokenize` is the tokenizer it read,
 which finds each token's line and column as it goes: the library's reads
-its tokens in one pass and finds a position only for an error.
+its tokens in one pass and finds a position only for an error.  Trees are
+renamed by the recursive `freshen` the parser called then
+(`reference_freshen`).
 """
 
 import re
 
+from reference_freshen import reference_freshen
 from wfoc.errors import InputError
 from wfoc.logic.parser import ParseError
 from wfoc.logic.syntax import (
     And, Const, EqVar, Exists, Forall, FoTrue, Implies, Leq, LetterAt, Lt,
-    Not, Or, Plus, ProdX, RunAtom, StepIte, SumX, WIte, Zero, freshen,
+    Not, Or, Plus, ProdX, RunAtom, StepIte, SumX, WIte, Zero,
 )
 from wfoc.weights import KEYWORDS, parse_weight
 
@@ -304,7 +307,7 @@ def _parse(text, automata, production):
         if dropped is not None and dropped.where > err.where:
             raise dropped from None
         raise
-    return freshen(tree)
+    return reference_freshen(tree)
 
 
 _PRODUCTIONS = {"fo": _Parser.fo, "step": _Parser.step, "wfo": _Parser.wfo}

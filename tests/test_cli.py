@@ -19,7 +19,7 @@ from wfoc.automata import (
 )
 from wfoc.cli import main
 from wfoc.logic.parser import parse_formula_file, serialize_formula_file
-from wfoc.logic.syntax import SumX, WfoFormula, Zero, format_wfo
+from wfoc.logic.syntax import Plus, SumX, WfoFormula, Zero, format_wfo, nodes
 from wfoc.multiset import SeqMultiset
 from wfoc.semantics import (
     SEMIRING_NAMES, aggr_ma, aggr_sp, builtin_semiring, format_value,
@@ -369,6 +369,66 @@ class TestCompile:
             "95559b712e938e3de5c0b9c6fee5409dd9b1ddb3c41fcc8f4ccbb994b0556bc9")
         assert hashlib.sha256(read(back, "rb")).hexdigest() == (
             "ec299e6e2334e7f14d56c3300d350be0128eee7566eabc6cd4ab758fbd2f35eb")
+
+    def test_chain_150_bytes_are_pinned(self, tmp_path, capsys):
+        # chain-150 with the same fixed weights: 299 condition classifiers
+        # meet in one position product.  Both digests were recorded before
+        # the product decoded a transition from its candidate conditions
+        # only and kept its suffix tables as bytes.
+        chain = tmp_path / "chain150.wa"
+        chain.write_text(_chain_text(150))
+        phi, back = tmp_path / "chain150.wfo", tmp_path / "back.wa"
+        assert run(capsys, ["tologic", "--automaton", str(chain),
+                            "-o", str(phi)])[0] == 0
+        assert run(capsys, ["compile", "--formula", str(phi),
+                            "-o", str(back)])[0] == 0
+        assert hashlib.sha256(read(phi, "rb")).hexdigest() == (
+            "6dfe189d0b487f83f67f7afa75abbe06ffa105b594544cd8a2387eba3837f83e")
+        assert hashlib.sha256(read(back, "rb")).hexdigest() == (
+            "169684113e170239d1fa1c82b710b7ac163f679cebf708ec8610abbc4b211a08")
+
+    def test_chain_200_round_trip_at_the_default_recursion_limit(
+            self, tmp_path):
+        # a fresh interpreter, as a user runs it: chain-200's sentence
+        # nests deeper than a recursive walk of it could go
+        (tmp_path / "chain.wa").write_text(_chain_text(200))
+        for argv in (["tologic", "--automaton", "chain.wa", "-o", "c.wfo"],
+                     ["compile", "--formula", "c.wfo", "-o", "back.wa"]):
+            assert run_fresh(tmp_path, argv) == (0, "", "")
+        assert run_fresh(tmp_path, ["equiv", "--a", "chain.wa",
+                                    "--b", "back.wa"]) \
+            == (0, "EQUIV up to 8\n", "")
+
+    def test_dia_8_tologic_reads_back(self, tmp_path):
+        # eight diamonds: every accepted word has 256 runs, and the
+        # sentence is a sum of 256 summands nested to the left
+        k, rng = 8, random.Random(SEED)
+        lines = ["alphabet: a b",
+                 "states: " + " ".join(["s%d" % i for i in range(k + 1)]
+                                       + ["%s%d" % (c, i) for i in range(k)
+                                          for c in "uv"]),
+                 "initial: s0", "final: s%d" % k]
+        for i in range(k):
+            for c in "uv":
+                lines += ["trans: s%d a %s%d %d" % (i, c, i, rng.randrange(4)),
+                          "trans: %s%d a s%d %d"
+                          % (c, i, i + 1, rng.randrange(4)),
+                          "trans: %s%d b %s%d %d"
+                          % (c, i, c, i, rng.randrange(4))]
+        lines += ["trans: s%d b s%d %d" % (i, i, rng.randrange(4))
+                  for i in range(k + 1)]
+        (tmp_path / "dia.wa").write_text("\n".join(lines) + "\n")
+        assert run_fresh(tmp_path, ["tologic", "--automaton", "dia.wa",
+                                    "-o", "dia.wfo"]) == (0, "", "")
+        parsed = parse_formula_file(read(tmp_path / "dia.wfo"), "wfo")
+        assert sum(isinstance(n, Plus) for n in nodes(parsed.formula)) == 255
+
+
+def _chain_text(n):
+    """chain-n over {a, b} with fixed weights."""
+    return "\n".join(["alphabet: a b",
+                      "states: " + " ".join(map(str, range(1, n + 1))),
+                      "initial: 1", "final: %d" % n] + _chain_lines(n)) + "\n"
 
 
 def _chain_lines(n, offset=0):

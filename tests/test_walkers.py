@@ -8,11 +8,13 @@ must give the same results.
 
 import random
 import re
+import sys
 from dataclasses import fields, replace
 
 import pytest
 
-from corpus import SEED
+from corpus import SEED, all_words
+from reference_freshen import captures, reference_freshen
 from wfoc import InputError, Nfa
 from wfoc.logic import (
     And, Const, EqVar, Exists, FoFormula, Forall, FoTrue, Implies, LetterAt,
@@ -20,8 +22,9 @@ from wfoc.logic import (
     WfoFormula, WIte, Zero, after, before, between, fo_conditions, free_vars,
     freshen, relativize, survey, uses_plus, uses_sumx,
 )
+from wfoc.logic.evaluate import eval_wfo_at
 from wfoc.logic.relativize import _bounds, _guard
-from wfoc.logic.syntax import _rename_free, letters_in, map_run_atoms, nodes
+from wfoc.logic.syntax import letters_in, map_run_atoms, nodes
 
 
 # -- references -----------------------------------------------------------
@@ -382,9 +385,6 @@ class TestSeededFormulas:
         assert survey(phi) == (ref_run_atoms(phi), ref_uses_sumx(phi),
                                ref_uses_plus(phi))
         assert letters_in(phi) == ref_letters_in(phi)
-        for mapping in ({"x": "y"}, {"x": "z", "z": "x"}, {"y": "w"}):
-            assert _rename_free(phi, mapping) \
-                == ref_rename_free(phi, mapping)
         for avoid in ((), ("x",), ("y", "z'")):
             assert freshen(phi, avoid) == ref_freshen(phi, avoid)
         assert map_run_atoms(phi, swap) == ref_map_run_atoms(phi, swap)
@@ -404,3 +404,147 @@ class TestSeededFormulas:
                     continue
                 assert relativize(phi, mode) == want
         assert refused > 0
+
+
+# -- freshen against the recursive version it replaced ----------------------
+
+# primed and unprimed names: a binder renamed x -> x' meets an inner
+# binder that is called x' already
+PRIMED = ("x", "x'", "y", "y'")
+WORDS = all_words(("a", "b"), 3)
+
+
+def gen_scoped_fo(rng, scope, depth):
+    """An FO formula whose variables are in scope.  A binder takes a name
+    not in scope, so nothing is shadowed and the brute-force evaluator
+    reads it, but parallel subtrees bind the same names."""
+    unbound = [v for v in PRIMED if v not in scope]
+    kinds = ["true"] + ["letter", "cmp"] * bool(scope)
+    if depth > 0:
+        kinds += ["not", "bin", "bin"] + ["quant", "quant"] * bool(unbound)
+    kind = rng.choice(kinds)
+    if kind == "true":
+        return FoTrue()
+    if kind == "letter":
+        return LetterAt(rng.choice("ab"), rng.choice(scope))
+    if kind == "cmp":
+        return rng.choice([Leq, Lt, EqVar])(rng.choice(scope),
+                                            rng.choice(scope))
+    if kind == "not":
+        return Not(gen_scoped_fo(rng, scope, depth - 1))
+    if kind == "bin":
+        return rng.choice([And, Or, Implies])(
+            gen_scoped_fo(rng, scope, depth - 1),
+            gen_scoped_fo(rng, scope, depth - 1))
+    v = rng.choice(unbound)
+    return rng.choice([Forall, Exists])(
+        v, gen_scoped_fo(rng, scope + [v], depth - 1))
+
+
+def gen_scoped_wfo(rng, scope, depth):
+    unbound = [v for v in PRIMED if v not in scope]
+    if depth > 0:
+        kinds = ["ite", "plus"] + ["sum", "sum"] * bool(unbound)
+    else:
+        kinds = ["zero"] + ["prod"] * bool(unbound)
+    kind = rng.choice(kinds)
+    if kind == "zero":
+        return Zero()
+    if kind == "ite":
+        return WIte(gen_scoped_fo(rng, scope, 2),
+                    gen_scoped_wfo(rng, scope, depth - 1),
+                    gen_scoped_wfo(rng, scope, depth - 1))
+    if kind == "plus":
+        return Plus(gen_scoped_wfo(rng, scope, depth - 1),
+                    gen_scoped_wfo(rng, scope, depth - 1))
+    v = rng.choice(unbound)
+    if kind == "prod":
+        return ProdX(v, StepIte(gen_scoped_fo(rng, scope + [v], 2),
+                                Const(rng.randrange(4)),
+                                Const(rng.randrange(4))))
+    return SumX(v, gen_scoped_wfo(rng, scope + [v], depth - 1))
+
+
+def gen_scoped_sentence(rng):
+    """Two sums over x side by side: the second one's x is renamed, and
+    its body may bind x' already."""
+    return Plus(SumX("x", gen_scoped_wfo(rng, ["x"], 2)),
+                SumX("x", gen_scoped_wfo(rng, ["x"], 2)))
+
+
+SCOPED = [gen_scoped_sentence(random.Random(SEED + 79 + i))
+          for i in range(300)]
+
+
+def values(phi):
+    return [eval_wfo_at(phi, w) for w in WORDS]
+
+
+class TestFreshen:
+
+    def test_equal_to_the_reference_where_it_does_not_capture(self):
+        kept = 0
+        for phi in FORMULAS + SCOPED:
+            for avoid in ((), ("x",), ("y", "z'")):
+                if not captures(phi, avoid):
+                    kept += 1
+                    assert freshen(phi, avoid) \
+                        == reference_freshen(phi, avoid), phi
+        assert kept > 600
+
+    def test_keeps_the_value_where_the_reference_captures(self):
+        captured = changed = 0
+        for phi in SCOPED:
+            new = freshen(phi)
+            bound = bound_names(new)
+            assert len(set(bound)) == len(bound)
+            assert values(new) == values(phi), phi
+            old = reference_freshen(phi)
+            if old != new:
+                assert captures(phi)
+                captured += 1
+                changed += values(old) != values(phi)
+        # the seeded formulas do meet the capture, and it moves a value
+        assert captured > 20 and changed > 5
+
+    def test_the_sum_whose_outer_variable_was_captured(self):
+        # (sum x. Pa(x) ? prod z. 1 : zero)
+        #     + (sum x. sum x'. (Pa(x) & Pb(x')) ? prod z. 2 : zero)
+        def summand(x, weight, inner=None):
+            cond = LetterAt("a", x)
+            if inner:
+                cond = And(cond, LetterAt("b", inner))
+            body = WIte(cond, ProdX("z", Const(weight)), Zero())
+            return SumX(x, SumX(inner, body) if inner else body)
+        phi = Plus(summand("x", 1), summand("x", 2, "x'"))
+        by_hand = Plus(summand("x", 1), summand("y", 2, "x'"))
+        want = values(by_hand)
+        assert values(phi) == want
+        assert values(freshen(phi)) == want
+        assert values(reference_freshen(phi)) != want
+        renamed = SumX("x'", SumX("x''", WIte(
+            And(LetterAt("a", "x'"), LetterAt("b", "x''")),
+            ProdX("z'", Const(2)), Zero())))
+        assert freshen(phi) == Plus(summand("x", 1), renamed)
+
+    def test_any_depth_at_the_default_recursion_limit(self):
+        depth = 4 * sys.getrecursionlimit()
+        fo = Exists("x", LetterAt("a", "x"))
+        for _ in range(depth):
+            fo = Not(fo)
+        phi = WIte(fo, ProdX("x", Const(0)), Zero())
+        for i in range(depth):
+            # each name is bound twice, so half of the binders are renamed
+            phi = Plus(phi, SumX("x%d" % (i // 2),
+                                 ProdX("y%d" % i, Const(i % 4))))
+        new = freshen(phi)
+        assert len(list(nodes(new))) == len(list(nodes(phi))) == 6 + 5 * depth
+        bound = bound_names(new)
+        assert len(set(bound)) == len(bound) == 2 + 2 * depth
+        atom = RunAtom("M", M, 1, 2)
+        deep = Zero()
+        for _ in range(depth):
+            deep = Plus(deep, WIte(atom, Zero(), Zero()))
+        swapped = [n for n in nodes(map_run_atoms(deep, swap))
+                   if isinstance(n, RunAtom)]
+        assert swapped == [swap(atom)] * depth

@@ -578,7 +578,59 @@ def product_cases():
 PRODUCT_CASES = product_cases()
 
 
+def reference_suffix_tables(c, lifted):
+    """`wfo_compiler._suffix_tables` with its tables as int tuples, as it
+    was first written."""
+    cols = [[row[j0] - 1 for row in c.delta] for _, j0, _ in lifted]
+
+    def unwind(t):
+        for n, col in enumerate(cols):
+            yield n, tuple(map(t.__getitem__, col))
+
+    end = tuple(_CODE[v] for v in c.verdicts)
+    edges = list(explore([end], unwind))
+    tables = sorted({t for (t, _, _) in edges})
+    rank = {t: r for r, t in enumerate(tables)}
+    back = [[0] * len(tables) for _ in cols]
+    for (t, n, t2) in edges:
+        back[n][rank[t]] = rank[t2]
+    return tables, rank[end], back
+
+
+def classifier_cases():
+    """(classifier, lifted) for every condition of the product cases, and
+    the one-state classifiers of true and false over no variables, read
+    through each of their letters."""
+    seen = set()
+    for _, prod, vars, alphabet in PRODUCT_CASES:
+        inner = tuple(sorted(vars + (prod.var,)))
+        lifted = lift_table(frozenset(alphabet), tuple(sorted(vars)),
+                            prod.var)
+        for cond in fo_conditions(prod.step) or [FoTrue()]:
+            if (cond, inner, alphabet) not in seen:
+                seen.add((cond, inner, alphabet))
+                yield compile_fo(cond, alphabet, inner), lifted
+    for cond in (FoTrue(), Not(FoTrue())):
+        yield compile_fo(cond, AB, ()), (("a", 0, 0), ("b", 1, 1))
+
+
 class TestBimachineDecode:
+    def test_suffix_tables_are_the_tuple_tables_as_bytes(self):
+        one_state = 0
+        for c, lifted in classifier_cases():
+            tables, end, back = wfo_compiler._suffix_tables(c, lifted)
+            assert ([tuple(t) for t in tables], end, back) \
+                == reference_suffix_tables(c, lifted)
+            assert all(type(t) is bytes for t in tables)
+            one_state += len(c.delta) == 1
+        assert one_state == 2
+
+    def test_candidates_are_where_some_suffix_table_accepts(self):
+        for c, lifted in classifier_cases():
+            tables = wfo_compiler._suffix_tables(c, lifted)[0]
+            assert wfo_compiler._can_accept(c, lifted) == [
+                any(t[s] == 2 for t in tables) for s in range(len(c.delta))]
+
     def test_classifiers_reject_together(self):
         joint, valid, invalid = 0, 0, 0
         for name, prod, vars, alphabet in PRODUCT_CASES:
