@@ -830,27 +830,18 @@ class TransitionMonoid:
     numbered breadth-first as the closure finds it: first the distinct
     letter matrices in letter order, then every product the first time it
     appears.  by_rows[e] is element e as the tuple of its rows' numbers
-    in `rows`, the distinct row masks; `elements[e]`, its matrix, is read
-    back from them on first use.  right[e][g] is the number of
+    in `rows`, the distinct row masks.  right[e][g] is the number of
     element e times letter g's matrix, one entry per letter, so `right`
     is the right Cayley table.  parent[e] is (p, g) with element e equal
     to element p times letter g, and p None for a letter's own matrix;
     following it back spells a shortest word of e.  len() is the element
     count, read off `right`."""
 
-    __slots__ = ("rows", "by_rows", "right", "parent", "_elements")
+    __slots__ = ("rows", "by_rows", "right", "parent")
 
     def __init__(self, rows, by_rows, right, parent):
         self.rows, self.by_rows = rows, by_rows
         self.right, self.parent = right, parent
-        self._elements = None
-
-    @property
-    def elements(self):
-        if self._elements is None:
-            self._elements = tuple(tuple(map(self.rows.__getitem__, e))
-                                   for e in self.by_rows)
-        return self._elements
 
     def __len__(self):
         return len(self.right)

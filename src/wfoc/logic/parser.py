@@ -25,7 +25,7 @@ run atoms their targets.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from ..errors import InputError
 from ..textfmt import parse_automaton_inline
@@ -33,7 +33,7 @@ from .syntax import (
     FO_OPERATORS, UNARY, Const, Exists, FoFormula, Forall, FoTrue,
     LetterAt, Not, Plus, ProdX, RunAtom, StepFormula, StepIte, SumX,
     WfoFormula, WIte, Zero, format_fo, format_step, format_wfo, freshen,
-    map_run_atoms, survey, uses_plus, uses_sumx,
+    survey, uses_plus, uses_sumx,
 )
 from ..textfmt import canonical_names, serialize_automaton_inline
 from ..weights import KEYWORDS, parse_weight
@@ -428,16 +428,14 @@ def serialize_formula_file(formula, kind, automata=None) -> str:
     for name in sorted(named):
         lines.append("# automaton %s: %s"
                      % (name, serialize_automaton_inline(named[name])))
-    # the headers rename states to 1..n; the atoms must follow
-    names = {name: canonical_names(nfa) for name, nfa in named.items()}
-    if any(k != v for m in names.values() for k, v in m.items()):
-        formula = map_run_atoms(formula, lambda atom: replace(
-            atom, p=names[atom.name][atom.p], q=names[atom.name][atom.q]))
     printer = _kind(kind)[1]            # checks the kind first
     if kind == "wfo":
         breaks = {"no-sum": sums, "no-plus": pluses}
         flags = [name for name in _FRAGMENTS if not breaks[name]]
         if flags:
             lines.append("# fragment: " + " ".join(flags))
-    lines.append(printer(formula))
+    # the headers rename states to 1..n; the atoms print as they do
+    names = {name: canonical_names(nfa) for name, nfa in named.items()}
+    renamed = any(k != v for m in names.values() for k, v in m.items())
+    lines.append(printer(formula, names if renamed else None))
     return "\n".join(lines) + "\n"

@@ -9,17 +9,19 @@ All nodes are immutable and hashable.  Invariant maintained by the parser
 and the construction helpers: bound variables are pairwise distinct and
 distinct from every free variable.
 
-Every walk goes through `nodes` (pre-order), `map_children` (one level)
-or `_rebuild` (a whole tree, bottom-up on an explicit stack, so that
-`freshen` and `map_run_atoms` take any depth).  Which fields of a node
-are sub-formulas is read once from the dataclass annotations; `_VARS`
-names the fields that hold variable occurrences.
+Every walk goes through `nodes` (pre-order) or `map_children` (one
+level), or keeps an explicit stack of its own, as `freshen` does to
+rebuild a whole tree bottom-up at any depth.  Which fields of a node are
+sub-formulas is read once from the dataclass annotations; `_VARS` names
+the fields that hold variable occurrences.  The three printers are one
+loop over one layout table, `_LAYOUT`, so any depth prints.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 from typing import Optional
 
 from ..errors import InputError
@@ -236,36 +238,6 @@ def survey(node):
     return list(atoms), sums, pluses
 
 
-def _rebuild(node, enter, leave):
-    """node rebuilt bottom-up without recursion.  enter(n) sees every node
-    in pre-order, children in field order, and returns a node to put in
-    n's place as it is, or None to rebuild n: once all of n's children are
-    rebuilt, leave(n, kids) gets them by field name and returns n's
-    replacement."""
-    stack, built = [(node, None)], []
-    while stack:
-        n, names = stack.pop()
-        if names is not None:
-            kids = dict(zip(names, built[-len(names):]))
-            del built[-len(names):]
-            built.append(leave(n, kids))
-            continue
-        out = enter(n)
-        names = _SUB[type(n)]
-        if out is not None or not names:
-            built.append(n if out is None else out)
-        else:
-            stack.append((n, names))
-            stack.extend((getattr(n, f), None) for f in reversed(names))
-    return built[0]
-
-
-def map_run_atoms(node, fn):
-    """The formula with every run atom replaced by fn(atom)."""
-    return _rebuild(node, lambda n: fn(n) if type(n) is RunAtom else None,
-                    lambda n, kids: replace(n, **kids))
-
-
 def letters_in(node) -> set:
     """The letters a formula names: in letter atoms and as the alphabets
     of its run atoms' automata."""
@@ -289,35 +261,40 @@ def freshen(node, avoid=()):
     """Alpha-rename binders so that all bound names are pairwise distinct
     and avoid the free variables plus `avoid`.  Binders draw their names
     with `fresh_name` in pre-order, and each occurrence takes the new name
-    of the binder that binds it, so no renamed variable is captured."""
+    of the binder that binds it, so no renamed variable is captured.  The
+    tree is rebuilt bottom-up on an explicit stack, so any depth works."""
     used = set(free_vars(node)) | set(avoid)
-    env, shadowed = {}, []      # old name -> new; the entries a binder hid
-
-    def enter(n):
+    env = {}                    # old name -> new, for the binders open
+    stack, built = [(node, None, None)], []
+    while stack:
+        n, names, hidden = stack.pop()
         kind = type(n)
+        if names is not None:   # n's children are rebuilt, in `built`
+            kids = dict(zip(names, built[-len(names):]))
+            del built[-len(names):]
+            if kind in _BINDERS:    # restore the entry n's binder hid
+                kids["var"] = env[n.var]
+                if hidden is None:
+                    del env[n.var]
+                else:
+                    env[n.var] = hidden
+            built.append(replace(n, **kids))
+            continue
         if kind in _BINDERS:
-            new = fresh_name(n.var, used)
-            used.add(new)
-            shadowed.append(env.get(n.var))
-            env[n.var] = new
-            return None
-        names = _VARS.get(kind)
+            hidden = env.get(n.var)
+            env[n.var] = fresh_name(n.var, used)
+            used.add(env[n.var])
+        elif kind in _VARS:
+            n = replace(n, **{f: env.get(getattr(n, f), getattr(n, f))
+                              for f in _VARS[kind]})
+        names = _SUB[kind]
         if names:
-            return replace(n, **{f: env.get(getattr(n, f), getattr(n, f))
-                                 for f in names})
-        return None
-
-    def leave(n, kids):
-        if type(n) in _BINDERS:
-            v = n.var
-            kids["var"], hidden = env[v], shadowed.pop()
-            if hidden is None:
-                del env[v]
-            else:
-                env[v] = hidden
-        return replace(n, **kids)
-
-    return _rebuild(node, enter, leave)
+            stack.append((n, names, hidden))
+            stack.extend((getattr(n, f), None, None)
+                         for f in reversed(names))
+        else:
+            built.append(n)
+    return built[0]
 
 
 # ---------------------------------------------------------------------------
@@ -334,94 +311,129 @@ FO_OPERATORS = {
     Leq: ("<=", 3, None), Lt: ("<", 3, None), EqVar: ("=", 3, None),
 }
 UNARY = 4
-_PREC_ATOM = UNARY + 1
+_TOP = UNARY + 1        # an atom's level, which `!` and a condition need
 
 # what the parser reads after the P of a letter atom
 _LETTER_RE = re.compile(r"[A-Za-z0-9_']+")
+_NOT_A = {FoFormula: "an FO formula", StepFormula: "a step formula",
+          WfoFormula: "a weighted formula"}
+_LAYER_NAMED = {layer.__name__: layer for layer in _NOT_A}
 
 
-def _fmt_fo(phi, prec):
-    if isinstance(phi, FoTrue):
-        return "true"
-    if isinstance(phi, LetterAt):
-        letter = str(phi.letter)
-        if not _LETTER_RE.fullmatch(letter):
-            raise InputError("letter %r cannot be written in a formula "
-                             "(formula letters use only A-Z a-z 0-9 _ ')"
-                             % letter)
-        return "P%s(%s)" % (letter, phi.var)
-    if type(phi) in FO_OPERATORS:
-        symbol, own, assoc = FO_OPERATORS[type(phi)]
-        if assoc is None:
-            left, right = phi.left, phi.right
-        else:   # only the associative side takes the same operator bare
-            left = _fmt_fo(phi.left, own + (assoc == "right"))
-            right = _fmt_fo(phi.right, own + (assoc == "left"))
-        s = "%s %s %s" % (left, symbol, right)
-        return "(" + s + ")" if prec > own else s
-    if isinstance(phi, Not):
-        return "!" + _fmt_fo(phi.sub, _PREC_ATOM)
-    if isinstance(phi, (Forall, Exists)):
-        kw = "forall" if isinstance(phi, Forall) else "exists"
-        s = "%s %s. %s" % (kw, phi.var, _fmt_fo(phi.body, 0))
-        return "(" + s + ")" if prec > 0 else s
-    if isinstance(phi, RunAtom):
-        if phi.lo is None and phi.hi is None:
-            where = ""
-        elif phi.lo is None:
-            where = ";<%s" % phi.hi
-        elif phi.hi is None:
-            where = ";>%s" % phi.lo
+def _letter(atom):
+    letter = str(atom.letter)
+    if not _LETTER_RE.fullmatch(letter):
+        raise InputError("letter %r cannot be written in a formula "
+                         "(formula letters use only A-Z a-z 0-9 _ ')"
+                         % letter)
+    return letter
+
+
+def _run_atom(states=None):
+    """A run atom's template, its states renamed by `states` if given."""
+    def text(atom):
+        name, p, q, lo, hi = atom.name, atom.p, atom.q, atom.lo, atom.hi
+        if states is not None:
+            p, q = states[name][p], states[name][q]
+        where = (("" if hi is None else ";<%s" % hi) if lo is None
+                 else ";>%s" % lo if hi is None else ";%s,%s" % (lo, hi))
+        return "%s(%s,%s%s)" % (name, p, q, where)
+    return RunAtom, _TOP, "run:", text
+
+
+def _entry(cls, level, *pieces):
+    """A template's (class, (layer, level, head, first, rest)): `head` is
+    the literals and text fields before the first sub-formula field, each
+    sub-formula field becomes (getter, need, layer of its annotation, the
+    literals before it), `first` is the first of them and `rest` the
+    others, reversed for the stack.  No text field follows `head`."""
+    layers = {f.name: _LAYER_NAMED.get(f.type) for f in fields(cls)}
+    head, subs, prefix = [], [], ""
+    for p in pieces:
+        if type(p) is tuple:
+            subs.append((attrgetter(p[0]), p[1], layers[p[0]], prefix))
+            prefix = ""
+        elif subs:
+            prefix += p
         else:
-            where = ";%s,%s" % (phi.lo, phi.hi)
-        return "run:%s(%s,%s%s)" % (phi.name, phi.p, phi.q, where)
-    raise TypeError("not an FO formula: %r" % (phi,))
+            head.append(p)
+    assert not prefix, "a literal after the last sub-formula field"
+    return cls, (cls.__bases__[0], level, tuple(head),
+                 subs[0] if subs else None, tuple(reversed(subs[1:])))
 
 
-def format_fo(phi: FoFormula) -> str:
-    return _fmt_fo(phi, 0)
+_VAR = attrgetter("var")
+
+# node class -> how a node is written (see `_entry`).  A child whose level
+# is below the level its field needs is bracketed.  FO levels are the
+# operators' precedences; in the other two layers an if-then-else is
+# bracketed as a then-branch, and a sum, a product or a plus as an
+# operand of `+`.
+_LAYOUT = dict(_entry(*template) for template in [
+    (FoTrue, _TOP, "true"),
+    (LetterAt, _TOP, "P", _letter, "(", _VAR, ")"),
+    # a comparison joins two variables; of a connective's operands, only
+    # the associative side takes the same operator bare
+    *((cls, level, attrgetter("left"), " %s " % symbol, attrgetter("right"))
+      if assoc is None else
+      (cls, level, ("left", level + (assoc == "right")), " %s " % symbol,
+       ("right", level + (assoc == "left")))
+      for cls, (symbol, level, assoc) in FO_OPERATORS.items()),
+    (Not, _TOP, "!", ("sub", _TOP)),
+    (Forall, 0, "forall ", _VAR, ". ", ("body", 0)),
+    (Exists, 0, "exists ", _VAR, ". ", ("body", 0)),
+    _run_atom(),
+    (Const, _TOP, lambda c: format_weight(c.weight)),
+    (StepIte, 0, ("cond", _TOP), " ? ", ("then", 1), " : ", ("els", 0)),
+    (Zero, _TOP, "zero"),
+    (ProdX, 1, "prod ", _VAR, ". ", ("step", 0)),
+    (SumX, 1, "sum ", _VAR, ". ", ("body", 0)),
+    (Plus, 1, ("left", 2), " + ", ("right", 2)),
+    (WIte, 0, ("cond", _TOP), " ? ", ("then", 1), " : ", ("els", 0)),
+])
+_NONE = (None, 0, (), None, ())  # the entry of a class not in the table
 
 
-def format_step(psi: StepFormula) -> str:
-    if isinstance(psi, Const):
-        return format_weight(psi.weight)
-    if isinstance(psi, StepIte):
-        return "%s ? %s : %s" % (_fmt_fo(psi.cond, _PREC_ATOM),
-                                 _fmt_step_branch(psi.then),
-                                 format_step(psi.els))
-    raise TypeError("not a step formula: %r" % (psi,))
+def _format(node, layer, states):
+    """node's text: each node writes its head, stacks the rest and goes
+    on into its first sub-formula.  `states` (automaton name -> state ->
+    name), when given, renames the states of run atoms."""
+    layout = _LAYOUT if states is None else \
+        dict([*_LAYOUT.items(), _entry(*_run_atom(states))])
+    out, stack = [], [(node, 0, layer, "")]
+    write, push, pop = out.append, stack.append, stack.pop
+    while stack:
+        item = pop()
+        if type(item) is str:
+            write(item)
+            continue
+        node, need, layer, prefix = item
+        write(prefix)
+        while True:
+            own, level, head, first, rest = layout.get(type(node), _NONE)
+            if own is not layer:
+                raise TypeError("not %s: %r" % (_NOT_A[layer], node))
+            if level < need:
+                write("(")
+                push(")")
+            for get, child_need, child_layer, child_prefix in rest:
+                push((get(node), child_need, child_layer, child_prefix))
+            for piece in head:
+                write(piece if type(piece) is str else piece(node))
+            if first is None:
+                break
+            get, need, layer, _ = first
+            node = get(node)
+    return "".join(out)
 
 
-def _fmt_step_branch(psi):
-    if isinstance(psi, StepIte):
-        return "(" + format_step(psi) + ")"
-    return format_step(psi)
+def format_fo(phi: FoFormula, states=None) -> str:
+    return _format(phi, FoFormula, states)
 
 
-def format_wfo(phi: WfoFormula) -> str:
-    if isinstance(phi, Zero):
-        return "zero"
-    if isinstance(phi, ProdX):
-        return "prod %s. %s" % (phi.var, format_step(phi.step))
-    if isinstance(phi, SumX):
-        return "sum %s. %s" % (phi.var, format_wfo(phi.body))
-    if isinstance(phi, Plus):
-        return "%s + %s" % (_fmt_wfo_operand(phi.left),
-                            _fmt_wfo_operand(phi.right))
-    if isinstance(phi, WIte):
-        return "%s ? %s : %s" % (_fmt_fo(phi.cond, _PREC_ATOM),
-                                 _fmt_wfo_branch(phi.then),
-                                 format_wfo(phi.els))
-    raise TypeError("not a weighted formula: %r" % (phi,))
+def format_step(psi: StepFormula, states=None) -> str:
+    return _format(psi, StepFormula, states)
 
 
-def _fmt_wfo_operand(phi):
-    if isinstance(phi, (WIte, Plus, SumX, ProdX)):
-        return "(" + format_wfo(phi) + ")"
-    return format_wfo(phi)
-
-
-def _fmt_wfo_branch(phi):
-    if isinstance(phi, WIte):
-        return "(" + format_wfo(phi) + ")"
-    return format_wfo(phi)
+def format_wfo(phi: WfoFormula, states=None) -> str:
+    return _format(phi, WfoFormula, states)

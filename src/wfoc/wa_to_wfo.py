@@ -159,21 +159,18 @@ def enumerate_switching(a, p, q):
         raise HypothesisError(
             "states %r and %r share a component; no switching is involved"
             % (p, q))
-    switching = [t for t in nfa.transitions if not scc.same(t[0], t[2])]
-    target = scc.component_of[q]
-    out = []
-
-    def extend(prefix, comp):
-        for t in switching:
-            if scc.component_of[t[0]] != comp:
-                continue
-            nxt = scc.component_of[t[2]]
-            if nxt == target:
-                out.append(prefix + (t,))
-            else:
-                extend(prefix + (t,), nxt)
-
-    extend((), scc.component_of[p])
+    comp, target = scc.component_of, scc.component_of[q]
+    # stacked in reverse, so that the walk takes them in number order
+    switching = [t for t in reversed(nfa.transitions)
+                 if comp[t[0]] != comp[t[2]]]
+    out, stack = [], [((), comp[p])]
+    while stack:                # depth first, on an explicit stack
+        prefix, here = stack.pop()
+        if here == target:
+            out.append(prefix)
+        else:
+            stack.extend((prefix + (t,), comp[t[2]]) for t in switching
+                         if comp[t[0]] == here)
     return out
 
 

@@ -28,7 +28,7 @@ from .automata import (
     Nfa, WeightedAutomaton, explore, reachable_nfa, weighted_union,
 )
 from .errors import InputError
-from .fo_compiler import compile_fo
+from .fo_compiler import _distances, compile_fo
 from .logic.encoding import ext_alphabet, lift_table
 from .logic.syntax import (
     Const, FoTrue, Not, Plus, ProdX, StepIte, SumX, WIte, Zero,
@@ -87,19 +87,14 @@ def _suffix_tables(c, lifted):
 def _can_accept(c, lifted):
     """Per state of classifier c (by index), whether some word of the
     unmarked letters of `lifted` leads it to an accepting state: exactly
-    where some suffix table reads 2.  One backward sweep from F."""
-    preds = [[] for _ in c.delta]
-    for s, row in enumerate(c.delta):
+    where some suffix table reads 2.  One backward sweep from F over the
+    unmarked columns."""
+    preds = [[] for _ in range(len(c.delta) + 1)]
+    for s, row in enumerate(c.delta, 1):
         for _, j0, _ in lifted:
-            preds[row[j0] - 1].append(s)
-    live = [v is True for v in c.verdicts]
-    stack = [s for s, v in enumerate(live) if v]
-    while stack:
-        for s in preds[stack.pop()]:
-            if not live[s]:
-                live[s] = True
-                stack.append(s)
-    return live
+            preds[row[j0]].append(s)
+    to_f = _distances(preds, [s for s, v in enumerate(c.verdicts, 1) if v])
+    return [d >= 0 for d in to_f[1:]]
 
 
 def compile_product(step, var, alphabet, vars=()) -> WeightedAutomaton:

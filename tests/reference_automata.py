@@ -13,7 +13,8 @@ run's code is copied at every letter.  `walked_aperiodicity` reads
 the aperiodicity index and witness off a transition monoid as the
 program did before its walk skipped the powers of elements it had
 walked: every element's powers are walked (`walked_index` and
-`walked_witness` on an automaton).
+`walked_witness` on an automaton).  `monoid_matrices` reads a transition
+monoid's elements back to matrices, as its `elements` did.
 """
 
 import itertools
@@ -94,6 +95,13 @@ def eager_seq_counts(weights):
         return SeqMultiset.over(weights, out)
 
     return Carrier({"": 1}, chars.__getitem__, mac, total)
+
+
+def monoid_matrices(monoid):
+    """Each element of a transition monoid as its matrix, read back from
+    its rows' numbers, in the monoid's numbering."""
+    return tuple(tuple(map(monoid.rows.__getitem__, e))
+                 for e in monoid.by_rows)
 
 
 def power_cycle(monoid, e):

@@ -402,26 +402,51 @@ class TestCompile:
     def test_dia_8_tologic_reads_back(self, tmp_path):
         # eight diamonds: every accepted word has 256 runs, and the
         # sentence is a sum of 256 summands nested to the left
-        k, rng = 8, random.Random(SEED)
-        lines = ["alphabet: a b",
-                 "states: " + " ".join(["s%d" % i for i in range(k + 1)]
-                                       + ["%s%d" % (c, i) for i in range(k)
-                                          for c in "uv"]),
-                 "initial: s0", "final: s%d" % k]
-        for i in range(k):
-            for c in "uv":
-                lines += ["trans: s%d a %s%d %d" % (i, c, i, rng.randrange(4)),
-                          "trans: %s%d a s%d %d"
-                          % (c, i, i + 1, rng.randrange(4)),
-                          "trans: %s%d b %s%d %d"
-                          % (c, i, c, i, rng.randrange(4))]
-        lines += ["trans: s%d b s%d %d" % (i, i, rng.randrange(4))
-                  for i in range(k + 1)]
-        (tmp_path / "dia.wa").write_text("\n".join(lines) + "\n")
+        (tmp_path / "dia.wa").write_text(_dia_text(8))
         assert run_fresh(tmp_path, ["tologic", "--automaton", "dia.wa",
                                     "-o", "dia.wfo"]) == (0, "", "")
         parsed = parse_formula_file(read(tmp_path / "dia.wfo"), "wfo")
         assert sum(isinstance(n, Plus) for n in nodes(parsed.formula)) == 255
+
+    def test_dia_9_tologic_reads_back(self, tmp_path):
+        # 512 summands nested to the left: the recursive printers needed
+        # two frames per summand, past the default recursion limit
+        (tmp_path / "dia.wa").write_text(_dia_text(9))
+        assert run_fresh(tmp_path, ["tologic", "--automaton", "dia.wa",
+                                    "-o", "dia.wfo"]) == (0, "", "")
+        parsed = parse_formula_file(read(tmp_path / "dia.wfo"), "wfo")
+        assert sum(isinstance(n, Plus) for n in nodes(parsed.formula)) == 511
+
+    def test_chain_1200_scc_tologic_at_the_default_recursion_limit(
+            self, tmp_path):
+        # one switching sequence of 1,199 transitions: its guard conjoins
+        # 3,597 atoms, and the enumeration walks 1,199 components deep
+        (tmp_path / "chain.wa").write_text(_chain_text(1200))
+        assert run_fresh(tmp_path, ["tologic", "--mode", "scc",
+                                    "--automaton", "chain.wa",
+                                    "-o", "chain.wfo"]) == (0, "", "")
+        parsed = parse_formula_file(read(tmp_path / "chain.wfo"), "wfo")
+        assert sum(isinstance(n, SumX) for n in nodes(parsed.formula)) \
+            == 1199
+
+
+def _dia_text(k):
+    """dia-k: k diamonds over {a, b} with seeded weights; every accepted
+    word has 2^k runs."""
+    rng = random.Random(SEED)
+    lines = ["alphabet: a b",
+             "states: " + " ".join(["s%d" % i for i in range(k + 1)]
+                                   + ["%s%d" % (c, i) for i in range(k)
+                                      for c in "uv"]),
+             "initial: s0", "final: s%d" % k]
+    for i in range(k):
+        for c in "uv":
+            lines += ["trans: s%d a %s%d %d" % (i, c, i, rng.randrange(4)),
+                      "trans: %s%d a s%d %d" % (c, i, i + 1, rng.randrange(4)),
+                      "trans: %s%d b %s%d %d" % (c, i, c, i, rng.randrange(4))]
+    lines += ["trans: s%d b s%d %d" % (i, i, rng.randrange(4))
+              for i in range(k + 1)]
+    return "\n".join(lines) + "\n"
 
 
 def _chain_text(n):

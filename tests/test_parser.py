@@ -1,7 +1,8 @@
 """The one-pass formula parser against the recursive-descent parser it
 replaced (`reference_parser`): the same trees on every formula the suite
 and the benchmark write, the same error positions on one-token mutations
-of them, and linear time on deep nesting."""
+of them, and linear time on deep nesting.  The same corpus checks the
+one-table printer against the recursive printers (`reference_printer`)."""
 
 import ast
 import inspect
@@ -18,6 +19,9 @@ from corpus import (
 from reference_parser import ScopeError as ReferenceScopeError
 from reference_parser import _tokenize as reference_tokenize
 from reference_parser import reference_parse
+from reference_printer import (
+    REFERENCE_PRINTERS, reference_serialize_formula_file,
+)
 from wfoc import InputError, parse_automaton
 from wfoc.automata import is_unambiguous
 from wfoc.logic import (
@@ -25,7 +29,8 @@ from wfoc.logic import (
     ProdX, ScopeError, StepFormula, StepIte, SumX, WIte, format_fo,
     format_step, format_wfo, parse_formula_file, serialize_formula_file,
 )
-from wfoc.logic import parser
+from wfoc import wa_to_wfo
+from wfoc.logic import parser, syntax
 from wfoc.logic.parser import _tokenize, _where
 from wfoc.wa_to_wfo import (
     ATOM_NAME, scc_unambiguous_to_wfo, unambiguous_wa_to_wfo,
@@ -36,6 +41,7 @@ INPUTS = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
                       "inputs")
 PARSE = {"fo": parser.parse_fo, "step": parser.parse_step,
          "wfo": parser.parse_wfo}
+PRINTERS = {"fo": format_fo, "step": format_step, "wfo": format_wfo}
 _INFIX = {And: "&", Or: "|", Implies: "->", Plus: "+"}
 _KEYWORD = {Forall: "forall", Exists: "exists", ProdX: "prod", SumX: "sum"}
 
@@ -145,6 +151,16 @@ def test_same_trees_on_the_corpus():
         assert old[0] == "tree" and old == new, text
 
 
+def test_same_text_as_the_recursive_printers_on_the_corpus():
+    """The one-table printer writes every corpus formula as the recursive
+    printers it replaced did (`reference_printer`), headers included."""
+    for kind, text, autos in CORPUS:
+        phi = PARSE[kind](text, autos)
+        assert PRINTERS[kind](phi) == REFERENCE_PRINTERS[kind](phi), text
+        assert serialize_formula_file(phi, kind, autos) \
+            == reference_serialize_formula_file(phi, kind, autos), text
+
+
 def test_same_trees_on_the_bench_inputs():
     # chain-300's sentence nests deeper than the recursive reference and
     # the recursive comparison of two trees can go under the default
@@ -249,26 +265,30 @@ def test_nesting_is_linear(parse, template):
 
 
 def test_no_function_calls_itself():
-    """The parser's functions form no call cycle: a chain of calls
-    between them never comes back to where it started."""
-    tree = ast.parse(inspect.getsource(parser))
-    funcs = {node.name: node for node in ast.walk(tree)
-             if isinstance(node, ast.FunctionDef)}
-    calls = {}
-    for name, node in funcs.items():
-        called = set()
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Call):
-                f = sub.func
-                called.add(f.attr if isinstance(f, ast.Attribute)
-                           else getattr(f, "id", None))
-        calls[name] = {f for f in called & set(funcs)
-                       if not f.startswith("__")}
-    for start in funcs:
-        seen, todo = set(), list(calls[start])
-        while todo:
-            name = todo.pop()
-            assert name != start, "%s calls itself" % start
-            if name not in seen:
-                seen.add(name)
-                todo.extend(calls[name])
+    """The functions of the parser, of the formula walkers and printers
+    and of the automaton-to-logic translation form no call cycle: a chain
+    of calls between the functions of one module never comes back to
+    where it started."""
+    for module in (parser, syntax, wa_to_wfo):
+        tree = ast.parse(inspect.getsource(module))
+        funcs = {node.name: node for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef)}
+        calls = {}
+        for name, node in funcs.items():
+            called = set()
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Call):
+                    f = sub.func
+                    called.add(f.attr if isinstance(f, ast.Attribute)
+                               else getattr(f, "id", None))
+            calls[name] = {f for f in called & set(funcs)
+                           if not f.startswith("__")}
+        for start in funcs:
+            seen, todo = set(), list(calls[start])
+            while todo:
+                name = todo.pop()
+                assert name != start, "%s.%s calls itself" % (
+                    module.__name__, start)
+                if name not in seen:
+                    seen.add(name)
+                    todo.extend(calls[name])

@@ -9,7 +9,6 @@ must give the same results.
 import random
 import re
 import sys
-from dataclasses import fields, replace
 
 import pytest
 
@@ -17,14 +16,14 @@ from corpus import SEED, all_words
 from reference_freshen import captures, reference_freshen
 from wfoc import InputError, Nfa
 from wfoc.logic import (
-    And, Const, EqVar, Exists, FoFormula, Forall, FoTrue, Implies, LetterAt,
-    Leq, Lt, Not, Or, Plus, ProdX, RunAtom, StepFormula, StepIte, SumX,
-    WfoFormula, WIte, Zero, after, before, between, fo_conditions, free_vars,
+    And, Const, EqVar, Exists, Forall, FoTrue, Implies, LetterAt, Leq, Lt,
+    Not, Or, Plus, ProdX, RunAtom, StepIte, SumX, WfoFormula, WIte, Zero,
+    after, before, between, fo_conditions, free_vars,
     freshen, relativize, survey, uses_plus, uses_sumx,
 )
 from wfoc.logic.evaluate import eval_wfo_at
 from wfoc.logic.relativize import _bounds, _guard
-from wfoc.logic.syntax import letters_in, map_run_atoms, nodes
+from wfoc.logic.syntax import format_wfo, letters_in, nodes
 
 
 # -- references -----------------------------------------------------------
@@ -207,17 +206,6 @@ def ref_freshen(node, avoid=()):
     return walk(node)
 
 
-def ref_map_run_atoms(node, fn):
-    if isinstance(node, RunAtom):
-        return fn(node)
-    changes = {}
-    for f in fields(node):
-        child = getattr(node, f.name)
-        if isinstance(child, (FoFormula, StepFormula, WfoFormula)):
-            changes[f.name] = ref_map_run_atoms(child, fn)
-    return replace(node, **changes) if changes else node
-
-
 def ref_relativize(phi, mode):
     _guard(mode, "z")
     if ref_free_vars(phi):
@@ -351,10 +339,6 @@ def seeded_formulas():
 FORMULAS = seeded_formulas()
 
 
-def swap(atom):
-    return replace(atom, p=atom.q, q=atom.p)
-
-
 def bound_names(phi):
     return [ref_binder_var(n) for n in nodes(phi)
             if ref_binder_var(n) is not None]
@@ -387,7 +371,6 @@ class TestSeededFormulas:
         assert letters_in(phi) == ref_letters_in(phi)
         for avoid in ((), ("x",), ("y", "z'")):
             assert freshen(phi, avoid) == ref_freshen(phi, avoid)
-        assert map_run_atoms(phi, swap) == ref_map_run_atoms(phi, swap)
 
     def test_relativize_matches_reference(self):
         rng = random.Random(SEED + 78)
@@ -541,10 +524,10 @@ class TestFreshen:
         assert len(list(nodes(new))) == len(list(nodes(phi))) == 6 + 5 * depth
         bound = bound_names(new)
         assert len(set(bound)) == len(bound) == 2 + 2 * depth
-        atom = RunAtom("M", M, 1, 2)
         deep = Zero()
         for _ in range(depth):
-            deep = Plus(deep, WIte(atom, Zero(), Zero()))
-        swapped = [n for n in nodes(map_run_atoms(deep, swap))
-                   if isinstance(n, RunAtom)]
-        assert swapped == [swap(atom)] * depth
+            deep = Plus(deep, WIte(RunAtom("M", M, 1, 2), Zero(), Zero()))
+        summand = " + (run:M(2,1) ? zero : zero)"
+        assert format_wfo(deep, {"M": {1: 2, 2: 1}}) == \
+            "(" * (depth - 1) + "zero" + (summand + ")") * (depth - 1) \
+            + summand
