@@ -12,15 +12,23 @@ explored once into a table (``_table``, which looks each successor up
 once), and the table is minimized once by Moore refinement (``minimize``)
 from the partition by breadth-first distance to F and to G, which most
 tables leave stable after one round; each round reads each distinct
-letter column of the table once.  Negation swaps F and G and the binary
-connectives are synchronous products; every other classifier is one
-subset construction of a bit-mask automaton (``_subsets``), which steps a
-subset by OR-ing its states' successor vectors.  The atoms are automata
-of 1, 2 or 3 bits, or a run atom's automaton plus two bits; the
-existential quantifier erases a variable's mark row from the body's
-table; both are run alongside the validity DFA over their variables,
+letter column of the table once.  Negation swaps F and G.  A chain of
+``&`` is one classifier (``_conjunction``): the synchronous product of its
+operands' cores, in which every tuple with a settled "no" in it is one
+dead state, so an atom inside a conjunction is never tabulated alone; a
+chain of ``|`` and ``->`` are its duals (a | b = !(!a & !b), a -> b =
+!(a & !b)).  Every other classifier is one subset construction of a
+bit-mask automaton (``_subsets``), which steps a subset by OR-ing its
+states' successor vectors.  The atoms are automata of 1, 2 or 3 bits, or
+a run atom's automaton plus two bits; the existential quantifier erases a
+variable's mark row from the body's table; products, atoms and
+quantifiers are run alongside the validity DFA over their variables,
 whose words that mark a variable twice all end in one reject sink.
 ``dfa_from_nfa`` determinizes an Nfa.
+
+Since ``minimize`` numbers the quotient by shortlex-least access words, a
+classifier's table depends only on its F / G / reject language, not on
+how the product that recognizes it was built.
 """
 
 from __future__ import annotations
@@ -100,6 +108,16 @@ def _table(start, step, verdict, base, vars) -> ClassifierDfa:
                          base, vars)
 
 
+def _preds(cols, n):
+    """Per state 0..n, the states that step to it in some column of a
+    table with n states (state 0 has none)."""
+    preds = [[] for _ in range(n + 1)]
+    for col in cols:
+        for s, d in enumerate(col, 1):
+            preds[d].append(s)
+    return preds
+
+
 def _distances(preds, targets):
     """Breadth-first distance from each state 1..n to the nearest state in
     targets, read backward along preds; -1 where no target is reachable."""
@@ -137,10 +155,7 @@ def minimize(c: ClassifierDfa) -> ClassifierDfa:
     byte-identical."""
     n = len(c.delta)
     cols = list(dict.fromkeys(zip(*c.delta)))
-    preds = [[] for _ in range(n + 1)]
-    for col in cols:
-        for s, d in enumerate(col, 1):
-            preds[d].append(s)
+    preds = _preds(cols, n)
     to_f = _distances(preds, [s for s, v in enumerate(c.verdicts, 1) if v])
     to_g = _distances(preds, [s for s, v in enumerate(c.verdicts, 1)
                               if v is False])
@@ -205,7 +220,7 @@ def _subsets(start, rows, accept):
     The rows are transposed once, into each state's successor vector; a
     subset of one state steps to its vector as it is, a larger one to the
     OR of its states' vectors, each packed into one int of len(rows)
-    fields of n bits."""
+    fields of n bits when a larger subset first needs it."""
     def yes(subset):
         return bool(subset & accept)
 
@@ -214,8 +229,7 @@ def _subsets(start, rows, accept):
     n, k = len(rows[0]), len(rows)
     full = (1 << n) - 1
     vectors = [(0,) * k, *zip(*rows)]    # vectors[i + 1]: state i's successors
-    packed = [sum(mask << n * j for j, mask in enumerate(vector))
-              for vector in vectors[1:]]
+    packed = [None] * len(vectors)
 
     def step(subset):
         if not subset & (subset - 1):
@@ -223,7 +237,11 @@ def _subsets(start, rows, accept):
         acc = 0
         while subset:
             low = subset & -subset
-            acc |= packed[low.bit_length() - 1]
+            i = low.bit_length()
+            if packed[i] is None:
+                packed[i] = sum(mask << n * j
+                                for j, mask in enumerate(vectors[i]))
+            acc |= packed[i]
             subset ^= low
         return [acc >> n * j & full for j in range(k)]
 
@@ -298,17 +316,65 @@ def _swap(c: ClassifierDfa) -> ClassifierDfa:
                          c.vars)
 
 
-def _combine(c1: ClassifierDfa, c2: ClassifierDfa, take) -> ClassifierDfa:
-    """Synchronous product; a valid pair lands in F when take(inF1, inF2)."""
-    rows1, rows2 = c1.delta, c2.delta
+def _chain(roots, kind):
+    """The operands of the chains of `kind` nodes at roots, left to right,
+    each once; the chains are walked on an explicit stack."""
+    out, stack = {}, roots[::-1]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, kind):
+            stack += (node.right, node.left)
+        else:
+            out[node] = None
+    return list(out)
 
-    def verdict(state):
-        v1, v2 = c1.verdicts[state[0] - 1], c2.verdicts[state[1] - 1]
-        return None if v1 is None or v2 is None else take(v1, v2)
 
-    return minimize(_table(
-        (1, 1), lambda s: list(zip(rows1[s[0] - 1], rows2[s[1] - 1])),
-        verdict, c1.base_alphabet, c1.vars))
+def _live(c: ClassifierDfa):
+    """A classifier as a conjunction operand's core: its table, with every
+    state that cannot reach F (a settled no) renamed 0."""
+    to_f = _distances(_preds(set(zip(*c.delta)), len(c.delta)),
+                      [s for s, v in enumerate(c.verdicts, 1) if v])
+    name = [s if d >= 0 else 0 for s, d in enumerate(to_f)]
+    rows = [(), *(tuple(map(name.__getitem__, row)) for row in c.delta)]
+    yes = [False, *(v is True for v in c.verdicts)]
+    return name[1], rows.__getitem__, yes.__getitem__
+
+
+def _core(phi, base, vars, memo):
+    """The core of a conjunction operand, memoized beside the classifiers,
+    in which state 0 is a settled no: an atom's subset construction (where
+    the empty subset is one) or any other formula's live classifier."""
+    key = (phi, vars, _core)
+    core = memo.get(key)
+    if core is None:
+        if isinstance(phi, (Not, Or, Implies, Exists, Forall)):
+            core = _live(_compile(phi, base, vars, memo))
+        else:
+            core = _subsets(*_atom(phi, marked_letters(base, vars), vars))
+        memo[key] = core
+    return core
+
+
+def _conjunction(operands, base, vars, memo) -> ClassifierDfa:
+    """One classifier for the conjunction of operands: the product of
+    their cores, in which every tuple that holds a 0 is the one dead
+    state 0, run alongside validity, tabulated and minimized once."""
+    cores = [_core(op, base, vars, memo) for op in _chain(operands, And)]
+    steps = [step for _, step, _ in cores]
+    yeses = [yes for _, _, yes in cores]
+    start = tuple(start for start, _, _ in cores)
+    dead = [0] * len(marked_letters(base, vars))
+
+    def step(state):
+        if not state:
+            return dead
+        return [0 if 0 in t else t
+                for t in zip(*[f(s) for f, s in zip(steps, state)])]
+
+    def yes(state):
+        return bool(state) and all(y(s) for y, s in zip(yeses, state))
+
+    return _on_validity((0 if 0 in start else start, step, yes), base, vars)
 
 
 def _exists(c: ClassifierDfa, var) -> ClassifierDfa:
@@ -335,9 +401,10 @@ def compile_fo(phi, alphabet, vars=None, memo=None) -> ClassifierDfa:
     """Classifier automaton for phi over the marked alphabet: F iff valid
     and satisfied, G iff valid and falsified, reject iff invalid.
 
-    memo maps (subformula, variable context) to its classifier; callers
-    compiling several formulas over one alphabet pass one dict to share
-    their common subformulas."""
+    memo maps (subformula, variable context) to its classifier, and
+    (subformula, variable context, _core) to its core as a conjunction
+    operand; callers compiling several formulas over one alphabet pass
+    one dict to share their common subformulas."""
     free = free_vars(phi)
     vars = tuple(sorted(free if vars is None else set(vars)))
     missing = free - set(vars)
@@ -346,10 +413,6 @@ def compile_fo(phi, alphabet, vars=None, memo=None) -> ClassifierDfa:
                          % ", ".join(sorted(missing)))
     return _compile(phi, frozenset(alphabet), vars,
                     {} if memo is None else memo)
-
-
-_TAKE = {And: lambda a, b: a and b, Or: lambda a, b: a or b,
-         Implies: lambda a, b: (not a) or b}
 
 
 def _compile(phi, base, vars, memo) -> ClassifierDfa:
@@ -363,10 +426,14 @@ def _compile(phi, base, vars, memo) -> ClassifierDfa:
 def _compile_node(phi, base, vars, memo) -> ClassifierDfa:
     if isinstance(phi, Not):
         return _swap(_compile(phi.sub, base, vars, memo))
-    if isinstance(phi, (And, Or, Implies)):
-        return _combine(_compile(phi.left, base, vars, memo),
-                        _compile(phi.right, base, vars, memo),
-                        _TAKE[type(phi)])
+    if isinstance(phi, And):
+        return _conjunction([phi], base, vars, memo)
+    if isinstance(phi, Or):             # a | b = !(!a & !b)
+        return _swap(_conjunction([Not(op) for op in _chain([phi], Or)],
+                                  base, vars, memo))
+    if isinstance(phi, Implies):        # a -> b = !(a & !b)
+        return _swap(_conjunction([phi.left, Not(phi.right)], base, vars,
+                                  memo))
     if isinstance(phi, (Exists, Forall)):
         if phi.var in vars:
             raise InputError("variable %s is shadowed" % phi.var)
@@ -376,5 +443,4 @@ def _compile_node(phi, base, vars, memo) -> ClassifierDfa:
                            phi.var)
         inner = _swap(_compile(phi.body, base, inner_vars, memo))
         return _swap(_exists(inner, phi.var))
-    atom = _atom(phi, marked_letters(base, vars), vars)
-    return _on_validity(_subsets(*atom), base, vars)
+    return _on_validity(_core(phi, base, vars, memo), base, vars)

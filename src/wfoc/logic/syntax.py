@@ -250,10 +250,19 @@ def letters_in(node) -> set:
     return out
 
 
-def fresh_name(base: str, used) -> str:
-    name = base
+def fresh_name(base: str, used, taken=None) -> str:
+    """The first of base, base', base'', ... not in used.  taken, if
+    given, maps a base to the primes of the name last drawn for it: the
+    search starts there and records the name it draws.  Every name with
+    fewer primes was in used then, so while used only grows the name is
+    the same as from a search that starts at base."""
+    primes = 0 if taken is None else taken.get(base, 0)
+    name = base + "'" * primes
     while name in used:
         name += "'"
+        primes += 1
+    if taken is not None:
+        taken[base] = primes
     return name
 
 
@@ -261,9 +270,11 @@ def freshen(node, avoid=()):
     """Alpha-rename binders so that all bound names are pairwise distinct
     and avoid the free variables plus `avoid`.  Binders draw their names
     with `fresh_name` in pre-order, and each occurrence takes the new name
-    of the binder that binds it, so no renamed variable is captured.  The
+    of the binder that binds it, so no renamed variable is captured.  Each
+    name's search starts after the primes it found taken before.  The
     tree is rebuilt bottom-up on an explicit stack, so any depth works."""
     used = set(free_vars(node)) | set(avoid)
+    taken = {}                  # base name -> primes known to be used
     env = {}                    # old name -> new, for the binders open
     stack, built = [(node, None, None)], []
     while stack:
@@ -282,7 +293,7 @@ def freshen(node, avoid=()):
             continue
         if kind in _BINDERS:
             hidden = env.get(n.var)
-            env[n.var] = fresh_name(n.var, used)
+            env[n.var] = fresh_name(n.var, used, taken)
             used.add(env[n.var])
         elif kind in _VARS:
             n = replace(n, **{f: env.get(getattr(n, f), getattr(n, f))

@@ -20,9 +20,12 @@ through one subset construction of bit-mask automata, is checked against
 the per-atom cores and the frozenset subsets for the existential
 quantifier that came before it, run alongside a validity DFA with one
 state per core state for the words that mark a variable twice and
-minimized by a row-by-row Moore refinement.
+minimized by a row-by-row Moore refinement; its connectives are binary
+products, one minimized table per node, against which a chain of `&`
+compiled as one product (and `|` and `->` as its duals) is checked.
 """
 
+import collections
 import functools
 import itertools
 import random
@@ -53,7 +56,7 @@ from wfoc.multiset import weight_table
 from wfoc.errors import InputError
 from wfoc.semantics import builtin_semiring
 from wfoc.fo_compiler import (
-    _TAKE, _swap, _table, ClassifierDfa, compile_fo, dfa_from_nfa, minimize,
+    _swap, _table, ClassifierDfa, compile_fo, dfa_from_nfa, minimize,
 )
 from wfoc.logic import (
     And, EqVar, Exists, Forall, FoTrue, Implies, LetterAt, Leq, Lt, Not, Or,
@@ -320,7 +323,15 @@ def reference_on_validity(core, base, vars):
         lambda s: yes(s[0]) if s[1] == full else None, base, vars))
 
 
+# the binary connectives as verdict functions of their operands' verdicts
+_TAKE = {And: lambda a, b: a and b, Or: lambda a, b: a or b,
+         Implies: lambda a, b: (not a) or b}
+
+
 def reference_combine(c1, c2, take):
+    """The synchronous product of two classifiers, minimized: a binary
+    connective as one product per node, as compile_fo built it before
+    it took a chain of `&` as one product."""
     def verdict(state):
         v1, v2 = c1.verdicts[state[0] - 1], c2.verdicts[state[1] - 1]
         return None if v1 is None or v2 is None else take(v1, v2)
@@ -1254,6 +1265,109 @@ def test_classifiers_over_no_letters_match_reference():
     got, want = dfa_from_nfa(empty), reference_dfa_from_nfa(empty)
     assert (got.delta, got.verdicts) == (want.delta, want.verdicts) == (
         ((),), (False,))
+
+# -- chains of `&` and `|` as one product ---------------------------------------
+
+
+def settled_operand(rng, scope, seen):
+    """A valid or unsatisfiable operand: true, !true, an unsatisfiable
+    existential (the last two have a dead start state) or Pa(x) & Pb(x),
+    which joins the chain it is in."""
+    var = "v%d" % len(scope)
+    options = [FoTrue(), Not(FoTrue()),
+               Exists(var, And(LetterAt("a", var), LetterAt("b", var)))]
+    if scope:
+        x = rng.choice(scope)
+        options.append(And(LetterAt("a", x), LetterAt("b", x)))
+    phi = rng.choice(options)
+    seen["dead start", None] += isinstance(phi, (Not, Exists))
+    return phi
+
+
+def chain_run_atom(rng, scope, seen):
+    i = rng.randrange(len(RUN_NFAS))
+    nfa = RUN_NFAS[i]
+    p = rng.choice(nfa.order)
+    q = p if rng.random() < 0.25 else rng.choice(nfa.order)
+    lo, hi = rng.choice([None, *scope]), rng.choice([None, *scope])
+    seen["run shape", (lo is None, hi is None, lo == hi, p == q)] += 1
+    return RunAtom("A%d" % i, nfa, p, q, lo, hi)
+
+
+def fold_chain(rng, ops, kind, shape):
+    """ops joined by kind, nested to the left, to the right or at random
+    cuts."""
+    if len(ops) == 1:
+        return ops[0]
+    cut = {"left": len(ops) - 1, "right": 1}.get(shape) \
+        or rng.randint(1, len(ops) - 1)
+    return kind(fold_chain(rng, ops[:cut], kind, shape),
+                fold_chain(rng, ops[cut:], kind, shape))
+
+
+def chain_operand(rng, scope, depth, seen):
+    kinds = ["atom", "run", "settled"]
+    if depth > 0:
+        kinds += ["not", "exists", "forall", "chain", "implies"]
+    kind = rng.choice(kinds)
+    seen[kind, None] += 1
+    if kind == "atom":
+        return random_fo(rng, ("a", "b", "c"), list(scope), 0)
+    if kind == "run":
+        return chain_run_atom(rng, scope, seen)
+    if kind == "settled":
+        return settled_operand(rng, scope, seen)
+    if kind == "not":
+        return Not(chain_operand(rng, scope, depth - 1, seen))
+    if kind == "implies":
+        return Implies(chain_operand(rng, scope, depth - 1, seen),
+                       chain_operand(rng, scope, depth - 1, seen))
+    if kind == "chain":
+        return random_chain(rng, scope, depth - 1, seen, 4)
+    var = "v%d" % len(scope)
+    body = chain_operand(rng, scope + (var,), depth - 1, seen)
+    return (Exists if kind == "exists" else Forall)(var, body)
+
+
+def random_chain(rng, scope, depth, seen, longest=12):
+    """A chain of `&` or `|` over 2..longest operands."""
+    ops = [chain_operand(rng, scope, depth, seen)
+           for _ in range(rng.randint(2, longest))]
+    kind, shape = rng.choice([And, Or]), rng.choice(["left", "right", "tree"])
+    seen[kind, shape] += 1
+    seen["length", len(ops)] += 1
+    return fold_chain(rng, ops, kind, shape)
+
+
+def test_conjunction_chains_match_reference():
+    # compile_fo takes a chain of `&` as one product of its operands'
+    # cores and `|` and `->` as its duals; the reference minimizes after
+    # every binary connective
+    rng = random.Random(SEED + 27)
+    seen = collections.Counter()
+    memos = {}
+    for i in range(2000):
+        vars = ((), ("x",), ("x", "y"), ("x", "y", "z"))[i % 4]
+        base = frozenset(("a", "ab", "abc", "")[i // 4 % 4])
+        if rng.random() < 0.85:
+            phi = random_chain(rng, vars, rng.randint(0, 2), seen)
+        else:
+            phi = Implies(chain_operand(rng, vars, 1, seen),
+                          chain_operand(rng, vars, 1, seen))
+        got = compile_fo(phi, base, vars, memos.setdefault((base, vars), {}))
+        want = reference_compile(phi, base, vars)
+        assert (got.letters, got.delta, got.verdicts) == \
+            (want.letters, want.delta, want.verdicts), (phi, base, vars)
+    assert all(seen["length", n] for n in range(2, 13))
+    assert all(seen[kind, shape] for kind in (And, Or)
+               for shape in ("left", "right", "tree"))
+    # every run atom shape: each bound absent or a variable, lo = hi
+    # among them, p = q and p != q
+    assert len({key for key in seen if key[0] == "run shape"}) == 10
+    assert all(seen[kind, None] > 100 for kind in (
+        "not", "exists", "forall", "implies", "chain", "settled",
+        "dead start"))
+
 
 def test_serialized_bytes_match_reference():
     for a in NFAS + pool(200, SEED + 13, weighted=True):

@@ -510,6 +510,31 @@ class TestFreshen:
             ProdX("z'", Const(2)), Zero())))
         assert freshen(phi) == Plus(summand("x", 1), renamed)
 
+    def test_many_parallel_binders(self):
+        # n parallel binders of one name take x, x', ..., n - 1 primes:
+        # each search starts after the primes its name found taken, and
+        # with bases that are primed names themselves the names still
+        # come out as the reference draws them
+        def summands(names):
+            return [WIte(Exists(v, LetterAt("a", v)), Zero(), Zero())
+                    for v in names]
+
+        def balanced(items):
+            while len(items) > 1:
+                pairs = [Plus(*items[i:i + 2])
+                         for i in range(0, len(items) - 1, 2)]
+                items = pairs + items[len(pairs) * 2:]
+            return items[0]
+
+        rng = random.Random(SEED + 80)
+        for names in (["x"] * 2000,
+                      [rng.choice(("x", "x'", "x''")) for _ in range(2000)]):
+            phi = balanced(summands(names))
+            new = freshen(phi)
+            assert new == reference_freshen(phi)
+            assert sorted(bound_names(new), key=len) == \
+                ["x" + "'" * i for i in range(2000)]
+
     def test_any_depth_at_the_default_recursion_limit(self):
         depth = 4 * sys.getrecursionlimit()
         fo = Exists("x", LetterAt("a", "x"))

@@ -766,7 +766,12 @@ class TestClassifierMemo:
                 (alone.letters, alone.delta, alone.verdicts)
 
     def test_chain_product_minimizes_less(self, monkeypatch):
+        # each condition is a chain of `&` over atoms, and a chain is one
+        # product of its operands' cores: one table per condition, with
+        # the memo and without it, where a table per atom and per binary
+        # `&` made 60 with the memo
         prod = self.chain_product()
+        conds = fo_conditions(prod.step)
         calls = []
         real_minimize = fo_compiler.minimize
 
@@ -783,7 +788,7 @@ class TestClassifierMemo:
             lambda phi, alphabet, vars=None, memo=None:
                 compile_fo(phi, alphabet, vars))
         alone = compile_product(prod.step, prod.var, AB)
-        assert 0 < with_memo < len(calls)
+        assert with_memo == len(calls) == len(conds) == 19 < 60
         assert serialize_automaton(shared) == serialize_automaton(alone)
 
 
