@@ -81,7 +81,8 @@ class Nfa:
     def __init__(self, states, alphabet, transitions, initial, final,
                  accepting=None):
         states, transitions = frozenset(states), frozenset(transitions)
-        self._set(states, alphabet, initial, final, accepting)
+        self._set(states, sorted(set(alphabet), key=letter_key), initial,
+                  final, accepting)
         for t in transitions:
             if len(t) != 3:
                 raise InputError("malformed transition %r" % (t,))
@@ -96,9 +97,9 @@ class Nfa:
         edges = ((s, self.rank[a], d, None) for s, a, d in transitions)
         self.succ = _successors(self, edges, self.pos)[0]
 
-    def _set(self, states, alphabet, initial, final, accepting=None):
-        """Every field but `succ`.  Plain int names, or tuples of them (no
-        bool), sort as their state_key does, so directly."""
+    def _set(self, states, letters, initial, final, accepting=None):
+        """Every field but `succ`, over `letters` in letter_key order.
+        Int names or int tuples (no bool) sort directly, as by state_key."""
         kinds = set(map(type, states))
         if kinds == {tuple}:
             kinds = set(map(type, itertools.chain(*states)))
@@ -106,8 +107,8 @@ class Nfa:
             states, key=None if kinds <= {int} else state_key))
         self.pos = {s: i for i, s in enumerate(self.order)}
         self.states = self.pos.keys()
-        self.alphabet = frozenset(alphabet)
-        self.letters = tuple(sorted(self.alphabet, key=letter_key))
+        self.letters = tuple(letters)
+        self.alphabet = frozenset(self.letters)
         self.rank = {a: j for j, a in enumerate(self.letters)}
         self.initial = frozenset(initial)
         self.final = frozenset(final)
@@ -277,16 +278,17 @@ def explore(starts, step):
             yield state, letter, nxt
 
 
-def reachable_nfa(initial, step, alphabet, final):
+def reachable_nfa(initial, step, letters, final):
     """The part of an automaton reachable from `initial`, given by its
-    step function, and the weights of its transitions by number.
-    step(state) lists a state's (letter, successor, weight) triples, each
-    (letter, successor) once; final(state) tells the final states.  The
-    reached names are sorted once, and the successor table and the
-    weights filled by position in one pass, unchecked."""
+    step function, and the weights of its transitions by number, over
+    `letters` already in letter_key order.  step(state) lists a state's
+    (letter, successor, weight) triples, each (letter, successor) once;
+    final(state) tells the final states.  The reached names are sorted
+    once, and the successor table and the weights filled by position in
+    one pass, unchecked."""
     found = list(dict.fromkeys(initial))
     starts, number = found[:], {s: k for k, s in enumerate(found)}
-    rank = {a: j for j, a in enumerate(sorted(alphabet, key=letter_key))}
+    rank = {a: j for j, a in enumerate(letters)}
     edges = []      # flat: source, letter index, target, weight, ...
     for k, state in enumerate(found):       # found grows during the loop
         for letter, nxt, w in step(state):
@@ -296,7 +298,7 @@ def reachable_nfa(initial, step, alphabet, final):
                 found.append(nxt)
             edges += (k, rank[letter], d, w)
     nfa = Nfa.__new__(Nfa)
-    nfa._set(found, rank, starts, filter(final, found))
+    nfa._set(found, letters, starts, filter(final, found))
     nfa.succ, weights = _successors(nfa, zip(*[iter(edges)] * 4),
                                     list(map(nfa.pos.__getitem__, found)))
     return nfa, weights
@@ -309,7 +311,8 @@ def filled_nfa(states, alphabet, initial, final, accepting, edges):
     positions off nfa's `pos` and `rank` (a reader checks its lines
     there)."""
     nfa = Nfa.__new__(Nfa)
-    nfa._set(states, alphabet, initial, final, accepting)
+    nfa._set(states, sorted(set(alphabet), key=letter_key), initial, final,
+             accepting)
     nfa.succ, payloads = _successors(nfa, edges(nfa), range(len(nfa.order)))
     return nfa, payloads
 
@@ -976,7 +979,7 @@ def weighted_union(a: WeightedAutomaton, b: WeightedAutomaton) -> WeightedAutoma
     return WeightedAutomaton.from_weights(*reachable_nfa(
         [(tag, wa.nfa.pos[q]) for tag, wa in enumerate(parts)
          for q in wa.nfa.initial],
-        step, a.nfa.alphabet, lambda s: finals[s[0]] >> s[1] & 1))
+        step, a.nfa.letters, lambda s: finals[s[0]] >> s[1] & 1))
 
 
 def reachable_states(nfa: Nfa):
@@ -987,18 +990,45 @@ def reachable_states(nfa: Nfa):
     return set(starts).union(d for (_, _, d) in forward)
 
 
+def _distances(preds, targets):
+    """Breadth-first distance from each state 1..n to the nearest state in
+    targets, read backward along preds; -1 where no target is reachable."""
+    dist = [-1] * len(preds)
+    for s in targets:
+        dist[s] = 0
+    frontier, layer = targets, 0
+    while frontier:
+        layer += 1
+        reached = []
+        for d in frontier:
+            for s in preds[d]:
+                if dist[s] < 0:
+                    dist[s] = layer
+                    reached.append(s)
+        frontier = reached
+    return dist
+
+
+def _coreachable(rows, n, targets):
+    """The states 0..n-1 of a bit-mask automaton (rows[j][i]: the mask of
+    the states that state i reaches on letter j) that reach the mask
+    targets, as a mask: `_distances` with state i as its state i + 1."""
+    preds = [[] for _ in range(n + 1)]
+    for row in rows:
+        for s, mask in enumerate(row, 1):
+            while mask:
+                low = mask & -mask
+                preds[low.bit_length()].append(s)
+                mask ^= low
+    dist = _distances(preds, [i + 1 for i in bits(targets)])
+    return sum(1 << s - 1 for s, d in enumerate(dist) if d >= 0)
+
+
 def coreachable_states(nfa: Nfa):
     """The positions of the states some word takes to a final state (the
-    final states included): one backward sweep from F over predecessor
-    lists read off the successor table."""
-    pred = [[] for _ in nfa.order]
-    for out in nfa.succ:
-        for i, ts in enumerate(out):
-            for d, _ in ts:
-                pred[d].append(i)
-    finals = [nfa.pos[s] for s in nfa.final]
-    back = explore(finals, lambda d: ((None, i) for i in pred[d]))
-    return set(finals).union(i for (_, _, i) in back)
+    final states included)."""
+    return set(bits(_coreachable(nfa.masks, len(nfa.order),
+                                 nfa.mask(nfa.final))))
 
 
 def restrict(nfa: Nfa, keep):
@@ -1014,7 +1044,7 @@ def restrict(nfa: Nfa, keep):
                     yield letter, order[d], t
 
     sub, numbers = reachable_nfa([q for q in nfa.initial if pos[q] in keep],
-                                 step, nfa.alphabet, nfa.final.__contains__)
+                                 step, nfa.letters, nfa.final.__contains__)
     sub.accepting = {k: v.intersection(sub.states)
                      for k, v in nfa.accepting.items()}
     return sub, numbers

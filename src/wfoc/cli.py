@@ -3,7 +3,8 @@ decomposition, classification, and desk-scale equivalence checking.
 
 Exit codes: 0 on success, 1 when a verification or hypothesis check fails
 (equiv counterexample, refused translation, refused decomposition), 2 on
-bad input.  Output is deterministic for fixed inputs.
+bad input, 3 on running out of memory or recursion depth (one `error:`
+line).  Output is deterministic for fixed inputs.
 """
 
 import argparse
@@ -349,6 +350,9 @@ def main(argv=None) -> int:
     except InputError as err:
         print("error: %s" % err, file=sys.stderr)
         return 2
+    except (MemoryError, RecursionError) as err:
+        print("error: %s" % (str(err) or "out of memory"), file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

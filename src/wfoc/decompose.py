@@ -105,7 +105,7 @@ def build_a_geq_k(a, k) -> Nfa:
                     yield letter, tuple([d for d, _ in moves] + cs2), None
 
     return reachable_nfa(
-        [(nfa.pos[q0],) * k + (0,) * (k - 1)], step, nfa.alphabet,
+        [(nfa.pos[q0],) * k + (0,) * (k - 1)], step, nfa.letters,
         lambda s: all(finals >> p & 1 for p in s[:k]) and all(s[k:]))[0]
 
 
@@ -128,7 +128,7 @@ def _exact_slice(geq_k: Nfa, geq_next: Nfa) -> Nfa:
                 yield letter, (c2, d), None
 
     joint = reachable_nfa(
-        [(1, geq_k.pos[q]) for q in geq_k.initial], step, geq_k.alphabet,
+        [(1, geq_k.pos[q]) for q in geq_k.initial], step, geq_k.letters,
         lambda pair: cls.verdicts[pair[0] - 1] is False
         and finals >> pair[1] & 1)[0]
     return restrict(joint, coreachable_states(joint))[0]

@@ -6,36 +6,37 @@ valid encodings that falsify it, and everything else is rejected.  It is
 stored as a dense table: states 1..n, state 1 initial, a row of successor
 numbers per state over the sorted letters, and one verdict per state.
 
-Every classifier comes out of the same two steps.  An implicit DFA, given
-by a start state, a successor function and a verdict function, is
-explored once into a table (``_table``, which looks each successor up
-once), and the table is minimized once by Moore refinement (``minimize``)
-from the partition by breadth-first distance to F and to G, which most
-tables leave stable after one round; each round reads each distinct
-letter column of the table once.  Negation swaps F and G.  A chain of
-``&`` is one classifier (``_conjunction``): the synchronous product of its
-operands' cores, in which every tuple with a settled "no" in it is one
-dead state, so an atom inside a conjunction is never tabulated alone; a
-chain of ``|`` and ``->`` are its duals (a | b = !(!a & !b), a -> b =
-!(a & !b)).  Every other classifier is one subset construction of a
-bit-mask automaton (``_subsets``), which steps a subset by OR-ing its
-states' successor vectors.  The atoms are automata of 1, 2 or 3 bits, or
-a run atom's automaton plus two bits; the existential quantifier erases a
-variable's mark row from the body's table; products, atoms and
-quantifiers are run alongside the validity DFA over their variables,
-whose words that mark a variable twice all end in one reject sink.
-``dfa_from_nfa`` determinizes an Nfa.
+Every classifier comes out of the same two steps.  A core (an implicit
+DFA: a start state, a successor function and a yes function) is run
+alongside the validity DFA over its variables, whose words that mark a
+variable twice all end in one reject sink, and tabulated in one loop
+(``_on_validity``, which steps each core state once and looks each
+successor up once); the table is minimized once by Moore refinement
+(``minimize``) from the partition by breadth-first distance to F and to
+G, which most tables leave stable after one round; each round reads each
+distinct letter column of the table once.  Negation swaps F and G.  A
+chain of ``&`` is one classifier (``_conjunction``): the synchronous
+product of its operands' cores, in which every tuple with a settled "no"
+in it is one dead state, so an atom inside a conjunction is never
+tabulated alone; a chain of ``|`` and ``->`` are its duals (a | b =
+!(!a & !b), a -> b = !(a & !b)).  Every other core is one subset
+construction of a bit-mask automaton (``_subsets``), which steps a
+subset by OR-ing its states' successor vectors and cuts it to the states
+that can still reach acceptance, so a subset that can never accept is
+the empty one and most tables reach ``minimize`` already minimal.  The
+atoms are automata of 1, 2 or 3 bits, or a run atom's automaton plus two
+bits; the existential quantifier erases a variable's mark row from the
+body's table; ``dfa_from_nfa`` determinizes an Nfa, with no variables.
 
 Since ``minimize`` numbers the quotient by shortlex-least access words, a
 classifier's table depends only on its F / G / reject language, not on
-how the product that recognizes it was built.
+how the product that recognizes it was built or how far its subsets
+were trimmed.
 """
 
 from __future__ import annotations
 
-import functools
-
-from .automata import Nfa
+from .automata import Nfa, _coreachable, _distances
 from .errors import InputError
 from .logic.encoding import lift_table, marked_letters
 from .logic.syntax import (
@@ -82,61 +83,6 @@ class ClassifierDfa:
             len(self.delta), len(self.vars))
 
 
-def _table(start, step, verdict, base, vars) -> ClassifierDfa:
-    """Tabulate the part of an implicit DFA reachable from start.
-
-    step(state) returns the list of a state's successors in letter order,
-    and verdict(state) is true for F, false for G and None for reject.
-    States are numbered 1..n in the order they are first reached,
-    breadth-first over the sorted letters.  Every successor is looked up
-    once; only a new one is looked up again, to number it."""
-    letters = marked_letters(base, vars)
-    number = {start: 1}
-    order = [start]                     # order grows during the loop
-    delta = []
-    for state in order:
-        succs = step(state)
-        row = list(map(number.get, succs))
-        if None in row:
-            for i, d in enumerate(succs):
-                if row[i] is None:
-                    row[i] = number.setdefault(d, len(order) + 1)
-                    if row[i] > len(order):
-                        order.append(d)
-        delta.append(tuple(row))
-    return ClassifierDfa(letters, tuple(delta), tuple(map(verdict, order)),
-                         base, vars)
-
-
-def _preds(cols, n):
-    """Per state 0..n, the states that step to it in some column of a
-    table with n states (state 0 has none)."""
-    preds = [[] for _ in range(n + 1)]
-    for col in cols:
-        for s, d in enumerate(col, 1):
-            preds[d].append(s)
-    return preds
-
-
-def _distances(preds, targets):
-    """Breadth-first distance from each state 1..n to the nearest state in
-    targets, read backward along preds; -1 where no target is reachable."""
-    dist = [-1] * len(preds)
-    for s in targets:
-        dist[s] = 0
-    frontier, layer = targets, 0
-    while frontier:
-        layer += 1
-        reached = []
-        for d in frontier:
-            for s in preds[d]:
-                if dist[s] < 0:
-                    dist[s] = layer
-                    reached.append(s)
-        frontier = reached
-    return dist
-
-
 def minimize(c: ClassifierDfa) -> ClassifierDfa:
     """Moore refinement from the partition by distance to F and to G.
 
@@ -155,7 +101,10 @@ def minimize(c: ClassifierDfa) -> ClassifierDfa:
     byte-identical."""
     n = len(c.delta)
     cols = list(dict.fromkeys(zip(*c.delta)))
-    preds = _preds(cols, n)
+    preds = [[] for _ in range(n + 1)]  # preds[d]: the s that step to d
+    for col in cols:
+        for s, d in enumerate(col, 1):
+            preds[d].append(s)
     to_f = _distances(preds, [s for s, v in enumerate(c.verdicts, 1) if v])
     to_g = _distances(preds, [s for s, v in enumerate(c.verdicts, 1)
                               if v is False])
@@ -188,52 +137,66 @@ def _on_validity(core, base, vars) -> ClassifierDfa:
     is in F where the core says yes on a valid word and in G where it says
     no.  Validity states are the bit masks of the variables marked so far;
     once some variable is marked twice the word is rejected for good, so
-    every such state is the one reject sink (None, -1)."""
+    every such state is the one reject sink (None, -1).  States are
+    numbered 1..n as they are first reached, breadth-first over the
+    sorted letters, and each core state is stepped once."""
     start, step, yes = core
-    step = functools.lru_cache(maxsize=None)(step)
+    letters = marked_letters(base, vars)
     masks = [sum(b << i for i, b in enumerate(a[1])) if vars else 0
-             for a in marked_letters(base, vars)]
+             for a in letters]
     full = (1 << len(vars)) - 1
+    # marks[seen]: the validity successors, and marks[-1] the sink's
+    marks = [[-1 if seen & m else seen | m for m in masks]
+             for seen in range(full + 1)] + [[-1] * len(masks)]
     sink = (None, -1)
-    stuck = [sink] * len(masks)
+    number = {(start, 0): 1}
+    order = [(start, 0)]                # order grows during the loop
+    steps, delta = {None: masks}, []    # None: the sink's core state
+    for s, seen in order:
+        ds = steps.get(s)
+        if ds is None:
+            ds = steps[s] = step(s)
+        succs = [(d, m) if m >= 0 else sink for d, m in zip(ds, marks[seen])]
+        row = list(map(number.get, succs))
+        if None in row:
+            for i, d in enumerate(succs):
+                if row[i] is None:
+                    row[i] = number.setdefault(d, len(order) + 1)
+                    if row[i] > len(order):
+                        order.append(d)
+        delta.append(tuple(row))
+    return minimize(ClassifierDfa(
+        letters, tuple(delta),
+        tuple(yes(s) if seen == full else None for s, seen in order),
+        base, vars))
 
-    @functools.lru_cache(maxsize=None)
-    def marks(seen):
-        return [-1 if seen & m else seen | m for m in masks]
 
-    def succ(s):
-        if s[1] < 0:
-            return stuck
-        return [(d, m) if m >= 0 else sink
-                for d, m in zip(step(s[0]), marks(s[1]))]
-
-    return minimize(_table(
-        (start, 0), succ,
-        lambda s: yes(s[0]) if s[1] == full else None, base, vars))
-
-
-def _subsets(start, rows, accept):
+def _subsets(start, rows, accept, live=None):
     """The subset construction of a bit-mask automaton, as a core: rows[j][i]
     is the mask of the states that state i reaches on the j-th marked
-    letter, and a subset says yes when it meets `accept`.
+    letter, and a subset says yes when it meets `accept`.  The start and
+    every successor are cut to `live` (by default the states that can
+    still reach accept), so a subset that can never accept is the empty
+    one, a settled no.
 
     The rows are transposed once, into each state's successor vector; a
-    subset of one state steps to its vector as it is, a larger one to the
-    OR of its states' vectors, each packed into one int of len(rows)
-    fields of n bits when a larger subset first needs it."""
+    subset of one state steps to its vector, a larger one to the OR of
+    its states' vectors, each packed into one int of len(rows) fields of
+    n bits when a larger subset first needs it."""
     def yes(subset):
         return bool(subset & accept)
 
     if not rows:                        # no letters: no successors
         return start, lambda subset: (), yes
     n, k = len(rows[0]), len(rows)
-    full = (1 << n) - 1
+    if live is None:
+        live = _coreachable(rows, n, accept)
     vectors = [(0,) * k, *zip(*rows)]    # vectors[i + 1]: state i's successors
     packed = [None] * len(vectors)
 
     def step(subset):
         if not subset & (subset - 1):
-            return vectors[subset.bit_length()]
+            return [mask & live for mask in vectors[subset.bit_length()]]
         acc = 0
         while subset:
             low = subset & -subset
@@ -243,17 +206,17 @@ def _subsets(start, rows, accept):
                                 for j, mask in enumerate(vectors[i]))
             acc |= packed[i]
             subset ^= low
-        return [acc >> n * j & full for j in range(k)]
+        return [acc >> n * j & live for j in range(k)]
 
-    return start, step, yes
+    return start & live, step, yes
 
 
 # ---------------------------------------------------------------------------
-# atoms: bit-mask automata (start, rows, accept), correct on valid words; a
-# word that settles "no" leaves the empty subset
+# atoms: bit-mask automata (start, rows, accept[, live]), correct on valid
+# words; a word that settles "no" leaves the empty subset
 
 
-def _atom(phi, letters, vars):
+def _atom(phi, letters, vars, memo):
     if isinstance(phi, FoTrue):
         return 1, [(1,)] * len(letters), 1
     if isinstance(phi, LetterAt):
@@ -271,20 +234,27 @@ def _atom(phi, letters, vars):
                     else 0 if a[1][iy] else 1, 4 if a[1][iy] else 2, 4)
                    for a in letters], 4
     if isinstance(phi, RunAtom):
-        return _run_atom(phi, letters, vars)
+        return _run_atom(phi, letters, vars, memo)
     raise InputError("not an FO formula: %r" % (phi,))
 
 
-def _run_atom(phi: RunAtom, letters, vars):
+def _run_atom(phi: RunAtom, letters, vars, memo):
     """The atom automaton's positions, then a wait bit (before the lo
     mark) and a yes bit (the hi mark was read while q was in the
-    subset)."""
+    subset); and the live ones: yes, the positions that reach q (once
+    per automaton and q in memo), and wait if it can reach yes."""
     nfa, p, q = phi.nfa, phi.p, phi.q
     if p not in nfa.states or q not in nfa.states:
         raise InputError("run atom %s uses unknown states" % phi.name)
     succ = dict(zip(nfa.letters, nfa.masks))
     n = len(nfa.order)
     start, wait, yes = 1 << nfa.pos[p], 1 << n, 2 << n
+    key = (nfa, q, _run_atom)
+    to_q = memo.get(key)
+    if to_q is None:
+        to_q = memo[key] = _coreachable(nfa.masks, n, 1 << nfa.pos[q])
+    live = to_q | yes | (
+        wait if p == q or (phi.lo != phi.hi and start & to_q) else 0)
     ends = [yes if i == nfa.pos[q] else 0 for i in range(n)]
 
     def fired(a, v):
@@ -302,7 +272,7 @@ def _run_atom(phi: RunAtom, letters, vars):
     # without a lo bound the simulation starts at once, else at the lo
     # mark; without a hi bound the verdict is read at the end of the word
     return (start if phi.lo is None else wait, rows,
-            yes | (1 << nfa.pos[q] if phi.hi is None else 0))
+            yes | (1 << nfa.pos[q] if phi.hi is None else 0), live)
 
 
 # ---------------------------------------------------------------------------
@@ -332,9 +302,11 @@ def _chain(roots, kind):
 def _live(c: ClassifierDfa):
     """A classifier as a conjunction operand's core: its table, with every
     state that cannot reach F (a settled no) renamed 0."""
-    to_f = _distances(_preds(set(zip(*c.delta)), len(c.delta)),
-                      [s for s, v in enumerate(c.verdicts, 1) if v])
-    name = [s if d >= 0 else 0 for s, d in enumerate(to_f)]
+    live = _coreachable(
+        [[1 << d - 1 for d in col] for col in set(zip(*c.delta))],
+        len(c.delta), sum(1 << s for s, v in enumerate(c.verdicts) if v))
+    name = [0, *(s if live >> s - 1 & 1 else 0
+                 for s in range(1, len(c.delta) + 1))]
     rows = [(), *(tuple(map(name.__getitem__, row)) for row in c.delta)]
     yes = [False, *(v is True for v in c.verdicts)]
     return name[1], rows.__getitem__, yes.__getitem__
@@ -350,7 +322,8 @@ def _core(phi, base, vars, memo):
         if isinstance(phi, (Not, Or, Implies, Exists, Forall)):
             core = _live(_compile(phi, base, vars, memo))
         else:
-            core = _subsets(*_atom(phi, marked_letters(base, vars), vars))
+            core = _subsets(*_atom(phi, marked_letters(base, vars), vars,
+                                   memo))
         memo[key] = core
     return core
 
@@ -392,9 +365,9 @@ def dfa_from_nfa(nfa: Nfa) -> ClassifierDfa:
     """Subset-construction DFA over the plain alphabet: F = L(nfa), G = its
     complement (no reject class).  Subsets are bit masks of positions in
     the automaton's `order`."""
-    return minimize(_table(
-        *_subsets(nfa.mask(nfa.initial), nfa.masks, nfa.mask(nfa.final)),
-        nfa.alphabet, ()))
+    return _on_validity(
+        _subsets(nfa.mask(nfa.initial), nfa.masks, nfa.mask(nfa.final)),
+        nfa.alphabet, ())
 
 
 def compile_fo(phi, alphabet, vars=None, memo=None) -> ClassifierDfa:

@@ -272,8 +272,12 @@ def freshen(node, avoid=()):
     with `fresh_name` in pre-order, and each occurrence takes the new name
     of the binder that binds it, so no renamed variable is captured.  Each
     name's search starts after the primes it found taken before.  The
-    tree is rebuilt bottom-up on an explicit stack, so any depth works."""
+    tree is rebuilt bottom-up on an explicit stack, so any depth works;
+    a tree whose binders' names are distinct and unused is returned."""
     used = set(free_vars(node)) | set(avoid)
+    binders = [n.var for n in nodes(node) if type(n) in _BINDERS]
+    if used.isdisjoint(binders) and len(set(binders)) == len(binders):
+        return node
     taken = {}                  # base name -> primes known to be used
     env = {}                    # old name -> new, for the binders open
     stack, built = [(node, None, None)], []

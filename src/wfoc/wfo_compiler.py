@@ -25,11 +25,11 @@ import functools
 from operator import itemgetter
 
 from .automata import (
-    Nfa, WeightedAutomaton, explore, reachable_nfa, weighted_union,
+    WeightedAutomaton, _coreachable, explore, reachable_nfa, weighted_union,
 )
 from .errors import InputError
-from .fo_compiler import _distances, compile_fo
-from .logic.encoding import ext_alphabet, lift_table
+from .fo_compiler import compile_fo
+from .logic.encoding import lift_table, marked_letters
 from .logic.syntax import (
     Const, FoTrue, Not, Plus, ProdX, StepIte, SumX, WIte, Zero,
     fo_conditions, free_vars, uses_sumx,
@@ -89,12 +89,10 @@ def _can_accept(c, lifted):
     unmarked letters of `lifted` leads it to an accepting state: exactly
     where some suffix table reads 2.  One backward sweep from F over the
     unmarked columns."""
-    preds = [[] for _ in range(len(c.delta) + 1)]
-    for s, row in enumerate(c.delta, 1):
-        for _, j0, _ in lifted:
-            preds[row[j0]].append(s)
-    to_f = _distances(preds, [s for s, v in enumerate(c.verdicts, 1) if v])
-    return [d >= 0 for d in to_f[1:]]
+    live = _coreachable(
+        [[1 << row[j0] - 1 for row in c.delta] for _, j0, _ in lifted],
+        len(c.delta), sum(1 << s for s, v in enumerate(c.verdicts) if v))
+    return [live >> s & 1 for s in range(len(c.delta))]
 
 
 def compile_product(step, var, alphabet, vars=()) -> WeightedAutomaton:
@@ -329,8 +327,8 @@ def _stages(phi, base, vars):
     rather than by nested copies of their names; a construction compares
     names of one child only, after its tags, so the bytes stay the same."""
     if isinstance(phi, Zero):
-        letters = ext_alphabet(base, vars)
-        wa = WeightedAutomaton(Nfa({0}, letters, set(), {0}, set()), {})
+        wa = WeightedAutomaton.from_weights(*reachable_nfa(
+            [0], lambda s: (), marked_letters(base, vars), lambda s: False))
     elif isinstance(phi, ProdX):
         if phi.var in vars:
             raise InputError("variable %s is shadowed" % phi.var)

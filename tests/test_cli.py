@@ -1489,6 +1489,35 @@ class TestDotAndErrors:
         rc, _, _ = run(capsys, ["dot", "--automaton", mode, "-o", str(dst)])
         assert rc == 0 and dst.read_text().startswith("digraph")
 
+    @pytest.mark.parametrize("crash, line", [
+        (MemoryError(), "error: out of memory\n"),
+        (RecursionError("maximum recursion depth exceeded"),
+         "error: maximum recursion depth exceeded\n")],
+        ids=["memory", "recursion"])
+    def test_a_crash_exits_3_on_one_line(self, tmp_path, capsys,
+                                         monkeypatch, crash, line):
+        # a crash is neither an answer nor a refusal (exit 1): it prints
+        # one error line, no traceback, and exits 3
+        def crashing(*args):
+            raise crash
+
+        formula = tmp_path / "f.wfo"
+        formula.write_text("prod x. 1\n")
+        monkeypatch.setattr(wfoc.cli, "compile_wfo", crashing)
+        assert run(capsys, ["compile", "--formula", str(formula),
+                            "--alphabet", "a,b"]) == (3, "", line)
+
+    def test_any_other_exception_keeps_its_traceback(self, tmp_path,
+                                                     capsys, monkeypatch):
+        def crashing(*args):
+            raise KeyError("a bug")
+
+        formula = tmp_path / "f.wfo"
+        formula.write_text("prod x. 1\n")
+        monkeypatch.setattr(wfoc.cli, "compile_wfo", crashing)
+        with pytest.raises(KeyError):
+            main(["compile", "--formula", str(formula), "--alphabet", "a,b"])
+
     def test_missing_file(self, tmp_path, capsys):
         rc, _, err = run(capsys, ["classify", "--automaton",
                                   str(tmp_path / "absent.wa")])

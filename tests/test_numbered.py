@@ -22,10 +22,14 @@ quantifier that came before it, run alongside a validity DFA with one
 state per core state for the words that mark a variable twice and
 minimized by a row-by-row Moore refinement; its connectives are binary
 products, one minimized table per node, against which a chain of `&`
-compiled as one product (and `|` and `->` as its duals) is checked.
+compiled as one product (and `|` and `->` as its duals) is checked.  The
+subset constructions, trimmed to the states that can still accept, are
+checked table for table against the untrimmed construction and
+tabulation they replaced (`reference_classifiers`).
 """
 
 import collections
+import contextlib
 import functools
 import itertools
 import random
@@ -40,10 +44,14 @@ from reference_automata import (
     ReferenceNumbered, mat_mul, monoid_matrices, reference_coreachable,
     walked_aperiodicity, walked_index, walked_witness,
 )
+from reference_classifiers import (
+    table, untrimmed_dfa_from_nfa, untrimmed_on_validity, untrimmed_subsets,
+)
 from reference_semantics import Run, count_runs, enumerate_runs, words_upto
 import wfoc.automata
 from wfoc import (
-    Nfa, WeightedAutomaton, parse_automaton, serialize_automaton, to_dot,
+    HypothesisError, Nfa, WeightedAutomaton, fo_compiler, parse_automaton,
+    serialize_automaton, to_dot,
 )
 from wfoc.automata import (
     ambiguity_witness, aperiodicity_index, aperiodicity_witness,
@@ -56,16 +64,17 @@ from wfoc.multiset import weight_table
 from wfoc.errors import InputError
 from wfoc.semantics import builtin_semiring
 from wfoc.fo_compiler import (
-    _swap, _table, ClassifierDfa, compile_fo, dfa_from_nfa, minimize,
+    _swap, ClassifierDfa, compile_fo, dfa_from_nfa, minimize,
 )
 from wfoc.logic import (
     And, EqVar, Exists, Forall, FoTrue, Implies, LetterAt, Leq, Lt, Not, Or,
     RunAtom,
 )
 from wfoc.logic.encoding import lift_table, marked_letters
-from wfoc.logic.syntax import nodes
+from wfoc.logic.syntax import ProdX, fo_conditions, nodes
 from wfoc.textfmt import _gvquote, render_letter
-from wfoc.wa_to_wfo import enumerate_switching
+from wfoc.wa_to_wfo import auto_wa_to_wfo, enumerate_switching
+from wfoc.wfo_compiler import compile_wfo
 from wfoc.weights import Symbol, format_weight
 
 
@@ -220,7 +229,7 @@ def reference_tracker(a, k):
                     yield letter, qs2 + tuple(cs2), None
 
     named = reachable_nfa(
-        [(q0,) * k + (0,) * (k - 1)], step, nfa.alphabet,
+        [(q0,) * k + (0,) * (k - 1)], step, nfa.letters,
         lambda s: all(q in nfa.final for q in s[:k]) and all(s[k:]))[0]
 
     def rename(s):
@@ -318,7 +327,7 @@ def reference_on_validity(core, base, vars):
     def marks(seen):
         return [-1 if seen < 0 or seen & m else seen | m for m in masks]
 
-    return reference_minimize(_table(
+    return reference_minimize(table(
         (start, 0), lambda s: list(zip(step(s[0]), marks(s[1]))),
         lambda s: yes(s[0]) if s[1] == full else None, base, vars))
 
@@ -336,7 +345,7 @@ def reference_combine(c1, c2, take):
         v1, v2 = c1.verdicts[state[0] - 1], c2.verdicts[state[1] - 1]
         return None if v1 is None or v2 is None else take(v1, v2)
 
-    return reference_minimize(_table(
+    return reference_minimize(table(
         (1, 1),
         lambda s: list(zip(c1.delta[s[0] - 1], c2.delta[s[1] - 1])),
         verdict, c1.base_alphabet, c1.vars))
@@ -348,7 +357,7 @@ def reference_dfa_from_nfa(nfa):
     def subset_step(subset, letter):
         return frozenset(d for s in subset for d in nfa.out(s, letter))
 
-    return reference_minimize(_table(
+    return reference_minimize(table(
         frozenset(nfa.initial),
         lambda subset: [subset_step(subset, a) for a in letters],
         lambda subset: not nfa.final.isdisjoint(subset), nfa.alphabet, ()))
@@ -1339,13 +1348,10 @@ def random_chain(rng, scope, depth, seen, longest=12):
     return fold_chain(rng, ops, kind, shape)
 
 
-def test_conjunction_chains_match_reference():
-    # compile_fo takes a chain of `&` as one product of its operands'
-    # cores and `|` and `->` as its duals; the reference minimizes after
-    # every binary connective
+def conjunction_chain_cases(seen):
+    """2,000 seeded (formula, base, vars): chains of `&` and `|` and
+    implications, over every context and base alphabet in turn."""
     rng = random.Random(SEED + 27)
-    seen = collections.Counter()
-    memos = {}
     for i in range(2000):
         vars = ((), ("x",), ("x", "y"), ("x", "y", "z"))[i % 4]
         base = frozenset(("a", "ab", "abc", "")[i // 4 % 4])
@@ -1354,6 +1360,16 @@ def test_conjunction_chains_match_reference():
         else:
             phi = Implies(chain_operand(rng, vars, 1, seen),
                           chain_operand(rng, vars, 1, seen))
+        yield phi, base, vars
+
+
+def test_conjunction_chains_match_reference():
+    # compile_fo takes a chain of `&` as one product of its operands'
+    # cores and `|` and `->` as its duals; the reference minimizes after
+    # every binary connective
+    seen = collections.Counter()
+    memos = {}
+    for phi, base, vars in conjunction_chain_cases(seen):
         got = compile_fo(phi, base, vars, memos.setdefault((base, vars), {}))
         want = reference_compile(phi, base, vars)
         assert (got.letters, got.delta, got.verdicts) == \
@@ -1367,6 +1383,126 @@ def test_conjunction_chains_match_reference():
     assert all(seen[kind, None] > 100 for kind in (
         "not", "exists", "forall", "implies", "chain", "settled",
         "dead start"))
+
+
+# -- subset constructions trimmed to the states that can still accept ---------
+
+
+@contextlib.contextmanager
+def untrimmed():
+    """compile_fo and dfa_from_nfa with the untrimmed subset construction
+    and tabulation they had before (`reference_classifiers`)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fo_compiler, "_subsets", untrimmed_subsets)
+        patch.setattr(fo_compiler, "_on_validity", untrimmed_on_validity)
+        yield
+
+
+def tabulated(compile, *args):
+    """compile(*args), every classifier table tabulated on the way (its
+    letters, rows and verdicts after minimize) and the sizes of the
+    tables minimize was handed."""
+    tables, sizes = [], []
+    on_validity, minimize_ = fo_compiler._on_validity, fo_compiler.minimize
+
+    def record(core, base, vars):
+        c = on_validity(core, base, vars)
+        tables.append((c.letters, c.delta, c.verdicts))
+        return c
+
+    def count(c):
+        sizes.append(len(c.delta))
+        return minimize_(c)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fo_compiler, "_on_validity", record)
+        patch.setattr(fo_compiler, "minimize", count)
+        return compile(*args), tables, sizes
+
+
+def test_trimmed_chains_match_untrimmed():
+    # the 2,000 formulas of the conjunction chains, each classifier
+    # compiled both ways with a memo of its own per context
+    trimmed, plain = {}, {}
+    for phi, base, vars in conjunction_chain_cases(collections.Counter()):
+        key = (base, vars)
+        got, tables, _ = tabulated(compile_fo, phi, base, vars,
+                                   trimmed.setdefault(key, {}))
+        with untrimmed():
+            want, want_tables, _ = tabulated(compile_fo, phi, base, vars,
+                                             plain.setdefault(key, {}))
+        assert tables == want_tables, (phi, base, vars)
+        assert (got.delta, got.verdicts) == (want.delta, want.verdicts)
+
+
+def chain_automaton(n):
+    """chain-n over {a, b}: i a i+1 and i b i, weights 0..3."""
+    trans = {(i, "a", i + 1): i % 4 for i in range(1, n)}
+    trans.update({(i, "b", i): (i + 1) % 4 for i in range(1, n + 1)})
+    return WeightedAutomaton(Nfa(range(1, n + 1), "ab", trans, {1}, {n}),
+                             trans)
+
+
+def translations():
+    """The default tologic sentence of every translatable corpus
+    automaton and of chain-10, -20 and -30, with its alphabet."""
+    for wa in [load(name) for name in sorted(ALL_TEXTS)] + [
+            chain_automaton(n) for n in (10, 20, 30)]:
+        try:
+            yield auto_wa_to_wfo(wa), wa.nfa.alphabet
+        except HypothesisError:             # too ambiguous to translate
+            continue
+
+
+def test_trimmed_compiles_match_untrimmed():
+    # every classifier that compile_wfo tabulates for a tologic sentence
+    # (its conditions, their subformulas and quantifiers), in order, and
+    # the output bytes
+    compiled, states, want_states = 0, 0, 0
+    for phi, alphabet in translations():
+        got, tables, sizes = tabulated(compile_wfo, phi, alphabet)
+        with untrimmed():
+            want, want_tables, want_sizes = tabulated(compile_wfo, phi,
+                                                      alphabet)
+        assert tables == want_tables
+        assert serialize_automaton(got) == serialize_automaton(want)
+        compiled, states = compiled + 1, states + sum(sizes)
+        want_states += sum(want_sizes)
+    assert compiled >= 10 and states < want_states
+
+
+def test_chain_conditions_reach_minimize_minimal():
+    # chain-30's 59 position-product conditions: trimmed, each table is
+    # minimal as tabulated; untrimmed, 870 of its states were dead
+    phi, _ = list(translations())[-1]
+    prods = [node for node in nodes(phi) if isinstance(node, ProdX)]
+
+    def conditions():
+        for prod in prods:
+            memo = {}
+            for cond in fo_conditions(prod.step):
+                compile_fo(cond, "ab", (prod.var,), memo)
+
+    _, tables, sizes = tabulated(conditions)
+    assert len(sizes) == 59
+    assert sum(sizes) == sum(len(t[1]) for t in tables) == 1977
+    with untrimmed():
+        _, want_tables, want_sizes = tabulated(conditions)
+    assert tables == want_tables
+    assert sum(want_sizes) == 2847
+
+
+def test_trimmed_subset_dfas_match_untrimmed():
+    # dfa_from_nfa on the seeded automata, some with states that reach
+    # no final one, and on decompose's k-run trackers
+    dead = 0
+    for nfa in NFAS:
+        dead += len(coreachable_states(nfa)) < len(nfa.order)
+        for a in [nfa] + [build_a_geq_k(nfa, k) for k in (1, 2)]:
+            got, want = dfa_from_nfa(a), untrimmed_dfa_from_nfa(a)
+            assert (got.letters, got.delta, got.verdicts) == \
+                (want.letters, want.delta, want.verdicts)
+    assert dead > 50
 
 
 def test_serialized_bytes_match_reference():

@@ -475,6 +475,28 @@ class TestFreshen:
                         == reference_freshen(phi, avoid), phi
         assert kept > 600
 
+    def test_distinct_unused_binders_come_back_as_they_are(self):
+        # binder names pairwise distinct and neither free nor avoided:
+        # nothing is renamed, so freshen hands back the tree itself, and
+        # the reference (which rebuilds it) agrees
+        kept = 0
+        for phi in FORMULAS + SCOPED:
+            for avoid in ((), ("x",), ("y", "z'")):
+                bound = bound_names(phi)
+                if len(set(bound)) < len(bound) \
+                        or set(bound) & (free_vars(phi) | set(avoid)):
+                    assert freshen(phi, avoid) is not phi
+                    continue
+                kept += 1
+                assert freshen(phi, avoid) is phi
+                assert reference_freshen(phi, avoid) == phi
+        assert kept > 100
+        phi = Plus(SumX("x", ProdX("y", Const(1))),
+                   SumX("z", WIte(Exists("w", LetterAt("a", "w")),
+                                  ProdX("v", Const(2)), Zero())))
+        assert freshen(phi) is phi
+        assert freshen(phi, avoid=("v",)) is not phi
+
     def test_keeps_the_value_where_the_reference_captures(self):
         captured = changed = 0
         for phi in SCOPED:

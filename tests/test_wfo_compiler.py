@@ -5,7 +5,9 @@ import sys
 import pytest
 
 from reference_semantics import count_runs, words_upto
-from wfoc import HypothesisError, InputError, fo_compiler, wfo_compiler
+from wfoc import (
+    HypothesisError, InputError, automata, fo_compiler, wfo_compiler,
+)
 from wfoc.automata import (
     Nfa, WeightedAutomaton, abstract_semantics, aperiodicity_index,
     classify_ambiguity, explore, forward, is_unambiguous, letter_key,
@@ -14,6 +16,7 @@ from wfoc.automata import (
 from wfoc.decompose import decompose_with_trackers
 from wfoc.fo_compiler import compile_fo
 from wfoc.logic import parse_fo, parse_wfo
+from wfoc.logic import encoding
 from wfoc.logic.encoding import ext_alphabet, lift_table
 from wfoc.logic.evaluate import eval_wfo_at
 from wfoc.logic.parser import parse_formula_file, serialize_formula_file
@@ -23,8 +26,12 @@ from wfoc.logic.syntax import (
 )
 from wfoc.multiset import SeqMultiset
 from wfoc.semantics import builtin_semiring
-from wfoc.textfmt import canonical_relabel, serialize_automaton
-from wfoc.wa_to_wfo import scc_unambiguous_to_wfo, unambiguous_wa_to_wfo
+from wfoc.textfmt import (
+    canonical_relabel, parse_automaton, serialize_automaton,
+)
+from wfoc.wa_to_wfo import (
+    auto_wa_to_wfo, scc_unambiguous_to_wfo, unambiguous_wa_to_wfo,
+)
 from wfoc.wfo_compiler import (
     _CODE, compile_ite, compile_product, compile_stages,
     compile_sum_var, compile_wfo, rewrite_sum_normal_form,
@@ -795,8 +802,9 @@ class TestClassifierMemo:
 # -- one builder ------------------------------------------------------------
 #
 # Every automaton a compilation or a decomposition makes is the reachable
-# part of a construction (`reachable_nfa`), a restriction of one (`restrict`,
-# behind `trim`), the single-initial normal form, or the one-state `zero`.
+# part of a construction (`reachable_nfa`, the one-state `zero` included),
+# a restriction of one (`restrict`, behind `trim`) or the single-initial
+# normal form.
 
 
 def decomposable_corpus():
@@ -812,8 +820,7 @@ def decomposable_corpus():
 
 class TestOneBuilder:
     BUILDERS = {"wfoc.automata.reachable_nfa", "wfoc.automata.restrict",
-                "wfoc.decompose.ensure_single_initial",
-                "wfoc.wfo_compiler._stages"}
+                "wfoc.decompose.ensure_single_initial"}
 
     @staticmethod
     def builders(monkeypatch, run):
@@ -841,6 +848,42 @@ class TestOneBuilder:
             compile_wfo(phi, alphabet) for _, phi, alphabet in STAGE_CASES])
         assert set(seen) <= self.BUILDERS
         assert seen["wfoc.automata.reachable_nfa"] > len(STAGE_CASES)
+
+    def test_compile_sorts_no_letter_or_state(self, monkeypatch):
+        # every construction takes its letters in letter_key order (a
+        # classifier's, a lift table's, an input's `letters`), so once
+        # the marked alphabets are sorted, by a first compile, another
+        # compile calls neither state_key nor letter_key
+        chain = ("alphabet: a b\nstates: %s\ninitial: 1\nfinal: 30\n"
+                 % " ".join(map(str, range(1, 31)))
+                 + "".join("trans: %d a %d %d\n" % (i, i + 1, i % 4)
+                           for i in range(1, 30))
+                 + "".join("trans: %d b %d 1\n" % (i, i)
+                           for i in range(1, 31)))
+        cases = [load("triplerun"), load("splitmax"),
+                 parse_automaton(chain)]
+        calls = collections.Counter()
+        real = automata.state_key
+
+        def counting(s):
+            calls[s] += 1
+            return real(s)
+
+        for wa in cases:
+            phi = auto_wa_to_wfo(wa)
+            first = compile_wfo(phi, wa.nfa.alphabet)
+            for module in (automata, encoding):
+                for name in ("state_key", "letter_key"):
+                    if hasattr(module, name):
+                        monkeypatch.setattr(module, name, counting)
+            again = compile_wfo(phi, wa.nfa.alphabet)
+            monkeypatch.undo()
+            assert serialize_automaton(again) == serialize_automaton(first)
+            assert not calls, (wa, calls)
+        # the counter does count: a checked Nfa sorts its letters
+        monkeypatch.setattr(automata, "letter_key", counting)
+        Nfa({1}, "ba", set(), {1}, set())
+        assert calls == {"a": 1, "b": 1}
 
     def test_decompose_builds_through_the_builder(self, monkeypatch):
         cases = [load(name) for name in decomposable_corpus()]
