@@ -595,7 +595,6 @@ def first_difference(a: WeightedAutomaton, b: WeightedAutomaton, maxlen):
 class SccDecomposition:
     component_of: dict       # state -> component id
     components: tuple        # id -> frozenset of states
-    dag_edges: frozenset     # (cid, cid') edges between distinct components
 
     def same(self, p, q) -> bool:
         return self.component_of[p] == self.component_of[q]
@@ -663,8 +662,7 @@ def scc_decompose(a) -> SccDecomposition:
         members[renum[comp_of[i]]].append(s)
     nfa._sccs = SccDecomposition(
         {s: renum[comp_of[i]] for i, s in enumerate(nfa.order)},
-        tuple(map(frozenset, members)),
-        frozenset((renum[c], renum[d]) for c in later for d in later[c]))
+        tuple(map(frozenset, members)))
     return nfa._sccs
 
 
@@ -1009,6 +1007,17 @@ def _distances(preds, targets):
     return dist
 
 
+def _table_preds(cols, n):
+    """The input of `_distances` for a table of states 1..n given by its
+    columns (col[s - 1]: the state s steps to): preds[d], the states that
+    step to d."""
+    preds = [[] for _ in range(n + 1)]
+    for col in cols:
+        for s, d in enumerate(col, 1):
+            preds[d].append(s)
+    return preds
+
+
 def _coreachable(rows, n, targets):
     """The states 0..n-1 of a bit-mask automaton (rows[j][i]: the mask of
     the states that state i reaches on letter j) that reach the mask
@@ -1026,9 +1035,15 @@ def _coreachable(rows, n, targets):
 
 def coreachable_states(nfa: Nfa):
     """The positions of the states some word takes to a final state (the
-    final states included)."""
-    return set(bits(_coreachable(nfa.masks, len(nfa.order),
-                                 nfa.mask(nfa.final))))
+    final states included): one backward sweep over the successor
+    table."""
+    preds = [[] for _ in nfa.order]
+    for out in nfa.succ:
+        for i, row in enumerate(out):
+            for d, _ in row:
+                preds[d].append(i)
+    dist = _distances(preds, [nfa.pos[s] for s in nfa.final])
+    return {i for i, d in enumerate(dist) if d >= 0}
 
 
 def restrict(nfa: Nfa, keep):

@@ -28,9 +28,7 @@ from .semantics import builtin_semiring, format_value, max_average
 from .textfmt import (
     parse_automaton, parse_letter, render_word, serialize_automaton, to_dot,
 )
-from .wa_to_wfo import (
-    ATOM_NAME, auto_wa_to_wfo, scc_unambiguous_to_wfo, unambiguous_wa_to_wfo,
-)
+from .wa_to_wfo import ATOM_NAME, MODES, wa_to_wfo
 from .wfo_compiler import compile_stages, compile_wfo
 
 SEMIRING_FLAGS = ("natural", "boolean", "minplus", "maxplus", "languages",
@@ -171,12 +169,7 @@ def _cmd_compile_fo(args):
 
 def _cmd_tologic(args):
     wa = _load_weighted(args.automaton)
-    if args.mode == "unambiguous":
-        phi = unambiguous_wa_to_wfo(wa)
-    elif args.mode == "scc":
-        phi = scc_unambiguous_to_wfo(wa)
-    else:
-        phi = auto_wa_to_wfo(wa)
+    phi = wa_to_wfo(wa, args.mode)
     # the header keeps the alphabet of a sentence that names no letter
     _emit(serialize_formula_file(phi, "wfo", {ATOM_NAME: wa.nfa}), args.out)
     return 0
@@ -310,8 +303,7 @@ def build_parser():
     sub = subs.add_parser("tologic", help="translate an automaton to logic")
     sub.add_argument("--automaton", required=True)
     sub.add_argument("-o", "--out")
-    sub.add_argument("--mode", choices=("auto", "unambiguous", "scc"),
-                     default="auto")
+    sub.add_argument("--mode", choices=MODES, default="auto")
     sub.set_defaults(fn=_cmd_tologic)
 
     sub = subs.add_parser("decompose",

@@ -36,7 +36,7 @@ were trimmed.
 
 from __future__ import annotations
 
-from .automata import Nfa, _coreachable, _distances
+from .automata import Nfa, _coreachable, _distances, _table_preds
 from .errors import InputError
 from .logic.encoding import lift_table, marked_letters
 from .logic.syntax import (
@@ -101,10 +101,7 @@ def minimize(c: ClassifierDfa) -> ClassifierDfa:
     byte-identical."""
     n = len(c.delta)
     cols = list(dict.fromkeys(zip(*c.delta)))
-    preds = [[] for _ in range(n + 1)]  # preds[d]: the s that step to d
-    for col in cols:
-        for s, d in enumerate(col, 1):
-            preds[d].append(s)
+    preds = _table_preds(cols, n)
     to_f = _distances(preds, [s for s, v in enumerate(c.verdicts, 1) if v])
     to_g = _distances(preds, [s for s, v in enumerate(c.verdicts, 1)
                               if v is False])
@@ -302,11 +299,10 @@ def _chain(roots, kind):
 def _live(c: ClassifierDfa):
     """A classifier as a conjunction operand's core: its table, with every
     state that cannot reach F (a settled no) renamed 0."""
-    live = _coreachable(
-        [[1 << d - 1 for d in col] for col in set(zip(*c.delta))],
-        len(c.delta), sum(1 << s for s, v in enumerate(c.verdicts) if v))
-    name = [0, *(s if live >> s - 1 & 1 else 0
-                 for s in range(1, len(c.delta) + 1))]
+    n = len(c.delta)
+    to_f = _distances(_table_preds(set(zip(*c.delta)), n),
+                      [s for s, v in enumerate(c.verdicts, 1) if v])
+    name = [0, *(s if to_f[s] >= 0 else 0 for s in range(1, n + 1))]
     rows = [(), *(tuple(map(name.__getitem__, row)) for row in c.delta)]
     yes = [False, *(v is True for v in c.verdicts)]
     return name[1], rows.__getitem__, yes.__getitem__

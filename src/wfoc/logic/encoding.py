@@ -31,8 +31,10 @@ def ext_alphabet(alphabet, vars):
 def marked_letters(base, vars):
     """The letters of ext_alphabet(base, vars) sorted by letter_key, for a
     frozenset base and a sorted tuple vars: the letter order of every
-    compiled automaton."""
-    return tuple(sorted(ext_alphabet(base, vars), key=letter_key))
+    compiled automaton.  A pair's key is its base letter's key, then its
+    bits, which the product already lists in order, so only the base
+    letters are sorted."""
+    return tuple(ext_alphabet(sorted(base, key=letter_key), vars))
 
 
 @functools.lru_cache(maxsize=64)

@@ -112,39 +112,6 @@ def _guarded_product(a, p, q, name):
     return WIte(guard, ProdX("x", _cascade(pairs)), Zero())
 
 
-def unambiguous_wa_to_wfo(a: WeightedAutomaton, name=ATOM_NAME):
-    """Nested if-then-else over the initial/final pairs; global
-    unambiguity makes at most one guard true, so no + is needed."""
-    nfa = a.nfa
-    _require_aperiodic(nfa)
-    w = unambiguity_witness(nfa)
-    if w is not None:
-        raise HypothesisError(
-            "not unambiguous: %r has two accepting runs"
-            % (render_word(w),))
-    return _unambiguous_sentence(a, name)
-
-
-def auto_wa_to_wfo(a: WeightedAutomaton, name=ATOM_NAME):
-    """The unambiguous translation when the automaton is unambiguous, the
-    SCC one otherwise, each hypothesis checked once, aperiodicity first:
-    the refusals are those of the translation taken."""
-    _require_aperiodic(a.nfa)
-    if unambiguity_witness(a.nfa) is None:
-        return _unambiguous_sentence(a, name)
-    return _scc_sentence(a, name)
-
-
-def _unambiguous_sentence(a, name):
-    """unambiguous_wa_to_wfo once both hypotheses are known to hold."""
-    out = Zero()
-    for (p, q) in reversed(_end_pairs(a.nfa)):
-        # two runs from p to q would be two accepting runs
-        inner = _guarded_product(a, p, q, name)
-        out = WIte(inner.cond, inner.then, out)
-    return out
-
-
 def enumerate_switching(a, p, q):
     """All sequences of component-changing transitions a run from p to q
     can take.  Each consecutive pair stays in one component, so the
@@ -219,18 +186,34 @@ def _switching_sentence(a, p, q, seq, name):
     return body
 
 
-def scc_unambiguous_to_wfo(a: WeightedAutomaton, name=ATOM_NAME):
-    """Sum over initial/final pairs: within one component the unambiguous
-    translation applies, across components one summand per switching
-    sequence."""
-    _require_aperiodic(a.nfa)
-    return _scc_sentence(a, name)
+MODES = ("auto", "unambiguous", "scc")
 
 
-def _scc_sentence(a, name):
-    """scc_unambiguous_to_wfo once the automaton is known to be
-    aperiodic."""
+def wa_to_wfo(a: WeightedAutomaton, mode="auto", name=ATOM_NAME):
+    """The sentence of an aperiodic automaton, each hypothesis checked
+    once, aperiodicity first.  Unless mode is "scc", a globally unambiguous
+    automaton gets a nested if-then-else over its initial/final pairs (at
+    most one guard holds, so no + is needed); "unambiguous" refuses any
+    other.  Otherwise an SCC-unambiguous one gets a sum over the pairs:
+    within one component the guarded product, across components one
+    summand per switching sequence."""
+    if mode not in MODES:
+        raise InputError("unknown mode %r" % (mode,))
     nfa = a.nfa
+    _require_aperiodic(nfa)
+    if mode != "scc":
+        w = unambiguity_witness(nfa)
+        if w is None:
+            out = Zero()
+            for (p, q) in reversed(_end_pairs(nfa)):
+                # two runs from p to q would be two accepting runs
+                inner = _guarded_product(a, p, q, name)
+                out = WIte(inner.cond, inner.then, out)
+            return out
+        if mode == "unambiguous":
+            raise HypothesisError(
+                "not unambiguous: %r has two accepting runs"
+                % (render_word(w),))
     w = scc_ambiguity_witness(nfa)
     if w is not None:
         raise HypothesisError(

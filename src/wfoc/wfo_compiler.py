@@ -25,7 +25,8 @@ import functools
 from operator import itemgetter
 
 from .automata import (
-    WeightedAutomaton, _coreachable, explore, reachable_nfa, weighted_union,
+    WeightedAutomaton, _distances, _table_preds, explore, reachable_nfa,
+    weighted_union,
 )
 from .errors import InputError
 from .fo_compiler import compile_fo
@@ -89,10 +90,10 @@ def _can_accept(c, lifted):
     unmarked letters of `lifted` leads it to an accepting state: exactly
     where some suffix table reads 2.  One backward sweep from F over the
     unmarked columns."""
-    live = _coreachable(
-        [[1 << row[j0] - 1 for row in c.delta] for _, j0, _ in lifted],
-        len(c.delta), sum(1 << s for s, v in enumerate(c.verdicts) if v))
-    return [live >> s & 1 for s in range(len(c.delta))]
+    cols = [[row[j0] for row in c.delta] for _, j0, _ in lifted]
+    to_f = _distances(_table_preds(cols, len(c.delta)),
+                      [s for s, v in enumerate(c.verdicts, 1) if v])
+    return [d >= 0 for d in to_f[1:]]
 
 
 def compile_product(step, var, alphabet, vars=()) -> WeightedAutomaton:

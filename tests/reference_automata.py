@@ -66,8 +66,11 @@ def reference_coreachable(nfa):
     edges by source, last first, settles every target before its
     sources."""
     scc = scc_decompose(nfa)
-    live = [not comp.isdisjoint(nfa.final) for comp in scc.components]
-    for c, d in sorted(scc.dag_edges, reverse=True):
+    comp = scc.component_of
+    edges = {(comp[s], comp[d]) for (s, _, d) in nfa.transitions
+             if comp[s] != comp[d]}
+    live = [not states.isdisjoint(nfa.final) for states in scc.components]
+    for c, d in sorted(edges, reverse=True):
         live[c] = live[c] or live[d]
     return {s for s, c in scc.component_of.items() if live[c]}
 

@@ -29,7 +29,7 @@ from wfoc.logic import (
     eval_wfo_at, parse_fo, relativize, uses_plus, uses_sumx,
 )
 from wfoc.semantics import builtin_semiring
-from wfoc.wa_to_wfo import scc_unambiguous_to_wfo, unambiguous_wa_to_wfo
+from wfoc.wa_to_wfo import wa_to_wfo
 from wfoc.wfo_compiler import compile_product, compile_sum_var, compile_wfo
 
 AB = ("a", "b")
@@ -113,15 +113,15 @@ def test_04_finite_ambiguity_decomposition():
         assert time.monotonic() - started < 5.0
 
 
-@pytest.mark.parametrize("name,translate", [
-    ("switchpoints", scc_unambiguous_to_wfo),
-    ("modeblocks", unambiguous_wa_to_wfo),
+@pytest.mark.parametrize("name,mode", [
+    ("switchpoints", "scc"),
+    ("modeblocks", "unambiguous"),
 ])
-def test_05_round_trip(name, translate):
+def test_05_round_trip(name, mode):
     with check("05 round trip (%s)" % name):
         started = time.monotonic()
         wa = load(name)
-        back = compile_wfo(translate(wa), wa.nfa.alphabet)
+        back = compile_wfo(wa_to_wfo(wa, mode), wa.nfa.alphabet)
         for word in all_words(sorted(wa.nfa.alphabet), 6):
             assert abstract_semantics(back, word) \
                 == abstract_semantics(wa, word), word
@@ -131,13 +131,13 @@ def test_05_round_trip(name, translate):
 def test_06_fragment_certificates():
     with check("06 fragment certificates"):
         mode = load("modeblocks")
-        phi = unambiguous_wa_to_wfo(mode)
+        phi = wa_to_wfo(mode, "unambiguous")
         assert not uses_plus(phi) and not uses_sumx(phi)
         compiled = compile_wfo(phi, mode.nfa.alphabet)
         assert is_unambiguous(compiled.nfa)
 
         sw = load("switchpoints")
-        compiled = compile_wfo(scc_unambiguous_to_wfo(sw), sw.nfa.alphabet)
+        compiled = compile_wfo(wa_to_wfo(sw, "scc"), sw.nfa.alphabet)
         assert is_scc_unambiguous(compiled.nfa)
 
 

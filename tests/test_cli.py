@@ -656,6 +656,70 @@ def test_equiv_counterexample_bytes_are_pinned(tmp_path, capsys):
         "2403f3835ad0a3c91351231719908858d1cc7503209b7ee7f325dc70e3d01d63")
 
 
+# every `tologic` outcome on the corpus, in each mode: the sha256 of the
+# written sentence file, or the refusal printed with exit code 1
+_REFUSED_UNAMBIGUOUS = "refused: not unambiguous: %r has two accepting runs\n"
+_REFUSED_SCC = ("refused: not SCC-unambiguous: %r has two runs inside one"
+                " component\n")
+TOLOGIC_OUTCOMES = {
+    "blockmax": (_REFUSED_SCC % "cc", _REFUSED_UNAMBIGUOUS % "c",
+                 _REFUSED_SCC % "cc"),
+    "countminmax": (
+        "dbc349f2c7302d21742bdecfe02f23e986f5461c44ddb1933481268ea3eb2784",
+        _REFUSED_UNAMBIGUOUS % "a", None),
+    "expsum": (
+        "d5f88cba88cb33400eff4af9edecb81e64a327dd0c5df808b61234ee37ed2a28",
+        _REFUSED_UNAMBIGUOUS % "a", None),
+    "fibonacci": (_REFUSED_SCC % "aa", _REFUSED_UNAMBIGUOUS % "aaa",
+                  _REFUSED_SCC % "aa"),
+    "linearcount": (
+        "9f0807773485b37337c5033d18c52cb57bd080cde778f5f26574ecec936abd49",
+        _REFUSED_UNAMBIGUOUS % "aa", None),
+    "mingap": (
+        "5bf180314a7a5f8e3611d563473d855f6a24da980b35ef5d0f3af44e36bca743",
+        _REFUSED_UNAMBIGUOUS % "bbb", None),
+    "modeblocks": (
+        "7e9aa1998e4d6f0ac5d784d2d1109313dfa69a07c340cc560f17281c37bcf765",
+        None,
+        "140e6b22c672b0e7862a30d72223731c233d48737572510d8f1a9920b626d6a8"),
+    "splitmax": (
+        "5c33976f849e33040f4447a99820a8827cc1a6092ff56e62fb6be2cdbafa100d",
+        _REFUSED_UNAMBIGUOUS % "a", None),
+    "splitmin": (
+        "775ce9de0101967fdc87c277c1879403b1060e4f9f05920f2ca46e37893b4773",
+        _REFUSED_UNAMBIGUOUS % "a", None),
+    "switchpoints": (
+        "7b37df1baccc4dd5c0a0896ea9ab2cabf6044e8fe7648475fff74bf2f2c6f1d6",
+        _REFUSED_UNAMBIGUOUS % "aaab", None),
+    "triplerun": (
+        "ba1bd9bd8957a511f8c159e0cad720b632b1f33ce3b0eccd320028a39ef031a9",
+        _REFUSED_UNAMBIGUOUS % "aab", None),
+}
+TOLOGIC_MODES = ("auto", "unambiguous", "scc")
+
+
+def tologic_pin(name, mode):
+    """The pinned outcome; None in a slot means the same as auto."""
+    pins = TOLOGIC_OUTCOMES[name]
+    want = pins[TOLOGIC_MODES.index(mode)]
+    return pins[0] if want is None else want
+
+
+@pytest.mark.parametrize("name", sorted(TOLOGIC_OUTCOMES))
+@pytest.mark.parametrize("mode", TOLOGIC_MODES)
+def test_tologic_outcomes_are_pinned(name, mode, tmp_path, capsys):
+    out = tmp_path / "out.wfo"
+    rc, stdout, err = run(capsys, ["tologic", "--mode", mode, "--automaton",
+                                   save(tmp_path, name), "-o", str(out)])
+    want = tologic_pin(name, mode)
+    assert stdout == ""
+    if want.startswith("refused: "):
+        assert (rc, err, out.exists()) == (1, want, False)
+    else:
+        assert (rc, err) == (0, "")
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == want
+
+
 # corpus automata that `tologic` translates; the others are refused
 TRANSLATABLE = ("countminmax", "expsum", "linearcount", "mingap", "modeblocks",
                 "splitmax", "splitmin", "switchpoints", "triplerun")

@@ -5,7 +5,7 @@ import pytest
 
 from reference_semantics import all_ext_words, classify, unmark
 from wfoc import HypothesisError, InputError, fo_compiler
-from wfoc.automata import aperiodicity_index, is_unambiguous, state_key
+from wfoc.automata import aperiodicity_index, state_key
 from wfoc.fo_compiler import (
     ClassifierDfa, compile_fo, dfa_from_nfa, minimize,
 )
@@ -13,7 +13,7 @@ from wfoc.logic import parse_fo
 from wfoc.logic.evaluate import eval_fo
 from wfoc.logic.syntax import FoTrue, RunAtom, fo_conditions, free_vars
 from wfoc.textfmt import parse_automaton, serialize_automaton
-from wfoc.wa_to_wfo import scc_unambiguous_to_wfo, unambiguous_wa_to_wfo
+from wfoc.wa_to_wfo import wa_to_wfo
 
 from corpus import (
     ALL_TEXTS, FORMULAS, SEED, check_classifier, load, random_fo,
@@ -287,8 +287,7 @@ class TestClassifierContract:
         for name in sorted(ALL_TEXTS):
             wa = load(name)
             try:
-                phi = (unambiguous_wa_to_wfo(wa) if is_unambiguous(wa)
-                       else scc_unambiguous_to_wfo(wa))
+                phi = wa_to_wfo(wa)
             except HypothesisError:         # too ambiguous to translate
                 continue
             conds += [(cond, wa.nfa.alphabet) for cond in fo_conditions(phi)]

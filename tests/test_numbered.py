@@ -70,10 +70,10 @@ from wfoc.logic import (
     And, EqVar, Exists, Forall, FoTrue, Implies, LetterAt, Leq, Lt, Not, Or,
     RunAtom,
 )
-from wfoc.logic.encoding import lift_table, marked_letters
+from wfoc.logic.encoding import ext_alphabet, lift_table, marked_letters
 from wfoc.logic.syntax import ProdX, fo_conditions, nodes
 from wfoc.textfmt import _gvquote, render_letter
-from wfoc.wa_to_wfo import auto_wa_to_wfo, enumerate_switching
+from wfoc.wa_to_wfo import enumerate_switching, wa_to_wfo
 from wfoc.wfo_compiler import compile_wfo
 from wfoc.weights import Symbol, format_weight
 
@@ -153,8 +153,7 @@ def reference_scc(a):
                 indeg[j] -= 1
     renum = {old: new for new, old in enumerate(final_order)}
     return (tuple(comps[old] for old in final_order),
-            {s: renum[comp_of_tmp[s]] for s in comp_of_tmp},
-            frozenset((renum[i], renum[j]) for (i, j) in edges))
+            {s: renum[comp_of_tmp[s]] for s in comp_of_tmp})
 
 
 def reference_witness(a, start_pairs, end_pairs, within=None):
@@ -775,6 +774,31 @@ def test_compile_sorts_no_state_through_state_key(tmp_path, monkeypatch,
     assert sorted(calls) == ["p", "q"]
 
 
+def test_marked_letters_key_only_the_base_letters(monkeypatch):
+    # a pair's bits come out of the product in order, so no pair goes
+    # through letter_key, and the letters are those of sorting them all
+    import wfoc.logic.encoding
+    rng = random.Random(SEED + 35)
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return letter_key(a)
+
+    monkeypatch.setattr(wfoc.logic.encoding, "letter_key", counted)
+    for _ in range(2000):
+        base = frozenset(rng.sample(NAMES, rng.randint(0, 6)))
+        vars = tuple(sorted(rng.sample(("x", "y", "z1", "w"),
+                                       rng.randint(0, 3))))
+        calls.clear()
+        marked_letters.cache_clear()
+        got = marked_letters(base, vars)
+        assert sorted(calls, key=letter_key) \
+            == sorted(base, key=letter_key)
+        assert got == tuple(sorted(ext_alphabet(base, vars), key=letter_key))
+    marked_letters.cache_clear()
+
+
 @functools.cache
 def numbering_cases():
     """The corpus, the 300 random automata of the monoid cases and 3,000
@@ -815,10 +839,9 @@ def test_scc_decompose_matches_reference():
     cases += [mixed_automaton(rng) for _ in range(3000)]
     for nfa in cases:
         scc = scc_decompose(nfa)
-        components, component_of, dag_edges = reference_scc(nfa)
+        components, component_of = reference_scc(nfa)
         assert scc.components == components
         assert scc.component_of == component_of
-        assert scc.dag_edges == dag_edges
 
 
 def test_scc_decompose_is_not_quadratic_in_components():
@@ -1449,7 +1472,7 @@ def translations():
     for wa in [load(name) for name in sorted(ALL_TEXTS)] + [
             chain_automaton(n) for n in (10, 20, 30)]:
         try:
-            yield auto_wa_to_wfo(wa), wa.nfa.alphabet
+            yield wa_to_wfo(wa), wa.nfa.alphabet
         except HypothesisError:             # too ambiguous to translate
             continue
 

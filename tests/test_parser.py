@@ -23,18 +23,15 @@ from reference_printer import (
     REFERENCE_PRINTERS, reference_serialize_formula_file,
 )
 from wfoc import InputError, parse_automaton
-from wfoc.automata import is_unambiguous
 from wfoc.logic import (
     And, Exists, Forall, FoFormula, Implies, Not, Or, ParseError, Plus,
     ProdX, ScopeError, StepFormula, StepIte, SumX, WIte, format_fo,
     format_step, format_wfo, parse_formula_file, serialize_formula_file,
 )
-from wfoc import wa_to_wfo
+from wfoc import wa_to_wfo as translation
 from wfoc.logic import parser, syntax
 from wfoc.logic.parser import _tokenize, _where
-from wfoc.wa_to_wfo import (
-    ATOM_NAME, scc_unambiguous_to_wfo, unambiguous_wa_to_wfo,
-)
+from wfoc.wa_to_wfo import ATOM_NAME, wa_to_wfo
 
 AB = ("a", "b")
 INPUTS = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
@@ -71,8 +68,7 @@ def _tologic_outputs():
     for name in sorted(ALL_TEXTS):
         wa = parse_automaton(ALL_TEXTS[name])
         try:
-            phi = (unambiguous_wa_to_wfo(wa) if is_unambiguous(wa)
-                   else scc_unambiguous_to_wfo(wa))
+            phi = wa_to_wfo(wa)
         except InputError:
             continue
         yield serialize_formula_file(phi, "wfo", {ATOM_NAME: wa.nfa})
@@ -269,7 +265,7 @@ def test_no_function_calls_itself():
     and of the automaton-to-logic translation form no call cycle: a chain
     of calls between the functions of one module never comes back to
     where it started."""
-    for module in (parser, syntax, wa_to_wfo):
+    for module in (parser, syntax, translation):
         tree = ast.parse(inspect.getsource(module))
         funcs = {node.name: node for node in ast.walk(tree)
                  if isinstance(node, ast.FunctionDef)}

@@ -21,9 +21,7 @@ from wfoc.logic import (
     format_step, format_wfo, parse_formula_file, serialize_formula_file,
 )
 from wfoc.logic.syntax import nodes
-from wfoc.wa_to_wfo import (
-    ATOM_NAME, scc_unambiguous_to_wfo, unambiguous_wa_to_wfo,
-)
+from wfoc.wa_to_wfo import ATOM_NAME, wa_to_wfo
 
 AB = ("a", "b")
 INPUTS = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
@@ -136,9 +134,9 @@ def _tologic(text):
     takes it."""
     wa = parse_automaton(text)
     out = []
-    for translate in (unambiguous_wa_to_wfo, scc_unambiguous_to_wfo):
+    for mode in ("unambiguous", "scc"):
         try:
-            out.append((translate(wa), {ATOM_NAME: wa.nfa}))
+            out.append((wa_to_wfo(wa, mode), {ATOM_NAME: wa.nfa}))
         except InputError:
             pass
     return out

@@ -19,9 +19,9 @@ from wfoc.logic.syntax import (
 )
 from wfoc.textfmt import parse_automaton
 from wfoc.textfmt import serialize_automaton
+from wfoc import wa_to_wfo as translation
 from wfoc.wa_to_wfo import (
-    auto_wa_to_wfo, enumerate_switching, scc_unambiguous_to_wfo,
-    transition_formula, unambiguous_to_wfo, unambiguous_wa_to_wfo,
+    enumerate_switching, transition_formula, unambiguous_to_wfo, wa_to_wfo,
 )
 from wfoc.wfo_compiler import compile_wfo
 
@@ -63,7 +63,7 @@ class TestLangSentence:
 
     def test_not_aperiodic(self):
         with pytest.raises(HypothesisError):
-            unambiguous_wa_to_wfo(parity_automaton())
+            wa_to_wfo(parity_automaton(), "unambiguous")
 
 
 class TestTransitionFormula:
@@ -123,24 +123,24 @@ class TestUnambiguousToWfo:
 
 class TestUnambiguousWaToWfo:
     def test_no_plus_no_sum(self):
-        phi = unambiguous_wa_to_wfo(load("modeblocks"), name="M")
+        phi = wa_to_wfo(load("modeblocks"), "unambiguous", name="M")
         assert not uses_plus(phi)
         assert not uses_sumx(phi)
 
     def test_nested_ite_over_pairs(self):
-        phi = unambiguous_wa_to_wfo(load("modeblocks"), name="M")
+        phi = wa_to_wfo(load("modeblocks"), "unambiguous", name="M")
         assert isinstance(phi, WIte) and isinstance(phi.els, WIte)
         assert isinstance(phi.els.els, Zero)
 
     def test_semantics(self):
         mode = load("modeblocks")
-        phi = unambiguous_wa_to_wfo(mode, name="M")
+        phi = wa_to_wfo(mode, "unambiguous", name="M")
         for w in all_words(("a", "b", "c"), 4):
             assert eval_wfo_at(phi, w) == abstract_semantics(mode, w)
 
     def test_compiles_to_unambiguous(self):
         mode = load("modeblocks")
-        phi = unambiguous_wa_to_wfo(mode, name="M")
+        phi = wa_to_wfo(mode, "unambiguous", name="M")
         b = compile_wfo(phi, ("a", "b", "c"))
         assert is_unambiguous(b.nfa)
         for w in all_words(("a", "b", "c"), 5):
@@ -149,14 +149,14 @@ class TestUnambiguousWaToWfo:
     def test_single_pair_collapses(self):
         nfa = Nfa({1, 2}, ("a", "b"), {(1, "a", 1), (1, "b", 2)}, {1}, {2})
         a = WeightedAutomaton(nfa, {(1, "a", 1): 4, (1, "b", 2): 7})
-        phi = unambiguous_wa_to_wfo(a)
+        phi = wa_to_wfo(a, "unambiguous")
         assert isinstance(phi, WIte) and isinstance(phi.els, Zero)
         assert dict(eval_wfo_at(phi, ("a", "b")).items()) == {(4, 7): 1}
 
     def test_ambiguous_refused_with_witness(self):
         fib = load("fibonacci")
         with pytest.raises(HypothesisError) as err:
-            unambiguous_wa_to_wfo(fib)
+            wa_to_wfo(fib, "unambiguous")
         assert count_runs(fib, witness_in(err.value)) >= 2
 
 
@@ -199,19 +199,19 @@ class TestEnumerateSwitching:
 
 class TestSccUnambiguousToWfo:
     def test_switchpoints_aabab(self):
-        phi = scc_unambiguous_to_wfo(load("switchpoints"))
+        phi = wa_to_wfo(load("switchpoints"), "scc")
         got = eval_wfo_at(phi, ("a", "a", "b", "a", "b"))
         assert dict(got.items()) == {(1, 5, 3, 5, 1): 1}
 
     def test_switchpoints_shape(self):
-        phi = scc_unambiguous_to_wfo(load("switchpoints"))
+        phi = wa_to_wfo(load("switchpoints"), "scc")
         assert isinstance(phi, SumX) and isinstance(phi.body, SumX)
         assert isinstance(phi.body.body, WIte)
         assert phi.var == "y1" and phi.body.var == "y2"
 
     def test_cardinality_counts_accepting_runs(self):
         sw = load("switchpoints")
-        phi = scc_unambiguous_to_wfo(sw)
+        phi = wa_to_wfo(sw, "scc")
         for w in all_words(("a", "b"), 6):
             got = eval_wfo_at(phi, w)
             assert sum(n for _, n in got.items()) == count_runs(sw, w)
@@ -220,7 +220,7 @@ class TestSccUnambiguousToWfo:
         n for n in ALL_TEXTS if n not in ("blockmax", "fibonacci")))
     def test_round_trip(self, name):
         a = load(name)
-        phi = scc_unambiguous_to_wfo(a)
+        phi = wa_to_wfo(a, "scc")
         b = compile_wfo(phi, tuple(sorted(a.nfa.alphabet)))
         assert classify_ambiguity(b) != "exponentially"
         for w in all_words(tuple(sorted(a.nfa.alphabet)), 6):
@@ -229,7 +229,7 @@ class TestSccUnambiguousToWfo:
     def test_scc_ambiguous_refused_with_witness(self):
         blk = load("blockmax")
         with pytest.raises(HypothesisError) as err:
-            scc_unambiguous_to_wfo(blk)
+            wa_to_wfo(blk, "scc")
         w = witness_in(err.value)
         assert not is_scc_unambiguous(blk.nfa)
         assert any(len(enumerate_runs(blk, p, p, w)) >= 2
@@ -237,35 +237,35 @@ class TestSccUnambiguousToWfo:
 
     def test_not_aperiodic(self):
         with pytest.raises(HypothesisError):
-            scc_unambiguous_to_wfo(parity_automaton())
+            wa_to_wfo(parity_automaton(), "scc")
 
 
 # every refusal of the corpus, word for word: the witness is the first
-# shortest one in letter order, whichever function spells the search
+# shortest one in letter order, whichever mode spells the search
 REFUSALS = [
-    ("blockmax", unambiguous_wa_to_wfo,
+    ("blockmax", "unambiguous",
      "not unambiguous: 'c' has two accepting runs"),
-    ("blockmax", scc_unambiguous_to_wfo,
+    ("blockmax", "scc",
      "not SCC-unambiguous: 'cc' has two runs inside one component"),
-    ("countminmax", unambiguous_wa_to_wfo,
+    ("countminmax", "unambiguous",
      "not unambiguous: 'a' has two accepting runs"),
-    ("expsum", unambiguous_wa_to_wfo,
+    ("expsum", "unambiguous",
      "not unambiguous: 'a' has two accepting runs"),
-    ("fibonacci", unambiguous_wa_to_wfo,
+    ("fibonacci", "unambiguous",
      "not unambiguous: 'aaa' has two accepting runs"),
-    ("fibonacci", scc_unambiguous_to_wfo,
+    ("fibonacci", "scc",
      "not SCC-unambiguous: 'aa' has two runs inside one component"),
-    ("linearcount", unambiguous_wa_to_wfo,
+    ("linearcount", "unambiguous",
      "not unambiguous: 'aa' has two accepting runs"),
-    ("mingap", unambiguous_wa_to_wfo,
+    ("mingap", "unambiguous",
      "not unambiguous: 'bbb' has two accepting runs"),
-    ("splitmax", unambiguous_wa_to_wfo,
+    ("splitmax", "unambiguous",
      "not unambiguous: 'a' has two accepting runs"),
-    ("splitmin", unambiguous_wa_to_wfo,
+    ("splitmin", "unambiguous",
      "not unambiguous: 'a' has two accepting runs"),
-    ("switchpoints", unambiguous_wa_to_wfo,
+    ("switchpoints", "unambiguous",
      "not unambiguous: 'aaab' has two accepting runs"),
-    ("triplerun", unambiguous_wa_to_wfo,
+    ("triplerun", "unambiguous",
      "not unambiguous: 'aab' has two accepting runs"),
 ]
 
@@ -278,11 +278,11 @@ MARKED_REFUSALS = [
      "not unambiguous from 1 to 2: 'a[01]a[01]' has two runs"),
     ("alphabet: a[01] a[10]\nstates: 1 2\ninitial: 1\nfinal: 2\n"
      "trans: 1 a[01] 1 1\ntrans: 1 a[01] 2 1\ntrans: 2 a[01] 2 1\n",
-     unambiguous_wa_to_wfo,
+     lambda a: wa_to_wfo(a, "unambiguous"),
      "not unambiguous: 'a[01]a[01]' has two accepting runs"),
     ("alphabet: a[01] a[10]\nstates: 1 2\ninitial: 1\nfinal: 1\n"
      "trans: 1 a[10] 1 1\ntrans: 1 a[10] 2 1\ntrans: 2 a[10] 1 1\n",
-     scc_unambiguous_to_wfo,
+     lambda a: wa_to_wfo(a, "scc"),
      "not SCC-unambiguous: 'a[10]a[10]' has two runs inside one component"),
 ]
 
@@ -299,19 +299,19 @@ class TestRefusalTexts:
     def test_table_is_every_refusal(self):
         got = set()
         for name in ALL_TEXTS:
-            for fn in (unambiguous_wa_to_wfo, scc_unambiguous_to_wfo):
+            for mode in ("unambiguous", "scc"):
                 try:
-                    fn(load(name))
+                    wa_to_wfo(load(name), mode)
                 except HypothesisError:
-                    got.add((name, fn))
-        assert got == {(name, fn) for name, fn, _ in REFUSALS}
+                    got.add((name, mode))
+        assert got == {(name, mode) for name, mode, _ in REFUSALS}
 
-    @pytest.mark.parametrize("name,fn,text", REFUSALS,
-                             ids=["%s-%s" % (n, f.__name__[:3])
-                                  for n, f, _ in REFUSALS])
-    def test_text(self, name, fn, text):
+    @pytest.mark.parametrize("name,mode,text", REFUSALS,
+                             ids=["%s-%s" % (n, m[:3])
+                                  for n, m, _ in REFUSALS])
+    def test_text(self, name, mode, text):
         with pytest.raises(HypothesisError) as err:
-            fn(load(name))
+            wa_to_wfo(load(name), mode)
         assert str(err.value) == text
 
 
@@ -335,16 +335,16 @@ def test_one_scc_decomposition_per_automaton(monkeypatch, k, n):
     monkeypatch.setattr(automata, "SccDecomposition",
                         lambda *parts: calls.append(parts) or real(*parts))
     wa = chain_union(k, n)
-    phi = scc_unambiguous_to_wfo(wa)
+    phi = wa_to_wfo(wa, "scc")
     assert uses_sumx(phi)
-    assert scc_unambiguous_to_wfo(wa) == phi
+    assert wa_to_wfo(wa, "scc") == phi
     assert len(calls) == 1
 
 
-def _outcome(translate, wa):
+def _outcome(wa, mode):
     """The sentence, or the refusal's text."""
     try:
-        return translate(wa)
+        return wa_to_wfo(wa, mode)
     except HypothesisError as err:
         return str(err)
 
@@ -354,9 +354,39 @@ def test_auto_takes_the_branch_the_hypotheses_pick(name):
     # the unambiguous translation exactly when the automaton is
     # unambiguous, with the same sentence or the same refusal
     wa = parity_automaton() if name == "parity" else load(name)
-    chosen = unambiguous_wa_to_wfo if is_unambiguous(wa) \
-        else scc_unambiguous_to_wfo
-    assert _outcome(auto_wa_to_wfo, wa) == _outcome(chosen, wa)
+    chosen = "unambiguous" if is_unambiguous(wa) else "scc"
+    assert _outcome(wa, "auto") == _outcome(wa, chosen)
+
+
+@pytest.mark.parametrize("mode", ["", "finite", "Auto", None])
+def test_unknown_mode_is_bad_input(mode):
+    with pytest.raises(InputError) as err:
+        wa_to_wfo(load("modeblocks"), mode)
+    assert not isinstance(err.value, HypothesisError)
+    assert str(err.value) == "unknown mode %r" % (mode,)
+
+
+@pytest.mark.parametrize("name", sorted(ALL_TEXTS) + ["parity"])
+@pytest.mark.parametrize("mode", ["auto", "unambiguous", "scc"])
+def test_each_hypothesis_is_checked_at_most_once(monkeypatch, name, mode):
+    # the witness searches, counted wherever the translation looks them up
+    calls = {}
+    for search in ("aperiodicity_witness", "unambiguity_witness",
+                   "scc_ambiguity_witness"):
+        real = getattr(automata, search)
+
+        def counting(a, search=search, real=real):
+            calls[search] = calls.get(search, 0) + 1
+            return real(a)
+
+        monkeypatch.setattr(automata, search, counting)
+        monkeypatch.setattr(translation, search, counting)
+    wa = parity_automaton() if name == "parity" else load(name)
+    _outcome(wa, mode)
+    assert calls["aperiodicity_witness"] == 1
+    assert max(calls.values()) == 1
+    assert ("unambiguity_witness" in calls) == (
+        name != "parity" and mode != "scc")
 
 
 def test_tologic_auto_checks_each_hypothesis_once(tmp_path, monkeypatch,

@@ -29,9 +29,7 @@ from wfoc.semantics import builtin_semiring
 from wfoc.textfmt import (
     canonical_relabel, parse_automaton, serialize_automaton,
 )
-from wfoc.wa_to_wfo import (
-    auto_wa_to_wfo, scc_unambiguous_to_wfo, unambiguous_wa_to_wfo,
-)
+from wfoc.wa_to_wfo import wa_to_wfo
 from wfoc.wfo_compiler import (
     _CODE, compile_ite, compile_product, compile_stages,
     compile_sum_var, compile_wfo, rewrite_sum_normal_form,
@@ -453,9 +451,7 @@ def assert_same_automaton(got, want):
 
 def tologic_formula(wa):
     """The formula `wfoc tologic` writes for wa, read back from its bytes."""
-    phi = unambiguous_wa_to_wfo(wa) if is_unambiguous(wa) \
-        else scc_unambiguous_to_wfo(wa)
-    return parse_formula_file(serialize_formula_file(phi, "wfo"),
+    return parse_formula_file(serialize_formula_file(wa_to_wfo(wa), "wfo"),
                               "wfo").formula
 
 
@@ -721,7 +717,7 @@ def chain_union(k, n, rng):
 def scc_formula(wa):
     """The formula `wfoc tologic --mode scc` writes for wa, read back."""
     return parse_formula_file(serialize_formula_file(
-        scc_unambiguous_to_wfo(wa), "wfo"), "wfo").formula
+        wa_to_wfo(wa, "scc"), "wfo"), "wfo").formula
 
 
 def byte_cases():
@@ -870,7 +866,7 @@ class TestOneBuilder:
             return real(s)
 
         for wa in cases:
-            phi = auto_wa_to_wfo(wa)
+            phi = wa_to_wfo(wa)
             first = compile_wfo(phi, wa.nfa.alphabet)
             for module in (automata, encoding):
                 for name in ("state_key", "letter_key"):
