@@ -6,15 +6,17 @@ semiring's: one step, `_stepper`, moves a state -> value front in a
 a weight table and extends runs as rank strings onto a suffix that the
 runs in one state share, copying a run only where runs meet), the
 shortest length at which two automata's multisets differ (exactly, from
-a basis of forward vectors), strongly connected components, ambiguity
-classification, aperiodicity analysis (the transition monoid with its
-right Cayley table, its elements held as tuples of interned row numbers,
-and one walk of powers shared by the index and the witness that skips
-every power of an element it has walked), the closure constructions
-(disjoint union, trim), and the breadth-first exploration that every
-construction on reachable states shares: `reachable_nfa` is the one
-builder of a construction's states.  No function lists the runs one by
-one.
+a basis of forward vectors), strongly connected components (one view
+over positions, kept on the Nfa and read by every analysis of the
+component DAG), ambiguity classification, aperiodicity analysis (the
+transition monoid with its right Cayley table, its elements held as
+tuples of interned row numbers, and one walk of powers that skips every
+power of an element it has walked: the index closes the whole
+automaton, the witness only each component's own monoid), the closure
+constructions (disjoint union, trim), and the breadth-first exploration
+that every construction on reachable states shares (`reachable_nfa` is
+the one builder of a construction's states).  No function lists the runs
+one by one.
 
 An `Nfa` is its own numbered form: its states sorted by `state_key` once
 (`order`, each state's position in `pos`), its letters sorted by
@@ -36,7 +38,6 @@ import collections
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
 
 from .errors import InputError
 from .multiset import SeqMultiset, weight_table
@@ -591,20 +592,17 @@ def first_difference(a: WeightedAutomaton, b: WeightedAutomaton, maxlen):
 # -- strongly connected components -----------------------------------------
 
 
-@dataclass(frozen=True)
-class SccDecomposition:
-    component_of: dict       # state -> component id
-    components: tuple        # id -> frozenset of states
-
-    def same(self, p, q) -> bool:
-        return self.component_of[p] == self.component_of[q]
+class Components(collections.namedtuple("Components", "of masks")):
+    """An automaton's strongly connected components over positions, numbered
+    in topological order: of[i] is the component of position i, masks[c]
+    the positions of component c as a bit mask."""
 
 
-def scc_decompose(a) -> SccDecomposition:
+def scc_decompose(a) -> Components:
     """Tarjan, iterative, over positions.  Each component is named by its
     least position, and the ids are assigned in topological order
     (sources first), the ready component with the least name first.  The
-    result is kept on the Nfa."""
+    view is kept on the Nfa."""
     nfa = underlying_nfa(a)
     if nfa._sccs is not None:
         return nfa._sccs
@@ -657,12 +655,10 @@ def scc_decompose(a) -> SccDecomposition:
             indeg[d] -= 1
             if indeg[d] == 0:
                 heapq.heappush(ready, d)
-    members = [[] for _ in renum]
-    for i, s in enumerate(nfa.order):
-        members[renum[comp_of[i]]].append(s)
-    nfa._sccs = SccDecomposition(
-        {s: renum[comp_of[i]] for i, s in enumerate(nfa.order)},
-        tuple(map(frozenset, members)))
+    of, masks = tuple(map(renum.__getitem__, comp_of)), [0] * len(renum)
+    for i, c in enumerate(of):
+        masks[c] |= 1 << i
+    nfa._sccs = Components(of, tuple(masks))
     return nfa._sccs
 
 
@@ -672,7 +668,7 @@ def scc_decompose(a) -> SccDecomposition:
 def ambiguity_witness(a, start_pairs, end_pairs, within=None):
     """Shortest non-empty word with two distinct runs that go from the
     states of a start pair to the states of an end pair, staying inside
-    `within` when given; None when there is no such word.
+    the position mask `within` when given; None when there is no such word.
 
     One breadth-first pass over (pair, diverged) states of the square
     product, over positions in the automaton's `order`: the flag records
@@ -680,8 +676,8 @@ def ambiguity_witness(a, start_pairs, end_pairs, within=None):
     expanded in position order, which fixes the witness whatever the
     order of the sets."""
     nfa = underlying_nfa(a)
-    allowed = nfa.states if within is None else within
-    keep = nfa.mask(allowed)
+    pos = nfa.pos
+    keep = (1 << len(pos)) - 1 if within is None else within
 
     def step(state):
         r, s, diverged = state
@@ -691,11 +687,13 @@ def ambiguity_witness(a, start_pairs, end_pairs, within=None):
                 for s2 in outs:
                     yield letter, (r2, s2, diverged or r2 != s2)
 
-    pos = nfa.pos
+    def inside(s):
+        return s in pos and keep >> pos[s] & 1
+
     starts = sorted((pos[r], pos[s], r != s) for (r, s) in start_pairs
-                    if r in allowed and s in allowed)
+                    if inside(r) and inside(s))
     ends = {(pos[f], pos[g]) for (f, g) in end_pairs
-            if f in allowed and g in allowed}
+            if inside(f) and inside(g)}
     return shortest_word(starts, step,
                          lambda st: st[2] and st[:2] in ends)
 
@@ -713,9 +711,9 @@ def scc_ambiguity_witness(a):
     components in order, or None; a run between two such states never
     leaves their component."""
     nfa = underlying_nfa(a)
-    for comp in scc_decompose(nfa).components:
-        diagonal = {(s, s) for s in comp}
-        w = ambiguity_witness(nfa, diagonal, diagonal, within=comp)
+    for keep in scc_decompose(nfa).masks:
+        diagonal = {(s, s) for s in map(nfa.order.__getitem__, bits(keep))}
+        w = ambiguity_witness(nfa, diagonal, diagonal, within=keep)
         if w is not None:
             return w
     return None
@@ -734,12 +732,11 @@ def is_scc_unambiguous(a) -> bool:
 def _has_same_word_loop_ladder(nfa) -> bool:
     """Distinct p != q with a common word looping p->p, going p->q and
     looping q->q (triple-product reachability over positions)."""
-    scc = scc_decompose(nfa)
-    comp = [scc.component_of[s] for s in nfa.order]
+    comp, masks = scc_decompose(nfa)
     moves = list(zip(nfa.letters, nfa.succ))
     # the loops need p and q on cycles, and q reachable from p
     on_cycle = {i for i, c in enumerate(comp)
-                if len(scc.components[c]) > 1} | {
+                if masks[c] & masks[c] - 1} | {
         i for i, _, d, _ in nfa.edges() if d == i}
 
     def successors(i):
@@ -857,19 +854,22 @@ class TransitionMonoid:
         return word
 
 
-def transition_monoid(nfa) -> TransitionMonoid:
+def transition_monoid(nfa, keep=None) -> TransitionMonoid:
     """Closure of the per-letter boolean matrices under composition, with
     its right Cayley table, over interned rows: each distinct row mask is
     numbered (the singletons first) and its image under each letter is
     computed once.  An element is the tuple of its rows' numbers, its
-    product with a letter one lookup per row."""
-    gens, n = nfa.masks, len(nfa.order)
-    rows = [1 << i for i in range(n)]
+    product with a letter one lookup per row.  Rows and columns are cut
+    to the positions of the mask keep (all of them by default)."""
+    gens = nfa.masks
+    keep = (1 << len(nfa.order)) - 1 if keep is None else keep
+    rows = [1 << i for i in bits(keep)]
+    n = len(rows)
     row_number = {m: r for r, m in enumerate(rows)}
     img = [[] for _ in gens]        # img[g][r]: the number of rows[r] . g
     for mask in rows:               # rows grows in the loop
         for g, gen in enumerate(gens):
-            out = _image(gen, mask)
+            out = _image(gen, mask) & keep
             r = row_number.setdefault(out, len(rows))
             if r == len(rows):
                 rows.append(out)
@@ -942,17 +942,31 @@ def aperiodicity_index(a):
 
 
 def aperiodicity_witness(a):
-    """(word, period) for the first transition-monoid element whose powers
-    end in a cycle of period > 1, or None when the automaton is aperiodic:
-    word is the element's shortest word, as letters.  Elements are
-    numbered breadth-first, so no shorter word has powers that cycle."""
+    """(word, period) for the shortlex-least word whose matrix's powers
+    end in a cycle of period > 1, or None when the automaton is aperiodic.
+    A cycle of a word's matrix M(v) is a closed walk, inside one component,
+    so the word is the least first cycling element (`_aperiodicity`) over
+    the monoids of the components of two or more states; its period, the
+    lcm over the components, is read off the powers of the whole M(v)."""
     nfa = underlying_nfa(a)
-    monoid = transition_monoid(nfa)
-    cycling = _aperiodicity(monoid)[1]
-    if cycling is None:
+    words = []
+    for keep in scc_decompose(nfa).masks:
+        if keep & keep - 1:             # two or more states
+            monoid = transition_monoid(nfa, keep)
+            cycling = _aperiodicity(monoid)[1]
+            if cycling is not None:
+                words.append(monoid.word(cycling[0]))
+    if not words:
         return None
-    e, period = cycling
-    return tuple(nfa.letters[g] for g in monoid.word(e)), period
+    word = min(words, key=lambda w: (len(w), w))
+    matrix = [1 << i for i in range(len(nfa.order))]
+    for g in word:
+        matrix = [_image(nfa.masks[g], row) for row in matrix]
+    power, seen = tuple(matrix), {}
+    while power not in seen:
+        seen[power] = len(seen)
+        power = tuple(_image(matrix, row) for row in power)
+    return tuple(nfa.letters[g] for g in word), len(seen) - seen[power]
 
 
 # -- closure constructions --------------------------------------------------

@@ -119,25 +119,25 @@ def enumerate_switching(a, p, q):
     enumeration terminates.  The walk takes the transitions in order and
     no sequence is a prefix of another, so they come out sorted."""
     nfa = underlying_nfa(a)
-    scc = scc_decompose(nfa)
     if p not in nfa.states or q not in nfa.states:
         raise InputError("unknown state %r/%r" % (p, q))
-    if scc.same(p, q):
+    comp = scc_decompose(nfa).of
+    start, target = comp[nfa.pos[p]], comp[nfa.pos[q]]
+    if start == target:
         raise HypothesisError(
             "states %r and %r share a component; no switching is involved"
             % (p, q))
-    comp, target = scc.component_of, scc.component_of[q]
     # stacked in reverse, so that the walk takes them in number order
-    switching = [t for t in reversed(nfa.transitions)
-                 if comp[t[0]] != comp[t[2]]]
-    out, stack = [], [((), comp[p])]
+    switching = [(comp[i], t, comp[d]) for i, _, d, t in nfa.edges()
+                 if comp[i] != comp[d]][::-1]
+    out, stack = [], [((), start)]
     while stack:                # depth first, on an explicit stack
         prefix, here = stack.pop()
         if here == target:
             out.append(prefix)
         else:
-            stack.extend((prefix + (t,), comp[t[2]]) for t in switching
-                         if comp[t[0]] == here)
+            stack.extend((prefix + (nfa.transitions[t],), d)
+                         for c, t, d in switching if c == here)
     return out
 
 
@@ -146,12 +146,13 @@ def _switching_sentence(a, p, q, seq, name):
     the switching skeleton and the cascade names each position's
     transition relative to its segment."""
     nfa = a.nfa
-    scc = scc_decompose(nfa)
+    comp = scc_decompose(nfa).of
     ys = ["y%d" % i for i in range(1, len(seq) + 1)]
-    comps = [scc.component_of[p]] + [scc.component_of[t[2]] for t in seq]
     # segment j runs from enter[j] after position lo[j] to leave[j]
-    # before position hi[j]; None leaves that end open
+    # before position hi[j] inside the component segment[] maps to j;
+    # None leaves that end open
     enter = [p] + [t[2] for t in seq]
+    segment = {comp[nfa.pos[s]]: j for j, s in enumerate(enter)}
     leave = [t[0] for t in seq] + [q]
     lo = [None] + ys
     hi = ys + [None]
@@ -163,12 +164,12 @@ def _switching_sentence(a, p, q, seq, name):
     guard = _conj(guard_parts)
 
     pairs = []
-    for t, w in zip(nfa.transitions, a.weights):
+    for (i, _, d, _), t, w in zip(nfa.edges(), nfa.transitions, a.weights):
         (r, letter, s) = t
         if t in seq:
             cond = EqVar("x", ys[seq.index(t)])
-        elif scc.same(r, s) and scc.component_of[r] in comps:
-            j = comps.index(scc.component_of[r])
+        elif comp[i] == comp[d] and comp[i] in segment:
+            j = segment[comp[i]]
             conj = [] if lo[j] is None else [Lt(lo[j], "x")]
             if hi[j] is not None:
                 conj.append(Lt("x", hi[j]))
@@ -219,10 +220,10 @@ def wa_to_wfo(a: WeightedAutomaton, mode="auto", name=ATOM_NAME):
         raise HypothesisError(
             "not SCC-unambiguous: %r has two runs inside one"
             " component" % (render_word(w),))
-    scc = scc_decompose(nfa)
+    comp, pos = scc_decompose(nfa).of, nfa.pos
     parts = []
     for (p, q) in _end_pairs(nfa):
-        if scc.same(p, q):
+        if comp[pos[p]] == comp[pos[q]]:
             # two runs from p to q, closed by a path back to p, would be
             # two runs from p to p inside the component
             parts.append(_guarded_product(a, p, q, name))

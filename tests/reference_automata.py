@@ -7,7 +7,9 @@ form of an Nfa (its `letters`, `pos`, `transitions`, `succ` and `masks`)
 by sorting every transition with a key, as the numbered form did before
 it bucketed them.  `reference_coreachable` reads co-reachability off the
 strongly connected components and their topological order, as
-`coreachable_states` did before its backward sweep.  `eager_seq_counts`
+`coreachable_states` did before its backward sweep.  `named_components`
+reads `scc_decompose`'s positional view back to state names: each
+component's states, and each state's component.  `eager_seq_counts`
 is the multiset carrier as it was before runs shared suffixes: every
 run's code is copied at every letter.  `walked_aperiodicity` reads
 the aperiodicity index and witness off a transition monoid as the
@@ -20,7 +22,8 @@ monoid's elements back to matrices, as its `elements` did.
 import itertools
 
 from wfoc.automata import (
-    Carrier, letter_key, scc_decompose, transition_monoid, underlying_nfa,
+    Carrier, bits, letter_key, scc_decompose, transition_monoid,
+    underlying_nfa,
 )
 from wfoc.multiset import SeqMultiset
 
@@ -65,14 +68,25 @@ def reference_coreachable(nfa):
     into a component that does; the ids are topological, so sorting the
     edges by source, last first, settles every target before its
     sources."""
-    scc = scc_decompose(nfa)
-    comp = scc.component_of
-    edges = {(comp[s], comp[d]) for (s, _, d) in nfa.transitions
-             if comp[s] != comp[d]}
-    live = [not states.isdisjoint(nfa.final) for states in scc.components]
+    comp, masks = scc_decompose(nfa)
+    edges = {(comp[i], comp[d]) for i, _, d, _ in nfa.edges()
+             if comp[i] != comp[d]}
+    final = nfa.mask(nfa.final)
+    live = [bool(mask & final) for mask in masks]
     for c, d in sorted(edges, reverse=True):
         live[c] = live[c] or live[d]
-    return {s for s, c in scc.component_of.items() if live[c]}
+    return {s for s, c in zip(nfa.order, comp) if live[c]}
+
+
+def named_components(a):
+    """(components, component_of): components[c] is the frozenset of the
+    states of component c, and component_of maps each state to its
+    component."""
+    nfa = underlying_nfa(a)
+    comp, masks = scc_decompose(nfa)
+    return (tuple(frozenset(map(nfa.order.__getitem__, bits(mask)))
+                  for mask in masks),
+            dict(zip(nfa.order, comp)))
 
 
 def eager_seq_counts(weights):

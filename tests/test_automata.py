@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from corpus import ALL_TEXTS, SEED, all_words, load, switchpoints_closed_form
-from reference_automata import mat_mul
+from reference_automata import mat_mul, named_components
 from reference_semantics import (
     accepting_runs, accepts, count_runs, enumerate_runs, runs_multiset,
     words_upto,
@@ -134,17 +134,21 @@ class TestLanguages:
 class TestScc:
     def test_switchpoints_components(self):
         scc = scc_decompose(load("switchpoints").nfa)
-        assert [sorted(c) for c in scc.components] == [[1], [2, 3], [4]]
+        assert scc.of == (0, 1, 1, 2)
+        assert scc.masks == (0b1, 0b110, 0b1000)
+        components = named_components(load("switchpoints"))[0]
+        assert [sorted(c) for c in components] == [[1], [2, 3], [4]]
 
     def test_modeblocks_components(self):
-        scc = scc_decompose(load("modeblocks").nfa)
-        assert [sorted(c) for c in scc.components] == [[1, 2], [3]]
+        components = named_components(load("modeblocks"))[0]
+        assert [sorted(c) for c in components] == [[1, 2], [3]]
 
     def test_triplerun_all_trivial_but_loops(self):
-        scc = scc_decompose(load("triplerun").nfa)
-        assert len(scc.components) == 6
-        assert scc.same(1, 1)
-        assert not scc.same(1, 6)
+        nfa = load("triplerun").nfa
+        scc = scc_decompose(nfa)
+        assert len(scc.masks) == 6
+        assert all(mask & mask - 1 == 0 for mask in scc.masks)
+        assert scc.of[nfa.pos[1]] != scc.of[nfa.pos[6]]
 
 
 CLASSES = {
@@ -322,8 +326,9 @@ def test_ambiguity_witness_oracle(nfa):
     assert all(count_runs(nfa, u) < 2 for u in shorter)
     assert is_unambiguous(nfa) == (found is None)
 
-    scc = scc_decompose(nfa)
-    same = [(p, q) for p in nfa.states for q in nfa.states if scc.same(p, q)]
+    comp = named_components(nfa)[1]
+    same = [(p, q) for p in nfa.states for q in nfa.states
+            if comp[p] == comp[q]]
     ambiguous = any(len(enumerate_runs(nfa, p, q, u)) >= 2
                     for u in all_words(letters, 6) for (p, q) in same)
     assert is_scc_unambiguous(nfa) == (not ambiguous)

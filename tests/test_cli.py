@@ -1227,6 +1227,17 @@ class TestMarkedLetterWitnesses:
             1, "COUNTEREXAMPLE a[01]a[10]\na:\n1 x [2,1]\nb:\n1 x [2,2]\n")
 
 
+# a's powers cycle with period 2 on {1, 2} and 3 on {3, 4, 5}: only the
+# whole matrix has period 6
+LCM_CYCLES = ("alphabet: a b\nstates: 1 2 3 4 5 6\ninitial: 1\nfinal: 6\n"
+              "trans: 1 a 2 1\ntrans: 2 a 1 1\ntrans: 1 b 3 1\n"
+              "trans: 3 a 4 1\ntrans: 4 a 5 1\ntrans: 5 a 3 1\n"
+              "trans: 5 b 6 1\n")
+# one run on a; the cycle 3 <-> 4 is reached from no initial state
+DEAD_CYCLE = ("alphabet: a\nstates: 1 2 3 4\ninitial: 1\nfinal: 2\n"
+              "trans: 1 a 2 1\ntrans: 3 a 4 1\ntrans: 4 a 3 1\n")
+
+
 class TestAperiodicityRefusal:
     """Every translation mode refuses a non-aperiodic automaton naming the
     shortest word whose powers cycle, and the period of that cycle."""
@@ -1251,7 +1262,10 @@ class TestAperiodicityRefusal:
         ("alphabet: a[01] a[10]\nstates: 1 2\ninitial: 1\nfinal: 1\n"
          "trans: 1 a[10] 1 0\ntrans: 1 a[01] 2 1\ntrans: 2 a[01] 1 1\n",
          "a[01]", 2),
-    ], ids=["cycle2", "cycle3", "swap-b", "swap-ab", "marked"])
+        (LCM_CYCLES, "a", 6),
+        (DEAD_CYCLE, "a", 2),
+    ], ids=["cycle2", "cycle3", "swap-b", "swap-ab", "marked", "lcm",
+            "dead-cycle"])
     def test_aperiodicity_refusal_names_word_and_period(
             self, tmp_path, capsys, monkeypatch, text, word, period, mode):
         want = ("refused: automaton is not aperiodic: the powers of %r cycle"
@@ -1265,16 +1279,18 @@ class TestAperiodicityRefusal:
                              ids=["default", "unambiguous", "scc"])
     def test_refusal_builds_one_monoid(self, tmp_path, capsys, monkeypatch,
                                        mode):
+        # the cycle's one component of two states closes once, cut to it
         built = []
         real = wfoc.automata.transition_monoid
         monkeypatch.setattr(wfoc.automata, "transition_monoid",
-                            lambda nfa: built.append(nfa) or real(nfa))
+                            lambda nfa, keep=None: built.append(keep)
+                            or real(nfa, keep))
         cycle = ("alphabet: a\nstates: 1 2\ninitial: 1\nfinal: 2\n"
                  "trans: 1 a 2 1\ntrans: 2 a 1 1\n")
         argv = ["tologic", "--automaton", "in.wa"] + mode
         rc, _, err = run_in(tmp_path, capsys, monkeypatch, cycle, argv)
         assert rc == 1 and err.startswith("refused: automaton is not")
-        assert len(built) == 1
+        assert built == [0b11]
 
 
 class TestDecompose:
@@ -1365,6 +1381,14 @@ class TestClassify:
         path = save(tmp_path, name)
         rc, out, _ = run(capsys, ["classify", "--automaton", path])
         assert rc == 0 and out == expect + "\n"
+
+    @pytest.mark.parametrize("text", [LCM_CYCLES, DEAD_CYCLE],
+                             ids=["lcm", "dead-cycle"])
+    def test_cycling_but_unambiguous(self, tmp_path, capsys, monkeypatch,
+                                     text):
+        argv = ["classify", "--automaton", "in.wa"]
+        assert run_in(tmp_path, capsys, monkeypatch, text, argv) == \
+            (0, "ambiguity: unambiguous; aperiodic: no\n", "")
 
 
 class TestEquiv:

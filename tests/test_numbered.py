@@ -41,8 +41,9 @@ import pytest
 
 from corpus import ALL_TEXTS, SEED, load, named_weights, random_fo
 from reference_automata import (
-    ReferenceNumbered, mat_mul, monoid_matrices, reference_coreachable,
-    walked_aperiodicity, walked_index, walked_witness,
+    ReferenceNumbered, mat_mul, monoid_matrices, named_components,
+    reference_coreachable, walked_aperiodicity, walked_index,
+    walked_witness,
 )
 from reference_classifiers import (
     table, untrimmed_dfa_from_nfa, untrimmed_on_validity, untrimmed_subsets,
@@ -54,7 +55,7 @@ from wfoc import (
     serialize_automaton, to_dot,
 )
 from wfoc.automata import (
-    ambiguity_witness, aperiodicity_index, aperiodicity_witness,
+    ambiguity_witness, aperiodicity_index, aperiodicity_witness, bits,
     coreachable_states, explore, forward, letter_key, live_sets,
     reachable_nfa, runs_witness, scc_decompose, seq_counts, shortest_word,
     state_key, transition_monoid, trim, underlying_nfa, weighted_union,
@@ -838,10 +839,11 @@ def test_scc_decompose_matches_reference():
     cases = [wa.nfa for wa in map(load, sorted(ALL_TEXTS))]
     cases += [mixed_automaton(rng) for _ in range(3000)]
     for nfa in cases:
-        scc = scc_decompose(nfa)
-        components, component_of = reference_scc(nfa)
-        assert scc.components == components
-        assert scc.component_of == component_of
+        assert named_components(nfa) == reference_scc(nfa)
+        comp, masks = scc_decompose(nfa)
+        assert len(comp) == len(nfa.order)
+        assert [sum(1 << i for i, c in enumerate(comp) if c == k)
+                for k in range(len(masks))] == list(masks)
 
 
 def test_scc_decompose_is_not_quadratic_in_components():
@@ -853,8 +855,8 @@ def test_scc_decompose_is_not_quadratic_in_components():
     started = time.process_time()
     scc = scc_decompose(nfa)
     assert time.process_time() - started < 3.0
-    assert len(scc.components) == 11430
-    assert scc.component_of[0] == 0 and scc.component_of[n - 1] == 11429
+    assert len(scc.masks) == 11430
+    assert scc.of[nfa.pos[0]] == 0 and scc.of[nfa.pos[n - 1]] == 11429
 
 
 @pytest.mark.parametrize("i", range(len(NFAS)))
@@ -862,14 +864,17 @@ def test_ambiguity_witness_matches_reference(i):
     nfa = NFAS[i]
     rng = random.Random(SEED + i)
     states = nfa.states
-    withins = [None, scc_decompose(nfa).components[0],
-               {s for s in states if rng.random() < 0.7}]
+    # `within` is a position mask; the reference takes the states
+    withins = [None, scc_decompose(nfa).masks[0],
+               nfa.mask(s for s in states if rng.random() < 0.7)]
     for within in withins:
+        named = None if within is None \
+            else set(map(nfa.order.__getitem__, bits(within)))
         for _ in range(3):
             starts = _pairs(rng, states, rng.randint(1, 6))
             ends = _pairs(rng, states, rng.randint(1, 8))
             assert ambiguity_witness(nfa, starts, ends, within) == \
-                reference_witness(nfa, starts, ends, within)
+                reference_witness(nfa, starts, ends, named)
     every = set(itertools.product(states, states))
     assert ambiguity_witness(nfa, every, every) == \
         reference_witness(nfa, every, every)
@@ -1043,6 +1048,28 @@ def test_aperiodicity_matches_walking_every_element():
         assert aperiodicity_witness(nfa) == walked_witness(nfa)
     assert {walked_index(nfa) is None for nfa in MONOID_CASES} \
         == {True, False}
+
+
+def test_component_witness_matches_the_whole_closure():
+    # 5,000 seeded automata with a component of two or more states: the
+    # least cycling word over the components' own monoids, with the
+    # period of the whole matrix, is the whole closure's first cycling
+    # element
+    rng = random.Random(SEED + 41)
+    cases, refusals = 0, 0
+    while cases < 5000:
+        n, letters = rng.randint(2, 5), "abc"[:rng.randint(1, 3)]
+        chance = rng.choice((1.0, 1.5, 2.0)) / n
+        nfa = Nfa(range(n), letters,
+                  {(s, a, d) for s in range(n) for a in letters
+                   for d in range(n) if rng.random() < chance}, {0}, {n - 1})
+        if all(mask & mask - 1 == 0 for mask in scc_decompose(nfa).masks):
+            continue
+        cases += 1
+        got = aperiodicity_witness(nfa)
+        assert got == walked_witness(nfa), nfa.transitions
+        refusals += got is not None
+    assert 500 < refusals < 4500
 
 
 def test_chain_index_walks_the_powers_of_two_elements(monkeypatch):
@@ -1537,9 +1564,9 @@ def test_serialized_bytes_match_reference():
 def test_switching_sequences_come_out_sorted():
     for wa in pool(200, SEED + 14, weighted=True):
         nfa = wa.nfa
-        scc = scc_decompose(nfa)
+        comp = named_components(nfa)[1]
         for p, q in itertools.product(nfa.order, nfa.order):
-            if scc.same(p, q):
+            if comp[p] == comp[q]:
                 continue
             seqs = enumerate_switching(nfa, p, q)
             assert seqs == sorted(seqs, key=state_key)

@@ -1,15 +1,18 @@
 """Tests for translating automata back into weighted sentences."""
 
 import re
+import time
 
 import pytest
 
 from corpus import ALL_TEXTS, all_words, load
+from scopes import dd
+from reference_automata import named_components
 from reference_semantics import count_runs, enumerate_runs
 from wfoc import automata
 from wfoc.automata import (
     Nfa, WeightedAutomaton, abstract_semantics, classify_ambiguity,
-    is_scc_unambiguous, is_unambiguous, scc_decompose,
+    is_scc_unambiguous, is_unambiguous,
 )
 from wfoc.errors import HypothesisError, InputError
 from wfoc.fo_compiler import compile_fo
@@ -181,7 +184,7 @@ class TestEnumerateSwitching:
 
     def test_observed_skeletons_are_enumerated(self):
         tri = load("triplerun")
-        comp = scc_decompose(tri.nfa).component_of
+        comp = named_components(tri)[1]
         for p in sorted(tri.nfa.initial):
             for q in sorted(tri.nfa.final):
                 if comp[p] == comp[q]:
@@ -329,10 +332,10 @@ def chain_union(k, n):
 @pytest.mark.parametrize("k,n", [(3, 10), (4, 6)])
 def test_one_scc_decomposition_per_automaton(monkeypatch, k, n):
     # every (initial, final) pair and every switching sequence reads the
-    # components kept on the automaton
+    # component view kept on the automaton
     calls = []
-    real = automata.SccDecomposition
-    monkeypatch.setattr(automata, "SccDecomposition",
+    real = automata.Components
+    monkeypatch.setattr(automata, "Components",
                         lambda *parts: calls.append(parts) or real(*parts))
     wa = chain_union(k, n)
     phi = wa_to_wfo(wa, "scc")
@@ -391,19 +394,44 @@ def test_each_hypothesis_is_checked_at_most_once(monkeypatch, name, mode):
 
 def test_tologic_auto_checks_each_hypothesis_once(tmp_path, monkeypatch,
                                                   capsys):
-    # one square-product search and one monoid closure on an unambiguous
-    # input
+    # one square-product search and one monoid closure per component of
+    # two or more states on an unambiguous input: none for a chain, whose
+    # components are single states, and one for modeblocks' {1, 2}
     from wfoc.cli import main
-    searches, closures = [], []
     search, closure = automata.ambiguity_witness, automata.transition_monoid
-    monkeypatch.setattr(automata, "ambiguity_witness",
-                        lambda *args, **kw: searches.append(args)
-                        or search(*args, **kw))
-    monkeypatch.setattr(automata, "transition_monoid",
-                        lambda nfa: closures.append(nfa) or closure(nfa))
-    path = tmp_path / "chain.wa"
-    path.write_text(serialize_automaton(chain_union(1, 10)))
-    assert main(["tologic", "--automaton", str(path),
-                 "-o", str(tmp_path / "chain.wfo")]) == 0
-    capsys.readouterr()
-    assert (len(searches), len(closures)) == (1, 1)
+    for wa, multi in ((chain_union(1, 10), []), (load("modeblocks"), [0b11])):
+        assert is_unambiguous(wa)
+        searches, closures = [], []
+        monkeypatch.setattr(automata, "ambiguity_witness",
+                            lambda *args, **kw: searches.append(args)
+                            or search(*args, **kw))
+        monkeypatch.setattr(automata, "transition_monoid",
+                            lambda nfa, keep=None: closures.append(keep)
+                            or closure(nfa, keep))
+        path = tmp_path / "in.wa"
+        path.write_text(serialize_automaton(wa))
+        assert main(["tologic", "--automaton", str(path),
+                     "-o", str(tmp_path / "out.wfo")]) == 0
+        capsys.readouterr()
+        assert (len(searches), closures) == (1, multi)
+
+
+def test_dd60_closes_no_monoid_wider_than_a_component(monkeypatch):
+    # every cycle of dd-60 is a self-loop: the aperiodicity check closes
+    # no monoid over more positions than its largest component holds
+    wa = parse_automaton(dd(60))
+    largest = max(bin(mask).count("1")
+                  for mask in automata.scc_decompose(wa).masks)
+    closure = automata.transition_monoid
+
+    def counted(nfa, keep=None):
+        # checked before closing: the whole closure would not finish
+        width = len(nfa.order) if keep is None else bin(keep).count("1")
+        assert width <= largest
+        return closure(nfa, keep)
+
+    monkeypatch.setattr(automata, "transition_monoid", counted)
+    started = time.process_time()
+    phi = wa_to_wfo(wa)
+    assert time.process_time() - started < 2.0
+    assert largest == 1 and not uses_sumx(phi)
